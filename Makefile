@@ -80,13 +80,15 @@ market-smoke:
 	$(GO) test -race -count=1 ./internal/market/
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
-# LP kernel smoke: race-detected runs of the lp packages (basis engines,
-# presolve round-trip, pricing, degenerate-cycling guards — the tests cover
-# both the LU and eta engines), then one warm CapSession probe sequence on
-# the LU engine through internal/core.
+# LP kernel smoke: race-detected runs of the lp packages (the LU against
+# its eta-file and dense-LU oracles, the dense-tableau equivalence suite,
+# presolve round-trip, pricing, degenerate-cycling guards, and the rescue's
+# one-extra-solve bound), then through internal/core the golden objectives
+# in both kernel configurations (presolved and the rescue's), the warm
+# CapSession probes, and the windowed numerical-rescue regressions.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestCapSessionWarmProbeEngines|TestEngineEquivalenceGoldenObjectives' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestWindowedNumericalRescue' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end

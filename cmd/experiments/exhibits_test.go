@@ -91,14 +91,13 @@ func TestScaleExhibitSmoke(t *testing.T) {
 	}
 }
 
-// TestKernelExhibitSmoke runs the LP-kernel exhibit at a tiny size: the
-// engine×pricing grid on an 4-rank sweep, one extra scale row, a two-point
-// frontier ladder, and a small windowed zero-rescue run.
+// TestKernelExhibitSmoke runs the LP-kernel exhibit at a tiny size: 4- and
+// 8-rank warm sweeps, a two-point frontier ladder, and a small windowed
+// zero-rescue run.
 func TestKernelExhibitSmoke(t *testing.T) {
 	cfg := tinyConfig()
 	sz := kernelSizes{
-		gridRanks:    4,
-		scaleRanks:   []int{8},
+		sweepRanks:   []int{4, 8},
 		sweepIters:   4,
 		ladderRanks:  2,
 		ladder:       []int{200, 300},

@@ -16,22 +16,19 @@ import (
 )
 
 // The "kernel" exhibit benchmarks the LP kernel itself (DESIGN.md §14):
-// the engine × pricing grid on warm-started cap sweeps at 64-rank scale
-// with lu/steepest scale-up rows to 256 ranks, the numerical-breakdown
-// frontier ladder on synthetic long-chain traces (new default vs the
-// legacy eta/Dantzig kernel), and a past-the-frontier windowed run that
-// must need zero numerical rescues. With -benchjson the measurements are
-// written as BENCH_kernel.json.
+// warm-started cap sweeps from 64 to 256 ranks, the numerical-breakdown
+// frontier ladder of monolithic solves on synthetic long-chain traces, and
+// a past-the-frontier windowed run that must need zero numerical rescues.
+// With -benchjson the measurements are also written as machine-readable
+// JSON.
 //
 // Every run is single-threaded and the runs execute strictly one after
-// another — the reference host is a 1-CPU container, so concurrent
-// measurement would corrupt the walls. Speedups here are algorithmic
-// (pivot counts, factorization sparsity), not parallelism.
+// another, so concurrent measurement cannot corrupt the walls on a
+// one-CPU host.
 
 // kernelSizes parameterizes the exhibit so the smoke test can shrink it.
 type kernelSizes struct {
-	gridRanks    int     // rank count for the full engine×pricing sweep grid
-	scaleRanks   []int   // extra lu/steepest-only sweep rows (scale-up)
+	sweepRanks   []int   // rank counts for the warm sweep rows
 	sweepIters   int     // SP iterations (the sweep solves one slice)
 	ladderRanks  int     // ranks for the synthetic frontier traces
 	ladder       []int   // frontier ladder event counts, ascending
@@ -43,8 +40,7 @@ type kernelSizes struct {
 
 func defaultKernelSizes() kernelSizes {
 	return kernelSizes{
-		gridRanks:    64,
-		scaleRanks:   []int{128, 256},
+		sweepRanks:   []int{64, 128, 256},
 		sweepIters:   4,
 		ladderRanks:  4,
 		ladder:       []int{250, 400, 500, 750, 1000, 1250, 1500},
@@ -55,21 +51,9 @@ func defaultKernelSizes() kernelSizes {
 	}
 }
 
-// kernelCombo is one engine×pricing configuration under measurement.
-type kernelCombo struct {
-	engine  lp.Engine
-	pricing lp.Pricing
-}
-
-func (c kernelCombo) String() string {
-	return c.engine.String() + "/" + c.pricing.String()
-}
-
-// kernelSweepRow is one configuration's aggregate over a warm cap sweep.
+// kernelSweepRow is one rank count's aggregate over a warm cap sweep.
 type kernelSweepRow struct {
 	Ranks      int     `json:"ranks"`
-	Engine     string  `json:"engine"`
-	Pricing    string  `json:"pricing"`
 	WallS      float64 `json:"wall_s"`
 	Solves     int     `json:"solves"`
 	Pivots     int     `json:"pivots"`
@@ -83,48 +67,30 @@ type kernelFrontierPoint struct {
 	Outcome   string  `json:"outcome"`
 	WallS     float64 `json:"wall_s"`
 	Pivots    int     `json:"pivots,omitempty"`
+	Rescues   int     `json:"rescues,omitempty"`
 	MakespanS float64 `json:"makespan_s,omitempty"`
 }
 
-// kernelFrontierRow is one kernel configuration's breakdown frontier.
-type kernelFrontierRow struct {
-	Engine         string                `json:"engine"`
-	Pricing        string                `json:"pricing"`
-	Points         []kernelFrontierPoint `json:"points"`
+// kernelReport is the exhibit's JSON document.
+type kernelReport struct {
+	SingleThreaded bool                  `json:"single_threaded"`
+	CapsPerW       []float64             `json:"caps_per_socket_w"`
+	Sweeps         []kernelSweepRow      `json:"sweeps"`
+	LadderRanks    int                   `json:"ladder_ranks"`
+	LadderPerW     float64               `json:"ladder_cap_per_socket_w"`
+	Frontier       []kernelFrontierPoint `json:"frontier"`
 	FrontierEvents int                   `json:"frontier_events"`
 	FailOutcome    string                `json:"fail_outcome,omitempty"`
 	FailEvents     int                   `json:"fail_events,omitempty"`
+	WindowEvents   int                   `json:"window_events"`
+	WindowWallS    float64               `json:"window_wall_s"`
+	WindowRescues  int                   `json:"window_numerical_rescues"`
+	Generated      string                `json:"generated"`
 }
 
-// kernelReport is the BENCH_kernel.json document.
-type kernelReport struct {
-	SingleThreaded bool                `json:"single_threaded"`
-	HostNote       string              `json:"host_note"`
-	GridRanks      int                 `json:"grid_ranks"`
-	CapsPerW       []float64           `json:"caps_per_socket_w"`
-	Sweeps         []kernelSweepRow    `json:"sweeps"`
-	WarmSpeedupX   float64             `json:"warm_sweep_speedup_vs_legacy"`
-	LadderRanks    int                 `json:"ladder_ranks"`
-	LadderPerW     float64             `json:"ladder_cap_per_socket_w"`
-	Frontier       []kernelFrontierRow `json:"frontier"`
-	FrontierGainX  float64             `json:"frontier_gain_vs_legacy"`
-	WindowEvents   int                 `json:"window_events"`
-	WindowWallS    float64             `json:"window_wall_s"`
-	WindowRescues  int                 `json:"window_numerical_rescues"`
-	Generated      string              `json:"generated"`
-}
-
-// kernelDefault/kernelLegacy bracket the refactor: the shipped default
-// (sparse LU + steepest edge) against the pre-refactor kernel (eta file +
-// full Dantzig scans, bit-compatible with the seed's pivot sequences).
-var (
-	kernelDefault = kernelCombo{lp.EngineLU, lp.PricingSteepest}
-	kernelLegacy  = kernelCombo{lp.EngineEta, lp.PricingDantzig}
-)
-
-// Monolithic frontier outcomes beyond scale.go's: the legacy kernel does
-// not always fail loudly — past its numerical limits the Dantzig phase-1
-// can also wander into declaring a solvable instance infeasible.
+// Monolithic frontier outcomes beyond scale.go's: the ladder's traces are
+// feasible at its cap, so an infeasible verdict there is numerical failure
+// masquerading as a status.
 const monoFalseInfeasible = "false-infeasible"
 
 func runKernel(cfg config) error {
@@ -132,24 +98,24 @@ func runKernel(cfg config) error {
 }
 
 func runKernelSized(cfg config, sz kernelSizes) error {
-	header("LP kernel", "engine×pricing warm sweeps, breakdown frontier, and zero-rescue check (DESIGN.md §14; single-threaded, runs serialized for the 1-CPU host)")
+	header("LP kernel", "warm sweeps, breakdown frontier, and zero-rescue check (DESIGN.md §14; single-threaded, runs serialized)")
 	report := kernelReport{
 		SingleThreaded: true,
-		HostNote:       "1-CPU container; every run is serialized, speedups are algorithmic not parallel",
-		GridRanks:      sz.gridRanks,
 		LadderRanks:    sz.ladderRanks,
 		LadderPerW:     sz.ladderPerW,
 	}
 
-	// --- Warm cap sweeps: the engine×pricing grid, then scale-up rows. ---
+	// --- Warm cap sweeps at each rank count. ---
 	for per := 70.0; per >= 30; per -= 10 {
 		report.CapsPerW = append(report.CapsPerW, per)
 	}
-	sweep := func(ranks int, combo kernelCombo) (kernelSweepRow, error) {
+	fmt.Printf("%7s%10s%8s%10s%8s%8s\n", "ranks", "wall(s)", "solves", "pivots", "dual", "warm")
+	for _, ranks := range sz.sweepRanks {
+		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks...\n", ranks)
 		w := workloads.SP(workloads.Params{Ranks: ranks, Iterations: sz.sweepIters, Seed: cfg.seed, WorkScale: cfg.scale})
 		slices, err := dag.SliceAll(w.Graph)
 		if err != nil {
-			return kernelSweepRow{}, err
+			return err
 		}
 		si := 2
 		if si >= len(slices) {
@@ -161,166 +127,88 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 			caps = append(caps, per*float64(ranks))
 		}
 		s := core.NewSolver(machine.Default(), w.EffScale)
-		s.Engine, s.Pricing = combo.engine, combo.pricing
 		var st core.Stats
 		start := time.Now()
 		pts, err := s.SolveSweep(g, caps)
 		if err != nil {
-			return kernelSweepRow{}, err
+			return fmt.Errorf("sweep %d ranks: %w", ranks, err)
 		}
 		for _, pt := range pts {
 			if pt.Err != nil {
-				return kernelSweepRow{}, pt.Err
+				return fmt.Errorf("sweep %d ranks: %w", ranks, pt.Err)
 			}
 			st.Add(pt.Schedule.Stats)
 		}
-		return kernelSweepRow{
+		r := kernelSweepRow{
 			Ranks:      ranks,
-			Engine:     combo.engine.String(),
-			Pricing:    combo.pricing.String(),
 			WallS:      time.Since(start).Seconds(),
 			Solves:     st.Solves,
 			Pivots:     st.SimplexIter,
 			DualPivots: st.DualIter,
 			WarmStarts: st.WarmStarts,
-		}, nil
-	}
-
-	grid := []kernelCombo{
-		kernelDefault,
-		{lp.EngineLU, lp.PricingDantzig},
-		{lp.EngineEta, lp.PricingSteepest},
-		kernelLegacy,
-	}
-	for _, combo := range grid {
-		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", sz.gridRanks, combo)
-		row, err := sweep(sz.gridRanks, combo)
-		if err != nil {
-			return fmt.Errorf("sweep %d ranks %s: %w", sz.gridRanks, combo, err)
 		}
-		report.Sweeps = append(report.Sweeps, row)
+		report.Sweeps = append(report.Sweeps, r)
+		fmt.Printf("%7d%10.2f%8d%10d%8d%8d\n", r.Ranks, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
 	}
-	// Scale-up rows run the default kernel only: at these sizes the legacy
-	// combinations are 1-2 orders of magnitude slower (see the grid rows),
-	// so sweeping them again would dominate the exhibit's wall clock
-	// without adding information.
-	if len(sz.scaleRanks) > 0 {
-		fmt.Fprintf(os.Stderr, "  scale-up rows measure %s only (legacy combos skipped for wall-clock budget)\n", kernelDefault)
-	}
-	for _, ranks := range sz.scaleRanks {
-		fmt.Fprintf(os.Stderr, "  warm sweep: %d ranks, %s...\n", ranks, kernelDefault)
-		row, err := sweep(ranks, kernelDefault)
-		if err != nil {
-			return fmt.Errorf("sweep %d ranks %s: %w", ranks, kernelDefault, err)
-		}
-		report.Sweeps = append(report.Sweeps, row)
-	}
-
-	fmt.Printf("%7s%15s%10s%8s%10s%8s%8s\n", "ranks", "kernel", "wall(s)", "solves", "pivots", "dual", "warm")
-	var wallDefault, wallLegacy float64
-	for _, r := range report.Sweeps {
-		fmt.Printf("%7d%15s%10.2f%8d%10d%8d%8d\n",
-			r.Ranks, r.Engine+"/"+r.Pricing, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
-		if r.Ranks == sz.gridRanks {
-			if r.Engine == kernelDefault.engine.String() && r.Pricing == kernelDefault.pricing.String() {
-				wallDefault = r.WallS
-			}
-			if r.Engine == kernelLegacy.engine.String() && r.Pricing == kernelLegacy.pricing.String() {
-				wallLegacy = r.WallS
-			}
-		}
-	}
-	if wallDefault > 0 {
-		report.WarmSpeedupX = wallLegacy / wallDefault
-	}
-	fmt.Printf("\nat %d ranks the %s kernel sweeps %.1fx faster than the legacy %s kernel (acceptance: >= 2x)\n",
-		sz.gridRanks, kernelDefault, report.WarmSpeedupX, kernelLegacy)
 
 	// --- Breakdown frontier: monolithic solves on long-chain traces. ---
-	frontier := func(combo kernelCombo) (kernelFrontierRow, error) {
-		row := kernelFrontierRow{Engine: combo.engine.String(), Pricing: combo.pricing.String()}
-		for _, events := range sz.ladder {
-			w := workloads.Synthetic(workloads.SynthParams{
-				Ranks: sz.ladderRanks, Events: events, Seed: cfg.seed, WorkScale: cfg.scale,
-			})
-			s := core.NewSolver(machine.Default(), w.EffScale)
-			s.Engine, s.Pricing = combo.engine, combo.pricing
-			fmt.Fprintf(os.Stderr, "  frontier: %s at %d events...\n", combo, events)
-			ctx, cancel := context.WithTimeout(context.Background(),
-				time.Duration(sz.pointBudgetS*float64(time.Second)))
-			t0 := time.Now()
-			sched, err := s.SolveCtx(ctx, w.Graph, sz.ladderPerW*float64(sz.ladderRanks))
-			cancel()
-			pt := kernelFrontierPoint{Events: events, WallS: time.Since(t0).Seconds()}
-			var numErr *lp.NumericalError
-			switch {
-			case err == nil:
-				pt.Outcome = monoOK
-				pt.Pivots = sched.Stats.SimplexIter
-				pt.MakespanS = sched.MakespanS
-			case errors.As(err, &numErr):
-				pt.Outcome = monoBreakdown
-			case errors.Is(err, context.DeadlineExceeded):
-				pt.Outcome = monoBudget
-			case errors.Is(err, core.ErrInfeasible):
-				// The same trace and cap solve fine on the other kernels:
-				// an infeasible verdict here is numerical failure
-				// masquerading as a status, and counts against the
-				// frontier just like an explicit breakdown.
-				pt.Outcome = monoFalseInfeasible
-			default:
-				return row, fmt.Errorf("frontier %s at %d events: %w", combo, events, err)
-			}
-			row.Points = append(row.Points, pt)
-			if pt.Outcome != monoOK {
-				row.FailOutcome = pt.Outcome
-				row.FailEvents = events
-				break
-			}
-			row.FrontierEvents = events
+	for _, events := range sz.ladder {
+		w := workloads.Synthetic(workloads.SynthParams{
+			Ranks: sz.ladderRanks, Events: events, Seed: cfg.seed, WorkScale: cfg.scale,
+		})
+		s := core.NewSolver(machine.Default(), w.EffScale)
+		fmt.Fprintf(os.Stderr, "  frontier: %d events...\n", events)
+		ctx, cancel := context.WithTimeout(context.Background(),
+			time.Duration(sz.pointBudgetS*float64(time.Second)))
+		t0 := time.Now()
+		sched, err := s.SolveCtx(ctx, w.Graph, sz.ladderPerW*float64(sz.ladderRanks))
+		cancel()
+		pt := kernelFrontierPoint{Events: events, WallS: time.Since(t0).Seconds()}
+		var numErr *lp.NumericalError
+		switch {
+		case err == nil:
+			pt.Outcome = monoOK
+			pt.Pivots = sched.Stats.SimplexIter
+			pt.Rescues = sched.Stats.Rescues
+			pt.MakespanS = sched.MakespanS
+		case errors.As(err, &numErr):
+			pt.Outcome = monoBreakdown
+		case errors.Is(err, context.DeadlineExceeded):
+			pt.Outcome = monoBudget
+		case errors.Is(err, core.ErrInfeasible):
+			pt.Outcome = monoFalseInfeasible
+		default:
+			return fmt.Errorf("frontier at %d events: %w", events, err)
 		}
-		return row, nil
+		report.Frontier = append(report.Frontier, pt)
+		if pt.Outcome != monoOK {
+			report.FailOutcome = pt.Outcome
+			report.FailEvents = events
+			break
+		}
+		report.FrontierEvents = events
 	}
 
-	for _, combo := range []kernelCombo{kernelDefault, {lp.EngineEta, lp.PricingSteepest}, kernelLegacy} {
-		row, err := frontier(combo)
-		if err != nil {
-			return err
+	var outs string
+	for _, pt := range report.Frontier {
+		outs += fmt.Sprintf(" %d:%s", pt.Events, pt.Outcome)
+		if pt.Rescues > 0 {
+			outs += "(rescued)"
 		}
-		report.Frontier = append(report.Frontier, row)
 	}
+	fail := "-"
+	if report.FailOutcome != "" {
+		fail = fmt.Sprintf("%s @%d", report.FailOutcome, report.FailEvents)
+	}
+	fmt.Printf("\nbreakdown frontier: %d events (first failure %s); per-size outcomes:%s\n",
+		report.FrontierEvents, fail, outs)
 
-	fmt.Printf("\n%15s%12s%22s      per-size outcomes\n", "kernel", "frontier", "first failure")
-	var frontDefault, frontLegacy int
-	for _, row := range report.Frontier {
-		fail := "-"
-		if row.FailOutcome != "" {
-			fail = fmt.Sprintf("%s @%d", row.FailOutcome, row.FailEvents)
-		}
-		var outs string
-		for _, pt := range row.Points {
-			outs += fmt.Sprintf(" %d:%s", pt.Events, pt.Outcome)
-		}
-		fmt.Printf("%15s%12d%22s     %s\n", row.Engine+"/"+row.Pricing, row.FrontierEvents, fail, outs)
-		if row.Engine == kernelDefault.engine.String() && row.Pricing == kernelDefault.pricing.String() {
-			frontDefault = row.FrontierEvents
-		}
-		if row.Engine == kernelLegacy.engine.String() && row.Pricing == kernelLegacy.pricing.String() {
-			frontLegacy = row.FrontierEvents
-		}
-	}
-	if frontLegacy > 0 {
-		report.FrontierGainX = float64(frontDefault) / float64(frontLegacy)
-	}
-	fmt.Printf("\nbreakdown frontier: %s reaches %d events vs legacy %s at %d (%.1fx; acceptance: >= 1000 events and >= 2x)\n",
-		kernelDefault, frontDefault, kernelLegacy, frontLegacy, report.FrontierGainX)
-
-	// --- Zero-rescue check: windowed solve past every mono frontier. ---
+	// --- Zero-rescue check: windowed solve past the mono frontier. ---
 	w := workloads.Synthetic(workloads.SynthParams{
 		Ranks: sz.ladderRanks, Events: sz.windowEvents, Seed: cfg.seed, WorkScale: cfg.scale,
 	})
 	s := core.NewSolver(machine.Default(), w.EffScale)
-	fmt.Fprintf(os.Stderr, "  windowed zero-rescue run: %d events on %s...\n", sz.windowEvents, kernelDefault)
+	fmt.Fprintf(os.Stderr, "  windowed zero-rescue run: %d events...\n", sz.windowEvents)
 	t0 := time.Now()
 	ws, err := s.SolveWindowed(w.Graph, sz.ladderPerW*float64(sz.ladderRanks), core.WindowedOptions{
 		Windows: scaleWindows(len(w.Graph.Vertices)), OverlapEvents: -1, CoarsenEps: sz.coarsenEps,
@@ -331,7 +219,7 @@ func runKernelSized(cfg config, sz kernelSizes) error {
 	report.WindowEvents = sz.windowEvents
 	report.WindowWallS = time.Since(t0).Seconds()
 	report.WindowRescues = ws.NumericalFallbacks()
-	fmt.Printf("windowed run at %d events (past every monolithic frontier): %.1fs, %d numerical rescues (acceptance: 0)\n",
+	fmt.Printf("windowed run at %d events (past the monolithic frontier): %.1fs, %d numerical rescues (acceptance: 0)\n",
 		report.WindowEvents, report.WindowWallS, report.WindowRescues)
 
 	if cfg.benchJSON != "" {

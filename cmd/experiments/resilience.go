@@ -23,7 +23,7 @@ import (
 // much makespan the degraded rungs gave up relative to the clean LP bound.
 // The faults-off scenario doubles as the regression guard: its fallback rate
 // must be exactly zero. With -benchjson the measurements are written as
-// BENCH_resilience.json.
+// JSON (the committed copy is BENCH_resilience.json).
 
 // resilienceScenario is one fault class's aggregate over the request sweep.
 type resilienceScenario struct {
@@ -35,7 +35,6 @@ type resilienceScenario struct {
 	Timeouts      int     `json:"timeouts_504"`
 	Degraded      int     `json:"degraded"`
 	FallbackPct   float64 `json:"fallback_pct"`
-	Dense         uint64  `json:"fallback_dense"`
 	Heuristic     uint64  `json:"fallback_heuristic"`
 	Static        uint64  `json:"fallback_static"`
 	Retries       uint64  `json:"solve_retries"`
@@ -87,8 +86,8 @@ func runResilience(cfg config) error {
 		{name: "cache-error", class: faultinject.CacheError, rate: 1.0},
 		{name: "worker-panic", class: faultinject.WorkerPanic, rate: 0.2},
 		// SlowSolve only bites when the request carries a deadline: a delay
-		// larger than the sparse and dense rung slices forces a
-		// deterministic descent to the (LP-free) heuristic rung.
+		// larger than the LP rung's slice forces a deterministic descent to
+		// the (LP-free) heuristic rung.
 		{name: "slow-solve", class: faultinject.SlowSolve, rate: 1.0,
 			timeoutMS: 200, slowDelay: 150 * time.Millisecond},
 	}
@@ -185,7 +184,6 @@ func runResilience(cfg config) error {
 		faultinject.Disable()
 
 		m := svc.Metrics()
-		row.Dense = m.FallbackDense.Load()
 		row.Heuristic = m.FallbackHeuristic.Load()
 		row.Static = m.FallbackStatic.Load()
 		row.Retries = m.SolveRetries.Load()

@@ -8,22 +8,19 @@ import (
 
 	"powercap/internal/core"
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/workloads"
 )
 
-// The "solver" exhibit measures the solver engine itself (DESIGN.md
-// "Solver engine architecture"): the cost of a power-cap sweep under the
-// dense baseline (cold solves, the seed behaviour), the sparse revised
-// simplex (cold), and the warm-started sparse sweep. With -benchjson the
-// measurements are also written as machine-readable JSON.
+// The "solver" exhibit measures the LP kernel on a power-cap sweep
+// (DESIGN.md §14): a cold solve at every cap against the warm-started sweep
+// that builds the LP once and repairs the previous basis with dual simplex
+// pivots. With -benchjson the measurements are also written as
+// machine-readable JSON.
 
 // solverRun is one strategy's aggregate over the sweep.
 type solverRun struct {
 	Name       string  `json:"name"`
-	Engine     string  `json:"engine,omitempty"`
-	Pricing    string  `json:"pricing,omitempty"`
 	WallS      float64 `json:"wall_s"`
 	Solves     int     `json:"solves"`
 	Pivots     int     `json:"pivots"`
@@ -31,18 +28,18 @@ type solverRun struct {
 	WarmStarts int     `json:"warm_starts"`
 }
 
-// solverReport is the BENCH_solver.json document.
+// solverReport is the exhibit's JSON document.
 type solverReport struct {
 	Workload  string      `json:"workload"`
 	Ranks     int         `json:"ranks"`
 	CapsPerW  []float64   `json:"caps_per_socket_w"`
 	Runs      []solverRun `json:"runs"`
-	SpeedupX  float64     `json:"speedup_warm_sparse_vs_dense_cold"`
+	SpeedupX  float64     `json:"speedup_warm_vs_cold"`
 	Generated string      `json:"generated"`
 }
 
 func runSolver(cfg config) error {
-	header("Solver engine", "power-cap sweep cost: dense cold vs sparse cold vs sparse warm (one SP iteration slice)")
+	header("Solver engine", "power-cap sweep cost: cold solves vs the warm-started sweep (one SP iteration slice)")
 	w := workloads.SP(workloads.Params{Ranks: cfg.ranks, Iterations: 4, Seed: cfg.seed, WorkScale: cfg.scale})
 	slices, err := dag.SliceAll(w.Graph)
 	if err != nil {
@@ -61,10 +58,8 @@ func runSolver(cfg config) error {
 		caps = append(caps, per*float64(cfg.ranks))
 	}
 
-	measure := func(name string, backend lp.Backend, eng lp.Engine, pri lp.Pricing, warm bool) (solverRun, error) {
+	measure := func(name string, warm bool) (solverRun, error) {
 		s := core.NewSolver(machine.Default(), w.EffScale)
-		s.Backend = backend
-		s.Engine, s.Pricing = eng, pri
 		var st core.Stats
 		start := time.Now()
 		if warm {
@@ -87,59 +82,38 @@ func runSolver(cfg config) error {
 				st.Add(sched.Stats)
 			}
 		}
-		run := solverRun{
+		return solverRun{
 			Name:       name,
 			WallS:      time.Since(start).Seconds(),
 			Solves:     st.Solves,
 			Pivots:     st.SimplexIter,
 			DualPivots: st.DualIter,
 			WarmStarts: st.WarmStarts,
-		}
-		if backend == lp.BackendSparse {
-			run.Engine, run.Pricing = eng.String(), pri.String()
-		}
-		return run, nil
+		}, nil
 	}
 
-	// The sparse rows run both the shipped kernel (LU + steepest edge) and
-	// the legacy one (eta file + Dantzig) so the engine/pricing columns show
-	// what the kernel refactor buys at this scale; the "kernel" exhibit
-	// measures the full grid at 64-256 ranks.
 	var runs []solverRun
 	for _, spec := range []struct {
-		name    string
-		backend lp.Backend
-		engine  lp.Engine
-		pricing lp.Pricing
-		warm    bool
-	}{
-		{"dense-cold", lp.BackendDense, lp.EngineAuto, lp.PricingAuto, false},
-		{"sparse-cold", lp.BackendSparse, lp.EngineLU, lp.PricingSteepest, false},
-		{"sparse-cold-legacy", lp.BackendSparse, lp.EngineEta, lp.PricingDantzig, false},
-		{"sparse-warm", lp.BackendSparse, lp.EngineLU, lp.PricingSteepest, true},
-		{"sparse-warm-legacy", lp.BackendSparse, lp.EngineEta, lp.PricingDantzig, true},
-	} {
+		name string
+		warm bool
+	}{{"cold", false}, {"warm", true}} {
 		fmt.Fprintf(os.Stderr, "  sweeping %s...\n", spec.name)
-		r, err := measure(spec.name, spec.backend, spec.engine, spec.pricing, spec.warm)
+		r, err := measure(spec.name, spec.warm)
 		if err != nil {
 			return err
 		}
 		runs = append(runs, r)
 	}
 
-	fmt.Printf("%-20s%8s%10s%10s%8s%10s%8s%8s\n", "strategy", "engine", "pricing", "wall(s)", "solves", "pivots", "dual", "warm")
+	fmt.Printf("%-10s%10s%8s%10s%8s%8s\n", "strategy", "wall(s)", "solves", "pivots", "dual", "warm")
 	for _, r := range runs {
-		eng, pri := r.Engine, r.Pricing
-		if eng == "" {
-			eng, pri = "-", "-"
-		}
-		fmt.Printf("%-20s%8s%10s%10.2f%8d%10d%8d%8d\n", r.Name, eng, pri, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
+		fmt.Printf("%-10s%10.2f%8d%10d%8d%8d\n", r.Name, r.WallS, r.Solves, r.Pivots, r.DualPivots, r.WarmStarts)
 	}
 	speedup := 0.0
-	if runs[3].WallS > 0 {
-		speedup = runs[0].WallS / runs[3].WallS
+	if runs[1].WallS > 0 {
+		speedup = runs[0].WallS / runs[1].WallS
 	}
-	fmt.Printf("\nwarm sparse sweep is %.1fx faster than the dense cold baseline\n", speedup)
+	fmt.Printf("\nwarm sweep is %.1fx faster than cold solves\n", speedup)
 
 	if cfg.benchJSON != "" {
 		report := solverReport{

@@ -66,19 +66,8 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		coarsen  = fs.Float64("coarsen-eps", 0, "merge same-rank compute chains below this many seconds of work before solving (windowed path; 0 disables)")
 		events   = fs.Int("events", 0, "use a synthetic Zipf trace with this many events instead of -workload (the large-trace generator)")
 		cluster  = fs.String("cluster", "", "allocate one site-wide budget across the jobs in FILE (the /v1/cluster request schema) instead of solving a single workload; -json emits the /v1/cluster response schema")
-		engine   = fs.String("engine", "auto", "sparse LP basis engine: auto (lu), lu, or eta")
-		pricing  = fs.String("pricing", "auto", "sparse LP pricing rule: auto (steepest), steepest, or dantzig")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	eng, err := powercap.ParseEngine(*engine)
-	if err != nil {
-		return err
-	}
-	pri, err := powercap.ParsePricing(*pricing)
-	if err != nil {
 		return err
 	}
 
@@ -120,7 +109,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	sys := powercap.SystemFor(w, nil)
-	sys.Engine, sys.Pricing = eng, pri
 	jobCap := *capW * float64(*ranks)
 
 	if *jsonOut {
@@ -198,9 +186,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 				sched.MakespanS, sched.Stats.Solves, sched.Stats.SimplexIter)
 			// One numerical-health line (DESIGN.md §16) whenever the kernel
 			// had to work for stability — silent on a clean solve.
-			if st := sched.Stats; st.NaNRecoveries > 0 || st.BlandActivations > 0 || st.FactorTauRetries > 0 {
-				fmt.Fprintf(stdout, "LP health: %d NaN recoveries, %d Bland activations, %d strict-pivot retries, %d pivot rejections, row-norm ratio %.1f\n",
-					st.NaNRecoveries, st.BlandActivations, st.FactorTauRetries, st.PivotRejections, st.RowNormRatio)
+			if st := sched.Stats; st.NaNRecoveries > 0 || st.Rescues > 0 || st.BlandActivations > 0 || st.FactorTauRetries > 0 {
+				fmt.Fprintf(stdout, "LP health: %d NaN recoveries, %d rescues, %d Bland activations, %d strict-pivot retries, %d pivot rejections, row-norm ratio %.1f\n",
+					st.NaNRecoveries, st.Rescues, st.BlandActivations, st.FactorTauRetries, st.PivotRejections, st.RowNormRatio)
 			}
 		}
 

@@ -194,7 +194,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.MaxCacheFactor = 4
 	}
 	if cfg.PressureFracs == nil {
-		cfg.PressureFracs = []float64{0.3, 0.3, 0.4, 0.6, 1.0}
+		cfg.PressureFracs = []float64{0.3, 0.6, 1.0}
 	}
 	if cfg.MaxRetryAfterS <= 0 {
 		cfg.MaxRetryAfterS = 30

@@ -4,16 +4,12 @@ import (
 	"testing"
 
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/workloads"
 )
 
-// BenchmarkSolve16RankSPSlice tracks the dense simplex's behaviour on the
-// default experiment scale. At the paper's full 32 ranks the same slice
-// needs ~22k pivots and ~70 s (the repository's known performance
-// limitation; see README "Limitations") — kept out of the default harness
-// for runtime's sake.
+// BenchmarkSolve16RankSPSlice tracks the LP kernel's behaviour on the
+// default experiment scale: one cold whole-slice solve per iteration.
 func BenchmarkSolve16RankSPSlice(b *testing.B) {
 	w := workloads.SP(workloads.Params{Ranks: 16, Iterations: 4, Seed: 1})
 	slices, err := dag.SliceAll(w.Graph)
@@ -54,27 +50,9 @@ func benchSweepSlice(b *testing.B) (*dag.Graph, *workloads.Workload) {
 	return slices[2].Graph, w
 }
 
-// BenchmarkSweepColdDense is the seed baseline: the full-tableau backend
-// re-solving from scratch at every cap (what a sweep cost before the
-// pluggable engine).
-func BenchmarkSweepColdDense(b *testing.B) {
-	g, w := benchSweepSlice(b)
-	caps := benchSweepCaps(16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewSolver(machine.Default(), w.EffScale)
-		s.Backend = lp.BackendDense
-		for _, c := range caps {
-			if _, err := s.Solve(g, c); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSweepColdSparse isolates the backend change: sparse revised
-// simplex, still cold at every cap.
-func BenchmarkSweepColdSparse(b *testing.B) {
+// BenchmarkSweepCold re-solves the slice from scratch at every cap: the
+// baseline BenchmarkSweepWarm's basis reuse is measured against.
+func BenchmarkSweepCold(b *testing.B) {
 	g, w := benchSweepSlice(b)
 	caps := benchSweepCaps(16)
 	b.ResetTimer()
@@ -88,9 +66,9 @@ func BenchmarkSweepColdSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWarmSparse is the full warm-started sweep: build the LP
-// once, dual-simplex repair per cap.
-func BenchmarkSweepWarmSparse(b *testing.B) {
+// BenchmarkSweepWarm is the full warm-started sweep: build the LP once,
+// dual-simplex repair per cap.
+func BenchmarkSweepWarm(b *testing.B) {
 	g, w := benchSweepSlice(b)
 	caps := benchSweepCaps(16)
 	b.ResetTimer()

@@ -13,8 +13,8 @@ import (
 // This file turns the shared problem IR (internal/problem) into concrete
 // fixed-vertex-order programs. The emitters below are the single source of
 // the formulation's rows; buildLP (continuous), SolveDiscrete (binary), and
-// SolveSlackAware (enlarged event set) all assemble from them, so the five
-// backends differ only in variable domains and event/power accounting —
+// SolveSlackAware (enlarged event set) all assemble from them, so the
+// formulations differ only in variable domains and event/power accounting —
 // never in how the skeleton is derived from the graph.
 
 // taskLPVars are the configuration-fraction variables of one tunable task,
@@ -188,11 +188,11 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 }
 
 // solveBuilt re-aims the built LP at capW and solves it, warm starting from
-// warmBasis when one is supplied (sparse backend only). Solver effort is
+// warmBasis when one is supplied. Solver effort is
 // accumulated into st. The returned solution is always Optimal; infeasible
 // caps surface as ErrInfeasible, and a canceled ctx as an error wrapping
 // ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works).
-func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, backend lp.Backend, eng lp.Engine, st *Stats) (*lp.Solution, error) {
+func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, st *Stats) (*lp.Solution, error) {
 	if b.fixedFloorW > capW {
 		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, b.fixedFloorVertex)
 	}
@@ -202,15 +202,7 @@ func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmB
 		}
 	}
 
-	opts := []lp.Option{
-		lp.WithBackend(backend),
-		lp.WithEngine(eng),
-		lp.WithPricing(s.Pricing),
-		lp.WithSpanContext(ctx),
-	}
-	if len(warmBasis) > 0 {
-		opts = append(opts, lp.WithWarmBasis(warmBasis))
-	}
+	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(warmBasis)}
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
 	}
@@ -289,12 +281,12 @@ func (s *Solver) extractInto(b *builtLP, sol *lp.Solution, out *Schedule, taskMa
 
 // solveInto builds and solves the LP for graph g under capW, writing task
 // choices through taskMap into out.Choices and vertex times into vt.
-func (s *Solver) solveInto(ctx context.Context, g *dag.Graph, capW float64, backend lp.Backend, eng lp.Engine, out *Schedule, taskMap []dag.TaskID, vt []float64) error {
+func (s *Solver) solveInto(ctx context.Context, g *dag.Graph, capW float64, out *Schedule, taskMap []dag.TaskID, vt []float64) error {
 	b, err := s.buildLP(ctx, g)
 	if err != nil {
 		return err
 	}
-	sol, err := s.solveBuilt(ctx, b, capW, nil, backend, eng, &out.Stats)
+	sol, err := s.solveBuilt(ctx, b, capW, nil, &out.Stats)
 	if err != nil {
 		return err
 	}

@@ -27,9 +27,9 @@
 //
 // The problem skeleton — initial schedule, event order, activity sets R_j,
 // and per-task frontier columns — is not assembled here: internal/problem
-// builds it once, cap-independently, as an IR shared by every backend (the
-// dense and sparse LPs here, SolveSlackAware, SolveDiscrete, and
-// internal/flowilp) and cached per graph digest on the Solver, so cap
+// builds it once, cap-independently, as an IR shared by every formulation
+// (the LP here, its windowed decomposition, SolveSlackAware, SolveDiscrete,
+// and internal/flowilp) and cached per graph digest on the Solver, so cap
 // sweeps and repeated service requests pay for one build.
 package core
 
@@ -119,12 +119,13 @@ type Stats struct {
 
 	DualIter         int // dual simplex pivots spent repairing warm starts
 	WarmStarts       int // solves that actually reused a prior basis
-	Refactorizations int // sparse-backend basis reinversions
+	Refactorizations int // basis reinversions
 
 	MaxEtaLen        int     // peak basis-update file length across solves
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
+	Rescues          int     // solves rescued by a cold unpresolved re-solve
 	BlandActivations int     // anti-cycling fallback engagements
 	PresolveRows     int     // rows eliminated by presolve
 	PresolveCols     int     // columns eliminated by presolve
@@ -146,6 +147,7 @@ func (s *Stats) Add(other Stats) {
 	s.PivotRejections += other.PivotRejections
 	s.FactorTauRetries += other.FactorTauRetries
 	s.NaNRecoveries += other.NaNRecoveries
+	s.Rescues += other.Rescues
 	s.BlandActivations += other.BlandActivations
 	s.PresolveRows += other.PresolveRows
 	s.PresolveCols += other.PresolveCols
@@ -173,6 +175,7 @@ func (s *Stats) AddSolve(vars, rows int, sol *lp.Solution) {
 	s.PivotRejections += sol.Stats.PivotRejections
 	s.FactorTauRetries += sol.Stats.FactorTauRetries
 	s.NaNRecoveries += sol.Stats.NaNRecoveries
+	s.Rescues += sol.Stats.Rescues
 	s.BlandActivations += sol.Stats.BlandActivations
 	s.PresolveRows += sol.Stats.PresolveRows
 	s.PresolveCols += sol.Stats.PresolveCols
@@ -193,18 +196,6 @@ type Solver struct {
 	// "slows tasks off the critical path as much as possible". It
 	// perturbs the reported makespan by < 1e-4 relative.
 	PowerTiebreak float64
-	// Backend selects the LP engine (see internal/lp). NewSolver defaults
-	// to the sparse revised simplex, which supports the warm starts that
-	// SolveSweep exploits; set lp.BackendDense to force the reference
-	// full-tableau implementation.
-	Backend lp.Backend
-	// Engine selects the sparse backend's basis-inverse engine
-	// (lp.EngineAuto → the sparse LU; lp.EngineEta for the reference
-	// product-form eta file). Ignored by the dense backend.
-	Engine lp.Engine
-	// Pricing selects the sparse backend's entering rule (lp.PricingAuto →
-	// steepest edge; lp.PricingDantzig for the reference full scan).
-	Pricing lp.Pricing
 
 	// mu guards fs, irCache, and planCache: SweepParallel and the
 	// scheduling service share one Solver across goroutines.
@@ -220,7 +211,6 @@ func NewSolver(model *machine.Model, effScale []float64) *Solver {
 		Model:         model,
 		EffScale:      effScale,
 		PowerTiebreak: 1e-7,
-		Backend:       lp.BackendSparse,
 	}
 }
 
@@ -322,36 +312,14 @@ func (s *Solver) SolveIterationsCtx(ctx context.Context, g *dag.Graph, capW floa
 	return s.solve(ctx, g, capW, true)
 }
 
-// SolveCtxWith is the fully parameterized solve: whole-graph or decomposed,
-// on an explicit LP backend instead of the Solver's default. The resilience
-// ladder (internal/resilience) uses it to retry the same request on the
-// dense reference backend after a sparse numerical breakdown without
-// mutating the shared Solver.
-func (s *Solver) SolveCtxWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, backend, s.Engine)
-}
-
-// SolveCtxWithEngine additionally pins the sparse backend's basis engine for
-// this one request. The resilience ladder uses it to retry a sparse
-// numerical breakdown on the reference eta engine before abandoning the
-// sparse backend altogether.
-func (s *Solver) SolveCtxWithEngine(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend, eng lp.Engine) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, backend, eng)
-}
-
 // solve is the single entry point behind the four exported wrappers: one
 // ctx-aware path that either solves the whole graph or decomposes it at
 // iteration boundaries. A decomposing solve of a graph without Pcontrol
 // boundaries degrades to the whole-graph solve.
 func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompose bool) (*Schedule, error) {
-	return s.solveWith(ctx, g, capW, decompose, s.Backend, s.Engine)
-}
-
-func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, decompose bool, backend lp.Backend, eng lp.Engine) (*Schedule, error) {
 	ctx, span := obs.Start(ctx, "core.solve")
 	defer span.End()
 	span.SetAttr("cap_w", capW)
-	span.SetAttr("backend", backend.String())
 	span.SetAttr("decompose", decompose)
 
 	if decompose {
@@ -372,7 +340,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 				ictx, isp := obs.Start(ctx, "core.iteration")
 				isp.SetAttr("slice", si)
 				vt := make([]float64, len(sl.Graph.Vertices))
-				err := s.solveInto(ictx, sl.Graph, capW, backend, eng, sched, sl.TaskMap, vt)
+				err := s.solveInto(ictx, sl.Graph, capW, sched, sl.TaskMap, vt)
 				isp.End()
 				if err != nil {
 					return nil, fmt.Errorf("iteration slice: %w", err)
@@ -389,7 +357,7 @@ func (s *Solver) solveWith(ctx context.Context, g *dag.Graph, capW float64, deco
 		Choices:     make([]TaskChoice, len(g.Tasks)),
 		VertexTimeS: make([]float64, len(g.Vertices)),
 	}
-	if err := s.solveInto(ctx, g, capW, backend, eng, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
+	if err := s.solveInto(ctx, g, capW, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
 		return nil, err
 	}
 	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"powercap/internal/dag"
-	"powercap/internal/lp"
 	"powercap/internal/workloads"
 )
 
@@ -16,7 +15,8 @@ import (
 // workload proxy (Ranks 8, Iterations 4, Seed 1, WorkScale 0.5, slice 2)
 // across four job caps. Any drift in activity sets, event order, frontier
 // columns, or row emission shows up here as an objective change. The dense
-// and sparse LPs agreed on every instance then, so one table pins both.
+// tableau and the sparse kernel agreed on every instance then; the table now
+// pins the one kernel.
 var goldenLP = map[string][4]float64{
 	//            cap 70 W/socket  50 W         40 W         30 W
 	"SP":     {0.119566612562, 0.144461208842, 0.170885324449, 0.232723018415},
@@ -56,24 +56,21 @@ func goldenSlice(t *testing.T, name string) *dag.Graph {
 	return slices[2].Graph
 }
 
-// TestEquivalenceWithPreRefactorObjectives verifies that every continuous
-// fixed-order backend consuming the shared IR reproduces the pre-refactor
+// TestEquivalenceWithPreRefactorObjectives verifies that the continuous
+// fixed-order LP consuming the shared IR reproduces the pre-refactor
 // objectives exactly (to solver tolerance).
 func TestEquivalenceWithPreRefactorObjectives(t *testing.T) {
 	for name, want := range goldenLP {
 		g := goldenSlice(t, name)
-		for _, backend := range []lp.Backend{lp.BackendSparse, lp.BackendDense} {
-			s := solver()
-			s.Backend = backend
-			for i, perSocket := range goldenCaps {
-				sched, err := s.Solve(g, perSocket*8)
-				if err != nil {
-					t.Fatalf("%s backend %v cap %v: %v", name, backend, perSocket, err)
-				}
-				if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
-					t.Errorf("%s backend %v cap %v: makespan %.12f, pre-refactor %.12f (rel %g)",
-						name, backend, perSocket, sched.MakespanS, want[i], rel)
-				}
+		s := solver()
+		for i, perSocket := range goldenCaps {
+			sched, err := s.Solve(g, perSocket*8)
+			if err != nil {
+				t.Fatalf("%s cap %v: %v", name, perSocket, err)
+			}
+			if rel := math.Abs(sched.MakespanS-want[i]) / want[i]; rel > 1e-9 {
+				t.Errorf("%s cap %v: makespan %.12f, pre-refactor %.12f (rel %g)",
+					name, perSocket, sched.MakespanS, want[i], rel)
 			}
 		}
 	}

@@ -56,23 +56,22 @@ func (cs *CapSession) Stats() Stats { return cs.stats }
 // SolveAt re-aims the session's LP at capW and solves it, warm starting
 // from the last successful solve's basis. Infeasible caps return
 // ErrInfeasible (cheap: the dual simplex proves infeasibility from the warm
-// basis). A numerical breakdown on a warm start is retried once cold —
-// the stale basis, not the program, is the usual culprit — before the typed
-// error surfaces to the caller.
+// basis). A numerical breakdown has already had lp.Solve's cold rescue when
+// it surfaces here; the session drops its basis, so the next probe starts
+// cold instead of from the basis that preceded the failure.
 func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
 	sched := &Schedule{
 		CapW:        capW,
 		Choices:     make([]TaskChoice, len(cs.g.Tasks)),
 		VertexTimeS: make([]float64, len(cs.g.Vertices)),
 	}
-	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, cs.s.Backend, cs.s.Engine, &sched.Stats)
-	var nerr *lp.NumericalError
-	if err != nil && errors.As(err, &nerr) && len(cs.basis) > 0 {
-		cs.basis = cs.basis[:0]
-		sol, err = cs.s.solveBuilt(ctx, cs.b, capW, nil, cs.s.Backend, cs.s.Engine, &sched.Stats)
-	}
+	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, &sched.Stats)
 	cs.stats.Add(sched.Stats)
 	if err != nil {
+		var nerr *lp.NumericalError
+		if errors.As(err, &nerr) {
+			cs.basis = cs.basis[:0]
+		}
 		return nil, err
 	}
 	cs.s.extractInto(cs.b, sol, sched, identityTaskMap(len(cs.g.Tasks)), sched.VertexTimeS)

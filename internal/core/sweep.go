@@ -52,7 +52,7 @@ func (s *Solver) SolveSweepCtx(ctx context.Context, g *dag.Graph, caps []float64
 			Choices:     make([]TaskChoice, len(g.Tasks)),
 			VertexTimeS: make([]float64, len(g.Vertices)),
 		}
-		sol, err := s.solveBuilt(ctx, b, capW, basis, s.Backend, s.Engine, &sched.Stats)
+		sol, err := s.solveBuilt(ctx, b, capW, basis, &sched.Stats)
 		if err != nil {
 			pts[i].Err = err
 			continue

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"powercap/internal/lp"
-	"powercap/internal/machine"
 )
 
 func TestSolveSweepMatchesIndividualSolves(t *testing.T) {
@@ -74,34 +73,6 @@ func TestSolveSweepWarmSavesPivots(t *testing.T) {
 	}
 	if sweepIters >= coldIters {
 		t.Fatalf("warm sweep spent %d pivots, cold solves %d — warm starting saved nothing", sweepIters, coldIters)
-	}
-}
-
-// TestBackendEquivalenceOnSchedulingLPs cross-checks the two simplex
-// backends on the real scheduling LPs core builds (not just synthetic
-// corpus instances): identical feasibility verdicts and makespans.
-func TestBackendEquivalenceOnSchedulingLPs(t *testing.T) {
-	g := imbalancedGraph()
-	for _, cap := range []float64{160, 100, 70, 45, 15} {
-		sparse := NewSolver(machine.Default(), nil)
-		sparse.Backend = lp.BackendSparse
-		dense := NewSolver(machine.Default(), nil)
-		dense.Backend = lp.BackendDense
-
-		ss, serr := sparse.Solve(g, cap)
-		ds, derr := dense.Solve(g, cap)
-		if (serr == nil) != (derr == nil) {
-			t.Fatalf("cap %v: sparse err %v, dense err %v", cap, serr, derr)
-		}
-		if serr != nil {
-			if !errors.Is(serr, ErrInfeasible) || !errors.Is(derr, ErrInfeasible) {
-				t.Fatalf("cap %v: non-infeasibility errors %v / %v", cap, serr, derr)
-			}
-			continue
-		}
-		if math.Abs(ss.MakespanS-ds.MakespanS) > 1e-9*(1+ds.MakespanS) {
-			t.Fatalf("cap %v: sparse makespan %.15g, dense %.15g", cap, ss.MakespanS, ds.MakespanS)
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"powercap/internal/coarsen"
 	"powercap/internal/dag"
@@ -83,11 +82,6 @@ type WindowedSchedule struct {
 	// revoked; the terminal rung is the whole remaining order).
 	Escalations int
 
-	// numericalFallbacks counts window solves rescued by the per-window
-	// numerical ladder (cold retry, then dense backend); read it with
-	// NumericalFallbacks. Updated atomically — phase A solves in parallel.
-	numericalFallbacks int64
-
 	// SeamViolationW is the largest LP-semantic cap excess at any window
 	// seam event: the committed powers of the tasks active at the first
 	// event of each window, summed against the cap. Boundary coupling is
@@ -99,11 +93,11 @@ type WindowedSchedule struct {
 	SimMakespanS float64
 }
 
-// NumericalFallbacks reports how many window solves needed the numerical
-// fallback ladder (cold retry or dense backend) to complete.
-func (w *WindowedSchedule) NumericalFallbacks() int {
-	return int(atomic.LoadInt64(&w.numericalFallbacks))
-}
+// NumericalFallbacks reports how many window solves broke down numerically
+// and completed through lp.Solve's rescue (a cold re-solve without
+// presolve): Stats.Rescues, summed over speculative, commit, and
+// escalation solves.
+func (w *WindowedSchedule) NumericalFallbacks() int { return w.Stats.Rescues }
 
 // WarmStartRate is WarmStartHits / CommitSolves (1 when every commit
 // reused a speculative basis; 0 when none did or no commit solves ran).
@@ -317,7 +311,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 		go func(w int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			bctx, bsp := obs.Start(ctx, "window.build")
+			_, bsp := obs.Start(ctx, "window.build")
 			bsp.SetAttr("window", w)
 			b := s.buildWindowLP(plan, plan.Windows[w])
 			bsp.End()
@@ -326,10 +320,10 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 			if b.constExcess(capW, est) > feasTol {
 				return // speculative estimates already over the cap; commit solve decides
 			}
-			sctx, ssp := obs.Start(bctx, "window.solve")
+			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("speculative", true)
-			sol, err := s.solveWindowResilient(sctx, b, nil, &specStats[w], ws)
+			sol, err := s.solveWindowLP(sctx, b, nil, &specStats[w])
 			ssp.End()
 			if err == nil {
 				specSol[w] = sol
@@ -378,7 +372,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 				var err error
 				preWarm := out.Stats.WarmStarts
 				ws.CommitSolves++
-				sol, err = s.solveWindowResilient(sctx, b, basis, &out.Stats, ws)
+				sol, err = s.solveWindowLP(sctx, b, basis, &out.Stats)
 				ssp.End()
 				if err != nil {
 					if !errors.Is(err, ErrInfeasible) {
@@ -430,18 +424,18 @@ func (s *Solver) escalate(ctx context.Context, plan *problem.Plan, capW float64,
 			ExtEnd:    win.ExtEnd,
 		}
 		ws.Escalations++
-		bctx, bsp := obs.Start(ctx, "window.build")
+		_, bsp := obs.Start(ctx, "window.build")
 		bsp.SetAttr("window", w)
 		bsp.SetAttr("escalated_from", wide.CoreStart)
 		b := s.buildWindowLP(plan, wide)
 		bsp.End()
 		b.aim(ir, capW, st)
 		if b.constExcess(capW, st) <= feasTol {
-			sctx, ssp := obs.Start(bctx, "window.solve")
+			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("escalated", true)
 			ws.CommitSolves++
-			sol, err := s.solveWindowResilient(sctx, b, nil, &out.Stats, ws)
+			sol, err := s.solveWindowLP(sctx, b, nil, &out.Stats)
 			ssp.End()
 			if err == nil {
 				return sol, b, nil

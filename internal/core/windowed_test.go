@@ -5,34 +5,32 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
-	"powercap/internal/lp"
+	"powercap/internal/machine"
+	"powercap/internal/obs"
 	"powercap/internal/workloads"
 )
 
 // TestWindowedSingleWindowMatchesGolden: one window with coarsening
 // disabled is the monolithic formulation run through the windowed path
 // (speculative solve, canonical replay, stitch), so it must reproduce the
-// pinned pre-refactor objectives bit-for-bit to solver tolerance on both
-// LP backends.
+// pinned pre-refactor objectives bit-for-bit to solver tolerance.
 func TestWindowedSingleWindowMatchesGolden(t *testing.T) {
 	for name, want := range goldenLP {
 		g := goldenSlice(t, name)
-		for _, backend := range []lp.Backend{lp.BackendSparse, lp.BackendDense} {
-			s := solver()
-			s.Backend = backend
-			for i, perSocket := range goldenCaps {
-				ws, err := s.SolveWindowed(g, perSocket*8, WindowedOptions{Windows: 1})
-				if err != nil {
-					t.Fatalf("%s backend %v cap %v: %v", name, backend, perSocket, err)
-				}
-				if ws.Windows != 1 {
-					t.Fatalf("%s: requested 1 window, got %d", name, ws.Windows)
-				}
-				if rel := math.Abs(ws.MakespanS-want[i]) / want[i]; rel > 1e-9 {
-					t.Errorf("%s backend %v cap %v: windowed makespan %.12f, golden %.12f (rel %g)",
-						name, backend, perSocket, ws.MakespanS, want[i], rel)
-				}
+		s := solver()
+		for i, perSocket := range goldenCaps {
+			ws, err := s.SolveWindowed(g, perSocket*8, WindowedOptions{Windows: 1})
+			if err != nil {
+				t.Fatalf("%s cap %v: %v", name, perSocket, err)
+			}
+			if ws.Windows != 1 {
+				t.Fatalf("%s: requested 1 window, got %d", name, ws.Windows)
+			}
+			if rel := math.Abs(ws.MakespanS-want[i]) / want[i]; rel > 1e-9 {
+				t.Errorf("%s cap %v: windowed makespan %.12f, golden %.12f (rel %g)",
+					name, perSocket, ws.MakespanS, want[i], rel)
 			}
 		}
 	}
@@ -191,5 +189,70 @@ func TestWindowedInfeasibleCap(t *testing.T) {
 	_, err := s.SolveWindowed(g, 1, WindowedOptions{Windows: 2})
 	if err == nil {
 		t.Fatal("expected infeasibility at 1 W")
+	}
+}
+
+// TestWindowedTraceNests runs a traced multi-window solve through
+// obs.CheckNesting: every window.solve span must lie inside the span that
+// encloses the whole windowed solve, never under a window.build span that
+// has already ended.
+func TestWindowedTraceNests(t *testing.T) {
+	w := workloads.Synthetic(workloads.SynthParams{Ranks: 4, Events: 600, Seed: 1})
+	s := NewSolver(machine.Default(), w.EffScale)
+	tr := obs.NewTrace(0)
+	defer tr.Release()
+	ctx := obs.WithTrace(context.Background(), tr)
+	ws, err := s.SolveWindowedCtx(ctx, w.Graph, 50*4, WindowedOptions{Windows: 3, OverlapEvents: -1, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws.Windows < 2 {
+		t.Fatalf("got %d windows, need several to trace window solves", ws.Windows)
+	}
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("trace dropped %d spans", d)
+	}
+	evs := obs.ChromeEvents(tr.Snapshot())
+	solves := 0
+	for _, e := range evs {
+		if e.Name == "window.solve" {
+			solves++
+		}
+	}
+	if solves < ws.Windows {
+		t.Fatalf("%d window.solve spans for %d windows", solves, ws.Windows)
+	}
+	if err := obs.CheckNesting(evs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowedNumericalRescue pins lp.Solve's rescue on the synthetic
+// traces whose window solves break down numerically (seeds 226 and 43 at
+// 50 W/socket: a cold presolved window solve ends in a singular basis at
+// refactorization). Each must finish well inside its deadline through the
+// rescue, with the seams cap-clean and the simulator agreeing. The rescue
+// takes about 2 s per trace, so the deadline only trips on a hang.
+func TestWindowedNumericalRescue(t *testing.T) {
+	for _, seed := range []int64{226, 43} {
+		w := workloads.Synthetic(workloads.SynthParams{Ranks: 4, Events: 2500, Seed: seed})
+		s := NewSolver(machine.Default(), w.EffScale)
+		ctx, cancel := context.WithTimeout(context.Background(), raceSlowdown*30*time.Second)
+		ws, err := s.SolveWindowedCtx(ctx, w.Graph, 50*4, WindowedOptions{
+			Windows: 4, OverlapEvents: -1, CoarsenEps: 2e-3, Parallel: 2,
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ws.NumericalFallbacks() < 1 {
+			t.Errorf("seed %d: no numerical rescue recorded; the trace no longer exercises the rescue", seed)
+		}
+		if ws.SeamViolationW > 1e-6 {
+			t.Errorf("seed %d: seam violation %g W", seed, ws.SeamViolationW)
+		}
+		if ws.SimMakespanS > ws.MakespanS {
+			t.Errorf("seed %d: simulated makespan %.12g above stitched %.12g", seed, ws.SimMakespanS, ws.MakespanS)
+		}
 	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"powercap/internal/dag"
 	"powercap/internal/lp"
@@ -286,49 +284,10 @@ func mustSetRHS(p *lp.Problem, row int, rhs float64) {
 // solveWindowLP solves an aimed window program, warm starting from basis
 // when given, accumulating effort into st. Mirrors solveBuilt's status
 // mapping: Optimal returns, Infeasible maps to ErrInfeasible, a canceled
-// context surfaces as an error wrapping ctx.Err().
+// context surfaces as an error wrapping ctx.Err(). A numerical breakdown
+// has had lp.Solve's cold rescue and is returned as is.
 func (s *Solver) solveWindowLP(ctx context.Context, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	return s.solveWindowLPOn(ctx, s.Backend, b, basis, st)
-}
-
-// solveWindowResilient is solveWindowLP behind the per-window numerical
-// fallback ladder (DESIGN.md §10 at window granularity): a *lp.NumericalError
-// from the warm-started solve retries cold on the same backend (a different
-// pivot path), and a cold breakdown retries on the dense backend — window
-// programs are small enough that dense is an affordable last resort, and
-// one ill-conditioned window must not sink a hundred-window solve.
-// Fallbacks are counted on ws.
-func (s *Solver) solveWindowResilient(ctx context.Context, b *windowLP, basis []int, st *Stats, ws *WindowedSchedule) (*lp.Solution, error) {
-	sol, err := s.solveWindowLP(ctx, b, basis, st)
-	var numErr *lp.NumericalError
-	if err == nil || !errors.As(err, &numErr) {
-		return sol, err
-	}
-	if len(basis) > 0 {
-		atomic.AddInt64(&ws.numericalFallbacks, 1)
-		sol, err = s.solveWindowLP(ctx, b, nil, st)
-		if err == nil || !errors.As(err, &numErr) {
-			return sol, err
-		}
-	}
-	if s.Backend != lp.BackendDense {
-		atomic.AddInt64(&ws.numericalFallbacks, 1)
-		return s.solveWindowLPOn(ctx, lp.BackendDense, b, nil, st)
-	}
-	return sol, err
-}
-
-// solveWindowLPOn is solveWindowLP pinned to an explicit backend.
-func (s *Solver) solveWindowLPOn(ctx context.Context, backend lp.Backend, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	opts := []lp.Option{
-		lp.WithBackend(backend),
-		lp.WithEngine(s.Engine),
-		lp.WithPricing(s.Pricing),
-		lp.WithSpanContext(ctx),
-	}
-	if len(basis) > 0 {
-		opts = append(opts, lp.WithWarmBasis(basis))
-	}
+	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(basis)}
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
 	}

@@ -1,83 +1,36 @@
-// Package basis implements pluggable basis-inverse engines for the revised
-// simplex (DESIGN.md §14). The pivot loops in internal/lp never touch a
-// factorization directly: they see the Engine interface — factorize a basis,
-// FTRAN/BTRAN against it, absorb one pivot per Update — so the product-form
-// eta file the solver grew up with and the sparse LU engine that replaced it
-// as the default are interchangeable, selectable per solve, and pinned
-// against each other by the engine-equivalence tests.
+// Package basis implements the revised simplex's basis inverse (DESIGN.md
+// §14): a sparse LU factorization in the style of Gilbert–Peierls /
+// Markowitz codes. Columns are processed in a static Markowitz (fewest
+// nonzeros first) order, each solved against the partial L with
+// value-skipping sparse triangular solves, and rows are chosen by threshold
+// partial pivoting with a row-count (Markowitz) tie-break. Pivot updates are
+// absorbed as eta matrices on top of the fixed LU factors ("eta-on-LU", the
+// product-form cousin of Forrest–Tomlin), so a warm basis survives
+// refactorization-free across a run of pivots.
 //
-// Two engines are provided:
+// The pivot loops in internal/lp see four operations — factorize a basis,
+// FTRAN/BTRAN against it, absorb one pivot per Update — and the package's
+// tests pin them against a dense LU and against a product-form eta file
+// (eta_test.go).
 //
-//   - Eta: the original product-form-of-the-inverse (PFI) engine. The basis
-//     inverse is a sequence of eta matrices; reinversion rebuilds the file
-//     column by column with partial row pivoting.
-//   - LU: a sparse LU factorization in the style of Gilbert–Peierls /
-//     Markowitz codes — columns processed in a static Markowitz (fewest
-//     nonzeros first) order, each solved against the partial L with
-//     value-skipping sparse triangular solves, rows chosen by threshold
-//     partial pivoting with a row-count (Markowitz) tie-break. Pivot updates
-//     are absorbed as eta matrices on top of the fixed LU factors
-//     ("eta-on-LU", the product-form cousin of Forrest–Tomlin), so a warm
-//     basis survives refactorization-free across a run of pivots.
-//
-// Both engines store eta nonzeros in one flat append-only arena, so a pivot
-// costs zero allocations once the arena has warmed up.
+// Eta nonzeros live in one flat append-only arena, so a pivot costs zero
+// allocations once the arena has warmed up.
 package basis
 
-// Columns is the engine's read-only view of the constraint matrix: column j
-// as parallel (row, value) slices. internal/lp's sparse standard form
-// implements it.
+// Columns is the factorization's read-only view of the constraint matrix:
+// column j as parallel (row, value) slices. internal/lp's sparse standard
+// form implements it.
 type Columns interface {
 	// NumRows reports the number of constraint rows m.
 	NumRows() int
-	// Col returns column j's nonzero rows and values. The engine must not
-	// mutate the returned slices.
+	// Col returns column j's nonzero rows and values. The factorization
+	// must not mutate the returned slices.
 	Col(j int) (rows []int, vals []float64)
 }
 
-// Engine maintains a factorization of the m×m basis matrix B whose slot-i
-// column is the constraint column basic in row slot i.
-type Engine interface {
-	// Name identifies the engine in stats and error reasons.
-	Name() string
-
-	// Factorize rebuilds the factorization for the basis whose columns are
-	// cols (one constraint-column index per row slot, in slot order). It
-	// returns the slot assignment actually used — the Eta engine reassigns
-	// columns to slots by partial pivoting, the LU engine keeps the given
-	// order — or ok=false when the column set is numerically singular.
-	// A successful Factorize discards all pending updates.
-	Factorize(a Columns, cols []int) (slots []int, ok bool)
-
-	// Ftran solves B·x = v in place: v enters in row space and leaves in
-	// slot space (x[i] is the value of the slot-i basic column).
-	Ftran(v []float64)
-
-	// Btran solves Bᵀ·y = v in place: v enters in slot space and leaves in
-	// row space.
-	Btran(v []float64)
-
-	// Update absorbs the pivot "alpha's column becomes basic in slot r",
-	// where alpha is this engine's own Ftran of the entering column.
-	Update(r int, alpha []float64)
-
-	// Updates reports how many pivots have been absorbed since the last
-	// Factorize.
-	Updates() int
-
-	// Due reports that enough updates accumulated that the caller should
-	// refactorize (to bound fill-in and floating-point drift).
-	Due() bool
-
-	// Health exposes the engine's numerical-health counters. The returned
-	// pointer stays valid for the engine's lifetime; see Stats for the
-	// clearing contract.
-	Health() *Stats
-}
-
-// Stats counts numerical-health events inside an engine: the forensic
-// counters the solver surfaces per solve. Engines are pooled across solves
-// and Factorize resets the factors internally (including mid-solve
+// Stats counts numerical-health events inside the LU: the forensic counters
+// the solver surfaces per solve. The LU is pooled across solves and
+// Factorize resets the factors internally (including mid-solve
 // reinversions), so Reset and Factorize deliberately do NOT clear these —
 // the solver calls Clear at solve start and harvests at solve end, and the
 // counters therefore span every factorization attempt within one solve.
@@ -105,10 +58,10 @@ func (s *Stats) noteEta(n int) {
 	}
 }
 
-// refactorEvery bounds eta growth between reinversions for both engines.
-// The LU engine could tolerate a longer leash (its base factors do not
-// drift), but a shared budget keeps the engines' pivot-for-pivot behavior
-// comparable in the equivalence harness.
+// refactorEvery bounds eta growth between reinversions. The LU could
+// tolerate a longer leash (its base factors do not drift), but the
+// scheduling LPs' pivot counts and factorization costs were measured at this
+// budget.
 const refactorEvery = 64
 
 // epsFactor is the minimum acceptable pivot magnitude during factorization;

@@ -188,7 +188,7 @@ func checkAgainstDense(t *testing.T, e Engine, a Columns, slots []int, rng *rand
 	m := a.NumRows()
 	d, ok := denseFactorize(a, slots)
 	if !ok {
-		t.Fatalf("%s: dense reference factorization failed", e.Name())
+		t.Fatalf("%T: dense reference factorization failed", e)
 	}
 	for trial := 0; trial < 3; trial++ {
 		b := make([]float64, m)
@@ -200,7 +200,7 @@ func checkAgainstDense(t *testing.T, e Engine, a Columns, slots []int, rng *rand
 		want := d.solve(b)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > eqTol*(1+math.Abs(want[i])) {
-				t.Fatalf("%s ftran slot %d: got %g want %g", e.Name(), i, got[i], want[i])
+				t.Fatalf("%T ftran slot %d: got %g want %g", e, i, got[i], want[i])
 			}
 		}
 		got = append(got[:0], b...)
@@ -208,7 +208,7 @@ func checkAgainstDense(t *testing.T, e Engine, a Columns, slots []int, rng *rand
 		want = d.solveT(b)
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > eqTol*(1+math.Abs(want[i])) {
-				t.Fatalf("%s btran row %d: got %g want %g", e.Name(), i, got[i], want[i])
+				t.Fatalf("%T btran row %d: got %g want %g", e, i, got[i], want[i])
 			}
 		}
 	}
@@ -238,7 +238,7 @@ func checkEnginesAgree(t *testing.T, e1, e2 Engine, a Columns, s1, s2 []int, rng
 			t.Fatalf("engines disagree on basis columns: %d missing", j)
 		}
 		if math.Abs(x1[i]-x2[k]) > eqTol*(1+math.Abs(x2[k])) {
-			t.Fatalf("ftran col %d: %s=%g %s=%g", j, e1.Name(), x1[i], e2.Name(), x2[k])
+			t.Fatalf("ftran col %d: %T=%g %T=%g", j, e1, x1[i], e2, x2[k])
 		}
 	}
 	// Per-column weights c: v[i] = c[slots[i]] makes Btran arrangement-free.
@@ -258,7 +258,7 @@ func checkEnginesAgree(t *testing.T, e1, e2 Engine, a Columns, s1, s2 []int, rng
 	e2.Btran(v2)
 	for i := range v1 {
 		if math.Abs(v1[i]-v2[i]) > eqTol*(1+math.Abs(v2[i])) {
-			t.Fatalf("btran row %d: %s=%g %s=%g", i, e1.Name(), v1[i], e2.Name(), v2[i])
+			t.Fatalf("btran row %d: %T=%g %T=%g", i, e1, v1[i], e2, v2[i])
 		}
 	}
 }
@@ -275,7 +275,7 @@ func TestEnginesMatchDenseOnRandomBases(t *testing.T) {
 			for _, e := range []Engine{NewEta(m), NewLU(m)} {
 				slots, ok := e.Factorize(a, cols)
 				if !ok {
-					t.Fatalf("m=%d %s: factorize failed on nonsingular basis", m, e.Name())
+					t.Fatalf("m=%d %T: factorize failed on nonsingular basis", m, e)
 				}
 				checkAgainstDense(t, e, a, slots, rng)
 			}
@@ -420,14 +420,14 @@ func TestSingularBasisRejected(t *testing.T) {
 	tiny := []int{0, 1, 7, 3, 4, 5} // col 7 below epsFactor
 	for _, e := range []Engine{NewEta(m), NewLU(m)} {
 		if _, ok := e.Factorize(a, dup); ok {
-			t.Errorf("%s: accepted duplicate-column basis", e.Name())
+			t.Errorf("%T: accepted duplicate-column basis", e)
 		}
 		if _, ok := e.Factorize(a, tiny); ok {
-			t.Errorf("%s: accepted near-zero column basis", e.Name())
+			t.Errorf("%T: accepted near-zero column basis", e)
 		}
 		// Engines must stay usable after a rejected factorization.
 		if _, ok := e.Factorize(a, []int{0, 1, 2, 3, 4, 5}); !ok {
-			t.Errorf("%s: rejected the identity basis after failure", e.Name())
+			t.Errorf("%T: rejected the identity basis after failure", e)
 		}
 	}
 }

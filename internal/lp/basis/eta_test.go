@@ -2,15 +2,28 @@ package basis
 
 import "math"
 
-// Eta is the product-form-of-the-inverse engine: the basis inverse is the
-// eta file itself. Reinversion rebuilds the file from scratch, FTRANing each
-// basis column through the etas appended so far and claiming the largest
-// remaining row as its pivot (partial row pivoting) — a product-form cousin
-// of the Bartels–Golub update. This is the engine the solver originally
-// shipped with; it is retained verbatim behind the Engine interface as the
-// reference implementation and the resilience ladder's LU fallback.
+// Engine is the basis-inverse contract the cross-checks drive: the LU and
+// the Eta test oracle both implement it, so one harness can replay the same
+// bases and pivots through either and compare FTRAN/BTRAN results.
+type Engine interface {
+	Factorize(a Columns, cols []int) (slots []int, ok bool)
+	Ftran(v []float64)
+	Btran(v []float64)
+	Update(r int, alpha []float64)
+	Updates() int
+	Due() bool
+	Health() *Stats
+}
+
+// Eta is the product-form-of-the-inverse engine, kept as a test oracle: the
+// basis inverse is the eta file itself. Reinversion rebuilds the file from
+// scratch, FTRANing each basis column through the etas appended so far and
+// claiming the largest remaining row as its pivot (partial row pivoting) —
+// a product-form cousin of the Bartels–Golub update. It shares only the
+// eta-file arena with the LU, so agreement between the two is evidence
+// about the LU's factors.
 type Eta struct {
-	file    ef
+	file    etaFile
 	updates int
 	health  Stats
 
@@ -18,10 +31,6 @@ type Eta struct {
 	rowUsed []bool
 	slots   []int
 }
-
-// ef aliases etaFile so Eta and LU can embed distinct files while sharing
-// the implementation.
-type ef = etaFile
 
 // NewEta returns an Eta engine for m constraint rows.
 func NewEta(m int) *Eta {
@@ -44,9 +53,6 @@ func (e *Eta) Reset(m int) {
 	e.rowUsed = e.rowUsed[:m]
 	e.slots = e.slots[:m]
 }
-
-// Name implements Engine.
-func (e *Eta) Name() string { return "eta" }
 
 // Factorize implements Engine: incremental PFI reinversion with partial row
 // pivoting. Columns are assigned to whichever row still holds their largest

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// LU is the sparse LU basis engine. Factorization is left-looking in the
+// LU is the sparse LU basis factorization. Factorization is left-looking in the
 // Gilbert–Peierls style: columns are processed in a static Markowitz order
 // (fewest nonzeros first), each new column is solved against the partial L
 // with value-skipping sparse triangular work, and its pivot row is chosen by
@@ -21,7 +21,7 @@ import (
 // solves the transposed factors. The LU factors themselves never drift —
 // refactorization both compacts the eta file and rebuilds from the clean
 // column data, which is what pushes the numerical breakdown frontier past
-// the pure product-form engine's.
+// the pure product-form eta file's.
 type LU struct {
 	m int
 
@@ -41,7 +41,7 @@ type LU struct {
 	uVal  []float64
 	uDiag []float64
 
-	file    ef
+	file    etaFile
 	updates int
 	health  Stats
 
@@ -58,14 +58,14 @@ type LU struct {
 // its magnitude is within this factor of the column maximum.
 const tauLU = 0.1
 
-// NewLU returns an LU engine for m constraint rows.
+// NewLU returns an LU for m constraint rows.
 func NewLU(m int) *LU {
 	e := &LU{}
 	e.Reset(m)
 	return e
 }
 
-// Reset prepares the engine for a problem with m rows, retaining capacity.
+// Reset prepares the LU for a problem with m rows, retaining capacity.
 func (e *LU) Reset(m int) {
 	e.m = m
 	e.file.reset()
@@ -103,11 +103,11 @@ func (e *LU) Reset(m int) {
 	e.touched = e.touched[:0]
 }
 
-// Name implements Engine.
-func (e *LU) Name() string { return "lu" }
-
-// Factorize implements Engine. The slot order is preserved: slots[i] is
-// always cols[i]; permutations stay inside the factors.
+// Factorize rebuilds the factorization for the basis whose columns are cols
+// (one constraint-column index per row slot, in slot order) and discards
+// all pending updates. The slot order is preserved: slots[i] is always
+// cols[i]; permutations stay inside the factors. It fails when the
+// column set is numerically singular (the second result is false).
 func (e *LU) Factorize(a Columns, cols []int) ([]int, bool) {
 	m := a.NumRows()
 	e.Reset(m)
@@ -258,7 +258,8 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 	return true
 }
 
-// Ftran implements Engine: v enters in row space, leaves in slot space.
+// Ftran solves B·x = v in place: v enters in row space and leaves in slot
+// space (x[i] is the value of the slot-i basic column).
 func (e *LU) Ftran(v []float64) {
 	m := e.m
 	// L solve in row space (value-skipping).
@@ -294,7 +295,8 @@ func (e *LU) Ftran(v []float64) {
 	e.file.ftran(v)
 }
 
-// Btran implements Engine: v enters in slot space, leaves in row space.
+// Btran solves Bᵀ·y = v in place: v enters in slot space and leaves in row
+// space.
 func (e *LU) Btran(v []float64) {
 	e.file.btran(v)
 	m := e.m
@@ -325,18 +327,23 @@ func (e *LU) Btran(v []float64) {
 	}
 }
 
-// Update implements Engine (eta-on-LU).
+// Update absorbs the pivot "alpha's column becomes basic in slot r", where
+// alpha is this LU's own Ftran of the entering column, as one eta on top of
+// the fixed factors.
 func (e *LU) Update(r int, alpha []float64) {
 	e.file.append(r, alpha)
 	e.updates++
 	e.health.noteEta(e.file.len())
 }
 
-// Updates implements Engine.
+// Updates reports how many pivots have been absorbed since the last
+// Factorize.
 func (e *LU) Updates() int { return e.updates }
 
-// Due implements Engine.
+// Due reports that enough updates accumulated that the caller should
+// refactorize (to bound fill-in and floating-point drift).
 func (e *LU) Due() bool { return e.updates >= refactorEvery }
 
-// Health implements Engine.
+// Health exposes the numerical-health counters. The returned pointer stays
+// valid for the LU's lifetime; see Stats for the clearing contract.
 func (e *LU) Health() *Stats { return &e.health }

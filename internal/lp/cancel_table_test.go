@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestCancellationTable drives both backends into context expiry at tight,
+// TestCancellationTable drives the kernel and the dense oracle into context expiry at tight,
 // medium, and loose pivot deadlines and asserts the contract from DESIGN.md
 // §10: an expired context always surfaces as Status Canceled with a zeroed
 // primal point and a NaN objective — never a partial or NaN-laced solution.
@@ -16,7 +16,7 @@ import (
 // N/cancelCheckEvery+1 polls before dying.
 func TestCancellationTable(t *testing.T) {
 	p := bigRandomLP(6)
-	full, err := Solve(p, WithBackend(BackendSparse))
+	full, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,10 @@ func TestCancellationTable(t *testing.T) {
 		if full.Iters <= polls*cancelCheckEvery {
 			t.Fatalf("test LP too easy for a %d-pivot deadline: %d pivots total", deadline, full.Iters)
 		}
-		for _, backend := range []Backend{BackendDense, BackendSparse} {
-			t.Run(fmt.Sprintf("%v/%d-pivots", backend, deadline), func(t *testing.T) {
+		for _, im := range impls {
+			t.Run(fmt.Sprintf("%s/%d-pivots", im.name, deadline), func(t *testing.T) {
 				ctx := &countdownCtx{Context: context.Background(), remaining: polls}
-				sol, err := Solve(p, WithBackend(backend), WithContext(ctx))
+				sol, err := im.solve(p, WithContext(ctx))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +65,7 @@ func TestCancellationTable(t *testing.T) {
 // pivots; 100-pivot deadlines would let the repair complete legitimately).
 func TestCancellationTableWarmStart(t *testing.T) {
 	p := bigRandomLP(8)
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCancellationTableWarmStart(t *testing.T) {
 	for r := 0; r < p.NumConstraints(); r++ {
 		p.SetRHS(r, p.RHS(r)-1)
 	}
-	repair, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(sol.Basis))
+	repair, err := Solve(p, WithWarmBasis(sol.Basis))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCancellationTableWarmStart(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%d-pivots", deadline), func(t *testing.T) {
 			ctx := &countdownCtx{Context: context.Background(), remaining: polls}
-			warm, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(sol.Basis), WithContext(ctx))
+			warm, err := Solve(p, WithWarmBasis(sol.Basis), WithContext(ctx))
 			if err != nil {
 				t.Fatal(err)
 			}

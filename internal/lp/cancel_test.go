@@ -8,7 +8,8 @@ import (
 )
 
 // bigRandomLP builds an always-feasible minimization with enough columns
-// and rows that both backends need well over cancelCheckEvery pivots.
+// and rows that the kernel and the dense oracle both need well over
+// cancelCheckEvery pivots.
 func bigRandomLP(seed int64) *Problem {
 	rng := rand.New(rand.NewSource(seed))
 	const n = 120
@@ -59,16 +60,16 @@ func TestSolveCanceledBeforeFirstPivot(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := bigRandomLP(1)
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		sol, err := Solve(p, WithBackend(backend), WithContext(ctx))
+	for _, im := range impls {
+		sol, err := im.solve(p, WithContext(ctx))
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("%s: %v", im.name, err)
 		}
 		if sol.Status != Canceled {
-			t.Fatalf("%v: status = %v, want Canceled", backend, sol.Status)
+			t.Fatalf("%s: status = %v, want Canceled", im.name, sol.Status)
 		}
 		if sol.Iters != 0 {
-			t.Fatalf("%v: %d pivots spent on a dead context, want 0", backend, sol.Iters)
+			t.Fatalf("%s: %d pivots spent on a dead context, want 0", im.name, sol.Iters)
 		}
 	}
 }
@@ -77,7 +78,7 @@ func TestSolveCanceledMidPivotLoop(t *testing.T) {
 	p := bigRandomLP(2)
 	// Establish the uncancelled pivot count first, so the mid-solve
 	// cancellation provably stopped early.
-	full, err := Solve(p, WithBackend(BackendSparse))
+	full, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +89,17 @@ func TestSolveCanceledMidPivotLoop(t *testing.T) {
 		t.Fatalf("test LP too easy: %d pivots, need > %d", full.Iters, 2*cancelCheckEvery)
 	}
 
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
+	for _, im := range impls {
 		ctx := &countdownCtx{Context: context.Background(), remaining: 2}
-		sol, err := Solve(p, WithBackend(backend), WithContext(ctx))
+		sol, err := im.solve(p, WithContext(ctx))
 		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
+			t.Fatalf("%s: %v", im.name, err)
 		}
 		if sol.Status != Canceled {
-			t.Fatalf("%v: status = %v, want Canceled", backend, sol.Status)
+			t.Fatalf("%s: status = %v, want Canceled", im.name, sol.Status)
 		}
 		if sol.Iters == 0 || sol.Iters > 3*cancelCheckEvery {
-			t.Fatalf("%v: canceled after %d pivots, want in (0, %d]", backend, sol.Iters, 3*cancelCheckEvery)
+			t.Fatalf("%s: canceled after %d pivots, want in (0, %d]", im.name, sol.Iters, 3*cancelCheckEvery)
 		}
 	}
 }
@@ -108,7 +109,7 @@ func TestSolveCanceledMidPivotLoop(t *testing.T) {
 // back to a cold solve.
 func TestSolveWarmStartCanceled(t *testing.T) {
 	p := bigRandomLP(3)
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSolveWarmStartCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	warm, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(sol.Basis), WithContext(ctx))
+	warm, err := Solve(p, WithWarmBasis(sol.Basis), WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestSolveWarmStartCanceled(t *testing.T) {
 // not change the solution.
 func TestSolveWithLiveContextUnaffected(t *testing.T) {
 	p := bigRandomLP(4)
-	plain, err := Solve(p, WithBackend(BackendSparse))
+	plain, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := Solve(p, WithBackend(BackendSparse), WithContext(context.Background()))
+	withCtx, err := Solve(p, WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// Satellite regression: on a classic degenerate-cycling instance, forcing
-// the Dantzig→Bland stall threshold to its minimum must activate Bland's
-// rule in BOTH backends, and both must still terminate at the optimum
+// Degenerate-cycling regressions: on a classic cycling instance, forcing the
+// stall threshold to its minimum must activate Bland's rule in the kernel
+// and in the dense oracle, and both must still terminate at the optimum
 // within a finite pivot budget (no cycling).
 
 // bealeProblem is Beale's example, the canonical LP on which textbook
@@ -25,15 +25,14 @@ func bealeProblem() *Problem {
 }
 
 func TestDegenerateCyclingBlandActivation(t *testing.T) {
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, im := range impls {
+		t.Run(im.name, func(t *testing.T) {
 			p := bealeProblem()
 			// StallWindow 1 means the very first non-improving (degenerate)
 			// pivot flips the solver into Bland's rule; the tight MaxIters
 			// budget makes any cycling show up as IterLimit instead of a
 			// hung test.
-			sol, err := Solve(p,
-				WithBackend(backend),
+			sol, err := im.solve(p,
 				WithStallWindow(1),
 				WithMaxIters(500))
 			if err != nil {
@@ -56,55 +55,48 @@ func TestDegenerateCyclingBlandActivation(t *testing.T) {
 }
 
 // TestDegenerateSteepestEdgeNoCycling pins the anti-cycling story for the
-// steepest-edge pricer across both basis engines: when Bland's rule engages
-// it refreshes reduced costs exactly every iteration (first-negative over
-// exact d[]), so the finite-termination guarantee survives the incremental
-// pricing layer. Beale's instance must terminate at the optimum under every
-// engine×pricing combination, with and without a forced Bland flip.
+// steepest-edge pricer: when Bland's rule engages it refreshes reduced costs
+// exactly every iteration (first-negative over exact d[]), so the
+// finite-termination guarantee survives the incremental pricing layer.
+// Beale's instance must terminate at the optimum with and without a forced
+// Bland flip, presolved and in the rescue's configuration (no presolve).
 func TestDegenerateSteepestEdgeNoCycling(t *testing.T) {
-	for _, eng := range []Engine{EngineEta, EngineLU} {
-		for _, pr := range []Pricing{PricingDantzig, PricingSteepest} {
-			t.Run(eng.String()+"/"+pr.String(), func(t *testing.T) {
-				for _, forceBland := range []bool{false, true} {
-					opts := []Option{
-						WithBackend(BackendSparse),
-						WithEngine(eng),
-						WithPricing(pr),
-						WithMaxIters(500),
-					}
-					if forceBland {
-						opts = append(opts, WithStallWindow(1))
-					}
-					sol, err := Solve(bealeProblem(), opts...)
-					if err != nil {
-						t.Fatalf("forceBland=%v: %v", forceBland, err)
-					}
-					if sol.Status != Optimal {
-						t.Fatalf("forceBland=%v: status %v, want optimal (cycled?)", forceBland, sol.Status)
-					}
-					if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-						t.Fatalf("forceBland=%v: objective %v, want -0.05", forceBland, sol.Objective)
-					}
-					if forceBland && !sol.Stats.BlandActivated {
-						t.Fatalf("Bland's rule never activated despite StallWindow=1")
-					}
-					if sol.Stats.Engine != eng.String() || sol.Stats.Pricing != pr.String() {
-						t.Fatalf("stats report engine=%q pricing=%q, want %q/%q",
-							sol.Stats.Engine, sol.Stats.Pricing, eng, pr)
-					}
+	// The kernel's one configuration: LU basis engine, steepest-edge pricing.
+	t.Run("lu/steepest", func(t *testing.T) {
+		for _, forceBland := range []bool{false, true} {
+			for _, presolve := range []bool{true, false} {
+				opts := []Option{WithMaxIters(500)}
+				if forceBland {
+					opts = append(opts, WithStallWindow(1))
 				}
-			})
+				if !presolve {
+					opts = append(opts, WithoutPresolve())
+				}
+				sol, err := Solve(bealeProblem(), opts...)
+				if err != nil {
+					t.Fatalf("forceBland=%v presolve=%v: %v", forceBland, presolve, err)
+				}
+				if sol.Status != Optimal {
+					t.Fatalf("forceBland=%v presolve=%v: status %v, want optimal (cycled?)", forceBland, presolve, sol.Status)
+				}
+				if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
+					t.Fatalf("forceBland=%v presolve=%v: objective %v, want -0.05", forceBland, presolve, sol.Objective)
+				}
+				if forceBland && !sol.Stats.BlandActivated {
+					t.Fatalf("presolve=%v: Bland's rule never activated despite StallWindow=1", presolve)
+				}
+			}
 		}
-	}
+	})
 }
 
 // TestDegenerateDefaultStallWindow makes sure the default configuration
 // also solves the cycling instance (the stall heuristic engages on its
 // own if needed — either way termination and the optimum are required).
 func TestDegenerateDefaultStallWindow(t *testing.T) {
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		t.Run(backend.String(), func(t *testing.T) {
-			sol, err := Solve(bealeProblem(), WithBackend(backend))
+	for _, im := range impls {
+		t.Run(im.name, func(t *testing.T) {
+			sol, err := im.solve(bealeProblem())
 			if err != nil {
 				t.Fatal(err)
 			}

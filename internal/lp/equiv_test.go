@@ -6,15 +6,16 @@ import (
 	"testing"
 )
 
-// Backend equivalence harness (see ISSUE: both simplex backends must agree
-// on every instance — statuses exactly, objectives within 1e-9). The corpus
-// covers the named instances the dense backend was originally validated on,
-// and the randomized sweep reuses the bounded-LP generator from the
-// brute-force property tests.
+// Dense-oracle equivalence harness: the kernel (presolve, revised simplex,
+// postsolve) and the dense tableau oracle must agree on every instance —
+// statuses exactly, objectives within 1e-9. The corpus covers the named
+// instances the dense tableau was originally validated on, and the
+// randomized sweep reuses the bounded-LP generator from the brute-force
+// property tests.
 
 const equivObjTol = 1e-9
 
-// equivInstance is one named LP for the cross-backend corpus.
+// equivInstance is one named LP for the equivalence corpus.
 type equivInstance struct {
 	name  string
 	build func() *Problem
@@ -148,15 +149,16 @@ func equivCorpus() []equivInstance {
 	}
 }
 
-// assertBackendsAgree solves p with both backends and cross-checks the
-// results; returns the two solutions for extra per-case assertions.
+// assertBackendsAgree solves p with the dense oracle and the kernel and
+// cross-checks the results; returns the two solutions for extra per-case
+// assertions.
 func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *Solution) {
 	t.Helper()
-	dense, err := Solve(p, WithBackend(BackendDense))
+	dense, err := denseSolve(p)
 	if err != nil {
 		t.Fatalf("%s: dense solve error: %v", name, err)
 	}
-	sparse, err = Solve(p, WithBackend(BackendSparse))
+	sparse, err = Solve(p)
 	if err != nil {
 		t.Fatalf("%s: sparse solve error: %v", name, err)
 	}
@@ -175,9 +177,6 @@ func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *
 		if !simplexSolutionFeasible(p, sparse) {
 			t.Fatalf("%s: sparse optimum infeasible\n%s", name, p)
 		}
-	}
-	if dense.Stats.Backend != "dense" || sparse.Stats.Backend != "sparse" {
-		t.Fatalf("%s: stats backend labels %q/%q", name, dense.Stats.Backend, sparse.Stats.Backend)
 	}
 	return dense, sparse
 }
@@ -229,7 +228,7 @@ func TestBackendEquivalenceLargerRandom(t *testing.T) {
 }
 
 // TestSparseDualsStrongDuality mirrors the dense strong-duality property on
-// the sparse backend: yᵀb equals the primal objective at optimum.
+// the kernel: yᵀb equals the primal objective at optimum.
 func TestSparseDualsStrongDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(321))
 	checked := 0
@@ -261,7 +260,7 @@ func TestSparseDualsStrongDuality(t *testing.T) {
 		if len(rhs) == 0 {
 			continue
 		}
-		sol, err := Solve(p, WithBackend(BackendSparse))
+		sol, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}

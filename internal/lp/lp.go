@@ -1,9 +1,14 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
-// programs over nonnegative variables:
+// Package lp solves linear programs over nonnegative variables:
 //
 //	minimize    cᵀx
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	            x ≥ 0
+//
+// with one kernel: presolve (internal/lp/presolve), then a two-phase sparse
+// revised simplex over a Markowitz LU basis factorization (internal/lp/basis)
+// with steepest-edge pricing, dual simplex warm starts, and postsolve back
+// to the stated problem. A presolved solve that breaks down numerically is
+// re-solved once, cold and without presolve, inside Solve (DESIGN.md §14).
 //
 // The solver is self-contained (standard library only) and produces exact
 // optimal basic solutions, which is what the paper's upper-bound argument
@@ -12,9 +17,8 @@
 // internal/core never need them because configuration fractions are bounded
 // by their convexity rows (Σ c = 1, c ≥ 0).
 //
-// Degenerate scheduling LPs can cycle under Dantzig pricing, so the solver
-// switches to Bland's anti-cycling rule after an iteration stall (see
-// DESIGN.md §5.4).
+// Degenerate scheduling LPs can cycle, so the solver switches to Bland's
+// anti-cycling rule after an iteration stall (see DESIGN.md §5.4).
 package lp
 
 import (
@@ -264,7 +268,8 @@ type Solution struct {
 	// Optimal.
 	Basis []int
 
-	// Stats instruments the solve (backend, per-phase pivots, wall time).
+	// Stats instruments the solve (per-phase pivots, health counters, wall
+	// time).
 	Stats SolveStats
 }
 
@@ -289,11 +294,10 @@ func (s *Solution) Value(v Var) float64 {
 // declared variables.
 var ErrNoVariables = errors.New("lp: problem has no variables")
 
-// Solve runs the default (dense two-phase primal simplex) backend and
-// returns the solution. The returned error is non-nil only for malformed
-// problems; infeasibility and unboundedness are reported through
-// Solution.Status. Use the package-level Solve with options to select
-// another backend or warm start.
+// Solve is the package-level Solve without options: it runs the kernel on p
+// cold and returns the solution. Infeasibility and unboundedness are
+// reported through Solution.Status; see Solve for the error cases. Use the
+// package-level Solve with options to warm start or cancel.
 func (p *Problem) Solve() (*Solution, error) {
 	return Solve(p)
 }

@@ -5,27 +5,26 @@ import (
 	"math"
 )
 
-// Numerical-failure guards (DESIGN.md §10). Both simplex backends watch for
+// Numerical-failure guards (DESIGN.md §10). The kernel watches for
 // non-finite state — NaN/±Inf in the basic values or the phase objective —
-// at the same checkpoints where they poll for cancellation. The sparse
-// backend first attempts recovery by rebuilding its basis inverse from
-// scratch (reinversion recomputes xB = B⁻¹b from the clean standard form, so
-// drift or a corrupted working vector is genuinely repaired); the dense
-// tableau has no factored form to rebuild and reports the breakdown
-// directly. Breakdowns surface to callers as a typed *NumericalError, so the
-// fallback ladder can distinguish "bad problem" (Infeasible/Unbounded, a
-// statement about the LP) from "bad luck" (a solve attempt that went
-// numerically wrong and may succeed on another backend).
+// at the same checkpoints where it polls for cancellation, and first
+// attempts recovery by rebuilding its basis inverse from scratch
+// (reinversion recomputes xB = B⁻¹b from the clean standard form, so drift
+// or a corrupted working vector is genuinely repaired). A breakdown that
+// survives recovery ends the attempt; Solve then rescues a presolved solve
+// once by re-solving the original problem cold without presolve. What the
+// rescue cannot repair surfaces as a typed *NumericalError, so callers can
+// distinguish "bad problem" (Infeasible/Unbounded, a statement about the LP)
+// from "bad luck" (a solve that went numerically wrong and may succeed on a
+// retry or a heuristic).
 
-// NumericalError reports a solve abandoned because the backend's working
+// NumericalError reports a solve abandoned because the kernel's working
 // state went numerically bad (non-finite values, a singular basis at
-// reinversion, or an FTRAN/BTRAN disagreement). It makes no statement about
-// the problem: retrying, switching backends, or falling back to a heuristic
-// are all legitimate responses, which is exactly what internal/resilience
-// does.
+// reinversion, or an FTRAN/BTRAN disagreement) — for a presolved solve, in
+// the rescue as well. It makes no statement about the problem: retrying or
+// falling back to a heuristic are both legitimate responses, which is
+// exactly what internal/resilience does.
 type NumericalError struct {
-	// Backend names the implementation that broke down ("dense", "sparse").
-	Backend string
 	// Reason is a short machine-readable description of the breakdown.
 	Reason string
 	// Pivots is how many pivots were spent before the breakdown.
@@ -34,12 +33,11 @@ type NumericalError struct {
 
 // Error implements error.
 func (e *NumericalError) Error() string {
-	return fmt.Sprintf("lp: %s backend numerical breakdown after %d pivots: %s",
-		e.Backend, e.Pivots, e.Reason)
+	return fmt.Sprintf("lp: numerical breakdown after %d pivots: %s", e.Pivots, e.Reason)
 }
 
-// statusNumerical is the backends' internal "numerically stuck" outcome. It
-// never escapes the package: solveDense and solveSparse convert it into a
+// statusNumerical is the kernel's internal "numerically stuck" outcome. It
+// never escapes the package: solveSparse converts it into a
 // *NumericalError before returning.
 const statusNumerical Status = -1
 

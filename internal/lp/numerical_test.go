@@ -29,7 +29,7 @@ func smallLP() *Problem {
 // already had, the objective must match the fault-free solve bit for bit.
 func TestInjectedNaNSparseRecovers(t *testing.T) {
 	p := smallLP()
-	clean, err := Solve(p, WithBackend(BackendSparse))
+	clean, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestInjectedNaNSparseRecovers(t *testing.T) {
 
 	faultinject.Configure(11, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatalf("sparse solve with one recoverable NaN: %v", err)
 	}
@@ -62,11 +62,12 @@ func TestInjectedNaNSparseRecovers(t *testing.T) {
 }
 
 // TestInjectedNaNSparseExhaustsRetries: a NaN at every checkpoint outlives
-// the maxNaNRetries budget on a long solve and must surface as a typed
-// *NumericalError, not as a NaN-laced solution or a bare IterLimit.
+// the maxNaNRetries budget on a long solve — presolved and again in the
+// rescue — and must surface as a typed *NumericalError, not as a NaN-laced
+// solution or a bare IterLimit.
 func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
 	p := bigRandomLP(1)
-	clean, err := Solve(p, WithBackend(BackendSparse))
+	clean, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,37 +78,16 @@ func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
 
 	faultinject.Configure(12, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err == nil {
 		t.Fatalf("want *NumericalError, got status %v", sol.Status)
 	}
 	var ne *NumericalError
 	if !errors.As(err, &ne) {
 		t.Fatalf("error %T is not *NumericalError: %v", err, err)
-	}
-	if ne.Backend != "sparse" {
-		t.Fatalf("Backend = %q, want sparse", ne.Backend)
 	}
 	if ne.Reason == "" {
 		t.Fatal("empty Reason")
-	}
-}
-
-// TestInjectedNaNDenseErrorsTyped: the dense tableau has no factored form to
-// rebuild, so an injected NaN must surface directly as *NumericalError.
-func TestInjectedNaNDenseErrorsTyped(t *testing.T) {
-	faultinject.Configure(13, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
-	defer faultinject.Disable()
-	sol, err := Solve(bigRandomLP(2), WithBackend(BackendDense))
-	if err == nil {
-		t.Fatalf("want *NumericalError, got status %v", sol.Status)
-	}
-	var ne *NumericalError
-	if !errors.As(err, &ne) {
-		t.Fatalf("error %T is not *NumericalError: %v", err, err)
-	}
-	if ne.Backend != "dense" {
-		t.Fatalf("Backend = %q, want dense", ne.Backend)
 	}
 }
 
@@ -117,17 +97,15 @@ func TestInjectedNaNDenseErrorsTyped(t *testing.T) {
 func TestInjectedStallSurfacesIterLimit(t *testing.T) {
 	faultinject.Configure(14, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		sol, err := Solve(bigRandomLP(3), WithBackend(backend))
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
-		}
-		if sol.Status != IterLimit {
-			t.Fatalf("%v: status = %v, want IterLimit", backend, sol.Status)
-		}
-		if !math.IsNaN(sol.Objective) {
-			t.Fatalf("%v: stalled solve leaked objective %v", backend, sol.Objective)
-		}
+	sol, err := Solve(bigRandomLP(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != IterLimit {
+		t.Fatalf("status = %v, want IterLimit", sol.Status)
+	}
+	if !math.IsNaN(sol.Objective) {
+		t.Fatalf("stalled solve leaked objective %v", sol.Objective)
 	}
 }
 
@@ -142,20 +120,18 @@ func TestCancellationBeatsInjectedFaults(t *testing.T) {
 	defer faultinject.Disable()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		sol, err := Solve(bigRandomLP(4), WithBackend(backend), WithContext(ctx))
-		if err != nil {
-			t.Fatalf("%v: %v", backend, err)
-		}
-		if sol.Status != Canceled {
-			t.Fatalf("%v: status = %v, want Canceled", backend, sol.Status)
-		}
+	sol, err := Solve(bigRandomLP(4), WithContext(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Canceled {
+		t.Fatalf("status = %v, want Canceled", sol.Status)
 	}
 }
 
 // TestFaultsOffBitIdentical: arming and disarming the registry must leave no
 // residue — a disarmed solve after a chaos run is bit-identical to one from
-// a pristine process state, on both backends.
+// a pristine process state.
 func TestFaultsOffBitIdentical(t *testing.T) {
 	p := bigRandomLP(5)
 	type res struct {
@@ -163,23 +139,98 @@ func TestFaultsOffBitIdentical(t *testing.T) {
 		obj    uint64
 		iters  int
 	}
-	solve := func(b Backend) res {
-		sol, err := Solve(p, WithBackend(b))
+	solve := func() res {
+		sol, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res{sol.Status, math.Float64bits(sol.Objective), sol.Iters}
 	}
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		before := solve(backend)
-		faultinject.Configure(16, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
-		if _, err := Solve(p, WithBackend(backend)); err == nil && backend == BackendDense {
-			t.Fatal("armed dense solve unexpectedly survived rate-1.0 NaN injection")
+	before := solve()
+	faultinject.Configure(16, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
+	if _, err := Solve(p); err == nil {
+		t.Fatal("armed solve unexpectedly survived rate-1.0 NaN injection")
+	}
+	faultinject.Disable()
+	if after := solve(); before != after {
+		t.Fatalf("disarmed solve changed: %+v vs %+v", before, after)
+	}
+}
+
+// TestRescueCostsAtMostOneColdSolve pins the in-kernel rescue: a presolved
+// solve that breaks down is re-solved once, cold and without presolve, and
+// never more. Under rate-limited NaN injection every checkpoint is a draw,
+// and an attempt breaks down at exactly its (maxNaNRetries+1)th NaN, so
+// the number of NaNs fired accounts for every attempt: a solve that
+// survives its first attempt saw at most maxNaNRetries, a rescued one
+// between one and two budgets' worth, and a failed one exactly two budgets
+// — a third attempt would show up as more. Across seeds all three outcomes
+// must occur, and a rescued solve must report Stats.Rescues = 1, carry no
+// presolve scaling (the rescue solves the stated problem), and land on the
+// clean optimum.
+func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
+	p := bigRandomLP(7)
+	clean, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := Solve(p, WithoutPresolve())
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := maxNaNRetries + 1
+	for _, sol := range []*Solution{clean, direct} {
+		if sol.Iters <= budget*cancelCheckEvery {
+			t.Fatalf("test LP too easy: %d pivots, need > %d for a breakdown", sol.Iters, budget*cancelCheckEvery)
 		}
+		if sol.Stats.Rescues != 0 {
+			t.Fatalf("clean solve reports %d rescues", sol.Stats.Rescues)
+		}
+	}
+	if clean.Stats.RowNormMax == 0 || direct.Stats.RowNormMax != 0 {
+		t.Fatalf("row norms %g presolved, %g direct: want only the presolved solve scaled",
+			clean.Stats.RowNormMax, direct.Stats.RowNormMax)
+	}
+
+	defer faultinject.Disable()
+	var survived, rescued, failed int
+	for seed := uint64(1); seed <= 64; seed++ {
+		faultinject.Configure(seed, map[faultinject.Class]float64{faultinject.LPNaN: 0.4})
+		sol, err := Solve(p)
+		fired := int(faultinject.Count(faultinject.LPNaN))
 		faultinject.Disable()
-		after := solve(backend)
-		if before != after {
-			t.Fatalf("%v: disarmed solve changed: %+v vs %+v", backend, before, after)
+
+		var ne *NumericalError
+		switch {
+		case errors.As(err, &ne):
+			failed++
+			if fired != 2*budget {
+				t.Fatalf("seed %d: failed after %d NaNs, want exactly %d (presolved attempt + one rescue)", seed, fired, 2*budget)
+			}
+		case err != nil:
+			t.Fatalf("seed %d: %v", seed, err)
+		case sol.Stats.Rescues == 0:
+			survived++
+			if fired > maxNaNRetries {
+				t.Fatalf("seed %d: %d NaNs without a breakdown or rescue", seed, fired)
+			}
+		case sol.Stats.Rescues == 1:
+			rescued++
+			if fired < budget || fired > budget+maxNaNRetries {
+				t.Fatalf("seed %d: rescued after %d NaNs, want %d..%d", seed, fired, budget, budget+maxNaNRetries)
+			}
+			if sol.Stats.RowNormMax != 0 || sol.Stats.WarmStarted {
+				t.Fatalf("seed %d: rescued solve was presolved (row norm %g) or warm (%v)", seed, sol.Stats.RowNormMax, sol.Stats.WarmStarted)
+			}
+			if sol.Status != Optimal || math.Abs(sol.Objective-clean.Objective) > 1e-9*math.Max(1, math.Abs(clean.Objective)) {
+				t.Fatalf("seed %d: rescued solve %v objective %.15g, clean %.15g", seed, sol.Status, sol.Objective, clean.Objective)
+			}
+		default:
+			t.Fatalf("seed %d: Stats.Rescues = %d, want 0 or 1", seed, sol.Stats.Rescues)
 		}
+	}
+	t.Logf("64 seeds: %d survived, %d rescued, %d failed", survived, rescued, failed)
+	if survived == 0 || rescued == 0 || failed == 0 {
+		t.Fatalf("outcomes survived/rescued/failed = %d/%d/%d; every kind must occur", survived, rescued, failed)
 	}
 }

@@ -1,7 +1,7 @@
 // Package presolve implements an LP presolve and scaling layer over a
 // solver-neutral problem representation (DESIGN.md §14).
 //
-// The pass runs before either simplex backend and has two jobs:
+// The pass runs before the simplex kernel and has two jobs:
 //
 //   - Eliminations (Mode Full): drop empty and duplicate rows, fix variables
 //     pinned by singleton equality rows, and remove or re-slack zero-cost
@@ -179,7 +179,7 @@ func Run(p *Problem, mode Mode) *Reduction {
 	}
 
 	// Working copy with duplicate terms accumulated and zeros dropped,
-	// mirroring how both backends ingest rows.
+	// mirroring how the kernel ingests rows.
 	rows := make([]workRow, len(p.Rows))
 	acc := map[int]float64{}
 	for i, row := range p.Rows {
@@ -558,7 +558,7 @@ func (r *Reduction) scale() {
 }
 
 // measureRowNorms records the scaling condition proxy — the extreme
-// max-abs row norms of the matrix exactly as the backend will factorize it
+// max-abs row norms of the matrix exactly as the kernel will factorize it
 // (after any equilibration). A wide max/min ratio survives power-of-two
 // scaling only when the spread lives inside single rows, which is where
 // threshold pivoting starts rejecting rows and eta growth accelerates.

@@ -1,8 +1,8 @@
 package lp
 
 // Glue between Solve and the internal/lp/presolve pass: convert a Problem
-// to the neutral presolve representation, solve the reduced problem on the
-// selected backend, and map the solution back to the original index spaces.
+// to the neutral presolve representation, solve the reduced problem, and map
+// the solution back to the original index spaces.
 // Presolve runs under every solve path; warm-started solves drop to
 // ScaleOnly because a warm basis is indexed by the original rows/columns.
 
@@ -67,8 +67,8 @@ func emptySolution(p *Problem, st Status) *Solution {
 	return &Solution{Status: st, Objective: math.NaN(), X: make([]float64, len(p.names))}
 }
 
-// solvePresolved runs presolve, dispatches the reduced problem to the
-// selected backend, and postsolves the answer back onto p.
+// solvePresolved runs presolve, solves the reduced problem, and postsolves
+// the answer back onto p.
 func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 	mode := presolve.Full
 	if len(o.WarmBasis) > 0 {
@@ -112,7 +112,7 @@ func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 	}
 
 	rp := reducedProblem(p, red)
-	sol, err := dispatchBackend(rp, o)
+	sol, err := solveSparse(rp, o)
 	if err != nil || sol == nil {
 		return sol, err
 	}
@@ -141,7 +141,7 @@ func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 }
 
 // finishObjective evaluates the original objective at the postsolved point.
-// (finishSolution is NOT reused here: the backend already own-sensed the
+// (finishSolution is NOT reused here: the kernel already own-sensed the
 // reduced duals, and PostsolveDual preserves that sense.)
 func finishObjective(p *Problem, _ *presolve.Reduction, sol *Solution) {
 	obj := 0.0

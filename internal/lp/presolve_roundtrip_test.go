@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// Presolve round-trip property test (PR 8 satellite): on randomized
-// problems seeded with exactly the structures presolve eliminates —
-// duplicate rows, canceling (empty) rows, singleton equality rows, and
-// zero-cost slack-direction singleton columns — a presolved solve must
-// agree with a direct (WithoutPresolve) solve on BOTH backends: statuses
-// exactly, objectives and duals to 1e-9, and the postsolved primal point
-// must satisfy the original constraints. Infeasible and unbounded problems
-// round-trip their statuses too.
+// Presolve round-trip property test: on randomized problems seeded with
+// exactly the structures presolve eliminates — duplicate rows, canceling
+// (empty) rows, singleton equality rows, and zero-cost slack-direction
+// singleton columns — a presolved solve must agree with a direct solve of
+// the stated problem, both on the kernel (WithoutPresolve) and on the dense
+// oracle: statuses exactly, objectives and duals to 1e-9, and the
+// postsolved primal point must satisfy the original constraints. Infeasible
+// and unbounded problems round-trip their statuses too.
 
 const rtTol = 1e-9
 
@@ -97,13 +97,15 @@ func randPresolvableProblem(rng *rand.Rand) *Problem {
 	return p
 }
 
-func solveBoth(t *testing.T, p *Problem, backend Backend) (*Solution, *Solution) {
+// solveBoth solves p presolved on the kernel, and directly (no presolve) on
+// im: the kernel itself or the dense oracle.
+func solveBoth(t *testing.T, p *Problem, im impl) (*Solution, *Solution) {
 	t.Helper()
-	pre, err := Solve(p, WithBackend(backend))
+	pre, err := Solve(p)
 	if err != nil {
 		t.Fatalf("presolved solve: %v", err)
 	}
-	direct, err := Solve(p, WithBackend(backend), WithoutPresolve())
+	direct, err := im.solve(p, WithoutPresolve())
 	if err != nil {
 		t.Fatalf("direct solve: %v", err)
 	}
@@ -159,20 +161,20 @@ func checkRoundTrip(t *testing.T, p *Problem, pre, direct *Solution) {
 }
 
 func TestPresolveRoundTripProperty(t *testing.T) {
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		t.Run(backend.String(), func(t *testing.T) {
+	for _, im := range impls {
+		t.Run(im.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(8021))
 			optimal := 0
 			for trial := 0; trial < 150; trial++ {
 				p := randPresolvableProblem(rng)
-				pre, direct := solveBoth(t, p, backend)
+				pre, direct := solveBoth(t, p, im)
 				checkRoundTrip(t, p, pre, direct)
 				if pre.Status == Optimal {
 					optimal++
-					if backend == BackendSparse && len(pre.Basis) > 0 {
+					if len(pre.Basis) > 0 {
 						// The mapped basis must warm start the original
 						// problem back to the same optimum.
-						warm, err := Solve(p, WithBackend(backend), WithWarmBasis(pre.Basis))
+						warm, err := Solve(p, WithWarmBasis(pre.Basis))
 						if err != nil {
 							t.Fatalf("trial %d: warm restart: %v", trial, err)
 						}
@@ -193,7 +195,7 @@ func TestPresolveRoundTripProperty(t *testing.T) {
 
 // TestPresolveRoundTripInfeasible covers infeasibility both where presolve
 // itself proves it (inconsistent singleton, conflicting duplicates, bad
-// empty row) and where only the backend can (crossed bounds).
+// empty row) and where only the simplex can (crossed bounds).
 func TestPresolveRoundTripInfeasible(t *testing.T) {
 	cases := map[string]func() *Problem{
 		"singleton-negative": func() *Problem {
@@ -226,11 +228,11 @@ func TestPresolveRoundTripInfeasible(t *testing.T) {
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, backend := range []Backend{BackendDense, BackendSparse} {
-				pre, direct := solveBoth(t, build(), backend)
+			for _, im := range impls {
+				pre, direct := solveBoth(t, build(), im)
 				if pre.Status != Infeasible || direct.Status != Infeasible {
 					t.Fatalf("%s: presolved %v, direct %v, want infeasible/infeasible",
-						backend, pre.Status, direct.Status)
+						im.name, pre.Status, direct.Status)
 				}
 			}
 		})
@@ -260,11 +262,11 @@ func TestPresolveRoundTripUnbounded(t *testing.T) {
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, backend := range []Backend{BackendDense, BackendSparse} {
-				pre, direct := solveBoth(t, build(), backend)
+			for _, im := range impls {
+				pre, direct := solveBoth(t, build(), im)
 				if pre.Status != Unbounded || direct.Status != Unbounded {
 					t.Fatalf("%s: presolved %v, direct %v, want unbounded/unbounded",
-						backend, pre.Status, direct.Status)
+						im.name, pre.Status, direct.Status)
 				}
 			}
 		})
@@ -281,17 +283,17 @@ func TestPresolveFullyEliminated(t *testing.T) {
 	p.MustConstraint("", Expr{}.Plus(y, -1), EQ, -4) // y = 4
 	p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, 1), LE, 20)
 
-	for _, backend := range []Backend{BackendDense, BackendSparse} {
-		pre, direct := solveBoth(t, p, backend)
+	for _, im := range impls {
+		pre, direct := solveBoth(t, p, im)
 		checkRoundTrip(t, p, pre, direct)
 		if pre.Status != Optimal {
-			t.Fatalf("%s: status %v", backend, pre.Status)
+			t.Fatalf("%s: status %v", im.name, pre.Status)
 		}
 		if math.Abs(pre.Objective-(-0.5)) > rtTol {
-			t.Fatalf("%s: objective %g, want -0.5", backend, pre.Objective)
+			t.Fatalf("%s: objective %g, want -0.5", im.name, pre.Objective)
 		}
 		if math.Abs(pre.X[0]-2.5) > rtTol || math.Abs(pre.X[1]-4) > rtTol {
-			t.Fatalf("%s: X = %v, want [2.5 4]", backend, pre.X)
+			t.Fatalf("%s: X = %v, want [2.5 4]", im.name, pre.X)
 		}
 	}
 }

@@ -1,22 +1,22 @@
 package lp
 
-// Steepest-edge pricing layer for the sparse revised simplex (DESIGN.md §14).
+// Steepest-edge pricing layer for the revised simplex (DESIGN.md §14).
 //
-// The legacy Dantzig rule recomputes the full dual vector and scans every
-// column's reduced cost on every pivot — O(nnz(A)) per iteration regardless
-// of how little the basis changed. The pricer instead maintains reduced
-// costs d[] incrementally from the pivot row of B⁻¹A (assembled sparsely
-// via the CSR mirror), prices entering candidates from projected
-// steepest-edge reference weights γ[] (devex), and scans candidates in
-// rotating partial-pricing sections rather than the whole column range.
+// A full Dantzig scan would recompute the dual vector and every column's
+// reduced cost on every pivot — O(nnz(A)) per iteration regardless of how
+// little the basis changed. The pricer instead maintains reduced costs d[]
+// incrementally from the pivot row of B⁻¹A (assembled sparsely via the CSR
+// mirror), prices entering candidates from projected steepest-edge
+// reference weights γ[] (devex), and scans candidates in rotating
+// partial-pricing sections rather than the whole column range.
 //
 // Exactness discipline: the incremental d[] drifts with floating-point
 // error, so it is recomputed exactly (and the γ reference framework reset
 // to the current basis) on every refactorization, whenever Bland's
 // anti-cycling rule is driving, and — critically — before Optimal or
-// Unbounded is ever returned. The pivot loops therefore terminate on
-// exactly the same optimality certificate as the Dantzig path; the
-// incremental state only decides the order pivots happen in.
+// Unbounded is ever returned. The pivot loops therefore terminate on an
+// optimality certificate computed from exact reduced costs; the incremental
+// state only decides the order pivots happen in.
 
 // pricer holds the incremental pricing state for one solve phase.
 type pricer struct {

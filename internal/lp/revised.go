@@ -10,13 +10,13 @@ import (
 	"powercap/internal/obs"
 )
 
-// Revised simplex over sparse columns. The basis inverse lives behind the
-// basis.Engine interface (internal/lp/basis): the original product-form eta
-// file and the sparse Markowitz LU factorization are interchangeable, and
-// either is rebuilt (reinversion) once enough pivot updates accumulate to
-// bound fill-in and floating-point drift.
+// Revised simplex over sparse columns: the package's one LP kernel. The
+// basis inverse is a Markowitz-ordered sparse LU factorization
+// (internal/lp/basis) with eta-on-LU pivot updates, rebuilt (reinversion)
+// once enough updates accumulate to bound fill-in and floating-point drift;
+// entering columns are priced by projected steepest edge (pricing.go).
 //
-// The backend runs three pivot loops over the same machinery:
+// The kernel runs three pivot loops over the same machinery:
 //
 //   - primal phase 1 (artificial costs) from the all-slack/artificial basis,
 //   - primal phase 2 (real costs),
@@ -29,15 +29,26 @@ import (
 // Any warm-start trouble (singular basis, lost dual feasibility, iteration
 // budget) falls back to a cold solve, so warm starts never cost correctness.
 
-// epsDualFeas is the reduced-cost tolerance below which a warm basis
-// no longer counts as dual feasible and the warm start is abandoned.
-const epsDualFeas = 1e-7
+// Numerical tolerances. The scheduling LPs produced by internal/core are well
+// scaled (seconds and watts, both O(1)–O(100)), so fixed absolute tolerances
+// are adequate.
+const (
+	epsPivot    = 1e-9  // minimum magnitude for a usable pivot element
+	epsReduced  = 1e-9  // reduced-cost optimality tolerance
+	epsFeas     = 1e-7  // phase-1 residual treated as feasible
+	stallWindow = 200   // iterations without improvement → Bland
+	epsImprove  = 1e-12 // objective delta counted as progress
+
+	// epsDualFeas is the reduced-cost tolerance below which a warm basis
+	// no longer counts as dual feasible and the warm start is abandoned.
+	epsDualFeas = 1e-7
+)
 
 // revised is the working state of one revised-simplex solve.
 type revised struct {
 	f   *spForm
-	eng basis.Engine
-	pr  *pricer // nil under Dantzig pricing (the legacy exact scans)
+	eng *basis.LU
+	pr  *pricer
 
 	factorEpoch int // bumped on every successful factorize
 
@@ -69,8 +80,8 @@ type revised struct {
 
 // rvPool recycles revised-state arenas across solves. A power-cap sweep
 // solves hundreds of similarly-sized LPs back to back; pooling keeps the
-// pivot-loop scratch (dense work vectors, engine factor storage, pricer
-// state) warm instead of reallocating ~10 slices per solve. Every slice is
+// pivot-loop scratch (dense work vectors, LU factor storage, pricer state)
+// warm instead of reallocating ~10 slices per solve. Every slice is
 // resized capacity-retaining in reset, so a pooled arena serves any shape.
 var rvPool = sync.Pool{New: func() any { return new(revised) }}
 
@@ -113,35 +124,16 @@ func (rv *revised) reset(f *spForm, o *Options) {
 	rv.numReason = ""
 	rv.stats = SolveStats{}
 
-	switch o.Engine.resolve() {
-	case EngineEta:
-		if e, ok := rv.eng.(*basis.Eta); ok {
-			e.Reset(f.m)
-		} else {
-			rv.eng = basis.NewEta(f.m)
-		}
-	default:
-		if e, ok := rv.eng.(*basis.LU); ok {
-			e.Reset(f.m)
-		} else {
-			rv.eng = basis.NewLU(f.m)
-		}
-	}
-	rv.stats.Engine = rv.eng.Name()
-	// Engines are pooled and never clear their own health counters (their
-	// Reset runs inside mid-solve reinversions too); the solve boundary is
-	// here.
-	rv.eng.Health().Clear()
-	if o.Pricing.resolve() == PricingSteepest {
-		if rv.pr == nil {
-			rv.pr = newPricer(f)
-		} else {
-			rv.pr.reset(f)
-		}
+	if rv.eng == nil {
+		rv.eng = basis.NewLU(f.m)
+		rv.pr = newPricer(f)
 	} else {
-		rv.pr = nil
+		rv.eng.Reset(f.m)
+		rv.pr.reset(f)
 	}
-	rv.stats.Pricing = o.Pricing.String()
+	// The LU is pooled and never clears its own health counters (its Reset
+	// runs inside mid-solve reinversions too); the solve boundary is here.
+	rv.eng.Health().Clear()
 
 	rv.maxIters = f.maxIters
 	if o.MaxIters > 0 {
@@ -200,9 +192,9 @@ func (rv *revised) ftran(v []float64) { rv.eng.Ftran(v) }
 func (rv *revised) btran(v []float64) { rv.eng.Btran(v) }
 
 // factorize rebuilds the basis factorization for the given basis columns
-// (the engine may reassign columns to rows). Returns false when the column
-// set is singular. On success rv.basis holds the engine's slot assignment
-// and rv.xB the basic values.
+// (column k is basic in row slot k). Returns false when the column set is
+// singular. On success rv.basis holds the columns and rv.xB the basic
+// values.
 func (rv *revised) factorize(cols []int) bool {
 	_, sp := obs.Start(rv.sctx, "lp.refactorize")
 	defer sp.End()
@@ -229,7 +221,7 @@ func (rv *revised) computeXB() {
 	rv.ftran(rv.xB)
 }
 
-// refactorIfDue reinverts once the engine's update file outgrows its budget.
+// refactorIfDue reinverts once the LU's update file outgrows its budget.
 // A false return means the basis went singular — a numerical breakdown,
 // recorded in numReason for the statusNumerical paths.
 func (rv *revised) refactorIfDue() bool {
@@ -316,32 +308,6 @@ func (rv *revised) phaseObjective() float64 {
 	return obj
 }
 
-// priceEntering scans reduced costs and returns the entering column
-// (Dantzig most-negative, or first-negative under Bland), or -1 at
-// optimality. Requires rv.y to be current.
-func (rv *revised) priceEntering(bland bool) int {
-	f := rv.f
-	best := -1
-	bestVal := -epsReduced
-	for j := 0; j < f.n; j++ {
-		if rv.isBasic[j] || rv.blocked[j] {
-			continue
-		}
-		d := rv.cost[j] - f.colDot(j, rv.y)
-		if bland {
-			if d < -epsReduced {
-				return j
-			}
-			continue
-		}
-		if d < bestVal {
-			bestVal = d
-			best = j
-		}
-	}
-	return best
-}
-
 // primal runs primal simplex pivots with the current costs, from the
 // current factorized basis, until optimality, unboundedness, or the pivot
 // budget runs out. iters is shared across phases via the pointer.
@@ -354,9 +320,7 @@ func (rv *revised) primal(iters *int) Status {
 	// terminating is likely cycling or creeping; pin Bland's rule on for the
 	// remainder, which guarantees finite termination.
 	watchdog := rv.maxIters / 2
-	if rv.pr != nil {
-		rv.pr.invalidate() // phase costs changed (or eviction pivoted behind us)
-	}
+	rv.pr.invalidate() // phase costs changed (or eviction pivoted behind us)
 
 	for ; *iters < rv.maxIters; *iters++ {
 		if *iters%cancelCheckEvery == 0 {
@@ -372,13 +336,7 @@ func (rv *revised) primal(iters *int) Status {
 			rv.stats.BlandActivated = true
 			rv.stats.BlandActivations++
 		}
-		var enter int
-		if rv.pr != nil {
-			enter = rv.pr.priceEntering(rv, bland)
-		} else {
-			rv.computeY()
-			enter = rv.priceEntering(bland)
-		}
+		enter := rv.pr.priceEntering(rv, bland)
 		if enter < 0 {
 			return Optimal
 		}
@@ -389,71 +347,48 @@ func (rv *revised) primal(iters *int) Status {
 		f.scatterCol(enter, rv.alpha)
 		rv.ftran(rv.alpha)
 
-		// Minimum-ratio test. The Dantzig path breaks ties toward the
-		// smallest basic column index (the same lexicographic nudge as the
-		// dense backend). The steepest-edge path instead takes the LARGEST
-		// pivot element among near-tied ratios (a Harris-style second pass):
-		// SE's aggressive entering choices otherwise walk through strings of
-		// barely-admissible ~epsPivot pivots whose accumulated ill-conditioning
-		// the LU refactorization then rejects as singular.
+		// Minimum-ratio test, taking the LARGEST pivot element among
+		// near-tied ratios (a Harris-style second pass): steepest edge's
+		// aggressive entering choices otherwise walk through strings of
+		// barely-admissible ~epsPivot pivots whose accumulated
+		// ill-conditioning the LU refactorization then rejects as singular.
 		leave := -1
 		bestRatio := math.Inf(1)
-		if rv.pr != nil {
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				if ratio := rv.xB[i] / a; ratio < bestRatio {
-					bestRatio = ratio
-				}
+		for i := 0; i < f.m; i++ {
+			a := rv.alpha[i]
+			if a <= epsPivot {
+				continue
 			}
-			bestA := 0.0
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				if rv.xB[i]/a <= bestRatio+epsPivot && a > bestA {
-					bestA = a
-					leave = i
-				}
+			if ratio := rv.xB[i] / a; ratio < bestRatio {
+				bestRatio = ratio
 			}
-		} else {
-			for i := 0; i < f.m; i++ {
-				a := rv.alpha[i]
-				if a <= epsPivot {
-					continue
-				}
-				ratio := rv.xB[i] / a
-				if ratio < bestRatio-epsPivot ||
-					(ratio < bestRatio+epsPivot && (leave < 0 || rv.basis[i] < rv.basis[leave])) {
-					bestRatio = ratio
-					leave = i
-				}
+		}
+		bestA := 0.0
+		for i := 0; i < f.m; i++ {
+			a := rv.alpha[i]
+			if a <= epsPivot {
+				continue
+			}
+			if rv.xB[i]/a <= bestRatio+epsPivot && a > bestA {
+				bestA = a
+				leave = i
 			}
 		}
 		if leave < 0 {
-			if rv.pr != nil {
-				// The candidate came from incremental reduced costs; verify
-				// the ray is genuinely improving before declaring the whole
-				// problem unbounded.
-				rv.pr.refresh(rv)
-				if rv.pr.d[enter] >= -epsReduced {
-					continue
-				}
+			// The candidate came from incremental reduced costs; verify the
+			// ray is genuinely improving before declaring the whole problem
+			// unbounded.
+			rv.pr.refresh(rv)
+			if rv.pr.d[enter] >= -epsReduced {
+				continue
 			}
 			return Unbounded
 		}
 
 		leaveCol := rv.basis[leave]
-		if rv.pr != nil {
-			rv.pr.preparePivotRow(rv, leave)
-		}
+		rv.pr.preparePivotRow(rv, leave)
 		rv.pivotUpdate(leave, enter)
-		if rv.pr != nil {
-			rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
-		}
+		rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
 		if !rv.refactorIfDue() {
 			return statusNumerical
 		}
@@ -476,7 +411,7 @@ func (rv *revised) primal(iters *int) Status {
 }
 
 // pivotUpdate applies the pivot (leave row, enter column) to xB, the basis,
-// and the eta file. rv.alpha must hold B⁻¹·a_enter.
+// and the LU's eta file. rv.alpha must hold B⁻¹·a_enter.
 func (rv *revised) pivotUpdate(leave, enter int) {
 	theta := rv.xB[leave] / rv.alpha[leave]
 	for i := range rv.xB {
@@ -544,9 +479,7 @@ func (rv *revised) dual(iters *int) Status {
 	stall := 0
 	lastInfeas := rv.primalInfeasibility()
 	watchdog := rv.maxIters / 2
-	if rv.pr != nil {
-		rv.pr.invalidate()
-	}
+	rv.pr.invalidate()
 
 	for ; *iters < rv.maxIters; *iters++ {
 		if *iters%cancelCheckEvery == 0 {
@@ -578,18 +511,13 @@ func (rv *revised) dual(iters *int) Status {
 		}
 		rv.stats.DualIters++
 
-		// Pivot row of B⁻¹A and reduced costs for the ratio test. The
-		// Dantzig path recomputes duals and dots every column; the pricer
-		// path keeps d[] incrementally exact-on-refactorize and assembles
-		// only the pivot row's touched columns.
-		if rv.pr != nil {
-			if bland {
-				rv.pr.refresh(rv)
-			} else {
-				rv.pr.ensureFresh(rv)
-			}
+		// Pivot row of B⁻¹A and reduced costs for the ratio test: the pricer
+		// keeps d[] incrementally (exact on refactorize) and assembles only
+		// the pivot row's touched columns.
+		if bland {
+			rv.pr.refresh(rv)
 		} else {
-			rv.computeY()
+			rv.pr.ensureFresh(rv)
 		}
 		for i := range rv.rho {
 			rv.rho[i] = 0
@@ -597,65 +525,43 @@ func (rv *revised) dual(iters *int) Status {
 		rv.rho[leave] = 1
 		rv.btran(rv.rho)
 
+		// Same Harris-style pivot-size protection as the primal loop: find
+		// the minimum ratio, then the largest |a_rj| among near-ties.
 		enter := -1
 		bestRatio := math.Inf(1)
-		if rv.pr != nil {
-			// Same Harris-style pivot-size protection as the primal SE path:
-			// find the minimum ratio, then the largest |a_rj| among near-ties.
-			rv.pr.rowCombine(f, rv.rho)
-			for _, j := range rv.pr.accCols {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := rv.pr.accVal[j]
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.pr.d[j]
-				if d < 0 {
-					d = 0 // dual feasibility holds up to drift; clamp
-				}
-				if ratio := d / -arj; ratio < bestRatio {
-					bestRatio = ratio
-				}
+		rv.pr.rowCombine(f, rv.rho)
+		for _, j := range rv.pr.accCols {
+			if rv.isBasic[j] || rv.blocked[j] {
+				continue
 			}
-			bestA := 0.0
-			for _, j := range rv.pr.accCols {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := rv.pr.accVal[j]
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.pr.d[j]
-				if d < 0 {
-					d = 0
-				}
-				if d/-arj <= bestRatio+epsReduced && -arj > bestA {
-					bestA = -arj
-					enter = j
-				}
+			arj := rv.pr.accVal[j]
+			if arj >= -epsPivot {
+				continue
 			}
-		} else {
-			for j := 0; j < f.n; j++ {
-				if rv.isBasic[j] || rv.blocked[j] {
-					continue
-				}
-				arj := f.colDot(j, rv.rho)
-				if arj >= -epsPivot {
-					continue
-				}
-				d := rv.cost[j] - f.colDot(j, rv.y)
-				if d < 0 {
-					d = 0 // dual feasibility holds up to drift; clamp
-				}
-				ratio := d / -arj
-				if ratio < bestRatio-epsReduced ||
-					(ratio < bestRatio+epsReduced && (enter < 0 || j < enter)) {
-					bestRatio = ratio
-					enter = j
-				}
+			d := rv.pr.d[j]
+			if d < 0 {
+				d = 0 // dual feasibility holds up to drift; clamp
+			}
+			if ratio := d / -arj; ratio < bestRatio {
+				bestRatio = ratio
+			}
+		}
+		bestA := 0.0
+		for _, j := range rv.pr.accCols {
+			if rv.isBasic[j] || rv.blocked[j] {
+				continue
+			}
+			arj := rv.pr.accVal[j]
+			if arj >= -epsPivot {
+				continue
+			}
+			d := rv.pr.d[j]
+			if d < 0 {
+				d = 0
+			}
+			if d/-arj <= bestRatio+epsReduced && -arj > bestA {
+				bestA = -arj
+				enter = j
 			}
 		}
 		if enter < 0 {
@@ -686,9 +592,7 @@ func (rv *revised) dual(iters *int) Status {
 		}
 		leaveCol := rv.basis[leave]
 		rv.pivotUpdate(leave, enter)
-		if rv.pr != nil {
-			rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
-		}
+		rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
 		if !rv.refactorIfDue() {
 			return statusNumerical
 		}
@@ -735,8 +639,7 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 		}
 	}
 	// Duals y = c_Bᵀ B⁻¹ on the normalized rows, mapped back to the rows
-	// as the caller stated them via rowSign (see tableau.duals for the
-	// dense equivalent).
+	// as the caller stated them via rowSign.
 	rv.computeY()
 	sol.Dual = make([]float64, f.m)
 	for i := range sol.Dual {
@@ -755,8 +658,9 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 	return sol
 }
 
-// solveSparse is the sparse revised-simplex backend behind Solve. One pooled
-// arena serves the whole call: a failed warm attempt resets the same scratch
+// solveSparse runs the revised simplex on p: the kernel behind Solve, for
+// the presolved problem and for the rescue alike. One pooled arena serves
+// the whole call: a failed warm attempt resets the same scratch
 // for the cold fallback instead of allocating a second working set.
 func solveSparse(p *Problem, o *Options) (*Solution, error) {
 	f := newSpForm(p)
@@ -773,12 +677,12 @@ func solveSparse(p *Problem, o *Options) (*Solution, error) {
 	sol := rv.solveCold(p)
 	rv.harvestHealth(&sol.Stats)
 	if sol.Status == statusNumerical {
-		return nil, &NumericalError{Backend: "sparse", Reason: rv.numReason, Pivots: sol.Iters}
+		return nil, &NumericalError{Reason: rv.numReason, Pivots: sol.Iters}
 	}
 	return sol, nil
 }
 
-// harvestHealth folds the basis engine's health counters (cleared at reset,
+// harvestHealth folds the LU's health counters (cleared at reset,
 // accumulated across every factorization and pivot of this solve) and the
 // NaN-recovery count into a finished solution's stats. It runs after the
 // terminal Solution exists so every exit path — extract, infeasible,

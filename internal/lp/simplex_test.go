@@ -1,23 +1,57 @@
 package lp
 
-import (
-	"context"
-	"math"
+import "math"
 
-	"powercap/internal/faultinject"
-	"powercap/internal/obs"
-)
+// The dense tableau: a full-tableau two-phase primal simplex with Dantzig
+// pricing, kept as a test oracle. It shares nothing with the revised
+// simplex kernel but the standard-form conventions (row normalization,
+// auxiliary column layout, the problem-space basis encoding) and the
+// tolerances, so agreement between the two on verdicts, objectives, and
+// duals is evidence about the kernel. Solve never runs it.
 
-// Numerical tolerances for the dense simplex. The scheduling LPs produced by
-// internal/core are well scaled (seconds and watts, both O(1)–O(100)), so
-// fixed absolute tolerances are adequate.
-const (
-	epsPivot    = 1e-9  // minimum magnitude for a usable pivot element
-	epsReduced  = 1e-9  // reduced-cost optimality tolerance
-	epsFeas     = 1e-7  // phase-1 residual treated as feasible
-	stallWindow = 200   // Dantzig iterations without improvement → Bland
-	epsImprove  = 1e-12 // objective delta counted as progress
-)
+// impl is one LP solver the cross-checking tests loop over, named as their
+// subtests name it.
+type impl struct {
+	name  string
+	solve func(*Problem, ...Option) (*Solution, error)
+}
+
+// impls pairs the kernel with the dense oracle.
+var impls = []impl{{"dense", denseSolve}, {"sparse", Solve}}
+
+// denseSolve solves p on the dense tableau. Presolve never applies and warm
+// bases are ignored: the oracle always solves the stated problem cold.
+func denseSolve(p *Problem, opts ...Option) (*Solution, error) {
+	if len(p.names) == 0 {
+		return nil, ErrNoVariables
+	}
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	t := newTableau(p)
+	if o.MaxIters > 0 {
+		t.maxIters = o.MaxIters
+	}
+	if o.StallWindow > 0 {
+		t.stallWin = o.StallWindow
+	}
+	t.cancel = o.cancelFunc()
+	st, n1, n2 := t.solve()
+	sol := &Solution{Status: st, Iters: n1 + n2, X: make([]float64, len(p.names))}
+	sol.Stats.Phase1Iters = n1
+	sol.Stats.Phase2Iters = n2
+	sol.Stats.BlandActivated = t.bland
+	if st != Optimal {
+		sol.Objective = math.NaN()
+		return sol, nil
+	}
+	t.extract(sol.X)
+	sol.Dual = t.duals()
+	sol.Basis = t.exportBasis()
+	finishSolution(p, sol)
+	return sol, nil
+}
 
 // tableau is the dense working form of a Problem: Ax = b with x ≥ 0, b ≥ 0,
 // kept in canonical form with respect to the current basis.
@@ -57,17 +91,13 @@ type tableau struct {
 	// (-1 for structural columns), for problem-space basis export.
 	colOwner []int
 
-	maxIters  int
-	stallWin  int    // Dantzig iterations without improvement → Bland
-	bland     bool   // anti-cycling fallback engaged at least once
-	numReason string // set when iterate returns statusNumerical
+	maxIters int
+	stallWin int  // Dantzig iterations without improvement → Bland
+	bland    bool // anti-cycling fallback engaged at least once
 
 	// cancel, when non-nil, is polled every cancelCheckEvery pivots; a
 	// true return abandons the solve with Status Canceled.
 	cancel func() bool
-
-	// sctx parents the per-phase obs spans (nil is fine: disabled path).
-	sctx context.Context
 }
 
 func (t *tableau) at(i, j int) float64     { return t.a[i*t.n+j] }
@@ -209,17 +239,6 @@ func newTableau(p *Problem) *tableau {
 	return t
 }
 
-func flipRel(r Rel) Rel {
-	switch r {
-	case LE:
-		return GE
-	case GE:
-		return LE
-	default:
-		return EQ
-	}
-}
-
 // solve runs both simplex phases and reports the outcome plus per-phase
 // pivot counts.
 func (t *tableau) solve() (st Status, phase1, phase2 int) {
@@ -243,12 +262,8 @@ func (t *tableau) solve() (st Status, phase1, phase2 int) {
 			}
 		}
 		t.recomputeObjRow()
-		_, sp := obs.Start(t.sctx, "lp.phase1")
 		st, phase1 = t.iterate()
-		sp.SetAttr("pivots", phase1)
-		sp.SetAttr("status", st.String())
-		sp.End()
-		if st == IterLimit || st == Canceled || st == statusNumerical {
+		if st == IterLimit || st == Canceled {
 			return st, phase1, 0
 		}
 		if t.phaseObjective() > epsFeas {
@@ -264,11 +279,7 @@ func (t *tableau) solve() (st Status, phase1, phase2 int) {
 
 	copy(t.cost, phase2Cost)
 	t.recomputeObjRow()
-	_, sp := obs.Start(t.sctx, "lp.phase2")
 	st, phase2 = t.iterate()
-	sp.SetAttr("pivots", phase2)
-	sp.SetAttr("status", st.String())
-	sp.End()
 	return st, phase1, phase2
 }
 
@@ -335,27 +346,8 @@ func (t *tableau) iterate() (Status, int) {
 	watchdog := t.maxIters / 2
 
 	for ; iters < t.maxIters; iters++ {
-		if iters%cancelCheckEvery == 0 {
-			// Cancellation is checked before anything else so a dead
-			// context always surfaces as Canceled, never as a numerical
-			// artifact of a half-finished pivot.
-			if t.cancel != nil && t.cancel() {
-				return Canceled, iters
-			}
-			if faultinject.Armed() {
-				if faultinject.Fire(faultinject.LPStall) {
-					return IterLimit, iters
-				}
-				if faultinject.Fire(faultinject.LPNaN) {
-					t.b[0] = math.NaN()
-				}
-			}
-			if !finiteAll(t.b) || !finite(t.phaseObjective()) {
-				// The dense tableau has no factored form to rebuild;
-				// report the breakdown and let the caller pick a fallback.
-				t.numReason = "non-finite basic values or objective"
-				return statusNumerical, iters
-			}
+		if iters%cancelCheckEvery == 0 && t.cancel != nil && t.cancel() {
+			return Canceled, iters
 		}
 		if iters >= watchdog && !bland {
 			bland = true
@@ -519,34 +511,4 @@ func (t *tableau) exportBasis() []int {
 		}
 	}
 	return out
-}
-
-// solveDense is the dense-tableau backend behind Solve. Warm bases are
-// ignored (the full tableau cannot skip its canonicalization), so every
-// dense solve is a cold solve.
-func solveDense(p *Problem, o *Options) (*Solution, error) {
-	t := newTableau(p)
-	if o.MaxIters > 0 {
-		t.maxIters = o.MaxIters
-	}
-	t.stallWin = o.StallWindow
-	t.cancel = o.cancelFunc()
-	t.sctx = o.spanContext()
-	st, n1, n2 := t.solve()
-	if st == statusNumerical {
-		return nil, &NumericalError{Backend: "dense", Reason: t.numReason, Pivots: n1 + n2}
-	}
-	sol := &Solution{Status: st, Iters: n1 + n2, X: make([]float64, len(p.names))}
-	sol.Stats.Phase1Iters = n1
-	sol.Stats.Phase2Iters = n2
-	sol.Stats.BlandActivated = t.bland
-	if st != Optimal {
-		sol.Objective = math.NaN()
-		return sol, nil
-	}
-	t.extract(sol.X)
-	sol.Dual = t.duals()
-	sol.Basis = t.exportBasis()
-	finishSolution(p, sol)
-	return sol, nil
 }

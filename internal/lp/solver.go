@@ -3,178 +3,41 @@ package lp
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"powercap/internal/faultinject"
 	"powercap/internal/obs"
 )
 
-// This file defines the pluggable solver engine: a Solver interface over
-// interchangeable simplex backends, an options pattern for selecting and
-// tuning them, and the problem-space basis encoding that lets one solve warm
-// start the next (see DESIGN.md "Solver engine architecture").
+// This file defines the solve entry point: the options pattern for tuning a
+// solve, the in-kernel numerical rescue, and the problem-space basis
+// encoding that lets one solve warm start the next (see DESIGN.md §14).
 
 // ErrInfeasible is the package-level infeasibility sentinel. Solve itself
-// reports infeasibility through Solution.Status (a malformed problem is the
-// only error condition), but higher layers wrap this sentinel so that
-// errors.Is(err, lp.ErrInfeasible) holds through core, flowilp, and the
-// public powercap API.
+// reports infeasibility through Solution.Status (its errors are malformed
+// problems and numerical breakdowns), but higher layers wrap this sentinel
+// so that errors.Is(err, lp.ErrInfeasible) holds through core, flowilp, and
+// the public powercap API.
 var ErrInfeasible = errors.New("lp: infeasible")
-
-// Backend selects a simplex implementation.
-type Backend int
-
-const (
-	// BackendDense is the full-tableau two-phase primal simplex
-	// (simplex.go): O(m·n) memory and per-pivot work, numerically simple,
-	// the reference implementation.
-	BackendDense Backend = iota
-	// BackendSparse is the revised simplex over sparse column storage with
-	// a product-form basis inverse (revised.go): per-pivot work scales
-	// with the nonzero count, and it accepts warm-start bases, repairing
-	// primal infeasibility after RHS changes with dual simplex pivots.
-	BackendSparse
-)
-
-// String names the backend.
-func (b Backend) String() string {
-	switch b {
-	case BackendDense:
-		return "dense"
-	case BackendSparse:
-		return "sparse"
-	default:
-		return fmt.Sprintf("Backend(%d)", int(b))
-	}
-}
-
-// Engine selects the sparse backend's basis-inverse implementation (see
-// internal/lp/basis). The dense backend ignores it.
-type Engine int
-
-const (
-	// EngineAuto picks the default engine (currently the sparse LU).
-	EngineAuto Engine = iota
-	// EngineLU is the Markowitz-ordered sparse LU factorization with
-	// eta-on-LU pivot updates — the default.
-	EngineLU
-	// EngineEta is the original product-form-of-the-inverse eta file,
-	// retained as the reference engine and the resilience-ladder fallback.
-	EngineEta
-)
-
-// resolve maps EngineAuto to the concrete default.
-func (e Engine) resolve() Engine {
-	if e == EngineAuto {
-		return EngineLU
-	}
-	return e
-}
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e.resolve() {
-	case EngineLU:
-		return "lu"
-	case EngineEta:
-		return "eta"
-	default:
-		return fmt.Sprintf("Engine(%d)", int(e))
-	}
-}
-
-// ParseEngine parses an engine name as accepted by CLI -engine flags.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "lu":
-		return EngineLU, nil
-	case "eta":
-		return EngineEta, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown engine %q (want auto, lu, or eta)", s)
-	}
-}
-
-// Pricing selects the sparse backend's entering-variable rule. The dense
-// backend ignores it.
-type Pricing int
-
-const (
-	// PricingAuto picks the default rule (currently steepest edge).
-	PricingAuto Pricing = iota
-	// PricingSteepest is projected steepest edge (devex-style reference
-	// weights, reset on refactorization) with partial pricing and
-	// incremental reduced costs — the default.
-	PricingSteepest
-	// PricingDantzig is the classic full most-negative-reduced-cost scan,
-	// recomputing duals every pivot. Retained as the reference rule; it
-	// reproduces the pre-engine pivot sequences exactly.
-	PricingDantzig
-)
-
-// resolve maps PricingAuto to the concrete default.
-func (p Pricing) resolve() Pricing {
-	if p == PricingAuto {
-		return PricingSteepest
-	}
-	return p
-}
-
-// String names the pricing rule.
-func (p Pricing) String() string {
-	switch p.resolve() {
-	case PricingSteepest:
-		return "steepest"
-	case PricingDantzig:
-		return "dantzig"
-	default:
-		return fmt.Sprintf("Pricing(%d)", int(p))
-	}
-}
-
-// ParsePricing parses a pricing-rule name as accepted by CLI -pricing flags.
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "", "auto":
-		return PricingAuto, nil
-	case "steepest", "se":
-		return PricingSteepest, nil
-	case "dantzig":
-		return PricingDantzig, nil
-	default:
-		return 0, fmt.Errorf("lp: unknown pricing rule %q (want auto, steepest, or dantzig)", s)
-	}
-}
 
 // Options collects per-solve settings. Construct via Option functions.
 type Options struct {
-	// Backend selects the simplex implementation (default dense).
-	Backend Backend
-	// Engine selects the sparse backend's basis-inverse engine
-	// (default EngineAuto → LU).
-	Engine Engine
-	// Pricing selects the sparse backend's entering rule
-	// (default PricingAuto → steepest edge).
-	Pricing Pricing
 	// MaxIters overrides the pivot budget (0 = automatic, proportional to
 	// problem size; Problem.SetMaxIters applies when this is 0).
 	MaxIters int
-	// StallWindow is how many non-improving Dantzig iterations are
-	// tolerated before switching to Bland's anti-cycling rule
-	// (0 = default 200).
+	// StallWindow is how many non-improving iterations are tolerated
+	// before switching to Bland's anti-cycling rule (0 = default 200).
 	StallWindow int
 	// NoPresolve disables the presolve/scaling pass (internal/lp/presolve)
 	// and solves the stated problem directly. Intended for tests and
 	// A/B instrumentation; presolve is semantically invisible otherwise.
+	// A solve without presolve gets no numerical rescue: the rescue is
+	// exactly such a solve.
 	NoPresolve bool
 	// WarmBasis is a starting basis from a previous Solution.Basis for a
 	// problem with the same variables and a prefix of the same rows
-	// (RHS values and appended rows may differ). Backends that cannot
-	// exploit it (dense) ignore it; the sparse backend falls back to a
-	// cold solve if the basis is unusable, so a stale or mismatched basis
+	// (RHS values and appended rows may differ). The solve falls back to a
+	// cold start if the basis is unusable, so a stale or mismatched basis
 	// costs time, never correctness.
 	WarmBasis []int
 	// Ctx, when non-nil, lets the caller abandon a solve mid-pivot: the
@@ -194,19 +57,10 @@ type Options struct {
 // Option mutates Options.
 type Option func(*Options)
 
-// WithBackend selects the simplex backend.
-func WithBackend(b Backend) Option { return func(o *Options) { o.Backend = b } }
-
-// WithEngine selects the sparse backend's basis-inverse engine.
-func WithEngine(e Engine) Option { return func(o *Options) { o.Engine = e } }
-
-// WithPricing selects the sparse backend's entering-variable rule.
-func WithPricing(p Pricing) Option { return func(o *Options) { o.Pricing = p } }
-
 // WithMaxIters overrides the pivot budget for this solve.
 func WithMaxIters(n int) Option { return func(o *Options) { o.MaxIters = n } }
 
-// WithStallWindow overrides the Dantzig→Bland stall threshold.
+// WithStallWindow overrides the stall threshold that engages Bland's rule.
 func WithStallWindow(n int) Option { return func(o *Options) { o.StallWindow = n } }
 
 // WithoutPresolve disables the presolve/scaling pass for this solve.
@@ -224,7 +78,7 @@ func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx =
 // enabling cancellation polling. With tracing disarmed this costs nothing.
 func WithSpanContext(ctx context.Context) Option { return func(o *Options) { o.SpanCtx = ctx } }
 
-// spanContext resolves where backend spans should parent: the explicit span
+// spanContext resolves where kernel spans should parent: the explicit span
 // context if set, else the cancellation context. May be nil (obs.Start
 // accepts nil and falls back to the global trace).
 func (o *Options) spanContext() context.Context {
@@ -240,7 +94,7 @@ func (o *Options) spanContext() context.Context {
 const cancelCheckEvery = 32
 
 // cancelFunc converts an Options context into a poll closure for the
-// backends (nil when no context was supplied).
+// pivot loops (nil when no context was supplied).
 func (o *Options) cancelFunc() func() bool {
 	if o.Ctx == nil {
 		return nil
@@ -249,36 +103,21 @@ func (o *Options) cancelFunc() func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// Solver is the pluggable engine interface: anything that can solve a
-// Problem. The package-level Solve function is the default implementation;
-// custom engines (instrumented, remote, cached) can wrap it.
-type Solver interface {
-	Solve(p *Problem, opts ...Option) (*Solution, error)
-}
-
 // SolveStats instruments one Solve call.
 type SolveStats struct {
-	// Backend names the implementation that produced the solution.
-	Backend string
-	// Engine names the basis-inverse engine ("eta" or "lu"; sparse backend
-	// only, empty for dense).
-	Engine string `json:",omitempty"`
-	// Pricing names the entering rule ("dantzig" or "steepest"; sparse
-	// backend only, empty for dense).
-	Pricing string `json:",omitempty"`
 	// Phase1Iters and Phase2Iters count primal simplex pivots per phase;
 	// DualIters counts dual simplex pivots (warm starts only).
 	Phase1Iters int
 	Phase2Iters int
 	DualIters   int
-	// Refactorizations counts basis reinversions (sparse backend).
+	// Refactorizations counts basis reinversions.
 	Refactorizations int
 	// PresolveRows and PresolveCols count the rows/columns the presolve
-	// pass eliminated before the backend ran.
+	// pass eliminated before the kernel ran.
 	PresolveRows int `json:",omitempty"`
 	PresolveCols int `json:",omitempty"`
 	// WarmStarted reports whether a supplied warm basis was actually used
-	// (false when it was absent, unusable, or the backend ignored it).
+	// (false when it was absent or unusable).
 	WarmStarted bool
 	// BlandActivated reports whether the anti-cycling fallback engaged;
 	// BlandActivations counts how many times it switched on (it can engage,
@@ -286,7 +125,7 @@ type SolveStats struct {
 	BlandActivated   bool
 	BlandActivations int `json:",omitempty"`
 	// MaxEtaLen is the peak basis-update (eta) file length — the growth
-	// proxy for basis conditioning (sparse backend).
+	// proxy for basis conditioning.
 	MaxEtaLen int `json:",omitempty"`
 	// PivotRejections counts factorization rows the LU engine's threshold
 	// (Markowitz-tie-broken) pivoting rejected; FactorTauRetries counts
@@ -297,8 +136,12 @@ type SolveStats struct {
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
 	// working state (see revised.recoverNumerical).
 	NaNRecoveries int `json:",omitempty"`
+	// Rescues counts numerical rescues: 1 when the presolved solve broke
+	// down and this solution comes from the cold re-solve of the original
+	// problem without presolve (see Solve), else 0.
+	Rescues int `json:",omitempty"`
 	// RowNormMax and RowNormMin are the extreme row norms (max-abs per row)
-	// of the constraint matrix handed to the backend after presolve
+	// of the constraint matrix handed to the kernel after presolve
 	// scaling; their ratio is the scaling condition proxy.
 	RowNormMax float64 `json:",omitempty"`
 	RowNormMin float64 `json:",omitempty"`
@@ -307,7 +150,7 @@ type SolveStats struct {
 }
 
 // RowNormRatio is the scaling condition proxy: max/min row norm of the
-// matrix the backend actually factorized (0 when unknown).
+// matrix the kernel actually factorized (0 when unknown).
 func (s SolveStats) RowNormRatio() float64 {
 	if s.RowNormMin <= 0 {
 		return 0
@@ -330,17 +173,16 @@ func (s SolveStats) Pivots() int { return s.Phase1Iters + s.Phase2Iters + s.Dual
 // the parent basis: rows added for branches simply take their own auxiliary
 // as the initial basic variable.
 
-// funcSolver adapts a function to the Solver interface.
-type funcSolver func(p *Problem, opts ...Option) (*Solution, error)
-
-func (f funcSolver) Solve(p *Problem, opts ...Option) (*Solution, error) { return f(p, opts...) }
-
-// DefaultSolver is the package's own engine as a Solver value.
-var DefaultSolver Solver = funcSolver(Solve)
-
-// Solve runs the selected backend on p. The returned error is non-nil only
-// for malformed problems; infeasibility and unboundedness are reported
-// through Solution.Status.
+// Solve runs the sparse revised simplex on p. The returned error is non-nil
+// only for malformed problems and for numerical breakdowns the rescue did
+// not repair (*NumericalError); infeasibility and unboundedness are
+// reported through Solution.Status.
+//
+// A presolved solve that breaks down numerically is rescued once, inside
+// Solve: the original problem is re-solved cold with presolve off. The
+// rescue changes the factorized matrix (no eliminations, no equilibration)
+// and drops any warm basis, so the LU sees a different pivot sequence; a
+// second breakdown is returned as is. Solution.Stats.Rescues records it.
 func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
@@ -361,47 +203,38 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 
 	sctx, span := obs.Start(o.spanContext(), "lp.solve")
 	defer span.End()
-	span.SetAttr("backend", o.Backend.String())
-	if o.Backend == BackendSparse {
-		span.SetAttr("engine", o.Engine.String())
-	}
 	span.SetAttr("vars", p.NumVars())
 	span.SetAttr("rows", p.NumConstraints())
-	o.SpanCtx = sctx // backends parent their phase spans under lp.solve
+	o.SpanCtx = sctx // the kernel parents its phase spans under lp.solve
 
 	start := time.Now()
 	var sol *Solution
 	var err error
 	if o.NoPresolve {
-		sol, err = dispatchBackend(p, &o)
+		sol, err = solveSparse(p, &o)
 	} else {
 		sol, err = solvePresolved(p, &o)
+		var ne *NumericalError
+		if errors.As(err, &ne) {
+			span.SetAttr("rescue", ne.Reason)
+			o.NoPresolve, o.WarmBasis = true, nil
+			sol, err = solveSparse(p, &o)
+			if err == nil {
+				sol.Stats.Rescues = 1
+			}
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	sol.Stats.Backend = o.Backend.String()
 	sol.Stats.Wall = time.Since(start)
 	span.SetAttr("status", sol.Status.String())
 	span.SetAttr("pivots", sol.Stats.Pivots())
 	return sol, nil
 }
 
-// dispatchBackend routes a (possibly presolve-reduced) problem to the
-// selected simplex implementation.
-func dispatchBackend(p *Problem, o *Options) (*Solution, error) {
-	switch o.Backend {
-	case BackendDense:
-		return solveDense(p, o)
-	case BackendSparse:
-		return solveSparse(p, o)
-	default:
-		return nil, fmt.Errorf("lp: unknown backend %v", o.Backend)
-	}
-}
-
 // sleepSlow implements the SlowSolve fault: a context-aware delay of the
-// configured duration, injected before the backend runs so per-rung deadline
+// configured duration, injected before the kernel runs so per-rung deadline
 // slices in internal/resilience get exercised.
 func sleepSlow(ctx context.Context) {
 	d := faultinject.SlowDelay()
@@ -420,7 +253,7 @@ func sleepSlow(ctx context.Context) {
 	}
 }
 
-// finishSolution fills the sense-dependent fields shared by all backends:
+// finishSolution fills the sense-dependent fields of an extracted solution:
 // the objective in the problem's own sense (from the extracted primal
 // point) and the dual sign flip for maximization problems.
 func finishSolution(p *Problem, sol *Solution) {
@@ -430,7 +263,7 @@ func finishSolution(p *Problem, sol *Solution) {
 	}
 	sol.Objective = obj
 	if p.sense == Maximize {
-		// Backends minimize internally; undo the cost negation on duals.
+		// The kernel minimizes internally; undo the cost negation on duals.
 		for i := range sol.Dual {
 			sol.Dual[i] = -sol.Dual[i]
 		}

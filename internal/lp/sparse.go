@@ -1,10 +1,9 @@
 package lp
 
-// Sparse standard computational form shared by the revised simplex backend.
-// The conversion mirrors newTableau exactly — rows normalized to b ≥ 0,
-// slack/surplus/artificial columns in the same layout — so the two backends
-// solve literally the same standard-form program and their optimal
-// objectives are comparable to floating-point accuracy.
+// Sparse standard computational form of the revised simplex: rows
+// normalized to b ≥ 0, then one slack column per ≤ row, a surplus and an
+// artificial column per ≥ row, and an artificial column per = row, so the
+// slack/artificial columns form an immediately feasible phase-1 basis.
 
 // spForm is a Problem in sparse column (CSC) standard form: A x = b, x ≥ 0,
 // b ≥ 0, minimize cᵀx.
@@ -140,7 +139,7 @@ func newSpForm(p *Problem) *spForm {
 	}
 
 	// Accumulate structural entries column-wise (duplicate terms in a row
-	// are summed, matching the dense ingestion).
+	// are summed).
 	type rowVal struct {
 		row int
 		val float64
@@ -249,5 +248,17 @@ func insertionSortByRow(rows []int, vals []float64) {
 			j--
 		}
 		rows[j+1], vals[j+1] = r, v
+	}
+}
+
+// flipRel is the relation of a row after multiplying both sides by −1.
+func flipRel(r Rel) Rel {
+	switch r {
+	case LE:
+		return GE
+	case GE:
+		return LE
+	default:
+		return EQ
 	}
 }

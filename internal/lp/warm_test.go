@@ -46,12 +46,12 @@ func TestWarmStartRHSSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cold, err := Solve(p, WithBackend(BackendSparse))
+		cold, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		opts := []Option{WithBackend(BackendSparse)}
+		var opts []Option
 		if basis != nil {
 			opts = append(opts, WithWarmBasis(basis))
 		}
@@ -83,7 +83,7 @@ func TestWarmStartRHSSweep(t *testing.T) {
 
 func TestWarmStartSweepToInfeasible(t *testing.T) {
 	p, capRow := sweepLikeLP()
-	sol, err := Solve(p, WithBackend(BackendSparse))
+	sol, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestWarmStartSweepToInfeasible(t *testing.T) {
 	if err := p.SetRHS(capRow, 45); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(sol.Basis))
+	warm, err := Solve(p, WithWarmBasis(sol.Basis))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWarmStartAppendedRows(t *testing.T) {
 	// (as milp does for x ≤ floor / x ≥ ceil branches) and warm start the
 	// child from the parent basis.
 	p, _ := sweepLikeLP()
-	parent, err := Solve(p, WithBackend(BackendSparse))
+	parent, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func TestWarmStartAppendedRows(t *testing.T) {
 	child.MustConstraint("branch", Expr{}.Plus(Var(0), 1), LE, 0.25)
 	child.MustConstraint("branch2", Expr{}.Plus(Var(2), 1), GE, 0.5)
 
-	cold, err := Solve(child, WithBackend(BackendSparse))
+	cold, err := Solve(child)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(child, WithBackend(BackendSparse), WithWarmBasis(parent.Basis))
+	warm, err := Solve(child, WithWarmBasis(parent.Basis))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestWarmStartAppendedRows(t *testing.T) {
 
 func TestWarmStartGarbageBasisFallsBack(t *testing.T) {
 	p, _ := sweepLikeLP()
-	cold, err := Solve(p, WithBackend(BackendSparse))
+	cold, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWarmStartGarbageBasisFallsBack(t *testing.T) {
 		{1000, 1001, 1002, 1003}, // out of range (too large)
 		{0, 1, 2, 3, 4, 5, 6, 7}, // longer than the row count
 	} {
-		warm, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(garbage))
+		warm, err := Solve(p, WithWarmBasis(garbage))
 		if err != nil {
 			t.Fatalf("basis %v: %v", garbage, err)
 		}
@@ -171,18 +171,18 @@ func TestWarmStartRandomizedAgainstCold(t *testing.T) {
 	// starting from the original basis always matches a cold solve.
 	for seed := int64(1); seed <= 150; seed++ {
 		p := randomBoundedLPSeed(seed)
-		first, err := Solve(p, WithBackend(BackendSparse))
+		first, err := Solve(p)
 		if err != nil || first.Status != Optimal {
 			continue
 		}
 		for r := 0; r < p.NumConstraints(); r++ {
 			p.SetRHS(r, p.RHS(r)+float64((seed%5))-2)
 		}
-		cold, err := Solve(p, WithBackend(BackendSparse))
+		cold, err := Solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Solve(p, WithBackend(BackendSparse), WithWarmBasis(first.Basis))
+		warm, err := Solve(p, WithWarmBasis(first.Basis))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -257,11 +257,7 @@ func (p *Problem) solveRelaxation(branches []branch, warm []int) (*lp.Solution, 
 	for _, b := range branches {
 		clone.MustConstraint("branch", lp.Expr{}.Plus(b.v, 1), b.rel, b.rhs)
 	}
-	opts := []lp.Option{lp.WithBackend(lp.BackendSparse)}
-	if len(warm) > 0 {
-		opts = append(opts, lp.WithWarmBasis(warm))
-	}
-	return lp.Solve(clone, opts...)
+	return lp.Solve(clone, lp.WithWarmBasis(warm))
 }
 
 // mostFractional returns the integer variable whose relaxation value is

@@ -34,8 +34,8 @@ import (
 
 // NumLadderRungs is the length of the per-rung attempt counters in a
 // WideEvent. The order is the resilience ladder's descent order: sparse,
-// sparse-eta, dense, heuristic, static.
-const NumLadderRungs = 5
+// heuristic, static.
+const NumLadderRungs = 3
 
 // KernelHealth is the numerical-health slice of a wide event: the LP
 // kernel's effort and rescue counters for every solve that served the
@@ -47,17 +47,20 @@ type KernelHealth struct {
 	DualPivots       int `json:"dual_pivots,omitempty"`
 	WarmStarts       int `json:"warm_starts,omitempty"`
 	Refactorizations int `json:"refactorizations,omitempty"`
-	// MaxEtaLen is the peak product-form update-file length across the
+	// MaxEtaLen is the peak eta-on-LU update-file length across the
 	// request's solves — the eta-growth proxy for basis conditioning.
 	MaxEtaLen int `json:"max_eta_len,omitempty"`
 	// PivotRejections counts factorization rows skipped by LU threshold
 	// (Markowitz-style) pivoting; TauRetries counts whole factorizations
 	// that fell back from relaxed to strict partial pivoting.
-	PivotRejections int `json:"pivot_rejections,omitempty"`
+	PivotRejections  int `json:"pivot_rejections,omitempty"`
 	FactorTauRetries int `json:"factor_tau_retries,omitempty"`
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
-	// solver state; BlandActivations counts anti-cycling fallbacks.
+	// solver state; Rescues counts solves that broke down and completed
+	// through the kernel's cold re-solve without presolve;
+	// BlandActivations counts anti-cycling fallbacks.
 	NaNRecoveries    int `json:"nan_recoveries,omitempty"`
+	Rescues          int `json:"rescues,omitempty"`
 	BlandActivations int `json:"bland_activations,omitempty"`
 	PresolveRows     int `json:"presolve_rows,omitempty"`
 	PresolveCols     int `json:"presolve_cols,omitempty"`
@@ -94,8 +97,8 @@ type WideEvent struct {
 	Brownout       string `json:"brownout,omitempty"`
 	SolveRetries   int    `json:"solve_retries,omitempty"`
 	// RungAttempts counts solve attempts per ladder rung in descent order
-	// (sparse, sparse-eta, dense, heuristic, static) — the per-rung rescue
-	// trail for this request.
+	// (sparse, heuristic, static) — the per-rung descent trail for this
+	// request.
 	RungAttempts [NumLadderRungs]int32 `json:"rung_attempts"`
 
 	// Deadline budget granted at admission vs solve wall actually spent.

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Breaker is a per-backend circuit breaker for the fallback ladder. A rung
-// whose backend keeps failing trips its breaker open; subsequent requests
+// Breaker is a per-rung circuit breaker for the fallback ladder. A rung
+// whose solver keeps failing trips its breaker open; subsequent requests
 // skip the rung immediately instead of burning their deadline slice on a
 // solver that is currently broken. After a cooldown the breaker admits one
 // probe (half-open): success closes it, failure re-opens it for another

@@ -1,17 +1,18 @@
 // Package resilience implements the fallback ladder of DESIGN.md §10: a
-// solve request descends through progressively simpler, more robust engines
+// solve request descends through progressively simpler, more robust modes
 // until one produces a cap-respecting schedule.
 //
-//	sparse revised simplex (LU) → sparse on the eta engine → dense tableau →
-//	slack-aware heuristic → static
+//	LP (sparse revised simplex) → slack-aware heuristic → static
 //
-// Each rung gets a bounded slice of the request's remaining deadline, a
-// small retry budget with exponential backoff for numerical failures, and a
-// circuit breaker so a persistently broken backend is skipped without
-// burning its slice. Any result produced below the top rung is tagged
-// Degraded with a machine-readable reason chain, and is validated on the
-// simulator through internal/schedule's realization/repair loop before being
-// returned — the ladder never serves a cap-violating schedule.
+// Numerical rescue of the LP itself happens inside lp.Solve (a cold
+// re-solve without presolve); a *lp.NumericalError reaching the ladder has
+// already had it. Each rung gets a bounded slice of the request's remaining
+// deadline, a small retry budget with exponential backoff for numerical
+// failures, and a circuit breaker so a persistently broken rung is skipped
+// without burning its slice. Any result produced below the top rung is
+// tagged Degraded with a machine-readable reason chain, and is validated on
+// the simulator through internal/schedule's realization/repair loop before
+// being returned — the ladder never serves a cap-violating schedule.
 package resilience
 
 import (
@@ -30,20 +31,13 @@ import (
 )
 
 // Rung identifies one level of the fallback ladder, ordered from the
-// preferred engine down to the always-available one.
+// preferred mode down to the always-available one.
 type Rung int
 
 const (
-	// RungSparse is the normal path: the sparse revised simplex LP on the
-	// Solver's configured basis engine (the LU factorization by default).
+	// RungSparse is the normal path: the fixed-vertex-order LP on the
+	// sparse revised simplex kernel.
 	RungSparse Rung = iota
-	// RungSparseEta retries the same sparse LP on the product-form eta
-	// engine, which shares the pivot loops but none of the factorization
-	// numerics — a breakdown inside the LU often does not reproduce there.
-	RungSparseEta
-	// RungDense retries the same LP on the dense tableau backend, which
-	// shares no simplex machinery with the sparse one at all.
-	RungDense
 	// RungHeuristic builds a slack-aware discrete schedule without an LP:
 	// off-critical tasks at their frontier floor, critical tasks at their
 	// fair power share.
@@ -60,10 +54,6 @@ func (r Rung) String() string {
 	switch r {
 	case RungSparse:
 		return "sparse"
-	case RungSparseEta:
-		return "sparse-eta"
-	case RungDense:
-		return "dense"
 	case RungHeuristic:
 		return "heuristic"
 	case RungStatic:
@@ -75,7 +65,7 @@ func (r Rung) String() string {
 
 // Rungs lists the ladder top to bottom.
 func Rungs() []Rung {
-	return []Rung{RungSparse, RungSparseEta, RungDense, RungHeuristic, RungStatic}
+	return []Rung{RungSparse, RungHeuristic, RungStatic}
 }
 
 // Config tunes the ladder. The zero value selects the defaults noted on
@@ -101,8 +91,8 @@ type Config struct {
 	// DeadlineFracs gives each rung's slice as a fraction of the request's
 	// *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
 	// parent deadline through unchanged. Zero selects the defaults
-	// {0.5, 0.5, 0.6, 0.75, 1.0}: early rungs may not starve later ones, and
-	// the last rung gets whatever is left.
+	// {0.5, 0.75, 1.0}: early rungs may not starve later ones, and the last
+	// rung gets whatever is left.
 	DeadlineFracs [numRungs]float64
 	// Sleep replaces time.Sleep between retries (tests); nil = time.Sleep.
 	Sleep func(time.Duration)
@@ -122,7 +112,7 @@ type Outcome struct {
 	Rung Rung
 	// Degraded is true for any rung below the top; Reason then carries the
 	// machine-readable descent chain, e.g.
-	// "sparse:numerical(ftran/btran pivot mismatch)→dense".
+	// "sparse:numerical(ftran/btran pivot mismatch)→heuristic".
 	Degraded bool
 	Reason   string
 	// Attempts counts solve attempts across all rungs; Retries the backoff
@@ -130,8 +120,8 @@ type Outcome struct {
 	Attempts int
 	Retries  int
 	// RungAttempts and RungRetries break Attempts/Retries down per rung in
-	// ladder order (sparse, sparse-eta, dense, heuristic, static) — the
-	// per-rung rescue counts the flight recorder stores with each request.
+	// ladder order (sparse, heuristic, static) — the per-rung descent counts
+	// the flight recorder stores with each request.
 	RungAttempts [NumRungs]int
 	RungRetries  [NumRungs]int
 }
@@ -166,7 +156,7 @@ func New(cfg Config) *Ladder {
 	}
 	var zero [numRungs]float64
 	if cfg.DeadlineFracs == zero {
-		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.5, 0.6, 0.75, 1.0}
+		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.75, 1.0}
 	}
 	l := &Ladder{cfg: cfg}
 	fr := cfg.DeadlineFracs
@@ -248,7 +238,7 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 			return out, nil
 		}
 		if errors.Is(err, core.ErrInfeasible) {
-			// A statement about the problem, not the backend: no lower rung
+			// A statement about the problem, not the solver: no lower rung
 			// can conjure power that does not exist.
 			return nil, err
 		}
@@ -307,7 +297,7 @@ func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 		}
 		lastErr = err
 		if errors.Is(err, core.ErrInfeasible) || ctx.Err() != nil {
-			// Not the backend's fault (or no time left to retry on it):
+			// Not the rung's fault (or no time left to retry on it):
 			// don't poison the breaker.
 			return nil, nil, err
 		}
@@ -329,28 +319,12 @@ func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool, rung Rung) (*core.Schedule, *schedule.Realized, error) {
 	switch rung {
 	case RungSparse:
-		sched, err := sv.SolveCtxWith(ctx, g, capW, decompose, lp.BackendSparse)
+		solve := sv.SolveCtx
+		if decompose {
+			solve = sv.SolveIterationsCtx
+		}
+		sched, err := solve(ctx, g, capW)
 		return sched, nil, err
-	case RungSparseEta:
-		sched, err := sv.SolveCtxWithEngine(ctx, g, capW, decompose, lp.BackendSparse, lp.EngineEta)
-		if err != nil {
-			return nil, nil, err
-		}
-		realized, err := l.validate(ctx, sv, g, sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sched, realized, nil
-	case RungDense:
-		sched, err := sv.SolveCtxWith(ctx, g, capW, decompose, lp.BackendDense)
-		if err != nil {
-			return nil, nil, err
-		}
-		realized, err := l.validate(ctx, sv, g, sched)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sched, realized, nil
 	case RungHeuristic:
 		return l.heuristicRung(ctx, sv, g, capW, true)
 	case RungStatic:
@@ -358,18 +332,6 @@ func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, cap
 	default:
 		return nil, nil, fmt.Errorf("resilience: unknown rung %v", rung)
 	}
-}
-
-// validate runs the realization/repair loop on an LP schedule and refuses
-// any result the simulator cannot certify cap-clean.
-func (l *Ladder) validate(ctx context.Context, sv *core.Solver, g *dag.Graph, sched *core.Schedule) (*schedule.Realized, error) {
-	ir, err := sv.IRCtx(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	opts := schedule.DefaultOptions()
-	opts.MaxRepairs = l.cfg.MaxRepairs
-	return schedule.RealizeCtx(ctx, ir, sched, schedule.Down, opts)
 }
 
 // rungContext carves the rung's deadline slice out of the parent's

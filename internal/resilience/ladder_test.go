@@ -28,8 +28,8 @@ func smallGraph() *dag.Graph {
 }
 
 // bigGraph: enough ranks and phases that the LP needs several checkpoint
-// windows of pivots, so rate-1.0 NaN injection outlives the sparse
-// backend's retry budget.
+// windows of pivots, so rate-1.0 NaN injection outlives the kernel's retry
+// budget.
 func bigGraph() *dag.Graph {
 	b := dag.NewBuilder(6)
 	sh := machine.DefaultShape()
@@ -74,9 +74,9 @@ func TestLadderTopRungMatchesDirectSolve(t *testing.T) {
 	}
 }
 
-// TestLadderNaNRecoveredAtTopRung: on a small LP the sparse backend's
-// reinversion repairs every injected NaN within its retry budget, so the
-// ladder never descends — resilience starts inside the backend.
+// TestLadderNaNRecoveredAtTopRung: on a small LP the kernel's reinversion
+// repairs every injected NaN within its retry budget, so the ladder never
+// descends — resilience starts inside the kernel.
 func TestLadderNaNRecoveredAtTopRung(t *testing.T) {
 	g := smallGraph()
 	sv := testSolver()
@@ -97,8 +97,8 @@ func TestLadderNaNRecoveredAtTopRung(t *testing.T) {
 }
 
 // TestLadderStallDescendsToHeuristic: a stall injected into every LP pivot
-// loop breaks both LP rungs; the heuristic rung needs no LP and must serve
-// a simulator-certified schedule tagged with the full descent chain.
+// loop breaks the LP rung; the heuristic rung needs no LP and must serve a
+// simulator-certified schedule tagged with the full descent chain.
 func TestLadderStallDescendsToHeuristic(t *testing.T) {
 	g := smallGraph()
 	sv := testSolver()
@@ -128,7 +128,7 @@ func TestLadderStallDescendsToHeuristic(t *testing.T) {
 }
 
 // TestLadderNumericalRetryThenDescend: a persistent NaN storm on a large LP
-// exhausts the sparse backend's internal recovery, surfaces as
+// exhausts the kernel's internal recovery and its rescue, surfaces as
 // *lp.NumericalError, earns a backoff retry, and finally descends with a
 // "numerical" reason in the chain.
 func TestLadderNumericalRetryThenDescend(t *testing.T) {
@@ -192,17 +192,17 @@ func TestLadderBreakerSkipsBrokenRung(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Rung != RungSparseEta || !out.Degraded {
-		t.Fatalf("rung %v degraded=%v, want sparse-eta/true", out.Rung, out.Degraded)
+	if out.Rung != RungHeuristic || !out.Degraded {
+		t.Fatalf("rung %v degraded=%v, want heuristic/true", out.Rung, out.Degraded)
 	}
 	if !strings.Contains(out.Reason, "sparse:breaker-open") {
 		t.Fatalf("reason %q does not record the skipped rung", out.Reason)
 	}
 	if out.Realized == nil || out.Realized.CapViolationW != 0 {
-		t.Fatal("sparse-eta-rung outcome not certified cap-clean")
+		t.Fatal("heuristic-rung outcome not certified cap-clean")
 	}
-	if st := l.BreakerStates()["sparse-eta"]; st != "closed" {
-		t.Fatalf("sparse-eta breaker %q after success", st)
+	if st := l.BreakerStates()["heuristic"]; st != "closed" {
+		t.Fatalf("heuristic breaker %q after success", st)
 	}
 }
 
@@ -271,14 +271,14 @@ func TestSetDeadlineFracs(t *testing.T) {
 		t.Fatalf("default fracs = %v", base)
 	}
 
-	l.SetDeadlineFracs([]float64{0.3, 0.3, 0.4, 0.6, 1.0})
-	if got := l.DeadlineFracs(); got[0] != 0.3 || got[3] != 0.6 {
+	l.SetDeadlineFracs([]float64{0.3, 0.6, 1.0})
+	if got := l.DeadlineFracs(); got[0] != 0.3 || got[1] != 0.6 {
 		t.Fatalf("swapped fracs = %v", got)
 	}
 
 	// Short and zero-padded overrides keep configured values.
 	l.SetDeadlineFracs([]float64{0.2, 0})
-	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.5 || got[4] != 1.0 {
+	if got := l.DeadlineFracs(); got[0] != 0.2 || got[1] != 0.75 || got[2] != 1.0 {
 		t.Fatalf("partial override fracs = %v", got)
 	}
 
@@ -289,7 +289,7 @@ func TestSetDeadlineFracs(t *testing.T) {
 
 	// The live table actually governs rungContext: a tightened top-rung
 	// slice yields an earlier deadline than the parent's.
-	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1, 0.1, 0.1})
+	l.SetDeadlineFracs([]float64{0.1, 0.1, 0.1})
 	parent, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	rctx, rcancel := l.rungContext(parent, RungSparse)

@@ -56,7 +56,6 @@ type Metrics struct {
 	// ladder's top rung; the Fallback* counters break them out by the rung
 	// that produced the schedule.
 	Degraded          atomic.Uint64
-	FallbackDense     atomic.Uint64
 	FallbackHeuristic atomic.Uint64
 	FallbackStatic    atomic.Uint64
 	// SolveRetries counts backoff retries the ladder spent on numerical
@@ -398,7 +397,6 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_pivots_total", "Simplex pivots across all backend solves.", m.Pivots.Load()},
 		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
 		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},
-		{"pcschedd_fallback_dense_total", "Degraded responses produced by the dense LP rung.", m.FallbackDense.Load()},
 		{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.", m.FallbackHeuristic.Load()},
 		{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.", m.FallbackStatic.Load()},
 		{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.", m.SolveRetries.Load()},

@@ -195,21 +195,21 @@ func TestHealthzBreakers(t *testing.T) {
 	if !ok {
 		t.Fatalf("healthz has no breakers map: %v", h)
 	}
-	for _, rung := range []string{"sparse", "sparse-eta", "dense", "heuristic", "static"} {
+	for _, rung := range []string{"sparse", "heuristic", "static"} {
 		if br[rung] != "closed" {
 			t.Fatalf("breaker %s = %v on a fresh server", rung, br[rung])
 		}
 	}
 
-	// Stall the LP rungs once: with threshold 1 all three LP breakers trip
-	// open.
+	// Stall the LP rung once: with threshold 1 its breaker trips open and
+	// the heuristic rung serves.
 	faultinject.Configure(34, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
 	if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {
 		t.Fatalf("degraded solve failed")
 	}
 	br = healthz(t, ts.URL)["breakers"].(map[string]any)
-	if br["sparse"] != "open" || br["sparse-eta"] != "open" || br["dense"] != "open" {
-		t.Fatalf("breakers after stalled solve: %v, want sparse/sparse-eta/dense open", br)
+	if br["sparse"] != "open" || br["heuristic"] != "closed" {
+		t.Fatalf("breakers after stalled solve: %v, want sparse open, heuristic closed", br)
 	}
 }

@@ -637,6 +637,7 @@ type StatsJSON struct {
 	PivotRejections  int     `json:"pivot_rejections,omitempty"`
 	FactorTauRetries int     `json:"factor_tau_retries,omitempty"`
 	NaNRecoveries    int     `json:"nan_recoveries,omitempty"`
+	Rescues          int     `json:"rescues,omitempty"`
 	BlandActivations int     `json:"bland_activations,omitempty"`
 	PresolveRows     int     `json:"presolve_rows,omitempty"`
 	PresolveCols     int     `json:"presolve_cols,omitempty"`
@@ -656,6 +657,7 @@ func NewStatsJSON(st powercap.SolverStats) *StatsJSON {
 		PivotRejections:  st.PivotRejections,
 		FactorTauRetries: st.FactorTauRetries,
 		NaNRecoveries:    st.NaNRecoveries,
+		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
 		PresolveRows:     st.PresolveRows,
 		PresolveCols:     st.PresolveCols,
@@ -675,6 +677,7 @@ func kernelHealthFrom(st powercap.SolverStats) obs.KernelHealth {
 		PivotRejections:  st.PivotRejections,
 		FactorTauRetries: st.FactorTauRetries,
 		NaNRecoveries:    st.NaNRecoveries,
+		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
 		PresolveRows:     st.PresolveRows,
 		PresolveCols:     st.PresolveCols,
@@ -1128,8 +1131,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	if res.Degraded {
 		s.metrics.Degraded.Add(1)
 		switch res.Rung {
-		case powercap.RungDense:
-			s.metrics.FallbackDense.Add(1)
 		case powercap.RungHeuristic:
 			s.metrics.FallbackHeuristic.Add(1)
 		case powercap.RungStatic:

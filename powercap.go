@@ -37,7 +37,6 @@ import (
 	"powercap/internal/core"
 	"powercap/internal/dag"
 	"powercap/internal/flowilp"
-	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/policy"
 	"powercap/internal/replay"
@@ -68,12 +67,6 @@ type (
 	Schedule = core.Schedule
 	// TaskChoice is the LP's decision for one task.
 	TaskChoice = core.TaskChoice
-	// Engine selects the sparse LP backend's basis-inverse engine; see
-	// System.Engine. Parse names with ParseEngine.
-	Engine = lp.Engine
-	// Pricing selects the sparse LP backend's entering rule; see
-	// System.Pricing. Parse names with ParsePricing.
-	Pricing = lp.Pricing
 	// FlowResult is a solved flow-ILP schedule.
 	FlowResult = flowilp.Result
 	// SimResult is a simulated execution (timeline + power profile).
@@ -199,24 +192,6 @@ func WorkloadByName(name string, p WorkloadParams) (*Workload, error) {
 // WorkloadNames lists the available benchmark proxies.
 func WorkloadNames() []string { return workloads.Names() }
 
-// Re-exported LP kernel knob values (see System.Engine / System.Pricing).
-const (
-	EngineAuto      = lp.EngineAuto
-	EngineLU        = lp.EngineLU
-	EngineEta       = lp.EngineEta
-	PricingAuto     = lp.PricingAuto
-	PricingSteepest = lp.PricingSteepest
-	PricingDantzig  = lp.PricingDantzig
-)
-
-// ParseEngine parses a basis-engine name as accepted by CLI -engine flags:
-// "auto" (or empty), "lu", or "eta".
-func ParseEngine(s string) (Engine, error) { return lp.ParseEngine(s) }
-
-// ParsePricing parses a pricing-rule name as accepted by CLI -pricing
-// flags: "auto" (or empty), "steepest", or "dantzig".
-func ParsePricing(s string) (Pricing, error) { return lp.ParsePricing(s) }
-
 // SyntheticWorkload generates a seeded synthetic trace with Zipf-tailed
 // phase work and mergeable fragment chains — the scaling substrate for
 // SolveWindowed (the benchmark proxies top out at a few thousand events).
@@ -243,16 +218,6 @@ type System struct {
 	// (zero value = defaults). Like Model and EffScale, it must not be
 	// mutated after the first resilient solve.
 	Resilience ResilienceConfig
-	// Engine selects the sparse LP backend's basis-inverse engine:
-	// EngineAuto (the default) resolves to the Markowitz sparse LU,
-	// EngineEta to the reference product-form eta file. Must not be
-	// mutated after the first solve.
-	Engine Engine
-	// Pricing selects the sparse LP backend's entering-variable rule:
-	// PricingAuto (the default) resolves to steepest edge with partial
-	// pricing, PricingDantzig to the reference full reduced-cost scan.
-	// Must not be mutated after the first solve.
-	Pricing Pricing
 
 	mu     sync.Mutex
 	lp     *core.Solver
@@ -267,8 +232,6 @@ func (s *System) solver() *core.Solver {
 	defer s.mu.Unlock()
 	if s.lp == nil {
 		s.lp = core.NewSolver(s.Model, s.EffScale)
-		s.lp.Engine = s.Engine
-		s.lp.Pricing = s.Pricing
 	}
 	return s.lp
 }

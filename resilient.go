@@ -7,11 +7,11 @@ import (
 )
 
 // Resilient solve facade (DESIGN.md §10): UpperBound through the fallback
-// ladder. When the preferred sparse LP backend breaks down numerically, the
-// ladder retries with backoff, descends to the dense tableau, then to a
-// slack-aware heuristic, then to the static fair-share policy — every
-// sub-top-rung result simulator-validated and cap-clean, and tagged Degraded
-// with a machine-readable reason.
+// ladder. When the LP breaks down numerically even after the kernel's own
+// rescue (a cold re-solve without presolve), the ladder retries with
+// backoff, then descends to a slack-aware heuristic, then to the static
+// fair-share policy — every sub-top-rung result simulator-validated and
+// cap-clean, and tagged Degraded with a machine-readable reason.
 
 // Re-exported resilience types.
 type (
@@ -28,14 +28,13 @@ type (
 // Ladder rungs, top (preferred) to bottom (last resort).
 const (
 	RungSparse    = resilience.RungSparse
-	RungDense     = resilience.RungDense
 	RungHeuristic = resilience.RungHeuristic
 	RungStatic    = resilience.RungStatic
 )
 
 // Ladder returns the System's shared fallback ladder, created on first use
-// from s.Resilience. Breaker state is shared across requests — a backend
-// that keeps failing is skipped for everyone until its cooldown probe.
+// from s.Resilience. Breaker state is shared across requests — a rung that
+// keeps failing is skipped for everyone until its cooldown probe.
 func (s *System) Ladder() *resilience.Ladder {
 	s.mu.Lock()
 	defer s.mu.Unlock()
