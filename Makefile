@@ -1,10 +1,10 @@
-# Development targets. `make check` is the full gate: vet, build, tests
-# with the race detector (the parallel sweep paths are exercised by the
-# top-level sweep tests).
+# Development targets. `make check` is the full gate: gofmt, vet, build,
+# tests with the race detector (the parallel sweep paths are exercised by
+# the top-level sweep tests), the bench module, and the smokes below.
 
 GO ?= go
 
-.PHONY: all build vet test race bench serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
+.PHONY: all build vet fmt-check test race bench bench-smoke serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
 
 all: check
 
@@ -13,6 +13,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file must be gofmt-clean: gofmt -l prints the ones that
+# are not.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -25,6 +31,12 @@ race:
 # Sweep/solver benchmarks only (fast smoke: one iteration each).
 bench:
 	$(GO) test -run xxx -bench 'Sweep' -benchtime 1x ./internal/core/ .
+
+# bench/ is its own module, so ./... above never compiles it; it builds
+# against the facade and service APIs, so vet and test it here.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # End-to-end daemon smoke: build pcschedd, start it on a random port, fire
 # a solve, a cache-hit repeat, and a cancelled request, assert the /metrics
@@ -85,10 +97,11 @@ market-smoke:
 # presolve round-trip, pricing, degenerate-cycling guards, and the rescue's
 # one-extra-solve bound), then through internal/core the golden objectives
 # in both kernel configurations (presolved and the rescue's), the warm
-# CapSession probes, and the windowed numerical-rescue regressions.
+# CapSession probes and the sweeps that run on them, and the windowed
+# numerical-rescue regressions.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestWindowedNumericalRescue' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end
@@ -109,4 +122,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDigest -fuzztime 5s ./internal/dag/
 	$(GO) test -run xxx -fuzz FuzzLU -fuzztime 5s ./internal/lp/basis/
 
-check: vet build race serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke
+check: fmt-check vet build race bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

@@ -502,29 +502,3 @@ func BenchmarkSweepParallel4(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSweepJobsParallel: three workloads' sweeps fanned over a shared
-// worker pool — the shape of the paper's multi-benchmark figures.
-func BenchmarkSweepJobsParallel(b *testing.B) {
-	sys := powercap.NewSystem(nil)
-	var jobs []powercap.SweepJob
-	for _, name := range []string{"SP", "LULESH", "CoMD"} {
-		w, err := workloads.ByName(name, benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var caps []float64
-		for per := 70.0; per >= 40; per -= 10 {
-			caps = append(caps, per*float64(w.Graph.NumRanks))
-		}
-		jobs = append(jobs, powercap.SweepJob{Name: name, Graph: w.Graph, CapsW: caps})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, res := range sys.SweepJobsParallel(jobs, 3) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}

@@ -112,13 +112,6 @@ type Config struct {
 	// transitions, in either direction.
 	MinDwell int
 
-	// TargetP95S contributes a latency term to pressure: p95 request
-	// latency at 2× target saturates the term at 1. Zero disables it.
-	// Superseded by the SLO burn term whenever Signals carries SLO
-	// samples — the burn rate is windowed (it recovers after an incident,
-	// where the cumulative p95 never does) and folds availability in.
-	TargetP95S float64
-
 	// BurnSaturation is the SLO burn rate at which the burn term saturates
 	// pressure at 1 (default 10: consuming error budget at 10× the
 	// sustainable rate is a full-pressure emergency). The term is linear
@@ -228,16 +221,13 @@ type Signals struct {
 	BreakersOpen int // rung breakers currently open across pooled systems
 
 	AvgSolveS float64 // mean backend solve latency this epoch; 0 = no sample
-	ReqP95S   float64 // p95 end-to-end request latency
 	EpochS    float64 // measured epoch length in seconds (defaults to cfg.Epoch)
 
 	// SLOBurn is the worst fast-window error-budget burn rate across the
 	// service's objectives (see internal/slo), and SLOSamples the number
 	// of fast-window observations behind it. When SLOSamples > 0 the burn
-	// term replaces the raw-p95 term in Pressure: the controller descends
-	// because the error budget is burning, which the flight recorder can
-	// show per request, rather than because a cumulative histogram
-	// remembers an old incident.
+	// is a term of Pressure: the controller descends because the error
+	// budget is burning, which the flight recorder can show per request.
 	SLOBurn    float64
 	SLOSamples uint64
 }
@@ -274,8 +264,7 @@ func (cfg Config) Pressure(s Signals) float64 {
 	if s.BreakersOpen > 0 && p < 1 {
 		p = 1
 	}
-	switch {
-	case s.SLOSamples > 0:
+	if s.SLOSamples > 0 {
 		// Error-budget burn, linear to saturation (see BurnSaturation).
 		bt := s.SLOBurn / cfg.BurnSaturation
 		if bt > 1 {
@@ -283,16 +272,6 @@ func (cfg Config) Pressure(s Signals) float64 {
 		}
 		if bt > p {
 			p = bt
-		}
-	case cfg.TargetP95S > 0 && s.ReqP95S > 0:
-		// Legacy latency term for callers without an SLO engine:
-		// 0 at target, saturates at 2× target.
-		lt := (s.ReqP95S - cfg.TargetP95S) / cfg.TargetP95S
-		if lt > 1 {
-			lt = 1
-		}
-		if lt > p {
-			p = lt
 		}
 	}
 	return p

@@ -351,17 +351,6 @@ func TestPressureTerms(t *testing.T) {
 		}
 	}
 
-	// The latency term needs an explicit target.
-	cfg.TargetP95S = 0.1
-	if got := cfg.Pressure(Signals{ReqP95S: 0.1}); got != 0 {
-		t.Errorf("p95 at target: pressure = %v, want 0", got)
-	}
-	if got := cfg.Pressure(Signals{ReqP95S: 0.15}); got < 0.499 || got > 0.501 {
-		t.Errorf("p95 at 1.5× target: pressure = %v, want ≈0.5", got)
-	}
-	if got := cfg.Pressure(Signals{ReqP95S: 1.0}); got != 1.0 {
-		t.Errorf("p95 far past target: pressure = %v, want saturated 1.0", got)
-	}
 }
 
 // TestDeterminism: identical signal sequences yield identical state

@@ -35,9 +35,9 @@ type powerRow struct {
 
 // builtLP is a fixed-vertex-order LP built once per graph. The power cap
 // capW enters the program only through the right-hand sides of the event
-// power rows (Eq. 11), so one builtLP serves a whole cap sweep: each sweep
-// point mutates the power-row RHS values in place (Problem.SetRHS) and
-// re-solves, warm starting from the previous point's basis.
+// power rows (Eq. 11), so one builtLP serves every cap a CapSession probes:
+// each probe mutates the power-row RHS values in place (Problem.SetRHS) and
+// re-solves, warm starting from the previous probe's basis.
 type builtLP struct {
 	ir   *problem.IR
 	prob *lp.Problem
@@ -187,109 +187,97 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 	return b
 }
 
-// solveBuilt re-aims the built LP at capW and solves it, warm starting from
-// warmBasis when one is supplied. Solver effort is
-// accumulated into st. The returned solution is always Optimal; infeasible
-// caps surface as ErrInfeasible, and a canceled ctx as an error wrapping
-// ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works).
-func (s *Solver) solveBuilt(ctx context.Context, b *builtLP, capW float64, warmBasis []int, st *Stats) (*lp.Solution, error) {
-	if b.fixedFloorW > capW {
-		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, b.fixedFloorVertex)
-	}
-	for _, pr := range b.powerRows {
-		if err := b.prob.SetRHS(pr.row, capW-pr.deduct); err != nil {
-			return nil, err
-		}
-	}
-
-	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(warmBasis)}
+// solveLP is the package's one call into the LP kernel: it solves prob,
+// warm starting from basis when one is given, and folds the solve's effort
+// into st. The returned solution is always Optimal; an infeasible program
+// surfaces as ErrInfeasible and a canceled ctx as an error wrapping
+// ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works),
+// each naming the program as what. A numerical breakdown has had
+// lp.Solve's cold rescue and is returned as is.
+func solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, what string) (*lp.Solution, error) {
+	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(basis)}
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
 	}
-	sol, err := lp.Solve(b.prob, opts...)
+	sol, err := lp.Solve(prob, opts...)
 	if err != nil {
 		return nil, err
 	}
-	st.AddSolve(b.prob.NumVars(), b.prob.NumConstraints(), sol)
+	st.AddSolve(prob.NumVars(), prob.NumConstraints(), sol)
 
 	switch sol.Status {
 	case lp.Optimal:
 		return sol, nil
 	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: cap %.1f W", ErrInfeasible, capW)
+		return nil, fmt.Errorf("%w: %s", ErrInfeasible, what)
 	case lp.Canceled:
 		cause := context.Canceled
 		if ctx != nil && ctx.Err() != nil {
 			cause = ctx.Err()
 		}
-		return nil, fmt.Errorf("core: solve canceled after %d pivots: %w", sol.Iters, cause)
+		return nil, fmt.Errorf("core: solve canceled after %d pivots (%s): %w", sol.Iters, what, cause)
 	default:
-		return nil, fmt.Errorf("core: LP solver returned %v (cap %.1f W)", sol.Status, capW)
+		return nil, fmt.Errorf("core: LP solver returned %v (%s)", sol.Status, what)
 	}
 }
 
-// extractInto reads an Optimal solution back into schedule fields: vertex
-// times, the power shadow price, and per-task choices (through taskMap).
-func (s *Solver) extractInto(b *builtLP, sol *lp.Solution, out *Schedule, taskMap []dag.TaskID, vt []float64) {
-	g := b.ir.G
+// scheduleFrom reads an Optimal solution of a program emitted over ir (with
+// vertex-time variables vVar and configuration variables tv) back into a
+// schedule at capW: vertex times, the makespan, and every task's choice.
+func (s *Solver) scheduleFrom(ir *problem.IR, vVar []lp.Var, tv map[dag.TaskID]*taskLPVars, sol *lp.Solution, capW float64) *Schedule {
+	g := ir.G
+	sched := &Schedule{
+		CapW:        capW,
+		Choices:     make([]TaskChoice, len(g.Tasks)),
+		VertexTimeS: make([]float64, len(g.Vertices)),
+	}
 	for i := range g.Vertices {
-		vt[i] = sol.Value(b.vVar[i])
+		sched.VertexTimeS[i] = sol.Value(vVar[i])
 	}
-	// Raising PC relaxes every event-power row at once, so the makespan
-	// sensitivity is the sum of their duals.
-	for _, pr := range b.powerRows {
-		out.MarginalSecPerW += sol.DualOf(pr.row)
+	for i := range g.Tasks {
+		sched.Choices[i] = s.choiceOf(ir, &g.Tasks[i], tv, sol)
 	}
-
-	for _, t := range g.Tasks {
-		choice := TaskChoice{}
-		switch b.ir.Class[t.ID] {
-		case problem.Message:
-			choice.DurationS = t.FixedDur
-		case problem.Fixed:
-			choice.PowerW = b.ir.FixedPowerW[t.ID]
-			choice.DiscretePowerW = b.ir.FixedPowerW[t.ID]
-			choice.Discrete = machine.Config{FreqGHz: s.Model.FreqMinGHz, Threads: 1}
-		case problem.Tunable:
-			v := b.tv[t.ID]
-			f := v.cols.F
-			const fracTol = 1e-9
-			for k, cv := range v.cs {
-				frac := sol.Value(cv)
-				if frac <= fracTol {
-					continue
-				}
-				choice.Mix = append(choice.Mix, MixEntry{
-					Config:    f.Cfgs[k],
-					Frac:      frac,
-					DurationS: v.cols.Durs[k],
-					PowerW:    f.Pts[k].PowerW,
-				})
-				choice.DurationS += frac * v.cols.Durs[k]
-				choice.PowerW += frac * f.Pts[k].PowerW
-			}
-			// Discrete rounding: nearest frontier point by power.
-			if idx, ok := f.Nearest(choice.PowerW); ok {
-				choice.Discrete = f.Cfgs[idx]
-				choice.DiscreteDurationS = v.cols.Durs[idx]
-				choice.DiscretePowerW = f.Pts[idx].PowerW
-			}
-		}
-		out.Choices[taskMap[t.ID]] = choice
-	}
+	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)
+	return sched
 }
 
-// solveInto builds and solves the LP for graph g under capW, writing task
-// choices through taskMap into out.Choices and vertex times into vt.
-func (s *Solver) solveInto(ctx context.Context, g *dag.Graph, capW float64, out *Schedule, taskMap []dag.TaskID, vt []float64) error {
-	b, err := s.buildLP(ctx, g)
-	if err != nil {
-		return err
+// choiceOf is the one reader of a task's decision out of an LP solution: a
+// message keeps its fixed duration, a degenerate task its fixed draw, and a
+// tunable task the configuration mix of its variables in tv, rounded to the
+// frontier point nearest its mixed power (Sec. 3.2).
+func (s *Solver) choiceOf(ir *problem.IR, t *dag.Task, tv map[dag.TaskID]*taskLPVars, sol *lp.Solution) TaskChoice {
+	var choice TaskChoice
+	switch ir.Class[t.ID] {
+	case problem.Message:
+		choice.DurationS = t.FixedDur
+	case problem.Fixed:
+		choice.PowerW = ir.FixedPowerW[t.ID]
+		choice.DiscretePowerW = ir.FixedPowerW[t.ID]
+		choice.Discrete = machine.Config{FreqGHz: s.Model.FreqMinGHz, Threads: 1}
+	case problem.Tunable:
+		v := tv[t.ID]
+		f := v.cols.F
+		const fracTol = 1e-9
+		for k, cv := range v.cs {
+			frac := sol.Value(cv)
+			if frac <= fracTol {
+				continue
+			}
+			choice.Mix = append(choice.Mix, MixEntry{
+				Config:    f.Cfgs[k],
+				Frac:      frac,
+				DurationS: v.cols.Durs[k],
+				PowerW:    f.Pts[k].PowerW,
+			})
+			choice.DurationS += frac * v.cols.Durs[k]
+			choice.PowerW += frac * f.Pts[k].PowerW
+		}
+		// Discrete rounding: nearest frontier point by power.
+		if idx, ok := f.Nearest(choice.PowerW); ok {
+			choice.Discrete = f.Cfgs[idx]
+			choice.DiscreteDurationS = v.cols.Durs[idx]
+			choice.DiscretePowerW = f.Pts[idx].PowerW
+		}
 	}
-	sol, err := s.solveBuilt(ctx, b, capW, nil, &out.Stats)
-	if err != nil {
-		return err
-	}
-	s.extractInto(b, sol, out, taskMap, vt)
-	return nil
+	return choice
 }

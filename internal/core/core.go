@@ -132,7 +132,7 @@ type Stats struct {
 	RowNormRatio     float64 // worst max/min row-norm ratio (scaling proxy)
 }
 
-// Add accumulates other into s (used when merging sweep-point stats).
+// Add accumulates other into s (sessions, iteration slices, sweep points).
 func (s *Stats) Add(other Stats) {
 	s.Solves += other.Solves
 	s.Vars += other.Vars
@@ -157,8 +157,6 @@ func (s *Stats) Add(other Stats) {
 }
 
 // AddSolve folds one LP solution — effort and health counters — into s.
-// The two solve paths (whole-problem and windowed) share this so a counter
-// added to SolveStats cannot reach one path and silently miss the other.
 func (s *Stats) AddSolve(vars, rows int, sol *lp.Solution) {
 	s.Solves++
 	s.Vars += vars
@@ -314,8 +312,9 @@ func (s *Solver) SolveIterationsCtx(ctx context.Context, g *dag.Graph, capW floa
 
 // solve is the single entry point behind the four exported wrappers: one
 // ctx-aware path that either solves the whole graph or decomposes it at
-// iteration boundaries. A decomposing solve of a graph without Pcontrol
-// boundaries degrades to the whole-graph solve.
+// iteration boundaries, each program a one-probe CapSession. A decomposing
+// solve of a graph without Pcontrol boundaries degrades to the whole-graph
+// solve.
 func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompose bool) (*Schedule, error) {
 	ctx, span := obs.Start(ctx, "core.solve")
 	defer span.End()
@@ -331,45 +330,38 @@ func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompos
 			return nil, err
 		}
 		if len(slices) > 0 {
-			sched := &Schedule{
-				CapW:        capW,
-				Choices:     make([]TaskChoice, len(g.Tasks)),
-				VertexTimeS: nil, // per-iteration local times are not global
-			}
+			// Per-iteration vertex times are local to each slice, so the
+			// merged schedule carries none.
+			sched := &Schedule{CapW: capW, Choices: make([]TaskChoice, len(g.Tasks))}
 			for si, sl := range slices {
 				ictx, isp := obs.Start(ctx, "core.iteration")
 				isp.SetAttr("slice", si)
-				vt := make([]float64, len(sl.Graph.Vertices))
-				err := s.solveInto(ictx, sl.Graph, capW, sched, sl.TaskMap, vt)
+				sub, err := s.solveOnce(ictx, sl.Graph, capW)
 				isp.End()
 				if err != nil {
 					return nil, fmt.Errorf("iteration slice: %w", err)
 				}
-				m := finalizeTime(sl.Graph, vt)
-				sched.IterationMakespans = append(sched.IterationMakespans, m)
-				sched.MakespanS += m
+				for tid, c := range sub.Choices {
+					sched.Choices[sl.TaskMap[tid]] = c
+				}
+				sched.IterationMakespans = append(sched.IterationMakespans, sub.MakespanS)
+				sched.MakespanS += sub.MakespanS
+				sched.MarginalSecPerW += sub.MarginalSecPerW
+				sched.Stats.Add(sub.Stats)
 			}
 			return sched, nil
 		}
 	}
-	sched := &Schedule{
-		CapW:        capW,
-		Choices:     make([]TaskChoice, len(g.Tasks)),
-		VertexTimeS: make([]float64, len(g.Vertices)),
-	}
-	if err := s.solveInto(ctx, g, capW, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS); err != nil {
-		return nil, err
-	}
-	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)
-	return sched, nil
+	return s.solveOnce(ctx, g, capW)
 }
 
-func identityTaskMap(n int) []dag.TaskID {
-	m := make([]dag.TaskID, n)
-	for i := range m {
-		m[i] = dag.TaskID(i)
+// solveOnce solves g's whole-graph LP at capW as a one-probe CapSession.
+func (s *Solver) solveOnce(ctx context.Context, g *dag.Graph, capW float64) (*Schedule, error) {
+	cs, err := s.NewCapSession(ctx, g)
+	if err != nil {
+		return nil, err
 	}
-	return m
+	return cs.SolveAt(ctx, capW)
 }
 
 func finalizeTime(g *dag.Graph, vt []float64) float64 {

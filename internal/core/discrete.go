@@ -82,10 +82,8 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 	}
 	for i := range g.Vertices {
 		sched.VertexTimeS[i] = sol.Value(vVar[i])
-		if g.Vertices[i].Kind == dag.VFinalize {
-			sched.MakespanS = sched.VertexTimeS[i]
-		}
 	}
+	sched.MakespanS = finalizeTime(g, sched.VertexTimeS)
 	for _, t := range g.Tasks {
 		choice := TaskChoice{}
 		switch ir.Class[t.ID] {

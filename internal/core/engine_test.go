@@ -6,14 +6,13 @@ import (
 	"math"
 	"testing"
 
-	"powercap/internal/dag"
 	"powercap/internal/lp"
 )
 
 // unpresolvedMakespan solves b at capW in the configuration of the kernel's
 // numerical rescue — cold, without presolve — and returns the makespan, or
 // ok=false when the cap is infeasible.
-func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, g *dag.Graph, capW float64) (makespan float64, ok bool) {
+func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, capW float64) (makespan float64, ok bool) {
 	t.Helper()
 	if b.fixedFloorW > capW {
 		return 0, false
@@ -34,9 +33,7 @@ func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, g *dag.Graph, capW
 	default:
 		t.Fatalf("cap %v unpresolved: status %v", capW, sol.Status)
 	}
-	sched := &Schedule{Choices: make([]TaskChoice, len(g.Tasks)), VertexTimeS: make([]float64, len(g.Vertices))}
-	s.extractInto(b, sol, sched, identityTaskMap(len(g.Tasks)), sched.VertexTimeS)
-	return finalizeTime(g, sched.VertexTimeS), true
+	return s.scheduleFrom(b.ir, b.vVar, b.tv, sol, capW).MakespanS, true
 }
 
 // The LP kernel runs in two configurations: presolved, and the numerical
@@ -57,7 +54,7 @@ func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cap %v: %v", name, perSocket, err)
 			}
-			rescue, ok := unpresolvedMakespan(t, s, b, g, perSocket*8)
+			rescue, ok := unpresolvedMakespan(t, s, b, perSocket*8)
 			if !ok {
 				t.Fatalf("%s cap %v unpresolved: infeasible", name, perSocket)
 			}
@@ -89,7 +86,7 @@ func TestBackendEquivalenceOnSchedulingLPs(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("cap %v: %v", capW, err)
 		}
-		rescue, ok := unpresolvedMakespan(t, s, b, g, capW)
+		rescue, ok := unpresolvedMakespan(t, s, b, capW)
 		if ok != (err == nil) {
 			t.Fatalf("cap %v: presolved err %v, unpresolved feasible=%v", capW, err, ok)
 		}

@@ -3,21 +3,23 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"powercap/internal/dag"
 	"powercap/internal/lp"
 )
 
-// CapSession is the warm re-solve entry for cap-only changes: one graph's
-// whole-graph LP, built once, re-aimed at arbitrary caps. The cap enters the
-// fixed-vertex-order program only through the right-hand sides of the event
-// power rows, so every SolveAt after the first mutates those RHS values in
-// place and warm starts from the previous successful solve's basis — the old
-// basis stays dual feasible under an RHS-only change, so a few dual simplex
-// pivots repair it instead of a full two-phase solve. Unlike SolveSweep,
-// the caps need not be known up front: the cluster power market
-// (internal/market) probes each job's power–time curve adaptively, asking
-// for whatever cap its last transfer produced.
+// CapSession is the one path that aims the whole-graph LP at a cap and
+// solves it: one graph's LP, built once, re-aimed at arbitrary caps. The cap
+// enters the fixed-vertex-order program only through the right-hand sides of
+// the event power rows, so every SolveAt after the first mutates those RHS
+// values in place and warm starts from the previous successful solve's
+// basis — the old basis stays dual feasible under an RHS-only change, so a
+// few dual simplex pivots repair it instead of a full two-phase solve. A
+// one-shot solve is a one-probe session, and SolveSweep is a loop over one
+// session's SolveAt; the cluster power market (internal/market) probes each
+// job's power–time curve adaptively, asking for whatever cap its last
+// transfer produced.
 //
 // A CapSession is NOT safe for concurrent use; it belongs to one caller
 // (the market holds one session per job). The underlying Solver's shared
@@ -25,10 +27,10 @@ import (
 // the Solver has already seen costs no rebuild.
 type CapSession struct {
 	s     *Solver
-	g     *dag.Graph
 	b     *builtLP
 	basis []int
 	stats Stats
+	last  Stats // effort of the latest SolveAt, feasible or not
 }
 
 // NewCapSession builds the whole-graph LP for g once and returns a session
@@ -39,7 +41,7 @@ func (s *Solver) NewCapSession(ctx context.Context, g *dag.Graph) (*CapSession, 
 	if err != nil {
 		return nil, err
 	}
-	return &CapSession{s: s, g: g, b: b}, nil
+	return &CapSession{s: s, b: b}, nil
 }
 
 // FixedFloorW is a hard lower bound on any feasible cap: the largest fixed
@@ -60,13 +62,18 @@ func (cs *CapSession) Stats() Stats { return cs.stats }
 // it surfaces here; the session drops its basis, so the next probe starts
 // cold instead of from the basis that preceded the failure.
 func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
-	sched := &Schedule{
-		CapW:        capW,
-		Choices:     make([]TaskChoice, len(cs.g.Tasks)),
-		VertexTimeS: make([]float64, len(cs.g.Vertices)),
+	b := cs.b
+	cs.last = Stats{}
+	if b.fixedFloorW > capW {
+		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, b.fixedFloorVertex)
 	}
-	sol, err := cs.s.solveBuilt(ctx, cs.b, capW, cs.basis, &sched.Stats)
-	cs.stats.Add(sched.Stats)
+	for _, pr := range b.powerRows {
+		if err := b.prob.SetRHS(pr.row, capW-pr.deduct); err != nil {
+			return nil, err
+		}
+	}
+	sol, err := solveLP(ctx, b.prob, cs.basis, &cs.last, fmt.Sprintf("cap %.1f W", capW))
+	cs.stats.Add(cs.last)
 	if err != nil {
 		var nerr *lp.NumericalError
 		if errors.As(err, &nerr) {
@@ -74,10 +81,15 @@ func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, err
 		}
 		return nil, err
 	}
-	cs.s.extractInto(cs.b, sol, sched, identityTaskMap(len(cs.g.Tasks)), sched.VertexTimeS)
-	sched.MakespanS = finalizeTime(cs.g, sched.VertexTimeS)
 	if len(sol.Basis) > 0 {
 		cs.basis = append(cs.basis[:0], sol.Basis...)
 	}
+	sched := cs.s.scheduleFrom(b.ir, b.vVar, b.tv, sol, capW)
+	// Raising PC relaxes every event-power row at once, so the makespan
+	// sensitivity is the sum of their duals.
+	for _, pr := range b.powerRows {
+		sched.MarginalSecPerW += sol.DualOf(pr.row)
+	}
+	sched.Stats = cs.last
 	return sched, nil
 }

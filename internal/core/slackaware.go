@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"powercap/internal/dag"
 	"powercap/internal/lp"
-	"powercap/internal/machine"
 	"powercap/internal/problem"
 )
 
@@ -122,60 +122,12 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 		prob.MustConstraint(fmt.Sprintf("pow%d", ei), expr, lp.LE, rhs)
 	}
 
-	sol, err := prob.Solve()
+	var st Stats
+	sol, err := solveLP(context.Background(), prob, nil, &st, fmt.Sprintf("cap %.1f W", capW))
 	if err != nil {
 		return nil, err
 	}
-	switch sol.Status {
-	case lp.Optimal:
-	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: cap %.1f W", ErrInfeasible, capW)
-	default:
-		return nil, fmt.Errorf("core: slack-aware LP returned %v", sol.Status)
-	}
-
-	sched := &Schedule{
-		CapW:        capW,
-		Choices:     make([]TaskChoice, len(g.Tasks)),
-		VertexTimeS: make([]float64, len(g.Vertices)),
-	}
-	for i := range g.Vertices {
-		sched.VertexTimeS[i] = sol.Value(vVar[i])
-		if g.Vertices[i].Kind == dag.VFinalize {
-			sched.MakespanS = sched.VertexTimeS[i]
-		}
-	}
-	for _, t := range g.Tasks {
-		choice := TaskChoice{}
-		switch ir.Class[t.ID] {
-		case problem.Message:
-			choice.DurationS = t.FixedDur
-		case problem.Fixed:
-			choice.PowerW = ir.FixedPowerW[t.ID]
-			choice.DiscretePowerW = ir.FixedPowerW[t.ID]
-			choice.Discrete = machine.Config{FreqGHz: s.Model.FreqMinGHz, Threads: 1}
-		case problem.Tunable:
-			v := tv[t.ID]
-			f := v.cols.F
-			for k, cv := range v.cs {
-				frac := sol.Value(cv)
-				if frac <= 1e-9 {
-					continue
-				}
-				choice.Mix = append(choice.Mix, MixEntry{
-					Config: f.Cfgs[k], Frac: frac, DurationS: v.cols.Durs[k], PowerW: f.Pts[k].PowerW,
-				})
-				choice.DurationS += frac * v.cols.Durs[k]
-				choice.PowerW += frac * f.Pts[k].PowerW
-			}
-			if idx, ok := f.Nearest(choice.PowerW); ok {
-				choice.Discrete = f.Cfgs[idx]
-				choice.DiscreteDurationS = v.cols.Durs[idx]
-				choice.DiscretePowerW = f.Pts[idx].PowerW
-			}
-		}
-		sched.Choices[t.ID] = choice
-	}
-	sched.Stats = Stats{Solves: 1, Vars: prob.NumVars(), Rows: prob.NumConstraints(), SimplexIter: sol.Iters}
+	sched := s.scheduleFrom(ir, vVar, tv, sol, capW)
+	sched.Stats = st
 	return sched, nil
 }

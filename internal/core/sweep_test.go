@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -48,6 +49,25 @@ func TestSolveSweepMatchesIndividualSolves(t *testing.T) {
 	}
 	if warm == 0 {
 		t.Fatal("no sweep point warm started; basis handoff broken")
+	}
+
+	// Every point carries the effort it cost, the LP-proven infeasible cap
+	// included, so the points add up to a session walked over the same caps.
+	if last := pts[len(pts)-1]; last.Stats.Solves != 1 || last.Stats.SimplexIter == 0 {
+		t.Fatalf("infeasible cap %v: point effort %+v, want the one LP solve that proved it", last.CapW, last.Stats)
+	}
+	cs, err := solver().NewCapSession(context.Background(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum Stats
+	for i, pt := range pts {
+		// Outcomes were checked above; only the effort is compared here.
+		_, _ = cs.SolveAt(context.Background(), caps[i])
+		sum.Add(pt.Stats)
+	}
+	if sum != cs.Stats() {
+		t.Fatalf("sweep points' effort %+v, session over the same caps %+v", sum, cs.Stats())
 	}
 }
 

@@ -323,7 +323,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("speculative", true)
-			sol, err := s.solveWindowLP(sctx, b, nil, &specStats[w])
+			sol, err := solveLP(sctx, b.prob, nil, &specStats[w], b.what)
 			ssp.End()
 			if err == nil {
 				specSol[w] = sol
@@ -372,7 +372,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 				var err error
 				preWarm := out.Stats.WarmStarts
 				ws.CommitSolves++
-				sol, err = s.solveWindowLP(sctx, b, basis, &out.Stats)
+				sol, err = solveLP(sctx, b.prob, basis, &out.Stats, b.what)
 				ssp.End()
 				if err != nil {
 					if !errors.Is(err, ErrInfeasible) {
@@ -435,7 +435,7 @@ func (s *Solver) escalate(ctx context.Context, plan *problem.Plan, capW float64,
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("escalated", true)
 			ws.CommitSolves++
-			sol, err := s.solveWindowLP(sctx, b, nil, &out.Stats)
+			sol, err := solveLP(sctx, b.prob, nil, &out.Stats, b.what)
 			ssp.End()
 			if err == nil {
 				return sol, b, nil
@@ -463,18 +463,7 @@ func (s *Solver) escalate(ctx context.Context, plan *problem.Plan, capW float64,
 func (s *Solver) commitWindow(plan *problem.Plan, b *windowLP, sol *lp.Solution, st *committedState, out *Schedule) {
 	ir := plan.IR
 	for _, tid := range plan.TasksWithSrcIn(b.win.CoreStart, b.win.CoreEnd) {
-		t := &ir.G.Tasks[tid]
-		var choice TaskChoice
-		switch ir.Class[tid] {
-		case problem.Message:
-			choice.DurationS = t.FixedDur
-		case problem.Fixed:
-			choice.PowerW = ir.FixedPowerW[tid]
-			choice.DiscretePowerW = ir.FixedPowerW[tid]
-			choice.Discrete = machine.Config{FreqGHz: s.Model.FreqMinGHz, Threads: 1}
-		case problem.Tunable:
-			choice = tunableChoice(b.tv[tid], sol)
-		}
+		choice := s.choiceOf(ir, &ir.G.Tasks[tid], b.tv, sol)
 		out.Choices[tid] = choice
 		st.D[tid] = choice.DurationS
 		st.P[tid] = choice.PowerW
@@ -486,34 +475,6 @@ func (s *Solver) commitWindow(plan *problem.Plan, b *windowLP, sol *lp.Solution,
 		}
 	}
 	replayRange(plan, st, b.win.CoreStart, b.win.CoreEnd)
-}
-
-// tunableChoice reads one tunable task's configuration mix out of a window
-// solution (the windowed counterpart of extractInto's tunable arm).
-func tunableChoice(v *taskLPVars, sol *lp.Solution) TaskChoice {
-	choice := TaskChoice{}
-	f := v.cols.F
-	const fracTol = 1e-9
-	for k, cv := range v.cs {
-		frac := sol.Value(cv)
-		if frac <= fracTol {
-			continue
-		}
-		choice.Mix = append(choice.Mix, MixEntry{
-			Config:    f.Cfgs[k],
-			Frac:      frac,
-			DurationS: v.cols.Durs[k],
-			PowerW:    f.Pts[k].PowerW,
-		})
-		choice.DurationS += frac * v.cols.Durs[k]
-		choice.PowerW += frac * f.Pts[k].PowerW
-	}
-	if idx, ok := f.Nearest(choice.PowerW); ok {
-		choice.Discrete = f.Cfgs[idx]
-		choice.DiscreteDurationS = v.cols.Durs[idx]
-		choice.DiscretePowerW = f.Pts[idx].PowerW
-	}
-	return choice
 }
 
 // replayRange advances the canonical earliest event times over positions

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"powercap/internal/dag"
@@ -52,6 +51,7 @@ type wConstEvent struct {
 type windowLP struct {
 	win  problem.Window
 	prob *lp.Problem
+	what string   // names the window in solve errors
 	vVar []lp.Var // indexed by position − CoreStart
 	z    lp.Var
 	tv   map[dag.TaskID]*taskLPVars
@@ -82,6 +82,7 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 	b := &windowLP{
 		win:     win,
 		prob:    lp.NewProblem(lp.Minimize),
+		what:    fmt.Sprintf("window %d [%d,%d)", win.Index, win.CoreStart, win.ExtEnd),
 		vVar:    make([]lp.Var, win.ExtEnd-win.CoreStart),
 		tv:      make(map[dag.TaskID]*taskLPVars),
 		seamRow: -1,
@@ -278,37 +279,5 @@ func (b *windowLP) constExcess(capW float64, st *committedState) float64 {
 func mustSetRHS(p *lp.Problem, row int, rhs float64) {
 	if err := p.SetRHS(row, rhs); err != nil {
 		panic(fmt.Sprintf("core: window RHS update: %v", err))
-	}
-}
-
-// solveWindowLP solves an aimed window program, warm starting from basis
-// when given, accumulating effort into st. Mirrors solveBuilt's status
-// mapping: Optimal returns, Infeasible maps to ErrInfeasible, a canceled
-// context surfaces as an error wrapping ctx.Err(). A numerical breakdown
-// has had lp.Solve's cold rescue and is returned as is.
-func (s *Solver) solveWindowLP(ctx context.Context, b *windowLP, basis []int, st *Stats) (*lp.Solution, error) {
-	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(basis)}
-	if ctx != nil && ctx != context.Background() {
-		opts = append(opts, lp.WithContext(ctx))
-	}
-	sol, err := lp.Solve(b.prob, opts...)
-	if err != nil {
-		return nil, err
-	}
-	st.AddSolve(b.prob.NumVars(), b.prob.NumConstraints(), sol)
-
-	switch sol.Status {
-	case lp.Optimal:
-		return sol, nil
-	case lp.Infeasible:
-		return nil, fmt.Errorf("%w: window %d [%d,%d)", ErrInfeasible, b.win.Index, b.win.CoreStart, b.win.ExtEnd)
-	case lp.Canceled:
-		cause := context.Canceled
-		if ctx != nil && ctx.Err() != nil {
-			cause = ctx.Err()
-		}
-		return nil, fmt.Errorf("core: window solve canceled after %d pivots: %w", sol.Iters, cause)
-	default:
-		return nil, fmt.Errorf("core: LP solver returned %v (window %d)", sol.Status, b.win.Index)
 	}
 }

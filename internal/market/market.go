@@ -323,11 +323,11 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	// Phase 2: the policy's split.
 	switch opts.Policy {
 	case Uniform:
-		assign(sts, uniformSplit(sts, budgetW))
+		assign(sts, waterFill(sts, budgetW, equalWeight))
 	case Proportional:
-		assign(sts, proportionalSplit(sts, budgetW))
+		assign(sts, waterFill(sts, budgetW, demandWeight))
 	case Market:
-		assign(sts, uniformSplit(sts, budgetW))
+		assign(sts, waterFill(sts, budgetW, equalWeight))
 		if err := solveAll(actx, sts); err != nil {
 			return nil, err
 		}
@@ -485,50 +485,11 @@ func discoverJob(ctx context.Context, st *state, budgetW float64, opts Options) 
 	return nil
 }
 
-// uniformSplit gives every job an equal share, clamped up to floors with
-// the residue re-split equally among the unclamped (water-filling on a
-// flat profile).
-func uniformSplit(sts []*state, budgetW float64) []float64 {
-	caps := make([]float64, len(sts))
-	clamped := make([]bool, len(sts))
-	for {
-		var fixed float64
-		free := 0
-		for i, st := range sts {
-			if clamped[i] {
-				fixed += st.floorW
-			} else {
-				free++
-			}
-		}
-		if free == 0 {
-			break
-		}
-		share := (budgetW - fixed) / float64(free)
-		again := false
-		for i, st := range sts {
-			if !clamped[i] && share < st.floorW {
-				clamped[i] = true
-				again = true
-			}
-		}
-		if !again {
-			for i, st := range sts {
-				if clamped[i] {
-					caps[i] = st.floorW
-				} else {
-					caps[i] = share
-				}
-			}
-			break
-		}
-	}
-	return caps
-}
-
-// proportionalSplit divides the budget in proportion to saturation demand,
-// clamped up to floors the same way.
-func proportionalSplit(sts []*state, budgetW float64) []float64 {
+// waterFill divides the budget in proportion to each job's weight (equal
+// shares when no unclamped job has weight), clamping any job whose share
+// falls below its floor up to the floor and re-splitting the residue among
+// the rest until no share does.
+func waterFill(sts []*state, budgetW float64, weight func(*state) float64) []float64 {
 	caps := make([]float64, len(sts))
 	clamped := make([]bool, len(sts))
 	for {
@@ -538,7 +499,7 @@ func proportionalSplit(sts []*state, budgetW float64) []float64 {
 			if clamped[i] {
 				fixed += st.floorW
 			} else {
-				wsum += st.demand
+				wsum += weight(st)
 				free++
 			}
 		}
@@ -552,7 +513,7 @@ func proportionalSplit(sts []*state, budgetW float64) []float64 {
 			}
 			share := (budgetW - fixed) / float64(free)
 			if wsum > 0 {
-				share = (budgetW - fixed) * st.demand / wsum
+				share = (budgetW - fixed) * weight(st) / wsum
 			}
 			if share < st.floorW {
 				clamped[i] = true
@@ -572,6 +533,11 @@ func proportionalSplit(sts []*state, budgetW float64) []float64 {
 	}
 	return caps
 }
+
+// equalWeight makes waterFill a uniform split; demandWeight makes it
+// proportional to saturation demand.
+func equalWeight(*state) float64     { return 1 }
+func demandWeight(st *state) float64 { return st.demand }
 
 func assign(sts []*state, caps []float64) {
 	for i, st := range sts {

@@ -213,6 +213,49 @@ func TestPoliciesRespectBudgetAndFloors(t *testing.T) {
 	}
 }
 
+// The water-filling split, on hand-built floors and demands, gives the caps
+// the former uniform and proportional splits gave, bit for bit.
+func TestWaterFill(t *testing.T) {
+	cases := []struct {
+		name                  string
+		floors, demands       []float64
+		budgetW               float64
+		uniform, proportional []float64
+	}{
+		{"no clamp", []float64{10, 10, 10}, []float64{30, 60, 90}, 120,
+			[]float64{40, 40, 40}, []float64{20, 40, 60}},
+		{"one clamped job", []float64{60, 10, 10}, []float64{20, 60, 120}, 150,
+			[]float64{60, 45, 45}, []float64{60, 30, 60}},
+		{"cascading clamps", []float64{40, 35, 10}, []float64{10, 10, 100}, 120,
+			[]float64{40, 40, 40}, []float64{40, 35, 45}},
+		{"zero total demand", []float64{5, 30}, []float64{0, 0}, 50,
+			[]float64{20, 30}, []float64{20, 30}},
+		{"zero-demand job", []float64{10, 10, 10}, []float64{0, 50, 50}, 90,
+			[]float64{30, 30, 30}, []float64{10, 40, 40}},
+		{"uneven budget", []float64{7.5, 12.25, 3}, []float64{41.3, 17.9, 66.1}, 101.7,
+			[]float64{33.9, 33.9, 33.9}, []float64{33.52122905027934, 14.528571428571428, 53.65019952114925}},
+	}
+	for _, tc := range cases {
+		var sts []*state
+		for i := range tc.floors {
+			sts = append(sts, &state{floorW: tc.floors[i], demand: tc.demands[i]})
+		}
+		for _, w := range []struct {
+			name   string
+			weight func(*state) float64
+			want   []float64
+		}{{"uniform", equalWeight, tc.uniform}, {"proportional", demandWeight, tc.proportional}} {
+			got := waterFill(sts, tc.budgetW, w.weight)
+			for i := range got {
+				if got[i] != w.want[i] {
+					t.Errorf("%s, %s: caps %v, want %v", tc.name, w.name, got, w.want)
+					break
+				}
+			}
+		}
+	}
+}
+
 // Structural validation errors.
 func TestAllocateRejectsBadInput(t *testing.T) {
 	w := workloads.CG(workloads.Params{Ranks: 4, Iterations: 2, Seed: 1, WorkScale: 0.3})

@@ -175,10 +175,10 @@ func (rt *adaptRuntime) sampleLocked(s *Server, now time.Time) adapt.Signals {
 		}
 	}
 	parked := int(s.parkedQueue.Load())
-	// The SLO engine's fast-window burn replaces the raw p95 term in the
-	// controller's pressure when samples exist (adapt.Signals doc): pressure
-	// becomes "error-budget burn", so a brownout decision is explainable
-	// from the flight recorder's admission-time burn fields alone.
+	// The SLO engine's fast-window burn is the controller's latency term
+	// when samples exist (adapt.Signals doc), so a brownout decision is
+	// explainable from the flight recorder's admission-time burn fields
+	// alone.
 	burn, sloSamples := s.slo.ControlBurn(now)
 	return adapt.Signals{
 		Requests:     cur.requests - prev.requests,
@@ -194,7 +194,6 @@ func (rt *adaptRuntime) sampleLocked(s *Server, now time.Time) adapt.Signals {
 		Inflight:     int(m.Inflight.Load()),
 		BreakersOpen: open,
 		AvgSolveS:    avgSolveS,
-		ReqP95S:      m.RequestLatency.Quantile(0.95),
 		SLOBurn:      burn,
 		SLOSamples:   sloSamples,
 		EpochS:       epochS,

@@ -372,8 +372,6 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 		s.metrics.ClusterConverged.Add(1)
 	}
 	s.metrics.Solves.Add(uint64(alloc.Solves))
-	s.metrics.WarmStarts.Add(uint64(alloc.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(alloc.Stats.SimplexIter))
 	s.countLPStats(alloc.Stats)
 	return out, nil
 }

@@ -310,41 +310,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count reports how many observations the histogram holds.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Quantile approximates the q'th quantile (0 < q < 1) by linear
-// interpolation within the containing bucket; the +Inf bucket reports its
-// lower bound. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target >= total {
-		target = total - 1
-	}
-	var cum uint64
-	lower := 0.0
-	for i := 0; i <= len(latencyBounds); i++ {
-		c := h.counts[i].Load()
-		if cum+c > target {
-			if i == len(latencyBounds) {
-				return lower // open-ended bucket: report its floor
-			}
-			upper := latencyBounds[i]
-			if c == 0 {
-				return upper
-			}
-			frac := float64(target-cum) / float64(c)
-			return lower + frac*(upper-lower)
-		}
-		cum += c
-		if i < len(latencyBounds) {
-			lower = latencyBounds[i]
-		}
-	}
-	return lower
-}
-
 // writeHistogram renders one histogram series in Prometheus text format.
 // labels, when non-empty, is a rendered label pair ("stage=\"lp.solve\"")
 // spliced into every sample of the series (alongside le on buckets).

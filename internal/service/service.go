@@ -684,10 +684,13 @@ func kernelHealthFrom(st powercap.SolverStats) obs.KernelHealth {
 	}
 }
 
-// countLPStats folds one finished solve's numerical-health counters into the
-// pcschedd_lp_* metric families.
+// countLPStats folds one finished solve's effort into the warm-start and
+// pivot counters and its numerical-health counters into the pcschedd_lp_*
+// metric families.
 func (s *Server) countLPStats(st powercap.SolverStats) {
 	m := &s.metrics
+	m.WarmStarts.Add(uint64(st.WarmStarts))
+	m.Pivots.Add(uint64(st.SimplexIter))
 	m.LPRefactorizations.Add(uint64(st.Refactorizations))
 	m.LPPivotRejections.Add(uint64(st.PivotRejections))
 	m.LPTauRetries.Add(uint64(st.FactorTauRetries))
@@ -1125,8 +1128,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	}
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveRetries.Add(uint64(res.Retries))
-	s.metrics.WarmStarts.Add(uint64(res.Schedule.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(res.Schedule.Stats.SimplexIter))
 	s.countLPStats(res.Schedule.Stats)
 	if res.Degraded {
 		s.metrics.Degraded.Add(1)
@@ -1179,8 +1180,6 @@ func (s *Server) solveWindowed(ctx context.Context, sys *powercap.System, g *pow
 	if ws.SimMakespanS > 0 {
 		s.metrics.WindowStitchGapPct.StoreMax((ws.MakespanS/ws.SimMakespanS - 1) * 100)
 	}
-	s.metrics.WarmStarts.Add(uint64(ws.Stats.WarmStarts))
-	s.metrics.Pivots.Add(uint64(ws.Stats.SimplexIter))
 	s.countLPStats(ws.Stats)
 	return out, nil
 }
@@ -1297,6 +1296,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var agg powercap.SolverStats
 	for i, pt := range pts {
 		pj := SweepPointJSON{PerSocketW: perSocket[i], JobCapW: pt.CapW}
+		agg.Add(pt.Stats)
 		switch {
 		case pt.Err != nil && errors.Is(pt.Err, powercap.ErrInfeasible):
 			pj.Infeasible = true
@@ -1307,13 +1307,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		default:
 			pj.MakespanS = pt.Schedule.MakespanS
 			pj.MarginalSecPerW = pt.Schedule.MarginalSecPerW
-			agg.Add(pt.Schedule.Stats)
 			s.metrics.Solves.Add(1)
 		}
 		resp.Points = append(resp.Points, pj)
 	}
-	s.metrics.WarmStarts.Add(uint64(agg.WarmStarts))
-	s.metrics.Pivots.Add(uint64(agg.SimplexIter))
 	s.countLPStats(agg)
 	ev := wideEventFrom(r.Context())
 	ev.Workload = name

@@ -13,13 +13,14 @@ import (
 )
 
 // Power-cap sweep orchestration. The paper's headline figures evaluate the
-// LP bound across a family of power constraints and a set of benchmarks;
-// this file provides the fan-out machinery: warm-started serial sweeps
-// (SolveSweep), a bounded worker pool over contiguous cap chunks
-// (SweepParallel), and multi-workload orchestration (SweepJobsParallel).
+// LP bound across a family of power constraints; this file provides
+// warm-started serial sweeps (SolveSweep, one CapSession walked over the
+// caps) and a bounded worker pool over contiguous cap chunks
+// (SweepParallel).
 
 // SweepPoint is the result of one cap in a sweep: a Schedule, or the error
-// that cap produced (match with errors.Is(pt.Err, powercap.ErrInfeasible)).
+// that cap produced (match with errors.Is(pt.Err, powercap.ErrInfeasible)),
+// with the solver effort the cap cost either way in Stats.
 type SweepPoint = core.SweepPoint
 
 // SolverStats aggregates LP solver effort (warm starts, pivots,
@@ -176,58 +177,4 @@ func (s *System) MarginalCurve(ctx context.Context, g *Graph, jobCapsW []float64
 		}
 	}
 	return curve, nil
-}
-
-// SweepJob names one workload's sweep in a multi-workload fan-out.
-type SweepJob struct {
-	Name  string
-	Graph *Graph
-	CapsW []float64
-}
-
-// SweepJobResult is the outcome of one SweepJob: its points, or the
-// job-level error (per-cap errors stay inside the points).
-type SweepJobResult struct {
-	Name   string
-	Points []SweepPoint
-	Err    error
-}
-
-// SweepJobsParallel runs each job's warm-started sweep on a bounded worker
-// pool (workers ≤ 1 runs serially) and returns results in job order. Each
-// job keeps its caps contiguous on one worker, preserving warm starts; the
-// jobs share one solver per System so frontier work is cached across
-// workloads with identical task classes.
-func (s *System) SweepJobsParallel(jobs []SweepJob, workers int) []SweepJobResult {
-	results := make([]SweepJobResult, len(jobs))
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	solver := s.solver()
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				job := jobs[i]
-				results[i].Name = job.Name
-				if job.Graph == nil {
-					results[i].Err = fmt.Errorf("powercap: sweep job %q has no graph", job.Name)
-					continue
-				}
-				results[i].Points, results[i].Err = solver.SolveSweep(job.Graph, job.CapsW)
-			}
-		}()
-	}
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return results
 }

@@ -87,47 +87,6 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSweepJobsParallel(t *testing.T) {
-	sys := powercap.NewSystem(nil)
-	var jobs []powercap.SweepJob
-	for _, name := range []string{"SP", "LULESH", "CoMD"} {
-		w := smallWorkload(t, name)
-		jobs = append(jobs, powercap.SweepJob{Name: name, Graph: w.Graph, CapsW: sweepCaps(w)})
-	}
-	jobs = append(jobs, powercap.SweepJob{Name: "broken"}) // nil graph
-
-	results := sys.SweepJobsParallel(jobs, 3)
-	if len(results) != len(jobs) {
-		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
-	}
-	for i, res := range results {
-		if res.Name != jobs[i].Name {
-			t.Fatalf("result %d: name %q, want %q (order not preserved)", i, res.Name, jobs[i].Name)
-		}
-		if jobs[i].Graph == nil {
-			if res.Err == nil {
-				t.Fatalf("job %q: nil graph accepted", res.Name)
-			}
-			continue
-		}
-		if res.Err != nil {
-			t.Fatalf("job %q: %v", res.Name, res.Err)
-		}
-		feasible := 0
-		for _, pt := range res.Points {
-			if pt.Err == nil {
-				feasible++
-				if pt.Schedule.MakespanS <= 0 {
-					t.Fatalf("job %q cap %v: empty schedule", res.Name, pt.CapW)
-				}
-			}
-		}
-		if feasible == 0 {
-			t.Fatalf("job %q: every cap infeasible", res.Name)
-		}
-	}
-}
-
 // TestInfeasibilityChains is the satellite acceptance: one sentinel chain
 // from the public facade down to the LP layer, matchable at every level.
 func TestInfeasibilityChains(t *testing.T) {
