@@ -58,9 +58,11 @@ realization-smoke:
 # closed, bit-identical results) once faults clear. The twin-chaos case
 # storms an adaptive daemon with lp-stall/lp-nan/worker-panic armed and
 # requires the controller back at full fidelity with breakers closed
-# within a bounded number of calm epochs.
+# within a bounded number of calm epochs. The stall case sends every
+# /v1/solve shape (monolithic, windowed, coarsened, each brownout rung)
+# with lp-stall armed and requires a cap-clean degraded 200 from each.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery' -count=1 -v ./internal/service/
+	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery|TestEveryShapeDegradesUnderStall' -count=1 -v ./internal/service/
 
 # Observability smoke: race-detected span/flight-recorder/SLO-engine tests,
 # then a traced solve against a real pcschedd — validates the inline Chrome

@@ -18,7 +18,7 @@ import (
 // Cluster allocation types re-exported from internal/market.
 type (
 	// ClusterPolicy names a budget-splitting strategy: PolicyUniform,
-	// PolicyProportional, PolicyMarket, or PolicyAuction.
+	// PolicyProportional, or PolicyMarket.
 	ClusterPolicy = market.Policy
 	// ClusterAllocation is a solved cluster split: per-job caps and
 	// schedules, the summed makespan the market minimizes, and the
@@ -47,12 +47,7 @@ const (
 	// PolicyMarket equalizes the marginal value of power across jobs by
 	// iterative watt transfers; never worse than PolicyUniform.
 	PolicyMarket = market.Market
-	// PolicyAuction greedily grants watt quanta to the steepest bidder.
-	PolicyAuction = market.Auction
 )
-
-// ClusterPolicies lists the accepted policy names.
-func ClusterPolicies() []ClusterPolicy { return market.Policies() }
 
 // ParseClusterPolicy validates a policy name ("" defaults to the market).
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }

@@ -2,9 +2,13 @@
 // feedback controller that watches signals the service already emits for
 // free (rejection rate, queue occupancy, breaker states, solve latency)
 // and adapts the service's operational knobs — admission capacity, worker
-// count, cache size, resilience deadline slices — plus a *brownout ladder*
-// that progressively routes traffic onto cheaper solve modes under
-// sustained pressure (DESIGN.md §15).
+// count, cache size — plus a *brownout ladder* that progressively routes
+// traffic onto cheaper solve modes under sustained pressure (DESIGN.md
+// §15). A brownout rung is a request rewrite (realize-down, coarsen,
+// windowed) plus an entry into the service's one degradation ladder
+// (internal/resilience): any rung below full selects the ladder's tighter
+// brownout deadline slices, and the heuristic rung enters the ladder at
+// its heuristic rung.
 //
 // The controller itself is a pure, deterministic state machine: Step takes
 // one epoch's worth of Signals and returns the new published State. All
@@ -53,8 +57,9 @@ const (
 	// RungWindowed additionally slices the event order into overlapping
 	// windows solved independently (much smaller LPs, stitched bound).
 	RungWindowed
-	// RungHeuristic serves the slack-aware heuristic schedule only — no
-	// LP at all. Results are marked degraded and never cached.
+	// RungHeuristic enters the degradation ladder at its slack-aware
+	// heuristic rung — no LP at all (static if the heuristic fails).
+	// Results are marked degraded and never cached.
 	RungHeuristic
 
 	numRungs
@@ -79,17 +84,17 @@ func (r Rung) String() string {
 	return fmt.Sprintf("rung(%d)", int(r))
 }
 
-// Config parameterizes the controller. The zero value is unusable; call
-// (*Config).withDefaults via New, which fills every unset field.
+// Config parameterizes the controller. The zero value is unusable; New
+// fills every unset field.
 type Config struct {
 	// Enabled arms the control plane. When false the service publishes a
 	// nil State and behaves bit-identically to a build without this
 	// package.
 	Enabled bool
 
-	// Epoch is the sampling interval of the service's controller loop.
-	// The controller itself never reads clocks; this is plumbing for the
-	// loop owner.
+	// Epoch is the sampling interval of the service's controller loop
+	// (default 1s). The controller itself never reads clocks; this is
+	// plumbing for the loop owner.
 	Epoch time.Duration
 
 	// Baseline knob values (the service's configured statics). The
@@ -97,50 +102,40 @@ type Config struct {
 	Workers    int
 	QueueDepth int
 	CacheSize  int
+}
 
-	// EnterPressure / ExitPressure are the hysteresis band: pressure at
-	// or above EnterPressure for EnterDwell consecutive epochs descends
-	// one rung; pressure at or below ExitPressure for ExitDwell
+// The controller's fixed tuning (DESIGN.md §15 tabulates it).
+const (
+	// enterPressure / exitPressure are the hysteresis band: pressure at
+	// or above enterPressure for enterDwell consecutive epochs descends
+	// one rung; pressure at or below exitPressure for exitDwell
 	// consecutive epochs ascends one rung. Between the two thresholds
 	// both dwell counters reset, which is what suppresses flapping on an
 	// oscillating signal.
-	EnterPressure float64
-	ExitPressure  float64
-	EnterDwell    int
-	ExitDwell     int
-	// MinDwell is the minimum number of epochs between any two rung
+	enterPressure = 0.5
+	exitPressure  = 0.15
+	enterDwell    = 2
+	exitDwell     = 3
+	// minDwell is the minimum number of epochs between any two rung
 	// transitions, in either direction.
-	MinDwell int
+	minDwell = 2
 
-	// BurnSaturation is the SLO burn rate at which the burn term saturates
-	// pressure at 1 (default 10: consuming error budget at 10× the
-	// sustainable rate is a full-pressure emergency). The term is linear
-	// below that, so burn 1 — exactly sustainable — contributes only 0.1.
-	BurnSaturation float64
+	// burnSaturation is the SLO burn rate at which the burn term saturates
+	// pressure at 1: consuming error budget at 10× the sustainable rate is
+	// a full-pressure emergency. The term is linear below that, so burn 1
+	// — exactly sustainable — contributes only 0.1.
+	burnSaturation = 10
 
 	// Brownout solve-mode parameters applied at the corresponding rungs.
-	CoarsenEps float64 // RungCoarsen+: coarsening epsilon (seconds)
-	Windows    int     // RungWindowed+: windowed-decomposition window count
+	coarsenEps = 0.002 // RungCoarsen+: coarsening epsilon (seconds)
+	windows    = 4     // RungWindowed+: windowed-decomposition window count
 
-	// MinWorkers / MinQueue floor the adapted knobs.
-	MinWorkers int
-	MinQueue   int
-	// MaxCacheFactor bounds adaptive cache growth to
-	// CacheSize × MaxCacheFactor (rounded up to a power-of-two factor).
-	MaxCacheFactor int
-
-	// PressureFracs replaces the resilience ladder's DeadlineFracs while
-	// any brownout rung is active: tighter early-rung slices keep more
-	// of the request budget in reserve for the fallback rungs.
-	PressureFracs []float64
-
-	// MaxRetryAfterS clamps the Retry-After hint on 429 responses.
-	MaxRetryAfterS int
-	// RetryBurst is the retry-budget token bucket capacity; its refill
-	// rate tracks the observed solve completion rate. Zero defaults to
-	// Workers+QueueDepth.
-	RetryBurst int
-}
+	// minWorkers / minQueue floor the adapted knobs.
+	minWorkers = 1
+	minQueue   = 2
+	// maxCacheBoost bounds adaptive cache growth to CacheSize << 2 (4×).
+	maxCacheBoost = 2
+)
 
 // withDefaults returns cfg with every unset field filled in.
 func (cfg Config) withDefaults() Config {
@@ -155,48 +150,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 1
-	}
-	if cfg.EnterPressure <= 0 {
-		cfg.EnterPressure = 0.5
-	}
-	if cfg.ExitPressure <= 0 {
-		cfg.ExitPressure = 0.15
-	}
-	if cfg.EnterDwell <= 0 {
-		cfg.EnterDwell = 2
-	}
-	if cfg.ExitDwell <= 0 {
-		cfg.ExitDwell = 3
-	}
-	if cfg.MinDwell <= 0 {
-		cfg.MinDwell = 2
-	}
-	if cfg.CoarsenEps <= 0 {
-		cfg.CoarsenEps = 0.002
-	}
-	if cfg.Windows <= 1 {
-		cfg.Windows = 4
-	}
-	if cfg.MinWorkers <= 0 {
-		cfg.MinWorkers = 1
-	}
-	if cfg.MinQueue <= 0 {
-		cfg.MinQueue = 2
-	}
-	if cfg.MaxCacheFactor <= 0 {
-		cfg.MaxCacheFactor = 4
-	}
-	if cfg.PressureFracs == nil {
-		cfg.PressureFracs = []float64{0.3, 0.6, 1.0}
-	}
-	if cfg.MaxRetryAfterS <= 0 {
-		cfg.MaxRetryAfterS = 30
-	}
-	if cfg.BurnSaturation <= 0 {
-		cfg.BurnSaturation = 10
-	}
-	if cfg.RetryBurst <= 0 {
-		cfg.RetryBurst = cfg.Workers + cfg.QueueDepth
 	}
 	return cfg
 }
@@ -256,7 +209,7 @@ func (s Signals) queueFrac() float64 {
 // max, not the sum, of its terms: any single saturated term means the
 // service is in trouble, and max keeps each threshold independently
 // interpretable in tests.
-func (cfg Config) Pressure(s Signals) float64 {
+func Pressure(s Signals) float64 {
 	p := s.rejectFrac()
 	if q := s.queueFrac(); q > p {
 		p = q
@@ -265,8 +218,8 @@ func (cfg Config) Pressure(s Signals) float64 {
 		p = 1
 	}
 	if s.SLOSamples > 0 {
-		// Error-budget burn, linear to saturation (see BurnSaturation).
-		bt := s.SLOBurn / cfg.BurnSaturation
+		// Error-budget burn, linear to saturation (see burnSaturation).
+		bt := s.SLOBurn / burnSaturation
 		if bt > 1 {
 			bt = 1
 		}
@@ -292,10 +245,6 @@ type State struct {
 	Workers    int
 	QueueDepth int
 	CacheSize  int
-
-	// DeadlineFracs overrides the resilience ladder's per-rung deadline
-	// slices; nil means "use the configured default".
-	DeadlineFracs []float64
 
 	// EstSolveS is the controller's EWMA estimate of one solve's
 	// latency, used for deadline-aware shedding.
@@ -341,12 +290,12 @@ type Controller struct {
 	mu          sync.Mutex
 	epoch       uint64
 	rung        Rung
-	above       int // consecutive epochs at/above EnterPressure
-	below       int // consecutive epochs at/below ExitPressure
+	above       int // consecutive epochs at/above enterPressure
+	below       int // consecutive epochs at/below exitPressure
 	sinceTrans  int // epochs since the last rung transition
 	brkCalm     int // consecutive epochs with zero open breakers
 	workersCut  bool
-	cacheBoost  int // cache capacity multiplier exponent (0..maxBoost)
+	cacheBoost  int // cache capacity multiplier exponent (0..maxCacheBoost)
 	cacheHot    int // consecutive thrashing epochs
 	cacheCold   int // consecutive quiet epochs
 	est         float64
@@ -386,7 +335,7 @@ func (c *Controller) Step(sig Signals) (*State, []Transition) {
 
 	c.epoch++
 	c.sinceTrans++
-	p := c.cfg.Pressure(sig)
+	p := Pressure(sig)
 	c.lastP = p
 
 	// Solve-latency EWMA (0.7 old / 0.3 new): the shedding estimator.
@@ -401,10 +350,10 @@ func (c *Controller) Step(sig Signals) (*State, []Transition) {
 	// Hysteresis dwell counters. The middle band resets both, so a
 	// signal oscillating across one threshold never accumulates dwell.
 	switch {
-	case p >= c.cfg.EnterPressure:
+	case p >= enterPressure:
 		c.above++
 		c.below = 0
-	case p <= c.cfg.ExitPressure:
+	case p <= exitPressure:
 		c.below++
 		c.above = 0
 	default:
@@ -415,18 +364,18 @@ func (c *Controller) Step(sig Signals) (*State, []Transition) {
 	switch {
 	case c.draining:
 		// Drain only ever snaps up; BeginDrain already did.
-	case c.rung < MaxRung && c.above >= c.cfg.EnterDwell && c.sinceTrans >= c.cfg.MinDwell:
+	case c.rung < MaxRung && c.above >= enterDwell && c.sinceTrans >= minDwell:
 		trans = append(trans, Transition{
 			Epoch: c.epoch, From: c.rung, To: c.rung + 1,
-			Why: fmt.Sprintf("pressure %.2f ≥ %.2f for %d epochs", p, c.cfg.EnterPressure, c.above),
+			Why: fmt.Sprintf("pressure %.2f ≥ %.2f for %d epochs", p, enterPressure, c.above),
 		})
 		c.rung++
 		c.above, c.sinceTrans = 0, 0
 		c.transitions++
-	case c.rung > RungFull && c.below >= c.cfg.ExitDwell && c.sinceTrans >= c.cfg.MinDwell:
+	case c.rung > RungFull && c.below >= exitDwell && c.sinceTrans >= minDwell:
 		trans = append(trans, Transition{
 			Epoch: c.epoch, From: c.rung, To: c.rung - 1,
-			Why: fmt.Sprintf("pressure %.2f ≤ %.2f for %d epochs", p, c.cfg.ExitPressure, c.below),
+			Why: fmt.Sprintf("pressure %.2f ≤ %.2f for %d epochs", p, exitPressure, c.below),
 		})
 		c.rung--
 		c.below, c.sinceTrans = 0, 0
@@ -439,7 +388,7 @@ func (c *Controller) Step(sig Signals) (*State, []Transition) {
 		c.brkCalm = 0
 		c.workersCut = true
 	} else if c.workersCut {
-		if c.brkCalm++; c.brkCalm >= c.cfg.ExitDwell {
+		if c.brkCalm++; c.brkCalm >= exitDwell {
 			c.workersCut = false
 		}
 	}
@@ -453,27 +402,18 @@ func (c *Controller) Step(sig Signals) (*State, []Transition) {
 	return st, trans
 }
 
-// maxBoost is the power-of-two exponent bound for MaxCacheFactor.
-func (c *Controller) maxBoost() int {
-	b := 0
-	for f := 1; f*2 <= c.cfg.MaxCacheFactor; f *= 2 {
-		b++
-	}
-	return b
-}
-
 func (c *Controller) stepCache(sig Signals) {
 	capNow := c.cfg.CacheSize << c.cacheBoost
 	switch {
 	case int(sig.CacheMisses) > capNow:
 		c.cacheCold = 0
-		if c.cacheHot++; c.cacheHot >= c.cfg.EnterDwell && c.cacheBoost < c.maxBoost() {
+		if c.cacheHot++; c.cacheHot >= enterDwell && c.cacheBoost < maxCacheBoost {
 			c.cacheBoost++
 			c.cacheHot = 0
 		}
 	case int(sig.CacheMisses) <= capNow/8:
 		c.cacheHot = 0
-		if c.cacheCold++; c.cacheCold >= c.cfg.ExitDwell && c.cacheBoost > 0 {
+		if c.cacheCold++; c.cacheCold >= exitDwell && c.cacheBoost > 0 {
 			c.cacheBoost--
 			c.cacheCold = 0
 		}
@@ -496,30 +436,28 @@ func (c *Controller) derive() *State {
 		Draining:   c.draining,
 	}
 	if c.rung >= RungCoarsen {
-		st.CoarsenEps = c.cfg.CoarsenEps
+		st.CoarsenEps = coarsenEps
 	}
 	if c.rung >= RungWindowed {
-		st.Windows = c.cfg.Windows
+		st.Windows = windows
 	}
 	if c.rung >= RungRealizeDown {
-		// Under brownout: shed work that can't finish, shrink the
-		// standing queue so waiting work stays young, and tighten the
-		// ladder's early deadline slices.
+		// Under brownout: shed work that can't finish, and shrink the
+		// standing queue so waiting work stays young.
 		st.Shedding = true
 		q := c.cfg.QueueDepth >> uint(c.rung)
-		if q < c.cfg.MinQueue {
-			q = c.cfg.MinQueue
+		if q < minQueue {
+			q = minQueue
 		}
 		if q > c.cfg.QueueDepth {
 			q = c.cfg.QueueDepth
 		}
 		st.QueueDepth = q
-		st.DeadlineFracs = c.cfg.PressureFracs
 	}
 	if c.workersCut {
 		w := c.cfg.Workers / 2
-		if w < c.cfg.MinWorkers {
-			w = c.cfg.MinWorkers
+		if w < minWorkers {
+			w = minWorkers
 		}
 		st.Workers = w
 	}

@@ -54,14 +54,10 @@ const (
 	// bind. Transfers are accepted only when the total makespan drops, so
 	// the market result is never worse than the uniform split.
 	Market Policy = "market"
-	// Auction starts every job at its feasibility floor and greedily
-	// grants fixed watt quanta to the currently steepest bidder until the
-	// budget is spent — a cheaper, coarser approximation of Market.
-	Auction Policy = "auction"
 )
 
 // Policies lists the accepted policy names.
-func Policies() []Policy { return []Policy{Uniform, Proportional, Market, Auction} }
+func Policies() []Policy { return []Policy{Uniform, Proportional, Market} }
 
 // ParsePolicy validates a policy name (case-insensitive).
 func ParsePolicy(name string) (Policy, error) {
@@ -105,7 +101,7 @@ type Options struct {
 	// stops once the spread between the steepest job's marginal value and
 	// the flattest donor's is at most this (default 1e-3 s/W).
 	ToleranceSecPerW float64
-	// MaxIterations bounds market/auction iterations (default 64).
+	// MaxIterations bounds market iterations (default 64).
 	MaxIterations int
 	// FloorResolutionW is the bisection resolution for per-job feasibility
 	// floors; the reported floor is the feasible end of the final bracket,
@@ -212,10 +208,9 @@ type Allocation struct {
 	// job, for operators who care about the batch tail.
 	TotalMakespanS float64
 	MaxMakespanS   float64
-	// Iterations counts market/auction rounds (0 for uniform and
-	// proportional). Converged reports the market reached its
-	// marginal-spread tolerance; FinalSpreadSecPerW is the spread at
-	// termination.
+	// Iterations counts market rounds (0 for uniform and proportional).
+	// Converged reports the market reached its marginal-spread tolerance;
+	// FinalSpreadSecPerW is the spread at termination.
 	Iterations         int
 	Converged          bool
 	FinalSpreadSecPerW float64
@@ -332,10 +327,6 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 			return nil, err
 		}
 		if err := runMarket(actx, a, sts, opts); err != nil {
-			return nil, err
-		}
-	case Auction:
-		if err := runAuction(actx, a, sts, budgetW, opts); err != nil {
 			return nil, err
 		}
 	}
@@ -740,55 +731,4 @@ func tryTransfer(ctx context.Context, donor, recv *state, d, curTotal float64) (
 	donor.solves++ // keep the probe solves counted on the reverted states
 	recv.solves++
 	return false, curTotal, nil
-}
-
-// runAuction starts every job at its floor and greedily grants fixed watt
-// quanta to the steepest current bidder until the budget is spent or all
-// bidders saturate.
-func runAuction(ctx context.Context, a *Allocation, sts []*state, budgetW float64, opts Options) error {
-	var spent float64
-	for _, st := range sts {
-		st.capW = st.floorW
-		spent += st.floorW
-	}
-	if err := solveAll(ctx, sts); err != nil {
-		return err
-	}
-	remaining := budgetW - spent
-	quantum := remaining / float64(8*len(sts))
-	if quantum < opts.MinTransferW {
-		quantum = opts.MinTransferW
-	}
-	for remaining >= opts.MinTransferW && a.Iterations < opts.MaxIterations*4 {
-		var best *state
-		for _, st := range sts {
-			if st.bad {
-				continue
-			}
-			if best == nil || st.m() > best.m() {
-				best = st
-			}
-		}
-		if best == nil || best.m() <= 0 {
-			break // every bidder saturated; leftover watts stay unspent
-		}
-		a.Iterations++
-		g := math.Min(quantum, remaining)
-		best.capW += g
-		sched, err := best.job.Session.SolveAt(ctx, best.capW)
-		best.solves++
-		if err != nil {
-			best.capW -= g
-			if degradeJob(best, err) {
-				continue
-			}
-			return fmt.Errorf("market: auction grant to %q: %w", best.job.Name, err)
-		}
-		best.sched = sched
-		remaining -= g
-		a.MovedW += g
-	}
-	a.FinalSpreadSecPerW = spread(sts, opts)
-	a.Converged = true
-	return nil
 }

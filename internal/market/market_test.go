@@ -90,16 +90,7 @@ func TestOneJobEqualsPlainSolve(t *testing.T) {
 			t.Fatalf("%s: %d jobs in result", pol, len(a.Jobs))
 		}
 		got := a.Jobs[0]
-		// Auction stops granting once the job saturates; everyone else
-		// hands the single job the full budget.
-		wantCap := float64(budget)
-		if pol == Auction && got.CapW < budget {
-			wantCap = got.CapW
-			if got.MarginalSecPerW < -1e-6 {
-				t.Errorf("auction under-granted a non-saturated job: cap %.1f marginal %g", got.CapW, got.MarginalSecPerW)
-			}
-		}
-		want, werr := core.NewSolver(machine.Default(), w.EffScale).Solve(w.Graph, wantCap)
+		want, werr := core.NewSolver(machine.Default(), w.EffScale).Solve(w.Graph, budget)
 		if werr != nil {
 			t.Fatalf("%s: fresh solve: %v", pol, werr)
 		}

@@ -18,7 +18,7 @@ import (
 // take the floor of their fair per-rank power share. Without slackAware it
 // is the static last resort: every task at the floor of the uniform fair
 // share, the paper's static baseline.
-func (l *Ladder) heuristicRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, slackAware bool) (*core.Schedule, *schedule.Realized, error) {
+func heuristicRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, slackAware bool) (*core.Schedule, *schedule.Realized, error) {
 	ir, err := sv.IRCtx(ctx, g)
 	if err != nil {
 		return nil, nil, err
@@ -49,9 +49,7 @@ func (l *Ladder) heuristicRung(ctx context.Context, sv *core.Solver, g *dag.Grap
 		}
 	}
 
-	opts := schedule.DefaultOptions()
-	opts.MaxRepairs = l.cfg.MaxRepairs
-	realized, err := schedule.RealizeCtx(ctx, ir, sched, schedule.Down, opts)
+	realized, err := schedule.RealizeCtx(ctx, ir, sched, schedule.Down, schedule.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}

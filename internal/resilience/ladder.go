@@ -1,18 +1,26 @@
-// Package resilience implements the fallback ladder of DESIGN.md §10: a
+// Package resilience implements the degradation ladder of DESIGN.md §10: a
 // solve request descends through progressively simpler, more robust modes
 // until one produces a cap-respecting schedule.
 //
 //	LP (sparse revised simplex) → slack-aware heuristic → static
 //
-// Numerical rescue of the LP itself happens inside lp.Solve (a cold
-// re-solve without presolve); a *lp.NumericalError reaching the ladder has
-// already had it. Each rung gets a bounded slice of the request's remaining
-// deadline, a small retry budget with exponential backoff for numerical
-// failures, and a circuit breaker so a persistently broken rung is skipped
-// without burning its slice. Any result produced below the top rung is
-// tagged Degraded with a machine-readable reason chain, and is validated on
-// the simulator through internal/schedule's realization/repair loop before
-// being returned — the ladder never serves a cap-violating schedule.
+// The top rung runs whichever LP the request names: decomposed at iteration
+// boundaries, one LP over the whole graph, or the windowed (optionally
+// coarsened) decomposition. Numerical rescue of the LP itself happens
+// inside lp.Solve (a cold re-solve without presolve); a *lp.NumericalError
+// reaching the ladder has already had it. Each rung gets a bounded slice of
+// the request's remaining deadline, a small retry budget with exponential
+// backoff for numerical failures, and a circuit breaker so a persistently
+// broken rung is skipped without burning its slice. Any result produced
+// below the top rung is tagged Degraded with a machine-readable reason
+// chain, and is validated on the simulator through internal/schedule's
+// realization/repair loop before being returned — the ladder never serves a
+// cap-violating schedule.
+//
+// Every call names an Entry: the rung to start at and which deadline-slice
+// table to use. The service's overload brownout (internal/adapt) is an
+// entry, not a second ladder: under pressure it selects the brownout table,
+// and at its deepest rung it enters at RungHeuristic.
 package resilience
 
 import (
@@ -35,8 +43,8 @@ import (
 type Rung int
 
 const (
-	// RungSparse is the normal path: the fixed-vertex-order LP on the
-	// sparse revised simplex kernel.
+	// RungSparse is the normal path: the fixed-vertex-order LP the call
+	// names (see LP) on the sparse revised simplex kernel.
 	RungSparse Rung = iota
 	// RungHeuristic builds a slack-aware discrete schedule without an LP:
 	// off-critical tasks at their frontier floor, critical tasks at their
@@ -63,39 +71,60 @@ func (r Rung) String() string {
 	}
 }
 
-// Rungs lists the ladder top to bottom.
-func Rungs() []Rung {
-	return []Rung{RungSparse, RungHeuristic, RungStatic}
-}
-
 // Config tunes the ladder. The zero value selects the defaults noted on
 // each field.
 type Config struct {
-	// Retries is how many extra attempts a rung gets after a numerical
-	// failure before the ladder descends (default 1).
-	Retries int
-	// BackoffBase and BackoffMax bound the exponential backoff between
-	// retries (defaults 1ms and 50ms).
+	// BackoffBase is the first retry's backoff; later retries double it up
+	// to backoffMax (default 1ms).
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// JitterSeed seeds the deterministic backoff jitter.
-	JitterSeed uint64
 	// BreakerThreshold is the consecutive-failure count that trips a rung's
 	// circuit breaker (default 3); BreakerCooldown how long it stays open
 	// before a half-open probe (default 5s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// MaxRepairs bounds the realization repair loop for validated rungs
-	// (0 = the natural bound, the sum of frontier sizes).
-	MaxRepairs int
-	// DeadlineFracs gives each rung's slice as a fraction of the request's
-	// *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
-	// parent deadline through unchanged. Zero selects the defaults
-	// {0.5, 0.75, 1.0}: early rungs may not starve later ones, and the last
-	// rung gets whatever is left.
-	DeadlineFracs [numRungs]float64
 	// Sleep replaces time.Sleep between retries (tests); nil = time.Sleep.
 	Sleep func(time.Duration)
+}
+
+const (
+	// retries is how many extra attempts a rung gets after a numerical
+	// failure before the ladder descends.
+	retries = 1
+	// backoffMax caps the exponential backoff between retries.
+	backoffMax = 50 * time.Millisecond
+)
+
+// Deadline-slice tables: each rung's slice as a fraction of the request's
+// *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
+// parent deadline through unchanged. Early rungs may not starve later
+// ones, and the last rung gets whatever is left. Under brownout the early
+// slices tighten, keeping more of the request budget for the fallbacks.
+var (
+	defaultFracs  = [numRungs]float64{0.5, 0.75, 1.0}
+	brownoutFracs = [numRungs]float64{0.3, 0.6, 1.0}
+)
+
+// LP names the solve the top rung runs. The zero value is the
+// fixed-vertex-order LP decomposed at iteration boundaries.
+type LP struct {
+	// Whole solves one LP over the entire graph instead of decomposing at
+	// iteration boundaries.
+	Whole bool
+	// Windowed, when set, solves by the windowed (optionally coarsened)
+	// decomposition instead of a monolithic LP; Whole is then ignored.
+	Windowed *core.WindowedOptions
+}
+
+// Entry is where one call enters the ladder. The zero value starts at the
+// top rung with the default deadline-slice table.
+type Entry struct {
+	// Rung is the first rung tried. Rungs above it are skipped, their
+	// breakers neither consulted nor charged, and the reason chain of a
+	// call entered below the top starts with "brownout:".
+	Rung Rung
+	// Brownout selects the brownout deadline-slice table {0.3, 0.6, 1.0}
+	// in place of the default {0.5, 0.75, 1.0}.
+	Brownout bool
 }
 
 // Outcome is a ladder result: which rung produced the schedule and whether
@@ -104,6 +133,9 @@ type Outcome struct {
 	// Schedule is the accepted schedule. For sub-top rungs its MakespanS is
 	// the simulator-validated realized makespan.
 	Schedule *core.Schedule
+	// Windowed carries the decomposition's diagnostics when the top rung
+	// ran a windowed LP and served the result (nil otherwise).
+	Windowed *core.WindowedSchedule
 	// Realized is the simulator validation attached to every sub-top-rung
 	// result (nil for RungSparse, whose callers choose their own
 	// realization). Its CapViolationW is always 0.
@@ -119,71 +151,34 @@ type Outcome struct {
 	// retries among them.
 	Attempts int
 	Retries  int
-	// RungAttempts and RungRetries break Attempts/Retries down per rung in
-	// ladder order (sparse, heuristic, static) — the per-rung descent counts
-	// the flight recorder stores with each request.
+	// RungAttempts breaks Attempts down per rung in ladder order (sparse,
+	// heuristic, static) — the per-rung descent counts the flight recorder
+	// stores with each request.
 	RungAttempts [NumRungs]int
-	RungRetries  [NumRungs]int
 }
 
-// NumRungs is the ladder depth, exported for callers sizing DeadlineFracs
-// overrides.
+// NumRungs is the ladder depth, exported for callers sizing per-rung
+// counters.
 const NumRungs = int(numRungs)
 
-// Ladder executes the fallback ladder. Safe for concurrent use; breaker
+// Ladder executes the degradation ladder. Safe for concurrent use; breaker
 // state is shared across requests, which is the point.
 type Ladder struct {
 	cfg      Config
 	breakers [numRungs]*Breaker
 	jitter   atomic.Uint64
-	// fracs is the live per-rung deadline-slice table. It starts as
-	// cfg.DeadlineFracs and may be swapped at runtime by the adaptive
-	// control plane (SetDeadlineFracs) without disturbing in-flight
-	// solves, which read it once per rung.
-	fracs atomic.Pointer[[numRungs]float64]
 }
 
 // New returns a Ladder over cfg (zero-value fields get defaults).
 func New(cfg Config) *Ladder {
-	if cfg.Retries <= 0 {
-		cfg.Retries = 1
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = time.Millisecond
 	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 50 * time.Millisecond
-	}
-	var zero [numRungs]float64
-	if cfg.DeadlineFracs == zero {
-		cfg.DeadlineFracs = [numRungs]float64{0.5, 0.75, 1.0}
-	}
 	l := &Ladder{cfg: cfg}
-	fr := cfg.DeadlineFracs
-	l.fracs.Store(&fr)
 	for r := range l.breakers {
 		l.breakers[r] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 	}
 	return l
-}
-
-// SetDeadlineFracs swaps the live per-rung deadline-slice table. Entries
-// beyond NumRungs are ignored; missing or non-positive entries keep their
-// configured value. A nil slice restores the configured table.
-func (l *Ladder) SetDeadlineFracs(fracs []float64) {
-	next := l.cfg.DeadlineFracs
-	for i := 0; i < len(fracs) && i < NumRungs; i++ {
-		if fracs[i] > 0 {
-			next[i] = fracs[i]
-		}
-	}
-	l.fracs.Store(&next)
-}
-
-// DeadlineFracs returns a copy of the live deadline-slice table.
-func (l *Ladder) DeadlineFracs() []float64 {
-	cur := *l.fracs.Load()
-	return append([]float64(nil), cur[:]...)
 }
 
 // SetBreakerNotify installs fn to be called (outside any breaker lock, on
@@ -205,32 +200,41 @@ func (l *Ladder) BreakerStates() map[string]string {
 	return out
 }
 
-// Solve runs the ladder for one request. It returns an error only when the
+// Solve runs the ladder for one request: top names the LP the top rung
+// solves, at where the call enters. It returns an error only when the
 // problem itself is bad (infeasible cap, malformed graph), the parent
-// context dies, or every rung — including the static last resort — fails.
-func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool) (*Outcome, error) {
+// context dies, or every rung tried — including the static last resort —
+// fails.
+func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, at Entry) (*Outcome, error) {
 	ctx, span := obs.Start(ctx, "resilience.ladder")
 	defer span.End()
 	span.SetAttr("cap_w", capW)
 
+	fracs := &defaultFracs
+	if at.Brownout {
+		fracs = &brownoutFracs
+	}
 	out := &Outcome{}
 	var chain []string
 	var lastErr error
 
-	for rung := RungSparse; rung < numRungs; rung++ {
+	for rung := at.Rung; rung < numRungs; rung++ {
 		br := l.breakers[rung]
 		if !br.Allow() {
 			chain = append(chain, rung.String()+":breaker-open")
 			continue
 		}
-		rungCtx, cancel := l.rungContext(ctx, rung)
-		sched, realized, err := l.attempt(rungCtx, sv, g, capW, decompose, rung, br, out)
+		rungCtx, cancel := rungContext(ctx, fracs[rung])
+		err := l.attempt(rungCtx, sv, g, capW, top, rung, br, out)
 		cancel()
 		if err == nil {
-			out.Schedule, out.Realized, out.Rung = sched, realized, rung
+			out.Rung = rung
 			if rung > RungSparse {
 				out.Degraded = true
 				out.Reason = strings.Join(append(chain, rung.String()), "→")
+				if at.Rung > RungSparse {
+					out.Reason = "brownout:" + out.Reason
+				}
 			}
 			span.SetAttr("rung", rung.String())
 			span.SetAttr("attempts", out.Attempts)
@@ -251,93 +255,74 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 	return nil, fmt.Errorf("resilience: every rung failed (%s): %w", strings.Join(chain, "→"), lastErr)
 }
 
-// SolveHeuristic runs only the slack-aware heuristic rung — no LP at all.
-// It is the service's deepest brownout mode: the result is still
-// simulator-validated cap-clean, but it is always tagged Degraded so it is
-// never cached and never served to a `degraded=forbid` request. The rung's
-// circuit breaker is deliberately not consulted or charged: brownout
-// traffic must not perturb the failure accounting of the fallback path.
-func (l *Ladder) SolveHeuristic(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64) (*Outcome, error) {
-	ctx, span := obs.Start(ctx, "resilience.brownout")
-	defer span.End()
-	span.SetAttr("cap_w", capW)
-
-	sched, realized, err := l.heuristicRung(ctx, sv, g, capW, true)
-	if err != nil {
-		return nil, err
-	}
-	out := &Outcome{
-		Schedule: sched,
-		Realized: realized,
-		Rung:     RungHeuristic,
-		Degraded: true,
-		Reason:   "brownout:heuristic",
-		Attempts: 1,
-	}
-	out.RungAttempts[RungHeuristic] = 1
-	return out, nil
-}
-
-// attempt runs one rung with its retry budget. Numerical failures are
-// retried with backoff; anything else descends immediately.
-func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool, rung Rung, br *Breaker, out *Outcome) (*core.Schedule, *schedule.Realized, error) {
-	var lastErr error
+// attempt runs one rung with its retry budget, recording its result in
+// out. Numerical failures are retried with backoff; anything else descends
+// immediately.
+func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, rung Rung, br *Breaker, out *Outcome) error {
 	for try := 0; ; try++ {
 		out.Attempts++
 		out.RungAttempts[rung]++
 		actx, sp := obs.Start(ctx, "resilience."+rung.String())
 		sp.SetAttr("try", try)
 		sp.SetAttr("breaker", br.State())
-		sched, realized, err := l.runRung(actx, sv, g, capW, decompose, rung)
+		err := runRung(actx, sv, g, capW, top, rung, out)
 		sp.SetAttr("ok", err == nil)
 		sp.End()
 		if err == nil {
 			br.Success()
-			return sched, realized, nil
+			return nil
 		}
-		lastErr = err
 		if errors.Is(err, core.ErrInfeasible) || ctx.Err() != nil {
 			// Not the rung's fault (or no time left to retry on it):
 			// don't poison the breaker.
-			return nil, nil, err
+			return err
 		}
 		var ne *lp.NumericalError
-		if errors.As(err, &ne) && try < l.cfg.Retries {
+		if errors.As(err, &ne) && try < retries {
 			out.Retries++
-			out.RungRetries[rung]++
 			l.sleep(l.backoff(try))
 			continue
 		}
 		br.Failure()
-		return nil, nil, lastErr
+		return err
 	}
 }
 
-// runRung executes one ladder level. Sub-top rungs validate their schedule
+// runRung executes one ladder level, recording its schedule in out. The
+// top rung solves the LP top names; sub-top rungs validate their schedule
 // on the simulator via the Down realization (repairing any cap excess)
 // before returning it.
-func (l *Ladder) runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, decompose bool, rung Rung) (*core.Schedule, *schedule.Realized, error) {
+func runRung(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, rung Rung, out *Outcome) error {
 	switch rung {
 	case RungSparse:
-		solve := sv.SolveCtx
-		if decompose {
-			solve = sv.SolveIterationsCtx
+		if top.Windowed != nil {
+			ws, err := sv.SolveWindowedCtx(ctx, g, capW, *top.Windowed)
+			if err != nil {
+				return err
+			}
+			out.Schedule, out.Windowed = ws.Schedule, ws
+			return nil
+		}
+		solve := sv.SolveIterationsCtx
+		if top.Whole {
+			solve = sv.SolveCtx
 		}
 		sched, err := solve(ctx, g, capW)
-		return sched, nil, err
-	case RungHeuristic:
-		return l.heuristicRung(ctx, sv, g, capW, true)
-	case RungStatic:
-		return l.heuristicRung(ctx, sv, g, capW, false)
+		out.Schedule = sched
+		return err
+	case RungHeuristic, RungStatic:
+		sched, realized, err := heuristicRung(ctx, sv, g, capW, rung == RungHeuristic)
+		out.Schedule, out.Realized = sched, realized
+		return err
 	default:
-		return nil, nil, fmt.Errorf("resilience: unknown rung %v", rung)
+		return fmt.Errorf("resilience: unknown rung %v", rung)
 	}
 }
 
-// rungContext carves the rung's deadline slice out of the parent's
-// remaining time. Without a parent deadline the rung inherits ctx as-is.
-func (l *Ladder) rungContext(ctx context.Context, rung Rung) (context.Context, context.CancelFunc) {
-	frac := l.fracs.Load()[rung]
+// rungContext carves a rung's deadline slice, frac of the parent's
+// remaining time, out of ctx. Without a parent deadline the rung inherits
+// ctx as-is.
+func rungContext(ctx context.Context, frac float64) (context.Context, context.CancelFunc) {
 	deadline, ok := ctx.Deadline()
 	if !ok || frac >= 1 {
 		return context.WithCancel(ctx)
@@ -351,15 +336,15 @@ func (l *Ladder) rungContext(ctx context.Context, rung Rung) (context.Context, c
 }
 
 // backoff computes the delay before retry number try: exponential from
-// BackoffBase, capped at BackoffMax, plus a deterministic seeded jitter of
-// up to half the base step (decorrelates retry storms across concurrent
-// requests without nondeterministic randomness).
+// BackoffBase, capped at backoffMax, plus a deterministic jitter of up to
+// half the base step (decorrelates retry storms across concurrent requests
+// without nondeterministic randomness).
 func (l *Ladder) backoff(try int) time.Duration {
 	d := l.cfg.BackoffBase << uint(try)
-	if d > l.cfg.BackoffMax {
-		d = l.cfg.BackoffMax
+	if d > backoffMax {
+		d = backoffMax
 	}
-	x := l.cfg.JitterSeed + l.jitter.Add(1)
+	x := l.jitter.Add(1)
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

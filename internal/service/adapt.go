@@ -24,9 +24,9 @@ import (
 //     exactly as before, which is what keeps the disarmed path
 //     bit-identical);
 //   - the schedule-LRU capacity (cache.Resize);
-//   - the resilience ladder's per-rung deadline slices (SetDeadlineFracs
-//     on every pooled System);
-//   - the brownout rung consulted by handleSolve;
+//   - the brownout rung consulted by handleSolve, which rewrites the
+//     request and picks its entry into the degradation ladder
+//     (ladderEntry) from the State it loads, request by request;
 //   - the retry-budget token bucket's refill rate (the observed solve
 //     completion rate).
 //
@@ -64,8 +64,10 @@ func newAdaptRuntime(cfg adapt.Config) *adaptRuntime {
 	ctrl := adapt.New(cfg)
 	eff := ctrl.Config()
 	return &adaptRuntime{
-		ctrl:     ctrl,
-		bucket:   adapt.NewTokenBucket(eff.RetryBurst, 0),
+		ctrl: ctrl,
+		// The retry budget's burst is the admission capacity: a full
+		// queue's worth of retries may pass before the refill rate gates.
+		bucket:   adapt.NewTokenBucket(eff.Workers+eff.QueueDepth, 0),
 		loopStop: make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -205,12 +207,6 @@ func (s *Server) applyAdapt(st *adapt.State, sig adapt.Signals) {
 	s.cache.Resize(st.CacheSize)
 	s.applyParking(st)
 
-	// Ladder deadline slices, on every pooled System (systems created
-	// later pick the table up next epoch).
-	for _, sys := range s.pooledSystems() {
-		sys.Ladder().SetDeadlineFracs(st.DeadlineFracs)
-	}
-
 	// Retry budget refills at the observed completion rate.
 	if sig.EpochS > 0 {
 		s.adaptRT.bucket.SetRate(float64(sig.Solves) / sig.EpochS)
@@ -295,15 +291,14 @@ func (s *Server) noteCompletion() {
 	}
 }
 
+// maxRetryAfterS clamps the Retry-After hint on 429 responses.
+const maxRetryAfterS = 30
+
 // retryAfterSeconds estimates how long a rejected client should wait for
 // the queue ahead of it to drain: (queued+1) × inter-completion gap,
-// clamped to [1, max]. Before any completion has been observed it answers
-// the 1-second floor.
+// clamped to [1, maxRetryAfterS]. Before any completion has been observed
+// it answers the 1-second floor.
 func (s *Server) retryAfterSeconds() int {
-	maxS := 30
-	if rt := s.adaptRT; rt != nil {
-		maxS = rt.ctrl.Config().MaxRetryAfterS
-	}
 	gap := s.drainGapNS.Load()
 	if gap <= 0 {
 		return 1
@@ -312,8 +307,8 @@ func (s *Server) retryAfterSeconds() int {
 	if secs < 1 {
 		secs = 1
 	}
-	if secs > maxS {
-		secs = maxS
+	if secs > maxRetryAfterS {
+		secs = maxRetryAfterS
 	}
 	return secs
 }
@@ -415,13 +410,17 @@ func (p *brownoutPlan) apply(req *SolveRequest) {
 	}
 }
 
-// pooledSystems snapshots the System pool for epoch-time updates.
-func (s *Server) pooledSystems() []*powercap.System {
-	s.sysMu.Lock()
-	defer s.sysMu.Unlock()
-	out := make([]*powercap.System, 0, len(s.sysPool))
-	for _, sys := range s.sysPool {
-		out = append(out, sys)
+// ladderEntry derives where one solve enters the degradation ladder from
+// the published control state and the request's brownout plan: any rung
+// below full fidelity selects the brownout deadline-slice table (a
+// draining or disarmed daemon never does), and a heuristic plan enters at
+// the heuristic rung. Derived per request, so the table follows the state
+// the moment it is published — Drain's snap to full included.
+func ladderEntry(st *adapt.State, bo *brownoutPlan) powercap.ResilientEntry {
+	var at powercap.ResilientEntry
+	at.Brownout = st != nil && st.Rung > adapt.RungFull && !st.Draining
+	if bo != nil && bo.heuristic {
+		at.Rung = powercap.RungHeuristic
 	}
-	return out
+	return at
 }

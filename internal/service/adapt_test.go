@@ -59,16 +59,24 @@ func postWithHeaders(t *testing.T, url string, body any, hdr map[string]string) 
 	return resp, out
 }
 
+// TestBrownoutPlanGuardrails: each published state and request maps to a
+// brownout plan (the request rewrite) and a ladder entry. Any brownout
+// rung selects the brownout deadline slices — forbid requests and no-op
+// plans included, since they run under the same pressure; only a
+// heuristic plan enters below the top rung; a disarmed, full-fidelity or
+// draining state enters at the top on the default table.
 func TestBrownoutPlanGuardrails(t *testing.T) {
 	base := func(r adapt.Rung) *adapt.State {
 		return &adapt.State{Rung: r, CoarsenEps: 0.002, Windows: 4}
 	}
+	brownout := powercap.ResilientEntry{Brownout: true}
 	cases := []struct {
 		name   string
 		st     *adapt.State
 		policy string
 		req    SolveRequest
 		want   *brownoutPlan
+		entry  powercap.ResilientEntry
 	}{
 		{name: "controller off", st: nil, req: SolveRequest{Realize: "best"}, want: nil},
 		{name: "full fidelity", st: &adapt.State{Rung: adapt.RungFull}, req: SolveRequest{Realize: "best"}, want: nil},
@@ -78,36 +86,44 @@ func TestBrownoutPlanGuardrails(t *testing.T) {
 			want: nil},
 		{name: "degraded=forbid beats every rung",
 			st: base(adapt.RungHeuristic), policy: "forbid",
-			req:  SolveRequest{Realize: "best"},
-			want: nil},
+			req:   SolveRequest{Realize: "best"},
+			want:  nil,
+			entry: brownout},
 		{name: "realize-down downgrades an expensive strategy",
-			st:   base(adapt.RungRealizeDown),
-			req:  SolveRequest{Realize: "best"},
-			want: &brownoutPlan{rung: adapt.RungRealizeDown, realize: "down"}},
+			st:    base(adapt.RungRealizeDown),
+			req:   SolveRequest{Realize: "best"},
+			want:  &brownoutPlan{rung: adapt.RungRealizeDown, realize: "down"},
+			entry: brownout},
 		{name: "realize-down no-op when nothing to downgrade",
-			st:   base(adapt.RungRealizeDown),
-			req:  SolveRequest{},
-			want: nil},
+			st:    base(adapt.RungRealizeDown),
+			req:   SolveRequest{},
+			want:  nil,
+			entry: brownout},
 		{name: "realize-down no-op when already down",
-			st:   base(adapt.RungRealizeDown),
-			req:  SolveRequest{Realize: "down"},
-			want: nil},
+			st:    base(adapt.RungRealizeDown),
+			req:   SolveRequest{Realize: "down"},
+			want:  nil,
+			entry: brownout},
 		{name: "coarsen raises the epsilon",
-			st:   base(adapt.RungCoarsen),
-			req:  SolveRequest{},
-			want: &brownoutPlan{rung: adapt.RungCoarsen, coarsenEps: 0.002}},
+			st:    base(adapt.RungCoarsen),
+			req:   SolveRequest{},
+			want:  &brownoutPlan{rung: adapt.RungCoarsen, coarsenEps: 0.002},
+			entry: brownout},
 		{name: "coarsen never lowers a client epsilon",
-			st:   base(adapt.RungCoarsen),
-			req:  SolveRequest{CoarsenEps: 0.005},
-			want: nil},
+			st:    base(adapt.RungCoarsen),
+			req:   SolveRequest{CoarsenEps: 0.005},
+			want:  nil,
+			entry: brownout},
 		{name: "windowed adds the decomposition",
-			st:   base(adapt.RungWindowed),
-			req:  SolveRequest{},
-			want: &brownoutPlan{rung: adapt.RungWindowed, coarsenEps: 0.002, windows: 4}},
+			st:    base(adapt.RungWindowed),
+			req:   SolveRequest{},
+			want:  &brownoutPlan{rung: adapt.RungWindowed, coarsenEps: 0.002, windows: 4},
+			entry: brownout},
 		{name: "heuristic rung",
-			st:   base(adapt.RungHeuristic),
-			req:  SolveRequest{},
-			want: &brownoutPlan{rung: adapt.RungHeuristic, coarsenEps: 0.002, windows: 4, heuristic: true}},
+			st:    base(adapt.RungHeuristic),
+			req:   SolveRequest{},
+			want:  &brownoutPlan{rung: adapt.RungHeuristic, coarsenEps: 0.002, windows: 4, heuristic: true},
+			entry: powercap.ResilientEntry{Rung: powercap.RungHeuristic, Brownout: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,6 +134,9 @@ func TestBrownoutPlanGuardrails(t *testing.T) {
 				t.Fatalf("plan = %+v, want %+v", got, tc.want)
 			case *got != *tc.want:
 				t.Fatalf("plan = %+v, want %+v", *got, *tc.want)
+			}
+			if at := ladderEntry(tc.st, got); at != tc.entry {
+				t.Fatalf("ladder entry = %+v, want %+v", at, tc.entry)
 			}
 		})
 	}
@@ -195,6 +214,33 @@ func TestBrownoutForbidPrecedence(t *testing.T) {
 	}
 }
 
+// TestBrownoutTableOnFreshSystem: the deadline-slice table follows the
+// published state request by request, with no epoch in between — even on
+// a System pooled mid-brownout. A slow-solve fault that outlasts the
+// brownout table's top-rung slice (0.3 of the deadline) but not the
+// default one (0.5) degrades the solve under brownout only.
+func TestBrownoutTableOnFreshSystem(t *testing.T) {
+	s, base := adaptServer(t, Config{Workers: 2})
+	faultinject.Configure(37, map[faultinject.Class]float64{faultinject.SlowSolve: 1.0})
+	faultinject.SetSlowDelay(800 * time.Millisecond)
+	defer faultinject.Disable()
+	req := SolveRequest{Workload: fastWL, CapPerSocketW: 50, Whole: true, TimeoutMS: 2000}
+
+	s.adaptState.Store(&adapt.State{Rung: adapt.RungRealizeDown})
+	code, resp := solveJSON(t, base+"/v1/solve", req)
+	if code != http.StatusOK || resp.DegradedReason != "sparse:deadline→heuristic" {
+		t.Fatalf("first solve under brownout: status %d reason %q, want 200 with the 0.6 s top slice expired",
+			code, resp.DegradedReason)
+	}
+
+	s.adaptState.Store(&adapt.State{Rung: adapt.RungFull})
+	code, resp = solveJSON(t, base+"/v1/solve", req)
+	if code != http.StatusOK || resp.Degraded {
+		t.Fatalf("solve after recovery: status %d degraded %v (%s), want the 1 s top slice to outlast the delay",
+			code, resp.Degraded, resp.DegradedReason)
+	}
+}
+
 func TestRetryAfterOnQueueFull(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	// Occupy every admission token so the next solve is rejected.
@@ -219,8 +265,8 @@ func TestRetryAfterOnQueueFull(t *testing.T) {
 }
 
 func TestRetryBudgetGate(t *testing.T) {
-	cfg := Config{Workers: 2}
-	cfg.Adapt = adapt.Config{Enabled: true, RetryBurst: 2}
+	cfg := Config{Workers: 1, QueueDepth: 1}
+	cfg.Adapt = adapt.Config{Enabled: true}
 	s, ts := newTestServer(t, cfg)
 
 	// Warm the cache so budgeted retries are cheap hits.
@@ -229,9 +275,9 @@ func TestRetryBudgetGate(t *testing.T) {
 		t.Fatal("warmup failed")
 	}
 
-	// The bucket holds RetryBurst tokens and refills at the observed solve
-	// completion rate — zero until an epoch ticks, so exactly two declared
-	// retries pass and the third is shed.
+	// The bucket holds Workers+QueueDepth = 2 tokens and refills at the
+	// observed solve completion rate — zero until an epoch ticks, so
+	// exactly two declared retries pass and the third is shed.
 	hdr := map[string]string{"X-Retry-Attempt": "1"}
 	for i := 0; i < 2; i++ {
 		if resp, body := postWithHeaders(t, ts.URL+"/v1/solve", req, hdr); resp.StatusCode != http.StatusOK {
@@ -350,6 +396,10 @@ func TestDrainCheckpointSnapsUp(t *testing.T) {
 	st := s.adaptState.Load()
 	if st.Rung != adapt.RungFull || !st.Draining {
 		t.Fatalf("post-drain state rung %v draining %v, want full/true", st.Rung, st.Draining)
+	}
+	// The brownout deadline slices end with the published drain state.
+	if at := ladderEntry(st, nil); at != (powercap.ResilientEntry{}) {
+		t.Fatalf("post-drain ladder entry %+v, want the top rung on the default table", at)
 	}
 	if pq, ps := s.parkedQueue.Load(), s.parkedSem.Load(); pq != 0 || ps != 0 {
 		t.Fatalf("parked queue %d sem %d after drain, want 0 and 0", pq, ps)

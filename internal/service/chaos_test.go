@@ -148,6 +148,12 @@ func TestChaosSoak(t *testing.T) {
 			t.Fatalf("post-soak cap %g still degraded: %s", c, resp.DegradedReason)
 		}
 	}
+	// Every cap above may be an LRU hit, which never reaches the ladder. A
+	// cap the soak never asked for misses the cache and probes the sparse
+	// breaker, closing it if the soak left it open.
+	if code, resp := solveJSON(t, ts.URL+"/v1/solve", req(57.5)); code != http.StatusOK || resp.Degraded {
+		t.Fatalf("post-soak probe at 57.5 W/socket: status %d degraded %v (%s)", code, resp.Degraded, resp.DegradedReason)
+	}
 	br := s.breakerStates()
 	if br["sparse"] != "closed" {
 		t.Fatalf("sparse breaker %q after recovery solves", br["sparse"])

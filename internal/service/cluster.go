@@ -46,7 +46,7 @@ type ClusterRequest struct {
 	Jobs             []ClusterJobSpec `json:"jobs"`
 	BudgetW          float64          `json:"budget_w,omitempty"`
 	BudgetPerSocketW float64          `json:"budget_per_socket_w,omitempty"`
-	// Policy is uniform, proportional, market, or auction ("" = market).
+	// Policy is uniform, proportional, or market ("" = market).
 	Policy string `json:"policy,omitempty"`
 	// ToleranceSecPerW, MaxIterations: market convergence controls
 	// (0 = allocator defaults).

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -233,12 +234,13 @@ func TestClusterBadRequests(t *testing.T) {
 	}
 }
 
-// TestClusterPolicies: every policy answers through the endpoint, and the
-// market total never exceeds the uniform total on the heterogeneous pair.
+// TestClusterPolicies: every policy answers through the endpoint, the
+// market total never exceeds the uniform total on the heterogeneous pair,
+// and a retired policy name is a 400 that names the accepted ones.
 func TestClusterPolicies(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	totals := map[string]float64{}
-	for _, pol := range []string{"uniform", "proportional", "market", "auction"} {
+	for _, pol := range []string{"uniform", "proportional", "market"} {
 		code, body := postJSON(t, ts.URL+"/v1/cluster", clusterReq(pol))
 		if code != http.StatusOK {
 			t.Fatalf("%s: %d (%s)", pol, code, body)
@@ -254,5 +256,9 @@ func TestClusterPolicies(t *testing.T) {
 	}
 	if totals["market"] > totals["uniform"]*(1+1e-9) {
 		t.Errorf("market total %.6f worse than uniform %.6f", totals["market"], totals["uniform"])
+	}
+	code, body := postJSON(t, ts.URL+"/v1/cluster", clusterReq("auction"))
+	if code != http.StatusBadRequest || !strings.Contains(string(body), "[uniform proportional market]") {
+		t.Errorf("auction policy: status %d (%s), want 400 naming the three policies", code, body)
 	}
 }

@@ -612,12 +612,13 @@ type SolveRequest struct {
 	// simulator; the ?realize= query parameter sets the same field. The
 	// strategy is part of the cache key.
 	Realize string `json:"realize,omitempty"`
-	// Windows > 1 (or CoarsenEps > 0) routes the solve through the windowed
-	// large-trace decomposition (overlapping event windows, speculative
-	// parallel solves, warm-started commits) instead of the monolithic LP;
-	// the ?windows= and ?coarsen_eps= query parameters set the same fields.
-	// Both are part of the cache key — a windowed schedule is a different
-	// (upper-bounding) artifact than the monolithic one.
+	// Windows > 1 (or CoarsenEps > 0) makes the degradation ladder's LP rung
+	// solve the windowed large-trace decomposition (overlapping event
+	// windows, speculative parallel solves, warm-started commits) instead
+	// of the monolithic LP; the ?windows= and ?coarsen_eps= query
+	// parameters set the same fields. Both are part of the cache key — a
+	// windowed schedule is a different (upper-bounding) artifact than the
+	// monolithic one.
 	Windows    int     `json:"windows,omitempty"`
 	CoarsenEps float64 `json:"coarsen_eps,omitempty"`
 	TimeoutMS  float64 `json:"timeout_ms,omitempty"`
@@ -785,7 +786,8 @@ type SolveResponse struct {
 	// own simulator certification).
 	Realized *RealizedJSON `json:"realized,omitempty"`
 	// Windowed reports the decomposition diagnostics when the request asked
-	// for a windowed solve (windows > 1 or coarsen_eps > 0).
+	// for a windowed solve (windows > 1 or coarsen_eps > 0) and the LP rung
+	// served it (a degraded answer carries none).
 	Windowed *WindowedJSON `json:"windowed,omitempty"`
 
 	// Degraded marks a schedule produced below the fallback ladder's top
@@ -910,7 +912,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// a full-fidelity result already in the LRU is always preferred over
 	// a browned solve, and a browned flight runs under a rung-scoped key
 	// with cacheable=false — brownout results never enter the cache and
-	// never coalesce with full-fidelity flights.
+	// never coalesce with full-fidelity flights. Whatever the rewrite, the
+	// solve runs through the one degradation ladder, entered where the
+	// published state says.
 	adaptSt := s.adaptState.Load()
 	bo := brownoutFor(adaptSt, degradedPolicy, &req)
 	breq := req
@@ -923,6 +927,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			flightKey = key + "|brownout=" + bo.rung.String()
 		}
 	}
+	at := ladderEntry(adaptSt, bo)
 
 	fn := func() (any, bool, error) {
 		if adaptSt != nil && adaptSt.Shedding {
@@ -933,11 +938,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return nil, false, err
 			}
 		}
-		out, err := s.solveWorker(ctx, sys, g, jobCap, &breq, bo != nil && bo.heuristic)
+		out, err := s.solveWorker(ctx, sys, g, jobCap, &breq, at)
 		if err != nil && errors.Is(err, errSolvePanic) {
 			// The panic is already contained and counted; the request gets
 			// one clean retry before failing.
-			out, err = s.solveWorker(ctx, sys, g, jobCap, &breq, bo != nil && bo.heuristic)
+			out, err = s.solveWorker(ctx, sys, g, jobCap, &breq, at)
 		}
 		if err != nil {
 			return nil, false, err
@@ -1049,11 +1054,13 @@ func (s *Server) inlineTrace(r *http.Request) *obs.Document {
 	}
 }
 
-// solveWorker runs one resilient solve on a worker slot. A panic anywhere in
-// the solve path is recovered here — counted, turned into errSolvePanic, and
+// solveWorker runs one resilient solve on a worker slot: the LP the
+// request names (iteration-decomposed, whole, or windowed/coarsened) on the
+// degradation ladder's top rung, entered at at. A panic anywhere in the
+// solve path is recovered here — counted, turned into errSolvePanic, and
 // the worker slot released cleanly — so a poisoned request can never take
 // the daemon (or a pooled worker) down with it.
-func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *powercap.Graph, jobCap float64, req *SolveRequest, heuristic bool) (out *solveOutcome, err error) {
+func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *powercap.Graph, jobCap float64, req *SolveRequest, at powercap.ResilientEntry) (out *solveOutcome, err error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -1075,33 +1082,16 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 		panic("faultinject: worker panic")
 	}
 
-	t0 := time.Now()
-	if heuristic {
-		// Deepest brownout rung: the slack-aware heuristic alone, no LP.
-		// Breaker state is neither consulted nor charged — a brownout is a
-		// capacity decision, not a backend failure.
-		res, serr := sys.HeuristicOutcomeCtx(ctx, g, jobCap)
-		s.metrics.SolveLatency.Observe(time.Since(t0))
-		if serr != nil {
-			return nil, serr
-		}
-		s.metrics.Solves.Add(1)
-		s.metrics.Degraded.Add(1)
-		s.metrics.FallbackHeuristic.Add(1)
-		out = &solveOutcome{
-			sched:    res.Schedule,
-			realized: res.Realized,
-			degraded: true,
-			rung:     res.Rung.String(),
-			reason:   res.Reason,
-		}
-		out.rungAttempts = rungAttempts32(res.RungAttempts)
-		return out, nil
-	}
+	top := powercap.ResilientLP{Whole: req.Whole}
 	if req.Windows > 1 || req.CoarsenEps > 0 {
-		return s.solveWindowed(ctx, sys, g, jobCap, req, t0)
+		top.Windowed = &powercap.WindowedOptions{
+			Windows:       req.Windows,
+			OverlapEvents: -1,
+			CoarsenEps:    req.CoarsenEps,
+		}
 	}
-	res, serr := sys.UpperBoundResilientCtx(ctx, g, jobCap, req.Whole)
+	t0 := time.Now()
+	res, serr := sys.UpperBoundResilientCtx(ctx, g, jobCap, top, at)
 	s.metrics.SolveLatency.Observe(time.Since(t0))
 	if serr != nil {
 		if errors.Is(serr, powercap.ErrInfeasible) {
@@ -1114,6 +1104,7 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	out = &solveOutcome{
 		sched:    res.Schedule,
 		realized: res.Realized,
+		windowed: res.Windowed,
 		degraded: res.Degraded,
 		rung:     res.Rung.String(),
 		reason:   res.Reason,
@@ -1129,6 +1120,17 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 	s.metrics.Solves.Add(1)
 	s.metrics.SolveRetries.Add(uint64(res.Retries))
 	s.countLPStats(res.Schedule.Stats)
+	if ws := res.Windowed; ws != nil {
+		s.metrics.WindowedSolves.Add(1)
+		s.metrics.WindowsSolved.Add(uint64(ws.Windows))
+		s.metrics.WindowWarmStartHits.Add(uint64(ws.WarmStartHits))
+		s.metrics.WindowCommitSolves.Add(uint64(ws.CommitSolves))
+		s.metrics.WindowEscalations.Add(uint64(ws.Escalations))
+		s.metrics.WindowSeamViolationW.StoreMax(ws.SeamViolationW)
+		if ws.SimMakespanS > 0 {
+			s.metrics.WindowStitchGapPct.StoreMax((ws.MakespanS/ws.SimMakespanS - 1) * 100)
+		}
+	}
 	if res.Degraded {
 		s.metrics.Degraded.Add(1)
 		switch res.Rung {
@@ -1138,49 +1140,6 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 			s.metrics.FallbackStatic.Add(1)
 		}
 	}
-	return out, nil
-}
-
-// solveWindowed runs the windowed large-trace decomposition for a request
-// with windows > 1 or coarsen_eps > 0. The windowed path carries its own
-// escalation ladder (infeasible windows widen toward the monolithic
-// formulation), so it bypasses the resilience ladder; its per-window spans
-// (window.build, window.solve, window.stitch) feed the stage-latency
-// histograms like any other pipeline stage.
-func (s *Server) solveWindowed(ctx context.Context, sys *powercap.System, g *powercap.Graph, jobCap float64, req *SolveRequest, t0 time.Time) (*solveOutcome, error) {
-	ws, serr := sys.SolveWindowedCtx(ctx, g, jobCap, powercap.WindowedOptions{
-		Windows:       req.Windows,
-		OverlapEvents: -1,
-		CoarsenEps:    req.CoarsenEps,
-	})
-	s.metrics.SolveLatency.Observe(time.Since(t0))
-	if serr != nil {
-		if errors.Is(serr, powercap.ErrInfeasible) {
-			s.metrics.Solves.Add(1)
-			s.metrics.Infeasible.Add(1)
-			return &solveOutcome{infeasible: true}, nil
-		}
-		return nil, serr
-	}
-	out := &solveOutcome{sched: ws.Schedule, windowed: ws}
-	if req.Realize != "" {
-		var rerr error
-		out.realized, rerr = sys.RealizeScheduleCtx(ctx, g, ws.Schedule, req.Realize)
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	s.metrics.Solves.Add(1)
-	s.metrics.WindowedSolves.Add(1)
-	s.metrics.WindowsSolved.Add(uint64(ws.Windows))
-	s.metrics.WindowWarmStartHits.Add(uint64(ws.WarmStartHits))
-	s.metrics.WindowCommitSolves.Add(uint64(ws.CommitSolves))
-	s.metrics.WindowEscalations.Add(uint64(ws.Escalations))
-	s.metrics.WindowSeamViolationW.StoreMax(ws.SeamViolationW)
-	if ws.SimMakespanS > 0 {
-		s.metrics.WindowStitchGapPct.StoreMax((ws.MakespanS/ws.SimMakespanS - 1) * 100)
-	}
-	s.countLPStats(ws.Stats)
 	return out, nil
 }
 

@@ -214,8 +214,8 @@ type System struct {
 	// Conductor's configuration-exploration phase and excluded from
 	// policy comparisons (the paper discards three).
 	ExploreIters int
-	// Resilience tunes the fallback ladder behind UpperBoundResilient
-	// (zero value = defaults). Like Model and EffScale, it must not be
+	// Resilience tunes the degradation ladder behind
+	// UpperBoundResilientCtx (zero value = defaults). Like Model and EffScale, it must not be
 	// mutated after the first resilient solve.
 	Resilience ResilienceConfig
 
