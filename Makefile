@@ -87,9 +87,10 @@ scale-smoke:
 	$(GO) test -run TestScaleExhibitSmoke -count=1 -v ./cmd/experiments/
 
 # Cluster power market smoke: race-detected allocator tests (policy
-# properties, convergence, floors, degradation), then one real /v1/cluster
-# allocation against a spawned pcschedd — convergence, budget feasibility,
-# per-job cache seeding, cluster metrics, clean shutdown.
+# properties, the exact equal-marginal split, floors, degradation), then one
+# real /v1/cluster allocation against a spawned pcschedd — the response and
+# /metrics schema, budget feasibility, per-job cache seeding, clean
+# shutdown.
 market-smoke:
 	$(GO) test -race -count=1 ./internal/market/
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
@@ -99,8 +100,8 @@ market-smoke:
 # presolve round-trip, pricing, degenerate-cycling guards, and the rescue's
 # one-extra-solve bound), then through internal/core the golden objectives
 # in both kernel configurations (presolved and the rescue's), the warm
-# CapSession probes and the sweeps that run on them, and the windowed
-# numerical-rescue regressions.
+# CapSession probes, the curve walks checked against them, the sweeps that
+# run on them, and the windowed numerical-rescue regressions.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
 	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
@@ -116,12 +117,15 @@ twin-smoke:
 	$(GO) test -run TestTwinSmoke -count=1 -v ./cmd/pcschedd/
 
 # Bounded fuzz sessions over the trace parser, the canonical DAG digest
-# (the content-addressing the schedule cache rests on), and the Markowitz
-# sparse LU factorization (factor → FTRAN/BTRAN vs dense LU). Seeds are
-# checked in via f.Add; 5s each keeps the gate fast while still exploring.
+# (the content-addressing the schedule cache rests on), the Markowitz
+# sparse LU factorization (factor → FTRAN/BTRAN vs dense LU), and the
+# parametric right-hand-side walk (walked objective vs point solves). Seeds
+# are checked in via f.Add; 5s each keeps the gate fast while still
+# exploring.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 5s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzDigest -fuzztime 5s ./internal/dag/
 	$(GO) test -run xxx -fuzz FuzzLU -fuzztime 5s ./internal/lp/basis/
+	$(GO) test -run xxx -fuzz FuzzParametric -fuzztime 5s ./internal/lp/
 
 check: fmt-check vet build race bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

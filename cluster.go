@@ -2,10 +2,10 @@ package powercap
 
 // Cluster power market facade. The paper's motivating setting — "total
 // machine power will be divided across multiple simultaneous jobs" — is
-// served by internal/market: each job's whole-graph LP becomes a
-// re-solvable power–time curve (core.CapSession), and AllocateCluster
-// splits one site-wide budget across the jobs under a pluggable policy.
-// See DESIGN.md §13.
+// served by internal/market: each job's whole-graph LP is walked once along
+// the cap axis into its exact power–time curve (core.CapSession.Curve), and
+// AllocateCluster splits one site-wide budget across the jobs on those
+// curves under a pluggable policy. See DESIGN.md §13.
 
 import (
 	"context"
@@ -21,15 +21,12 @@ type (
 	// PolicyProportional, or PolicyMarket.
 	ClusterPolicy = market.Policy
 	// ClusterAllocation is a solved cluster split: per-job caps and
-	// schedules, the summed makespan the market minimizes, and the
-	// iteration/convergence trace.
+	// schedules, the summed makespan the market minimizes, and the curve
+	// pieces it granted.
 	ClusterAllocation = market.Allocation
 	// ClusterJobAllocation is one job's slice of the budget.
 	ClusterJobAllocation = market.JobAllocation
-	// ClusterTransfer is one recorded market transfer.
-	ClusterTransfer = market.Transfer
-	// ClusterOptions tunes AllocateCluster (policy, convergence tolerance,
-	// iteration cap, floor-bisection resolution, minimum transfer).
+	// ClusterOptions tunes AllocateCluster: its one field is the policy.
 	ClusterOptions = market.Options
 	// BudgetError reports a site budget below the sum of per-job
 	// feasibility floors, naming each binding job (errors.As target).
@@ -44,8 +41,8 @@ const (
 	// PolicyProportional splits in proportion to each job's saturation
 	// demand.
 	PolicyProportional = market.Proportional
-	// PolicyMarket equalizes the marginal value of power across jobs by
-	// iterative watt transfers; never worse than PolicyUniform.
+	// PolicyMarket equalizes the marginal value of power across jobs: the
+	// exact split of the summed curves, so never worse than PolicyUniform.
 	PolicyMarket = market.Market
 )
 
@@ -53,8 +50,8 @@ const (
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }
 
 // CapSession is a re-solvable whole-graph LP for cap-only changes: built
-// once, re-aimed at arbitrary caps with dual-simplex warm starts. It is the
-// probe the cluster market uses on each job's power–time curve; it
+// once, re-aimed at arbitrary caps with dual-simplex warm starts, or walked
+// along the cap axis into the job's whole power–time curve (Curve). It
 // implements market.Session and is NOT safe for concurrent use.
 type CapSession = core.CapSession
 
@@ -76,15 +73,15 @@ type ClusterJob struct {
 }
 
 // AllocateCluster divides one site-wide power budget across jobs. Each
-// job's whole-graph LP is built once; the allocator then probes its
-// power–time curve at adaptively chosen caps with dual-simplex warm starts
-// (floor and demand bisection, then the policy's split — for PolicyMarket,
-// iterative flat→steep watt transfers until marginal values equalize
-// within tolerance or floors bind). model nil means DefaultModel. A budget
+// job's whole-graph LP is built once and walked into its exact power–time
+// curve (floor, demand and every breakpoint); the policy splits the budget
+// on the curves — for PolicyMarket, curve pieces granted steepest first
+// from the floors up — and each job is then solved once at its cap, the
+// solve checked against its curve. model nil means DefaultModel. A budget
 // below the sum of per-job feasibility floors fails with a *BudgetError
-// naming the binding jobs; a job whose solver breaks down mid-allocation is
-// frozen at its last-good cap and marked Degraded instead of failing the
-// cluster. Jobs in the result are in input order.
+// naming the binding jobs; a job whose final solve fails or disagrees with
+// its curve keeps its cap and its curve's values and is marked Degraded
+// instead of failing the cluster. Jobs in the result are in input order.
 func AllocateCluster(ctx context.Context, jobs []ClusterJob, budgetW float64, model *Model, opts ClusterOptions) (*ClusterAllocation, error) {
 	if model == nil {
 		model = DefaultModel()

@@ -123,7 +123,6 @@ func TestMarketExhibitSmoke(t *testing.T) {
 		scale:      0.2,
 		mixes:      []string{"het-bt-sp"},
 		budgetFrac: 0.4,
-		tolSecPerW: 1e-3,
 	}
 	if err := runMarketSized(cfg, sz); err != nil {
 		t.Fatal(err)

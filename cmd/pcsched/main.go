@@ -24,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -221,15 +222,19 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 // daemon-less path to the cluster power market. With -json the result is
 // emitted in the /v1/cluster response schema (minus the daemon-only
 // request_id/cache fields), so consumers can switch between CLI and
-// service freely; otherwise a per-job table plus the allocation trace
-// summary is printed.
+// service freely; otherwise a per-job table plus the allocation summary
+// is printed.
 func runCluster(path string, jsonOut bool, stdout io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	// Strict, as the daemon decodes /v1/cluster: a misspelled or retired
+	// field is an error, not a silently ignored key.
 	var req service.ClusterRequest
-	if err := json.Unmarshal(data, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	ctx := context.Background()
@@ -272,15 +277,9 @@ func runCluster(path string, jsonOut bool, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-16s%-10s%9.1f%10.1f%11.1f%10.3f%14.5f%s\n",
 			j.Name, j.Workload, j.CapW, j.FloorW, j.DemandW, j.MakespanS, j.MarginalSecPerW, mark)
 	}
-	accepted := 0
-	for _, tr := range resp.Transfers {
-		if tr.Accepted {
-			accepted++
-		}
-	}
 	fmt.Fprintf(stdout, "\ntotal %.3f s, slowest job %.3f s\n", resp.TotalMakespanS, resp.MaxMakespanS)
-	fmt.Fprintf(stdout, "%d iterations (%d/%d transfers accepted), %.1f W moved, marginal spread %.5f s/W, converged=%v\n",
-		resp.Iterations, accepted, len(resp.Transfers), resp.MovedW, resp.FinalSpreadSecPerW, resp.Converged)
+	fmt.Fprintf(stdout, "%d curve pieces granted, %.1f W moved from the uniform split\n",
+		resp.Iterations, resp.MovedW)
 	if resp.Stats != nil {
 		fmt.Fprintf(stdout, "%d LP solves (%d warm starts, %d simplex + %d dual pivots)\n",
 			resp.Solves, resp.Stats.WarmStarts, resp.Stats.SimplexPivots, resp.Stats.DualPivots)

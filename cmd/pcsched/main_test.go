@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"powercap"
 	"powercap/internal/obs"
 	"powercap/internal/service"
 )
@@ -222,6 +225,70 @@ func TestSweepRuns(t *testing.T) {
 	for _, cap := range []string{"60.0", "55.0", "50.0"} {
 		if !strings.Contains(out.String(), cap) {
 			t.Errorf("missing row for cap %s:\n%s", cap, out.String())
+		}
+	}
+}
+
+// clusterRequestJSON is a small heterogeneous /v1/cluster request.
+const clusterRequestJSON = `{
+	"jobs": [
+		{"name": "comd-0", "workload": {"name": "CoMD", "ranks": 2, "iters": 3, "seed": 1, "scale": 0.1}},
+		{"name": "sp-0", "workload": {"name": "SP", "ranks": 2, "iters": 3, "seed": 2, "scale": 0.15}}
+	],
+	"budget_w": 130,
+	"policy": "market"%s
+}`
+
+// TestClusterJSONMatchesService: `pcsched -cluster FILE -json` emits
+// exactly the response the service's renderer builds for the same request.
+func TestClusterJSONMatchesService(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cluster.json")
+	if err := os.WriteFile(path, []byte(fmt.Sprintf(clusterRequestJSON, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if err := run([]string{"-cluster", path, "-json"}, &out, &errs); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errs.String())
+	}
+
+	var req service.ClusterRequest
+	if err := json.Unmarshal([]byte(fmt.Sprintf(clusterRequestJSON, "")), &req); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	jobs, names, budget, opts, err := service.ResolveCluster(ctx, &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := powercap.AllocateCluster(ctx, jobs, budget, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(service.NewClusterResponse(jobs, names, budget, opts, alloc, nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != want.String() {
+		t.Errorf("CLI and service renderer disagree:\ncli: %s\nsvc: %s", out.String(), want.String())
+	}
+}
+
+// TestClusterRejectsUnknownField: the request file is decoded as strictly
+// as the daemon decodes /v1/cluster — a retired or misspelled field is an
+// error naming the field, not a silently ignored key.
+func TestClusterRejectsUnknownField(t *testing.T) {
+	for _, field := range []string{"tolerance_s_per_w", "budgetw"} {
+		path := filepath.Join(t.TempDir(), "cluster.json")
+		body := fmt.Sprintf(clusterRequestJSON, fmt.Sprintf(",\n\t%q: 1", field))
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errs bytes.Buffer
+		err := run([]string{"-cluster", path}, &out, &errs)
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: got %v, want an error naming the field", field, err)
 		}
 	}
 }

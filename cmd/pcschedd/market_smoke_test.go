@@ -16,10 +16,12 @@ import (
 
 // TestMarketSmoke drives the cluster power market end-to-end against a real
 // daemon: build pcschedd, start it on a random port, fire one /v1/cluster
-// allocation (market policy, heterogeneous pair), assert convergence and
-// budget feasibility, verify the per-job schedule cache seeding with a
-// follow-up /v1/solve at a granted cap, check the pcschedd_cluster_*
-// /metrics counters, then SIGTERM and require a clean exit. This is the
+// allocation (market policy, heterogeneous pair), assert the response
+// schema (curve pieces granted in one walk and one solve per job, no
+// retired convergence fields) and budget feasibility, verify the per-job
+// schedule cache seeding with a follow-up /v1/solve at a granted cap, check
+// the pcschedd_cluster_* /metrics counters (and that the retired ones are
+// gone), then SIGTERM and require a clean exit. This is the
 // `make market-smoke` daemon half; the allocator properties themselves are
 // covered race-detected in internal/market.
 func TestMarketSmoke(t *testing.T) {
@@ -79,8 +81,9 @@ func TestMarketSmoke(t *testing.T) {
 		t.Fatalf("cluster: status %d (%s)", code, body)
 	}
 	var resp struct {
-		Converged bool `json:"converged"`
-		Jobs      []struct {
+		Iterations int `json:"iterations"`
+		Solves     int `json:"solves"`
+		Jobs       []struct {
 			Name        string  `json:"name"`
 			CapW        float64 `json:"cap_w"`
 			ScheduleKey string  `json:"schedule_key"`
@@ -90,8 +93,13 @@ func TestMarketSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatalf("decoding cluster response: %v (%s)", err, body)
 	}
-	if !resp.Converged {
-		t.Errorf("market did not converge: %s", body)
+	if resp.Iterations == 0 || resp.Solves != 4 {
+		t.Errorf("want curve pieces granted in 4 solves (a walk and a final solve per job): %s", body)
+	}
+	for _, retired := range []string{`"converged"`, `"final_spread_s_per_w"`, `"transfers"`} {
+		if strings.Contains(body, retired) {
+			t.Errorf("response still carries the retired field %s: %s", retired, body)
+		}
 	}
 	var sum float64
 	for _, j := range resp.Jobs {
@@ -128,13 +136,16 @@ func TestMarketSmoke(t *testing.T) {
 	for name, want := range map[string]float64{
 		"pcschedd_cluster_allocations_total":    1,
 		"pcschedd_cluster_jobs_allocated_total": 2,
-		"pcschedd_cluster_converged_total":      1,
-		"pcschedd_cluster_iterations_count":     1,
 		"pcschedd_cluster_degraded_jobs_total":  0,
 		"pcschedd_cluster_infeasible_total":     0,
 	} {
 		if got := m[name]; got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	for _, retired := range []string{"pcschedd_cluster_converged_total", "pcschedd_cluster_iterations_count"} {
+		if _, ok := m[retired]; ok {
+			t.Errorf("/metrics still exports the retired %s", retired)
 		}
 	}
 	if m["pcschedd_cluster_moved_watts_total"] <= 0 {

@@ -2,8 +2,9 @@
 // marginal information a power-aware job scheduler needs when deciding
 // which job should receive the next watt (the paper's motivating setting:
 // "total machine power will be divided across multiple simultaneous jobs").
-// The sweep itself is powercap.MarginalCurve; the cluster-level allocator
-// that acts on these prices is powercap.AllocateCluster.
+// The curve itself is powercap.MarginalCurve, one parametric walk per job;
+// the cluster-level allocator that acts on these prices is
+// powercap.AllocateCluster.
 //
 // Run with:
 //

@@ -24,13 +24,15 @@ type taskLPVars struct {
 	cs   []lp.Var
 }
 
-// powerRow records one event-power constraint: its row index in the LP and
+// powerRow records one event-power constraint: its row index in the LP,
 // the fixed power already deducted from the cap on its right-hand side
-// (rhs = capW − deduct).
+// (rhs = capW − deduct), and the most the event can draw (the deduction
+// plus every active tunable task at its highest-power configuration).
 type powerRow struct {
-	row    int
-	deduct float64
-	vertex int
+	row      int
+	deduct   float64
+	vertex   int
+	maxDrawW float64
 }
 
 // builtLP is a fixed-vertex-order LP built once per graph. The power cap
@@ -135,12 +137,15 @@ func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVa
 	floorVertex = -1
 	for vi := range ir.G.Vertices {
 		var expr lp.Expr
-		deduct := 0.0
+		deduct, tunableMaxW := 0.0, 0.0
 		for _, tid := range ir.Active[vi] {
 			if v, ok := tv[tid]; ok {
+				top := 0.0
 				for k := range v.cs {
 					expr = expr.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
+					top = max(top, v.cols.F.Pts[k].PowerW)
 				}
+				tunableMaxW += top
 			} else {
 				deduct += ir.FixedPowerW[tid]
 			}
@@ -153,9 +158,10 @@ func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVa
 			continue
 		}
 		rows = append(rows, powerRow{
-			row:    prob.NumConstraints(),
-			deduct: deduct,
-			vertex: vi,
+			row:      prob.NumConstraints(),
+			deduct:   deduct,
+			vertex:   vi,
+			maxDrawW: deduct + tunableMaxW,
 		})
 		prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
 	}

@@ -89,6 +89,11 @@ type Schedule struct {
 	// MakespanS is the LP objective vM: the theoretical lower bound on
 	// time to solution under PC (and thus the upper bound on performance).
 	MakespanS float64
+	// Objective is the optimal value of the solved program: MakespanS plus
+	// the power tiebreak term (see Solver.PowerTiebreak). Unlike the
+	// makespan of a degenerate optimum it is unique, so it is what a
+	// schedule is checked against on the job's Curve.
+	Objective float64
 	// Choices is indexed by dag.TaskID; message and zero-work tasks have
 	// an empty Mix.
 	Choices []TaskChoice
@@ -125,7 +130,7 @@ type Stats struct {
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
-	Rescues          int     // solves rescued by a cold unpresolved re-solve
+	Rescues          int     // solves rescued by a cold unpresolved re-solve, and curve-walk restarts
 	BlandActivations int     // anti-cycling fallback engagements
 	PresolveRows     int     // rows eliminated by presolve
 	PresolveCols     int     // columns eliminated by presolve
@@ -346,6 +351,7 @@ func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompos
 				}
 				sched.IterationMakespans = append(sched.IterationMakespans, sub.MakespanS)
 				sched.MakespanS += sub.MakespanS
+				sched.Objective += sub.Objective
 				sched.MarginalSecPerW += sub.MarginalSecPerW
 				sched.Stats.Add(sub.Stats)
 			}

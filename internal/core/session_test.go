@@ -91,3 +91,121 @@ func TestCapSessionCancel(t *testing.T) {
 		t.Fatalf("canceled solve: got %v, want context.Canceled in chain", err)
 	}
 }
+
+// Curve is the exact power–time curve. On the six workload proxies, on
+// het-zipf's ill-conditioned synthetic job, and
+// on het-4mix's seed-4 BT job (a zero-width piece near 148.3995 W): the
+// curve is convex and flat above its demand, its floor is the exact
+// feasibility edge, and at sampled caps its interpolated objective and
+// makespan match point solves within 1e-9 relative and its slope equals
+// the point solve's shadow price within 1e-9 s/W.
+//
+// The synthetic job is the exception in tolerance only. Its matrix spreads
+// row norms by 2^18, and point solves of it disagree among themselves: at
+// a saturating 288.7 W the presolved, the scaled-only and the unpresolved
+// kernel return objectives 5.7e-9 relative apart. It is held to 1e-8
+// relative, and its slopes to 1e-7 s/W.
+func TestCapSessionCurve(t *testing.T) {
+	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
+	type job struct {
+		name          string
+		w             *workloads.Workload
+		tol, slopeTol float64
+	}
+	var jobs []job
+	for _, name := range workloads.Names() {
+		w, err := workloads.ByName(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{name, w, 1e-9, 1e-9})
+	}
+	zipf, err := workloads.Mix("het-zipf", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, job{"het-zipf/zipf-0", zipf[2].Workload, 1e-8, 1e-7})
+	mix4, err := workloads.Mix("het-4mix", workloads.Params{Ranks: 4, Iterations: 3, Seed: 4, WorkScale: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, job{"het-4mix/bt-0", mix4[1].Workload, 1e-9, 1e-9})
+
+	for _, j := range jobs {
+		t.Run(j.name, func(t *testing.T) {
+			ctx := context.Background()
+			s := NewSolver(machine.Default(), j.w.EffScale)
+			cs, err := s.NewCapSession(ctx, j.w.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cs.Curve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := cs.Stats(); st.Solves != 1 || st.DualIter == 0 {
+				t.Errorf("walk counted as %d solves with %d dual pivots, want 1 solve of dual pivots", st.Solves, st.DualIter)
+			}
+			pts := c.Points
+			if len(pts) < 2 || pts[0].CapW != c.FloorW || c.DemandW <= c.FloorW || c.DemandW > pts[len(pts)-1].CapW {
+				t.Fatalf("floor %g, demand %g over %d points", c.FloorW, c.DemandW, len(pts))
+			}
+			for k := 1; k < len(pts); k++ {
+				a, b := pts[k-1], pts[k]
+				if b.CapW-a.CapW <= 1e-9*b.CapW {
+					t.Errorf("zero-width piece [%.12g, %.12g] W kept", a.CapW, b.CapW)
+				}
+				if b.SlopeSecPerW < a.SlopeSecPerW-j.slopeTol {
+					t.Errorf("not convex at %g W: slope %g after %g", b.CapW, b.SlopeSecPerW, a.SlopeSecPerW)
+				}
+				if a.CapW >= c.DemandW && (a.SlopeSecPerW != 0 || math.Abs(b.Objective-a.Objective) > j.tol*a.Objective) {
+					t.Errorf("not flat above the demand %g W: piece at %g W has slope %g", c.DemandW, a.CapW, a.SlopeSecPerW)
+				}
+			}
+
+			point := func(capW float64) (*Schedule, error) {
+				return NewSolver(machine.Default(), j.w.EffScale).Solve(j.w.Graph, capW)
+			}
+			if _, err := point(c.FloorW - 1e-6); !errors.Is(err, ErrInfeasible) {
+				t.Errorf("1e-6 W below the floor %.9f W: got %v, want infeasible", c.FloorW, err)
+			}
+			if _, err := point(c.FloorW + 1e-6); err != nil {
+				t.Errorf("1e-6 W above the floor %.9f W: %v", c.FloorW, err)
+			}
+
+			// Midpoints of 24 pieces spread over the curve, on one warm
+			// session, from the top down.
+			var caps []float64
+			step := max(1, (len(pts)-1)/24)
+			for k := len(pts) - 2; k >= 0; k -= step {
+				caps = append(caps, (pts[k].CapW+pts[k+1].CapW)/2)
+			}
+			if j.name == "het-4mix/bt-0" {
+				caps = append(caps, 148.3995+1e-4, 148.3995-1e-4)
+			}
+			probe, err := s.NewCapSession(ctx, j.w.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, capW := range caps {
+				sched, err := probe.SolveAt(ctx, capW)
+				if err != nil {
+					t.Fatalf("point solve at %g W: %v", capW, err)
+				}
+				obj, mk, slope, ok := c.At(capW)
+				if !ok {
+					t.Fatalf("curve says %g W is below its floor", capW)
+				}
+				if math.Abs(obj-sched.Objective) > j.tol*sched.Objective {
+					t.Errorf("%g W: curve objective %.12g, point solve %.12g", capW, obj, sched.Objective)
+				}
+				if math.Abs(mk-sched.MakespanS) > j.tol*sched.MakespanS {
+					t.Errorf("%g W: curve makespan %.12g, point solve %.12g", capW, mk, sched.MakespanS)
+				}
+				if math.Abs(slope-sched.MarginalSecPerW) > j.slopeTol {
+					t.Errorf("%g W: curve slope %.12g, point solve shadow price %.12g", capW, slope, sched.MarginalSecPerW)
+				}
+			}
+		})
+	}
+}

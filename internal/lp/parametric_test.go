@@ -1,0 +1,374 @@
+package lp
+
+import (
+	"math"
+	"testing"
+)
+
+// decodeWalkLP turns fuzz bytes into a small LP and a walk over it: the
+// variable and row counts, the walked-row mask and the shift limit, then
+// costs and rows, one signed byte per number in quarters. Short input reads
+// as zeros. A last row, Σx ≤ 100, keeps small coefficients from demanding
+// huge values.
+func decodeWalkLP(data []byte) (p *Problem, rows []int, maxShift float64) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	num := func() float64 { return float64(int8(next())) / 4 }
+	n := 1 + int(next()%5)
+	m := 1 + int(next()%5)
+	mask := next()
+	maxShift = float64(next()) / 8
+	p = NewProblem(Minimize)
+	vars := make([]Var, n)
+	for j := range vars {
+		vars[j] = p.AddVar("", num())
+	}
+	for i := 0; i < m; i++ {
+		rel := Rel(next() % 3)
+		rhs := num()
+		var e Expr
+		for _, v := range vars {
+			e = e.Plus(v, num())
+		}
+		p.MustConstraint("", e, rel, rhs)
+		if mask&(1<<i) != 0 {
+			rows = append(rows, i)
+		}
+	}
+	var box Expr
+	for _, v := range vars {
+		box = box.Plus(v, 1)
+	}
+	p.MustConstraint("box", box, LE, 100)
+	return p, rows, maxShift
+}
+
+// encodeWalkLP is decodeWalkLP's inverse for hand-written seeds: costs and
+// rows in quarters, each row as rel, rhs, coefficients.
+func encodeWalkLP(mask byte, maxShift8 byte, costs []int8, rows [][]int8) []byte {
+	out := []byte{byte(len(costs) - 1), byte(len(rows) - 1), mask, maxShift8}
+	for _, c := range costs {
+		out = append(out, byte(c))
+	}
+	for _, r := range rows {
+		for _, v := range r {
+			out = append(out, byte(v))
+		}
+	}
+	return out
+}
+
+// shifted returns a copy of p with the walked rows lowered by t.
+func shifted(p *Problem, rows []int, t float64) *Problem {
+	q := p.Clone()
+	for _, r := range rows {
+		q.rows[r].rhs = p.rows[r].rhs - t
+	}
+	return q
+}
+
+// interpolate evaluates the path at shift t: the objective and the
+// recorded values, linear between the breakpoints around t.
+func interpolate(path *Path, t float64) (float64, []float64) {
+	bps := path.Breakpoints
+	k := 0
+	for k+1 < len(bps) && bps[k+1].Shift < t {
+		k++
+	}
+	if k+1 == len(bps) {
+		return bps[k].Objective, bps[k].Values
+	}
+	a, b := bps[k], bps[k+1]
+	u := (t - a.Shift) / (b.Shift - a.Shift)
+	vals := make([]float64, len(a.Values))
+	for i := range vals {
+		vals[i] = a.Values[i] + u*(b.Values[i]-a.Values[i])
+	}
+	return a.Objective + u*(b.Objective-a.Objective), vals
+}
+
+// FuzzParametric checks the walk against point solves on small LPs: the
+// walk's verdict at shift 0 is Solve's; at sampled shifts the interpolated
+// objective equals Solve's within 1e-9 and the interpolated point is
+// feasible with that objective; and point solves just inside and just past
+// the walk's infeasibility point bracket it.
+func FuzzParametric(f *testing.F) {
+	// Beale's cycling instance, its columns rescaled onto the quarter grid
+	// (x1 = 4y1, x2 = y2/10, x3 = 25y3), walking its two degenerate rows.
+	f.Add(encodeWalkLP(0b011, 40, []int8{-12, 60, -2, 24}, [][]int8{
+		{int8(LE), 0, 4, -24, -4, 36},
+		{int8(LE), 0, 8, -36, -2, 12},
+		{int8(LE), 4, 0, 0, 100, 0},
+	}))
+	// Three rows tight at the starting vertex of a two-variable program:
+	// the walk takes a zero-step pivot — a piece of zero width, which
+	// records no breakpoint — before its one piece to the infeasibility
+	// point at shift 5.
+	f.Add(encodeWalkLP(0b100, 80, []int8{-8, -4}, [][]int8{
+		{int8(LE), 20, 4, 4},
+		{int8(LE), 20, 4, 8},
+		{int8(LE), 20, 4, 0},
+	}))
+	// Mixed relations with one walked ≥ row, which rises as the shift grows.
+	f.Add(encodeWalkLP(0b101, 255, []int8{4, 8, -2}, [][]int8{
+		{int8(GE), -8, -4, 0, 4},
+		{int8(LE), 40, 4, 4, 4},
+		{int8(LE), 20, 0, 4, 8},
+	}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, rows, maxShift := decodeWalkLP(data)
+		if nearlyParallelRows(p) {
+			t.Skip("nearly parallel rows: no 1e-9 reference exists")
+		}
+		vars := make([]Var, p.NumVars())
+		for j := range vars {
+			vars[j] = Var(j)
+		}
+		path, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000))
+		if err != nil {
+			t.Fatalf("walk: %v\n%s", err, p)
+		}
+		ref, err := Solve(p, WithMaxIters(5000))
+		if err != nil {
+			t.Fatalf("solve at shift 0: %v", err)
+		}
+		if ref.Status == IterLimit {
+			t.Skip("reference solve hit its pivot budget")
+		}
+		if path.Status != ref.Status {
+			if (path.Status == Infeasible || ref.Status == Infeasible) && leastViolation(t, p) < 1e-4 {
+				t.Skip("feasible only within tolerance: the verdict may go either way")
+			}
+			t.Fatalf("walk status %v, Solve %v at shift 0\n%s", path.Status, ref.Status, p)
+		}
+		if path.Status != Optimal {
+			return
+		}
+		bps := path.Breakpoints
+		if len(bps) == 0 || bps[0].Shift != 0 {
+			t.Fatalf("path does not start at shift 0: %+v", bps)
+		}
+		end := bps[len(bps)-1].Shift
+		// An unscaled walk of the same program is a second opinion: where
+		// the two end apart, the program is too ill-conditioned for any
+		// 1e-9 reference.
+		alt, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000), WithoutPresolve())
+		if err != nil || alt.Status != Optimal || alt.InfeasibleBeyond != path.InfeasibleBeyond ||
+			math.Abs(alt.Breakpoints[len(alt.Breakpoints)-1].Shift-end) > 1e-6*math.Max(1, end) {
+			t.Skip("ill-conditioned: the scaled and unscaled walks disagree")
+		}
+		// Pivots round basic values within the kernel's 1e-7 feasibility
+		// tolerance to zero, which can move the objective that much per
+		// unit cost at a breakpoint.
+		rounding := 0.0
+		for _, c := range p.obj {
+			rounding += 1e-7 * math.Abs(c)
+		}
+		narrow := false
+		for k := 1; k < len(bps); k++ {
+			a, b := bps[k-1], bps[k]
+			if b.Shift <= a.Shift {
+				t.Fatalf("breakpoint shifts not increasing: %g after %g", b.Shift, a.Shift)
+			}
+			narrow = narrow || b.Shift-a.Shift < 1e-7
+			scale := math.Max(1, math.Max(math.Abs(a.Objective), math.Abs(b.Objective)))
+			if d := b.Objective - a.Objective - a.Slope*(b.Shift-a.Shift); math.Abs(d) > 1e-9*scale+rounding {
+				t.Fatalf("piece [%g, %g]: objective moves %g, slope %g predicts %g", a.Shift, b.Shift, b.Objective-a.Objective, a.Slope, a.Slope*(b.Shift-a.Shift))
+			}
+		}
+		if last := bps[len(bps)-1]; last.Slope != 0 {
+			t.Fatalf("last breakpoint carries slope %g", last.Slope)
+		}
+		if !path.InfeasibleBeyond && end != maxShift {
+			t.Fatalf("walk stopped feasible at shift %g, before its limit %g", end, maxShift)
+		}
+		if narrow {
+			t.Skip("a piece narrower than the feasibility tolerance has no 1e-9 reference")
+		}
+
+		// Sample each piece's midpoint and both ends, and a few even shifts.
+		var ts []float64
+		for k, bp := range bps {
+			ts = append(ts, bp.Shift)
+			if k > 0 {
+				ts = append(ts, (bp.Shift+bps[k-1].Shift)/2)
+			}
+		}
+		for i := 0; i <= 8; i++ {
+			ts = append(ts, end*float64(i)/8)
+		}
+		for _, s := range ts {
+			q := shifted(p, rows, s)
+			sol, err := Solve(q, WithMaxIters(5000))
+			if err != nil {
+				t.Fatalf("solve at shift %g: %v", s, err)
+			}
+			if sol.Status != Optimal {
+				t.Fatalf("shift %g inside the walked range: Solve says %v\n%s", s, sol.Status, q)
+			}
+			if violation(q, sol.X) > 1e-9 {
+				t.Skip("nearly parallel rows: the reference point is feasible only within tolerance")
+			}
+			// Within 1e-9 of the objective's magnitude before cancellation,
+			// where the kernel with and without presolve agree that far.
+			scale := 1.0
+			for j, c := range q.obj {
+				scale += math.Abs(c * sol.X[j])
+			}
+			if alt, err := Solve(q, WithMaxIters(5000), WithoutPresolve()); err != nil || alt.Status != Optimal ||
+				math.Abs(alt.Objective-sol.Objective) > 1e-9*scale {
+				t.Skip("ill-conditioned: the kernel with and without presolve disagree")
+			}
+			// Either point may hold basic values a little below zero,
+			// within the kernel's feasibility tolerance, that the other
+			// rounded or pivoted away; allow what they move.
+			obj, x := interpolate(path, s)
+			rounded := 0.0
+			for j, c := range q.obj {
+				rounded += math.Abs(c) * (math.Max(0, -x[j]) + math.Max(0, -sol.X[j]))
+			}
+			if d := math.Abs(obj - sol.Objective); d > 1e-9*scale+rounded {
+				t.Fatalf("shift %g: walked objective %.12g, Solve %.12g\n%s", s, obj, sol.Objective, q)
+			}
+			checkPoint(t, q, x, obj, s)
+		}
+
+		if path.InfeasibleBeyond {
+			// Just past the point no point solve may find a feasible
+			// point: Solve may answer "optimal" within its tolerance, but
+			// the point it returns must then violate a row beyond rounding.
+			q := shifted(p, rows, end+1e-3*math.Max(1, end))
+			sol, err := Solve(q, WithMaxIters(5000))
+			if err != nil {
+				t.Fatalf("solve past the infeasibility point: %v", err)
+			}
+			if sol.Status == Optimal && violation(q, sol.X) <= 1e-12 {
+				t.Fatalf("walk says infeasible beyond shift %g, but Solve finds a feasible point past it: %v\n%s", end, sol.X, p)
+			}
+		}
+	})
+}
+
+// nearlyParallelRows reports two nonzero rows of p, not counting the box
+// row, whose coefficient vectors are parallel to within 1e-3 in cosine
+// (about 2.5°). Such a pair makes the program ill-conditioned enough that
+// two correct simplex paths disagree beyond 1e-9.
+func nearlyParallelRows(p *Problem) bool {
+	dense := make([][]float64, len(p.rows)-1)
+	for i, r := range p.rows[:len(dense)] {
+		dense[i] = make([]float64, p.NumVars())
+		for _, term := range r.terms {
+			dense[i][term.Var] += term.Coef
+		}
+	}
+	for i := range dense {
+		for k := i + 1; k < len(dense); k++ {
+			dot, ni, nk := 0.0, 0.0, 0.0
+			for j := range dense[i] {
+				dot += dense[i][j] * dense[k][j]
+				ni += dense[i][j] * dense[i][j]
+				nk += dense[k][j] * dense[k][j]
+			}
+			if ni > 0 && nk > 0 && 1-math.Abs(dot)/math.Sqrt(ni*nk) < 1e-3 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// leastViolation solves the elastic version of q — every row may be
+// violated at a cost of one per unit — and returns the least total
+// violation: zero exactly when q is feasible.
+func leastViolation(t *testing.T, q *Problem) float64 {
+	t.Helper()
+	e := q.Clone()
+	for j := range e.obj {
+		e.obj[j] = 0
+	}
+	for i := range e.rows {
+		r := &e.rows[i]
+		if r.rel != GE {
+			r.terms = append(r.terms, Term{Var: e.AddVar("", 1), Coef: -1})
+		}
+		if r.rel != LE {
+			r.terms = append(r.terms, Term{Var: e.AddVar("", 1), Coef: 1})
+		}
+	}
+	sol, err := Solve(e, WithMaxIters(5000))
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("elastic solve: %v %v", err, sol)
+	}
+	return sol.Objective
+}
+
+// checkPoint requires the interpolated point x to be nonnegative, to attain
+// obj, and to satisfy q's rows within 1e-7 relative.
+func checkPoint(t *testing.T, q *Problem, x []float64, obj, shift float64) {
+	t.Helper()
+	got := 0.0
+	for j, c := range q.obj {
+		if x[j] < -1e-7 {
+			t.Fatalf("shift %g: interpolated x%d = %g < 0", shift, j, x[j])
+		}
+		got += c * x[j]
+	}
+	if math.Abs(got-obj) > 1e-9*math.Max(1, math.Abs(obj)) {
+		t.Fatalf("shift %g: interpolated point has objective %.12g, path %.12g", shift, got, obj)
+	}
+	if v := violation(q, x); v > 1e-7 {
+		t.Fatalf("shift %g: interpolated point violates a row by %g (relative)", shift, v)
+	}
+}
+
+// violation is the largest violation of x in q: of a row, relative to its
+// largest term or right-hand side, or of x ≥ 0.
+func violation(q *Problem, x []float64) float64 {
+	worst := 0.0
+	for _, v := range x {
+		worst = math.Max(worst, -v)
+	}
+	for _, r := range q.rows {
+		lhs, scale := 0.0, math.Max(1, math.Abs(r.rhs))
+		for _, term := range r.terms {
+			lhs += term.Coef * x[term.Var]
+			scale = math.Max(scale, math.Abs(term.Coef*x[term.Var]))
+		}
+		d := lhs - r.rhs
+		switch r.rel {
+		case LE:
+			d = math.Max(d, 0)
+		case GE:
+			d = math.Max(-d, 0)
+		default:
+			d = math.Abs(d)
+		}
+		worst = math.Max(worst, d/scale)
+	}
+	return worst
+}
+
+// The walk's argument checks.
+func TestParametricRejectsBadInput(t *testing.T) {
+	p := NewProblem(Minimize)
+	x := p.AddVar("x", 1)
+	p.MustConstraint("", Expr{}.Plus(x, 1), GE, 1)
+	for name, call := range map[string]func() error{
+		"row out of range": func() error { _, err := Parametric(p, []int{1}, nil, 1); return err },
+		"var out of range": func() error { _, err := Parametric(p, []int{0}, []Var{2}, 1); return err },
+		"negative limit":   func() error { _, err := Parametric(p, []int{0}, nil, -1); return err },
+		"infinite limit":   func() error { _, err := Parametric(p, []int{0}, nil, math.Inf(1)); return err },
+		"no rows":          func() error { _, err := Parametric(NewProblem(Minimize), nil, nil, 1); return err },
+	} {
+		if call() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

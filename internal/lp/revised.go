@@ -519,81 +519,17 @@ func (rv *revised) dual(iters *int) Status {
 		} else {
 			rv.pr.ensureFresh(rv)
 		}
-		for i := range rv.rho {
-			rv.rho[i] = 0
-		}
-		rv.rho[leave] = 1
-		rv.btran(rv.rho)
-
-		// Same Harris-style pivot-size protection as the primal loop: find
-		// the minimum ratio, then the largest |a_rj| among near-ties.
-		enter := -1
-		bestRatio := math.Inf(1)
-		rv.pr.rowCombine(f, rv.rho)
-		for _, j := range rv.pr.accCols {
-			if rv.isBasic[j] || rv.blocked[j] {
-				continue
-			}
-			arj := rv.pr.accVal[j]
-			if arj >= -epsPivot {
-				continue
-			}
-			d := rv.pr.d[j]
-			if d < 0 {
-				d = 0 // dual feasibility holds up to drift; clamp
-			}
-			if ratio := d / -arj; ratio < bestRatio {
-				bestRatio = ratio
-			}
-		}
-		bestA := 0.0
-		for _, j := range rv.pr.accCols {
-			if rv.isBasic[j] || rv.blocked[j] {
-				continue
-			}
-			arj := rv.pr.accVal[j]
-			if arj >= -epsPivot {
-				continue
-			}
-			d := rv.pr.d[j]
-			if d < 0 {
-				d = 0
-			}
-			if d/-arj <= bestRatio+epsReduced && -arj > bestA {
-				bestA = -arj
-				enter = j
-			}
-		}
+		enter := rv.dualRatioTest(leave)
 		if enter < 0 {
 			// The row demands Σ a_j x_j = xB[leave] < 0 with every usable
 			// coefficient ≥ 0: primal infeasible. (The decision depends only
 			// on the pivot row's signs, never on the maintained d[].)
 			return Infeasible
 		}
-
-		for i := range rv.alpha {
-			rv.alpha[i] = 0
-		}
-		f.scatterCol(enter, rv.alpha)
-		rv.ftran(rv.alpha)
-		if math.Abs(rv.alpha[leave]) <= epsPivot {
-			// The pivot row (BTRAN) and pivot column (FTRAN) disagree. On
-			// an update-laden factorization that is almost always
-			// accumulated update drift, which a reinversion genuinely
-			// repairs — rebuild and retry the iteration. Disagreement on a
-			// fresh factorization is a real breakdown.
-			if rv.eng.Updates() > 0 && rv.reinvert() {
-				continue
-			}
-			if rv.numReason == "" {
-				rv.numReason = "ftran/btran pivot mismatch"
-			}
-			return statusNumerical
-		}
-		leaveCol := rv.basis[leave]
-		rv.pivotUpdate(leave, enter)
-		rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
-		if !rv.refactorIfDue() {
+		switch rv.dualPivot(leave, enter) {
+		case pivotRetry:
+			continue
+		case pivotFailed:
 			return statusNumerical
 		}
 
@@ -612,6 +548,100 @@ func (rv *revised) dual(iters *int) Status {
 		lastInfeas = infeas
 	}
 	return IterLimit
+}
+
+// dualRatioTest picks the entering column of a dual simplex pivot on row
+// leave: it assembles the pivot row of B⁻¹A from ρ = B⁻ᵀe_leave and takes
+// the minimum ratio d_j/−α_rj over columns with α_rj < 0, then — the same
+// Harris-style pivot-size protection as the primal loop — the largest
+// |α_rj| among near-ties. The pricer's d[] must be fresh. It returns −1
+// when no column has a usable negative entry: no basic solution can raise
+// the row's basic variable, so the row cannot be made feasible.
+func (rv *revised) dualRatioTest(leave int) int {
+	for i := range rv.rho {
+		rv.rho[i] = 0
+	}
+	rv.rho[leave] = 1
+	rv.btran(rv.rho)
+
+	enter := -1
+	bestRatio := math.Inf(1)
+	rv.pr.rowCombine(rv.f, rv.rho)
+	for _, j := range rv.pr.accCols {
+		if rv.isBasic[j] || rv.blocked[j] {
+			continue
+		}
+		arj := rv.pr.accVal[j]
+		if arj >= -epsPivot {
+			continue
+		}
+		d := rv.pr.d[j]
+		if d < 0 {
+			d = 0 // dual feasibility holds up to drift; clamp
+		}
+		if ratio := d / -arj; ratio < bestRatio {
+			bestRatio = ratio
+		}
+	}
+	bestA := 0.0
+	for _, j := range rv.pr.accCols {
+		if rv.isBasic[j] || rv.blocked[j] {
+			continue
+		}
+		arj := rv.pr.accVal[j]
+		if arj >= -epsPivot {
+			continue
+		}
+		d := rv.pr.d[j]
+		if d < 0 {
+			d = 0
+		}
+		if d/-arj <= bestRatio+epsReduced && -arj > bestA {
+			bestA = -arj
+			enter = j
+		}
+	}
+	return enter
+}
+
+// Outcomes of dualPivot.
+const (
+	pivotDone   = iota // the pivot was applied
+	pivotRetry         // the factorization was rebuilt; redo the iteration
+	pivotFailed        // numerical breakdown, recorded in numReason
+)
+
+// dualPivot applies the dual simplex pivot (leave row, enter column) chosen
+// by dualRatioTest, whose pivot row the pricer still holds: FTRAN of the
+// entering column, the basis and reduced-cost updates, and a reinversion
+// when one is due.
+func (rv *revised) dualPivot(leave, enter int) int {
+	for i := range rv.alpha {
+		rv.alpha[i] = 0
+	}
+	rv.f.scatterCol(enter, rv.alpha)
+	rv.ftran(rv.alpha)
+	if math.Abs(rv.alpha[leave]) <= epsPivot {
+		// The pivot row (BTRAN) and pivot column (FTRAN) disagree. On an
+		// update-laden factorization that is almost always accumulated
+		// update drift, which a reinversion genuinely repairs — rebuild and
+		// retry the iteration. Disagreement on a fresh factorization is a
+		// real breakdown.
+		if rv.eng.Updates() > 0 && rv.reinvert() {
+			return pivotRetry
+		}
+		if rv.numReason == "" {
+			rv.numReason = "ftran/btran pivot mismatch"
+		}
+		return pivotFailed
+	}
+	leaveCol := rv.basis[leave]
+	rv.pivotUpdate(leave, enter)
+	rv.pr.applyPivot(enter, leaveCol, rv.alpha[leave])
+	if !rv.refactorIfDue() {
+		return pivotFailed
+	}
+	return pivotDone
 }
 
 // primalInfeasibility sums the magnitude of negative basic values.

@@ -1,27 +1,26 @@
 // Package market implements the cluster power market: a site-wide power
 // budget divided across N concurrent jobs, each an independent
-// fixed-vertex-order LP (internal/core) exposing its power–time curve and
-// its shadow price dT/dW. The paper's motivating setting is explicit —
-// "total machine power will be divided across multiple simultaneous jobs" —
-// and the LP duals are exactly the marginal information a divider needs:
-// a job on a steep region of its curve buys more time per watt than a job
-// on a flat one, so watts should flow from flat to steep until marginal
-// values equalize. That is the runtime power-shifting idea of Medhat et
-// al.'s "Power Redistribution for Optimizing Performance in MPI Clusters"
-// (and the paper's Conductor baseline), lifted from sockets within a job to
-// jobs within a cluster.
+// fixed-vertex-order LP (internal/core) exposing its power–time curve. The
+// paper's motivating setting is explicit — "total machine power will be
+// divided across multiple simultaneous jobs" — and the curve's slope dT/dW
+// is exactly the marginal information a divider needs: a job on a steep
+// region of its curve buys more time per watt than a job on a flat one, so
+// watts should flow from flat to steep until marginal values equalize. That
+// is the runtime power-shifting idea of Medhat et al.'s "Power
+// Redistribution for Optimizing Performance in MPI Clusters" (and the
+// paper's Conductor baseline), lifted from sockets within a job to jobs
+// within a cluster.
 //
-// Because each job's LP value function T_j(W) is convex and non-increasing
-// in the cap (the cap enters only constraint right-hand sides), minimizing
-// the cluster's total makespan Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and
-// per-job feasibility floors is a convex allocation problem whose KKT
-// condition is equal marginal value across all jobs not pinned at a bound.
-// The market policy reaches it by monotone improvement: repeated
-// donor→receiver watt transfers, each accepted only if the summed makespan
-// drops, with step halving on overshoot. Every probe of a job's curve is a
-// warm dual-simplex re-solve on that job's core.CapSession — the LP is
-// built once per job, and successive cap adjustments cost a handful of
-// pivots, not cold solves.
+// Each job's LP value function T_j(W) is convex, non-increasing and
+// piecewise linear in the cap (the cap enters only constraint right-hand
+// sides), and one parametric walk (core.CapSession.Curve) returns all of it:
+// the exact feasibility floor, the saturation demand, and every breakpoint.
+// Minimizing Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and the floors is then a
+// separable convex program whose optimum the market policy computes in
+// closed form: start every job at its floor and grant curve pieces in order
+// of steepest slope until the budget is spent — the equal-marginal (KKT)
+// split. One solve per job at its granted cap then produces the schedule
+// and checks it against the curve.
 package market
 
 import (
@@ -48,11 +47,10 @@ const (
 	// demand (the saturation cap beyond which extra watts stop buying
 	// time), clamped to floors.
 	Proportional Policy = "proportional"
-	// Market starts from the uniform split and iteratively moves watts
-	// from the job with the flattest power–time curve to the job with the
-	// steepest until marginal values equalize within tolerance or floors
-	// bind. Transfers are accepted only when the total makespan drops, so
-	// the market result is never worse than the uniform split.
+	// Market starts every job at its floor and grants curve pieces in
+	// order of steepest slope until the budget is spent: the exact
+	// equal-marginal split of the summed makespan, so never worse than
+	// uniform.
 	Market Policy = "market"
 )
 
@@ -73,13 +71,12 @@ func ParsePolicy(name string) (Policy, error) {
 	return "", fmt.Errorf("market: unknown policy %q (want one of %v)", name, Policies())
 }
 
-// Session is one job's re-solvable power–time curve: SolveAt probes the
-// curve at a cap (warm-started; ErrInfeasible below the feasibility floor),
-// FixedFloorW is a free lower bound on any feasible cap, and Stats reports
-// accumulated solver effort. core.CapSession implements it.
+// Session is one job's re-solvable LP: Curve walks its whole power–time
+// curve, SolveAt solves it at one cap, and Stats reports the accumulated
+// solver effort. core.CapSession implements it.
 type Session interface {
+	Curve(ctx context.Context) (*core.Curve, error)
 	SolveAt(ctx context.Context, capW float64) (*core.Schedule, error)
-	FixedFloorW() float64
 	Stats() core.Stats
 }
 
@@ -88,49 +85,14 @@ type Job struct {
 	// Name identifies the job in traces and errors; names must be unique
 	// within one Allocate call.
 	Name string
-	// Session solves the job's LP at a given cap.
+	// Session solves the job's LP.
 	Session Session
 }
 
-// Options tunes Allocate. The zero value uses the defaults documented per
-// field.
+// Options tunes Allocate.
 type Options struct {
 	// Policy selects the splitting strategy (default Market).
 	Policy Policy
-	// ToleranceSecPerW is the market's convergence tolerance: iteration
-	// stops once the spread between the steepest job's marginal value and
-	// the flattest donor's is at most this (default 1e-3 s/W).
-	ToleranceSecPerW float64
-	// MaxIterations bounds market iterations (default 64).
-	MaxIterations int
-	// FloorResolutionW is the bisection resolution for per-job feasibility
-	// floors; the reported floor is the feasible end of the final bracket,
-	// so every cap the allocator hands out is known-feasible (default 0.5).
-	FloorResolutionW float64
-	// MinTransferW is the smallest watt transfer the market attempts;
-	// once step halving drops below it, iteration stops (default 0.05).
-	MinTransferW float64
-}
-
-func (o Options) normalize() (Options, error) {
-	p, err := ParsePolicy(string(o.Policy))
-	if err != nil {
-		return o, err
-	}
-	o.Policy = p
-	if o.ToleranceSecPerW <= 0 {
-		o.ToleranceSecPerW = 1e-3
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 64
-	}
-	if o.FloorResolutionW <= 0 {
-		o.FloorResolutionW = 0.5
-	}
-	if o.MinTransferW <= 0 {
-		o.MinTransferW = 0.05
-	}
-	return o, nil
 }
 
 // BudgetError reports a budget below the sum of per-job feasibility floors:
@@ -142,7 +104,7 @@ type BudgetError struct {
 	Floors    []JobFloor
 }
 
-// JobFloor is one job's discovered minimum feasible power.
+// JobFloor is one job's minimum feasible power.
 type JobFloor struct {
 	Name   string
 	FloorW float64
@@ -162,12 +124,11 @@ type JobAllocation struct {
 	Name string
 	// CapW is the job-level power cap this job was granted.
 	CapW float64
-	// FloorW is the discovered minimum feasible power (bisection over
-	// ErrInfeasible, reported at the feasible end of the final bracket).
+	// FloorW is the exact minimum feasible power, from the job's curve.
 	FloorW float64
-	// DemandW is the saturation cap: the (bisected) smallest cap at which
-	// the job's marginal value is ≈ 0, i.e. the watts the job can actually
-	// convert into time.
+	// DemandW is the saturation cap: the highest breakpoint of the curve
+	// below which its slope is nonzero, i.e. the watts the job can
+	// actually convert into time.
 	DemandW float64
 	// MakespanS and MarginalSecPerW are the job's LP bound and shadow
 	// price at CapW.
@@ -175,25 +136,11 @@ type JobAllocation struct {
 	MarginalSecPerW float64
 	// Schedule is the full LP schedule at CapW.
 	Schedule *core.Schedule
-	// Degraded marks a job whose session broke down mid-allocation; its
-	// cap was frozen at the last successful solve and it was excluded from
-	// further trading. Reason carries the failure.
+	// Degraded marks a job whose final solve at CapW failed or disagreed
+	// with its curve. It keeps its cap, its makespan and shadow price are
+	// the curve's, it has no Schedule, and Reason carries the failure.
 	Degraded bool
 	Reason   string
-}
-
-// Transfer is one market iteration's attempted watt movement, recorded for
-// the allocation trace.
-type Transfer struct {
-	Iteration int
-	From, To  string
-	Watts     float64
-	// SpreadSecPerW is the marginal-value spread before the transfer.
-	SpreadSecPerW float64
-	// TotalMakespanS is the summed makespan after the transfer (after
-	// revert, when not accepted).
-	TotalMakespanS float64
-	Accepted       bool
 }
 
 // Allocation is a solved cluster split.
@@ -208,18 +155,14 @@ type Allocation struct {
 	// job, for operators who care about the batch tail.
 	TotalMakespanS float64
 	MaxMakespanS   float64
-	// Iterations counts market rounds (0 for uniform and proportional).
-	// Converged reports the market reached its marginal-spread tolerance;
-	// FinalSpreadSecPerW is the spread at termination.
-	Iterations         int
-	Converged          bool
-	FinalSpreadSecPerW float64
-	// MovedW is the accepted watt-volume redistributed away from the
-	// starting split. Transfers is the full trace.
-	MovedW    float64
-	Transfers []Transfer
-	// Solves counts LP re-solves across the whole allocation (floor and
-	// demand bisections included); Stats aggregates their solver effort.
+	// Iterations counts the curve pieces the market granted (0 for
+	// uniform and proportional).
+	Iterations int
+	// MovedW is the watt volume the split moved away from the uniform
+	// split: half the L1 distance between the two.
+	MovedW float64
+	// Solves counts LP solves across the whole allocation (a curve walk
+	// counts as one); Stats aggregates their solver effort.
 	Solves int
 	Stats  core.Stats
 }
@@ -227,34 +170,23 @@ type Allocation struct {
 // state is the allocator's per-job working record.
 type state struct {
 	job    Job
+	curve  *core.Curve
 	floorW float64
 	demand float64
 	capW   float64
-	sched  *core.Schedule // last successful solve at capW
-	bad    bool           // session broke down; frozen and excluded
+	sched  *core.Schedule // the final solve at capW
+	bad    bool           // final solve failed or disagreed with the curve
 	reason string
 	solves int
-}
-
-// m is the job's marginal value of power in s/W: how much total time one
-// more watt buys (non-negative; 0 once saturated).
-func (st *state) m() float64 {
-	if st.sched == nil {
-		return 0
-	}
-	if v := -st.sched.MarginalSecPerW; v > 0 {
-		return v
-	}
-	return 0
 }
 
 // Allocate divides budgetW across jobs under opts.Policy. Job names must be
 // non-empty and unique. The error is reserved for structural problems
 // (bad options, duplicate names, a *BudgetError budget below the floor sum,
-// cancellation, or a job failing before any successful solve); per-job
-// mid-allocation breakdowns degrade that job instead (JobAllocation.Degraded).
+// cancellation, or a job whose curve cannot be built); a job whose final
+// solve fails degrades instead (JobAllocation.Degraded).
 func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*Allocation, error) {
-	opts, err := opts.normalize()
+	policy, err := ParsePolicy(string(opts.Policy))
 	if err != nil {
 		return nil, err
 	}
@@ -280,21 +212,18 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 
 	actx, span := obs.Start(ctx, "market.allocate")
 	defer span.End()
-	span.SetAttr("policy", string(opts.Policy))
+	span.SetAttr("policy", string(policy))
 	span.SetAttr("jobs", len(jobs))
 	span.SetAttr("budget_w", budgetW)
 
-	a := &Allocation{Policy: opts.Policy, BudgetW: budgetW}
+	a := &Allocation{Policy: policy, BudgetW: budgetW}
 	sts := make([]*state, len(jobs))
 	for i, j := range jobs {
 		sts[i] = &state{job: j}
 	}
 
-	// Phase 1: discover each job's feasibility floor and saturation demand
-	// by bisection over its session. Every cap handed out later is at or
-	// above the floor's feasible end, so allocation probes cannot go
-	// infeasible except through numerical breakdown.
-	if err := discoverCurves(actx, sts, budgetW, opts); err != nil {
+	// Phase 1: each job's exact curve, floor and demand in one walk.
+	if err := buildCurves(actx, sts); err != nil {
 		return nil, err
 	}
 	var floorSum float64
@@ -316,25 +245,23 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	}
 
 	// Phase 2: the policy's split.
-	switch opts.Policy {
+	uniform := waterFill(sts, budgetW, equalWeight)
+	switch policy {
 	case Uniform:
-		assign(sts, waterFill(sts, budgetW, equalWeight))
+		assign(sts, uniform)
 	case Proportional:
 		assign(sts, waterFill(sts, budgetW, demandWeight))
 	case Market:
-		assign(sts, waterFill(sts, budgetW, equalWeight))
-		if err := solveAll(actx, sts); err != nil {
-			return nil, err
-		}
-		if err := runMarket(actx, a, sts, opts); err != nil {
-			return nil, err
-		}
+		a.Iterations = grantPieces(sts, budgetW)
 	}
+	for i, st := range sts {
+		a.MovedW += math.Max(st.capW-uniform[i], 0)
+	}
+
+	// Phase 3: one solve per job at its cap, checked against the curve.
 	if err := solveAll(actx, sts); err != nil {
 		return nil, err
 	}
-
-	// Phase 3: assemble.
 	for _, st := range sts {
 		ja := JobAllocation{
 			Name:     st.job.Name,
@@ -348,131 +275,39 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 			ja.MakespanS = st.sched.MakespanS
 			ja.MarginalSecPerW = st.sched.MarginalSecPerW
 			ja.Schedule = st.sched
-			a.TotalMakespanS += st.sched.MakespanS
-			if st.sched.MakespanS > a.MaxMakespanS {
-				a.MaxMakespanS = st.sched.MakespanS
-			}
+		} else {
+			_, ja.MakespanS, ja.MarginalSecPerW, _ = st.curve.At(st.capW)
 		}
+		a.TotalMakespanS += ja.MakespanS
+		a.MaxMakespanS = math.Max(a.MaxMakespanS, ja.MakespanS)
 		a.Jobs = append(a.Jobs, ja)
 		a.Solves += st.solves
 		a.Stats.Add(st.job.Session.Stats())
-	}
-	if opts.Policy == Uniform || opts.Policy == Proportional {
-		a.Converged = true // nothing iterative to converge
-		a.FinalSpreadSecPerW = spread(sts, opts)
 	}
 	span.SetAttr("iterations", a.Iterations)
 	span.SetAttr("total_makespan_s", a.TotalMakespanS)
 	return a, nil
 }
 
-// discoverCurves bisects each job's feasibility floor and saturation
-// demand. Floors are mandatory; a job whose session cannot complete floor
-// discovery fails the whole allocation (there is no last-good state to
-// freeze yet).
-func discoverCurves(ctx context.Context, sts []*state, budgetW float64, opts Options) error {
+// buildCurves walks each job's curve. A job whose curve cannot be built
+// fails the whole allocation: without its floor no split is known safe.
+func buildCurves(ctx context.Context, sts []*state) error {
 	for _, st := range sts {
 		fctx, sp := obs.Start(ctx, "market.floor")
 		sp.SetAttr("job", st.job.Name)
-		err := discoverJob(fctx, st, budgetW, opts)
-		sp.SetAttr("floor_w", st.floorW)
-		sp.SetAttr("demand_w", st.demand)
+		c, err := st.job.Session.Curve(fctx)
+		st.solves++
+		if err == nil {
+			st.curve, st.floorW, st.demand = c, c.FloorW, c.DemandW
+			sp.SetAttr("floor_w", st.floorW)
+			sp.SetAttr("demand_w", st.demand)
+			sp.SetAttr("breakpoints", len(c.Points))
+		}
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("market: job %q: %w", st.job.Name, err)
 		}
 	}
-	return nil
-}
-
-func discoverJob(ctx context.Context, st *state, budgetW float64, opts Options) error {
-	// Exponential search up from the fixed floor for any feasible cap.
-	lo := st.job.Session.FixedFloorW()
-	if lo < 0 {
-		lo = 0
-	}
-	hi := lo + 8
-	var hiSched *core.Schedule
-	for range 24 {
-		sched, err := st.job.Session.SolveAt(ctx, hi)
-		st.solves++
-		if err == nil {
-			hiSched = sched
-			break
-		}
-		if !errors.Is(err, core.ErrInfeasible) {
-			return err
-		}
-		lo = hi
-		hi *= 2
-	}
-	if hiSched == nil {
-		return fmt.Errorf("no feasible cap found up to %.0f W", hi)
-	}
-
-	// Bisect the floor: lo infeasible (or the fixed floor), hi feasible.
-	floorSched := hiSched
-	floorW := hi
-	for hi-lo > opts.FloorResolutionW {
-		mid := (lo + hi) / 2
-		sched, err := st.job.Session.SolveAt(ctx, mid)
-		st.solves++
-		switch {
-		case err == nil:
-			hi, floorW, floorSched = mid, mid, sched
-		case errors.Is(err, core.ErrInfeasible):
-			lo = mid
-		default:
-			return err
-		}
-	}
-	st.floorW = floorW
-	st.capW = floorW
-	st.sched = floorSched
-
-	// Bisect the saturation demand: the smallest cap with ≈ zero marginal.
-	// |dT/dW| is non-increasing in the cap (T is convex), so the predicate
-	// "marginal ≈ 0" is monotone. Search above the floor, doubling until
-	// saturated.
-	const satEps = 1e-9
-	lo = floorW
-	hi = math.Max(2*floorW, floorW+16)
-	var hiM float64 = math.Inf(1)
-	for range 24 {
-		sched, err := st.job.Session.SolveAt(ctx, hi)
-		st.solves++
-		if err != nil {
-			return err
-		}
-		hiM = -sched.MarginalSecPerW
-		if hiM <= satEps {
-			break
-		}
-		lo = hi
-		hi *= 2
-	}
-	if hiM > satEps {
-		st.demand = hi // never saturates in range; treat the cap as demand
-		return nil
-	}
-	for hi-lo > math.Max(opts.FloorResolutionW, 1) {
-		mid := (lo + hi) / 2
-		sched, err := st.job.Session.SolveAt(ctx, mid)
-		st.solves++
-		if err != nil {
-			if errors.Is(err, core.ErrInfeasible) {
-				lo = mid // numerically brittle edge; keep the feasible side
-				continue
-			}
-			return err
-		}
-		if -sched.MarginalSecPerW <= satEps {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	st.demand = hi
 	return nil
 }
 
@@ -536,199 +371,76 @@ func assign(sts []*state, caps []float64) {
 	}
 }
 
-// solveAll brings every non-degraded job's schedule up to date with its
-// cap. Jobs already solved at their cap are skipped (the market leaves most
-// jobs' schedules current).
+// grantPieces is the market split. Every job starts at its floor; the
+// budget then buys curve pieces, steepest first, each job's pieces in cap
+// order, ties to the earlier job — so at the end no job's next watt is
+// worth more than any job's last granted watt, the KKT condition of the
+// separable convex program. The last piece may be granted in part. Budget
+// left once every job reaches its demand is spread equally. It returns the
+// number of pieces granted.
+func grantPieces(sts []*state, budgetW float64) int {
+	left := budgetW
+	next := make([]int, len(sts)) // each job's next piece; its floor is point 0
+	for _, st := range sts {
+		st.capW = st.floorW
+		left -= st.floorW
+	}
+	granted := 0
+	for left > 0 {
+		// The curve's slopes are exactly zero from the demand up.
+		best, bestSlope := -1, 0.0
+		for i, st := range sts {
+			pts := st.curve.Points
+			if next[i] >= len(pts)-1 {
+				continue
+			}
+			if s := pts[next[i]].SlopeSecPerW; s < bestSlope {
+				best, bestSlope = i, s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		st := sts[best]
+		grant := math.Min(st.curve.Points[next[best]+1].CapW-st.capW, left)
+		st.capW += grant
+		left -= grant
+		next[best]++
+		granted++
+	}
+	if left > 0 {
+		for _, st := range sts {
+			st.capW += left / float64(len(sts))
+		}
+	}
+	return granted
+}
+
+// curveTol is the relative agreement required between a final solve's
+// objective and its job's curve at the granted cap.
+const curveTol = 1e-9
+
+// solveAll solves every job once at its cap and checks the LP objective
+// against the job's curve. A failed solve or a failed check degrades the
+// job; cancellation fails the allocation.
 func solveAll(ctx context.Context, sts []*state) error {
 	for _, st := range sts {
-		if st.bad || (st.sched != nil && st.sched.CapW == st.capW) {
-			continue
-		}
 		sched, err := st.job.Session.SolveAt(ctx, st.capW)
 		st.solves++
 		if err != nil {
-			if degradeJob(st, err) {
-				continue
+			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("market: job %q at %.1f W: %w", st.job.Name, st.capW, err)
 			}
-			return fmt.Errorf("market: job %q at %.1f W: %w", st.job.Name, st.capW, err)
+			st.bad, st.reason = true, err.Error()
+			continue
+		}
+		want, _, _, _ := st.curve.At(st.capW)
+		if d := math.Abs(sched.Objective - want); d > curveTol*math.Max(1, math.Abs(want)) {
+			st.bad = true
+			st.reason = fmt.Sprintf("solve at %.3f W has objective %.12g, its curve %.12g", st.capW, sched.Objective, want)
+			continue
 		}
 		st.sched = sched
 	}
 	return nil
-}
-
-// degradeJob freezes a job at its last successful solve after a session
-// breakdown, excluding it from further trading. Cancellation is never
-// degraded — it must surface. Returns false when there is no last-good
-// state to freeze (the caller fails the allocation).
-func degradeJob(st *state, err error) bool {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if st.sched == nil {
-		return false
-	}
-	st.bad = true
-	st.reason = err.Error()
-	st.capW = st.sched.CapW
-	return true
-}
-
-// spread is the current marginal-value spread: the steepest job's marginal
-// minus the flattest *donor*'s (a job pinned at its floor cannot give, so
-// its flatness is irrelevant). 0 when no transfer is possible.
-func spread(sts []*state, opts Options) float64 {
-	maxM := math.Inf(-1)
-	minDonor := math.Inf(1)
-	for _, st := range sts {
-		if st.bad {
-			continue
-		}
-		maxM = math.Max(maxM, st.m())
-		if st.capW-st.floorW > opts.MinTransferW {
-			minDonor = math.Min(minDonor, st.m())
-		}
-	}
-	if math.IsInf(maxM, -1) || math.IsInf(minDonor, 1) {
-		return 0
-	}
-	if s := maxM - minDonor; s > 0 {
-		return s
-	}
-	return 0
-}
-
-// runMarket iterates donor→receiver transfers from the current (uniform)
-// split until the marginal spread is within tolerance, floors bind, or the
-// iteration budget runs out. Each accepted transfer strictly reduces the
-// summed makespan, so the market never finishes worse than its start.
-func runMarket(ctx context.Context, a *Allocation, sts []*state, opts Options) error {
-	total := func() float64 {
-		var t float64
-		for _, st := range sts {
-			if st.sched != nil {
-				t += st.sched.MakespanS
-			}
-		}
-		return t
-	}
-
-	// Initial step: a healthy fraction of the tradeable watts.
-	var tradeable float64
-	for _, st := range sts {
-		tradeable += st.capW - st.floorW
-	}
-	step := tradeable / float64(4*len(sts))
-	if step < opts.MinTransferW {
-		step = opts.MinTransferW
-	}
-	maxStep := step * 4
-
-	cur := total()
-	for a.Iterations < opts.MaxIterations {
-		sp := spread(sts, opts)
-		a.FinalSpreadSecPerW = sp
-		if sp <= opts.ToleranceSecPerW {
-			a.Converged = true
-			return nil
-		}
-
-		// Pick the steepest receiver and the flattest donor able to give.
-		var donor, recv *state
-		for _, st := range sts {
-			if st.bad {
-				continue
-			}
-			if recv == nil || st.m() > recv.m() {
-				recv = st
-			}
-			if st.capW-st.floorW > opts.MinTransferW && (donor == nil || st.m() < donor.m()) {
-				donor = st
-			}
-		}
-		if donor == nil || recv == nil || donor == recv {
-			a.Converged = sp <= opts.ToleranceSecPerW
-			return nil
-		}
-
-		a.Iterations++
-		ictx, span := obs.Start(ctx, "market.iteration")
-		span.SetAttr("iter", a.Iterations)
-		span.SetAttr("from", donor.job.Name)
-		span.SetAttr("to", recv.job.Name)
-		d := math.Min(step, donor.capW-donor.floorW)
-		accepted, newTotal, err := tryTransfer(ictx, donor, recv, d, cur)
-		span.SetAttr("watts", d)
-		span.SetAttr("accepted", accepted)
-		span.End()
-		if err != nil {
-			// A breakdown mid-transfer degrades the failing job (frozen at
-			// its last-good cap and schedule) and the market trades on.
-			if !degradeJob(donor, err) && !degradeJob(recv, err) {
-				return fmt.Errorf("market: transfer %s→%s: %w", donor.job.Name, recv.job.Name, err)
-			}
-			continue
-		}
-		a.Transfers = append(a.Transfers, Transfer{
-			Iteration:      a.Iterations,
-			From:           donor.job.Name,
-			To:             recv.job.Name,
-			Watts:          d,
-			SpreadSecPerW:  sp,
-			TotalMakespanS: newTotal,
-			Accepted:       accepted,
-		})
-		if accepted {
-			a.MovedW += d
-			cur = newTotal
-			if step *= 1.5; step > maxStep {
-				step = maxStep
-			}
-		} else {
-			if step /= 2; step < opts.MinTransferW {
-				a.FinalSpreadSecPerW = spread(sts, opts)
-				a.Converged = a.FinalSpreadSecPerW <= opts.ToleranceSecPerW
-				return nil
-			}
-		}
-	}
-	a.FinalSpreadSecPerW = spread(sts, opts)
-	a.Converged = a.FinalSpreadSecPerW <= opts.ToleranceSecPerW
-	return nil
-}
-
-// tryTransfer moves d watts from donor to recv, re-solves both, and keeps
-// the move only if the summed makespan dropped; otherwise both jobs revert
-// to their previous caps and schedules (no re-solve needed — the old
-// Schedule values are still valid for the old caps).
-func tryTransfer(ctx context.Context, donor, recv *state, d, curTotal float64) (accepted bool, newTotal float64, err error) {
-	oldDonor, oldRecv := *donor, *recv
-	donor.capW -= d
-	recv.capW += d
-
-	dSched, err := donor.job.Session.SolveAt(ctx, donor.capW)
-	if err != nil {
-		*donor, *recv = oldDonor, oldRecv
-		donor.solves++
-		return false, curTotal, err
-	}
-	rSched, err := recv.job.Session.SolveAt(ctx, recv.capW)
-	if err != nil {
-		*donor, *recv = oldDonor, oldRecv
-		donor.solves++
-		recv.solves++
-		return false, curTotal, err
-	}
-
-	delta := (dSched.MakespanS + rSched.MakespanS) - (oldDonor.sched.MakespanS + oldRecv.sched.MakespanS)
-	if delta < -1e-12 {
-		donor.sched, recv.sched = dSched, rSched
-		donor.solves++
-		recv.solves++
-		return true, curTotal + delta, nil
-	}
-	*donor, *recv = oldDonor, oldRecv
-	donor.solves++ // keep the probe solves counted on the reverted states
-	recv.solves++
-	return false, curTotal, nil
 }

@@ -2,20 +2,20 @@ package service
 
 // /v1/cluster: the cluster power market over HTTP. A batch request names N
 // jobs and one site-wide power budget; the response carries each job's
-// granted cap and schedule summary plus the full allocation trace
-// (iterations, transfers, convergence). The handler threads the allocator
+// granted cap, exact floor and demand, and schedule summary, plus how many
+// curve pieces the market granted and how far the split moved from
+// uniform. The handler threads the allocator
 // through the same machinery every other endpoint uses — pooled Systems
 // (so each job's problem IR is cached across requests), the worker-slot
-// semaphore (one slot for the whole allocation: the allocator's solves are
-// sequential warm re-solves, not parallel work), the content-addressed
+// semaphore (one slot for the whole allocation: the allocator's curve walks
+// and final solves are sequential, not parallel work), the content-addressed
 // cache (cluster-level entry plus per-job Put of the final schedules, so a
 // later /v1/solve at a granted cap is a hit), and obs tracing (the
-// market.allocate/market.floor/market.iteration spans land in the stage
+// market.allocate/market.floor spans land in the stage
 // histograms).
 //
-// Response JSON is deterministic: jobs render in request order, transfers
-// in execution order, floors sorted largest-first — no map iteration
-// anywhere in the schema.
+// Response JSON is deterministic: jobs render in request order, floors
+// sorted largest-first — no map iteration anywhere in the schema.
 
 import (
 	"context"
@@ -47,12 +47,8 @@ type ClusterRequest struct {
 	BudgetW          float64          `json:"budget_w,omitempty"`
 	BudgetPerSocketW float64          `json:"budget_per_socket_w,omitempty"`
 	// Policy is uniform, proportional, or market ("" = market).
-	Policy string `json:"policy,omitempty"`
-	// ToleranceSecPerW, MaxIterations: market convergence controls
-	// (0 = allocator defaults).
-	ToleranceSecPerW float64 `json:"tolerance_s_per_w,omitempty"`
-	MaxIterations    int     `json:"max_iterations,omitempty"`
-	TimeoutMS        float64 `json:"timeout_ms,omitempty"`
+	Policy    string  `json:"policy,omitempty"`
+	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 }
 
 // ClusterJobJSON is one job's slice of the budget in a response.
@@ -71,17 +67,6 @@ type ClusterJobJSON struct {
 	ScheduleKey    string `json:"schedule_key,omitempty"`
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-}
-
-// ClusterTransferJSON is one market iteration in the allocation trace.
-type ClusterTransferJSON struct {
-	Iteration      int     `json:"iteration"`
-	From           string  `json:"from"`
-	To             string  `json:"to"`
-	Watts          float64 `json:"watts"`
-	SpreadSecPerW  float64 `json:"spread_s_per_w"`
-	TotalMakespanS float64 `json:"total_makespan_s"`
-	Accepted       bool    `json:"accepted"`
 }
 
 // ClusterFloorJSON names one job's feasibility floor in an infeasible
@@ -107,11 +92,11 @@ type ClusterResponse struct {
 	TotalMakespanS float64          `json:"total_makespan_s,omitempty"`
 	MaxMakespanS   float64          `json:"max_makespan_s,omitempty"`
 
-	Iterations         int                   `json:"iterations"`
-	Converged          bool                  `json:"converged"`
-	FinalSpreadSecPerW float64               `json:"final_spread_s_per_w"`
-	MovedW             float64               `json:"moved_w"`
-	Transfers          []ClusterTransferJSON `json:"transfers,omitempty"`
+	// Iterations counts the curve pieces the market granted (0 for uniform
+	// and proportional); MovedW is the watt volume moved away from the
+	// uniform split.
+	Iterations int     `json:"iterations"`
+	MovedW     float64 `json:"moved_w"`
 
 	Solves int        `json:"solves,omitempty"`
 	Stats  *StatsJSON `json:"stats,omitempty"`
@@ -179,11 +164,7 @@ func ResolveCluster(ctx context.Context, req *ClusterRequest) (jobs []powercap.C
 	if err != nil {
 		return nil, nil, 0, opts, err
 	}
-	opts = powercap.ClusterOptions{
-		Policy:           policy,
-		ToleranceSecPerW: req.ToleranceSecPerW,
-		MaxIterations:    req.MaxIterations,
-	}
+	opts = powercap.ClusterOptions{Policy: policy}
 	return jobs, workloadNames, budgetW, opts, nil
 }
 
@@ -209,8 +190,6 @@ func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budg
 	resp.TotalMakespanS = alloc.TotalMakespanS
 	resp.MaxMakespanS = alloc.MaxMakespanS
 	resp.Iterations = alloc.Iterations
-	resp.Converged = alloc.Converged
-	resp.FinalSpreadSecPerW = alloc.FinalSpreadSecPerW
 	resp.MovedW = alloc.MovedW
 	resp.Solves = alloc.Solves
 	resp.Stats = NewStatsJSON(alloc.Stats)
@@ -231,17 +210,6 @@ func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budg
 			jj.ScheduleKey = keys[i]
 		}
 		resp.Jobs = append(resp.Jobs, jj)
-	}
-	for _, tr := range alloc.Transfers {
-		resp.Transfers = append(resp.Transfers, ClusterTransferJSON{
-			Iteration:      tr.Iteration,
-			From:           tr.From,
-			To:             tr.To,
-			Watts:          tr.Watts,
-			SpreadSecPerW:  tr.SpreadSecPerW,
-			TotalMakespanS: tr.TotalMakespanS,
-			Accepted:       tr.Accepted,
-		})
 	}
 	return resp
 }
@@ -315,8 +283,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // clusterWorker runs one allocation on a worker slot. The allocator's
-// solves are sequential warm re-solves on per-job sessions, so the whole
-// batch occupies a single slot. Budget infeasibility is an in-band outcome
+// curve walks and final solves run one after another on per-job sessions,
+// so the whole batch occupies a single slot. Budget infeasibility is an in-band outcome
 // (a pure function of the request), not an error.
 func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
@@ -366,11 +334,7 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 	}
 	s.metrics.ClusterAllocations.Add(1)
 	s.metrics.ClusterJobsAllocated.Add(uint64(len(jobs)))
-	s.metrics.ClusterIterations.Observe(alloc.Iterations)
 	s.metrics.ClusterMovedWatts.Add(alloc.MovedW)
-	if alloc.Converged {
-		s.metrics.ClusterConverged.Add(1)
-	}
 	s.metrics.Solves.Add(uint64(alloc.Solves))
 	s.countLPStats(alloc.Stats)
 	return out, nil
@@ -379,15 +343,13 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 // clusterKey derives the content-addressed cache key of one cluster
 // request: the per-job identities (name + the job's cap-independent
 // ScheduleKey at cap 0 — graph digest, model fingerprint, efficiency
-// scales) joined with the budget and every allocator option that shapes
-// the result.
+// scales) joined with the budget and the policy, the one allocator option.
 func (s *Server) clusterKey(jobs []clusterJob, budget float64, opts powercap.ClusterOptions) string {
 	parts := make([]string, 0, len(jobs)+1)
 	for _, j := range jobs {
 		parts = append(parts, j.name+"="+j.sys.ScheduleKey(j.g, 0, true, "", 0, 0))
 	}
-	parts = append(parts, fmt.Sprintf("b=%g|p=%s|tol=%g|iter=%d",
-		budget, opts.Policy, opts.ToleranceSecPerW, opts.MaxIterations))
+	parts = append(parts, fmt.Sprintf("b=%g|p=%s", budget, opts.Policy))
 	return "cluster|" + strings.Join(parts, "|")
 }
 

@@ -43,9 +43,10 @@ func normalizeCluster(b []byte) []byte {
 }
 
 // TestClusterEndpoint: the market allocation end-to-end through HTTP —
-// request-order jobs, a converged market run on a heterogeneous pair, and
-// per-job cache reuse (a follow-up whole-graph /v1/solve at a granted cap
-// is served from the LRU without a backend solve).
+// request-order jobs, the whole budget spent in curve pieces on a
+// heterogeneous pair, and per-job cache reuse (a follow-up whole-graph
+// /v1/solve at a granted cap is served from the LRU without a backend
+// solve).
 func TestClusterEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 	code, body := postJSON(t, ts.URL+"/v1/cluster", clusterReq("market"))
@@ -62,8 +63,8 @@ func TestClusterEndpoint(t *testing.T) {
 	if len(resp.Jobs) != 2 || resp.Jobs[0].Name != "comd-0" || resp.Jobs[1].Name != "sp-0" {
 		t.Fatalf("job order not preserved: %s", body)
 	}
-	if !resp.Converged {
-		t.Errorf("market did not converge: spread %g after %d iterations", resp.FinalSpreadSecPerW, resp.Iterations)
+	if resp.Iterations == 0 || resp.Solves != 2*len(resp.Jobs) {
+		t.Errorf("%d pieces granted in %d solves, want > 0 pieces in one walk and one solve per job", resp.Iterations, resp.Solves)
 	}
 	var sum float64
 	for _, j := range resp.Jobs {
@@ -80,9 +81,6 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 	if got := srv.metrics.ClusterAllocations.Load(); got != 1 {
 		t.Errorf("ClusterAllocations = %d, want 1", got)
-	}
-	if got := srv.metrics.ClusterIterations.Count(); got != 1 {
-		t.Errorf("ClusterIterations observations = %d, want 1", got)
 	}
 
 	// Per-job cache reuse: the allocation parked each job's final schedule
@@ -231,6 +229,14 @@ func TestClusterBadRequests(t *testing.T) {
 	}
 	if got := srv.metrics.BadRequests.Load() - before; got != uint64(len(cases)) {
 		t.Errorf("BadRequests counted %d of %d", got, len(cases))
+	}
+	// The retired market convergence knobs are unknown fields.
+	for _, field := range []string{"tolerance_s_per_w", "max_iterations"} {
+		req := map[string]any{"jobs": []ClusterJobSpec{{Name: "a", Workload: wl}}, "budget_w": 100, field: 1}
+		code, body := postJSON(t, ts.URL+"/v1/cluster", req)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), field) {
+			t.Errorf("%s: status %d (%s), want 400 naming the field", field, code, body)
+		}
 	}
 }
 

@@ -82,19 +82,15 @@ type Metrics struct {
 	WindowStitchGapPct   FloatMaxGauge
 	// ClusterAllocations counts completed /v1/cluster allocations (cache
 	// hits excluded — only fresh allocator runs); ClusterJobsAllocated the
-	// jobs they placed; ClusterConverged the allocations that reached the
-	// market's marginal-spread tolerance; ClusterDegradedJobs the jobs
-	// frozen at a last-good cap after a mid-allocation solver breakdown;
-	// ClusterInfeasible the requests whose budget fell below the sum of
-	// per-job feasibility floors. ClusterIterations is the distribution of
-	// allocator iterations per run, and ClusterMovedWatts accumulates the
-	// watt-volume the allocator redistributed away from its starting split.
+	// jobs they placed; ClusterDegradedJobs the jobs whose final solve
+	// failed or disagreed with their curve; ClusterInfeasible the requests
+	// whose budget fell below the sum of per-job feasibility floors.
+	// ClusterMovedWatts accumulates the watt volume the allocations moved
+	// away from the uniform split.
 	ClusterAllocations   atomic.Uint64
 	ClusterJobsAllocated atomic.Uint64
-	ClusterConverged     atomic.Uint64
 	ClusterDegradedJobs  atomic.Uint64
 	ClusterInfeasible    atomic.Uint64
-	ClusterIterations    CountHistogram
 	ClusterMovedWatts    FloatCounter
 	// ShedDeadline counts solves rejected by deadline-aware shedding (the
 	// controller judged they could not finish inside their deadline);
@@ -227,54 +223,6 @@ func (c *FloatCounter) Add(v float64) {
 // Load reports the accumulated total.
 func (c *FloatCounter) Load() float64 { return math.Float64frombits(c.bits.Load()) }
 
-// countBounds are the CountHistogram bucket upper bounds: powers of two
-// from 1 to 256, matched to iteration-style counts (a converged market run
-// takes a handful to a few dozen transfers; MaxIterations defaults to 64).
-var countBounds = [...]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-// CountHistogram is a fixed-bucket histogram over small non-negative
-// integer observations (allocator iterations, retries) with atomic
-// counters. The latency Histogram's seconds-scaled buckets are useless for
-// counts; this one buckets at powers of two. The zero value is ready.
-type CountHistogram struct {
-	counts [len(countBounds) + 1]atomic.Uint64 // +1 for +Inf
-	sum    atomic.Uint64
-	count  atomic.Uint64
-}
-
-// Observe records one count.
-func (h *CountHistogram) Observe(n int) {
-	if n < 0 {
-		n = 0
-	}
-	v := float64(n)
-	i := 0
-	for ; i < len(countBounds); i++ {
-		if v <= countBounds[i] {
-			break
-		}
-	}
-	h.counts[i].Add(1)
-	h.sum.Add(uint64(n))
-	h.count.Add(1)
-}
-
-// Count reports how many observations the histogram holds.
-func (h *CountHistogram) Count() uint64 { return h.count.Load() }
-
-// writeCountHistogram renders one count histogram in Prometheus text format.
-func writeCountHistogram(w io.Writer, name string, h *CountHistogram) {
-	var cum uint64
-	for i, b := range countBounds {
-		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.counts[len(countBounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %d\n", name, h.sum.Load())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
-}
-
 // latencyBounds are the histogram bucket upper bounds in seconds,
 // log-spaced from 5 µs to 30 s — pipeline stages run from microseconds
 // (a cached frontier lookup, one refactorization) through sub-ms cache
@@ -375,8 +323,7 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_window_escalations_total", "Infeasible commit windows widened by the escalation ladder.", m.WindowEscalations.Load()},
 		{"pcschedd_cluster_allocations_total", "Completed cluster power allocations (fresh allocator runs; cache hits excluded).", m.ClusterAllocations.Load()},
 		{"pcschedd_cluster_jobs_allocated_total", "Jobs placed across all cluster allocations.", m.ClusterJobsAllocated.Load()},
-		{"pcschedd_cluster_converged_total", "Cluster allocations that reached the marginal-spread tolerance.", m.ClusterConverged.Load()},
-		{"pcschedd_cluster_degraded_jobs_total", "Jobs frozen at a last-good cap after a mid-allocation solver breakdown.", m.ClusterDegradedJobs.Load()},
+		{"pcschedd_cluster_degraded_jobs_total", "Jobs whose final solve failed or disagreed with their power-time curve.", m.ClusterDegradedJobs.Load()},
 		{"pcschedd_cluster_infeasible_total", "Cluster requests whose budget fell below the sum of per-job feasibility floors.", m.ClusterInfeasible.Load()},
 		{"pcschedd_adapt_epochs_total", "Adaptive control-plane epochs stepped.", m.AdaptEpochs.Load()},
 		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},
@@ -414,11 +361,8 @@ func (m *Metrics) Render(w io.Writer) {
 	writeMeta(w, "pcschedd_lp_row_norm_ratio_max", "Worst post-scaling max/min row-norm ratio (conditioning proxy).", "gauge")
 	fmt.Fprintf(w, "pcschedd_lp_row_norm_ratio_max %g\n", m.LPRowNormRatio.Load())
 
-	writeMeta(w, "pcschedd_cluster_moved_watts_total", "Watt-volume the cluster allocator redistributed away from its starting split.", "counter")
+	writeMeta(w, "pcschedd_cluster_moved_watts_total", "Watt volume cluster allocations moved away from the uniform split.", "counter")
 	fmt.Fprintf(w, "pcschedd_cluster_moved_watts_total %g\n", m.ClusterMovedWatts.Load())
-
-	writeMeta(w, "pcschedd_cluster_iterations", "Allocator iterations per cluster allocation.", "histogram")
-	writeCountHistogram(w, "pcschedd_cluster_iterations", &m.ClusterIterations)
 
 	writeMeta(w, "pcschedd_queue_wait_seconds", "Time spent waiting for a solve worker slot.", "histogram")
 	writeHistogram(w, "pcschedd_queue_wait_seconds", &m.QueueWait)

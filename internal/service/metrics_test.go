@@ -193,7 +193,6 @@ func TestMetricsConformance(t *testing.T) {
 		"pcschedd_request_latency_seconds", "pcschedd_stage_latency_seconds",
 		"pcschedd_goroutines", "pcschedd_cache_entries", "pcschedd_build_info",
 		"pcschedd_cluster_allocations_total", "pcschedd_cluster_jobs_allocated_total",
-		"pcschedd_cluster_converged_total", "pcschedd_cluster_iterations",
 		"pcschedd_cluster_moved_watts_total",
 		"pcschedd_shed_total", "pcschedd_queue_occupancy",
 		"pcschedd_adapt_epochs_total", "pcschedd_adapt_transitions_total",

@@ -2,7 +2,6 @@ package powercap
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -149,32 +148,36 @@ type MarginalPoint struct {
 	Infeasible      bool
 }
 
-// MarginalCurve traces a job's power–time curve: the whole-graph LP is
-// built once and re-solved at every cap in jobCapsW with dual-simplex warm
-// starts, and each feasible point reports the makespan bound together with
-// the power constraint's shadow price. The duals are the marginal
-// information a cluster-level allocator needs (see AllocateCluster): a
-// steep point buys more time per watt than a flat one, and by LP convexity
-// |MarginalSecPerW| is non-increasing as the cap grows, decaying to 0 once
-// the job saturates. Infeasible caps set Infeasible rather than failing the
-// curve; the returned error is reserved for problems with the graph itself.
+// MarginalCurve reads a job's power–time curve at the caps in jobCapsW:
+// the whole-graph LP is built once and walked along the cap axis in one
+// parametric pass (core.CapSession.Curve), and each cap reports the
+// makespan bound interpolated on the curve together with the power
+// constraint's shadow price — the slope of the curve's piece above the cap,
+// the value of the next watt. The duals are the marginal information a
+// cluster-level allocator needs (see AllocateCluster): a steep point buys
+// more time per watt than a flat one, and by LP convexity |MarginalSecPerW|
+// is non-increasing as the cap grows, decaying to 0 once the job saturates.
+// Caps below the curve's floor set Infeasible rather than failing the
+// curve; the returned error is reserved for problems with the graph itself
+// and for cancellation.
 func (s *System) MarginalCurve(ctx context.Context, g *Graph, jobCapsW []float64) ([]MarginalPoint, error) {
-	pts, err := s.solver().SolveSweepCtx(ctx, g, jobCapsW)
+	cs, err := s.solver().NewCapSession(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	curve := make([]MarginalPoint, len(pts))
-	for i, pt := range pts {
-		curve[i] = MarginalPoint{CapW: jobCapsW[i]}
-		switch {
-		case pt.Err == nil:
-			curve[i].MakespanS = pt.Schedule.MakespanS
-			curve[i].MarginalSecPerW = pt.Schedule.MarginalSecPerW
-		case errors.Is(pt.Err, ErrInfeasible):
+	c, err := cs.Curve(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("powercap: marginal curve: %w", err)
+	}
+	curve := make([]MarginalPoint, len(jobCapsW))
+	for i, capW := range jobCapsW {
+		curve[i] = MarginalPoint{CapW: capW}
+		_, mk, slope, ok := c.At(capW)
+		if !ok {
 			curve[i].Infeasible = true
-		default:
-			return nil, fmt.Errorf("powercap: marginal curve at %.1f W: %w", jobCapsW[i], pt.Err)
+			continue
 		}
+		curve[i].MakespanS, curve[i].MarginalSecPerW = mk, slope
 	}
 	return curve, nil
 }
