@@ -96,8 +96,9 @@ market-smoke:
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
-# its eta-file and dense-LU oracles, the dense-tableau equivalence suite,
-# presolve round-trip, pricing, degenerate-cycling guards, and the rescue's
+# its eta-file, dense-LU and step-scan oracles, the dense-tableau
+# equivalence suite, warm starts from arbitrary bases, presolve
+# round-trip, pricing, degenerate-cycling guards, and the rescue's
 # one-extra-solve bound), then through internal/core the golden objectives
 # in both kernel configurations (presolved and the rescue's), the warm
 # CapSession probes, the curve walks checked against them, the sweeps that
@@ -118,14 +119,17 @@ twin-smoke:
 
 # Bounded fuzz sessions over the trace parser, the canonical DAG digest
 # (the content-addressing the schedule cache rests on), the Markowitz
-# sparse LU factorization (factor → FTRAN/BTRAN vs dense LU), and the
-# parametric right-hand-side walk (walked objective vs point solves). Seeds
-# are checked in via f.Add; 5s each keeps the gate fast while still
-# exploring.
+# sparse LU factorization (factor → FTRAN/BTRAN vs dense LU, and factors
+# and solves bit for bit vs the step-scan reference LU), the parametric
+# right-hand-side walk (walked objective vs point solves), and warm starts
+# from arbitrary bases (status and objective vs a cold solve). Seeds are
+# checked in via f.Add; 5s each keeps the gate fast while still exploring.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 5s ./internal/trace/
 	$(GO) test -run xxx -fuzz FuzzDigest -fuzztime 5s ./internal/dag/
-	$(GO) test -run xxx -fuzz FuzzLU -fuzztime 5s ./internal/lp/basis/
+	$(GO) test -run xxx -fuzz '^FuzzLU$$' -fuzztime 5s ./internal/lp/basis/
+	$(GO) test -run xxx -fuzz FuzzLUMatchesScan -fuzztime 5s ./internal/lp/basis/
 	$(GO) test -run xxx -fuzz FuzzParametric -fuzztime 5s ./internal/lp/
+	$(GO) test -run xxx -fuzz FuzzWarmBasis -fuzztime 5s ./internal/lp/
 
 check: fmt-check vet build race bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

@@ -1,17 +1,20 @@
 // Package basis implements the revised simplex's basis inverse (DESIGN.md
 // §14): a sparse LU factorization in the style of Gilbert–Peierls /
 // Markowitz codes. Columns are processed in a static Markowitz (fewest
-// nonzeros first) order, each solved against the partial L with
-// value-skipping sparse triangular solves, and rows are chosen by threshold
-// partial pivoting with a row-count (Markowitz) tie-break. Pivot updates are
-// absorbed as eta matrices on top of the fixed LU factors ("eta-on-LU", the
-// product-form cousin of Forrest–Tomlin), so a warm basis survives
-// refactorization-free across a run of pivots.
+// nonzeros first) order, each solved against the partial L by visiting, in
+// step order, only the steps its nonzeros reach, and rows are chosen by
+// threshold partial pivoting with a row-count (Markowitz) tie-break. Pivot
+// updates are absorbed as eta matrices on top of the fixed LU factors
+// ("eta-on-LU", the product-form cousin of Forrest–Tomlin), so a warm basis
+// survives refactorization-free across a run of pivots. The L passes of
+// FTRAN and BTRAN visit only the steps with a nonempty L column, but each
+// solve still makes several O(m) passes: they are not hyper-sparse.
 //
 // The pivot loops in internal/lp see four operations — factorize a basis,
 // FTRAN/BTRAN against it, absorb one pivot per Update — and the package's
-// tests pin them against a dense LU and against a product-form eta file
-// (eta_test.go).
+// tests pin them against a dense LU, against a product-form eta file
+// (eta_test.go), and bit for bit against the step-scan LU the reach-ordered
+// factorization replaced (scan_test.go).
 //
 // Eta nonzeros live in one flat append-only arena, so a pivot costs zero
 // allocations once the arena has warmed up.
@@ -23,8 +26,8 @@ package basis
 type Columns interface {
 	// NumRows reports the number of constraint rows m.
 	NumRows() int
-	// Col returns column j's nonzero rows and values. The factorization
-	// must not mutate the returned slices.
+	// Col returns column j's nonzero rows, each at most once, and values.
+	// The factorization must not mutate the returned slices.
 	Col(j int) (rows []int, vals []float64)
 }
 

@@ -450,10 +450,11 @@ func TestLUKeepsSlotOrder(t *testing.T) {
 	}
 }
 
-// TestLUThresholdRetry builds a basis the sparsity-chasing threshold pass
-// mangles (huge off-diagonal magnitudes) and checks the pure partial
-// pivoting retry still factors it accurately.
-func TestLUThresholdRetry(t *testing.T) {
+// thresholdRetryFixture is a basis the sparsity-chasing threshold pass
+// mangles (huge off-diagonal magnitudes) into a vanishing pivot. It is
+// singular to the pivot tolerance too: the retry rejects it as well, and
+// the dense check below skips.
+func thresholdRetryFixture() (*colMatrix, []int) {
 	const m = 8
 	a := &colMatrix{m: m}
 	for j := 0; j < m; j++ {
@@ -469,10 +470,17 @@ func TestLUThresholdRetry(t *testing.T) {
 	for i := range cols {
 		cols[i] = i
 	}
+	return a, cols
+}
+
+// TestLUThresholdRetry checks the pure partial pivoting retry still factors
+// thresholdRetryFixture accurately.
+func TestLUThresholdRetry(t *testing.T) {
+	a, cols := thresholdRetryFixture()
 	if _, ok := denseFactorize(a, cols); !ok {
 		t.Skip("fixture unexpectedly dense-singular")
 	}
-	lu := NewLU(m)
+	lu := NewLU(len(cols))
 	slots, ok := lu.Factorize(a, cols)
 	if !ok {
 		t.Fatal("LU failed on ill-scaled but nonsingular basis")

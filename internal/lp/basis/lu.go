@@ -1,19 +1,20 @@
 package basis
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // LU is the sparse LU basis factorization. Factorization is left-looking in the
 // Gilbert–Peierls style: columns are processed in a static Markowitz order
 // (fewest nonzeros first), each new column is solved against the partial L
-// with value-skipping sparse triangular work, and its pivot row is chosen by
-// threshold partial pivoting (any row within tauLU of the largest magnitude
-// qualifies) with a Markowitz row-count tie-break, trading a bounded loss of
-// stability for sparsity in L and U. Should the threshold ordering still hit
-// a vanishing pivot, Factorize retries once with pure partial pivoting
-// (tau = 1) before declaring the basis singular.
+// by visiting, in step order, only the steps its nonzeros reach, and its
+// pivot row is chosen by threshold partial pivoting (any row within tauLU of
+// the largest magnitude qualifies) with a Markowitz row-count tie-break,
+// trading a bounded loss of stability for sparsity in L and U. Should the
+// threshold ordering still hit a vanishing pivot, Factorize retries once
+// with pure partial pivoting (tau = 1) before declaring the basis singular.
+// Factorization costs O(m) set-up plus the nonzeros it touches (each step it
+// visits costs a heap operation); FTRAN and BTRAN still make several O(m)
+// passes (gather, scatter, the U solves), and their L solves visit only the
+// steps whose L column is nonempty.
 //
 // Simplex pivots are absorbed as eta matrices layered on the fixed LU
 // factors (eta-on-LU): FTRAN solves through L and U and then applies the
@@ -34,6 +35,9 @@ type LU struct {
 	lPtr []int32
 	lRow []int32
 	lVal []float64
+	// lSteps lists, ascending, the steps whose L column is nonempty: the
+	// only steps the L and Lᵀ solves have work for.
+	lSteps []int32
 	// U: upper triangular, off-diagonal entries per step column, rows in
 	// step space (t < k); diagonal kept separately.
 	uPtr  []int32
@@ -50,7 +54,10 @@ type LU struct {
 	z       []float64
 	inw     []bool
 	touched []int32
+	reach   []int32 // min-heap of the steps the current column reaches
 	rowCnt  []int32
+	colLen  []int32 // per slot: nonzeros of its basis column
+	lenPos  []int32 // counting-sort buckets over column lengths 0..m
 	order   []int32
 }
 
@@ -79,6 +86,8 @@ func (e *LU) Reset(m int) {
 		e.z = make([]float64, m)
 		e.inw = make([]bool, m)
 		e.rowCnt = make([]int32, m)
+		e.colLen = make([]int32, m)
+		e.lenPos = make([]int32, m+2)
 		e.order = make([]int32, m)
 	}
 	e.p = e.p[:m]
@@ -89,6 +98,8 @@ func (e *LU) Reset(m int) {
 	e.z = e.z[:m]
 	e.inw = e.inw[:m]
 	e.rowCnt = e.rowCnt[:m]
+	e.colLen = e.colLen[:m]
+	e.lenPos = e.lenPos[:m+2]
 	e.order = e.order[:m]
 	if len(e.lPtr) == 0 {
 		e.lPtr = append(e.lPtr, 0)
@@ -100,7 +111,9 @@ func (e *LU) Reset(m int) {
 	e.lVal = e.lVal[:0]
 	e.uRow = e.uRow[:0]
 	e.uVal = e.uVal[:0]
+	e.lSteps = e.lSteps[:0]
 	e.touched = e.touched[:0]
+	e.reach = e.reach[:0]
 }
 
 // Factorize rebuilds the factorization for the basis whose columns are cols
@@ -116,28 +129,27 @@ func (e *LU) Factorize(a Columns, cols []int) ([]int, bool) {
 	}
 
 	// Static Markowitz data: row counts over the basis columns, and the
-	// column processing order (fewest nonzeros first, slot index ties).
-	for i := range e.rowCnt {
-		e.rowCnt[i] = 0
-	}
-	for _, j := range cols {
+	// column processing order (fewest nonzeros first, slot index ties) by a
+	// counting sort on column length.
+	clear(e.rowCnt)
+	for s, j := range cols {
 		rows, _ := a.Col(j)
 		for _, r := range rows {
 			e.rowCnt[r]++
 		}
+		e.colLen[s] = int32(len(rows))
 	}
-	for i := range e.order {
-		e.order[i] = int32(i)
+	clear(e.lenPos)
+	for _, n := range e.colLen {
+		e.lenPos[n+1]++
 	}
-	sort.Slice(e.order, func(x, y int) bool {
-		sx, sy := e.order[x], e.order[y]
-		rx, _ := a.Col(cols[sx])
-		ry, _ := a.Col(cols[sy])
-		if len(rx) != len(ry) {
-			return len(rx) < len(ry)
-		}
-		return sx < sy
-	})
+	for n := 1; n < len(e.lenPos); n++ {
+		e.lenPos[n] += e.lenPos[n-1]
+	}
+	for s, n := range e.colLen {
+		e.order[e.lenPos[n]] = int32(s)
+		e.lenPos[n]++
+	}
 
 	if e.factorizeTau(a, cols, tauLU) {
 		return cols, true
@@ -162,6 +174,7 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 	e.lVal = e.lVal[:0]
 	e.uRow = e.uRow[:0]
 	e.uVal = e.uVal[:0]
+	e.lSteps = e.lSteps[:0]
 	e.file.reset()
 	e.updates = 0
 	for i := 0; i < m; i++ {
@@ -175,17 +188,17 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 		slot := e.order[k]
 		rows, vals := a.Col(cols[slot])
 		for i, r := range rows {
-			if !e.inw[r] {
-				e.inw[r] = true
-				e.touched = append(e.touched, int32(r))
-			}
+			e.touch(int32(r))
 			e.w[r] += vals[i]
 		}
 
-		// Solve L·x = column against the partial factors, skipping steps
-		// whose pivot row carries a zero (the hyper-sparse fast path: aux
-		// columns are single entries, so most steps are skipped outright).
-		for t := 0; t < k; t++ {
+		// Solve L·x = column against the partial factors. Only a step whose
+		// pivot row the column reaches can carry a nonzero, and an L column
+		// holds rows that pivot after its own step, so popping the reached
+		// steps from a min-heap visits them in step order: the visits of a
+		// scan over every earlier step, minus the ones that do nothing.
+		for len(e.reach) > 0 {
+			t := e.popReach()
 			c := e.w[e.p[t]]
 			if c == 0 {
 				continue
@@ -193,10 +206,7 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 			lo, hi := e.lPtr[t], e.lPtr[t+1]
 			for i := lo; i < hi; i++ {
 				r := e.lRow[i]
-				if !e.inw[r] {
-					e.inw[r] = true
-					e.touched = append(e.touched, r)
-				}
+				e.touch(r)
 				e.w[r] -= e.lVal[i] * c
 			}
 		}
@@ -250,6 +260,9 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 		e.touched = e.touched[:0]
 		e.uPtr = append(e.uPtr, int32(len(e.uRow)))
 		e.lPtr = append(e.lPtr, int32(len(e.lRow)))
+		if e.lPtr[k+1] > e.lPtr[k] {
+			e.lSteps = append(e.lSteps, int32(k))
+		}
 		e.uDiag[k] = d
 		e.p[k] = piv
 		e.pinv[piv] = int32(k)
@@ -258,12 +271,70 @@ func (e *LU) factorizeTau(a Columns, cols []int, tau float64) bool {
 	return true
 }
 
+// touch adds row r to the work vector's support on first contact; a row
+// already pivoted puts its step on the reach heap.
+func (e *LU) touch(r int32) {
+	if e.inw[r] {
+		return
+	}
+	e.inw[r] = true
+	e.touched = append(e.touched, r)
+	if t := e.pinv[r]; t >= 0 {
+		e.pushReach(t)
+	}
+}
+
+// pushReach adds step t to the reach min-heap.
+func (e *LU) pushReach(t int32) {
+	h := append(e.reach, t)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= t {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = t
+	e.reach = h
+}
+
+// popReach removes and returns the smallest step on the reach heap.
+func (e *LU) popReach() int32 {
+	h := e.reach
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1] < h[c] {
+				c++
+			}
+			if last <= h[c] {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.reach = h
+	return top
+}
+
 // Ftran solves B·x = v in place: v enters in row space and leaves in slot
 // space (x[i] is the value of the slot-i basic column).
 func (e *LU) Ftran(v []float64) {
 	m := e.m
-	// L solve in row space (value-skipping).
-	for k := 0; k < m; k++ {
+	// L solve in row space over the steps with an L column (value-skipping).
+	for _, k := range e.lSteps {
 		c := v[e.p[k]]
 		if c == 0 {
 			continue
@@ -304,7 +375,8 @@ func (e *LU) Btran(v []float64) {
 	for k := 0; k < m; k++ {
 		z[k] = v[e.ord[k]]
 	}
-	// Uᵀ forward solve (column-wise gather).
+	// Uᵀ forward solve (column-wise gather). Every value is divided, zeros
+	// included: a branch to skip the divide measured slower.
 	for k := 0; k < m; k++ {
 		g := z[k]
 		lo, hi := e.uPtr[k], e.uPtr[k+1]
@@ -313,8 +385,10 @@ func (e *LU) Btran(v []float64) {
 		}
 		z[k] = g / e.uDiag[k]
 	}
-	// Lᵀ backward solve: L column k's rows pivot at later steps.
-	for k := m - 1; k >= 0; k-- {
+	// Lᵀ backward solve over the steps with an L column: L column k's rows
+	// pivot at later steps.
+	for s := len(e.lSteps) - 1; s >= 0; s-- {
+		k := e.lSteps[s]
 		g := z[k]
 		lo, hi := e.lPtr[k], e.lPtr[k+1]
 		for i := lo; i < hi; i++ {

@@ -23,7 +23,10 @@
 // the only transform that preserves both index spaces.
 package presolve
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Rel mirrors the constraint relations of the lp package without importing
 // it (presolve must stay import-free of its consumer).
@@ -178,26 +181,36 @@ func Run(p *Problem, mode Mode) *Reduction {
 		OrigRows: len(p.Rows),
 	}
 
-	// Working copy with duplicate terms accumulated and zeros dropped,
-	// mirroring how the kernel ingests rows.
+	// Working copy with duplicate terms accumulated (in term order, in a
+	// dense scratch cleared through the row's touched columns) and zeros
+	// dropped, mirroring how the kernel ingests rows.
 	rows := make([]workRow, len(p.Rows))
-	acc := map[int]float64{}
+	acc := make([]float64, p.NumVars)
+	seen := make([]bool, p.NumVars)
+	var touched []int
 	for i, row := range p.Rows {
-		clear(acc)
 		for k, c := range row.Cols {
+			if !seen[c] {
+				seen[c] = true
+				touched = append(touched, c)
+			}
 			acc[c] += row.Vals[k]
 		}
 		w := workRow{rel: row.Rel, rhs: row.RHS, alive: true}
-		for c := range acc {
+		for _, c := range touched {
 			if acc[c] != 0 {
 				w.cols = append(w.cols, c)
 			}
 		}
-		sortIntsWith(w.cols)
+		slices.Sort(w.cols)
 		w.vals = make([]float64, len(w.cols))
 		for k, c := range w.cols {
 			w.vals[k] = acc[c]
 		}
+		for _, c := range touched {
+			acc[c], seen[c] = 0, false
+		}
+		touched = touched[:0]
 		rows[i] = w
 	}
 	colAlive := make([]bool, p.NumVars)
@@ -632,18 +645,4 @@ func indexOf(s []int, v int) int {
 func removeTerm(w *workRow, k int) {
 	w.cols = append(w.cols[:k], w.cols[k+1:]...)
 	w.vals = append(w.vals[:k], w.vals[k+1:]...)
-}
-
-// sortIntsWith is insertion sort (rows are short; avoids the sort package
-// closure allocation in the hot conversion path).
-func sortIntsWith(s []int) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

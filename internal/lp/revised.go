@@ -779,6 +779,21 @@ func (rv *revised) solveCold(p *Problem) *Solution {
 	return rv.extract(p, iters)
 }
 
+// artificialOffZero reports whether a basic artificial sits away from zero,
+// so the basis does not satisfy that artificial's row. The dual loop drives
+// out only negative values and artificials never enter, so solveWarm
+// rejects such a basis rather than repair it: after factorizing the warm
+// basis, and again before extracting, since a pivot can move a basic
+// artificial.
+func (rv *revised) artificialOffZero() bool {
+	for i, bj := range rv.basis {
+		if rv.f.artificial[bj] && math.Abs(rv.xB[i]) > epsFeas {
+			return true
+		}
+	}
+	return false
+}
+
 // solveWarm attempts a warm-started solve from a problem-space basis.
 // Returns ok=false when the basis is unusable (wrong shape, singular, dual
 // infeasible, or the dual/primal repair exceeds the budget) — the caller
@@ -815,7 +830,7 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 		used[col] = true
 		cols[r] = col
 	}
-	if !rv.factorize(cols) {
+	if !rv.factorize(cols) || rv.artificialOffZero() {
 		return nil, false
 	}
 
@@ -856,6 +871,9 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	rv.stats.Phase2Iters = iters - rv.stats.DualIters
 	switch st {
 	case Optimal:
+		if rv.artificialOffZero() {
+			return nil, false
+		}
 		return rv.extract(p, iters), true
 	case Unbounded:
 		return &Solution{Status: Unbounded, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}, true

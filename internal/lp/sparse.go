@@ -138,8 +138,10 @@ func newSpForm(p *Problem) *spForm {
 		f.colOwner[j] = -1
 	}
 
-	// Accumulate structural entries column-wise (duplicate terms in a row
-	// are summed).
+	// Accumulate structural entries column-wise: a row's duplicate terms
+	// are summed in term order in a dense scratch, cleared through the
+	// list of variables the row touched. Rows are visited in order, so each
+	// column receives its rows ascending.
 	type rowVal struct {
 		row int
 		val float64
@@ -147,7 +149,9 @@ func newSpForm(p *Problem) *spForm {
 	structural := make([][]rowVal, nOrig)
 	slackCol := nOrig
 	artCol := nOrig + slacks
-	rowAcc := map[int]float64{}
+	acc := make([]float64, nOrig)
+	seen := make([]bool, nOrig)
+	var touched []int
 	for i, r := range p.rows {
 		sign := 1.0
 		rel := r.rel
@@ -155,15 +159,21 @@ func newSpForm(p *Problem) *spForm {
 			sign = -1
 			rel = flipRel(rel)
 		}
-		clear(rowAcc)
 		for _, term := range r.terms {
-			rowAcc[int(term.Var)] += sign * term.Coef
+			v := int(term.Var)
+			if !seen[v] {
+				seen[v] = true
+				touched = append(touched, v)
+			}
+			acc[v] += sign * term.Coef
 		}
-		for v, c := range rowAcc {
-			if c != 0 {
+		for _, v := range touched {
+			if c := acc[v]; c != 0 {
 				structural[v] = append(structural[v], rowVal{row: i, val: c})
 			}
+			acc[v], seen[v] = 0, false
 		}
+		touched = touched[:0]
 		f.b[i] = sign * r.rhs
 		f.rowSign[i] = sign
 
@@ -219,13 +229,6 @@ func newSpForm(p *Problem) *spForm {
 	}
 	f.colPtr[n] = len(f.rowIdx)
 
-	// Structural columns may have unsorted row order from map iteration;
-	// sort each for deterministic numerics.
-	for j := 0; j < nOrig; j++ {
-		lo, hi := f.colPtr[j], f.colPtr[j+1]
-		insertionSortByRow(f.rowIdx[lo:hi], f.vals[lo:hi])
-	}
-
 	// Phase-2 costs, minimize-normalized.
 	for j := 0; j < nOrig; j++ {
 		c := p.obj[j]
@@ -235,20 +238,6 @@ func newSpForm(p *Problem) *spForm {
 		f.cost[j] = c
 	}
 	return f
-}
-
-// insertionSortByRow co-sorts (rows, vals) by row index; columns are short,
-// so insertion sort beats the allocation cost of sort.Slice.
-func insertionSortByRow(rows []int, vals []float64) {
-	for i := 1; i < len(rows); i++ {
-		r, v := rows[i], vals[i]
-		j := i - 1
-		for j >= 0 && rows[j] > r {
-			rows[j+1], vals[j+1] = rows[j], vals[j]
-			j--
-		}
-		rows[j+1], vals[j+1] = r, v
-	}
 }
 
 // flipRel is the relation of a row after multiplying both sides by −1.

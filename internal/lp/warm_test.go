@@ -195,3 +195,66 @@ func TestWarmStartRandomizedAgainstCold(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmBasisArtificialOffZero warm starts from the all-auxiliary basis,
+// whose equality-row artificials are basic at their nonzero right-hand
+// sides. No warm pivot can repair such a basis, so the solve must fall back
+// cold rather than report its point as optimal.
+func TestWarmBasisArtificialOffZero(t *testing.T) {
+	p, _ := sweepLikeLP()
+	cold, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aux := make([]int, p.NumConstraints())
+	for r := range aux {
+		aux[r] = p.NumVars() + r
+	}
+	warm, err := Solve(p, WithWarmBasis(aux))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != cold.Status || math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+		t.Fatalf("warm %v objective %v, cold %v objective %v", warm.Status, warm.Objective, cold.Status, cold.Objective)
+	}
+	if warm.Stats.WarmStarted {
+		t.Fatal("a basis with artificials off zero was used as a warm start")
+	}
+}
+
+// FuzzWarmBasis warm starts random bounded LPs from fuzz-decoded bases (any
+// mix of structural and auxiliary entries, duplicates included) and
+// requires the cold solve's status and objective: a warm basis may cost
+// time, never correctness. A byte below 128 names structural variable
+// b mod n; one at or above names row (b−128) mod m's auxiliary.
+func FuzzWarmBasis(f *testing.F) {
+	f.Add(int64(1), []byte{128, 129, 130, 131, 132, 133})
+	f.Add(int64(7), []byte{0, 1, 2, 131, 132, 133})
+	f.Add(int64(42), []byte{2, 129, 0, 130})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		p := randomBoundedLPSeed(seed)
+		n, m := p.NumVars(), p.NumConstraints()
+		basis := make([]int, 0, m)
+		for r := 0; r < m && r < len(data); r++ {
+			if b := int(data[r]); b < 128 {
+				basis = append(basis, b%n)
+			} else {
+				basis = append(basis, n+(b-128)%m)
+			}
+		}
+		cold, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Solve(p, WithWarmBasis(basis))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("basis %v: warm %v, cold %v\n%s", basis, warm.Status, cold.Status, p)
+		}
+		if cold.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("basis %v: warm objective %v, cold %v\n%s", basis, warm.Objective, cold.Objective, p)
+		}
+	})
+}
