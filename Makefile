@@ -87,25 +87,29 @@ scale-smoke:
 	$(GO) test -run TestScaleExhibitSmoke -count=1 -v ./cmd/experiments/
 
 # Cluster power market smoke: race-detected allocator tests (policy
-# properties, the exact equal-marginal split, floors, degradation), then one
-# real /v1/cluster allocation against a spawned pcschedd — the response and
-# /metrics schema, budget feasibility, per-job cache seeding, clean
-# shutdown.
+# properties, the top-down equal-marginal split against the bottom-up grant
+# over whole curves and against one joint LP, closed-form floors, capture
+# fallback and degradation), then one real /v1/cluster allocation against a
+# spawned pcschedd — the response and /metrics schema, budget feasibility,
+# per-job cache seeding, clean shutdown.
 market-smoke:
 	$(GO) test -race -count=1 ./internal/market/
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
 # its eta-file, dense-LU and step-scan oracles, the dense-tableau
-# equivalence suite, warm starts from arbitrary bases, presolve
-# round-trip, pricing, degenerate-cycling guards, and the rescue's
-# one-extra-solve bound), then through internal/core the golden objectives
-# in both kernel configurations (presolved and the rescue's), the warm
-# CapSession probes, the curve walks checked against them, the sweeps that
-# run on them, and the windowed numerical-rescue regressions.
+# equivalence suite with every optimum certified, warm starts from
+# arbitrary bases, presolve round-trip, pricing, degenerate-cycling
+# guards, the rescue's one-extra-solve bound, and the certificate's
+# rejection of perturbed answers), then through internal/core the golden
+# objectives in both kernel configurations (presolved and the rescue's),
+# the warm CapSession probes, the curve walks and the stepped walks'
+# captures checked against them, the closed-form floors against the
+# walked ones, the sweeps that run on the sessions, and the windowed
+# numerical-rescue regressions.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end
@@ -121,7 +125,8 @@ twin-smoke:
 # (the content-addressing the schedule cache rests on), the Markowitz
 # sparse LU factorization (factor → FTRAN/BTRAN vs dense LU, and factors
 # and solves bit for bit vs the step-scan reference LU), the parametric
-# right-hand-side walk (walked objective vs point solves), and warm starts
+# right-hand-side walk (walked objective vs point solves, and a certified
+# capture at a fuzz-chosen shift), and warm starts
 # from arbitrary bases (status and objective vs a cold solve). Seeds are
 # checked in via f.Add; 5s each keeps the gate fast while still exploring.
 fuzz-smoke:

@@ -2,8 +2,8 @@ package powercap
 
 // Cluster power market facade. The paper's motivating setting — "total
 // machine power will be divided across multiple simultaneous jobs" — is
-// served by internal/market: each job's whole-graph LP is walked once along
-// the cap axis into its exact power–time curve (core.CapSession.Curve), and
+// served by internal/market: each job's whole-graph LP is walked down the
+// cap axis along its exact power–time curve (core.CapSession.Walk), and
 // AllocateCluster splits one site-wide budget across the jobs on those
 // curves under a pluggable policy. See DESIGN.md §13.
 
@@ -21,8 +21,8 @@ type (
 	// PolicyProportional, or PolicyMarket.
 	ClusterPolicy = market.Policy
 	// ClusterAllocation is a solved cluster split: per-job caps and
-	// schedules, the summed makespan the market minimizes, and the curve
-	// pieces it granted.
+	// schedules, the summed makespan the market minimizes, and the
+	// market's lowering steps.
 	ClusterAllocation = market.Allocation
 	// ClusterJobAllocation is one job's slice of the budget.
 	ClusterJobAllocation = market.JobAllocation
@@ -50,9 +50,11 @@ const (
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }
 
 // CapSession is a re-solvable whole-graph LP for cap-only changes: built
-// once, re-aimed at arbitrary caps with dual-simplex warm starts, or walked
-// along the cap axis into the job's whole power–time curve (Curve). It
-// implements market.Session and is NOT safe for concurrent use.
+// once, re-aimed at arbitrary caps with dual-simplex warm starts, walked
+// down the cap axis a piece at a time (Walk), or walked into the job's
+// whole power–time curve (Curve). Its closed-form FloorW answers caps below
+// it without an LP. It implements market.Session and is NOT safe for
+// concurrent use.
 type CapSession = core.CapSession
 
 // NewCapSession builds a warm re-solve session for g on this System's
@@ -73,15 +75,18 @@ type ClusterJob struct {
 }
 
 // AllocateCluster divides one site-wide power budget across jobs. Each
-// job's whole-graph LP is built once and walked into its exact power–time
-// curve (floor, demand and every breakpoint); the policy splits the budget
-// on the curves — for PolicyMarket, curve pieces granted steepest first
-// from the floors up — and each job is then solved once at its cap, the
-// solve checked against its curve. model nil means DefaultModel. A budget
-// below the sum of per-job feasibility floors fails with a *BudgetError
-// naming the binding jobs; a job whose final solve fails or disagrees with
-// its curve keeps its cap and its curve's values and is marked Degraded
-// instead of failing the cluster. Jobs in the result are in input order.
+// job's whole-graph LP is built once, its feasibility floor taken in closed
+// form, and walked down its exact power–time curve from saturation to its
+// demand; the policy splits the budget on the curves — for PolicyMarket,
+// lowering the job whose next piece down is flattest until the caps fit —
+// and each walk goes only as deep as its job's cap. Each job's schedule is
+// read off its walk there and checked by an optimality certificate, with
+// no further solve. model nil means DefaultModel. A budget below the sum of
+// per-job feasibility floors fails with a *BudgetError naming the binding
+// jobs, before any LP runs; a job whose schedule cannot be read off its
+// walk falls back to one solve at its cap, and if that fails too it keeps
+// its cap and its walk's values and is marked Degraded instead of failing
+// the cluster. Jobs in the result are in input order.
 func AllocateCluster(ctx context.Context, jobs []ClusterJob, budgetW float64, model *Model, opts ClusterOptions) (*ClusterAllocation, error) {
 	if model == nil {
 		model = DefaultModel()

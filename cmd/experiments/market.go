@@ -14,8 +14,9 @@ import (
 // The "market" exhibit evaluates the cluster power market (DESIGN.md §13):
 // one site-wide budget divided across a fleet of jobs by three policies —
 // uniform (the site-wide analogue of Static capping), proportional to
-// saturation demand, and the shadow-price market, which grants each job's
-// exact curve pieces steepest first until the budget is spent.
+// saturation demand, and the shadow-price market, which starts every job at
+// its demand and lowers the job whose next curve piece down is flattest
+// until the caps fit the budget.
 //
 // Hypothesis: market ≤ proportional ≤ uniform in total makespan on
 // heterogeneous mixes (different curve shapes give the market trades to
@@ -47,8 +48,8 @@ func defaultMarketSizes() marketSizes {
 }
 
 // marketPolicyResult is one policy's allocation on one mix. Iterations
-// counts the curve pieces the market granted; Rescues the cold restarts
-// the curve walks (and any numerical rescue of the final solves) took.
+// counts the market's lowering steps; Rescues the cold restarts the walks
+// (and any numerical rescue of a fallback solve) took.
 type marketPolicyResult struct {
 	TotalMakespanS float64 `json:"total_makespan_s"`
 	MaxMakespanS   float64 `json:"max_makespan_s"`
@@ -114,7 +115,7 @@ func runMarketSized(cfg config, sz marketSizes) error {
 	}
 
 	fmt.Printf("%-11s%6s%11s%11s%13s%11s%9s%8s%7s\n",
-		"mix", "jobs", "budget(W)", "uniform(s)", "proportnl(s)", "market(s)", "gain(%)", "pieces", "solves")
+		"mix", "jobs", "budget(W)", "uniform(s)", "proportnl(s)", "market(s)", "gain(%)", "steps", "solves")
 	for _, mix := range sz.mixes {
 		res, err := runMarketMix(ctx, mix, sz)
 		if err != nil {

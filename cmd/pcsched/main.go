@@ -278,7 +278,7 @@ func runCluster(path string, jsonOut bool, stdout io.Writer) error {
 			j.Name, j.Workload, j.CapW, j.FloorW, j.DemandW, j.MakespanS, j.MarginalSecPerW, mark)
 	}
 	fmt.Fprintf(stdout, "\ntotal %.3f s, slowest job %.3f s\n", resp.TotalMakespanS, resp.MaxMakespanS)
-	fmt.Fprintf(stdout, "%d curve pieces granted, %.1f W moved from the uniform split\n",
+	fmt.Fprintf(stdout, "%d lowering steps, %.1f W moved from the uniform split\n",
 		resp.Iterations, resp.MovedW)
 	if resp.Stats != nil {
 		fmt.Fprintf(stdout, "%d LP solves (%d warm starts, %d simplex + %d dual pivots)\n",

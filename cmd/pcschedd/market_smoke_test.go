@@ -17,8 +17,8 @@ import (
 // TestMarketSmoke drives the cluster power market end-to-end against a real
 // daemon: build pcschedd, start it on a random port, fire one /v1/cluster
 // allocation (market policy, heterogeneous pair), assert the response
-// schema (curve pieces granted in one walk and one solve per job, no
-// retired convergence fields) and budget feasibility, verify the per-job
+// schema (lowering steps in one walk per job, no retired convergence
+// fields) and budget feasibility, verify the per-job
 // schedule cache seeding with a follow-up /v1/solve at a granted cap, check
 // the pcschedd_cluster_* /metrics counters (and that the retired ones are
 // gone), then SIGTERM and require a clean exit. This is the
@@ -93,8 +93,8 @@ func TestMarketSmoke(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &resp); err != nil {
 		t.Fatalf("decoding cluster response: %v (%s)", err, body)
 	}
-	if resp.Iterations == 0 || resp.Solves != 4 {
-		t.Errorf("want curve pieces granted in 4 solves (a walk and a final solve per job): %s", body)
+	if resp.Iterations == 0 || resp.Solves != 2 {
+		t.Errorf("want lowering steps in 2 solves (one walk per job): %s", body)
 	}
 	for _, retired := range []string{`"converged"`, `"final_spread_s_per_w"`, `"transfers"`} {
 		if strings.Contains(body, retired) {

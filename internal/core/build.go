@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"powercap/internal/dag"
 	"powercap/internal/lp"
@@ -47,11 +48,33 @@ type builtLP struct {
 	tv   map[dag.TaskID]*taskLPVars
 
 	powerRows []powerRow
+	floor     capFloor
+}
 
-	// Events with no tunable task generate no row; the largest fixed draw
-	// among them is a hard feasibility floor checked against each cap.
-	fixedFloorW      float64
-	fixedFloorVertex int
+// capFloor is a program's feasibility floor in closed form. Power rows hold
+// only configuration fractions, each task's summing to one, and time rows
+// have no deadlines, so every task can run its lowest-power configuration
+// at once: the program is feasible exactly when the cap covers, at every
+// event, the fixed draw plus each active tunable task's lowest frontier
+// power. minW is the largest such sum, vertex the event that attains it and
+// row that event's power row, the one-row witness of infeasibility below minW
+// (−1 for an event with only fixed draws, which has no row). fixedW is the
+// largest draw among events with only fixed draws.
+type capFloor struct {
+	minW   float64
+	vertex int
+	row    int
+	fixedW float64
+}
+
+// infeasible is the error for a cap below the floor, naming the binding
+// event's power row.
+func (f capFloor) infeasible(capW float64) error {
+	if f.row < 0 {
+		return fmt.Errorf("%w: cap %.3f W below the %.3f W fixed draw of event %d", ErrInfeasible, capW, f.minW, f.vertex)
+	}
+	return fmt.Errorf("%w: cap %.3f W below the %.3f W floor of event %d's power row pow%d: its fixed draw and every active task's lowest-power configuration",
+		ErrInfeasible, capW, f.minW, f.vertex, f.vertex)
 }
 
 // emitSkeleton emits the rows every fixed-vertex-order program shares:
@@ -131,31 +154,36 @@ func emitEventOrder(ir *problem.IR, prob *lp.Problem, vVar []lp.Var) {
 // sum to at most PC, with constant draws of degenerate tasks moved to the
 // right-hand side. Rows are emitted at their deduction-only baseline
 // (cap 0); callers aim them at a concrete cap through SetRHS. Events with
-// only fixed draws yield no row; the largest such draw is returned as the
-// feasibility floor every cap must clear.
-func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVars) (rows []powerRow, floorW float64, floorVertex int) {
-	floorVertex = -1
+// only fixed draws yield no row. The program's closed-form feasibility
+// floor comes with the rows.
+func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVars) (rows []powerRow, floor capFloor) {
+	floor.vertex, floor.row = -1, -1
 	for vi := range ir.G.Vertices {
 		var expr lp.Expr
-		deduct, tunableMaxW := 0.0, 0.0
+		deduct, tunableMinW, tunableMaxW := 0.0, 0.0, 0.0
 		for _, tid := range ir.Active[vi] {
 			if v, ok := tv[tid]; ok {
-				top := 0.0
+				lo, top := math.Inf(1), 0.0
 				for k := range v.cs {
 					expr = expr.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
+					lo = min(lo, v.cols.F.Pts[k].PowerW)
 					top = max(top, v.cols.F.Pts[k].PowerW)
 				}
+				tunableMinW += lo
 				tunableMaxW += top
 			} else {
 				deduct += ir.FixedPowerW[tid]
 			}
 		}
 		if len(expr) == 0 {
-			if deduct > floorW {
-				floorW = deduct
-				floorVertex = vi
+			floor.fixedW = max(floor.fixedW, deduct)
+			if deduct > floor.minW {
+				floor.minW, floor.vertex, floor.row = deduct, vi, -1
 			}
 			continue
+		}
+		if w := deduct + tunableMinW; w > floor.minW {
+			floor.minW, floor.vertex, floor.row = w, vi, prob.NumConstraints()
 		}
 		rows = append(rows, powerRow{
 			row:      prob.NumConstraints(),
@@ -165,7 +193,7 @@ func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVa
 		})
 		prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
 	}
-	return rows, floorW, floorVertex
+	return rows, floor
 }
 
 // buildLP constructs the cap-independent LP for graph g: variables,
@@ -189,7 +217,7 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
 	})
 	emitEventOrder(ir, b.prob, b.vVar)
-	b.powerRows, b.fixedFloorW, b.fixedFloorVertex = emitPowerRows(ir, b.prob, b.tv)
+	b.powerRows, b.floor = emitPowerRows(ir, b.prob, b.tv)
 	return b
 }
 

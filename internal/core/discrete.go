@@ -53,9 +53,9 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 		return prob.AddBinary(name, 1e-9*powerW)
 	})
 	emitEventOrder(ir, prob.Problem, vVar)
-	rows, floorW, floorVertex := emitPowerRows(ir, prob.Problem, tv)
-	if floorW > capW {
-		return nil, fmt.Errorf("%w: fixed idle power exceeds cap %.1f W at event %d", ErrInfeasible, capW, floorVertex)
+	rows, floor := emitPowerRows(ir, prob.Problem, tv)
+	if floor.minW > capW {
+		return nil, floor.infeasible(capW)
 	}
 	for _, pr := range rows {
 		if err := prob.SetRHS(pr.row, capW-pr.deduct); err != nil {

@@ -14,7 +14,7 @@ import (
 // ok=false when the cap is infeasible.
 func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, capW float64) (makespan float64, ok bool) {
 	t.Helper()
-	if b.fixedFloorW > capW {
+	if b.floor.minW > capW {
 		return 0, false
 	}
 	for _, pr := range b.powerRows {

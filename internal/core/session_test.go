@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"powercap/internal/machine"
@@ -207,5 +208,122 @@ func TestCapSessionCurve(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The closed-form floor is the walked one: on the six proxies at seeds 1–4
+// it matches Curve.FloorW within 1e-9 W, the LP is optimal at it, and
+// 1e-6 W below it SolveAt answers infeasible from the closed form alone —
+// no LP effort — naming the binding event's power row.
+func TestFloorClosedForm(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range workloads.Names() {
+		for seed := int64(1); seed <= 4; seed++ {
+			w, err := workloads.ByName(name, workloads.Params{Ranks: 4, Iterations: 3, Seed: seed, WorkScale: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, err := NewSolver(machine.Default(), w.EffScale).NewCapSession(ctx, w.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cs.Curve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floor := cs.FloorW()
+			if math.Abs(c.FloorW-floor) > 1e-9 {
+				t.Errorf("%s/%d: closed-form floor %.12g W, walked %.12g W", name, seed, floor, c.FloorW)
+			}
+			if _, err := cs.SolveAt(ctx, floor); err != nil {
+				t.Errorf("%s/%d: at the floor %.12g W: %v", name, seed, floor, err)
+			}
+			_, err = cs.SolveAt(ctx, floor-1e-6)
+			if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "power row pow") {
+				t.Errorf("%s/%d: 1e-6 W below the floor: got %v, want ErrInfeasible naming a power row", name, seed, err)
+			}
+			if cs.last != (Stats{}) {
+				t.Errorf("%s/%d: below-floor answer cost %+v, want no LP effort", name, seed, cs.last)
+			}
+		}
+	}
+}
+
+// A walk lowered to a cap reads the schedule a point solve finds there. On
+// SP and BT the walk's demand is the curve's; at the demand the schedule is
+// read on the flat top, with a zero shadow price, and stays optimal above
+// it; and lowered on down, at caps spread to the floor, each captured
+// schedule (certified by Schedule itself) matches a fresh SolveAt's
+// objective and makespan within 1e-9 relative and the curve's slope as its
+// shadow price. The walk counts as one solve.
+func TestCapSessionWalk(t *testing.T) {
+	ctx := context.Background()
+	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
+	for _, w := range []*workloads.Workload{workloads.SP(p), workloads.BT(p)} {
+		s := NewSolver(machine.Default(), w.EffScale)
+		cs, err := s.NewCapSession(ctx, w.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := s.NewCapSession(ctx, w.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := probe.Curve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, err := cs.Walk(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		demand, err := walk.Demand(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(demand-c.DemandW) > 1e-9*demand {
+			t.Errorf("%s: walked demand %.12g W, curve %.12g W", w.Name, demand, c.DemandW)
+		}
+		top, err := walk.Schedule(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		above, err := probe.SolveAt(ctx, demand+10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top.MarginalSecPerW != 0 || math.Abs(top.Objective-above.Objective) > 1e-9*above.Objective {
+			t.Errorf("%s: at the demand, shadow price %g and objective %.12g; 10 W above, objective %.12g",
+				w.Name, top.MarginalSecPerW, top.Objective, above.Objective)
+		}
+		for k := 1; k <= 6; k++ {
+			capW := demand - (demand-c.FloorW)*float64(k)/6.5
+			if err := walk.Lower(ctx, capW); err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(walk.CapW()-capW) > 1e-9 {
+				t.Fatalf("%s: lowered to %.12g W, asked for %.12g W", w.Name, walk.CapW(), capW)
+			}
+			got, err := walk.Schedule(ctx)
+			if err != nil {
+				t.Fatalf("%s at %g W: %v", w.Name, capW, err)
+			}
+			want, err := probe.SolveAt(ctx, capW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, mk, slope, _ := c.At(capW)
+			if math.Abs(got.Objective-want.Objective) > 1e-9*want.Objective || math.Abs(got.MakespanS-mk) > 1e-9*mk {
+				t.Errorf("%s at %g W: captured objective %.12g, makespan %.12g; point solve %.12g, curve makespan %.12g",
+					w.Name, capW, got.Objective, got.MakespanS, want.Objective, mk)
+			}
+			if math.Abs(got.MarginalSecPerW-slope) > 1e-9 {
+				t.Errorf("%s at %g W: captured shadow price %.12g, curve slope %.12g", w.Name, capW, got.MarginalSecPerW, slope)
+			}
+		}
+		walk.Close()
+		if st := cs.Stats(); st.Solves != 1 || st.DualIter == 0 {
+			t.Errorf("%s: walk counted as %d solves with %d dual pivots, want one solve of dual pivots", w.Name, st.Solves, st.DualIter)
+		}
 	}
 }

@@ -452,8 +452,7 @@ func TestLUKeepsSlotOrder(t *testing.T) {
 
 // thresholdRetryFixture is a basis the sparsity-chasing threshold pass
 // mangles (huge off-diagonal magnitudes) into a vanishing pivot. It is
-// singular to the pivot tolerance too: the retry rejects it as well, and
-// the dense check below skips.
+// singular to the pivot tolerance too: the retry rejects it as well.
 func thresholdRetryFixture() (*colMatrix, []int) {
 	const m = 8
 	a := &colMatrix{m: m}
@@ -473,17 +472,33 @@ func thresholdRetryFixture() (*colMatrix, []int) {
 	return a, cols
 }
 
-// TestLUThresholdRetry checks the pure partial pivoting retry still factors
-// thresholdRetryFixture accurately.
+// edgeRetryFixture is a basis only the τ = 1 retry accepts, found by random
+// search. Such bases sit on the pivot tolerance's edge: 0.3 in place of
+// 0.30000000000000004 fails both passes.
+func edgeRetryFixture() (*colMatrix, []int) {
+	a := &colMatrix{m: 5}
+	a.add([]int{0, 4}, []float64{0.30000000000000004, 0.03})
+	a.add([]int{0, 1}, []float64{-30, 300})
+	a.add([]int{0, 2, 3}, []float64{30000, -400, -0.0004})
+	a.add([]int{0, 1, 4}, []float64{-3000, 10000, -0.02})
+	a.add([]int{0, 2, 4}, []float64{-0.01, 0.01, 0.30000000000000004})
+	return a, []int{0, 1, 2, 3, 4}
+}
+
+// TestLUThresholdRetry checks the pure partial pivoting retry factors
+// edgeRetryFixture, which the threshold pass rejects, accurately.
 func TestLUThresholdRetry(t *testing.T) {
-	a, cols := thresholdRetryFixture()
+	a, cols := edgeRetryFixture()
 	if _, ok := denseFactorize(a, cols); !ok {
-		t.Skip("fixture unexpectedly dense-singular")
+		t.Fatal("fixture dense-singular")
 	}
 	lu := NewLU(len(cols))
 	slots, ok := lu.Factorize(a, cols)
 	if !ok {
 		t.Fatal("LU failed on ill-scaled but nonsingular basis")
+	}
+	if got := lu.Health().TauRetries; got != 1 {
+		t.Fatalf("%d τ = 1 retries, want 1", got)
 	}
 	checkAgainstDense(t, lu, a, slots, rand.New(rand.NewSource(5)))
 }

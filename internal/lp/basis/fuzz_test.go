@@ -212,22 +212,14 @@ func FuzzLUMatchesScan(f *testing.F) {
 // hundred rows, on one pooled pair resized down and up.
 func TestLUMatchesScan(t *testing.T) {
 	lu, ref := NewLU(8), newScanLU(8)
-	// TestLUThresholdRetry's fixture is singular to the pivot tolerance:
-	// both passes reject it.
+	// A basis singular to the pivot tolerance: both passes reject it.
 	a, cols := thresholdRetryFixture()
 	if checkMatchesScan(t, lu, ref, a, cols, fuzzProbe(len(cols), nil)) || lu.health.TauRetries != 1 {
 		t.Fatalf("retry fixture: want a rejection after one retry, health %+v", lu.health)
 	}
-	// A basis only the retry accepts, found by random search. Such bases sit
-	// on the pivot tolerance's edge: 0.3 in place of 0.30000000000000004
-	// fails both passes.
-	a = &colMatrix{m: 5}
-	a.add([]int{0, 4}, []float64{0.30000000000000004, 0.03})
-	a.add([]int{0, 1}, []float64{-30, 300})
-	a.add([]int{0, 2, 3}, []float64{30000, -400, -0.0004})
-	a.add([]int{0, 1, 4}, []float64{-3000, 10000, -0.02})
-	a.add([]int{0, 2, 4}, []float64{-0.01, 0.01, 0.30000000000000004})
-	if !checkMatchesScan(t, lu, ref, a, []int{0, 1, 2, 3, 4}, fuzzProbe(5, nil)) || lu.health.TauRetries != 2 {
+	// A basis only the retry accepts.
+	a, cols = edgeRetryFixture()
+	if !checkMatchesScan(t, lu, ref, a, cols, fuzzProbe(5, nil)) || lu.health.TauRetries != 2 {
 		t.Fatalf("edge fixture: want acceptance after a retry, health %+v", lu.health)
 	}
 

@@ -8,6 +8,7 @@ package lp
 // feasibility yields the exact optimum to compare against the simplex.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,6 +219,10 @@ func TestPropertySimplexMatchesBruteForce(t *testing.T) {
 				t.Logf("seed %d: simplex %v vs brute force %v\n%s", seed, sol.Objective, bfObj, p)
 				return false
 			}
+			if err := Certify(p, sol).Err(); err != nil {
+				t.Logf("seed %d: %v\n%s", seed, err, p)
+				return false
+			}
 			// Simplex solution must itself be feasible.
 			return simplexSolutionFeasible(p, sol)
 		case Infeasible:
@@ -309,6 +314,7 @@ func TestPropertyLargerRandomFeasibleLPs(t *testing.T) {
 		if !simplexSolutionFeasible(p, sol) {
 			t.Fatalf("trial %d: reported optimum infeasible", trial)
 		}
+		assertCertified(t, fmt.Sprintf("trial %d", trial), p, sol)
 		if sol.Objective > 1e-7 {
 			// The origin is feasible with objective 0; a minimum above 0
 			// would be suboptimal.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,6 +145,7 @@ func TestPropertyStrongDuality(t *testing.T) {
 		if sol.Status != Optimal {
 			continue
 		}
+		assertCertified(t, fmt.Sprintf("trial %d", trial), p, sol)
 		checked++
 		dualObj := 0.0
 		for i, r := range rows {

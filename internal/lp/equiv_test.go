@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,6 +178,8 @@ func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *
 		if !simplexSolutionFeasible(p, sparse) {
 			t.Fatalf("%s: sparse optimum infeasible\n%s", name, p)
 		}
+		assertCertified(t, name+" (dense)", p, dense)
+		assertCertified(t, name+" (sparse)", p, sparse)
 	}
 	return dense, sparse
 }
@@ -267,6 +270,7 @@ func TestSparseDualsStrongDuality(t *testing.T) {
 		if sol.Status != Optimal {
 			continue
 		}
+		assertCertified(t, fmt.Sprintf("trial %d", trial), p, sol)
 		checked++
 		dualObj := 0.0
 		for i, b := range rhs {

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -17,9 +18,15 @@ import (
 // its basic values move linearly with the shift and its reduced costs do
 // not move at all. The piece ends where a basic value reaches zero; one
 // dual simplex pivot on that row then carries an optimal basis across the
-// breakpoint. The walk emits every breakpoint in one pass, and it ends
-// where the dual ratio test finds no entering column: past that shift the
-// row's basic variable can only go negative, so the program is infeasible.
+// breakpoint. The walk ends where the dual ratio test finds no entering
+// column: past that shift the row's basic variable can only go negative,
+// so the program is infeasible.
+//
+// A Walk takes that path one piece at a time: it reports the piece it is
+// on, moves along it (Advance), pivots across the breakpoint at its end
+// (Cross), and reads the optimal solution off its basis at the current
+// shift (Capture). Parametric is a loop over a Walk that records every
+// breakpoint.
 
 // maxWalkRestarts bounds the cold restarts one walk may spend on numerical
 // breakdowns before it reports a *NumericalError.
@@ -77,16 +84,174 @@ type Path struct {
 // the last breakpoint, and the walk continues from there; past
 // maxWalkRestarts restarts it returns a *NumericalError.
 func Parametric(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*Path, error) {
+	w, err := newWalk(p, rows, vars, maxShift, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
+	sctx, span := obs.Start(w.o.spanContext(), "lp.solve")
+	defer span.End()
+	span.SetAttr("vars", p.NumVars())
+	span.SetAttr("rows", p.NumConstraints())
+	span.SetAttr("walked_rows", len(rows))
+
+	start := time.Now()
+	w.sctx = sctx
+	w.path = &Path{}
+	err = w.open()
+	if err == nil && w.status == Optimal {
+		err = w.step(sctx, "lp.dual", w.walkAll)
+	}
+	if w.rescue != "" {
+		span.SetAttr("rescue", w.rescue)
+	}
+	if err != nil {
+		return nil, err
+	}
+	path := w.path
+	path.Status = w.status
+	path.InfeasibleBeyond = w.beyond
+	path.Stats = w.Stats()
+	path.Stats.Wall = time.Since(start)
+	span.SetAttr("status", path.Status.String())
+	span.SetAttr("pivots", path.Stats.Pivots())
+	span.SetAttr("breakpoints", len(path.Breakpoints))
+	span.SetAttr("restarts", path.Stats.Rescues)
+	return path, nil
+}
+
+// walkAll walks every piece to the walk's end, recording each breakpoint:
+// a piece's start after whatever pivots its breakpoint took, and its end
+// as the walker reaches it.
+func (w *Walk) walkAll() error {
+	for {
+		w.record()
+		if w.done {
+			return nil
+		}
+		if w.width > 0 {
+			w.path.Breakpoints[len(w.path.Breakpoints)-1].Slope = w.slope
+			w.Advance(w.end)
+			w.record()
+		}
+		if w.done {
+			return nil
+		}
+		if err := w.cross(); err != nil {
+			return err
+		}
+	}
+}
+
+// Walk is a parametric walk taken one piece at a time: OpenWalk solves the
+// problem cold at its stated right-hand sides, and the walker then lowers
+// the walked rows' right-hand sides on the caller's command. A piece is a
+// stretch of shift over which one basis stays optimal; Piece reports the
+// current one, Advance moves along it, Cross pivots across the breakpoint
+// at its end, and Capture reads the optimal solution off the basis at the
+// current shift. Breakdowns restart the walk cold at the current shift, as
+// in Parametric. The context a step takes parents that step's spans; the
+// walk's cancellation is the one OpenWalk was given (WithContext). A Walk is
+// not safe for concurrent use; Close releases its working memory.
+type Walk struct {
+	p        *Problem
+	rows     []int
+	rhs      []float64 // the walked rows' stated right-hand sides
+	vars     []Var
+	maxShift float64
+	o        Options
+	sctx     context.Context // parents the spans of the step in progress
+
+	status   Status
+	done     bool // no piece below the current shift
+	beyond   bool // the walk ended where the program turns infeasible
+	shift    float64
+	restarts int
+	rescue   string     // the last breakdown's reason
+	stats    SolveStats // closed segments' effort
+
+	// The current segment: a cold solve at shift from and the walk from
+	// there. fp is the problem the kernel's form was built from, red its
+	// ScaleOnly reduction (nil when unscaled), dir the direction the form's
+	// right-hand side moves per unit shift, b0 that right-hand side at the
+	// segment start, dirRows the rows dir touches, and beta the rate at
+	// which the basic values fall.
+	rv      *revised
+	fp      *Problem
+	red     *presolve.Reduction
+	from    float64
+	dir     []float64
+	b0      []float64
+	dirRows []int
+	beta    []float64
+
+	// The dual loop's state, carried across steps.
+	iters     int
+	watchdog  int
+	bland     bool
+	stall     int
+	betaEpoch int
+	polished  int
+	dualDrift bool
+
+	// The current piece runs from start to end in shift with objective
+	// slope slope per unit shift; width is how far the ratio test found it
+	// to run. leave is the row whose basic value reaches zero at end;
+	// the last piece (last) ends at maxShift, or nothing ends it.
+	start, end, width, slope float64
+	leave                    int
+	last                     bool
+	atEnd                    bool // the walker has reached end
+
+	// prev is the basis of the piece the walker last crossed out of; it is
+	// still optimal while prevOK, that is, until the walker moves.
+	prev   []int
+	prevOK bool
+
+	path *Path // Parametric's record; nil for a stepped walk
+}
+
+// OpenWalk solves p cold at its stated right-hand sides and returns a
+// walker positioned at shift 0 that lowers the right-hand side of every row
+// in rows by a common shift, up to maxShift. Options apply as in
+// Parametric; WithContext's cancellation covers every step of the walk.
+// When the stated problem is not Optimal, the walker reports its verdict
+// through Status and has no piece.
+func OpenWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*Walk, error) {
+	w, err := newWalk(p, rows, vars, maxShift, opts)
+	if err != nil {
+		return nil, err
+	}
+	sctx, span := obs.Start(w.o.spanContext(), "lp.solve")
+	span.SetAttr("vars", p.NumVars())
+	span.SetAttr("rows", p.NumConstraints())
+	span.SetAttr("walked_rows", len(rows))
+	w.sctx = sctx
+	err = w.open()
+	span.SetAttr("status", w.status.String())
+	span.End()
+	w.setSpan(nil)
+	if err != nil {
+		w.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+// newWalk validates a walk's arguments and resolves its options.
+func newWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts []Option) (*Walk, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
 	}
 	if len(p.rows) == 0 {
 		return nil, fmt.Errorf("lp: parametric walk of a problem with no rows")
 	}
-	for _, r := range rows {
+	rhs := make([]float64, len(rows))
+	for k, r := range rows {
 		if r < 0 || r >= len(p.rows) {
 			return nil, fmt.Errorf("lp: walked row %d out of range", r)
 		}
+		rhs[k] = p.rows[r].rhs
 	}
 	for _, v := range vars {
 		if int(v) < 0 || int(v) >= len(p.names) {
@@ -96,100 +261,308 @@ func Parametric(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Op
 	if !(maxShift >= 0) || math.IsInf(maxShift, 1) {
 		return nil, fmt.Errorf("lp: shift limit %g must be finite and nonnegative", maxShift)
 	}
-	var o Options
+	w := &Walk{p: p, rows: rows, rhs: rhs, vars: vars, maxShift: maxShift}
 	for _, opt := range opts {
-		opt(&o)
+		opt(&w.o)
 	}
-	if o.MaxIters == 0 {
-		o.MaxIters = p.maxIters
+	if w.o.MaxIters == 0 {
+		w.o.MaxIters = p.maxIters
 	}
-	if o.StallWindow == 0 {
-		o.StallWindow = stallWindow
+	if w.o.StallWindow == 0 {
+		w.o.StallWindow = stallWindow
 	}
+	return w, nil
+}
 
-	sctx, span := obs.Start(o.spanContext(), "lp.solve")
-	defer span.End()
-	span.SetAttr("vars", p.NumVars())
-	span.SetAttr("rows", p.NumConstraints())
-	span.SetAttr("walked_rows", len(rows))
-	o.SpanCtx = sctx
+// Status reports Optimal while the walk holds an optimal basis: the stated
+// problem's verdict when that was not Optimal, Canceled or IterLimit when a
+// step stopped early.
+func (w *Walk) Status() Status { return w.status }
 
-	start := time.Now()
-	w := &walker{p: p, rows: rows, vars: vars, maxShift: maxShift, o: &o, path: &Path{}}
-	from, scaled := 0.0, !o.NoPresolve
+// Shift reports how far the walked rows have been lowered.
+func (w *Walk) Shift() float64 { return w.shift }
+
+// Piece reports the current piece: the shift it starts at, the shift it
+// ends at, and the objective's slope along it per unit shift. The walker
+// sits somewhere in [start, end]; at end it stays on this piece until
+// Cross.
+func (w *Walk) Piece() (start, end, slope float64) { return w.start, w.end, w.slope }
+
+// Ended reports that no piece lies below the current shift: the walk
+// reached its shift limit, found the program infeasible beyond the current
+// shift (InfeasibleBeyond), or stopped (Status).
+func (w *Walk) Ended() bool { return w.done }
+
+// Objective reports the optimal objective at the current shift, in the
+// problem's sense, as the walk's basic values stand.
+func (w *Walk) Objective() float64 {
+	if w.rv == nil {
+		return math.NaN()
+	}
+	obj := w.rv.phaseObjective()
+	if w.p.sense == Maximize {
+		obj = -obj
+	}
+	return obj
+}
+
+// Value reports the current value of the k'th variable named at open, as
+// the walk's basic values stand (0 when it is nonbasic).
+func (w *Walk) Value(k int) float64 {
+	if w.rv == nil {
+		return math.NaN()
+	}
+	v := int(w.vars[k])
+	for i, bj := range w.rv.basis {
+		if bj != v {
+			continue
+		}
+		x := w.rv.xB[i]
+		if w.red != nil {
+			x *= w.red.ColScale[bj]
+		}
+		return x
+	}
+	return 0
+}
+
+// Stats reports the walk's effort so far: the cold solves' pivots per
+// phase, the walk's pivots as DualIters, and as Rescues its restarts.
+func (w *Walk) Stats() SolveStats {
+	st := w.stats
+	if w.rv != nil {
+		cur := w.rv.stats
+		w.rv.harvestHealth(&cur)
+		st.add(cur)
+	}
+	st.Rescues = w.restarts
+	return st
+}
+
+// Advance lowers the walked rows to shift t along the current piece,
+// without a pivot: t is clamped to the piece, so a t at or past the piece's
+// end stops there, still on this piece, until Cross. A piece narrower than
+// the shift's rounding is walked by any t at or past its end.
+func (w *Walk) Advance(t float64) {
+	if w.done || w.rv == nil || w.atEnd {
+		return
+	}
+	var step float64
+	switch {
+	case t >= w.end && w.shift == w.start:
+		// The whole piece, by the ratio test's own step.
+		t, step = w.end, w.width
+	case t >= w.end:
+		t, step = w.end, w.end-w.shift
+	case t > w.shift:
+		step = t - w.shift
+	default:
+		return
+	}
+	w.rv.walkStep(w, step, t-w.from)
+	w.shift = t
+	w.prevOK = false
+	if t == w.end {
+		w.atEnd = true
+		w.done = w.last
+	}
+}
+
+// Cross pivots across the breakpoint at the end of the current piece and
+// onto the next piece, or ends the walk there when the program turns
+// infeasible beyond it. The walker must have advanced to the piece's end;
+// elsewhere Cross does nothing. ctx parents the step's spans. Status
+// reports a step stopped by cancellation or the pivot budget; a breakdown
+// that outlasts maxWalkRestarts is a *NumericalError.
+func (w *Walk) Cross(ctx context.Context) error {
+	if w.done || w.rv == nil || !w.atEnd {
+		return nil
+	}
+	return w.step(ctx, "lp.dual", w.cross)
+}
+
+// Back returns the walker to the piece it last crossed out of, while it
+// has not moved since: at the breakpoint between them both bases are
+// optimal, so a capture can be read off either. It reports whether there
+// was such a piece.
+func (w *Walk) Back(ctx context.Context) (bool, error) {
+	if !w.prevOK || w.rv == nil {
+		return false, nil
+	}
+	err := w.step(ctx, "lp.dual", func() error {
+		rv := w.rv
+		if !rv.factorize(w.prev) {
+			rv.numReason = "singular basis on stepping back"
+			if !rv.reinvert() {
+				w.done = true
+			}
+			return &NumericalError{Reason: rv.numReason, Pivots: w.Stats().Pivots()}
+		}
+		w.prevOK, w.done, w.beyond = false, false, false
+		w.measure()
+		return nil
+	})
+	return err == nil, err
+}
+
+// Capture reads the optimal solution at the current shift off the current
+// basis. It reinverts the basis first, so the basic values are B⁻¹b at the
+// current shift with no update drift; the solution is built as Solve's is,
+// with duals B⁻ᵀc_B, and mapped back through the walk's scaling onto the
+// stated problem with the walked rows lowered by Shift. The walk can go on
+// afterwards. ctx parents the step's spans.
+func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
+	if w.rv == nil || w.status != Optimal {
+		return nil, fmt.Errorf("lp: no optimal basis to capture (%v)", w.status)
+	}
+	var sol *Solution
+	err := w.step(ctx, "lp.solve", func() error {
+		rv := w.rv
+		if !rv.reinvert() || !rv.stateFinite() {
+			w.done = true
+			reason := rv.numReason
+			if reason == "" {
+				reason = "non-finite basic values at capture"
+			}
+			return &NumericalError{Reason: reason, Pivots: w.Stats().Pivots()}
+		}
+		sol = rv.extract(w.fp, w.iters)
+		if !w.done {
+			w.measure()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if w.red != nil {
+		out := &Solution{
+			Status: Optimal,
+			X:      w.red.PostsolvePrimal(sol.X),
+			Dual:   w.red.PostsolveDual(sol.Dual),
+			Basis:  w.red.MapBasis(sol.Basis, w.red.P.NumVars),
+			Iters:  sol.Iters,
+		}
+		finishObjective(w.p, w.red, out)
+		sol = out
+	}
+	sol.Stats = w.Stats()
+	return sol, nil
+}
+
+// Close releases the walker's working memory. The walker keeps its Stats.
+func (w *Walk) Close() { w.closeSegment() }
+
+// step runs fn under a span named name parented on parent; the kernel's own
+// spans (a restart's phases, refactorizations) nest under it.
+func (w *Walk) step(parent context.Context, name string, fn func() error) error {
+	ctx, sp := obs.Start(parent, name)
+	w.setSpan(ctx)
+	before := w.Stats().Pivots()
+	err := fn()
+	sp.SetAttr("pivots", w.Stats().Pivots()-before)
+	sp.SetAttr("status", w.status.String())
+	sp.End()
+	w.setSpan(parent)
+	return err
+}
+
+func (w *Walk) setSpan(ctx context.Context) {
+	w.sctx = ctx
+	if w.rv != nil {
+		w.rv.sctx = ctx
+	}
+}
+
+// open runs the first segment at shift 0.
+func (w *Walk) open() error {
+	st, reason := w.segment(!w.o.NoPresolve)
+	if st == statusNumerical {
+		return w.recover(reason)
+	}
+	w.setStatus(st)
+	return nil
+}
+
+// cross takes the pivot at the end of the current piece and settles on the
+// next one, restarting cold after a breakdown.
+func (w *Walk) cross() error {
+	// The piece just walked had positive width: progress, as far as the
+	// stall guard is concerned.
+	w.stall, w.bland = 0, false
+	if w.path == nil {
+		// Keep the basis being left for Back; Parametric never steps back.
+		w.prev = append(w.prev[:0], w.rv.basis...)
+		w.prevOK = true
+	}
+	st := w.pivot()
+	if st == Optimal && !w.done {
+		w.iters++
+		st = w.settle()
+	}
+	if st == statusNumerical {
+		w.prevOK = false
+		return w.recover(w.rv.numReason)
+	}
+	w.setStatus(st)
+	return nil
+}
+
+// setStatus ends the walk on any status but Optimal.
+func (w *Walk) setStatus(st Status) {
+	w.status = st
+	if st != Optimal {
+		w.done = true
+	}
+}
+
+// recover restarts the walk cold, without scaling, at the current shift
+// after a numerical breakdown; past maxWalkRestarts restarts it returns a
+// *NumericalError.
+func (w *Walk) recover(reason string) error {
 	for {
-		st, reason := w.segment(from, scaled)
+		w.rescue = reason
+		if w.restarts == maxWalkRestarts {
+			w.done = true
+			return &NumericalError{Reason: reason, Pivots: w.Stats().Pivots()}
+		}
+		w.restarts++
+		st, r := w.segment(false)
 		if st != statusNumerical {
-			w.path.Status = st
-			break
+			w.setStatus(st)
+			return nil
 		}
-		span.SetAttr("rescue", reason)
-		if w.path.Stats.Rescues == maxWalkRestarts {
-			return nil, &NumericalError{Reason: reason, Pivots: w.path.Stats.Pivots()}
-		}
-		w.path.Stats.Rescues++
-		// Resume at the last breakpoint; the restarted segment records it
-		// afresh.
-		if n := len(w.path.Breakpoints); n > 0 {
-			from = w.path.Breakpoints[n-1].Shift
-		}
-		scaled = false
+		reason = r
 	}
-	path := w.path
-	path.Stats.Wall = time.Since(start)
-	span.SetAttr("status", path.Status.String())
-	span.SetAttr("pivots", path.Stats.Pivots())
-	span.SetAttr("breakpoints", len(path.Breakpoints))
-	span.SetAttr("restarts", path.Stats.Rescues)
-	return path, nil
 }
 
-// walker carries one Parametric call across its segments: a segment is a
-// cold solve at a starting shift and the walk from there.
-type walker struct {
-	p        *Problem
-	rows     []int
-	vars     []Var
-	maxShift float64
-	o        *Options
-	path     *Path
-
-	// Per segment: the shift the segment started at, the direction the
-	// form's right-hand side moves per unit shift, that right-hand side at
-	// the segment start, the rows the direction touches, the column scale
-	// (nil when unscaled), and the rate of change of the basic values.
-	from     float64
-	dir      []float64
-	b0       []float64
-	dirRows  []int
-	colScale []float64
-	beta     []float64
-}
-
-// segment cold-solves p with the walked rows lowered by from and walks on
-// from there, appending breakpoints to the path. It returns
-// statusNumerical, with the breakdown's reason, when the segment broke
-// down.
-func (w *walker) segment(from float64, scaled bool) (Status, string) {
+// segment cold-solves p with the walked rows lowered by the current shift
+// and settles on the first piece from there. It returns statusNumerical,
+// with the breakdown's reason, when the segment broke down.
+func (w *Walk) segment(scaled bool) (Status, string) {
+	w.closeSegment()
+	from := w.shift
 	q := w.p
-	if from > 0 {
+	stated := true
+	for k, r := range w.rows {
+		stated = stated && w.p.rows[r].rhs == w.rhs[k]
+	}
+	if from > 0 || !stated {
 		q = w.p.Clone()
-		for _, r := range w.rows {
-			q.rows[r].rhs = w.p.rows[r].rhs - from
+		for k, r := range w.rows {
+			q.rows[r].rhs = w.rhs[k] - from
 		}
 	}
 	fp := q // the problem the kernel's form is built from
-	rowScale := []float64(nil)
-	w.colScale = nil
+	w.red = nil
 	if scaled {
-		red := presolve.Run(neutralize(q), presolve.ScaleOnly)
-		fp = reducedProblem(q, red)
-		rowScale, w.colScale = red.RowScale, red.ColScale
-		w.path.Stats.RowNormMax, w.path.Stats.RowNormMin = red.RowNormMax, red.RowNormMin
+		w.red = presolve.Run(neutralize(q), presolve.ScaleOnly)
+		fp = reducedProblem(q, w.red)
+		w.stats.RowNormMax, w.stats.RowNormMin = w.red.RowNormMax, w.red.RowNormMin
 	}
 	f := newSpForm(fp)
 
-	w.from = from
+	w.fp, w.from = fp, from
 	w.dir = make([]float64, f.m)
 	w.dirRows = w.dirRows[:0]
 	for _, r := range w.rows {
@@ -197,62 +570,74 @@ func (w *walker) segment(from float64, scaled bool) (Status, string) {
 			w.dirRows = append(w.dirRows, r)
 		}
 		d := f.rowSign[r]
-		if rowScale != nil {
-			d *= rowScale[r]
+		if w.red != nil {
+			d *= w.red.RowScale[r]
 		}
 		w.dir[r] = d
 	}
 	w.b0 = append(w.b0[:0], f.b...)
 	w.beta = make([]float64, f.m)
+	w.prevOK = false
 
-	rv := newRevised(f, w.o)
-	defer rv.release()
-	defer func() {
-		rv.harvestHealth(&rv.stats)
-		w.path.Stats.add(rv.stats)
-	}()
-
+	rv := newRevised(f, &w.o)
+	rv.sctx = w.sctx
+	w.rv = rv
 	sol := rv.solveCold(fp)
 	switch {
 	case sol.Status == statusNumerical:
 		return statusNumerical, rv.numReason
 	case sol.Status == Infeasible && from > 0:
 		// A restart exactly at the infeasibility point can land on the
-		// infeasible side of the feasibility tolerance: the walk ends there.
-		w.path.InfeasibleBeyond = true
+		// infeasible side of the feasibility tolerance: the walk ends there,
+		// with no basis to read.
+		w.closeSegment()
+		w.done, w.beyond = true, true
 		return Optimal, ""
 	case sol.Status != Optimal:
+		w.closeSegment()
 		return sol.Status, ""
 	}
-	iters := sol.Iters
-	st := rv.phase("lp.dual", &iters, func() Status { return rv.walk(&iters, w) })
+	w.iters = sol.Iters
+	w.watchdog = rv.maxIters / 2
+	w.bland, w.stall = false, 0
+	rv.pr.invalidate()
+	w.betaEpoch, w.polished = -1, -1
+	w.dualDrift = false
+	st := rv.phase("lp.dual", &w.iters, w.settle)
 	if st == statusNumerical {
 		return st, rv.numReason
 	}
 	return st, ""
 }
 
-// walk lowers the walked rows' right-hand sides from the current optimal
-// basis, one dual simplex pivot per breakpoint, recording each breakpoint
-// in w.path. It shares the dual loop's ratio test, cancellation and
-// fault-injection checkpoint, refactorization cadence and stall guard.
-func (rv *revised) walk(iters *int, w *walker) Status {
-	bland := false
-	stall := 0
-	watchdog := rv.maxIters / 2
-	rv.pr.invalidate()
-	betaEpoch, polished := -1, -1
-	dualDrift := false
-	theta := 0.0
-	limit := w.maxShift - w.from
+// closeSegment folds the current segment's effort into the walk's stats and
+// releases its arena.
+func (w *Walk) closeSegment() {
+	if w.rv == nil {
+		return
+	}
+	st := w.rv.stats
+	w.rv.harvestHealth(&st)
+	w.stats.add(st)
+	w.rv.release()
+	w.rv = nil
+}
 
-	for ; *iters < rv.maxIters; *iters++ {
-		if *iters%cancelCheckEvery == 0 {
+// settle runs the walk's dual loop at the current shift until the basis
+// opens a piece of positive width, or the walk ends: it restores
+// optimality after reinversions and drift, takes the degenerate pivots of
+// zero-width pieces, and sets the piece. It shares the dual loop's ratio
+// test, cancellation and fault-injection checkpoint, refactorization
+// cadence and stall guard.
+func (w *Walk) settle() Status {
+	rv := w.rv
+	for ; w.iters < rv.maxIters; w.iters++ {
+		if w.iters%cancelCheckEvery == 0 {
 			if st, ok := rv.checkpoint(); !ok {
 				return st
 			}
 		}
-		if polished != rv.factorEpoch || dualDrift {
+		if w.polished != rv.factorEpoch || w.dualDrift {
 			// The dual ratio test's tolerance lets reduced costs creep below
 			// zero, and the basis then walks suboptimal pieces. Whenever a
 			// pivot pushes one below the optimality tolerance, and on each
@@ -260,94 +645,117 @@ func (rv *revised) walk(iters *int, w *walker) Status {
 			// restore optimality at the current shift, as a warm dual
 			// solve's closing primal pass does.
 			rv.pr.ensureFresh(rv)
-			dualDrift = false
+			w.dualDrift = false
 			if rv.dualInfeasible(nil) {
-				before := *iters
-				if st := rv.primal(iters); st != Optimal {
+				before := w.iters
+				if st := rv.primal(&w.iters); st != Optimal {
 					return st
 				}
-				rv.stats.Phase2Iters += *iters - before
-				betaEpoch = -1
+				rv.stats.Phase2Iters += w.iters - before
+				w.betaEpoch = -1
 			}
-			polished = rv.factorEpoch
+			w.polished = rv.factorEpoch
 		}
-		if *iters >= watchdog && !bland {
-			bland = true
+		if w.iters >= w.watchdog && !w.bland {
+			w.bland = true
 			rv.stats.BlandActivated = true
 			rv.stats.BlandActivations++
 		}
-		// β = B⁻¹·dir is the rate at which the basic values fall per unit
-		// shift; exact after every refactorization, updated per pivot.
-		if betaEpoch != rv.factorEpoch {
-			copy(w.beta, w.dir)
-			rv.ftran(w.beta)
-			betaEpoch = rv.factorEpoch
-		}
-		leave, step := rv.walkRatioTest(w.beta, bland)
-		if leave < 0 || theta+step >= limit {
-			// Nothing ends the piece before the shift limit.
-			w.record(rv, theta)
-			if limit > theta {
-				w.setSlope(rv)
-				rv.walkStep(w, limit-theta, limit)
-				w.record(rv, limit)
+		w.measure()
+		if w.last || w.width > 0 {
+			if w.last && w.end <= w.shift {
+				w.done = true
 			}
 			return Optimal
 		}
-		if step > 0 {
-			w.record(rv, theta)
-			w.setSlope(rv)
-			theta += step
-			rv.walkStep(w, step, theta)
-			w.record(rv, theta)
-			stall = 0
-			bland = false
-		} else {
-			stall++
-			if stall >= rv.stallWindow && !bland {
-				bland = true
-				rv.stats.BlandActivated = true
-				rv.stats.BlandActivations++
-			}
+		w.stall++
+		if w.stall >= rv.stallWindow && !w.bland {
+			w.bland = true
+			rv.stats.BlandActivated = true
+			rv.stats.BlandActivations++
 		}
-		if rv.f.artificial[rv.basis[leave]] {
-			w.record(rv, theta)
-			w.path.InfeasibleBeyond = true
-			return Optimal
-		}
-		rv.stats.DualIters++
-
-		if bland {
-			rv.pr.refresh(rv)
-		} else {
-			rv.pr.ensureFresh(rv)
-		}
-		enter := rv.dualRatioTest(leave)
-		if enter < 0 {
-			// Any further shift drives the row's basic variable negative
-			// with no column able to compensate: infeasible beyond theta.
-			w.record(rv, theta)
-			w.path.InfeasibleBeyond = true
-			return Optimal
-		}
-		epoch := rv.factorEpoch
-		switch rv.dualPivot(leave, enter) {
-		case pivotRetry:
-			continue
-		case pivotFailed:
-			return statusNumerical
-		}
-		dualDrift = rv.dualInfeasible(rv.pr.accCols)
-		if rv.factorEpoch == epoch {
-			// The pivot's own update of β, as pivotUpdate does for xB.
-			br := w.beta[leave] / rv.alpha[leave]
-			for i := range w.beta {
-				w.beta[i] -= br * rv.alpha[i]
-			}
-			w.beta[leave] = br
+		if st := w.pivot(); st != Optimal || w.done {
+			return st
 		}
 	}
 	return IterLimit
+}
+
+// measure sets the current piece from the current basis: β = B⁻¹·dir, the
+// rate at which the basic values fall per unit shift (exact after every
+// refactorization, updated per pivot), the ratio test's leaving row and
+// step, and the piece's slope.
+func (w *Walk) measure() {
+	rv := w.rv
+	if w.betaEpoch != rv.factorEpoch {
+		copy(w.beta, w.dir)
+		rv.ftran(w.beta)
+		w.betaEpoch = rv.factorEpoch
+	}
+	leave, step := rv.walkRatioTest(w.beta, w.bland)
+	w.start, w.atEnd = w.shift, false
+	if leave < 0 || w.shift+step >= w.maxShift {
+		// Nothing ends the piece before the shift limit.
+		w.leave, w.last = -1, true
+		w.width, w.end = w.maxShift-w.shift, w.maxShift
+	} else {
+		w.leave, w.last = leave, false
+		w.width, w.end = step, w.shift+step
+	}
+	// The objective falls by c_Bᵀβ per unit shift.
+	slope := 0.0
+	if w.width > 0 {
+		for i, bj := range rv.basis {
+			slope -= rv.cost[bj] * w.beta[i]
+		}
+		if w.p.sense == Maximize {
+			slope = -slope
+		}
+	}
+	w.slope = slope
+}
+
+// pivot takes the dual simplex pivot on the current piece's leaving row,
+// or ends the walk where that row's basic value can only go negative: an
+// artificial, or a row no column can compensate. A pivot that had to
+// reinvert first is left for the dual loop to retry.
+func (w *Walk) pivot() Status {
+	rv := w.rv
+	leave := w.leave
+	if rv.f.artificial[rv.basis[leave]] {
+		w.done, w.beyond = true, true
+		return Optimal
+	}
+	rv.stats.DualIters++
+	if w.bland {
+		rv.pr.refresh(rv)
+	} else {
+		rv.pr.ensureFresh(rv)
+	}
+	enter := rv.dualRatioTest(leave)
+	if enter < 0 {
+		// Any further shift drives the row's basic variable negative with
+		// no column able to compensate: infeasible beyond this shift.
+		w.done, w.beyond = true, true
+		return Optimal
+	}
+	epoch := rv.factorEpoch
+	switch rv.dualPivot(leave, enter) {
+	case pivotRetry:
+		return Optimal
+	case pivotFailed:
+		return statusNumerical
+	}
+	w.dualDrift = rv.dualInfeasible(rv.pr.accCols)
+	if rv.factorEpoch == epoch {
+		// The pivot's own update of β, as pivotUpdate does for xB.
+		br := w.beta[leave] / rv.alpha[leave]
+		for i := range w.beta {
+			w.beta[i] -= br * rv.alpha[i]
+		}
+		w.beta[leave] = br
+	}
+	return Optimal
 }
 
 // walkRatioTest finds the row whose basic value the shift drives to zero
@@ -392,7 +800,7 @@ func (rv *revised) walkRatioTest(beta []float64, bland bool) (leave int, step fl
 // walkStep advances the basic values by step along the walk and sets the
 // form's right-hand side to the segment's shift theta, so a reinversion
 // recomputes the basic values at the current point.
-func (rv *revised) walkStep(w *walker, step, theta float64) {
+func (rv *revised) walkStep(w *Walk, step, theta float64) {
 	for i, b := range w.beta {
 		rv.xB[i] -= step * b
 	}
@@ -401,36 +809,27 @@ func (rv *revised) walkStep(w *walker, step, theta float64) {
 	}
 }
 
-// record sets the breakpoint at segment shift theta from the current
-// basis: the objective in the problem's sense and the named variables'
-// values, as the basic values stand (unrounded, so the path is linear
-// along a piece). It overwrites a breakpoint already at theta: the walk
-// records each piece's start just before walking it, after whatever
-// pivots the breakpoint took, and each end again as the walk stops there.
-func (w *walker) record(rv *revised, theta float64) {
-	shift := w.from + theta
-	n := len(w.path.Breakpoints)
-	if n > 0 && w.path.Breakpoints[n-1].Shift > shift {
+// record sets the breakpoint at the current shift from the current basis:
+// the objective in the problem's sense and the named variables' values, as
+// the basic values stand (unrounded, so the path is linear along a piece).
+// It overwrites a breakpoint already at this shift: the walk records each
+// piece's start just before walking it, after whatever pivots the
+// breakpoint took, and each end again as the walk stops there. A segment
+// that ended without a basis records nothing.
+func (w *Walk) record() {
+	if w.rv == nil {
 		return
 	}
-	if n > 0 && w.path.Breakpoints[n-1].Shift == shift {
+	n := len(w.path.Breakpoints)
+	if n > 0 && w.path.Breakpoints[n-1].Shift > w.shift {
+		return
+	}
+	if n > 0 && w.path.Breakpoints[n-1].Shift == w.shift {
 		w.path.Breakpoints = w.path.Breakpoints[:n-1]
 	}
-	bp := Breakpoint{Shift: shift, Objective: rv.phaseObjective(), Values: make([]float64, len(w.vars))}
-	if w.p.sense == Maximize {
-		bp.Objective = -bp.Objective
-	}
-	for i, bj := range rv.basis {
-		for k, v := range w.vars {
-			if int(v) != bj {
-				continue
-			}
-			x := rv.xB[i]
-			if w.colScale != nil {
-				x *= w.colScale[bj]
-			}
-			bp.Values[k] = x
-		}
+	bp := Breakpoint{Shift: w.shift, Objective: w.Objective(), Values: make([]float64, len(w.vars))}
+	for k := range w.vars {
+		bp.Values[k] = w.Value(k)
 	}
 	w.path.Breakpoints = append(w.path.Breakpoints, bp)
 }
@@ -455,19 +854,6 @@ func (rv *revised) dualInfeasible(cols []int) bool {
 		}
 	}
 	return false
-}
-
-// setSlope gives the last breakpoint the slope of the piece the current
-// basis is about to walk: the objective falls by c_Bᵀβ per unit shift.
-func (w *walker) setSlope(rv *revised) {
-	slope := 0.0
-	for i, bj := range rv.basis {
-		slope -= rv.cost[bj] * w.beta[i]
-	}
-	if w.p.sense == Maximize {
-		slope = -slope
-	}
-	w.path.Breakpoints[len(w.path.Breakpoints)-1].Slope = slope
 }
 
 // add accumulates another solve's effort into s: pivots and

@@ -7,10 +7,10 @@ import (
 
 // decodeWalkLP turns fuzz bytes into a small LP and a walk over it: the
 // variable and row counts, the walked-row mask and the shift limit, then
-// costs and rows, one signed byte per number in quarters. Short input reads
-// as zeros. A last row, Σx ≤ 100, keeps small coefficients from demanding
-// huge values.
-func decodeWalkLP(data []byte) (p *Problem, rows []int, maxShift float64) {
+// costs and rows, one signed byte per number in quarters, then where along
+// the walked range to capture, in 255ths. Short input reads as zeros. A
+// last row, Σx ≤ 100, keeps small coefficients from demanding huge values.
+func decodeWalkLP(data []byte) (p *Problem, rows []int, maxShift, captureAt float64) {
 	next := func() byte {
 		if len(data) == 0 {
 			return 0
@@ -46,7 +46,7 @@ func decodeWalkLP(data []byte) (p *Problem, rows []int, maxShift float64) {
 		box = box.Plus(v, 1)
 	}
 	p.MustConstraint("box", box, LE, 100)
-	return p, rows, maxShift
+	return p, rows, maxShift, float64(next()) / 255
 }
 
 // encodeWalkLP is decodeWalkLP's inverse for hand-written seeds: costs and
@@ -96,8 +96,10 @@ func interpolate(path *Path, t float64) (float64, []float64) {
 // FuzzParametric checks the walk against point solves on small LPs: the
 // walk's verdict at shift 0 is Solve's; at sampled shifts the interpolated
 // objective equals Solve's within 1e-9 and the interpolated point is
-// feasible with that objective; and point solves just inside and just past
-// the walk's infeasibility point bracket it.
+// feasible with that objective; point solves just inside and just past the
+// walk's infeasibility point bracket it; and a walker stepped to a
+// fuzz-chosen shift captures a solution there that passes Certify on the
+// shifted problem, with the path's and a point solve's objective.
 func FuzzParametric(f *testing.F) {
 	// Beale's cycling instance, its columns rescaled onto the quarter grid
 	// (x1 = 4y1, x2 = y2/10, x3 = 25y3), walking its two degenerate rows.
@@ -123,7 +125,7 @@ func FuzzParametric(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, rows, maxShift := decodeWalkLP(data)
+		p, rows, maxShift, captureAt := decodeWalkLP(data)
 		if nearlyParallelRows(p) {
 			t.Skip("nearly parallel rows: no 1e-9 reference exists")
 		}
@@ -240,6 +242,8 @@ func FuzzParametric(f *testing.F) {
 			checkPoint(t, q, x, obj, s)
 		}
 
+		checkCapture(t, p, rows, vars, maxShift, path, captureAt*end)
+
 		if path.InfeasibleBeyond {
 			// Just past the point no point solve may find a feasible
 			// point: Solve may answer "optimal" within its tolerance, but
@@ -254,6 +258,53 @@ func FuzzParametric(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCapture steps a walker over p to shift at, one piece at a time,
+// captures the solution there and certifies it on p shifted by the
+// walker's shift; its objective must match path's interpolation and a
+// point solve within 1e-9 of the objective's magnitude.
+func checkCapture(t *testing.T, p *Problem, rows []int, vars []Var, maxShift float64, path *Path, at float64) {
+	t.Helper()
+	w, err := OpenWalk(p, rows, vars, maxShift, WithMaxIters(5000))
+	if err != nil {
+		t.Fatalf("open walk: %v", err)
+	}
+	defer w.Close()
+	for w.Shift() < at && !w.Ended() {
+		_, end, _ := w.Piece()
+		w.Advance(math.Min(at, end))
+		if err := w.Cross(nil); err != nil {
+			t.Fatalf("cross at shift %g: %v", w.Shift(), err)
+		}
+	}
+	if w.Status() != Optimal {
+		t.Fatalf("walker stepped to shift %g: status %v", w.Shift(), w.Status())
+	}
+	s := w.Shift()
+	sol, err := w.Capture(nil)
+	if err != nil {
+		t.Fatalf("capture at shift %g: %v", s, err)
+	}
+	q := shifted(p, rows, s)
+	if err := Certify(q, sol).Err(); err != nil {
+		t.Fatalf("capture at shift %g: %v\n%s", s, err, q)
+	}
+	ref, err := Solve(q, WithMaxIters(5000))
+	if err != nil || ref.Status != Optimal {
+		t.Fatalf("point solve at shift %g: %v %v", s, err, ref)
+	}
+	scale := 1.0
+	for j, c := range q.obj {
+		scale += math.Abs(c * ref.X[j])
+	}
+	walked, _ := interpolate(path, s)
+	if d := math.Abs(sol.Objective - ref.Objective); d > 1e-9*scale {
+		t.Fatalf("shift %g: captured objective %.12g, Solve %.12g\n%s", s, sol.Objective, ref.Objective, q)
+	}
+	if d := math.Abs(sol.Objective - walked); d > 1e-9*scale {
+		t.Fatalf("shift %g: captured objective %.12g, path %.12g\n%s", s, sol.Objective, walked, q)
+	}
 }
 
 // nearlyParallelRows reports two nonzero rows of p, not counting the box

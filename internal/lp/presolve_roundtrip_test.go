@@ -120,6 +120,8 @@ func checkRoundTrip(t *testing.T, p *Problem, pre, direct *Solution) {
 	if pre.Status != Optimal {
 		return
 	}
+	assertCertified(t, "presolved", p, pre)
+	assertCertified(t, "direct", p, direct)
 	scale := math.Max(1, math.Abs(direct.Objective))
 	if math.Abs(pre.Objective-direct.Objective) > rtTol*scale {
 		t.Fatalf("objective mismatch: presolved %.15g, direct %.15g", pre.Objective, direct.Objective)

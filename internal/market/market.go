@@ -13,14 +13,16 @@
 //
 // Each job's LP value function T_j(W) is convex, non-increasing and
 // piecewise linear in the cap (the cap enters only constraint right-hand
-// sides), and one parametric walk (core.CapSession.Curve) returns all of it:
-// the exact feasibility floor, the saturation demand, and every breakpoint.
-// Minimizing Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and the floors is then a
-// separable convex program whose optimum the market policy computes in
-// closed form: start every job at its floor and grant curve pieces in order
-// of steepest slope until the budget is spent — the equal-marginal (KKT)
-// split. One solve per job at its granted cap then produces the schedule
-// and checks it against the curve.
+// sides), and a parametric walk (core.Walk) traces it one piece at a time,
+// from a saturating cap down toward the job's feasibility floor, which is
+// known in closed form. Minimizing Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and
+// the floors is then a separable convex program whose optimum the market
+// policy reaches top down: every job starts at its saturation demand, and
+// while the caps exceed the budget the job whose next piece down is
+// flattest is lowered — the equal-marginal (KKT) split, walking each job
+// only as far as its granted cap. Each job's schedule is then read off its
+// walk at that cap and checked by a certificate on its LP, with no further
+// solve.
 package market
 
 import (
@@ -47,10 +49,10 @@ const (
 	// demand (the saturation cap beyond which extra watts stop buying
 	// time), clamped to floors.
 	Proportional Policy = "proportional"
-	// Market starts every job at its floor and grants curve pieces in
-	// order of steepest slope until the budget is spent: the exact
-	// equal-marginal split of the summed makespan, so never worse than
-	// uniform.
+	// Market starts every job at its saturation demand and lowers the job
+	// whose next curve piece down is flattest until the caps fit the
+	// budget: the exact equal-marginal split of the summed makespan, so
+	// never worse than uniform.
 	Market Policy = "market"
 )
 
@@ -71,11 +73,13 @@ func ParsePolicy(name string) (Policy, error) {
 	return "", fmt.Errorf("market: unknown policy %q (want one of %v)", name, Policies())
 }
 
-// Session is one job's re-solvable LP: Curve walks its whole power–time
-// curve, SolveAt solves it at one cap, and Stats reports the accumulated
-// solver effort. core.CapSession implements it.
+// Session is one job's re-solvable LP: FloorW is its closed-form
+// feasibility floor, Walk opens a walk down its power–time curve, SolveAt
+// solves it at one cap, and Stats reports the accumulated solver effort.
+// core.CapSession implements it.
 type Session interface {
-	Curve(ctx context.Context) (*core.Curve, error)
+	FloorW() float64
+	Walk(ctx context.Context) (*core.Walk, error)
 	SolveAt(ctx context.Context, capW float64) (*core.Schedule, error)
 	Stats() core.Stats
 }
@@ -124,7 +128,7 @@ type JobAllocation struct {
 	Name string
 	// CapW is the job-level power cap this job was granted.
 	CapW float64
-	// FloorW is the exact minimum feasible power, from the job's curve.
+	// FloorW is the exact minimum feasible power, in closed form.
 	FloorW float64
 	// DemandW is the saturation cap: the highest breakpoint of the curve
 	// below which its slope is nonzero, i.e. the watts the job can
@@ -136,9 +140,11 @@ type JobAllocation struct {
 	MarginalSecPerW float64
 	// Schedule is the full LP schedule at CapW.
 	Schedule *core.Schedule
-	// Degraded marks a job whose final solve at CapW failed or disagreed
-	// with its curve. It keeps its cap, its makespan and shadow price are
-	// the curve's, it has no Schedule, and Reason carries the failure.
+	// Degraded marks a job whose schedule could be read neither off its
+	// walk (the capture failed or its certificate did not hold) nor from a
+	// fallback solve at CapW that agrees with the walk. It keeps its cap,
+	// its makespan and shadow price are the walk's, it has no Schedule, and
+	// Reason carries the failures.
 	Degraded bool
 	Reason   string
 }
@@ -155,14 +161,14 @@ type Allocation struct {
 	// job, for operators who care about the batch tail.
 	TotalMakespanS float64
 	MaxMakespanS   float64
-	// Iterations counts the curve pieces the market granted (0 for
-	// uniform and proportional).
+	// Iterations counts the market's lowering steps from the demands down
+	// to the budget (0 for uniform and proportional).
 	Iterations int
 	// MovedW is the watt volume the split moved away from the uniform
 	// split: half the L1 distance between the two.
 	MovedW float64
-	// Solves counts LP solves across the whole allocation (a curve walk
-	// counts as one); Stats aggregates their solver effort.
+	// Solves counts LP solves across the whole allocation: one walk per
+	// job, plus any fallback solve. Stats aggregates their solver effort.
 	Solves int
 	Stats  core.Stats
 }
@@ -170,21 +176,25 @@ type Allocation struct {
 // state is the allocator's per-job working record.
 type state struct {
 	job    Job
-	curve  *core.Curve
+	walk   *core.Walk
 	floorW float64
 	demand float64
 	capW   float64
-	sched  *core.Schedule // the final solve at capW
-	bad    bool           // final solve failed or disagreed with the curve
-	reason string
+	sched  *core.Schedule // read at capW
 	solves int
+	// A degraded job has no schedule: the walk's makespan and slope at its
+	// cap stand in, and reason says why.
+	bad       bool
+	reason    string
+	makespanS float64
+	slope     float64
 }
 
 // Allocate divides budgetW across jobs under opts.Policy. Job names must be
 // non-empty and unique. The error is reserved for structural problems
 // (bad options, duplicate names, a *BudgetError budget below the floor sum,
-// cancellation, or a job whose curve cannot be built); a job whose final
-// solve fails degrades instead (JobAllocation.Degraded).
+// cancellation, or a job whose walk cannot be opened or lowered); a job
+// whose schedule cannot be read degrades instead (JobAllocation.Degraded).
 func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*Allocation, error) {
 	policy, err := ParsePolicy(string(opts.Policy))
 	if err != nil {
@@ -218,18 +228,12 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 
 	a := &Allocation{Policy: policy, BudgetW: budgetW}
 	sts := make([]*state, len(jobs))
-	for i, j := range jobs {
-		sts[i] = &state{job: j}
-	}
-
-	// Phase 1: each job's exact curve, floor and demand in one walk.
-	if err := buildCurves(actx, sts); err != nil {
-		return nil, err
-	}
 	var floorSum float64
-	for _, st := range sts {
-		floorSum += st.floorW
+	for i, j := range jobs {
+		sts[i] = &state{job: j, floorW: j.Session.FloorW()}
+		floorSum += sts[i].floorW
 	}
+	// Phase 1: the closed-form floors. A budget below their sum costs no LP.
 	if floorSum > budgetW {
 		be := &BudgetError{BudgetW: budgetW, FloorSumW: floorSum}
 		for _, st := range sts {
@@ -243,8 +247,16 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 		})
 		return nil, be
 	}
+	defer closeWalks(sts)
 
-	// Phase 2: the policy's split.
+	// Phase 2: one walk per job, lowered through its flat top to its
+	// demand.
+	if err := openWalks(actx, sts); err != nil {
+		return nil, err
+	}
+
+	// Phase 3: the policy's split. The market lowers the walks as it goes;
+	// the other policies lower them to their caps with the schedules.
 	uniform := waterFill(sts, budgetW, equalWeight)
 	switch policy {
 	case Uniform:
@@ -252,16 +264,23 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	case Proportional:
 		assign(sts, waterFill(sts, budgetW, demandWeight))
 	case Market:
-		a.Iterations = grantPieces(sts, budgetW)
+		ictx, isp := obs.Start(actx, "market.iteration")
+		a.Iterations, err = lowerToBudget(ictx, sts, budgetW)
+		isp.SetAttr("steps", a.Iterations)
+		isp.End()
+		if err != nil {
+			return nil, err
+		}
 	}
 	for i, st := range sts {
 		a.MovedW += math.Max(st.capW-uniform[i], 0)
 	}
 
-	// Phase 3: one solve per job at its cap, checked against the curve.
-	if err := solveAll(actx, sts); err != nil {
+	// Phase 4: each job's schedule, read off its walk at its cap.
+	if err := readSchedules(actx, sts); err != nil {
 		return nil, err
 	}
+	closeWalks(sts)
 	for _, st := range sts {
 		ja := JobAllocation{
 			Name:     st.job.Name,
@@ -276,7 +295,7 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 			ja.MarginalSecPerW = st.sched.MarginalSecPerW
 			ja.Schedule = st.sched
 		} else {
-			_, ja.MakespanS, ja.MarginalSecPerW, _ = st.curve.At(st.capW)
+			ja.MakespanS, ja.MarginalSecPerW = st.makespanS, st.slope
 		}
 		a.TotalMakespanS += ja.MakespanS
 		a.MaxMakespanS = math.Max(a.MaxMakespanS, ja.MakespanS)
@@ -289,19 +308,21 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	return a, nil
 }
 
-// buildCurves walks each job's curve. A job whose curve cannot be built
-// fails the whole allocation: without its floor no split is known safe.
-func buildCurves(ctx context.Context, sts []*state) error {
+// openWalks opens each job's walk and lowers it to its demand. A job whose
+// walk cannot be opened fails the whole allocation: without its demand no
+// split is known.
+func openWalks(ctx context.Context, sts []*state) error {
 	for _, st := range sts {
 		fctx, sp := obs.Start(ctx, "market.floor")
 		sp.SetAttr("job", st.job.Name)
-		c, err := st.job.Session.Curve(fctx)
-		st.solves++
+		w, err := st.job.Session.Walk(fctx)
 		if err == nil {
-			st.curve, st.floorW, st.demand = c, c.FloorW, c.DemandW
+			st.walk = w
+			st.solves++
+			st.demand, err = w.Demand(fctx)
+			st.capW = st.demand
 			sp.SetAttr("floor_w", st.floorW)
 			sp.SetAttr("demand_w", st.demand)
-			sp.SetAttr("breakpoints", len(c.Points))
 		}
 		sp.End()
 		if err != nil {
@@ -309,6 +330,17 @@ func buildCurves(ctx context.Context, sts []*state) error {
 		}
 	}
 	return nil
+}
+
+// closeWalks closes every open walk, which counts it in its session's
+// Stats.
+func closeWalks(sts []*state) {
+	for _, st := range sts {
+		if st.walk != nil {
+			st.walk.Close()
+			st.walk = nil
+		}
+	}
 }
 
 // waterFill divides the budget in proportion to each job's weight (equal
@@ -371,76 +403,108 @@ func assign(sts []*state, caps []float64) {
 	}
 }
 
-// grantPieces is the market split. Every job starts at its floor; the
-// budget then buys curve pieces, steepest first, each job's pieces in cap
-// order, ties to the earlier job — so at the end no job's next watt is
-// worth more than any job's last granted watt, the KKT condition of the
-// separable convex program. The last piece may be granted in part. Budget
-// left once every job reaches its demand is spread equally. It returns the
-// number of pieces granted.
-func grantPieces(sts []*state, budgetW float64) int {
-	left := budgetW
-	next := make([]int, len(sts)) // each job's next piece; its floor is point 0
+// lowerToBudget is the market split, taken top down from the demands.
+// Budget left over at the demands is spread equally. Otherwise, while the
+// caps sum above the budget, the job whose piece below its cap is flattest
+// — whose last watt buys the least time — is lowered by the rest of that
+// piece or by the excess, whichever is smaller, never below its floor;
+// ties go to the later job. This takes back, flattest first, exactly the
+// pieces a grant from the floors up, steepest first and ties to the
+// earlier job, would grant last, so it ends at the same equal-marginal
+// split: no job's next watt is worth more than any job's last. It returns
+// the number of lowering steps.
+func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, error) {
+	excess := -budgetW
 	for _, st := range sts {
-		st.capW = st.floorW
-		left -= st.floorW
+		excess += st.capW
 	}
-	granted := 0
-	for left > 0 {
-		// The curve's slopes are exactly zero from the demand up.
-		best, bestSlope := -1, 0.0
+	if excess < 0 {
+		for _, st := range sts {
+			st.capW -= excess / float64(len(sts))
+		}
+		return 0, nil
+	}
+	steps := 0
+	for excess > 0 {
+		best, bestLo, bestSlope := -1, 0.0, 0.0
 		for i, st := range sts {
-			pts := st.curve.Points
-			if next[i] >= len(pts)-1 {
+			if st.capW <= st.floorW {
 				continue
 			}
-			if s := pts[next[i]].SlopeSecPerW; s < bestSlope {
-				best, bestSlope = i, s
+			lo, slope, err := st.walk.Piece(ctx)
+			if err != nil {
+				return steps, fmt.Errorf("market: job %q: %w", st.job.Name, err)
+			}
+			if lo >= st.capW {
+				continue
+			}
+			if best < 0 || slope >= bestSlope {
+				best, bestLo, bestSlope = i, math.Max(lo, st.floorW), slope
 			}
 		}
 		if best < 0 {
 			break
 		}
 		st := sts[best]
-		grant := math.Min(st.curve.Points[next[best]+1].CapW-st.capW, left)
-		st.capW += grant
-		left -= grant
-		next[best]++
-		granted++
-	}
-	if left > 0 {
-		for _, st := range sts {
-			st.capW += left / float64(len(sts))
+		if rest := st.capW - bestLo; rest <= excess {
+			st.capW, excess = bestLo, excess-rest
+		} else {
+			st.capW, excess = st.capW-excess, 0
 		}
+		if err := st.walk.Lower(ctx, st.capW); err != nil {
+			return steps, fmt.Errorf("market: job %q: %w", st.job.Name, err)
+		}
+		steps++
 	}
-	return granted
+	return steps, nil
 }
 
-// curveTol is the relative agreement required between a final solve's
-// objective and its job's curve at the granted cap.
+// capture reads a job's schedule off its walk; tests replace it to fail
+// captures.
+var capture = (*core.Walk).Schedule
+
+// curveTol is the relative agreement required between a fallback solve's
+// objective and its job's walk at the granted cap.
 const curveTol = 1e-9
 
-// solveAll solves every job once at its cap and checks the LP objective
-// against the job's curve. A failed solve or a failed check degrades the
-// job; cancellation fails the allocation.
-func solveAll(ctx context.Context, sts []*state) error {
+// readSchedules lowers each job's walk to its cap, if it is not there
+// already, and reads the job's schedule off it. A cap at or above the
+// demand is read at the demand, on the flat piece: that schedule is
+// optimal at any higher cap. A failed capture falls back to one solve at
+// the cap, checked against the walk's objective; when that fails too the
+// job degrades, keeping the walk's makespan and slope. Cancellation fails
+// the allocation.
+func readSchedules(ctx context.Context, sts []*state) error {
+	canceled := func(err error) bool {
+		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	}
 	for _, st := range sts {
-		sched, err := st.job.Session.SolveAt(ctx, st.capW)
-		st.solves++
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return fmt.Errorf("market: job %q at %.1f W: %w", st.job.Name, st.capW, err)
+		err := st.walk.Lower(ctx, st.capW)
+		if err == nil {
+			var sched *core.Schedule
+			if sched, err = capture(st.walk, ctx); err == nil {
+				sched.CapW = st.capW
+				st.sched = sched
+				continue
 			}
-			st.bad, st.reason = true, err.Error()
+		}
+		if canceled(err) {
+			return fmt.Errorf("market: job %q at %.1f W: %w", st.job.Name, st.capW, err)
+		}
+		want, makespanS, slope := st.walk.At()
+		sched, ferr := st.job.Session.SolveAt(ctx, st.capW)
+		st.solves++
+		switch {
+		case ferr != nil && canceled(ferr):
+			return fmt.Errorf("market: job %q at %.1f W: %w", st.job.Name, st.capW, ferr)
+		case ferr == nil && math.Abs(sched.Objective-want) > curveTol*math.Max(1, math.Abs(want)):
+			ferr = fmt.Errorf("solve at %.3f W has objective %.12g, its walk %.12g", st.capW, sched.Objective, want)
+		case ferr == nil:
+			st.sched = sched
 			continue
 		}
-		want, _, _, _ := st.curve.At(st.capW)
-		if d := math.Abs(sched.Objective - want); d > curveTol*math.Max(1, math.Abs(want)) {
-			st.bad = true
-			st.reason = fmt.Sprintf("solve at %.3f W has objective %.12g, its curve %.12g", st.capW, sched.Objective, want)
-			continue
-		}
-		st.sched = sched
+		st.bad, st.makespanS, st.slope = true, makespanS, slope
+		st.reason = fmt.Sprintf("capture: %v; fallback: %v", err, ferr)
 	}
 	return nil
 }

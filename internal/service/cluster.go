@@ -3,12 +3,12 @@ package service
 // /v1/cluster: the cluster power market over HTTP. A batch request names N
 // jobs and one site-wide power budget; the response carries each job's
 // granted cap, exact floor and demand, and schedule summary, plus how many
-// curve pieces the market granted and how far the split moved from
+// lowering steps the market took and how far the split moved from
 // uniform. The handler threads the allocator
 // through the same machinery every other endpoint uses — pooled Systems
 // (so each job's problem IR is cached across requests), the worker-slot
-// semaphore (one slot for the whole allocation: the allocator's curve walks
-// and final solves are sequential, not parallel work), the content-addressed
+// semaphore (one slot for the whole allocation: the allocator's walks are
+// sequential, not parallel work), the content-addressed
 // cache (cluster-level entry plus per-job Put of the final schedules, so a
 // later /v1/solve at a granted cap is a hit), and obs tracing (the
 // market.allocate/market.floor spans land in the stage
@@ -283,9 +283,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 }
 
 // clusterWorker runs one allocation on a worker slot. The allocator's
-// curve walks and final solves run one after another on per-job sessions,
-// so the whole batch occupies a single slot. Budget infeasibility is an in-band outcome
-// (a pure function of the request), not an error.
+// walks, one per job's session, run interleaved on one goroutine, so the
+// whole batch occupies a single slot. Budget infeasibility is an in-band
+// outcome (a pure function of the request), not an error.
 func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {

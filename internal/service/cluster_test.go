@@ -63,8 +63,8 @@ func TestClusterEndpoint(t *testing.T) {
 	if len(resp.Jobs) != 2 || resp.Jobs[0].Name != "comd-0" || resp.Jobs[1].Name != "sp-0" {
 		t.Fatalf("job order not preserved: %s", body)
 	}
-	if resp.Iterations == 0 || resp.Solves != 2*len(resp.Jobs) {
-		t.Errorf("%d pieces granted in %d solves, want > 0 pieces in one walk and one solve per job", resp.Iterations, resp.Solves)
+	if resp.Iterations == 0 || resp.Solves != len(resp.Jobs) {
+		t.Errorf("%d lowering steps in %d solves, want > 0 steps and one walk per job", resp.Iterations, resp.Solves)
 	}
 	var sum float64
 	for _, j := range resp.Jobs {

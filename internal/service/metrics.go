@@ -82,8 +82,9 @@ type Metrics struct {
 	WindowStitchGapPct   FloatMaxGauge
 	// ClusterAllocations counts completed /v1/cluster allocations (cache
 	// hits excluded — only fresh allocator runs); ClusterJobsAllocated the
-	// jobs they placed; ClusterDegradedJobs the jobs whose final solve
-	// failed or disagreed with their curve; ClusterInfeasible the requests
+	// jobs they placed; ClusterDegradedJobs the jobs whose schedule could
+	// be read neither off their walk nor from a fallback solve that agrees
+	// with it; ClusterInfeasible the requests
 	// whose budget fell below the sum of per-job feasibility floors.
 	// ClusterMovedWatts accumulates the watt volume the allocations moved
 	// away from the uniform split.
@@ -323,7 +324,7 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_window_escalations_total", "Infeasible commit windows widened by the escalation ladder.", m.WindowEscalations.Load()},
 		{"pcschedd_cluster_allocations_total", "Completed cluster power allocations (fresh allocator runs; cache hits excluded).", m.ClusterAllocations.Load()},
 		{"pcschedd_cluster_jobs_allocated_total", "Jobs placed across all cluster allocations.", m.ClusterJobsAllocated.Load()},
-		{"pcschedd_cluster_degraded_jobs_total", "Jobs whose final solve failed or disagreed with their power-time curve.", m.ClusterDegradedJobs.Load()},
+		{"pcschedd_cluster_degraded_jobs_total", "Jobs whose schedule could be read neither off their power-time walk nor from a fallback solve that agrees with it.", m.ClusterDegradedJobs.Load()},
 		{"pcschedd_cluster_infeasible_total", "Cluster requests whose budget fell below the sum of per-job feasibility floors.", m.ClusterInfeasible.Load()},
 		{"pcschedd_adapt_epochs_total", "Adaptive control-plane epochs stepped.", m.AdaptEpochs.Load()},
 		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},

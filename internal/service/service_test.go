@@ -421,9 +421,10 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("sweep reports no warm starts: %+v", resp.Stats)
 	}
 
-	// A sweep down past SP's floor: the LP proves the lowest caps
-	// infeasible, and that effort belongs in the response and the counters
-	// like any other — what one session spends over the same caps.
+	// A sweep down past SP's floor: the closed-form floor answers the
+	// lowest caps infeasible with no LP, and the effort of the rest belongs
+	// in the response and the counters like any other — what one session
+	// spends over the same caps.
 	sp := &WorkloadSpec{Name: "SP", Ranks: 4, Iters: 3, Seed: 1, Scale: 0.3}
 	perSocket := []float64{50, 30, 20, 17.5, 16.25, 15.5, 15, 14.5, 14, 13.75, 13.5}
 	before := metricsMap(t, ts.URL)
@@ -442,7 +443,7 @@ func TestSweepEndpoint(t *testing.T) {
 		}
 	}
 	if infeasible == 0 {
-		t.Fatal("no cap below SP's floor; the case needs LP-proven infeasible caps")
+		t.Fatal("no cap below SP's floor; the case needs infeasible caps")
 	}
 	wl, err := workloadFor(sp)
 	if err != nil {
@@ -457,8 +458,9 @@ func TestSweepEndpoint(t *testing.T) {
 		_, _ = cs.SolveAt(context.Background(), c*float64(wl.Graph.NumRanks))
 	}
 	want := NewStatsJSON(cs.Stats())
-	if want.Solves != len(perSocket) {
-		t.Fatalf("session solved %d LPs for %d caps; every cap should reach the LP", want.Solves, len(perSocket))
+	if want.Solves != len(perSocket)-infeasible {
+		t.Fatalf("session solved %d LPs for %d caps, %d of them below the floor; every cap above it should reach the LP",
+			want.Solves, len(perSocket), infeasible)
 	}
 	if resp.Stats == nil || *resp.Stats != *want {
 		t.Errorf("sweep stats %+v, session over the same caps %+v", resp.Stats, want)
