@@ -99,17 +99,21 @@ market-smoke:
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
 # its eta-file, dense-LU and step-scan oracles, the dense-tableau
 # equivalence suite with every optimum certified, warm starts from
-# arbitrary bases, presolve round-trip, pricing, degenerate-cycling
+# arbitrary bases, primal starts after cost changes, the abandoned
+# attempt's effort, presolve round-trip, pricing, degenerate-cycling
 # guards, the rescue's one-extra-solve bound, and the certificate's
 # rejection of perturbed answers), then through internal/core the golden
 # objectives in both kernel configurations (presolved and the rescue's),
-# the warm CapSession probes, the curve walks and the stepped walks'
-# captures checked against them, the closed-form floors against the
-# walked ones, the sweeps that run on the sessions, and the windowed
-# numerical-rescue regressions.
+# the crash basis on every benchmark program and speculative window
+# program against basis-free solves (no phase 1, certified, deterministic,
+# a rejected crash falling back cold), the warm CapSession probes, the
+# curve walks and the stepped walks' captures checked against them, the
+# closed-form floors against the walked ones, the sweeps that run on the
+# sessions, and the windowed rescue (the former breakdown traces finishing
+# clean, and injected NaNs reaching the rescue).
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end
@@ -127,7 +131,9 @@ twin-smoke:
 # and solves bit for bit vs the step-scan reference LU), the parametric
 # right-hand-side walk (walked objective vs point solves, and a certified
 # capture at a fuzz-chosen shift), and warm starts
-# from arbitrary bases (status and objective vs a cold solve). Seeds are
+# from arbitrary bases (status and objective vs a cold solve; then, after a
+# cost change, a certified primal start from the cold optimum's basis with
+# no phase 1). Seeds are
 # checked in via f.Add; 5s each keeps the gate fast while still exploring.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 5s ./internal/trace/

@@ -49,6 +49,7 @@ type builtLP struct {
 
 	powerRows []powerRow
 	floor     capFloor
+	log       crashLog // time and convexity rows, for the crash basis
 }
 
 // capFloor is a program's feasibility floor in closed form. Power rows hold
@@ -82,8 +83,9 @@ func (f capFloor) infeasible(capW float64) error {
 // variables over the IR's frontier columns with their convexity rows
 // (Eqs. 6–9), and task precedence rows (Eqs. 3–4). addCfgVar creates each
 // configuration variable, letting the MILP substitute binaries (Eq. 5)
-// without duplicating the skeleton.
-func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, powerW float64) lp.Var) ([]lp.Var, map[dag.TaskID]*taskLPVars) {
+// without duplicating the skeleton. The time and convexity rows go into log
+// for the crash basis (nil records nothing).
+func emitSkeleton(ir *problem.IR, prob *lp.Problem, log *crashLog, addCfgVar func(name string, powerW float64) lp.Var) ([]lp.Var, map[dag.TaskID]*taskLPVars) {
 	g := ir.G
 
 	vVar := make([]lp.Var, len(g.Vertices))
@@ -94,59 +96,99 @@ func emitSkeleton(ir *problem.IR, prob *lp.Problem, addCfgVar func(name string, 
 		}
 		vVar[i] = prob.AddVar(fmt.Sprintf("v%d", i), obj)
 		if g.Vertices[i].Kind == dag.VInit {
-			prob.MustConstraint("init0", lp.Expr{}.Plus(vVar[i], 1), lp.EQ, 0)
+			emitTime(prob, log, "init0", vVar[i], -1, lp.EQ, 0, nil)
 		}
 	}
 
 	tv := make(map[dag.TaskID]*taskLPVars)
 	for _, t := range g.Tasks {
-		if ir.Class[t.ID] != problem.Tunable {
-			continue
+		if ir.Class[t.ID] == problem.Tunable {
+			tv[t.ID] = emitConfigVars(prob, log, t.ID, ir.Cols[t.ID], addCfgVar)
 		}
-		cols := ir.Cols[t.ID]
-		v := &taskLPVars{cols: cols, cs: make([]lp.Var, len(cols.F.Pts))}
-		var convex lp.Expr
-		for k, p := range cols.F.Pts {
-			v.cs[k] = addCfgVar(fmt.Sprintf("c%d_%d", t.ID, k), p.PowerW)
-			convex = convex.Plus(v.cs[k], 1)
-		}
-		prob.MustConstraint(fmt.Sprintf("cvx%d", t.ID), convex, lp.EQ, 1)
-		tv[t.ID] = v
 	}
 
-	// Task precedence (Eqs. 3–4 with s and d substituted):
-	// v_dst − v_src ≥ Σ_k d_{i,k} c_{i,k}  (or the fixed duration).
-	for _, t := range g.Tasks {
-		expr := lp.Expr{}.Plus(vVar[t.Dst], 1).Plus(vVar[t.Src], -1)
-		rhs := 0.0
-		switch ir.Class[t.ID] {
-		case problem.Message:
-			rhs = t.FixedDur
-		case problem.Fixed:
-			// ≥ 0: ordering only.
-		case problem.Tunable:
-			v := tv[t.ID]
-			for k := range v.cs {
-				expr = expr.Plus(v.cs[k], -v.cols.Durs[k])
-			}
-		}
-		prob.MustConstraint(fmt.Sprintf("prec%d", t.ID), expr, lp.GE, rhs)
+	// Task precedence (Eqs. 3–4).
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		emitTaskRow(prob, log, fmt.Sprintf("prec%d", t.ID), vVar[t.Dst], vVar[t.Src], ir, t, tv)
 	}
 	return vVar, tv
 }
 
 // emitEventOrder emits the fixed event order (Eqs. 12–13): the IR's
 // vertices chained in initial-time order, simultaneous events pinned equal.
-func emitEventOrder(ir *problem.IR, prob *lp.Problem, vVar []lp.Var) {
+// The rows go into log for the crash basis (nil records nothing).
+func emitEventOrder(ir *problem.IR, prob *lp.Problem, log *crashLog, vVar []lp.Var) {
 	for i := 1; i < len(ir.EventOrder); i++ {
 		prev, cur := ir.EventOrder[i-1], ir.EventOrder[i]
-		expr := lp.Expr{}.Plus(vVar[cur], 1).Plus(vVar[prev], -1)
 		if ir.Simultaneous(prev, cur) {
-			prob.MustConstraint(fmt.Sprintf("eq%d", i), expr, lp.EQ, 0)
+			emitTime(prob, log, fmt.Sprintf("eq%d", i), vVar[cur], vVar[prev], lp.EQ, 0, nil)
 		} else {
-			prob.MustConstraint(fmt.Sprintf("ord%d", i), expr, lp.GE, 0)
+			emitTime(prob, log, fmt.Sprintf("ord%d", i), vVar[cur], vVar[prev], lp.GE, 0, nil)
 		}
 	}
+}
+
+// emitTime emits the time row name: dst − src − Σ_k d_k·c_k rel rhs and
+// records it in log for the crash basis (nil records nothing), returning
+// its row index. src < 0 leaves out the source time (the Init pin, a
+// window's seam and boundary precedences); v, when non-nil, is the tunable
+// task whose configuration variables carry its duration. The programs
+// that take a crash basis emit every time row through here, so none misses
+// the log; an equality with a source is an eq row joining dst to the event
+// before it.
+func emitTime(prob *lp.Problem, log *crashLog, name string, dst, src lp.Var, rel lp.Rel, rhs float64, v *taskLPVars) int {
+	row := prob.NumConstraints()
+	expr := lp.Expr{}.Plus(dst, 1)
+	if src >= 0 {
+		expr = expr.Plus(src, -1)
+	}
+	dur := 0.0
+	if v != nil {
+		for k := range v.cs {
+			expr = expr.Plus(v.cs[k], -v.cols.Durs[k])
+		}
+		dur = v.cols.Durs[0]
+	}
+	if log != nil {
+		log.times = append(log.times, timeRow{row: row, dst: dst, src: src, dur: dur, join: rel == lp.EQ && src >= 0})
+	}
+	prob.MustConstraint(name, expr, rel, rhs)
+	return row
+}
+
+// emitTaskRow emits task t's row name: dst − src ≥ its duration (Eqs. 3–4
+// with s and d substituted): a message's fixed duration, nothing for a
+// fixed task (ordering only), or Σ_k d_{i,k} c_{i,k} over a tunable task's
+// configuration variables in tv. dst is the task's destination time, or a
+// window's completion variable for a task straddling its end.
+func emitTaskRow(prob *lp.Problem, log *crashLog, name string, dst, src lp.Var, ir *problem.IR, t *dag.Task, tv map[dag.TaskID]*taskLPVars) {
+	switch ir.Class[t.ID] {
+	case problem.Message:
+		emitTime(prob, log, name, dst, src, lp.GE, t.FixedDur, nil)
+	case problem.Tunable:
+		emitTime(prob, log, name, dst, src, lp.GE, 0, tv[t.ID])
+	default:
+		emitTime(prob, log, name, dst, src, lp.GE, 0, nil)
+	}
+}
+
+// emitConfigVars creates tunable task tid's configuration variables over
+// its frontier columns through addCfgVar and emits their convexity row
+// (Eqs. 6–9), recording the row and the lowest-power column in log for the
+// crash basis (nil records nothing).
+func emitConfigVars(prob *lp.Problem, log *crashLog, tid dag.TaskID, cols *problem.Columns, addCfgVar func(name string, powerW float64) lp.Var) *taskLPVars {
+	v := &taskLPVars{cols: cols, cs: make([]lp.Var, len(cols.F.Pts))}
+	var convex lp.Expr
+	for k, p := range cols.F.Pts {
+		v.cs[k] = addCfgVar(fmt.Sprintf("c%d_%d", tid, k), p.PowerW)
+		convex = convex.Plus(v.cs[k], 1)
+	}
+	if log != nil {
+		log.cvx = append(log.cvx, cvxRow{row: prob.NumConstraints(), col: v.cs[0]})
+	}
+	prob.MustConstraint(fmt.Sprintf("cvx%d", tid), convex, lp.EQ, 1)
+	return v
 }
 
 // emitPowerRows emits one event-power row per vertex with a tunable active
@@ -213,21 +255,32 @@ func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
 	b := &builtLP{ir: ir, prob: lp.NewProblem(lp.Minimize)}
 	// Configuration-fraction variables carry the power tiebreak on the
 	// objective (see Solver.PowerTiebreak).
-	b.vVar, b.tv = emitSkeleton(ir, b.prob, func(name string, powerW float64) lp.Var {
+	b.vVar, b.tv = emitSkeleton(ir, b.prob, &b.log, func(name string, powerW float64) lp.Var {
 		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
 	})
-	emitEventOrder(ir, b.prob, b.vVar)
+	emitEventOrder(ir, b.prob, &b.log, b.vVar)
 	b.powerRows, b.floor = emitPowerRows(ir, b.prob, b.tv)
 	return b
 }
 
+// crash builds the program's crash basis at its current right-hand sides
+// (crash.go), over its time variables in event order.
+func (b *builtLP) crash() []int {
+	order := make([]lp.Var, len(b.ir.EventOrder))
+	for i, v := range b.ir.EventOrder {
+		order[i] = b.vVar[v]
+	}
+	return crashBasis(b.prob, &b.log, order)
+}
+
 // solveLP is the package's one call into the LP kernel: it solves prob,
-// warm starting from basis when one is given, and folds the solve's effort
-// into st. The returned solution is always Optimal; an infeasible program
-// surfaces as ErrInfeasible and a canceled ctx as an error wrapping
-// ctx.Err() (so errors.Is against context.Canceled/DeadlineExceeded works),
-// each naming the program as what. A numerical breakdown has had
-// lp.Solve's cold rescue and is returned as is.
+// starting from basis when one is given (a previous solve's or a crash
+// basis), and folds the solve's effort into st. The returned solution is
+// always Optimal; an infeasible program surfaces as ErrInfeasible and a
+// canceled ctx as an error wrapping ctx.Err() (so errors.Is against
+// context.Canceled/DeadlineExceeded works), each naming the program as
+// what. A numerical breakdown has had lp.Solve's cold rescue and is
+// returned as is.
 func solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, what string) (*lp.Solution, error) {
 	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(basis)}
 	if ctx != nil && ctx != context.Background() {

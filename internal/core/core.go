@@ -123,7 +123,7 @@ type Stats struct {
 	SimplexIter int // total simplex pivots (primal + dual)
 
 	DualIter         int // dual simplex pivots spent repairing warm starts
-	WarmStarts       int // solves that actually reused a prior basis
+	WarmStarts       int // solves that used a supplied basis: a prior solve's or the crash basis
 	Refactorizations int // basis reinversions
 
 	MaxEtaLen        int     // peak basis-update file length across solves

@@ -49,10 +49,10 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 
 	// Eq. (5): c ∈ {0,1}. The tiny power coefficient mirrors the
 	// continuous tiebreak but must stay below the pruning gap.
-	vVar, tv := emitSkeleton(ir, prob.Problem, func(name string, powerW float64) lp.Var {
+	vVar, tv := emitSkeleton(ir, prob.Problem, nil, func(name string, powerW float64) lp.Var {
 		return prob.AddBinary(name, 1e-9*powerW)
 	})
-	emitEventOrder(ir, prob.Problem, vVar)
+	emitEventOrder(ir, prob.Problem, nil, vVar)
 	rows, floor := emitPowerRows(ir, prob.Problem, tv)
 	if floor.minW > capW {
 		return nil, floor.infeasible(capW)

@@ -76,7 +76,11 @@ func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, err
 	if err := cs.aim(capW); err != nil {
 		return nil, err
 	}
-	sol, err := solveLP(ctx, b.prob, cs.basis, &cs.last, fmt.Sprintf("cap %.1f W", capW))
+	basis := cs.basis
+	if len(basis) == 0 {
+		basis = b.crash()
+	}
+	sol, err := solveLP(ctx, b.prob, basis, &cs.last, fmt.Sprintf("cap %.1f W", capW))
 	cs.stats.Add(cs.last)
 	if err != nil {
 		var nerr *lp.NumericalError

@@ -42,7 +42,7 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 	init := ir.Init
 
 	prob := lp.NewProblem(lp.Minimize)
-	vVar, tv := emitSkeleton(ir, prob, func(name string, powerW float64) lp.Var {
+	vVar, tv := emitSkeleton(ir, prob, nil, func(name string, powerW float64) lp.Var {
 		return prob.AddVar(name, s.PowerTiebreak*powerW)
 	})
 

@@ -62,6 +62,7 @@ type windowLP struct {
 	powerRefs []wPowerRef
 	constEvts []wConstEvent
 	coupled   bool
+	log       crashLog // time and convexity rows, for the crash basis
 }
 
 // boundaryCoupled reports whether any right-hand side depends on earlier
@@ -99,44 +100,35 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 	if win.CoreStart == 0 {
 		for p := 0; p < win.ExtEnd; p++ {
 			if g.Vertices[order[p]].Kind == dag.VInit {
-				b.prob.MustConstraint("init0", lp.Expr{}.Plus(b.vAt(p), 1), lp.EQ, 0)
+				emitTime(b.prob, &b.log, "init0", b.vAt(p), -1, lp.EQ, 0, nil)
 				break
 			}
 		}
 	} else {
-		b.seamRow = b.prob.NumConstraints()
 		b.seamPrev = order[win.CoreStart-1]
-		b.prob.MustConstraint("seam", lp.Expr{}.Plus(b.vAt(win.CoreStart), 1), lp.GE, 0)
+		b.seamRow = emitTime(b.prob, &b.log, "seam", b.vAt(win.CoreStart), -1, lp.GE, 0, nil)
 		b.coupled = true
 	}
 
 	// Event-order chain inside the range (Eqs. 12–13).
 	for p := win.CoreStart + 1; p < win.ExtEnd; p++ {
-		prev, cur := order[p-1], order[p]
-		expr := lp.Expr{}.Plus(b.vAt(p), 1).Plus(b.vAt(p-1), -1)
-		if ir.Simultaneous(prev, cur) {
-			b.prob.MustConstraint(fmt.Sprintf("eq%d", p), expr, lp.EQ, 0)
+		if ir.Simultaneous(order[p-1], order[p]) {
+			emitTime(b.prob, &b.log, fmt.Sprintf("eq%d", p), b.vAt(p), b.vAt(p-1), lp.EQ, 0, nil)
 		} else {
-			b.prob.MustConstraint(fmt.Sprintf("ord%d", p), expr, lp.GE, 0)
+			emitTime(b.prob, &b.log, fmt.Sprintf("ord%d", p), b.vAt(p), b.vAt(p-1), lp.GE, 0, nil)
 		}
 	}
 
 	// Configuration variables with convexity for every reach task: source
 	// position in range, tunable class (Eqs. 6–9).
 	reach := plan.TasksWithSrcIn(win.CoreStart, win.ExtEnd)
+	addCfgVar := func(name string, powerW float64) lp.Var {
+		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
+	}
 	for _, tid := range reach {
-		if ir.Class[tid] != problem.Tunable {
-			continue
+		if ir.Class[tid] == problem.Tunable {
+			b.tv[tid] = emitConfigVars(b.prob, &b.log, tid, ir.Cols[tid], addCfgVar)
 		}
-		cols := ir.Cols[tid]
-		v := &taskLPVars{cols: cols, cs: make([]lp.Var, len(cols.F.Pts))}
-		var convex lp.Expr
-		for k, p := range cols.F.Pts {
-			v.cs[k] = b.prob.AddVar(fmt.Sprintf("c%d_%d", tid, k), s.PowerTiebreak*p.PowerW)
-			convex = convex.Plus(v.cs[k], 1)
-		}
-		b.prob.MustConstraint(fmt.Sprintf("cvx%d", tid), convex, lp.EQ, 1)
-		b.tv[tid] = v
 	}
 
 	// Precedence rows for tasks arriving in range (Eqs. 3–4). A source
@@ -146,50 +138,24 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 		t := &g.Tasks[tid]
 		srcPos := plan.Pos[t.Src]
 		if srcPos < win.CoreStart {
-			b.precRefs = append(b.precRefs, wPrecRef{row: b.prob.NumConstraints(), task: tid})
-			b.prob.MustConstraint(fmt.Sprintf("bprec%d", tid),
-				lp.Expr{}.Plus(b.vAt(plan.Pos[t.Dst]), 1), lp.GE, 0)
+			row := emitTime(b.prob, &b.log, fmt.Sprintf("bprec%d", tid), b.vAt(plan.Pos[t.Dst]), -1, lp.GE, 0, nil)
+			b.precRefs = append(b.precRefs, wPrecRef{row: row, task: tid})
 			b.coupled = true
 			continue
 		}
-		expr := lp.Expr{}.Plus(b.vAt(plan.Pos[t.Dst]), 1).Plus(b.vAt(srcPos), -1)
-		rhs := 0.0
-		switch ir.Class[tid] {
-		case problem.Message:
-			rhs = t.FixedDur
-		case problem.Fixed:
-		case problem.Tunable:
-			v := b.tv[tid]
-			for k := range v.cs {
-				expr = expr.Plus(v.cs[k], -v.cols.Durs[k])
-			}
-		}
-		b.prob.MustConstraint(fmt.Sprintf("prec%d", tid), expr, lp.GE, rhs)
+		emitTaskRow(b.prob, &b.log, fmt.Sprintf("prec%d", tid), b.vAt(plan.Pos[t.Dst]), b.vAt(srcPos), ir, t, b.tv)
 	}
 
 	// Minimax completion: z bounds the last in-range event and the
 	// completion of every straddler (reach task whose destination lies
 	// beyond ExtEnd), so the window pays for the tails its choices create.
-	b.prob.MustConstraint("zlast",
-		lp.Expr{}.Plus(b.z, 1).Plus(b.vAt(win.ExtEnd-1), -1), lp.GE, 0)
+	emitTime(b.prob, &b.log, "zlast", b.z, b.vAt(win.ExtEnd-1), lp.GE, 0, nil)
 	for _, tid := range reach {
 		t := &g.Tasks[tid]
 		if plan.Pos[t.Dst] < win.ExtEnd {
 			continue
 		}
-		expr := lp.Expr{}.Plus(b.z, 1).Plus(b.vAt(plan.Pos[t.Src]), -1)
-		rhs := 0.0
-		switch ir.Class[tid] {
-		case problem.Message:
-			rhs = t.FixedDur
-		case problem.Fixed:
-		case problem.Tunable:
-			v := b.tv[tid]
-			for k := range v.cs {
-				expr = expr.Plus(v.cs[k], -v.cols.Durs[k])
-			}
-		}
-		b.prob.MustConstraint(fmt.Sprintf("tail%d", tid), expr, lp.GE, rhs)
+		emitTaskRow(b.prob, &b.log, fmt.Sprintf("tail%d", tid), b.z, b.vAt(plan.Pos[t.Src]), ir, t, b.tv)
 	}
 
 	// Event-power rows (Eqs. 10–11) for every in-range event. Free terms
@@ -235,6 +201,13 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 		b.prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
 	}
 	return b
+}
+
+// crash builds the window program's crash basis at its current right-hand
+// sides (crash.go): the events in window positions, then z.
+func (b *windowLP) crash() []int {
+	order := append(append(make([]lp.Var, 0, len(b.vVar)+1), b.vVar...), b.z)
+	return crashBasis(b.prob, &b.log, order)
 }
 
 // aim points every boundary-dependent right-hand side at the given

@@ -26,8 +26,13 @@ import (
 //     pivots restore primal feasibility — the incremental re-optimization
 //     the sweep layers in internal/core and internal/milp rely on.
 //
-// Any warm-start trouble (singular basis, lost dual feasibility, iteration
-// budget) falls back to a cold solve, so warm starts never cost correctness.
+// A solve therefore takes one of three starts: cold (phase 1 from the
+// slack/artificial basis, then phase 2), dual (a supplied dual-feasible
+// basis, repaired by dual simplex) or primal (a supplied primal-feasible
+// basis, such as internal/core's crash basis, where phase 2 runs at once).
+// Any trouble with a supplied basis (singular, neither dual nor primal
+// feasible, iteration budget) falls back to a cold solve, so a supplied
+// basis never costs correctness.
 
 // Numerical tolerances. The scheduling LPs produced by internal/core are well
 // scaled (seconds and watts, both O(1)–O(100)), so fixed absolute tolerances
@@ -688,23 +693,42 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 	return sol
 }
 
+// Starts a solve can take, as the lp.solve span's start attribute reports
+// them: the two-phase solve from the slack/artificial basis, or a supplied
+// basis repaired by dual simplex or optimized by phase 2 directly.
+const (
+	startCold   = "cold"
+	startDual   = "dual"
+	startPrimal = "primal"
+)
+
+// markStart names the start the solve takes on its lp.solve span, which
+// Solve opened in rv.sctx.
+func (rv *revised) markStart(start string) { obs.SpanFrom(rv.sctx).SetAttr("start", start) }
+
 // solveSparse runs the revised simplex on p: the kernel behind Solve, for
 // the presolved problem and for the rescue alike. One pooled arena serves
-// the whole call: a failed warm attempt resets the same scratch
-// for the cold fallback instead of allocating a second working set.
+// the whole call: a supplied basis the kernel cannot use resets the same
+// scratch for the cold fallback instead of allocating a second working
+// set, and the abandoned attempt's pivots and refactorizations stay in the
+// returned stats.
 func solveSparse(p *Problem, o *Options) (*Solution, error) {
 	f := newSpForm(p)
 	rv := newRevised(f, o)
 	defer rv.release()
+	var abandoned SolveStats
 	if len(o.WarmBasis) > 0 {
 		if sol, ok := rv.solveWarm(p, o.WarmBasis); ok {
 			rv.harvestHealth(&sol.Stats)
 			return sol, nil
 		}
-		// Unusable warm basis: reset the arena and solve cold.
+		abandoned = rv.stats
 		rv.reset(f, o)
+		rv.markStart(startCold)
 	}
 	sol := rv.solveCold(p)
+	sol.Iters += abandoned.Pivots()
+	sol.Stats.addEffort(abandoned)
 	rv.harvestHealth(&sol.Stats)
 	if sol.Status == statusNumerical {
 		return nil, &NumericalError{Reason: rv.numReason, Pivots: sol.Iters}
@@ -794,12 +818,17 @@ func (rv *revised) artificialOffZero() bool {
 	return false
 }
 
-// solveWarm attempts a warm-started solve from a problem-space basis.
-// Returns ok=false when the basis is unusable (wrong shape, singular, dual
-// infeasible, or the dual/primal repair exceeds the budget) — the caller
-// then falls back to a cold solve. A returned solution is always a
-// trustworthy terminal status (Optimal or Unbounded); infeasibility
-// detected by the dual simplex is deliberately re-verified cold.
+// solveWarm attempts a solve from a supplied problem-space basis, either a
+// previous solve's or one the caller built. After factorizing it, a basis
+// with an artificial off zero is rejected; a dual-feasible basis is repaired
+// by dual simplex (startDual); any other basis with x_B ≥ −epsFeas is
+// primal feasible and phase 2 runs from it directly, with no phase 1
+// (startPrimal). Returns ok=false when the basis is unusable (wrong shape,
+// singular, neither dual nor primal feasible, or the repair exceeds the
+// budget) — the caller then falls back to a cold solve. A returned solution
+// is always a trustworthy terminal status (Optimal or Unbounded);
+// infeasibility detected by the dual simplex is deliberately re-verified
+// cold.
 func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	f := rv.f
 	if len(warm) > f.m {
@@ -841,20 +870,40 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 		}
 	}
 
-	// The warm basis must still be dual feasible (it is after RHS-only
-	// changes and row appends; arbitrary edits void it).
+	// A previous optimum stays dual feasible after RHS-only changes and
+	// row appends; arbitrary edits void it.
 	rv.computeY()
+	dualFeasible := true
 	for j := 0; j < f.n; j++ {
 		if rv.isBasic[j] || rv.blocked[j] {
 			continue
 		}
 		if rv.cost[j]-f.colDot(j, rv.y) < -epsDualFeas {
-			return nil, false
+			dualFeasible = false
+			break
 		}
 	}
-	rv.stats.WarmStarted = true
-
 	iters := 0
+	if !dualFeasible {
+		// A primal-feasible basis, such as a crash basis built from a
+		// known feasible point, needs no repair: phase 2 starts from it.
+		for i, v := range rv.xB {
+			if v < -epsFeas {
+				return nil, false
+			}
+			if v < 0 {
+				rv.xB[i] = 0
+			}
+		}
+		rv.stats.WarmStarted = true
+		rv.markStart(startPrimal)
+		st := rv.phase("lp.phase2", &iters, func() Status { return rv.primal(&iters) })
+		rv.stats.Phase2Iters = iters
+		return rv.finishWarm(p, st, iters)
+	}
+	rv.stats.WarmStarted = true
+	rv.markStart(startDual)
+
 	switch rv.phase("lp.dual", &iters, func() Status { return rv.dual(&iters) }) {
 	case Optimal:
 		// Fall through to a primal polish (usually zero pivots).
@@ -869,16 +918,20 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	}
 	st := rv.phase("lp.phase2", &iters, func() Status { return rv.primal(&iters) })
 	rv.stats.Phase2Iters = iters - rv.stats.DualIters
+	return rv.finishWarm(p, st, iters)
+}
+
+// finishWarm turns the terminal status of a solve from a supplied basis
+// into its solution; ok=false sends the caller to a cold solve.
+func (rv *revised) finishWarm(p *Problem, st Status, iters int) (*Solution, bool) {
 	switch st {
 	case Optimal:
 		if rv.artificialOffZero() {
 			return nil, false
 		}
 		return rv.extract(p, iters), true
-	case Unbounded:
-		return &Solution{Status: Unbounded, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}, true
-	case Canceled:
-		return &Solution{Status: Canceled, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}, true
+	case Unbounded, Canceled:
+		return &Solution{Status: st, Objective: math.NaN(), Iters: iters, X: make([]float64, rv.f.nOrig), Stats: rv.stats}, true
 	default:
 		return nil, false
 	}

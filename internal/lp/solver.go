@@ -34,11 +34,14 @@ type Options struct {
 	// A solve without presolve gets no numerical rescue: the rescue is
 	// exactly such a solve.
 	NoPresolve bool
-	// WarmBasis is a starting basis from a previous Solution.Basis for a
-	// problem with the same variables and a prefix of the same rows
-	// (RHS values and appended rows may differ). The solve falls back to a
-	// cold start if the basis is unusable, so a stale or mismatched basis
-	// costs time, never correctness.
+	// WarmBasis is a starting basis in the Solution.Basis encoding. It may
+	// come from a previous solve of a problem with the same variables and a
+	// prefix of the same rows (RHS values and appended rows may differ), or
+	// be built by the caller, as internal/core's crash basis is. A
+	// dual-feasible basis is repaired by dual simplex, a primal-feasible one
+	// starts phase 2 directly, and the solve falls back to a cold start if
+	// the basis is neither or is unusable, so a stale, mismatched or
+	// infeasible basis costs time, never correctness.
 	WarmBasis []int
 	// Ctx, when non-nil, lets the caller abandon a solve mid-pivot: the
 	// pivot loops poll ctx.Err() every cancelCheckEvery iterations and
@@ -66,7 +69,8 @@ func WithStallWindow(n int) Option { return func(o *Options) { o.StallWindow = n
 // WithoutPresolve disables the presolve/scaling pass for this solve.
 func WithoutPresolve() Option { return func(o *Options) { o.NoPresolve = true } }
 
-// WithWarmBasis supplies a starting basis from a previous Solution.Basis.
+// WithWarmBasis supplies a starting basis in the Solution.Basis encoding,
+// from a previous solve or built by the caller (see Options.WarmBasis).
 func WithWarmBasis(basis []int) Option { return func(o *Options) { o.WarmBasis = basis } }
 
 // WithContext makes the solve cancelable: when ctx is canceled or its
@@ -116,8 +120,8 @@ type SolveStats struct {
 	// pass eliminated before the kernel ran.
 	PresolveRows int `json:",omitempty"`
 	PresolveCols int `json:",omitempty"`
-	// WarmStarted reports whether a supplied warm basis was actually used
-	// (false when it was absent or unusable).
+	// WarmStarted reports whether a supplied basis was used, as a dual or a
+	// primal start (false when it was absent or unusable).
 	WarmStarted bool
 	// BlandActivated reports whether the anti-cycling fallback engaged;
 	// BlandActivations counts how many times it switched on (it can engage,
@@ -161,6 +165,17 @@ func (s SolveStats) RowNormRatio() float64 {
 // Pivots is the total pivot count across phases.
 func (s SolveStats) Pivots() int { return s.Phase1Iters + s.Phase2Iters + s.DualIters }
 
+// addEffort folds the effort of an abandoned start attempt (which runs no
+// phase 1) into s: its pivots, refactorizations and anti-cycling
+// engagements were paid for even though the solve fell back cold.
+func (s *SolveStats) addEffort(o SolveStats) {
+	s.Phase2Iters += o.Phase2Iters
+	s.DualIters += o.DualIters
+	s.Refactorizations += o.Refactorizations
+	s.BlandActivations += o.BlandActivations
+	s.BlandActivated = s.BlandActivated || o.BlandActivated
+}
+
 // Basis encoding: Solution.Basis has one entry per constraint row, naming
 // the variable basic in that row in problem space:
 //
@@ -173,7 +188,9 @@ func (s SolveStats) Pivots() int { return s.Phase1Iters + s.Phase2Iters + s.Dual
 // the parent basis: rows added for branches simply take their own auxiliary
 // as the initial basic variable.
 
-// Solve runs the sparse revised simplex on p. The returned error is non-nil
+// Solve runs the sparse revised simplex on p, cold or from a supplied basis
+// (WithWarmBasis); the lp.solve span's start attribute names the start the
+// solve took: cold, dual or primal. The returned error is non-nil
 // only for malformed problems and for numerical breakdowns the rescue did
 // not repair (*NumericalError); infeasibility and unboundedness are
 // reported through Solution.Status.
@@ -205,7 +222,8 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	defer span.End()
 	span.SetAttr("vars", p.NumVars())
 	span.SetAttr("rows", p.NumConstraints())
-	o.SpanCtx = sctx // the kernel parents its phase spans under lp.solve
+	span.SetAttr("start", startCold) // until the kernel uses a supplied basis
+	o.SpanCtx = sctx                 // the kernel parents its phase spans under lp.solve
 
 	start := time.Now()
 	var sol *Solution

@@ -1,13 +1,43 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
+
+	"powercap/internal/obs"
 )
 
 func randomBoundedLPSeed(seed int64) *Problem {
 	return randomBoundedLP(rand.New(rand.NewSource(seed)))
+}
+
+// solveStart solves p from basis under a trace of its own and returns the
+// solution with the start its lp.solve span reports.
+func solveStart(t *testing.T, p *Problem, basis []int) (*Solution, string) {
+	t.Helper()
+	tr := obs.NewTrace(0)
+	defer tr.Release()
+	sol, err := Solve(p, WithSpanContext(obs.WithTrace(context.Background(), tr)), WithWarmBasis(basis))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := ""
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "lp.solve" {
+			start, _ = rec.Attrs["start"].(string)
+		}
+	}
+	return sol, start
+}
+
+// perturbCosts shifts every objective coefficient of p by an integer in
+// [−4, 4] drawn from rng.
+func perturbCosts(p *Problem, rng *rand.Rand) {
+	for j, c := range p.obj {
+		p.obj[j] = c + float64(rng.Intn(9)-4)
+	}
 }
 
 // Warm-start tests: a basis exported by one solve must speed up — and never
@@ -81,6 +111,10 @@ func TestWarmStartRHSSweep(t *testing.T) {
 	}
 }
 
+// TestWarmStartSweepToInfeasible lowers the cap below the program's floor:
+// the dual simplex proves the warm basis infeasible, the verdict is
+// re-verified cold, and the abandoned dual attempt's pivots and
+// refactorizations stay in the returned stats.
 func TestWarmStartSweepToInfeasible(t *testing.T) {
 	p, capRow := sweepLikeLP()
 	sol, err := Solve(p)
@@ -94,12 +128,22 @@ func TestWarmStartSweepToInfeasible(t *testing.T) {
 	if err := p.SetRHS(capRow, 45); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(p, WithWarmBasis(sol.Basis))
+	cold, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Status != Infeasible {
-		t.Fatalf("status %v, want infeasible", warm.Status)
+	warm, start := solveStart(t, p, sol.Basis)
+	if warm.Status != Infeasible || cold.Status != Infeasible {
+		t.Fatalf("status %v warm, %v cold; want infeasible", warm.Status, cold.Status)
+	}
+	if start != "cold" || warm.Stats.WarmStarted {
+		t.Fatalf("start %q, warm %v: the infeasible verdict must come from the cold re-verification", start, warm.Stats.WarmStarted)
+	}
+	if cold.Stats.DualIters != 0 || warm.Stats.DualIters == 0 {
+		t.Fatalf("dual pivots %d warm, %d cold: the abandoned dual attempt's pivots are lost", warm.Stats.DualIters, cold.Stats.DualIters)
+	}
+	if warm.Stats.Refactorizations <= cold.Stats.Refactorizations || warm.Iters != warm.Stats.Pivots() {
+		t.Fatalf("warm refactorizations %d (cold %d), pivots %d of %d counted", warm.Stats.Refactorizations, cold.Stats.Refactorizations, warm.Iters, warm.Stats.Pivots())
 	}
 }
 
@@ -222,11 +266,54 @@ func TestWarmBasisArtificialOffZero(t *testing.T) {
 	}
 }
 
+// TestWarmBasisPrimalStart: an optimal basis stays primal feasible when
+// only the costs change, though in general no longer dual feasible.
+// Solved from it, the kernel must skip phase 1 and use the basis, taking a
+// primal start where the dual test fails, and reach the cold solve's
+// objective with a certified answer.
+func TestWarmBasisPrimalStart(t *testing.T) {
+	primal := 0
+	for seed := int64(1); seed <= 150; seed++ {
+		p := randomBoundedLPSeed(seed)
+		first, err := Solve(p)
+		if err != nil || first.Status != Optimal {
+			continue
+		}
+		perturbCosts(p, rand.New(rand.NewSource(seed)))
+		cold, err := Solve(p)
+		if err != nil || cold.Status != Optimal {
+			t.Fatalf("seed %d: cold %v, %v after a cost change on a bounded program", seed, cold, err)
+		}
+		warm, start := solveStart(t, p, first.Basis)
+		if warm.Status != Optimal || !warm.Stats.WarmStarted || warm.Stats.Phase1Iters != 0 {
+			t.Fatalf("seed %d: %v from start %q, warm %v, phase 1 %d pivots", seed, warm.Status, start, warm.Stats.WarmStarted, warm.Stats.Phase1Iters)
+		}
+		if start == "primal" {
+			primal++
+			if warm.Stats.DualIters != 0 {
+				t.Fatalf("seed %d: primal start spent %d dual pivots", seed, warm.Stats.DualIters)
+			}
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+			t.Fatalf("seed %d: warm objective %v, cold %v\n%s", seed, warm.Objective, cold.Objective, p)
+		}
+		if err := Certify(p, warm).Err(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if primal == 0 {
+		t.Fatal("no cost change left the basis dual infeasible; the primal start went untested")
+	}
+}
+
 // FuzzWarmBasis warm starts random bounded LPs from fuzz-decoded bases (any
 // mix of structural and auxiliary entries, duplicates included) and
 // requires the cold solve's status and objective: a warm basis may cost
 // time, never correctness. A byte below 128 names structural variable
-// b mod n; one at or above names row (b−128) mod m's auxiliary.
+// b mod n; one at or above names row (b−128) mod m's auxiliary. Then the
+// costs change: the cold optimum's basis stays primal feasible, so a solve
+// from it must skip phase 1, use the basis, and reach the new cold
+// objective with a certified answer.
 func FuzzWarmBasis(f *testing.F) {
 	f.Add(int64(1), []byte{128, 129, 130, 131, 132, 133})
 	f.Add(int64(7), []byte{0, 1, 2, 131, 132, 133})
@@ -253,8 +340,33 @@ func FuzzWarmBasis(f *testing.F) {
 		if warm.Status != cold.Status {
 			t.Fatalf("basis %v: warm %v, cold %v\n%s", basis, warm.Status, cold.Status, p)
 		}
-		if cold.Status == Optimal && math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
+		if cold.Status != Optimal {
+			return
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-9*(1+math.Abs(cold.Objective)) {
 			t.Fatalf("basis %v: warm objective %v, cold %v\n%s", basis, warm.Objective, cold.Objective, p)
+		}
+
+		perturbCosts(p, rand.New(rand.NewSource(seed^int64(len(data)))))
+		recold, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rewarm, err := Solve(p, WithWarmBasis(cold.Basis))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rewarm.Status != recold.Status || rewarm.Status != Optimal {
+			t.Fatalf("after a cost change: warm %v, cold %v\n%s", rewarm.Status, recold.Status, p)
+		}
+		if !rewarm.Stats.WarmStarted || rewarm.Stats.Phase1Iters != 0 {
+			t.Fatalf("after a cost change: basis %v used %v, phase 1 %d pivots\n%s", cold.Basis, rewarm.Stats.WarmStarted, rewarm.Stats.Phase1Iters, p)
+		}
+		if math.Abs(rewarm.Objective-recold.Objective) > 1e-9*(1+math.Abs(recold.Objective)) {
+			t.Fatalf("after a cost change: warm objective %v, cold %v\n%s", rewarm.Objective, recold.Objective, p)
+		}
+		if err := Certify(p, rewarm).Err(); err != nil {
+			t.Fatalf("after a cost change: %v\n%s", err, p)
 		}
 	})
 }

@@ -158,6 +158,16 @@ func FromContext(ctx context.Context) *Trace {
 	return nil
 }
 
+// SpanFrom returns the span open in ctx, or nil, so a callee handed only
+// the context can annotate the span its caller opened.
+func SpanFrom(ctx context.Context) *Span {
+	if ctx == nil {
+		return nil
+	}
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
+}
+
 // SetGlobal installs (or, with nil, clears) the process-global fallback
 // Trace. It does not touch the armed counter: the Trace's own
 // NewTrace/Release pair did. CLI-only; the service never sets it.

@@ -165,6 +165,26 @@ func TestFromContext(t *testing.T) {
 	}
 }
 
+// TestSpanFrom: a callee handed the context sees the span its caller
+// opened, and an attribute it sets lands on that span's record.
+func TestSpanFrom(t *testing.T) {
+	if SpanFrom(nil) != nil || SpanFrom(context.Background()) != nil {
+		t.Fatal("SpanFrom found a span in a context without one")
+	}
+	tr := NewTrace(0)
+	defer tr.Release()
+	ctx, sp := Start(WithTrace(context.Background(), tr), "outer")
+	if SpanFrom(ctx) != sp {
+		t.Fatal("SpanFrom did not return the span open in ctx")
+	}
+	SpanFrom(ctx).SetAttr("k", "v")
+	sp.End()
+	recs := tr.Snapshot()
+	if len(recs) != 1 || recs[0].Attrs["k"] != "v" {
+		t.Fatalf("records %+v, want outer with k=v", recs)
+	}
+}
+
 // TestConcurrentSpans is the -race target: many goroutines recording into
 // one trace, each with its own root track.
 func TestConcurrentSpans(t *testing.T) {

@@ -307,7 +307,7 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_rejected_total", "Admission-control rejections (queue full or draining).", m.Rejected.Load()},
 		{"pcschedd_bad_requests_total", "Malformed requests answered 400.", m.BadRequests.Load()},
 		{"pcschedd_infeasible_total", "Solves that proved the power cap infeasible.", m.Infeasible.Load()},
-		{"pcschedd_warm_starts_total", "LP solves that reused a prior basis.", m.WarmStarts.Load()},
+		{"pcschedd_warm_starts_total", "LP solves that started from a supplied basis: a prior solve's or the crash basis.", m.WarmStarts.Load()},
 		{"pcschedd_pivots_total", "Simplex pivots across all backend solves.", m.Pivots.Load()},
 		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
 		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},

@@ -38,6 +38,9 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte(`{"version":1,"num_ranks":2,"vertices":[{"id":0,"kind":"init","rank":-1},{"id":1,"kind":"send","rank":0},{"id":2,"kind":"finalize","rank":-1}],"tasks":[]}`))
 	f.Add([]byte(`{"version":1,"num_ranks":1,"vertices":[{"id":0,"kind":"init","rank":-1},{"id":1,"kind":"finalize","rank":-1}],"tasks":[{"id":0,"kind":"compute","rank":0,"src":1,"dst":0}]}`))
 	f.Add([]byte(`not json`))
+	// No tasks array: Write once emitted "tasks": null for it, which Read
+	// rejects.
+	f.Add([]byte(`{"version":1,"num_ranks":1,"vertices":[{"id":0,"kind":"init","rAnk":-0},{"id":1,"kind":"finalize"}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, eff, err := Read(bytes.NewReader(data))

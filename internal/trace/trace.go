@@ -90,13 +90,17 @@ func vertexKindOf(name string) (dag.VertexKind, error) {
 	return 0, fmt.Errorf("trace: unknown vertex kind %q", name)
 }
 
-// Encode converts a graph (plus optional machine metadata) to a File.
+// Encode converts a graph (plus optional machine metadata) to a File. Its
+// vertex and task arrays are never nil, so a graph without tasks writes
+// "tasks": [], which Read accepts, rather than null.
 func Encode(name string, g *dag.Graph, effScale []float64) *File {
 	f := &File{
 		Version:  FormatVersion,
 		Name:     name,
 		NumRanks: g.NumRanks,
 		EffScale: append([]float64(nil), effScale...),
+		Vertices: make([]VertexRec, 0, len(g.Vertices)),
+		Tasks:    make([]TaskRec, 0, len(g.Tasks)),
 	}
 	for _, v := range g.Vertices {
 		f.Vertices = append(f.Vertices, VertexRec{

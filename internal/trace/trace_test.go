@@ -88,6 +88,35 @@ func TestDecodeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRoundTripWithoutTasks: graphs with no tasks survive Write → Read with
+// the same canonical digest; Write emits empty arrays, never null.
+func TestRoundTripWithoutTasks(t *testing.T) {
+	cases := []struct{ name, in string }{
+		{"no tasks array", `{"version":1,"num_ranks":1,"vertices":[{"id":0,"kind":"init","rAnk":-0},{"id":1,"kind":"finalize"}]}`},
+		{"empty tasks array", `{"version":1,"num_ranks":2,"vertices":[{"id":0,"kind":"init","rank":-1},{"id":1,"kind":"finalize","rank":-1}],"tasks":[]}`},
+	}
+	for _, c := range cases {
+		g, eff, err := Read(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, c.name, g, eff); err != nil {
+			t.Fatalf("%s: write: %v", c.name, err)
+		}
+		if strings.Contains(buf.String(), "null") {
+			t.Fatalf("%s: Write emitted null:\n%s", c.name, buf.String())
+		}
+		g2, _, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: round trip rejected: %v", c.name, err)
+		}
+		if dag.Digest(g) != dag.Digest(g2) {
+			t.Fatalf("%s: round trip changed the canonical digest", c.name)
+		}
+	}
+}
+
 func TestDecodeRejectsMissingShape(t *testing.T) {
 	in := `{"version":1,"num_ranks":1,
 		"vertices":[
