@@ -101,19 +101,24 @@ market-smoke:
 # equivalence suite with every optimum certified, warm starts from
 # arbitrary bases, primal starts after cost changes, the abandoned
 # attempt's effort, presolve round-trip, pricing, degenerate-cycling
-# guards, the rescue's one-extra-solve bound, and the certificate's
-# rejection of perturbed answers), then through internal/core the golden
+# guards, the rescue's one-extra-solve bound, the certificate's
+# rejection of perturbed answers, and the form builder against the copy
+# chain it replaced: every array of the form and every Solve answer and
+# stats count bit for bit), then through internal/core the golden
 # objectives in both kernel configurations (presolved and the rescue's),
-# the crash basis on every benchmark program and speculative window
-# program against basis-free solves (no phase 1, certified, deterministic,
-# a rejected crash falling back cold), the warm CapSession probes, the
+# every answer on the bench paths' programs bit for bit against digests
+# recorded before the one-pass form builder, the rendered names of a
+# whole-graph and a window program, the crash basis on every benchmark
+# program and speculative window program against basis-free solves (no
+# phase 1, certified, deterministic, a rejected crash falling back cold),
+# the warm CapSession probes, the
 # curve walks and the stepped walks' captures checked against them, the
 # closed-form floors against the walked ones, the sweeps that run on the
 # sessions, and the windowed rescue (the former breakdown traces finishing
 # clean, and injected NaNs reaching the rescue).
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
+	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
 
 # Adaptive overload control plane + deterministic traffic twin smoke:
 # race-detected controller/brownout/twin tests, then the end-to-end
@@ -130,10 +135,12 @@ twin-smoke:
 # sparse LU factorization (factor → FTRAN/BTRAN vs dense LU, and factors
 # and solves bit for bit vs the step-scan reference LU), the parametric
 # right-hand-side walk (walked objective vs point solves, and a certified
-# capture at a fuzz-chosen shift), and warm starts
+# capture at a fuzz-chosen shift), warm starts
 # from arbitrary bases (status and objective vs a cold solve; then, after a
 # cost change, a certified primal start from the cold optimum's basis with
-# no phase 1). Seeds are
+# no phase 1), and the form builder (every array of the kernel's form, and
+# every Solve answer, bit for bit against the copy chain it replaced, on
+# random problems from a fuzzed seed). Seeds are
 # checked in via f.Add; 5s each keeps the gate fast while still exploring.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRead -fuzztime 5s ./internal/trace/
@@ -142,5 +149,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLUMatchesScan -fuzztime 5s ./internal/lp/basis/
 	$(GO) test -run xxx -fuzz FuzzParametric -fuzztime 5s ./internal/lp/
 	$(GO) test -run xxx -fuzz FuzzWarmBasis -fuzztime 5s ./internal/lp/
+	$(GO) test -run xxx -fuzz FuzzForm -fuzztime 5s ./internal/lp/
 
 check: fmt-check vet build race bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

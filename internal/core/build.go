@@ -42,14 +42,24 @@ type powerRow struct {
 // each probe mutates the power-row RHS values in place (Problem.SetRHS) and
 // re-solves, warm starting from the previous probe's basis.
 type builtLP struct {
-	ir   *problem.IR
-	prob *lp.Problem
+	ir *problem.IR
+	emitter
 	vVar []lp.Var
 	tv   map[dag.TaskID]*taskLPVars
 
 	powerRows []powerRow
 	floor     capFloor
-	log       crashLog // time and convexity rows, for the crash basis
+}
+
+// emitter writes one program's rows into its LP. Its crash log records
+// the time and convexity rows for the crash basis (nil records nothing),
+// and every row is built in the one expression buffer row before the LP
+// copies it out. The buffer belongs to the program, not the package:
+// window programs are emitted on several workers at once.
+type emitter struct {
+	prob *lp.Problem
+	log  *crashLog
+	row  lp.Expr
 }
 
 // capFloor is a program's feasibility floor in closed form. Power rows hold
@@ -83,9 +93,8 @@ func (f capFloor) infeasible(capW float64) error {
 // variables over the IR's frontier columns with their convexity rows
 // (Eqs. 6–9), and task precedence rows (Eqs. 3–4). addCfgVar creates each
 // configuration variable, letting the MILP substitute binaries (Eq. 5)
-// without duplicating the skeleton. The time and convexity rows go into log
-// for the crash basis (nil records nothing).
-func emitSkeleton(ir *problem.IR, prob *lp.Problem, log *crashLog, addCfgVar func(name string, powerW float64) lp.Var) ([]lp.Var, map[dag.TaskID]*taskLPVars) {
+// without duplicating the skeleton.
+func emitSkeleton(ir *problem.IR, e *emitter, addCfgVar func(name lp.Name, powerW float64) lp.Var) ([]lp.Var, map[dag.TaskID]*taskLPVars) {
 	g := ir.G
 
 	vVar := make([]lp.Var, len(g.Vertices))
@@ -94,100 +103,98 @@ func emitSkeleton(ir *problem.IR, prob *lp.Problem, log *crashLog, addCfgVar fun
 		if g.Vertices[i].Kind == dag.VFinalize {
 			obj = 1
 		}
-		vVar[i] = prob.AddVar(fmt.Sprintf("v%d", i), obj)
+		vVar[i] = e.prob.AddVarNamed(lp.Indexed("v", i), obj)
 		if g.Vertices[i].Kind == dag.VInit {
-			emitTime(prob, log, "init0", vVar[i], -1, lp.EQ, 0, nil)
+			e.time(lp.Named("init0"), vVar[i], -1, lp.EQ, 0, nil)
 		}
 	}
 
 	tv := make(map[dag.TaskID]*taskLPVars)
 	for _, t := range g.Tasks {
 		if ir.Class[t.ID] == problem.Tunable {
-			tv[t.ID] = emitConfigVars(prob, log, t.ID, ir.Cols[t.ID], addCfgVar)
+			tv[t.ID] = e.configVars(t.ID, ir.Cols[t.ID], addCfgVar)
 		}
 	}
 
 	// Task precedence (Eqs. 3–4).
 	for i := range g.Tasks {
 		t := &g.Tasks[i]
-		emitTaskRow(prob, log, fmt.Sprintf("prec%d", t.ID), vVar[t.Dst], vVar[t.Src], ir, t, tv)
+		e.taskRow(lp.Indexed("prec", int(t.ID)), vVar[t.Dst], vVar[t.Src], ir, t, tv)
 	}
 	return vVar, tv
 }
 
 // emitEventOrder emits the fixed event order (Eqs. 12–13): the IR's
 // vertices chained in initial-time order, simultaneous events pinned equal.
-// The rows go into log for the crash basis (nil records nothing).
-func emitEventOrder(ir *problem.IR, prob *lp.Problem, log *crashLog, vVar []lp.Var) {
+func emitEventOrder(ir *problem.IR, e *emitter, vVar []lp.Var) {
 	for i := 1; i < len(ir.EventOrder); i++ {
 		prev, cur := ir.EventOrder[i-1], ir.EventOrder[i]
 		if ir.Simultaneous(prev, cur) {
-			emitTime(prob, log, fmt.Sprintf("eq%d", i), vVar[cur], vVar[prev], lp.EQ, 0, nil)
+			e.time(lp.Indexed("eq", i), vVar[cur], vVar[prev], lp.EQ, 0, nil)
 		} else {
-			emitTime(prob, log, fmt.Sprintf("ord%d", i), vVar[cur], vVar[prev], lp.GE, 0, nil)
+			e.time(lp.Indexed("ord", i), vVar[cur], vVar[prev], lp.GE, 0, nil)
 		}
 	}
 }
 
-// emitTime emits the time row name: dst − src − Σ_k d_k·c_k rel rhs and
-// records it in log for the crash basis (nil records nothing), returning
-// its row index. src < 0 leaves out the source time (the Init pin, a
-// window's seam and boundary precedences); v, when non-nil, is the tunable
-// task whose configuration variables carry its duration. The programs
-// that take a crash basis emit every time row through here, so none misses
-// the log; an equality with a source is an eq row joining dst to the event
-// before it.
-func emitTime(prob *lp.Problem, log *crashLog, name string, dst, src lp.Var, rel lp.Rel, rhs float64, v *taskLPVars) int {
-	row := prob.NumConstraints()
-	expr := lp.Expr{}.Plus(dst, 1)
+// time emits the time row name: dst − src − Σ_k d_k·c_k rel rhs and
+// records it in the crash log, returning its row index. src < 0 leaves out
+// the source time (the Init pin, a window's seam and boundary
+// precedences); v, when non-nil, is the tunable task whose configuration
+// variables carry its duration. The programs that take a crash basis emit
+// every time row through here, so none misses the log; an equality with a
+// source is an eq row joining dst to the event before it.
+func (e *emitter) time(name lp.Name, dst, src lp.Var, rel lp.Rel, rhs float64, v *taskLPVars) int {
+	row := e.prob.NumConstraints()
+	e.row = e.row[:0].Plus(dst, 1)
 	if src >= 0 {
-		expr = expr.Plus(src, -1)
+		e.row = e.row.Plus(src, -1)
 	}
 	dur := 0.0
 	if v != nil {
 		for k := range v.cs {
-			expr = expr.Plus(v.cs[k], -v.cols.Durs[k])
+			e.row = e.row.Plus(v.cs[k], -v.cols.Durs[k])
 		}
 		dur = v.cols.Durs[0]
 	}
-	if log != nil {
-		log.times = append(log.times, timeRow{row: row, dst: dst, src: src, dur: dur, join: rel == lp.EQ && src >= 0})
+	if e.log != nil {
+		e.log.times = append(e.log.times, timeRow{row: row, dst: dst, src: src, dur: dur, join: rel == lp.EQ && src >= 0})
 	}
-	prob.MustConstraint(name, expr, rel, rhs)
+	e.prob.MustConstraintNamed(name, e.row, rel, rhs)
 	return row
 }
 
-// emitTaskRow emits task t's row name: dst − src ≥ its duration (Eqs. 3–4
+// taskRow emits task t's row name: dst − src ≥ its duration (Eqs. 3–4
 // with s and d substituted): a message's fixed duration, nothing for a
 // fixed task (ordering only), or Σ_k d_{i,k} c_{i,k} over a tunable task's
 // configuration variables in tv. dst is the task's destination time, or a
 // window's completion variable for a task straddling its end.
-func emitTaskRow(prob *lp.Problem, log *crashLog, name string, dst, src lp.Var, ir *problem.IR, t *dag.Task, tv map[dag.TaskID]*taskLPVars) {
+func (e *emitter) taskRow(name lp.Name, dst, src lp.Var, ir *problem.IR, t *dag.Task, tv map[dag.TaskID]*taskLPVars) {
 	switch ir.Class[t.ID] {
 	case problem.Message:
-		emitTime(prob, log, name, dst, src, lp.GE, t.FixedDur, nil)
+		e.time(name, dst, src, lp.GE, t.FixedDur, nil)
 	case problem.Tunable:
-		emitTime(prob, log, name, dst, src, lp.GE, 0, tv[t.ID])
+		e.time(name, dst, src, lp.GE, 0, tv[t.ID])
 	default:
-		emitTime(prob, log, name, dst, src, lp.GE, 0, nil)
+		e.time(name, dst, src, lp.GE, 0, nil)
 	}
 }
 
-// emitConfigVars creates tunable task tid's configuration variables over
-// its frontier columns through addCfgVar and emits their convexity row
-// (Eqs. 6–9), recording the row and the lowest-power column in log for the
-// crash basis (nil records nothing).
-func emitConfigVars(prob *lp.Problem, log *crashLog, tid dag.TaskID, cols *problem.Columns, addCfgVar func(name string, powerW float64) lp.Var) *taskLPVars {
+// configVars creates tunable task tid's configuration variables over its
+// frontier columns through addCfgVar and emits their convexity row
+// (Eqs. 6–9), recording the row and the lowest-power column in the crash
+// log.
+func (e *emitter) configVars(tid dag.TaskID, cols *problem.Columns, addCfgVar func(name lp.Name, powerW float64) lp.Var) *taskLPVars {
 	v := &taskLPVars{cols: cols, cs: make([]lp.Var, len(cols.F.Pts))}
-	var convex lp.Expr
+	e.row = e.row[:0]
 	for k, p := range cols.F.Pts {
-		v.cs[k] = addCfgVar(fmt.Sprintf("c%d_%d", tid, k), p.PowerW)
-		convex = convex.Plus(v.cs[k], 1)
+		v.cs[k] = addCfgVar(lp.Indexed2("c", int(tid), k), p.PowerW)
+		e.row = e.row.Plus(v.cs[k], 1)
 	}
-	if log != nil {
-		log.cvx = append(log.cvx, cvxRow{row: prob.NumConstraints(), col: v.cs[0]})
+	if e.log != nil {
+		e.log.cvx = append(e.log.cvx, cvxRow{row: e.prob.NumConstraints(), col: v.cs[0]})
 	}
-	prob.MustConstraint(fmt.Sprintf("cvx%d", tid), convex, lp.EQ, 1)
+	e.prob.MustConstraintNamed(lp.Indexed("cvx", int(tid)), e.row, lp.EQ, 1)
 	return v
 }
 
@@ -198,16 +205,16 @@ func emitConfigVars(prob *lp.Problem, log *crashLog, tid dag.TaskID, cols *probl
 // (cap 0); callers aim them at a concrete cap through SetRHS. Events with
 // only fixed draws yield no row. The program's closed-form feasibility
 // floor comes with the rows.
-func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVars) (rows []powerRow, floor capFloor) {
+func emitPowerRows(ir *problem.IR, e *emitter, tv map[dag.TaskID]*taskLPVars) (rows []powerRow, floor capFloor) {
 	floor.vertex, floor.row = -1, -1
 	for vi := range ir.G.Vertices {
-		var expr lp.Expr
+		e.row = e.row[:0]
 		deduct, tunableMinW, tunableMaxW := 0.0, 0.0, 0.0
 		for _, tid := range ir.Active[vi] {
 			if v, ok := tv[tid]; ok {
 				lo, top := math.Inf(1), 0.0
 				for k := range v.cs {
-					expr = expr.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
+					e.row = e.row.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
 					lo = min(lo, v.cols.F.Pts[k].PowerW)
 					top = max(top, v.cols.F.Pts[k].PowerW)
 				}
@@ -217,7 +224,7 @@ func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVa
 				deduct += ir.FixedPowerW[tid]
 			}
 		}
-		if len(expr) == 0 {
+		if len(e.row) == 0 {
 			floor.fixedW = max(floor.fixedW, deduct)
 			if deduct > floor.minW {
 				floor.minW, floor.vertex, floor.row = deduct, vi, -1
@@ -225,15 +232,15 @@ func emitPowerRows(ir *problem.IR, prob *lp.Problem, tv map[dag.TaskID]*taskLPVa
 			continue
 		}
 		if w := deduct + tunableMinW; w > floor.minW {
-			floor.minW, floor.vertex, floor.row = w, vi, prob.NumConstraints()
+			floor.minW, floor.vertex, floor.row = w, vi, e.prob.NumConstraints()
 		}
 		rows = append(rows, powerRow{
-			row:      prob.NumConstraints(),
+			row:      e.prob.NumConstraints(),
 			deduct:   deduct,
 			vertex:   vi,
 			maxDrawW: deduct + tunableMaxW,
 		})
-		prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
+		e.prob.MustConstraintNamed(lp.Indexed("pow", vi), e.row, lp.LE, -deduct)
 	}
 	return rows, floor
 }
@@ -252,14 +259,14 @@ func (s *Solver) buildLP(ctx context.Context, g *dag.Graph) (*builtLP, error) {
 
 // buildFromIR emits the continuous LP from an already-built IR.
 func (s *Solver) buildFromIR(ir *problem.IR) *builtLP {
-	b := &builtLP{ir: ir, prob: lp.NewProblem(lp.Minimize)}
+	b := &builtLP{ir: ir, emitter: emitter{prob: lp.NewProblem(lp.Minimize), log: &crashLog{}}}
 	// Configuration-fraction variables carry the power tiebreak on the
 	// objective (see Solver.PowerTiebreak).
-	b.vVar, b.tv = emitSkeleton(ir, b.prob, &b.log, func(name string, powerW float64) lp.Var {
-		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
+	b.vVar, b.tv = emitSkeleton(ir, &b.emitter, func(name lp.Name, powerW float64) lp.Var {
+		return b.prob.AddVarNamed(name, s.PowerTiebreak*powerW)
 	})
-	emitEventOrder(ir, b.prob, &b.log, b.vVar)
-	b.powerRows, b.floor = emitPowerRows(ir, b.prob, b.tv)
+	emitEventOrder(ir, &b.emitter, b.vVar)
+	b.powerRows, b.floor = emitPowerRows(ir, &b.emitter, b.tv)
 	return b
 }
 
@@ -270,7 +277,7 @@ func (b *builtLP) crash() []int {
 	for i, v := range b.ir.EventOrder {
 		order[i] = b.vVar[v]
 	}
-	return crashBasis(b.prob, &b.log, order)
+	return crashBasis(b.prob, b.log, order)
 }
 
 // solveLP is the package's one call into the LP kernel: it solves prob,
@@ -279,9 +286,9 @@ func (b *builtLP) crash() []int {
 // always Optimal; an infeasible program surfaces as ErrInfeasible and a
 // canceled ctx as an error wrapping ctx.Err() (so errors.Is against
 // context.Canceled/DeadlineExceeded works), each naming the program as
-// what. A numerical breakdown has had lp.Solve's cold rescue and is
-// returned as is.
-func solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, what string) (*lp.Solution, error) {
+// what, which is rendered only then. A numerical breakdown has had
+// lp.Solve's cold rescue and is returned as is.
+func solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, what fmt.Stringer) (*lp.Solution, error) {
 	opts := []lp.Option{lp.WithSpanContext(ctx), lp.WithWarmBasis(basis)}
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
@@ -307,6 +314,11 @@ func solveLP(ctx context.Context, prob *lp.Problem, basis []int, st *Stats, what
 		return nil, fmt.Errorf("core: LP solver returned %v (%s)", sol.Status, what)
 	}
 }
+
+// capLabel names a program by its cap in solve errors: "cap 50.0 W".
+type capLabel float64
+
+func (c capLabel) String() string { return fmt.Sprintf("cap %.1f W", float64(c)) }
 
 // scheduleFrom reads an Optimal solution of a program emitted over ir (with
 // vertex-time variables vVar and configuration variables tv) back into a

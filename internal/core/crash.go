@@ -25,9 +25,10 @@ import (
 // lowest power is infeasible; there the kernel finds the crash primal
 // infeasible and solves cold, which reports the infeasibility as before.
 
-// timeRow is one time row as emitTime wrote it: dst − src − Σ_k d_k·c_k ≥
-// rhs (= rhs for the Init pin and eq rows), over the configuration
-// variables of the tunable task whose duration enters the row, if any.
+// timeRow is one time row as emitter.time wrote it: dst − src − Σ_k
+// d_k·c_k ≥ rhs (= rhs for the Init pin and eq rows), over the
+// configuration variables of the tunable task whose duration enters the
+// row, if any.
 type timeRow struct {
 	row      int
 	dst, src lp.Var  // src is -1 for a row with no source time variable
@@ -42,9 +43,9 @@ type cvxRow struct {
 }
 
 // crashLog is what the emitters record for crashBasis as they emit rows:
-// every time row (emitTime) and every convexity row (emitConfigVars), in
-// emission order. A nil log records nothing (programs solved without a
-// crash).
+// every time row (emitter.time) and every convexity row
+// (emitter.configVars), in emission order. A nil log records nothing
+// (programs solved without a crash).
 type crashLog struct {
 	times []timeRow
 	cvx   []cvxRow

@@ -123,7 +123,7 @@ func TestCrashBasis(t *testing.T) {
 			if cold, err := lp.Solve(b.prob); err != nil || cold.Status != lp.Optimal {
 				continue // estimates over the cap: the crash cannot fit either
 			}
-			checkCrash(t, b.what, b.prob, b.crash())
+			checkCrash(t, b.String(), b.prob, b.crash())
 			solved++
 		}
 		if solved < 2 {

@@ -49,11 +49,12 @@ func (s *Solver) SolveDiscrete(g *dag.Graph, capW float64) (*Schedule, error) {
 
 	// Eq. (5): c ∈ {0,1}. The tiny power coefficient mirrors the
 	// continuous tiebreak but must stay below the pruning gap.
-	vVar, tv := emitSkeleton(ir, prob.Problem, nil, func(name string, powerW float64) lp.Var {
-		return prob.AddBinary(name, 1e-9*powerW)
+	e := &emitter{prob: prob.Problem}
+	vVar, tv := emitSkeleton(ir, e, func(name lp.Name, powerW float64) lp.Var {
+		return prob.AddBinary(name.String(), 1e-9*powerW)
 	})
-	emitEventOrder(ir, prob.Problem, nil, vVar)
-	rows, floor := emitPowerRows(ir, prob.Problem, tv)
+	emitEventOrder(ir, e, vVar)
+	rows, floor := emitPowerRows(ir, e, tv)
 	if floor.minW > capW {
 		return nil, floor.infeasible(capW)
 	}

@@ -80,7 +80,7 @@ func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, err
 	if len(basis) == 0 {
 		basis = b.crash()
 	}
-	sol, err := solveLP(ctx, b.prob, basis, &cs.last, fmt.Sprintf("cap %.1f W", capW))
+	sol, err := solveLP(ctx, b.prob, basis, &cs.last, capLabel(capW))
 	cs.stats.Add(cs.last)
 	if err != nil {
 		var nerr *lp.NumericalError

@@ -42,8 +42,8 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 	init := ir.Init
 
 	prob := lp.NewProblem(lp.Minimize)
-	vVar, tv := emitSkeleton(ir, prob, nil, func(name string, powerW float64) lp.Var {
-		return prob.AddVar(name, s.PowerTiebreak*powerW)
+	vVar, tv := emitSkeleton(ir, &emitter{prob: prob}, func(name lp.Name, powerW float64) lp.Var {
+		return prob.AddVarNamed(name, s.PowerTiebreak*powerW)
 	})
 
 	// Event set: vertices plus per-task boundary events at their initial
@@ -89,7 +89,7 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 		if events[i-1].time == events[i].time {
 			rel = lp.EQ
 		}
-		prob.MustConstraint(fmt.Sprintf("ord%d", i), cur, rel, 0)
+		prob.MustConstraintNamed(lp.Indexed("ord", i), cur, rel, 0)
 	}
 
 	// Power rows: every event gets one. A running task contributes its
@@ -119,11 +119,11 @@ func (s *Solver) SolveSlackAware(g *dag.Graph, capW float64) (*Schedule, error) 
 			}
 			continue
 		}
-		prob.MustConstraint(fmt.Sprintf("pow%d", ei), expr, lp.LE, rhs)
+		prob.MustConstraintNamed(lp.Indexed("pow", ei), expr, lp.LE, rhs)
 	}
 
 	var st Stats
-	sol, err := solveLP(context.Background(), prob, nil, &st, fmt.Sprintf("cap %.1f W", capW))
+	sol, err := solveLP(context.Background(), prob, nil, &st, capLabel(capW))
 	if err != nil {
 		return nil, err
 	}

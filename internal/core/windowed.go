@@ -323,7 +323,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 			sctx, ssp := obs.Start(ctx, "window.solve")
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("speculative", true)
-			sol, err := solveLP(sctx, b.prob, b.crash(), &specStats[w], b.what)
+			sol, err := solveLP(sctx, b.prob, b.crash(), &specStats[w], b)
 			ssp.End()
 			if err == nil {
 				specSol[w] = sol
@@ -372,7 +372,7 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 				var err error
 				preWarm := out.Stats.WarmStarts
 				ws.CommitSolves++
-				sol, err = solveLP(sctx, b.prob, basis, &out.Stats, b.what)
+				sol, err = solveLP(sctx, b.prob, basis, &out.Stats, b)
 				ssp.End()
 				if err != nil {
 					if !errors.Is(err, ErrInfeasible) {
@@ -435,7 +435,7 @@ func (s *Solver) escalate(ctx context.Context, plan *problem.Plan, capW float64,
 			ssp.SetAttr("window", w)
 			ssp.SetAttr("escalated", true)
 			ws.CommitSolves++
-			sol, err := solveLP(sctx, b.prob, b.crash(), &out.Stats, b.what)
+			sol, err := solveLP(sctx, b.prob, b.crash(), &out.Stats, b)
 			ssp.End()
 			if err == nil {
 				return sol, b, nil

@@ -49,9 +49,8 @@ type wConstEvent struct {
 // boundary precedence, committed powers), so a commit solve is a dual
 // simplex repair of the speculative basis.
 type windowLP struct {
-	win  problem.Window
-	prob *lp.Problem
-	what string   // names the window in solve errors
+	win problem.Window
+	emitter
 	vVar []lp.Var // indexed by position − CoreStart
 	z    lp.Var
 	tv   map[dag.TaskID]*taskLPVars
@@ -62,7 +61,11 @@ type windowLP struct {
 	powerRefs []wPowerRef
 	constEvts []wConstEvent
 	coupled   bool
-	log       crashLog // time and convexity rows, for the crash basis
+}
+
+// String names the window in solve errors.
+func (b *windowLP) String() string {
+	return fmt.Sprintf("window %d [%d,%d)", b.win.Index, b.win.CoreStart, b.win.ExtEnd)
 }
 
 // boundaryCoupled reports whether any right-hand side depends on earlier
@@ -82,17 +85,16 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 	order := ir.EventOrder
 	b := &windowLP{
 		win:     win,
-		prob:    lp.NewProblem(lp.Minimize),
-		what:    fmt.Sprintf("window %d [%d,%d)", win.Index, win.CoreStart, win.ExtEnd),
+		emitter: emitter{prob: lp.NewProblem(lp.Minimize), log: &crashLog{}},
 		vVar:    make([]lp.Var, win.ExtEnd-win.CoreStart),
 		tv:      make(map[dag.TaskID]*taskLPVars),
 		seamRow: -1,
 	}
 
 	for p := win.CoreStart; p < win.ExtEnd; p++ {
-		b.vVar[p-win.CoreStart] = b.prob.AddVar(fmt.Sprintf("v%d", order[p]), 0)
+		b.vVar[p-win.CoreStart] = b.prob.AddVarNamed(lp.Indexed("v", int(order[p])), 0)
 	}
-	b.z = b.prob.AddVar("z", 1)
+	b.z = b.prob.AddVarNamed(lp.Named("z"), 1)
 
 	// Left anchor: the Init pin for the first window (the whole time-zero
 	// simultaneous group sits in window 0's core, Init included), or the
@@ -100,34 +102,34 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 	if win.CoreStart == 0 {
 		for p := 0; p < win.ExtEnd; p++ {
 			if g.Vertices[order[p]].Kind == dag.VInit {
-				emitTime(b.prob, &b.log, "init0", b.vAt(p), -1, lp.EQ, 0, nil)
+				b.time(lp.Named("init0"), b.vAt(p), -1, lp.EQ, 0, nil)
 				break
 			}
 		}
 	} else {
 		b.seamPrev = order[win.CoreStart-1]
-		b.seamRow = emitTime(b.prob, &b.log, "seam", b.vAt(win.CoreStart), -1, lp.GE, 0, nil)
+		b.seamRow = b.time(lp.Named("seam"), b.vAt(win.CoreStart), -1, lp.GE, 0, nil)
 		b.coupled = true
 	}
 
 	// Event-order chain inside the range (Eqs. 12–13).
 	for p := win.CoreStart + 1; p < win.ExtEnd; p++ {
 		if ir.Simultaneous(order[p-1], order[p]) {
-			emitTime(b.prob, &b.log, fmt.Sprintf("eq%d", p), b.vAt(p), b.vAt(p-1), lp.EQ, 0, nil)
+			b.time(lp.Indexed("eq", p), b.vAt(p), b.vAt(p-1), lp.EQ, 0, nil)
 		} else {
-			emitTime(b.prob, &b.log, fmt.Sprintf("ord%d", p), b.vAt(p), b.vAt(p-1), lp.GE, 0, nil)
+			b.time(lp.Indexed("ord", p), b.vAt(p), b.vAt(p-1), lp.GE, 0, nil)
 		}
 	}
 
 	// Configuration variables with convexity for every reach task: source
 	// position in range, tunable class (Eqs. 6–9).
 	reach := plan.TasksWithSrcIn(win.CoreStart, win.ExtEnd)
-	addCfgVar := func(name string, powerW float64) lp.Var {
-		return b.prob.AddVar(name, s.PowerTiebreak*powerW)
+	addCfgVar := func(name lp.Name, powerW float64) lp.Var {
+		return b.prob.AddVarNamed(name, s.PowerTiebreak*powerW)
 	}
 	for _, tid := range reach {
 		if ir.Class[tid] == problem.Tunable {
-			b.tv[tid] = emitConfigVars(b.prob, &b.log, tid, ir.Cols[tid], addCfgVar)
+			b.tv[tid] = b.configVars(tid, ir.Cols[tid], addCfgVar)
 		}
 	}
 
@@ -138,24 +140,24 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 		t := &g.Tasks[tid]
 		srcPos := plan.Pos[t.Src]
 		if srcPos < win.CoreStart {
-			row := emitTime(b.prob, &b.log, fmt.Sprintf("bprec%d", tid), b.vAt(plan.Pos[t.Dst]), -1, lp.GE, 0, nil)
+			row := b.time(lp.Indexed("bprec", int(tid)), b.vAt(plan.Pos[t.Dst]), -1, lp.GE, 0, nil)
 			b.precRefs = append(b.precRefs, wPrecRef{row: row, task: tid})
 			b.coupled = true
 			continue
 		}
-		emitTaskRow(b.prob, &b.log, fmt.Sprintf("prec%d", tid), b.vAt(plan.Pos[t.Dst]), b.vAt(srcPos), ir, t, b.tv)
+		b.taskRow(lp.Indexed("prec", int(tid)), b.vAt(plan.Pos[t.Dst]), b.vAt(srcPos), ir, t, b.tv)
 	}
 
 	// Minimax completion: z bounds the last in-range event and the
 	// completion of every straddler (reach task whose destination lies
 	// beyond ExtEnd), so the window pays for the tails its choices create.
-	emitTime(b.prob, &b.log, "zlast", b.z, b.vAt(win.ExtEnd-1), lp.GE, 0, nil)
+	b.time(lp.Named("zlast"), b.z, b.vAt(win.ExtEnd-1), lp.GE, 0, nil)
 	for _, tid := range reach {
 		t := &g.Tasks[tid]
 		if plan.Pos[t.Dst] < win.ExtEnd {
 			continue
 		}
-		emitTaskRow(b.prob, &b.log, fmt.Sprintf("tail%d", tid), b.z, b.vAt(plan.Pos[t.Src]), ir, t, b.tv)
+		b.taskRow(lp.Indexed("tail", int(tid)), b.z, b.vAt(plan.Pos[t.Src]), ir, t, b.tv)
 	}
 
 	// Event-power rows (Eqs. 10–11) for every in-range event. Free terms
@@ -165,13 +167,13 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 	// the RHS at aim time.
 	for p := win.CoreStart; p < win.ExtEnd; p++ {
 		vi := order[p]
-		var expr lp.Expr
+		b.row = b.row[:0]
 		deduct := 0.0
 		var committed []dag.TaskID
 		for _, tid := range ir.Active[vi] {
 			if v, ok := b.tv[tid]; ok {
 				for k := range v.cs {
-					expr = expr.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
+					b.row = b.row.Plus(v.cs[k], v.cols.F.Pts[k].PowerW)
 				}
 				continue
 			}
@@ -188,7 +190,7 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 				deduct += ir.Cols[tid].F.Pts[0].PowerW
 			}
 		}
-		if len(expr) == 0 {
+		if len(b.row) == 0 {
 			if deduct > 0 || len(committed) > 0 {
 				b.constEvts = append(b.constEvts, wConstEvent{pos: p, vertex: vi, deduct: deduct, committed: committed})
 			}
@@ -198,7 +200,7 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 			row: b.prob.NumConstraints(), pos: p, vertex: vi,
 			deduct: deduct, committed: committed,
 		})
-		b.prob.MustConstraint(fmt.Sprintf("pow%d", vi), expr, lp.LE, -deduct)
+		b.prob.MustConstraintNamed(lp.Indexed("pow", int(vi)), b.row, lp.LE, -deduct)
 	}
 	return b
 }
@@ -207,7 +209,7 @@ func (s *Solver) buildWindowLP(plan *problem.Plan, win problem.Window) *windowLP
 // sides (crash.go): the events in window positions, then z.
 func (b *windowLP) crash() []int {
 	order := append(append(make([]lp.Var, 0, len(b.vVar)+1), b.vVar...), b.z)
-	return crashBasis(b.prob, &b.log, order)
+	return crashBasis(b.prob, b.log, order)
 }
 
 // aim points every boundary-dependent right-hand side at the given

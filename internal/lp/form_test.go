@@ -1,0 +1,767 @@
+package lp
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"powercap/internal/lp/presolve"
+)
+
+// The form oracle: the kernel's standard form as it was built before
+// buildForm, one copy after another — neutralize, presolve's row
+// summation with its equilibration (oldScale), reducedProblem, the
+// per-column newSpForm (oldSpForm) and its CSR transpose (oldCSR). The
+// builder must reproduce it to the bit.
+
+// oldReduction is presolve's scaled reduction as the oracle keeps it.
+type oldReduction struct {
+	red        *presolve.Reduction
+	rowScale   []float64
+	colScale   []float64
+	normMax    float64
+	normMin    float64
+	scaledRows bool
+}
+
+// oldScaleOnly is presolve.Run without eliminations: each row's terms
+// summed in term order in a dense scratch, zeros dropped, columns sorted;
+// identity index maps; then oldScale.
+func oldScaleOnly(p *presolve.Problem) *oldReduction {
+	r := &presolve.Reduction{Outcome: presolve.OutcomeReduced, OrigVars: p.NumVars, OrigRows: len(p.Rows)}
+	rp := &presolve.Problem{NumVars: p.NumVars, Cost: append([]float64(nil), p.Cost...)}
+	acc := make([]float64, p.NumVars)
+	seen := make([]bool, p.NumVars)
+	var touched []int
+	for _, row := range p.Rows {
+		for k, c := range row.Cols {
+			if !seen[c] {
+				seen[c] = true
+				touched = append(touched, c)
+			}
+			acc[c] += row.Vals[k]
+		}
+		nr := presolve.Row{Rel: row.Rel, RHS: row.RHS}
+		for _, c := range touched {
+			if acc[c] != 0 {
+				nr.Cols = append(nr.Cols, c)
+			}
+		}
+		slices.Sort(nr.Cols)
+		nr.Vals = make([]float64, len(nr.Cols))
+		for k, c := range nr.Cols {
+			nr.Vals[k] = acc[c]
+		}
+		for _, c := range touched {
+			acc[c], seen[c] = 0, false
+		}
+		touched = touched[:0]
+		rp.Rows = append(rp.Rows, nr)
+	}
+	for j := 0; j < p.NumVars; j++ {
+		r.VarMap = append(r.VarMap, j)
+	}
+	for i := range p.Rows {
+		r.RowMap = append(r.RowMap, i)
+	}
+	r.P = rp
+	return oldScale(r)
+}
+
+// oldScale equilibrates a reduction's problem in place with power-of-two
+// factors when the coefficient spread warrants it.
+func oldScale(red *presolve.Reduction) *oldReduction {
+	r := &oldReduction{red: red}
+	p := red.P
+	if p == nil {
+		return r // infeasible or solved by the eliminations
+	}
+	r.rowScale = oldOnes(len(p.Rows))
+	r.colScale = oldOnes(p.NumVars)
+
+	minA, maxA := math.Inf(1), 0.0
+	for i := range p.Rows {
+		for _, v := range p.Rows[i].Vals {
+			a := math.Abs(v)
+			if a < minA {
+				minA = a
+			}
+			if a > maxA {
+				maxA = a
+			}
+		}
+	}
+	if maxA == 0 || !finite(maxA) || !finite(minA) || maxA/minA <= scaleSpread {
+		r.measureRowNorms()
+		return r
+	}
+	r.scaledRows = true
+
+	for i := range p.Rows {
+		r.rowScale[i] = oldPow2Inverse(oldGeomean(p.Rows[i].Vals))
+	}
+	logSum := make([]float64, p.NumVars)
+	cnt := make([]int, p.NumVars)
+	for i := range p.Rows {
+		for k, c := range p.Rows[i].Cols {
+			a := math.Abs(p.Rows[i].Vals[k]) * r.rowScale[i]
+			if a > 0 && finite(a) {
+				logSum[c] += math.Log2(a)
+				cnt[c]++
+			}
+		}
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if cnt[j] > 0 {
+			r.colScale[j] = math.Exp2(-math.Round(logSum[j] / float64(cnt[j])))
+		}
+	}
+
+	for i := range p.Rows {
+		row := &p.Rows[i]
+		rs := r.rowScale[i]
+		for k, c := range row.Cols {
+			row.Vals[k] *= rs * r.colScale[c]
+		}
+		row.RHS *= rs
+	}
+	for j := range p.Cost {
+		p.Cost[j] *= r.colScale[j]
+	}
+	r.measureRowNorms()
+	return r
+}
+
+func (r *oldReduction) measureRowNorms() {
+	lo, hi := math.Inf(1), 0.0
+	for i := range r.red.P.Rows {
+		n := 0.0
+		for _, v := range r.red.P.Rows[i].Vals {
+			if a := math.Abs(v); a > n {
+				n = a
+			}
+		}
+		if n == 0 || !finite(n) {
+			continue
+		}
+		if n < lo {
+			lo = n
+		}
+		if n > hi {
+			hi = n
+		}
+	}
+	if hi > 0 && finite(lo) {
+		r.normMax, r.normMin = hi, lo
+	}
+}
+
+func oldGeomean(vals []float64) float64 {
+	s, n := 0.0, 0
+	for _, v := range vals {
+		a := math.Abs(v)
+		if a > 0 && finite(a) {
+			s += math.Log2(a)
+			n++
+		}
+	}
+	if n == 0 {
+		return 1
+	}
+	return math.Exp2(s / float64(n))
+}
+
+func oldPow2Inverse(g float64) float64 {
+	if !(g > 0) || !finite(g) {
+		return 1
+	}
+	return math.Exp2(-math.Round(math.Log2(g)))
+}
+
+func oldOnes(n int) []float64 {
+	s := make([]float64, n)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}
+
+// oldSpForm converts a Problem to sparse standard form column by column.
+func oldSpForm(p *Problem) *spForm {
+	m := len(p.rows)
+	nOrig := len(p.names)
+
+	slacks, arts := 0, 0
+	for _, r := range p.rows {
+		rel := r.rel
+		if r.rhs < 0 {
+			rel = flipRel(rel)
+		}
+		switch rel {
+		case LE:
+			slacks++
+		case GE:
+			slacks++
+			arts++
+		case EQ:
+			arts++
+		}
+	}
+	n := nOrig + slacks + arts
+
+	f := &spForm{
+		m: m, n: n,
+		nOrig:      nOrig,
+		nReal:      nOrig + slacks,
+		b:          make([]float64, m),
+		cost:       make([]float64, n),
+		artificial: make([]bool, n),
+		auxCol:     make([]int, m),
+		auxSign:    make([]float64, m),
+		rowSign:    make([]float64, m),
+		colOwner:   make([]int, n),
+		initBasis:  make([]int, m),
+		maxIters:   p.maxIters,
+		maximize:   p.sense == Maximize,
+	}
+	if f.maxIters == 0 {
+		f.maxIters = 200 * (m + n + 10)
+	}
+	for j := range f.colOwner {
+		f.colOwner[j] = -1
+	}
+
+	type rowVal struct {
+		row int
+		val float64
+	}
+	structural := make([][]rowVal, nOrig)
+	slackCol := nOrig
+	artCol := nOrig + slacks
+	acc := make([]float64, nOrig)
+	seen := make([]bool, nOrig)
+	var touched []int
+	for i, r := range p.rows {
+		sign := 1.0
+		rel := r.rel
+		if r.rhs < 0 {
+			sign = -1
+			rel = flipRel(rel)
+		}
+		for _, term := range r.terms {
+			v := int(term.Var)
+			if !seen[v] {
+				seen[v] = true
+				touched = append(touched, v)
+			}
+			acc[v] += sign * term.Coef
+		}
+		for _, v := range touched {
+			if c := acc[v]; c != 0 {
+				structural[v] = append(structural[v], rowVal{row: i, val: c})
+			}
+			acc[v], seen[v] = 0, false
+		}
+		touched = touched[:0]
+		f.b[i] = sign * r.rhs
+		f.rowSign[i] = sign
+
+		switch rel {
+		case LE:
+			f.auxCol[i], f.auxSign[i] = slackCol, 1
+			f.colOwner[slackCol] = i
+			f.initBasis[i] = slackCol
+			slackCol++
+		case GE:
+			f.auxCol[i], f.auxSign[i] = slackCol, -1
+			f.colOwner[slackCol] = i
+			slackCol++
+			f.artificial[artCol] = true
+			f.colOwner[artCol] = i
+			f.initBasis[i] = artCol
+			artCol++
+		case EQ:
+			f.auxCol[i], f.auxSign[i] = artCol, 1
+			f.artificial[artCol] = true
+			f.colOwner[artCol] = i
+			f.initBasis[i] = artCol
+			artCol++
+		}
+	}
+
+	nnz := 0
+	for _, c := range structural {
+		nnz += len(c)
+	}
+	nnz += slacks + arts
+	f.colPtr = make([]int, n+1)
+	f.rowIdx = make([]int, 0, nnz)
+	f.vals = make([]float64, 0, nnz)
+	for j := 0; j < nOrig; j++ {
+		f.colPtr[j] = len(f.rowIdx)
+		for _, rv := range structural[j] {
+			f.rowIdx = append(f.rowIdx, rv.row)
+			f.vals = append(f.vals, rv.val)
+		}
+	}
+	for j := nOrig; j < n; j++ {
+		f.colPtr[j] = len(f.rowIdx)
+		i := f.colOwner[j]
+		v := 1.0
+		if !f.artificial[j] && f.auxCol[i] == j {
+			v = f.auxSign[i]
+		}
+		f.rowIdx = append(f.rowIdx, i)
+		f.vals = append(f.vals, v)
+	}
+	f.colPtr[n] = len(f.rowIdx)
+
+	for j := 0; j < nOrig; j++ {
+		c := p.obj[j]
+		if p.sense == Maximize {
+			c = -c
+		}
+		f.cost[j] = c
+	}
+	oldCSR(f)
+	return f
+}
+
+// oldCSR transposes the CSC storage into row-major form.
+func oldCSR(f *spForm) {
+	f.rowPtr = make([]int, f.m+1)
+	for _, r := range f.rowIdx {
+		f.rowPtr[r+1]++
+	}
+	for i := 0; i < f.m; i++ {
+		f.rowPtr[i+1] += f.rowPtr[i]
+	}
+	f.colIdx = make([]int32, len(f.rowIdx))
+	f.rowVals = make([]float64, len(f.vals))
+	next := append([]int(nil), f.rowPtr[:f.m]...)
+	for j := 0; j < f.n; j++ {
+		lo, hi := f.colPtr[j], f.colPtr[j+1]
+		for k := lo; k < hi; k++ {
+			r := f.rowIdx[k]
+			f.colIdx[next[r]] = int32(j)
+			f.rowVals[next[r]] = f.vals[k]
+			next[r]++
+		}
+	}
+}
+
+// oldForm is the oracle's form of p with right-hand sides rhs (nil: p's
+// own), scaled or not, with its reduction (nil unscaled).
+func oldForm(p *Problem, rhs []float64, scale bool) (*spForm, *oldReduction) {
+	q := p
+	if rhs != nil {
+		q = p.Clone()
+		for i := range q.rows {
+			q.rows[i].rhs = rhs[i]
+		}
+	}
+	if !scale {
+		return oldSpForm(q), nil
+	}
+	red := oldScaleOnly(neutralize(q))
+	return oldSpForm(reducedProblem(q, red.red)), red
+}
+
+// oldFullForm is the oracle's form of p's presolve reduction (nil when
+// presolve leaves no rows to solve).
+func oldFullForm(p *Problem) (*spForm, *oldReduction) {
+	red := oldScale(presolve.Run(neutralize(p)))
+	if red.red.P == nil || len(red.red.P.Rows) == 0 {
+		return nil, red
+	}
+	return oldSpForm(reducedProblem(p, red.red)), red
+}
+
+// sameBits reports the first index where two float slices differ bitwise.
+func sameBits(a, b []float64) (int, bool) {
+	if len(a) != len(b) {
+		return -1, false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// checkSameForm requires got to equal the oracle's form want, with its
+// reduction red, array for array and bit for bit.
+func checkSameForm(t *testing.T, what string, got, want *spForm, red *oldReduction) {
+	t.Helper()
+	if got.m != want.m || got.n != want.n || got.nOrig != want.nOrig || got.nReal != want.nReal ||
+		got.maxIters != want.maxIters || got.maximize != want.maximize {
+		t.Fatalf("%s: shape m=%d n=%d nOrig=%d nReal=%d maxIters=%d max=%v, oracle m=%d n=%d nOrig=%d nReal=%d maxIters=%d max=%v",
+			what, got.m, got.n, got.nOrig, got.nReal, got.maxIters, got.maximize,
+			want.m, want.n, want.nOrig, want.nReal, want.maxIters, want.maximize)
+	}
+	ints := []struct {
+		name      string
+		got, want []int
+	}{
+		{"colPtr", got.colPtr, want.colPtr}, {"rowIdx", got.rowIdx, want.rowIdx},
+		{"rowPtr", got.rowPtr, want.rowPtr}, {"auxCol", got.auxCol, want.auxCol},
+		{"colOwner", got.colOwner, want.colOwner}, {"initBasis", got.initBasis, want.initBasis},
+	}
+	for _, c := range ints {
+		if !slices.Equal(c.got, c.want) {
+			t.Fatalf("%s: %s %v, oracle %v", what, c.name, c.got, c.want)
+		}
+	}
+	if !slices.Equal(got.colIdx, want.colIdx) {
+		t.Fatalf("%s: colIdx %v, oracle %v", what, got.colIdx, want.colIdx)
+	}
+	if !slices.Equal(got.artificial, want.artificial) {
+		t.Fatalf("%s: artificial %v, oracle %v", what, got.artificial, want.artificial)
+	}
+	floats := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"vals", got.vals, want.vals}, {"rowVals", got.rowVals, want.rowVals},
+		{"b", got.b, want.b}, {"cost", got.cost, want.cost},
+		{"auxSign", got.auxSign, want.auxSign}, {"rowSign", got.rowSign, want.rowSign},
+	}
+	rowScale, colScale := got.rowScale, got.colScale
+	if rowScale == nil {
+		rowScale, colScale = oldOnes(got.m), oldOnes(got.nOrig)
+	}
+	normMax, normMin := 0.0, 0.0
+	if red != nil {
+		floats = append(floats,
+			struct {
+				name      string
+				got, want []float64
+			}{"rowScale", rowScale, red.rowScale},
+			struct {
+				name      string
+				got, want []float64
+			}{"colScale", colScale, red.colScale})
+		normMax, normMin = red.normMax, red.normMin
+		if (got.rowScale != nil) != red.scaledRows {
+			t.Fatalf("%s: scaled %v, oracle %v", what, got.rowScale != nil, red.scaledRows)
+		}
+	} else if got.rowScale != nil {
+		t.Fatalf("%s: an unscaled form carries scale factors", what)
+	}
+	for _, c := range floats {
+		if k, ok := sameBits(c.got, c.want); !ok {
+			t.Fatalf("%s: %s differs at %d: %v, oracle %v", what, c.name, k, c.got, c.want)
+		}
+	}
+	if red != nil {
+		if k, ok := sameBits([]float64{got.normMax, got.normMin}, []float64{normMax, normMin}); !ok {
+			t.Fatalf("%s: row norm %d: %g/%g, oracle %g/%g", what, k, got.normMax, got.normMin, normMax, normMin)
+		}
+	}
+}
+
+// oldSolve is Solve as it ran on the oracle's forms: the same kernel,
+// reached through the copy chain, with presolve's old unscale-in-postsolve
+// order.
+func oldSolve(p *Problem, opts ...Option) (*Solution, error) {
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.MaxIters == 0 {
+		o.MaxIters = p.maxIters
+	}
+	if o.StallWindow == 0 {
+		o.StallWindow = stallWindow
+	}
+	if o.NoPresolve {
+		return oldSolveStated(p, &o)
+	}
+	sol, err := oldSolvePresolved(p, &o)
+	if _, ok := err.(*NumericalError); ok {
+		o.NoPresolve, o.WarmBasis = true, nil
+		if sol, err = oldSolveStated(p, &o); err == nil {
+			sol.Stats.Rescues = 1
+		}
+	}
+	return sol, err
+}
+
+func oldSolveStated(p *Problem, o *Options) (*Solution, error) {
+	f, _ := oldForm(p, nil, false)
+	sol, err := solveSparse(f, o)
+	if err != nil {
+		return nil, err
+	}
+	if sol.Status == Optimal {
+		sol.Objective = objective(p, sol.X)
+	}
+	return sol, nil
+}
+
+func oldSolvePresolved(p *Problem, o *Options) (*Solution, error) {
+	var red *oldReduction
+	if len(o.WarmBasis) > 0 {
+		red = oldScaleOnly(neutralize(p))
+	} else {
+		red = oldScale(presolve.Run(neutralize(p)))
+	}
+	r := red.red
+	switch r.Outcome {
+	case presolve.OutcomeInfeasible:
+		return emptySolution(p, Infeasible), nil
+	case presolve.OutcomeSolved:
+		sol := &Solution{Status: Optimal, X: r.PostsolvePrimal(nil), Dual: r.PostsolveDual(nil), Basis: r.MapBasis(nil, 0)}
+		sol.Objective = objective(p, sol.X)
+		return sol, nil
+	}
+	if len(r.P.Rows) == 0 {
+		for _, c := range r.P.Cost {
+			if (p.sense == Minimize && c < 0) || (p.sense == Maximize && c > 0) {
+				return emptySolution(p, Unbounded), nil
+			}
+		}
+		x := make([]float64, r.P.NumVars)
+		for j := range x {
+			x[j] *= red.colScale[j]
+		}
+		sol := &Solution{Status: Optimal, X: r.PostsolvePrimal(x), Dual: r.PostsolveDual(nil), Basis: r.MapBasis(nil, r.P.NumVars)}
+		sol.Objective = objective(p, sol.X)
+		return sol, nil
+	}
+	f := oldSpForm(reducedProblem(p, r))
+	sol, err := solveSparse(f, o)
+	if err != nil {
+		return nil, err
+	}
+	sol.Stats.PresolveRows = r.RowsRemoved
+	sol.Stats.PresolveCols = r.ColsRemoved
+	sol.Stats.RowNormMax = red.normMax
+	sol.Stats.RowNormMin = red.normMin
+	if sol.Status != Optimal {
+		out := emptySolution(p, sol.Status)
+		out.Iters = sol.Iters
+		out.Stats = sol.Stats
+		return out, nil
+	}
+	x := append([]float64(nil), sol.X...)
+	for j := range x {
+		x[j] *= red.colScale[j]
+	}
+	y := append([]float64(nil), sol.Dual...)
+	for i := range y {
+		y[i] *= red.rowScale[i]
+	}
+	out := &Solution{Status: Optimal, X: r.PostsolvePrimal(x), Dual: r.PostsolveDual(y), Iters: sol.Iters, Stats: sol.Stats}
+	if len(sol.Basis) > 0 {
+		out.Basis = r.MapBasis(sol.Basis, r.P.NumVars)
+	}
+	out.Objective = objective(p, out.X)
+	return out, nil
+}
+
+// checkSameSolve requires Solve to return what the oracle's solve returns,
+// bit for bit: status, objective, primal, dual, basis and every stats
+// count.
+func checkSameSolve(t *testing.T, what string, p *Problem, opts ...Option) *Solution {
+	t.Helper()
+	want, werr := oldSolve(p, opts...)
+	got, gerr := Solve(p, opts...)
+	if (werr == nil) != (gerr == nil) {
+		t.Fatalf("%s: error %v, oracle %v", what, gerr, werr)
+	}
+	if gerr != nil {
+		return nil
+	}
+	if got.Status != want.Status || got.Iters != want.Iters {
+		t.Fatalf("%s: %v after %d pivots, oracle %v after %d", what, got.Status, got.Iters, want.Status, want.Iters)
+	}
+	if _, ok := sameBits([]float64{got.Objective}, []float64{want.Objective}); !ok {
+		t.Fatalf("%s: objective %.17g, oracle %.17g", what, got.Objective, want.Objective)
+	}
+	if k, ok := sameBits(got.X, want.X); !ok {
+		t.Fatalf("%s: X differs at %d: %v, oracle %v", what, k, got.X, want.X)
+	}
+	if k, ok := sameBits(got.Dual, want.Dual); !ok || (got.Dual == nil) != (want.Dual == nil) {
+		t.Fatalf("%s: Dual differs at %d: %v, oracle %v", what, k, got.Dual, want.Dual)
+	}
+	if !slices.Equal(got.Basis, want.Basis) || (got.Basis == nil) != (want.Basis == nil) {
+		t.Fatalf("%s: Basis %v, oracle %v", what, got.Basis, want.Basis)
+	}
+	gs, ws := got.Stats, want.Stats
+	gs.Wall, ws.Wall = 0, 0
+	if k, ok := sameBits([]float64{gs.RowNormMax, gs.RowNormMin}, []float64{ws.RowNormMax, ws.RowNormMin}); !ok {
+		t.Fatalf("%s: row norm %d: %+v, oracle %+v", what, k, gs, ws)
+	}
+	gs.RowNormMax, gs.RowNormMin, ws.RowNormMax, ws.RowNormMin = 0, 0, 0, 0
+	if gs != ws {
+		t.Fatalf("%s: stats %+v, oracle %+v", what, gs, ws)
+	}
+	return got
+}
+
+// randomFormLP draws a small LP that exercises every ingestion rule: mixed
+// ≤/≥/= rows, negative right-hand sides, duplicate and cancelling terms,
+// explicit zeros, empty rows, problems with no rows, maximization, and
+// coefficient spreads below and above the scaling threshold. A box row
+// keeps most of them bounded.
+func randomFormLP(rng *rand.Rand) *Problem {
+	sense := Minimize
+	if rng.Intn(4) == 0 {
+		sense = Maximize
+	}
+	p := NewProblem(sense)
+	n := 1 + rng.Intn(7)
+	wide := rng.Intn(2) == 0 // spread coefficients past the threshold
+	coef := func() float64 {
+		c := float64(rng.Intn(17)-8) / 4
+		if wide && rng.Intn(3) == 0 {
+			c *= math.Ldexp(1+rng.Float64(), rng.Intn(41)-20)
+		}
+		return c
+	}
+	for j := 0; j < n; j++ {
+		c := coef()
+		if sense == Maximize {
+			c = -c
+		}
+		p.AddVar("", c)
+	}
+	m := rng.Intn(7)
+	for i := 0; i < m; i++ {
+		var e Expr
+		for k := rng.Intn(6); k > 0; k-- {
+			v := Var(rng.Intn(n))
+			switch c := coef(); rng.Intn(6) {
+			case 0: // an explicit zero
+				e = e.Plus(v, 0)
+			case 1: // a cancelling pair
+				e = e.Plus(v, c).Plus(v, -c)
+			case 2: // a duplicate that sums
+				e = e.Plus(v, c).Plus(v, coef())
+			default:
+				e = e.Plus(v, c)
+			}
+		}
+		rhs := float64(rng.Intn(41)-12) / 2
+		if wide && rng.Intn(3) == 0 {
+			rhs *= math.Ldexp(1, rng.Intn(21)-10)
+		}
+		p.MustConstraint("", e, Rel(rng.Intn(3)), rhs)
+	}
+	if m > 0 && rng.Intn(3) > 0 {
+		var box Expr
+		for j := 0; j < n; j++ {
+			box = box.Plus(Var(j), 1)
+		}
+		p.MustConstraint("box", box, LE, 50)
+	}
+	return p
+}
+
+// checkFormAndSolves compares p's forms, stated (scaled and not) and with
+// some right-hand sides moved (a walk segment's lowering), and its solves
+// cold, without presolve and from the cold answer's basis, against the
+// oracle.
+func checkFormAndSolves(t *testing.T, what string, p *Problem, rng *rand.Rand) {
+	t.Helper()
+	for _, scale := range []bool{false, true} {
+		want, red := oldForm(p, nil, scale)
+		checkSameForm(t, what+" stated", buildForm(p, nil, scale), want, red)
+
+		rhs := make([]float64, len(p.rows))
+		for i := range rhs {
+			rhs[i] = p.rows[i].rhs
+			if rng.Intn(2) == 0 {
+				rhs[i] -= float64(rng.Intn(9)) / 2 // past zero, the row flips
+			}
+		}
+		want, red = oldForm(p, rhs, scale)
+		checkSameForm(t, what+" lowered", buildForm(p, rhs, scale), want, red)
+	}
+	if len(p.rows) > 0 {
+		if want, red := oldFullForm(p); want != nil {
+			got := buildForm(reducedProblem(p, presolve.Run(neutralize(p))), nil, true)
+			checkSameForm(t, what+" presolved", got, want, red)
+		}
+	}
+
+	cold := checkSameSolve(t, what+" cold", p)
+	if len(p.rows) > 0 {
+		checkSameSolve(t, what+" stated", p, WithoutPresolve())
+	} else if sol, err := Solve(p, WithoutPresolve()); err != nil || sol.Status != cold.Status {
+		// The kernel has no rows to factorize: such a solve is presolve's.
+		t.Fatalf("%s: a row-free solve without presolve gave %v, %v; with presolve %v", what, sol, err, cold.Status)
+	}
+	basis := []int{}
+	for i := range p.rows {
+		basis = append(basis, len(p.names)+i)
+	}
+	if cold != nil && cold.Status == Optimal {
+		basis = cold.Basis
+	}
+	if len(p.rows) > 0 {
+		i := rng.Intn(len(p.rows))
+		old := p.rows[i].rhs
+		p.rows[i].rhs -= 1
+		checkSameSolve(t, what+" warm", p, WithWarmBasis(basis))
+		p.rows[i].rhs = old
+	}
+}
+
+// TestFormMatchesOracle: the form builder reproduces the copy chain's form
+// bit for bit on random problems, and Solve its answers.
+func TestFormMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	scaled := 0
+	for k := 0; k < 600; k++ {
+		p := randomFormLP(rng)
+		if f := buildForm(p, nil, true); f.rowScale != nil {
+			scaled++
+		}
+		checkFormAndSolves(t, "random", p, rng)
+	}
+	if scaled < 100 {
+		t.Fatalf("only %d of 600 problems engaged scaling", scaled)
+	}
+}
+
+// TestFormFullReduction: a problem presolve reduces (a singleton equality
+// fixes a column, a duplicate row drops, a zero-cost singleton column
+// re-slacks an equality) builds the oracle's form of the reduction and
+// solves to the oracle's answer.
+func TestFormFullReduction(t *testing.T) {
+	p := NewProblem(Minimize)
+	x := p.AddVar("x", 1)
+	y := p.AddVar("y", 3e4)
+	z := p.AddVar("z", 2)
+	s := p.AddVar("s", 0)
+	p.MustConstraint("fix", Expr{}.Plus(z, 4), EQ, 8)
+	p.MustConstraint("a", Expr{}.Plus(x, 1).Plus(y, 1e-3).Plus(z, 1), GE, 3)
+	p.MustConstraint("dup", Expr{}.Plus(x, 2).Plus(y, 2e-3).Plus(z, 2), GE, 4)
+	p.MustConstraint("slack", Expr{}.Plus(x, 5e3).Plus(y, -1).Plus(s, 1), EQ, 9e3)
+	want, red := oldFullForm(p)
+	if red.red.RowsRemoved == 0 || red.red.ColsRemoved == 0 || !red.scaledRows {
+		t.Fatalf("presolve removed %d rows and %d columns, scaled %v: want a scaled reduction",
+			red.red.RowsRemoved, red.red.ColsRemoved, red.scaledRows)
+	}
+	got := buildForm(reducedProblem(p, presolve.Run(neutralize(p))), nil, true)
+	checkSameForm(t, "reduction", got, want, red)
+	if sol := checkSameSolve(t, "reduction", p); sol.Status != Optimal {
+		t.Fatalf("reduction: %v", sol.Status)
+	}
+}
+
+// FuzzForm: the form builder and Solve against the oracle on random
+// problems drawn from a fuzzed seed.
+func FuzzForm(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 19, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		checkFormAndSolves(t, "fuzz", randomFormLP(rng), rng)
+	})
+}

@@ -4,11 +4,14 @@
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	            x ≥ 0
 //
-// with one kernel: presolve (internal/lp/presolve), then a two-phase sparse
-// revised simplex over a Markowitz LU basis factorization (internal/lp/basis)
-// with steepest-edge pricing, dual simplex warm starts, and postsolve back
-// to the stated problem. A presolved solve that breaks down numerically is
-// re-solved once, cold and without presolve, inside Solve (DESIGN.md §14).
+// with one kernel: a basis-free solve first runs presolve's eliminations
+// (internal/lp/presolve); one form builder then reads the problem once into
+// the kernel's scaled sparse standard form; a two-phase sparse revised
+// simplex over a Markowitz LU basis factorization (internal/lp/basis) with
+// steepest-edge pricing and dual simplex warm starts solves it; and the
+// answer is unscaled and postsolved back to the stated problem. A solve
+// that breaks down numerically is re-solved once, cold, unscaled and
+// without presolve, inside Solve (DESIGN.md §14).
 //
 // The solver is self-contained (standard library only) and produces exact
 // optimal basic solutions, which is what the paper's upper-bound argument
@@ -25,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -116,9 +120,52 @@ func (e Expr) Plus(v Var, coef float64) Expr {
 	return append(e, Term{Var: v, Coef: coef})
 }
 
+// Name is a variable or row name recorded without formatting it: a prefix
+// followed by up to two nonnegative indices, the second after an
+// underscore. Only VarName and String render names, so programs emitted by
+// the thousand never pay for formatting them. The zero Name is the default
+// name, x<j> for variable j and r<i> for row i.
+type Name struct {
+	prefix string
+	i, j   int32 // index+1; 0 when absent
+}
+
+// Named is the name s itself.
+func Named(s string) Name { return Name{prefix: s} }
+
+// Indexed is prefix followed by i: Indexed("pow", 9) renders as pow9.
+func Indexed(prefix string, i int) Name { return Name{prefix: prefix, i: int32(i) + 1} }
+
+// Indexed2 is prefix followed by i, an underscore and j: Indexed2("c", 7,
+// 3) renders as c7_3.
+func Indexed2(prefix string, i, j int) Name {
+	return Name{prefix: prefix, i: int32(i) + 1, j: int32(j) + 1}
+}
+
+// String renders the name ("" for the default name).
+func (n Name) String() string {
+	if n.i == 0 {
+		return n.prefix
+	}
+	b := strconv.AppendInt([]byte(n.prefix), int64(n.i-1), 10)
+	if n.j != 0 {
+		b = strconv.AppendInt(append(b, '_'), int64(n.j-1), 10)
+	}
+	return string(b)
+}
+
+// render renders the name of the k'th variable or row, falling back to
+// def followed by k for the default name.
+func (n Name) render(def string, k int) string {
+	if n == (Name{}) {
+		return def + strconv.Itoa(k)
+	}
+	return n.String()
+}
+
 // constraint is one ingested row.
 type constraint struct {
-	name  string
+	name  Name
 	terms []Term
 	rel   Rel
 	rhs   float64
@@ -128,7 +175,7 @@ type constraint struct {
 // usable; create problems with NewProblem.
 type Problem struct {
 	sense    Sense
-	names    []string
+	names    []Name
 	obj      []float64
 	rows     []constraint
 	maxIters int
@@ -150,11 +197,13 @@ func (p *Problem) NumVars() int { return len(p.names) }
 func (p *Problem) NumConstraints() int { return len(p.rows) }
 
 // AddVar declares a new nonnegative variable with the given objective
-// coefficient and returns its handle.
+// coefficient and returns its handle. An empty name is rendered x<j>.
 func (p *Problem) AddVar(name string, objCoef float64) Var {
-	if name == "" {
-		name = fmt.Sprintf("x%d", len(p.names))
-	}
+	return p.AddVarNamed(Named(name), objCoef)
+}
+
+// AddVarNamed is AddVar with a Name.
+func (p *Problem) AddVarNamed(name Name, objCoef float64) Var {
 	p.names = append(p.names, name)
 	p.obj = append(p.obj, objCoef)
 	return Var(len(p.names) - 1)
@@ -174,19 +223,22 @@ func (p *Problem) VarName(v Var) string {
 	if int(v) < 0 || int(v) >= len(p.names) {
 		return fmt.Sprintf("<bad var %d>", v)
 	}
-	return p.names[v]
+	return p.names[v].render("x", int(v))
 }
 
 // AddConstraint appends the row  expr rel rhs. Terms referencing undeclared
-// variables are rejected.
+// variables are rejected. An empty name is rendered r<i>. The problem
+// copies expr, so the caller may reuse it for the next row.
 func (p *Problem) AddConstraint(name string, expr Expr, rel Rel, rhs float64) error {
+	return p.AddConstraintNamed(Named(name), expr, rel, rhs)
+}
+
+// AddConstraintNamed is AddConstraint with a Name.
+func (p *Problem) AddConstraintNamed(name Name, expr Expr, rel Rel, rhs float64) error {
 	for _, t := range expr {
 		if int(t.Var) < 0 || int(t.Var) >= len(p.names) {
-			return fmt.Errorf("lp: constraint %q references undeclared variable %d", name, t.Var)
+			return fmt.Errorf("lp: constraint %q references undeclared variable %d", name.render("r", len(p.rows)), t.Var)
 		}
-	}
-	if name == "" {
-		name = fmt.Sprintf("r%d", len(p.rows))
 	}
 	terms := make([]Term, len(expr))
 	copy(terms, expr)
@@ -198,7 +250,12 @@ func (p *Problem) AddConstraint(name string, expr Expr, rel Rel, rhs float64) er
 // intended for programmatically generated rows where an error indicates a
 // bug in the generator, not bad user input.
 func (p *Problem) MustConstraint(name string, expr Expr, rel Rel, rhs float64) {
-	if err := p.AddConstraint(name, expr, rel, rhs); err != nil {
+	p.MustConstraintNamed(Named(name), expr, rel, rhs)
+}
+
+// MustConstraintNamed is MustConstraint with a Name.
+func (p *Problem) MustConstraintNamed(name Name, expr Expr, rel Rel, rhs float64) {
+	if err := p.AddConstraintNamed(name, expr, rel, rhs); err != nil {
 		panic(err)
 	}
 }
@@ -230,7 +287,7 @@ func (p *Problem) RHS(row int) float64 {
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
 		sense:    p.sense,
-		names:    append([]string(nil), p.names...),
+		names:    append([]Name(nil), p.names...),
 		obj:      append([]float64(nil), p.obj...),
 		rows:     make([]constraint, len(p.rows)),
 		maxIters: p.maxIters,
@@ -319,20 +376,20 @@ func (p *Problem) String() string {
 		if !first {
 			b.WriteString(" + ")
 		}
-		fmt.Fprintf(&b, "%g %s", c, p.names[j])
+		fmt.Fprintf(&b, "%g %s", c, p.VarName(Var(j)))
 		first = false
 	}
 	if first {
 		b.WriteString("0")
 	}
 	b.WriteString("\ns.t.\n")
-	for _, r := range p.rows {
-		fmt.Fprintf(&b, "  %s: ", r.name)
-		for i, t := range r.terms {
-			if i > 0 {
+	for i, r := range p.rows {
+		fmt.Fprintf(&b, "  %s: ", r.name.render("r", i))
+		for k, t := range r.terms {
+			if k > 0 {
 				b.WriteString(" + ")
 			}
-			fmt.Fprintf(&b, "%g %s", t.Coef, p.names[t.Var])
+			fmt.Fprintf(&b, "%g %s", t.Coef, p.VarName(t.Var))
 		}
 		fmt.Fprintf(&b, " %s %g\n", r.rel, r.rhs)
 	}

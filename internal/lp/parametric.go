@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"powercap/internal/lp/presolve"
 	"powercap/internal/obs"
 )
 
@@ -79,7 +78,7 @@ type Path struct {
 // the walk starts from a cold solve.
 //
 // The walk runs on a form whose rows are p's stated rows, scaled but not
-// reduced by presolve (ScaleOnly), so the shift direction maps row for row.
+// reduced by presolve, so the shift direction maps row for row.
 // A numerical breakdown is rescued by a cold re-solve, without scaling, at
 // the last breakpoint, and the walk continues from there; past
 // maxWalkRestarts restarts it returns a *NumericalError.
@@ -171,14 +170,10 @@ type Walk struct {
 	stats    SolveStats // closed segments' effort
 
 	// The current segment: a cold solve at shift from and the walk from
-	// there. fp is the problem the kernel's form was built from, red its
-	// ScaleOnly reduction (nil when unscaled), dir the direction the form's
-	// right-hand side moves per unit shift, b0 that right-hand side at the
-	// segment start, dirRows the rows dir touches, and beta the rate at
-	// which the basic values fall.
+	// there. dir is the direction the form's right-hand side moves per unit
+	// shift, b0 that right-hand side at the segment start, dirRows the rows
+	// dir touches, and beta the rate at which the basic values fall.
 	rv      *revised
-	fp      *Problem
-	red     *presolve.Reduction
 	from    float64
 	dir     []float64
 	b0      []float64
@@ -318,8 +313,8 @@ func (w *Walk) Value(k int) float64 {
 			continue
 		}
 		x := w.rv.xB[i]
-		if w.red != nil {
-			x *= w.red.ColScale[bj]
+		if cs := w.rv.f.colScale; cs != nil {
+			x *= cs[bj]
 		}
 		return x
 	}
@@ -416,6 +411,7 @@ func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 		return nil, fmt.Errorf("lp: no optimal basis to capture (%v)", w.status)
 	}
 	var sol *Solution
+	var f *spForm
 	err := w.step(ctx, "lp.solve", func() error {
 		rv := w.rv
 		if !rv.reinvert() || !rv.stateFinite() {
@@ -426,7 +422,7 @@ func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 			}
 			return &NumericalError{Reason: reason, Pivots: w.Stats().Pivots()}
 		}
-		sol = rv.extract(w.fp, w.iters)
+		sol, f = rv.extract(w.iters), rv.f
 		if !w.done {
 			w.measure()
 		}
@@ -435,17 +431,8 @@ func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.red != nil {
-		out := &Solution{
-			Status: Optimal,
-			X:      w.red.PostsolvePrimal(sol.X),
-			Dual:   w.red.PostsolveDual(sol.Dual),
-			Basis:  w.red.MapBasis(sol.Basis, w.red.P.NumVars),
-			Iters:  sol.Iters,
-		}
-		finishObjective(w.p, w.red, out)
-		sol = out
-	}
+	f.unscale(sol)
+	sol.Objective = objective(w.p, sol.X)
 	sol.Stats = w.Stats()
 	return sol, nil
 }
@@ -542,27 +529,26 @@ func (w *Walk) recover(reason string) error {
 func (w *Walk) segment(scaled bool) (Status, string) {
 	w.closeSegment()
 	from := w.shift
-	q := w.p
+	var rhs []float64 // the walked rows lowered by from, when they moved
 	stated := true
 	for k, r := range w.rows {
 		stated = stated && w.p.rows[r].rhs == w.rhs[k]
 	}
 	if from > 0 || !stated {
-		q = w.p.Clone()
+		rhs = make([]float64, len(w.p.rows))
+		for i := range rhs {
+			rhs[i] = w.p.rows[i].rhs
+		}
 		for k, r := range w.rows {
-			q.rows[r].rhs = w.rhs[k] - from
+			rhs[r] = w.rhs[k] - from
 		}
 	}
-	fp := q // the problem the kernel's form is built from
-	w.red = nil
+	f := buildForm(w.p, rhs, scaled)
 	if scaled {
-		w.red = presolve.Run(neutralize(q), presolve.ScaleOnly)
-		fp = reducedProblem(q, w.red)
-		w.stats.RowNormMax, w.stats.RowNormMin = w.red.RowNormMax, w.red.RowNormMin
+		w.stats.RowNormMax, w.stats.RowNormMin = f.normMax, f.normMin
 	}
-	f := newSpForm(fp)
 
-	w.fp, w.from = fp, from
+	w.from = from
 	w.dir = make([]float64, f.m)
 	w.dirRows = w.dirRows[:0]
 	for _, r := range w.rows {
@@ -570,8 +556,8 @@ func (w *Walk) segment(scaled bool) (Status, string) {
 			w.dirRows = append(w.dirRows, r)
 		}
 		d := f.rowSign[r]
-		if w.red != nil {
-			d *= w.red.RowScale[r]
+		if f.rowScale != nil {
+			d *= f.rowScale[r]
 		}
 		w.dir[r] = d
 	}
@@ -582,7 +568,7 @@ func (w *Walk) segment(scaled bool) (Status, string) {
 	rv := newRevised(f, &w.o)
 	rv.sctx = w.sctx
 	w.rv = rv
-	sol := rv.solveCold(fp)
+	sol := rv.solveCold()
 	switch {
 	case sol.Status == statusNumerical:
 		return statusNumerical, rv.numReason

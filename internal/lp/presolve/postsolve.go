@@ -15,13 +15,13 @@ package presolve
 // recovered by the reverse walk) — earlier-removed rows were singletons in
 // variables fixed before j and cannot contain j.
 
-// PostsolvePrimal maps the reduced primal point xRed (len = reduced vars)
-// to the original variable space, undoing column scaling and replaying the
-// elimination journal.
+// PostsolvePrimal maps the reduced primal point xRed (len = reduced vars,
+// unscaled) to the original variable space, replaying the elimination
+// journal.
 func (r *Reduction) PostsolvePrimal(xRed []float64) []float64 {
 	x := make([]float64, r.OrigVars)
 	for jn, jo := range r.VarMap {
-		x[jo] = xRed[jn] * r.ColScale[jn]
+		x[jo] = xRed[jn]
 	}
 	// Constant recoveries first (fixed and dropped-redundant columns), so
 	// the slack recoveries below see every term of their row snapshots.
@@ -51,12 +51,12 @@ func (r *Reduction) PostsolvePrimal(xRed []float64) []float64 {
 }
 
 // PostsolveDual maps the reduced dual vector yRed (len = reduced rows, in
-// the problem's own sense) to the original rows. Dropped redundant rows
+// the problem's own sense, unscaled) to the original rows. Dropped redundant rows
 // price at zero; removed singleton rows get the exact complementary value.
 func (r *Reduction) PostsolveDual(yRed []float64) []float64 {
 	y := make([]float64, r.OrigRows)
 	for in, io := range r.RowMap {
-		y[io] = yRed[in] * r.RowScale[in]
+		y[io] = yRed[in]
 	}
 	for k := len(r.steps) - 1; k >= 0; k-- {
 		st := r.steps[k]

@@ -1,26 +1,18 @@
-// Package presolve implements an LP presolve and scaling layer over a
-// solver-neutral problem representation (DESIGN.md §14).
+// Package presolve implements an LP presolve over a solver-neutral problem
+// representation (DESIGN.md §14): eliminations and their journal.
 //
-// The pass runs before the simplex kernel and has two jobs:
+// The pass runs before the simplex kernel on solves without a supplied
+// basis. It drops empty and duplicate rows, fixes variables pinned by
+// singleton equality rows, and removes or re-slacks zero-cost singleton
+// columns. Every elimination is journaled so Postsolve can restore the
+// primal point, the dual vector, and the basis of the ORIGINAL problem
+// exactly — shadow prices (core.MarginalCurve) are unchanged by presolve.
 //
-//   - Eliminations (Mode Full): drop empty and duplicate rows, fix variables
-//     pinned by singleton equality rows, and remove or re-slack zero-cost
-//     singleton columns. Every elimination is journaled so Postsolve can
-//     restore the primal point, the dual vector, and the basis of the
-//     ORIGINAL problem exactly — shadow prices (core.MarginalCurve) are
-//     unchanged by presolve.
-//
-//   - Scaling (both modes): geometric-mean equilibration of rows then
-//     columns, with every factor rounded to a power of two so the scaled
-//     coefficients are bit-exact transforms of the originals (no rounding
-//     error enters or leaves the solve). Scaling only engages when the
-//     coefficient magnitudes actually spread past a threshold; well-scaled
-//     problems pass through bit-identical, preserving pivot-for-pivot
-//     reproducibility of the unscaled trajectories.
-//
-// Mode ScaleOnly skips the eliminations; warm-started solves use it because
-// a warm basis is indexed by the original rows and columns, and scaling is
-// the only transform that preserves both index spaces.
+// The reduced problem comes back unscaled: equilibration belongs to the
+// lp package's form builder, which scales whatever problem reaches the
+// kernel, so a solution handed to Postsolve must be unscaled first. A
+// solve from a supplied basis skips this pass altogether, because the
+// basis is indexed by the original rows and columns.
 package presolve
 
 import (
@@ -57,17 +49,6 @@ type Problem struct {
 	Rows    []Row
 }
 
-// Mode selects how aggressive the pass is.
-type Mode int
-
-const (
-	// ScaleOnly applies equilibration but no eliminations; row and column
-	// index spaces are preserved (required under warm starts).
-	ScaleOnly Mode = iota
-	// Full applies eliminations then scaling.
-	Full
-)
-
 // Outcome reports what Run concluded.
 type Outcome int
 
@@ -90,11 +71,6 @@ const (
 	epsFeas  = 1e-7
 	epsMerge = 1e-9
 )
-
-// scaleSpread is the max/min coefficient-magnitude ratio above which
-// equilibration engages. Below it the matrix is already well conditioned
-// and identity scaling preserves the historical pivot trajectories exactly.
-const scaleSpread = 1 << 12
 
 // step kinds in the elimination journal.
 type stepKind int8
@@ -135,12 +111,7 @@ type step struct {
 // needed to map a reduced solution back to the original index spaces.
 type Reduction struct {
 	Outcome Outcome
-	P       *Problem // reduced and scaled (nil unless OutcomeReduced)
-
-	// RowScale/ColScale are the power-of-two equilibration factors, per
-	// REDUCED row/column (all 1 when scaling did not engage).
-	RowScale []float64
-	ColScale []float64
+	P       *Problem // reduced, unscaled (nil unless OutcomeReduced)
 
 	// RowMap/VarMap translate reduced indices to original ones.
 	RowMap []int
@@ -152,14 +123,6 @@ type Reduction struct {
 	// RowsRemoved/ColsRemoved count eliminations (for SolveStats).
 	RowsRemoved int
 	ColsRemoved int
-	// Scaled reports whether equilibration engaged.
-	Scaled bool
-	// RowNormMax/RowNormMin are the extreme max-abs row norms of the final
-	// reduced matrix (post-scaling when scaling engaged) — the scaling
-	// condition proxy surfaced in SolveStats. Zero when the reduced
-	// problem has no nonzero rows.
-	RowNormMax float64
-	RowNormMin float64
 
 	steps []step
 }
@@ -174,7 +137,7 @@ type workRow struct {
 }
 
 // Run presolves p. The input is never mutated.
-func Run(p *Problem, mode Mode) *Reduction {
+func Run(p *Problem) *Reduction {
 	r := &Reduction{
 		Outcome:  OutcomeReduced,
 		OrigVars: p.NumVars,
@@ -218,11 +181,9 @@ func Run(p *Problem, mode Mode) *Reduction {
 		colAlive[j] = true
 	}
 
-	if mode == Full {
-		if !r.eliminate(p, rows, colAlive) {
-			r.Outcome = OutcomeInfeasible
-			return r
-		}
+	if !r.eliminate(p, rows, colAlive) {
+		r.Outcome = OutcomeInfeasible
+		return r
 	}
 
 	// Assemble the reduced problem over surviving rows and columns.
@@ -264,11 +225,10 @@ func Run(p *Problem, mode Mode) *Reduction {
 		rp.Rows = append(rp.Rows, nr)
 	}
 	r.P = rp
-	r.scale()
 	return r
 }
 
-// eliminate applies the Full-mode reductions to fixpoint. Returns false on
+// eliminate applies the reductions to fixpoint. Returns false on
 // proven infeasibility.
 func (r *Reduction) eliminate(p *Problem, rows []workRow, colAlive []bool) bool {
 	// Original column index, captured before any substitution, for the
@@ -509,129 +469,6 @@ func emptyRowFeasible(rel Rel, rhs float64) bool {
 		return math.Abs(rhs) <= epsFeas
 	}
 }
-
-// scale equilibrates the reduced matrix with power-of-two factors when the
-// coefficient spread warrants it. RowScale/ColScale are always populated.
-func (r *Reduction) scale() {
-	p := r.P
-	r.RowScale = ones(len(p.Rows))
-	r.ColScale = ones(p.NumVars)
-
-	minA, maxA := math.Inf(1), 0.0
-	for i := range p.Rows {
-		for _, v := range p.Rows[i].Vals {
-			a := math.Abs(v)
-			if a < minA {
-				minA = a
-			}
-			if a > maxA {
-				maxA = a
-			}
-		}
-	}
-	if maxA == 0 || !finite(maxA) || !finite(minA) || maxA/minA <= scaleSpread {
-		r.measureRowNorms()
-		return
-	}
-	r.Scaled = true
-
-	// Geometric-mean row pass, then column pass, each rounded to 2^k.
-	for i := range p.Rows {
-		r.RowScale[i] = pow2Inverse(geomean(p.Rows[i].Vals))
-	}
-	logSum := make([]float64, p.NumVars)
-	cnt := make([]int, p.NumVars)
-	for i := range p.Rows {
-		for k, c := range p.Rows[i].Cols {
-			a := math.Abs(p.Rows[i].Vals[k]) * r.RowScale[i]
-			if a > 0 && finite(a) {
-				logSum[c] += math.Log2(a)
-				cnt[c]++
-			}
-		}
-	}
-	for j := 0; j < p.NumVars; j++ {
-		if cnt[j] > 0 {
-			r.ColScale[j] = math.Exp2(-math.Round(logSum[j] / float64(cnt[j])))
-		}
-	}
-
-	for i := range p.Rows {
-		row := &p.Rows[i]
-		rs := r.RowScale[i]
-		for k, c := range row.Cols {
-			row.Vals[k] *= rs * r.ColScale[c]
-		}
-		row.RHS *= rs
-	}
-	for j := range p.Cost {
-		p.Cost[j] *= r.ColScale[j]
-	}
-	r.measureRowNorms()
-}
-
-// measureRowNorms records the scaling condition proxy — the extreme
-// max-abs row norms of the matrix exactly as the kernel will factorize it
-// (after any equilibration). A wide max/min ratio survives power-of-two
-// scaling only when the spread lives inside single rows, which is where
-// threshold pivoting starts rejecting rows and eta growth accelerates.
-func (r *Reduction) measureRowNorms() {
-	lo, hi := math.Inf(1), 0.0
-	for i := range r.P.Rows {
-		n := 0.0
-		for _, v := range r.P.Rows[i].Vals {
-			if a := math.Abs(v); a > n {
-				n = a
-			}
-		}
-		if n == 0 || !finite(n) {
-			continue
-		}
-		if n < lo {
-			lo = n
-		}
-		if n > hi {
-			hi = n
-		}
-	}
-	if hi > 0 && finite(lo) {
-		r.RowNormMax, r.RowNormMin = hi, lo
-	}
-}
-
-// geomean returns the geometric mean of the nonzero magnitudes of vals.
-func geomean(vals []float64) float64 {
-	s, n := 0.0, 0
-	for _, v := range vals {
-		a := math.Abs(v)
-		if a > 0 && finite(a) {
-			s += math.Log2(a)
-			n++
-		}
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp2(s / float64(n))
-}
-
-// pow2Inverse returns the power of two nearest to 1/g.
-func pow2Inverse(g float64) float64 {
-	if !(g > 0) || !finite(g) {
-		return 1
-	}
-	return math.Exp2(-math.Round(math.Log2(g)))
-}
-
-func ones(n int) []float64 {
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = 1
-	}
-	return s
-}
-
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func indexOf(s []int, v int) int {
 	for i, x := range s {

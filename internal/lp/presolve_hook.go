@@ -1,10 +1,10 @@
 package lp
 
-// Glue between Solve and the internal/lp/presolve pass: convert a Problem
-// to the neutral presolve representation, solve the reduced problem, and map
-// the solution back to the original index spaces.
-// Presolve runs under every solve path; warm-started solves drop to
-// ScaleOnly because a warm basis is indexed by the original rows/columns.
+// Glue between Solve and the kernel: a solve from a supplied basis, and
+// the rescue, build the form of the stated problem directly (scaled and
+// unscaled respectively); a basis-free solve first runs the
+// internal/lp/presolve eliminations, builds the form of the reduced
+// problem, and maps the solution back to the stated index spaces.
 
 import (
 	"math"
@@ -33,30 +33,23 @@ func neutralize(p *Problem) *presolve.Problem {
 	return np
 }
 
-// reducedProblem realizes the reduced neutral problem as an lp.Problem,
-// carrying over the sense, pivot budget, and the surviving names.
+// reducedProblem realizes the reduced neutral problem as an lp.Problem for
+// the form builder, carrying over the sense and pivot budget. Its names are
+// the defaults: nothing renders them.
 func reducedProblem(p *Problem, red *presolve.Reduction) *Problem {
 	rp := &Problem{
 		sense:    p.sense,
 		maxIters: p.maxIters,
-		names:    make([]string, red.P.NumVars),
-		obj:      append([]float64(nil), red.P.Cost...),
+		names:    make([]Name, red.P.NumVars),
+		obj:      red.P.Cost,
 		rows:     make([]constraint, len(red.P.Rows)),
-	}
-	for jn, jo := range red.VarMap {
-		rp.names[jn] = p.names[jo]
 	}
 	for in, row := range red.P.Rows {
 		terms := make([]Term, len(row.Cols))
 		for k, c := range row.Cols {
 			terms[k] = Term{Var: Var(c), Coef: row.Vals[k]}
 		}
-		rp.rows[in] = constraint{
-			name:  p.rows[red.RowMap[in]].name,
-			terms: terms,
-			rel:   Rel(row.Rel),
-			rhs:   row.RHS,
-		}
+		rp.rows[in] = constraint{terms: terms, rel: Rel(row.Rel), rhs: row.RHS}
 	}
 	return rp
 }
@@ -67,14 +60,44 @@ func emptySolution(p *Problem, st Status) *Solution {
 	return &Solution{Status: st, Objective: math.NaN(), X: make([]float64, len(p.names))}
 }
 
-// solvePresolved runs presolve, solves the reduced problem, and postsolves
-// the answer back onto p.
-func solvePresolved(p *Problem, o *Options) (*Solution, error) {
-	mode := presolve.Full
-	if len(o.WarmBasis) > 0 {
-		mode = presolve.ScaleOnly
+// objective evaluates p's objective, in its own sense, at x.
+func objective(p *Problem, x []float64) float64 {
+	obj := 0.0
+	for j, c := range p.obj {
+		obj += c * x[j]
 	}
-	red := presolve.Run(neutralize(p), mode)
+	return obj
+}
+
+// solveStated solves p's own rows and columns: equilibrated (scale) for a
+// solve from a supplied basis, whose indices are the stated ones, and
+// unscaled for the rescue and WithoutPresolve. Only the scaled solve
+// reports the form's row norms.
+func solveStated(p *Problem, o *Options, scale bool) (*Solution, error) {
+	f := buildForm(p, nil, scale)
+	sol, err := solveSparse(f, o)
+	if err != nil {
+		return nil, err
+	}
+	if scale {
+		sol.Stats.RowNormMax, sol.Stats.RowNormMin = f.normMax, f.normMin
+	}
+	if sol.Status == Optimal {
+		f.unscale(sol)
+		sol.Objective = objective(p, sol.X)
+	}
+	return sol, nil
+}
+
+// solvePresolved solves p through presolve: from a supplied basis it
+// solves the stated problem scaled, and otherwise it runs presolve's
+// eliminations, solves the reduced problem, and postsolves the answer back
+// onto p.
+func solvePresolved(p *Problem, o *Options) (*Solution, error) {
+	if len(o.WarmBasis) > 0 && len(p.rows) > 0 {
+		return solveStated(p, o, true)
+	}
+	red := presolve.Run(neutralize(p))
 
 	switch red.Outcome {
 	case presolve.OutcomeInfeasible:
@@ -88,7 +111,7 @@ func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 			Dual:   red.PostsolveDual(nil),
 			Basis:  red.MapBasis(nil, 0),
 		}
-		finishObjective(p, red, sol)
+		sol.Objective = objective(p, sol.X)
 		return sol, nil
 	}
 
@@ -107,25 +130,26 @@ func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 			Dual:   red.PostsolveDual(nil),
 			Basis:  red.MapBasis(nil, red.P.NumVars),
 		}
-		finishObjective(p, red, sol)
+		sol.Objective = objective(p, sol.X)
 		return sol, nil
 	}
 
-	rp := reducedProblem(p, red)
-	sol, err := solveSparse(rp, o)
-	if err != nil || sol == nil {
-		return sol, err
+	f := buildForm(reducedProblem(p, red), nil, true)
+	sol, err := solveSparse(f, o)
+	if err != nil {
+		return nil, err
 	}
 	sol.Stats.PresolveRows = red.RowsRemoved
 	sol.Stats.PresolveCols = red.ColsRemoved
-	sol.Stats.RowNormMax = red.RowNormMax
-	sol.Stats.RowNormMin = red.RowNormMin
+	sol.Stats.RowNormMax, sol.Stats.RowNormMin = f.normMax, f.normMin
 	if sol.Status != Optimal {
 		out := emptySolution(p, sol.Status)
 		out.Iters = sol.Iters
 		out.Stats = sol.Stats
 		return out, nil
 	}
+	// The journal is in stated numbers: unscale once, then postsolve.
+	f.unscale(sol)
 	out := &Solution{
 		Status: Optimal,
 		X:      red.PostsolvePrimal(sol.X),
@@ -136,17 +160,6 @@ func solvePresolved(p *Problem, o *Options) (*Solution, error) {
 	if len(sol.Basis) > 0 {
 		out.Basis = red.MapBasis(sol.Basis, red.P.NumVars)
 	}
-	finishObjective(p, red, out)
+	out.Objective = objective(p, out.X)
 	return out, nil
-}
-
-// finishObjective evaluates the original objective at the postsolved point.
-// (finishSolution is NOT reused here: the kernel already own-sensed the
-// reduced duals, and PostsolveDual preserves that sense.)
-func finishObjective(p *Problem, _ *presolve.Reduction, sol *Solution) {
-	obj := 0.0
-	for j, c := range p.obj {
-		obj += c * sol.X[j]
-	}
-	sol.Objective = obj
 }

@@ -35,7 +35,6 @@ type pricer struct {
 }
 
 func newPricer(f *spForm) *pricer {
-	f.ensureCSR()
 	p := &pricer{}
 	p.reset(f)
 	return p
@@ -44,7 +43,6 @@ func newPricer(f *spForm) *pricer {
 // reset sizes the pricer for f, retaining capacity (pricers are pooled
 // alongside the rest of the solve scratch).
 func (p *pricer) reset(f *spForm) {
-	f.ensureCSR()
 	if cap(p.d) < f.n {
 		p.d = make([]float64, f.n)
 		p.gamma = make([]float64, f.n)

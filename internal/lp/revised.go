@@ -660,8 +660,10 @@ func (rv *revised) primalInfeasibility() float64 {
 	return s
 }
 
-// extract builds the Solution from an optimal terminal state.
-func (rv *revised) extract(p *Problem, iters int) *Solution {
+// extract builds the Solution from an optimal terminal state, in the form's
+// space and the stated problem's sense; the caller unscales it and
+// evaluates the objective.
+func (rv *revised) extract(iters int) *Solution {
 	f := rv.f
 	sol := &Solution{Status: Optimal, Iters: iters, X: make([]float64, f.nOrig)}
 	for i, bj := range rv.basis {
@@ -674,11 +676,15 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 		}
 	}
 	// Duals y = c_Bᵀ B⁻¹ on the normalized rows, mapped back to the rows
-	// as the caller stated them via rowSign.
+	// as the caller stated them via rowSign, and to a maximization's sense
+	// (the kernel minimizes its negated costs).
 	rv.computeY()
 	sol.Dual = make([]float64, f.m)
 	for i := range sol.Dual {
 		sol.Dual[i] = rv.y[i] * f.rowSign[i]
+		if f.maximize {
+			sol.Dual[i] = -sol.Dual[i]
+		}
 	}
 	sol.Basis = make([]int, f.m)
 	for i, bj := range rv.basis {
@@ -689,7 +695,6 @@ func (rv *revised) extract(p *Problem, iters int) *Solution {
 		}
 	}
 	sol.Stats = rv.stats
-	finishSolution(p, sol)
 	return sol
 }
 
@@ -706,19 +711,19 @@ const (
 // Solve opened in rv.sctx.
 func (rv *revised) markStart(start string) { obs.SpanFrom(rv.sctx).SetAttr("start", start) }
 
-// solveSparse runs the revised simplex on p: the kernel behind Solve, for
-// the presolved problem and for the rescue alike. One pooled arena serves
-// the whole call: a supplied basis the kernel cannot use resets the same
-// scratch for the cold fallback instead of allocating a second working
-// set, and the abandoned attempt's pivots and refactorizations stay in the
-// returned stats.
-func solveSparse(p *Problem, o *Options) (*Solution, error) {
-	f := newSpForm(p)
+// solveSparse runs the revised simplex on form f: the kernel behind Solve,
+// for the presolved problem and for the rescue alike. The solution is in
+// the form's space, its objective left for the caller. One pooled arena
+// serves the whole call: a supplied basis the kernel cannot use resets the
+// same scratch for the cold fallback instead of allocating a second
+// working set, and the abandoned attempt's pivots and refactorizations
+// stay in the returned stats.
+func solveSparse(f *spForm, o *Options) (*Solution, error) {
 	rv := newRevised(f, o)
 	defer rv.release()
 	var abandoned SolveStats
 	if len(o.WarmBasis) > 0 {
-		if sol, ok := rv.solveWarm(p, o.WarmBasis); ok {
+		if sol, ok := rv.solveWarm(o.WarmBasis); ok {
 			rv.harvestHealth(&sol.Stats)
 			return sol, nil
 		}
@@ -726,7 +731,7 @@ func solveSparse(p *Problem, o *Options) (*Solution, error) {
 		rv.reset(f, o)
 		rv.markStart(startCold)
 	}
-	sol := rv.solveCold(p)
+	sol := rv.solveCold()
 	sol.Iters += abandoned.Pivots()
 	sol.Stats.addEffort(abandoned)
 	rv.harvestHealth(&sol.Stats)
@@ -750,7 +755,7 @@ func (rv *revised) harvestHealth(st *SolveStats) {
 }
 
 // solveCold runs two-phase primal simplex from the slack/artificial basis.
-func (rv *revised) solveCold(p *Problem) *Solution {
+func (rv *revised) solveCold() *Solution {
 	f := rv.f
 	iters := 0
 	if !rv.factorize(f.initBasis) {
@@ -800,7 +805,7 @@ func (rv *revised) solveCold(p *Problem) *Solution {
 	if st != Optimal {
 		return &Solution{Status: st, Objective: math.NaN(), Iters: iters, X: make([]float64, f.nOrig), Stats: rv.stats}
 	}
-	return rv.extract(p, iters)
+	return rv.extract(iters)
 }
 
 // artificialOffZero reports whether a basic artificial sits away from zero,
@@ -829,7 +834,7 @@ func (rv *revised) artificialOffZero() bool {
 // is always a trustworthy terminal status (Optimal or Unbounded);
 // infeasibility detected by the dual simplex is deliberately re-verified
 // cold.
-func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
+func (rv *revised) solveWarm(warm []int) (*Solution, bool) {
 	f := rv.f
 	if len(warm) > f.m {
 		return nil, false
@@ -899,7 +904,7 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 		rv.markStart(startPrimal)
 		st := rv.phase("lp.phase2", &iters, func() Status { return rv.primal(&iters) })
 		rv.stats.Phase2Iters = iters
-		return rv.finishWarm(p, st, iters)
+		return rv.finishWarm(st, iters)
 	}
 	rv.stats.WarmStarted = true
 	rv.markStart(startDual)
@@ -918,18 +923,18 @@ func (rv *revised) solveWarm(p *Problem, warm []int) (*Solution, bool) {
 	}
 	st := rv.phase("lp.phase2", &iters, func() Status { return rv.primal(&iters) })
 	rv.stats.Phase2Iters = iters - rv.stats.DualIters
-	return rv.finishWarm(p, st, iters)
+	return rv.finishWarm(st, iters)
 }
 
 // finishWarm turns the terminal status of a solve from a supplied basis
 // into its solution; ok=false sends the caller to a cold solve.
-func (rv *revised) finishWarm(p *Problem, st Status, iters int) (*Solution, bool) {
+func (rv *revised) finishWarm(st Status, iters int) (*Solution, bool) {
 	switch st {
 	case Optimal:
 		if rv.artificialOffZero() {
 			return nil, false
 		}
-		return rv.extract(p, iters), true
+		return rv.extract(iters), true
 	case Unbounded, Canceled:
 		return &Solution{Status: st, Objective: math.NaN(), Iters: iters, X: make([]float64, rv.f.nOrig), Stats: rv.stats}, true
 	default:

@@ -49,7 +49,13 @@ func denseSolve(p *Problem, opts ...Option) (*Solution, error) {
 	t.extract(sol.X)
 	sol.Dual = t.duals()
 	sol.Basis = t.exportBasis()
-	finishSolution(p, sol)
+	sol.Objective = objective(p, sol.X)
+	if p.sense == Maximize {
+		// The tableau minimizes internally; undo the cost negation on duals.
+		for i := range sol.Dual {
+			sol.Dual[i] = -sol.Dual[i]
+		}
+	}
 	return sol, nil
 }
 

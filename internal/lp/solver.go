@@ -28,9 +28,10 @@ type Options struct {
 	// StallWindow is how many non-improving iterations are tolerated
 	// before switching to Bland's anti-cycling rule (0 = default 200).
 	StallWindow int
-	// NoPresolve disables the presolve/scaling pass (internal/lp/presolve)
-	// and solves the stated problem directly. Intended for tests and
-	// A/B instrumentation; presolve is semantically invisible otherwise.
+	// NoPresolve solves the stated problem's form unscaled, without
+	// presolve's eliminations (internal/lp/presolve) or equilibration.
+	// Intended for tests and A/B instrumentation; presolve and scaling are
+	// semantically invisible otherwise.
 	// A solve without presolve gets no numerical rescue: the rescue is
 	// exactly such a solve.
 	NoPresolve bool
@@ -66,7 +67,7 @@ func WithMaxIters(n int) Option { return func(o *Options) { o.MaxIters = n } }
 // WithStallWindow overrides the stall threshold that engages Bland's rule.
 func WithStallWindow(n int) Option { return func(o *Options) { o.StallWindow = n } }
 
-// WithoutPresolve disables the presolve/scaling pass for this solve.
+// WithoutPresolve disables presolve and scaling for this solve.
 func WithoutPresolve() Option { return func(o *Options) { o.NoPresolve = true } }
 
 // WithWarmBasis supplies a starting basis in the Solution.Basis encoding,
@@ -145,8 +146,9 @@ type SolveStats struct {
 	// problem without presolve (see Solve), else 0.
 	Rescues int `json:",omitempty"`
 	// RowNormMax and RowNormMin are the extreme row norms (max-abs per row)
-	// of the constraint matrix handed to the kernel after presolve
-	// scaling; their ratio is the scaling condition proxy.
+	// of the constraint matrix handed to the kernel after scaling; their
+	// ratio is the scaling condition proxy. Solves without scaling
+	// (WithoutPresolve, the rescue) leave them zero.
 	RowNormMax float64 `json:",omitempty"`
 	RowNormMin float64 `json:",omitempty"`
 	// Wall is the end-to-end solve time.
@@ -195,8 +197,8 @@ func (s *SolveStats) addEffort(o SolveStats) {
 // not repair (*NumericalError); infeasibility and unboundedness are
 // reported through Solution.Status.
 //
-// A presolved solve that breaks down numerically is rescued once, inside
-// Solve: the original problem is re-solved cold with presolve off. The
+// A solve that breaks down numerically is rescued once, inside Solve: the
+// original problem is re-solved cold with presolve and scaling off. The
 // rescue changes the factorized matrix (no eliminations, no equilibration)
 // and drops any warm basis, so the LU sees a different pivot sequence; a
 // second breakdown is returned as is. Solution.Stats.Rescues records it.
@@ -228,15 +230,15 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	start := time.Now()
 	var sol *Solution
 	var err error
-	if o.NoPresolve {
-		sol, err = solveSparse(p, &o)
+	if o.NoPresolve && len(p.rows) > 0 {
+		sol, err = solveStated(p, &o, false)
 	} else {
 		sol, err = solvePresolved(p, &o)
 		var ne *NumericalError
 		if errors.As(err, &ne) {
 			span.SetAttr("rescue", ne.Reason)
 			o.NoPresolve, o.WarmBasis = true, nil
-			sol, err = solveSparse(p, &o)
+			sol, err = solveStated(p, &o, false)
 			if err == nil {
 				sol.Stats.Rescues = 1
 			}
@@ -268,22 +270,5 @@ func sleepSlow(ctx context.Context) {
 	select {
 	case <-t.C:
 	case <-ctx.Done():
-	}
-}
-
-// finishSolution fills the sense-dependent fields of an extracted solution:
-// the objective in the problem's own sense (from the extracted primal
-// point) and the dual sign flip for maximization problems.
-func finishSolution(p *Problem, sol *Solution) {
-	obj := 0.0
-	for j, c := range p.obj {
-		obj += c * sol.X[j]
-	}
-	sol.Objective = obj
-	if p.sense == Maximize {
-		// The kernel minimizes internally; undo the cost negation on duals.
-		for i := range sol.Dual {
-			sol.Dual[i] = -sol.Dual[i]
-		}
 	}
 }
