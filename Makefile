@@ -56,11 +56,11 @@ realization-smoke:
 # against a live in-process daemon; asserts zero crashes, ≥99% valid
 # responses, never a cap-violating schedule, and full recovery (breakers
 # closed, bit-identical results) once faults clear. The twin-chaos case
-# storms an adaptive daemon with lp-stall/lp-nan/worker-panic armed and
-# requires the controller back at full fidelity with breakers closed
-# within a bounded number of calm epochs. The stall case sends every
-# /v1/solve shape (monolithic, windowed, coarsened, each brownout rung)
-# with lp-stall armed and requires a cap-clean degraded 200 from each.
+# storms a daemon with lp-stall/lp-nan/worker-panic armed and requires
+# the sparse breaker closed again within a bounded number of calm
+# solves. The stall case sends every /v1/solve shape (monolithic,
+# windowed, coarsened, costly realizations) with lp-stall armed and
+# requires a cap-clean degraded 200 from each.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery|TestEveryShapeDegradesUnderStall' -count=1 -v ./internal/service/
 
@@ -70,8 +70,9 @@ chaos-smoke:
 # header/body/access-log, double /metrics scrape with counter monotonicity,
 # and /debug/pprof. The second daemon leg (race-detected end to end) arms an
 # lp-stall fault window via PCSCHEDD_FAULTS and requires the flight dump to
-# name the brownout rung and the SLO burn spike, plus a SIGQUIT dump that
-# round-trips as wide-event JSON (DESIGN.md §16).
+# name the ladder rung that served, the descent trail and the SLO burn
+# spike, plus a SIGQUIT dump that round-trips as wide-event JSON
+# (DESIGN.md §16).
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/slo/
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/pcschedd/
@@ -120,14 +121,13 @@ kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
 	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
 
-# Adaptive overload control plane + deterministic traffic twin smoke:
-# race-detected controller/brownout/twin tests, then the end-to-end
-# TestTwinSmoke — a seeded flash crowd against a real adaptive daemon vs
-# a static one (adaptive goodput fraction must be ≥ static) and a
-# record/replay regression (two replays byte-identical, zero mismatches).
+# Deterministic traffic twin smoke: race-detected twin tests (schedule
+# expansion, classification, record/replay), then the end-to-end
+# TestTwinSmoke — a seeded flash crowd at about twice capacity against a
+# real daemon (no cap-violating schedule) and a record/replay regression
+# (two replays byte-identical, zero mismatches).
 twin-smoke:
-	$(GO) test -race -count=1 ./internal/adapt/ ./internal/twin/
-	$(GO) test -race -count=1 -run 'TestBrownout|TestRetry|TestDeadline|TestParking|TestDrainCheckpoint|TestAdaptOff' ./internal/service/
+	$(GO) test -race -count=1 ./internal/twin/
 	$(GO) test -run TestTwinSmoke -count=1 -v ./cmd/pcschedd/
 
 # Bounded fuzz sessions over the trace parser, the canonical DAG digest

@@ -216,7 +216,7 @@ func runObservability(cfg config) error {
 		TimeUnixNS: 1, RequestID: "bench-0123456789abcdef", Path: "/v1/solve",
 		Status: 200, DurMS: 12.5, Workload: w.Name, CapW: jobCap,
 		Cache: "miss", CacheKey: "0123456789abcdef0123456789abcdef", Rung: "sparse",
-		DeadlineMS: 60000, SolveMS: 12.1, AdaptRung: "full", Pressure: 0.25,
+		DeadlineMS: 60000, SolveMS: 12.1,
 		SLOFastBurn: 0.4, SLOSlowBurn: 0.1,
 		Kernel: obs.KernelHealth{Solves: 4, SimplexPivots: 900, Refactorizations: 2, MaxEtaLen: 64},
 	}

@@ -7,19 +7,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"time"
 
 	"powercap"
-	"powercap/internal/adapt"
 	"powercap/internal/service"
 	"powercap/internal/twin"
 )
 
 // The "twin" exhibit drives pcschedd with the deterministic traffic twin
-// (internal/twin) and tests the adaptive overload control plane of DESIGN.md
-// §15 against stated hypotheses. Each scenario prints its hypothesis up
-// front and a CONFIRMED/FALSIFIED verdict from the measured outcome; with
-// -benchjson the full measurements land in BENCH_twin.json.
+// (internal/twin) and tests the statically sized daemon against stated
+// hypotheses. Each scenario prints its hypothesis up front and a
+// CONFIRMED/FALSIFIED verdict from the measured outcome; with -benchjson
+// the full measurements land in BENCH_twin.json.
 //
 // All daemons are in-process (httptest) so fault windows can arm the
 // process-global fault injector, and they run serially: one scenario, one
@@ -61,12 +61,17 @@ func twinCapacity() service.Config {
 }
 
 // twinDaemon starts an in-process daemon; the caller must call the returned
-// cleanup even on error paths.
-func twinDaemon(cfg service.Config) (base string, svc *service.Server, cleanup func()) {
-	svc = service.New(cfg)
-	stopAdapt := svc.StartAdapt()
-	ts := httptest.NewServer(svc)
-	return ts.URL, svc, func() { ts.Close(); stopAdapt() }
+// cleanup.
+func twinDaemon(cfg service.Config) (base string, cleanup func()) {
+	ts := httptest.NewServer(service.New(cfg))
+	return ts.URL, ts.Close
+}
+
+// twinRunStatic drives sc against a fresh daemon of size cfg.
+func twinRunStatic(cfg service.Config, sc twin.Scenario) *twin.Result {
+	base, cleanup := twinDaemon(cfg)
+	defer cleanup()
+	return twin.Run(base, sc, twin.RunOptions{MaxInflight: 24})
 }
 
 var twinHeavy = []twin.Workload{
@@ -82,42 +87,22 @@ var twinLight = []twin.Workload{
 }
 
 func runTwin(cfg config) error {
-	header("Twin", "deterministic traffic twin vs the adaptive overload control plane: hypotheses and verdicts per scenario")
+	header("Twin", "deterministic traffic twin against statically sized daemons: hypotheses and verdicts per scenario")
 
 	report := twinReport{Generated: time.Now().UTC().Format(time.RFC3339)}
 	confirmed := 0
-	add := func(s twinScenarioReport) {
+	for _, scenario := range []func() (twinScenarioReport, error){
+		twinDiurnal, twinFlashCrowd, twinRetryStorm, twinFaultBrownout, twinReplayRegression,
+	} {
+		s, err := scenario()
+		if err != nil {
+			return err
+		}
 		report.Scenarios = append(report.Scenarios, s)
 		if s.Verdict == "CONFIRMED" {
 			confirmed++
 		}
 		fmt.Printf("  %s: %s\n\n", s.Verdict, s.Detail)
-	}
-
-	if s, err := twinDiurnal(); err != nil {
-		return err
-	} else {
-		add(s)
-	}
-	if s, err := twinFlashCrowd(); err != nil {
-		return err
-	} else {
-		add(s)
-	}
-	if s, err := twinRetryStorm(); err != nil {
-		return err
-	} else {
-		add(s)
-	}
-	if s, err := twinFaultBrownout(); err != nil {
-		return err
-	} else {
-		add(s)
-	}
-	if s, err := twinReplayRegression(); err != nil {
-		return err
-	} else {
-		add(s)
 	}
 
 	fmt.Printf("%d/%d hypotheses confirmed\n", confirmed, len(report.Scenarios))
@@ -139,12 +124,20 @@ func runTwin(cfg config) error {
 	return nil
 }
 
-// twinDiurnal: moderate load must not trip the brownout ladder.
+// verdict names a hypothesis outcome.
+func verdict(ok bool) string {
+	if ok {
+		return "CONFIRMED"
+	}
+	return "FALSIFIED"
+}
+
+// twinDiurnal: moderate load is answered in full.
 func twinDiurnal() (twinScenarioReport, error) {
 	s := twinScenarioReport{
 		Name: "diurnal",
-		Hypothesis: "a diurnal ramp well inside capacity never triggers brownout: " +
-			"every request is answered at full fidelity, zero sheds",
+		Hypothesis: "a diurnal ramp well inside capacity is answered in full: " +
+			"every request gets a 200, none is rejected",
 	}
 	fmt.Printf("[diurnal] hypothesis: %s\n", s.Hypothesis)
 
@@ -161,32 +154,22 @@ func twinDiurnal() (twinScenarioReport, error) {
 		ZipfS:     1.0,
 	}
 
-	cfgAdapt := twinCapacity()
-	cfgAdapt.Adapt = adapt.Config{Enabled: true, Epoch: 100 * time.Millisecond}
-	base, _, cleanup := twinDaemon(cfgAdapt)
-	res := twin.Run(base, sc, twin.RunOptions{MaxInflight: 24})
-	cleanup()
+	res := twinRunStatic(twinCapacity(), sc)
 	fmt.Printf("  %s\n", res)
 
-	s.Runs = []twinRun{{Config: "adaptive", Result: res}}
-	if res.OK == res.Requests && res.Browned == 0 && res.Rej429 == 0 {
-		s.Verdict = "CONFIRMED"
-	} else {
-		s.Verdict = "FALSIFIED"
-	}
-	s.Detail = fmt.Sprintf("%d/%d full answers, %d browned, %d rejected under the diurnal ramp",
-		res.OK, res.Requests, res.Browned, res.Rej429)
+	s.Runs = []twinRun{{Config: "static", Result: res}}
+	s.Verdict = verdict(res.OK == res.Requests && res.Rej429 == 0)
+	s.Detail = fmt.Sprintf("%d/%d answered (%d full, %d degraded), %d rejected under the diurnal ramp",
+		res.OK, res.Requests, res.OKFull, res.Degraded, res.Rej429)
 	return s, nil
 }
 
-// twinFlashCrowd: the acceptance hypothesis — adaptive goodput beats every
-// static sizing on the same flash crowd.
+// twinFlashCrowd: three static sizings under the same flash crowd.
 func twinFlashCrowd() (twinScenarioReport, error) {
 	s := twinScenarioReport{
 		Name: "flash-crowd",
-		Hypothesis: "on a 2x-capacity flash crowd with an 800 ms deadline, the adaptive " +
-			"daemon answers a larger fraction of requests than every static sizing " +
-			"(default, deep-queue, extra-workers)",
+		Hypothesis: "on a 2x-capacity flash crowd with an 800 ms deadline, no static " +
+			"sizing (default, deep-queue, extra-workers) serves a cap-violating schedule",
 	}
 	fmt.Printf("[flash-crowd] hypothesis: %s\n", s.Hypothesis)
 
@@ -210,42 +193,24 @@ func twinFlashCrowd() (twinScenarioReport, error) {
 		label string
 		mod   func(*service.Config)
 	}{
-		{"adaptive", func(c *service.Config) {
-			c.Adapt = adapt.Config{Enabled: true, Epoch: 100 * time.Millisecond}
-		}},
 		{"static-default", func(c *service.Config) {}},
 		{"static-deep-queue", func(c *service.Config) { c.QueueDepth = 32 }},
 		{"static-extra-workers", func(c *service.Config) { c.Workers = 4 }},
 	}
+	violations := 0
+	var answered []string
 	for _, cc := range configs {
 		cfg := twinCapacity()
 		cc.mod(&cfg)
-		base, _, cleanup := twinDaemon(cfg)
-		res := twin.Run(base, sc, twin.RunOptions{MaxInflight: 24})
-		cleanup()
+		res := twinRunStatic(cfg, sc)
 		fmt.Printf("  %-21s %s\n", cc.label+":", res)
 		s.Runs = append(s.Runs, twinRun{Config: cc.label, Result: res})
+		violations += res.CapViolations
+		answered = append(answered, fmt.Sprintf("%s %.1f%%", cc.label, 100*res.GoodFrac()))
 	}
-
-	adaptiveRes := s.Runs[0].Result
-	bestStatic, bestLabel := -1.0, ""
-	violations := 0
-	for _, r := range s.Runs {
-		violations += r.Result.CapViolations
-		if r.Config == "adaptive" {
-			continue
-		}
-		if f := r.Result.GoodFrac(); f > bestStatic {
-			bestStatic, bestLabel = f, r.Config
-		}
-	}
-	if adaptiveRes.GoodFrac() >= bestStatic && violations == 0 {
-		s.Verdict = "CONFIRMED"
-	} else {
-		s.Verdict = "FALSIFIED"
-	}
-	s.Detail = fmt.Sprintf("adaptive answered %.1f%% vs best static %.1f%% (%s); %d cap violations anywhere",
-		100*adaptiveRes.GoodFrac(), 100*bestStatic, bestLabel, violations)
+	s.Verdict = verdict(violations == 0)
+	s.Detail = fmt.Sprintf("answered: %s; %d cap violations anywhere",
+		strings.Join(answered, ", "), violations)
 	return s, nil
 }
 
@@ -253,10 +218,9 @@ func twinFlashCrowd() (twinScenarioReport, error) {
 func twinRetryStorm() (twinScenarioReport, error) {
 	s := twinScenarioReport{
 		Name: "retry-storm",
-		Hypothesis: "under a storm of impatient clients (4 fast retries, hints ignored), " +
-			"the retry budget plus brownout drain the storm instead of letting it stretch: " +
-			"higher goodput per second and a shorter storm than the static daemon, which " +
-			"only survives by queueing the backlog out in time",
+		Hypothesis: "a storm of impatient clients (4 fast retries, hints ignored) " +
+			"costs the static daemon answers, never correctness: zero 5xx and " +
+			"zero cap violations",
 	}
 	fmt.Printf("[retry-storm] hypothesis: %s\n", s.Hypothesis)
 
@@ -273,41 +237,23 @@ func twinRetryStorm() (twinScenarioReport, error) {
 		Retry:     twin.RetryPolicy{MaxRetries: 4, DelayMS: 10, HonorRetryAfter: false},
 	}
 
-	var runs []*twin.Result
-	for _, adaptive := range []bool{true, false} {
-		cfg := twinCapacity()
-		label := "static"
-		if adaptive {
-			cfg.Adapt = adapt.Config{Enabled: true, Epoch: 100 * time.Millisecond}
-			label = "adaptive"
-		}
-		base, _, cleanup := twinDaemon(cfg)
-		res := twin.Run(base, sc, twin.RunOptions{MaxInflight: 24})
-		cleanup()
-		fmt.Printf("  %-9s %s\n", label+":", res)
-		s.Runs = append(s.Runs, twinRun{Config: label, Result: res})
-		runs = append(runs, res)
-	}
-	adaptiveRes, staticRes := runs[0], runs[1]
-	if adaptiveRes.GoodputPerS >= staticRes.GoodputPerS && adaptiveRes.WallS <= staticRes.WallS {
-		s.Verdict = "CONFIRMED"
-	} else {
-		s.Verdict = "FALSIFIED"
-	}
-	s.Detail = fmt.Sprintf("adaptive %.1f good/s over %.1fs vs static %.1f good/s over %.1fs",
-		adaptiveRes.GoodputPerS, adaptiveRes.WallS, staticRes.GoodputPerS, staticRes.WallS)
+	res := twinRunStatic(twinCapacity(), sc)
+	fmt.Printf("  %s\n", res)
+	s.Runs = []twinRun{{Config: "static", Result: res}}
+	s.Verdict = verdict(res.Err5xx == 0 && res.CapViolations == 0)
+	s.Detail = fmt.Sprintf("%.1f good/s over %.1fs, %d/%d answered, %d 5xx, %d cap violations",
+		res.GoodputPerS, res.WallS, res.OK, res.Requests, res.Err5xx, res.CapViolations)
 	return s, nil
 }
 
-// twinFaultBrownout: injected solver stalls must brown the service out, not
-// fail it, and the controller must climb back after the window.
+// twinFaultBrownout: injected solver stalls must degrade the service, not
+// fail it, and the primary solve path must recover after the window.
 func twinFaultBrownout() (twinScenarioReport, error) {
 	s := twinScenarioReport{
 		Name: "fault-brownout",
 		Hypothesis: "a window of injected LP stalls degrades fidelity instead of availability " +
 			"(zero 5xx, zero cap violations, every request answered) and after the window " +
-			"the controller returns to full fidelity with the primary solve path's breaker " +
-			"re-closed and none left open",
+			"the primary solve path's breaker re-closes with none left open",
 	}
 	fmt.Printf("[fault-brownout] hypothesis: %s\n", s.Hypothesis)
 
@@ -329,20 +275,18 @@ func twinFaultBrownout() (twinScenarioReport, error) {
 		},
 	}
 
-	cfg := twinCapacity()
-	cfg.Adapt = adapt.Config{Enabled: true, Epoch: 100 * time.Millisecond}
-	base, _, cleanup := twinDaemon(cfg)
+	base, cleanup := twinDaemon(twinCapacity())
 	defer cleanup()
 	res := twin.Run(base, sc, twin.RunOptions{MaxInflight: 24})
 	fmt.Printf("  %s\n", res)
-	s.Runs = []twinRun{{Config: "adaptive+faults", Result: res}}
+	s.Runs = []twinRun{{Config: "static+faults", Result: res}}
 
-	// After the run, probe until the daemon reports full fidelity with the
-	// sparse (primary) breaker re-closed and no breaker open. Deeper rungs
-	// may report half-open indefinitely: once the sparse path works again
-	// they never see another request, so there is nothing to close them
-	// with — half-open means "ready to probe", which is recovered.
-	rung, breakers, probes, recovered := "", "", 0, false
+	// After the run, probe until the sparse (primary) breaker is closed
+	// again and no breaker is open. Deeper rungs may report half-open
+	// indefinitely: once the sparse path works again they never see
+	// another request, so there is nothing to close them with — half-open
+	// means "ready to probe", which is recovered.
+	breakers, probes, recovered := "", 0, false
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		probes++
@@ -360,16 +304,12 @@ func twinFaultBrownout() (twinScenarioReport, error) {
 		}
 		var hz struct {
 			Breakers map[string]string `json:"breakers"`
-			Adapt    struct {
-				Rung string `json:"rung"`
-			} `json:"adapt"`
 		}
 		err = json.NewDecoder(hr.Body).Decode(&hz)
 		hr.Body.Close()
 		if err != nil {
 			return s, err
 		}
-		rung = hz.Adapt.Rung
 		ok := hz.Breakers["sparse"] == "closed"
 		for _, st := range hz.Breakers {
 			if st == "open" {
@@ -377,30 +317,25 @@ func twinFaultBrownout() (twinScenarioReport, error) {
 			}
 		}
 		breakers = fmt.Sprintf("sparse=%s", hz.Breakers["sparse"])
-		if rung == "full" && ok {
+		if ok {
 			recovered = true
 			break
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	if res.Err5xx == 0 && res.CapViolations == 0 && res.OK == res.Requests && recovered {
-		s.Verdict = "CONFIRMED"
-	} else {
-		s.Verdict = "FALSIFIED"
-	}
-	s.Detail = fmt.Sprintf("%d/%d answered through the stall window (%d browned/degraded), %d 5xx; rung %q, breakers %s after %d probes",
-		res.OK, res.Requests, res.Browned+res.Degraded, res.Err5xx, rung, breakers, probes)
+	s.Verdict = verdict(res.Err5xx == 0 && res.CapViolations == 0 && res.OK == res.Requests && recovered)
+	s.Detail = fmt.Sprintf("%d/%d answered through the stall window (%d degraded), %d 5xx; breakers %s after %d probes",
+		res.OK, res.Requests, res.Degraded, res.Err5xx, breakers, probes)
 	return s, nil
 }
 
-// twinReplayRegression: the -adapt=off bit-identity contract.
+// twinReplayRegression: serial replays are byte-identical.
 func twinReplayRegression() (twinScenarioReport, error) {
 	s := twinScenarioReport{
 		Name: "replay-regression",
-		Hypothesis: "a tape recorded with the control plane off replays with zero mismatches " +
-			"and byte-identical summaries against two fresh daemons: the disarmed " +
-			"control plane cannot perturb responses",
+		Hypothesis: "a tape recorded against a fresh daemon replays with zero mismatches " +
+			"and byte-identical summaries against two more fresh daemons",
 	}
 	fmt.Printf("[replay-regression] hypothesis: %s\n", s.Hypothesis)
 
@@ -414,7 +349,7 @@ func twinReplayRegression() (twinScenarioReport, error) {
 		RealizeFrac: 0.25,
 	}
 
-	base, _, cleanup := twinDaemon(twinCapacity())
+	base, cleanup := twinDaemon(twinCapacity())
 	tape, err := twin.Record(base, sc)
 	cleanup()
 	if err != nil {
@@ -424,7 +359,7 @@ func twinReplayRegression() (twinScenarioReport, error) {
 	var summaries []string
 	mismatches := 0
 	for i := 0; i < 2; i++ {
-		base, _, cleanup := twinDaemon(twinCapacity())
+		base, cleanup := twinDaemon(twinCapacity())
 		rep, err := tape.Replay(base)
 		cleanup()
 		if err != nil {
@@ -435,11 +370,7 @@ func twinReplayRegression() (twinScenarioReport, error) {
 		fmt.Printf("  replay %d: %s\n", i+1, rep.Summary())
 	}
 	s.Replay = summaries
-	if mismatches == 0 && summaries[0] == summaries[1] && len(tape.Entries) > 0 {
-		s.Verdict = "CONFIRMED"
-	} else {
-		s.Verdict = "FALSIFIED"
-	}
+	s.Verdict = verdict(mismatches == 0 && summaries[0] == summaries[1] && len(tape.Entries) > 0)
 	s.Detail = fmt.Sprintf("%d entries, %d mismatches, summaries identical: %v",
 		len(tape.Entries), mismatches, summaries[0] == summaries[1])
 	return s, nil

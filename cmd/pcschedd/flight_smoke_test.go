@@ -42,10 +42,10 @@ func (s *syncBuffer) String() string {
 }
 
 // TestFlightRecorderSmoke is the forensics half of `make obs-smoke`: a real
-// pcschedd with the adaptive control plane armed, a PCSCHEDD_FAULTS-induced
-// lp-stall window, and an aggressive latency SLO. It asserts the flight
-// recorder reconstructs the incident — wide events naming the brownout rung
-// and the descent trail, admission-time SLO burn spiking — that the
+// pcschedd, a PCSCHEDD_FAULTS-induced lp-stall window, and an aggressive
+// latency SLO. It asserts the flight recorder reconstructs the incident —
+// wide events naming the ladder rung that served and the descent trail,
+// admission-time SLO burn spiking — that the
 // pcschedd_lp_* / pcschedd_slo_* metric families carry the incident, and
 // that SIGQUIT dumps the ring to stderr without stopping the daemon.
 func TestFlightRecorderSmoke(t *testing.T) {
@@ -63,7 +63,6 @@ func TestFlightRecorderSmoke(t *testing.T) {
 	// the 1ns latency objective makes every request burn.
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-quiet",
-		"-adapt", "-epoch", "50ms",
 		"-slo-latency", "1ns",
 		"-flight-dir", t.TempDir(),
 	)
@@ -92,9 +91,9 @@ func TestFlightRecorderSmoke(t *testing.T) {
 	}
 
 	// Ten distinct caps: every one is a cache miss and a fresh (stalled,
-	// degraded) solve. Under the armed control plane later requests may be
-	// shed with 429 — those still leave wide events; we need at least one
-	// 200 to anchor the causal-chain assertions.
+	// degraded) solve. A request rejected with 429 still leaves a wide
+	// event; we need at least one 200 to anchor the causal-chain
+	// assertions.
 	var okResp service.SolveResponse
 	requests := 0
 	for cap := 50; cap < 60; cap++ {
@@ -112,7 +111,7 @@ func TestFlightRecorderSmoke(t *testing.T) {
 				t.Fatalf("bad solve response: %v (%s)", err, raw)
 			}
 		}
-		time.Sleep(10 * time.Millisecond) // let SLO buckets and adapt epochs advance
+		time.Sleep(10 * time.Millisecond) // let SLO buckets advance
 	}
 	if okResp.RequestID == "" {
 		t.Fatal("no solve succeeded during the fault window")
@@ -153,7 +152,7 @@ func TestFlightRecorderSmoke(t *testing.T) {
 		t.Fatalf("dump lacks the anchored solve %s (%d events)", okResp.RequestID, len(dump.Events))
 	}
 	if anchor.Rung == "" || !anchor.Degraded {
-		t.Errorf("anchored event rung %q degraded=%v, want a named brownout rung", anchor.Rung, anchor.Degraded)
+		t.Errorf("anchored event rung %q degraded=%v, want a named ladder rung", anchor.Rung, anchor.Degraded)
 	}
 	if anchor.RungAttempts[0] == 0 {
 		t.Errorf("anchored event rung attempts %v: no descent trail", anchor.RungAttempts)

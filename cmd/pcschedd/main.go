@@ -8,7 +8,6 @@
 //
 //	pcschedd [-addr :8080] [-workers N] [-queue N] [-cache N]
 //	         [-timeout 60s] [-max-timeout 5m] [-grace 30s] [-quiet]
-//	         [-adapt] [-epoch 1s]
 //	         [-slo-latency 2s] [-flight-slots 256] [-flight-dir DIR]
 //
 // The daemon prints the bound address on startup ("-addr 127.0.0.1:0"
@@ -22,12 +21,11 @@
 // startup ("seed=7,lp-stall=1.0,lp-nan=0.25") — test harnesses only; the
 // daemon logs a loud warning when armed.
 //
-// -adapt arms the adaptive overload control plane (DESIGN.md §15): once
-// per -epoch the daemon samples its own metrics and adapts admission
-// capacity, worker count, cache size, and the brownout ladder; 429s carry
-// Retry-After hints and declared retries (X-Retry-Attempt) spend a token
-// budget. Without -adapt the daemon behaves bit-identically to one built
-// without the control plane.
+// Capacity is static: -workers solves run at once, -queue more wait, and
+// any request beyond that is answered 429 with a Retry-After hint (the
+// queue ahead times the recent gap between solve completions). Under an
+// LP failure or stall a solve falls back through the degradation ladder
+// (DESIGN.md §10) and answers 200 degraded instead of failing.
 package main
 
 import (
@@ -46,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"powercap/internal/adapt"
 	"powercap/internal/faultinject"
 	"powercap/internal/service"
 	"powercap/internal/slo"
@@ -71,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		maxTimeout = fs.Duration("max-timeout", 0, "upper clamp on client-supplied deadlines (0 = 5m)")
 		grace      = fs.Duration("grace", 30*time.Second, "drain period for in-flight solves on shutdown")
 		quiet      = fs.Bool("quiet", false, "suppress per-request log lines")
-		adaptOn    = fs.Bool("adapt", false, "arm the adaptive overload control plane (brownout ladder, retry budget, capacity adaptation)")
-		epoch      = fs.Duration("epoch", 0, "control-plane sampling epoch (0 = 1s; needs -adapt)")
 		sloLatency = fs.Duration("slo-latency", 0, "latency SLO threshold: requests slower than this burn the latency objective (0 = 2s)")
 		flightN    = fs.Int("flight-slots", 0, "flight recorder ring capacity, rounded up to a power of two (0 = 256)")
 		flightDir  = fs.String("flight-dir", "", "directory for automatic flight-recorder snapshots on panic/breaker-open (empty = os.TempDir)")
@@ -107,14 +102,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
 		Log:               reqLog,
-		Adapt:             adapt.Config{Enabled: *adaptOn, Epoch: *epoch},
 		SLO:               slo.Config{LatencyThreshold: *sloLatency},
 		FlightSlots:       *flightN,
 		FlightSnapshotDir: *flightDir,
 	})
-	// With -adapt off this is a no-op; with it on, the control-plane loop
-	// runs until Drain checkpoints and stops it on shutdown.
-	svc.StartAdapt()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -14,6 +14,7 @@ package dag
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"powercap/internal/machine"
 	"powercap/internal/obs"
@@ -136,9 +137,17 @@ type Graph struct {
 	Vertices []Vertex
 	Tasks    []Task
 
-	// adjacency caches, built lazily by Freeze/ensureAdj.
-	out [][]TaskID
-	in  [][]TaskID
+	// adj caches the edge lists, built on first read and rebuilt once the
+	// graph has grown. A published snapshot is never mutated, so readers
+	// on any number of goroutines share it without locking.
+	adj atomic.Pointer[adjacency]
+}
+
+// adjacency is an immutable snapshot of a graph's edge lists, stamped
+// with the vertex and task counts it was built from.
+type adjacency struct {
+	vertices, tasks int
+	out, in         [][]TaskID
 }
 
 // Vertex returns the vertex with the given id.
@@ -147,44 +156,43 @@ func (g *Graph) Vertex(id VertexID) *Vertex { return &g.Vertices[id] }
 // Task returns the task with the given id.
 func (g *Graph) Task(id TaskID) *Task { return &g.Tasks[id] }
 
-// ensureAdj (re)builds adjacency lists when the graph has grown.
-func (g *Graph) ensureAdj() {
-	if len(g.out) == len(g.Vertices) && g.countAdj() == len(g.Tasks) {
-		return
+// edges returns the edge lists of the graph as it stands, building a new
+// snapshot when the vertex or task count differs from the cached one's.
+// Two goroutines that miss together each build an identical snapshot;
+// whichever is stored last serves later reads.
+func (g *Graph) edges() *adjacency {
+	if a := g.adj.Load(); a != nil && a.vertices == len(g.Vertices) && a.tasks == len(g.Tasks) {
+		return a
 	}
-	g.out = make([][]TaskID, len(g.Vertices))
-	g.in = make([][]TaskID, len(g.Vertices))
+	a := &adjacency{
+		vertices: len(g.Vertices),
+		tasks:    len(g.Tasks),
+		out:      make([][]TaskID, len(g.Vertices)),
+		in:       make([][]TaskID, len(g.Vertices)),
+	}
 	for _, t := range g.Tasks {
-		g.out[t.Src] = append(g.out[t.Src], t.ID)
-		g.in[t.Dst] = append(g.in[t.Dst], t.ID)
+		a.out[t.Src] = append(a.out[t.Src], t.ID)
+		a.in[t.Dst] = append(a.in[t.Dst], t.ID)
 	}
-}
-
-func (g *Graph) countAdj() int {
-	n := 0
-	for _, l := range g.out {
-		n += len(l)
-	}
-	return n
+	g.adj.Store(a)
+	return a
 }
 
 // TasksFrom lists tasks whose source is v.
 func (g *Graph) TasksFrom(v VertexID) []TaskID {
-	g.ensureAdj()
-	return g.out[v]
+	return g.edges().out[v]
 }
 
 // TasksInto lists tasks whose destination is v.
 func (g *Graph) TasksInto(v VertexID) []TaskID {
-	g.ensureAdj()
-	return g.in[v]
+	return g.edges().in[v]
 }
 
 // TopoVertices returns the vertices in a topological order, or an error if
 // the graph contains a cycle (which would indicate a builder bug: message
 // matching and per-rank chaining can only create forward edges).
 func (g *Graph) TopoVertices() ([]VertexID, error) {
-	g.ensureAdj()
+	out := g.edges().out
 	indeg := make([]int, len(g.Vertices))
 	for _, t := range g.Tasks {
 		indeg[t.Dst]++
@@ -200,7 +208,7 @@ func (g *Graph) TopoVertices() ([]VertexID, error) {
 		v := queue[0]
 		queue = queue[1:]
 		order = append(order, v)
-		for _, tid := range g.out[v] {
+		for _, tid := range out[v] {
 			d := g.Tasks[tid].Dst
 			indeg[d]--
 			if indeg[d] == 0 {

@@ -2,7 +2,9 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +284,57 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 		if pos[task.Src] >= pos[task.Dst] {
 			t.Fatalf("topo order violates edge %v→%v", task.Src, task.Dst)
 		}
+	}
+}
+
+// TestAdjacencyConcurrentReaders: the first reads of a graph's edge lists
+// may come from several goroutines at once (parallel sweep workers share
+// one graph). They must not race, and every reader must see the same
+// lists; a graph that grows afterwards gets its lists rebuilt.
+func TestAdjacencyConcurrentReaders(t *testing.T) {
+	build := func() *Graph {
+		b := NewBuilder(3)
+		for i := 0; i < 20; i++ {
+			b.Compute(i%3, 1, simpleShape(), "w")
+			b.Send(i%3, (i+1)%3, 10)
+			b.Recv((i+1)%3, i%3)
+			b.Collective("allreduce")
+		}
+		return b.Finalize()
+	}
+	ref := build()
+	want, err := ref.TopoVertices()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g := build()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			order, err := g.TopoVertices()
+			if err != nil || !slices.Equal(order, want) {
+				t.Errorf("concurrent TopoVertices = %v, %v", order, err)
+				return
+			}
+			for v := range g.Vertices {
+				id := VertexID(v)
+				if !slices.Equal(g.TasksFrom(id), ref.TasksFrom(id)) || !slices.Equal(g.TasksInto(id), ref.TasksInto(id)) {
+					t.Errorf("vertex %d: concurrent edge lists differ from a serial build", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	src, dst := g.Tasks[0].Src, g.Tasks[0].Dst
+	id := TaskID(len(g.Tasks))
+	g.Tasks = append(g.Tasks, Task{ID: id, Kind: Message, Src: src, Dst: dst})
+	if out := g.TasksFrom(src); out[len(out)-1] != id {
+		t.Fatalf("TasksFrom(%d) = %v after adding task %d", src, out, id)
 	}
 }
 

@@ -3,10 +3,10 @@ package obs
 // Flight recorder: a fixed-size in-memory ring of wide events — one
 // structured record per request, always on. Where spans answer "where did
 // the time go inside this solve", the wide event answers "why was this
-// request slow, browned, or degraded" after the fact: it carries the
-// admission-time control state (adapt epoch, pressure, SLO burn), the
-// cache/singleflight outcome, the resilience rung that produced the
-// schedule, and the kernel's numerical-health counters in one record.
+// request slow or degraded" after the fact: it carries the SLO burn at
+// admission, the cache/singleflight outcome, the resilience rung that
+// produced the schedule, and the kernel's numerical-health counters in one
+// record.
 //
 // Memory model. The ring is sized to a power of two. Writers claim a slot
 // with a single atomic add on the cursor — that is the only cross-writer
@@ -76,7 +76,7 @@ type WideEvent struct {
 	Status     int     `json:"status"`
 	DurMS      float64 `json:"dur_ms"`
 
-	// Solve shape as admitted (after any brownout rewrite).
+	// Solve shape as requested.
 	Workload   string  `json:"workload,omitempty"`
 	CapW       float64 `json:"cap_w,omitempty"`
 	Whole      bool    `json:"whole,omitempty"`
@@ -94,7 +94,6 @@ type WideEvent struct {
 	Rung           string `json:"rung,omitempty"`
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	Brownout       string `json:"brownout,omitempty"`
 	SolveRetries   int    `json:"solve_retries,omitempty"`
 	// RungAttempts counts solve attempts per ladder rung in descent order
 	// (sparse, heuristic, static) — the per-rung descent trail for this
@@ -105,13 +104,8 @@ type WideEvent struct {
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`
 	SolveMS    float64 `json:"solve_ms,omitempty"`
 
-	// Adaptive-controller state at admission.
-	AdaptEpoch uint64  `json:"adapt_epoch,omitempty"`
-	AdaptRung  string  `json:"adapt_rung,omitempty"`
-	Pressure   float64 `json:"pressure,omitempty"`
-
-	// SLO burn rates at admission (fast/slow windows, max over objectives
-	// for the scalar feed; per-objective detail lives in /healthz).
+	// SLO burn rates at admission (fast/slow windows, max over
+	// objectives; per-objective detail lives in /healthz).
 	SLOFastBurn float64 `json:"slo_fast_burn,omitempty"`
 	SLOSlowBurn float64 `json:"slo_slow_burn,omitempty"`
 

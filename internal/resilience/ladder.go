@@ -16,11 +16,6 @@
 // chain, and is validated on the simulator through internal/schedule's
 // realization/repair loop before being returned — the ladder never serves a
 // cap-violating schedule.
-//
-// Every call names an Entry: the rung to start at and which deadline-slice
-// table to use. The service's overload brownout (internal/adapt) is an
-// entry, not a second ladder: under pressure it selects the brownout table,
-// and at its deepest rung it enters at RungHeuristic.
 package resilience
 
 import (
@@ -94,15 +89,11 @@ const (
 	backoffMax = 50 * time.Millisecond
 )
 
-// Deadline-slice tables: each rung's slice as a fraction of the request's
+// rungFracs is each rung's deadline slice as a fraction of the request's
 // *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
 // parent deadline through unchanged. Early rungs may not starve later
-// ones, and the last rung gets whatever is left. Under brownout the early
-// slices tighten, keeping more of the request budget for the fallbacks.
-var (
-	defaultFracs  = [numRungs]float64{0.5, 0.75, 1.0}
-	brownoutFracs = [numRungs]float64{0.3, 0.6, 1.0}
-)
+// ones, and the last rung gets whatever is left.
+var rungFracs = [numRungs]float64{0.5, 0.75, 1.0}
 
 // LP names the solve the top rung runs. The zero value is the
 // fixed-vertex-order LP decomposed at iteration boundaries.
@@ -113,18 +104,6 @@ type LP struct {
 	// Windowed, when set, solves by the windowed (optionally coarsened)
 	// decomposition instead of a monolithic LP; Whole is then ignored.
 	Windowed *core.WindowedOptions
-}
-
-// Entry is where one call enters the ladder. The zero value starts at the
-// top rung with the default deadline-slice table.
-type Entry struct {
-	// Rung is the first rung tried. Rungs above it are skipped, their
-	// breakers neither consulted nor charged, and the reason chain of a
-	// call entered below the top starts with "brownout:".
-	Rung Rung
-	// Brownout selects the brownout deadline-slice table {0.3, 0.6, 1.0}
-	// in place of the default {0.5, 0.75, 1.0}.
-	Brownout bool
 }
 
 // Outcome is a ladder result: which rung produced the schedule and whether
@@ -201,30 +180,25 @@ func (l *Ladder) BreakerStates() map[string]string {
 }
 
 // Solve runs the ladder for one request: top names the LP the top rung
-// solves, at where the call enters. It returns an error only when the
-// problem itself is bad (infeasible cap, malformed graph), the parent
-// context dies, or every rung tried — including the static last resort —
-// fails.
-func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, at Entry) (*Outcome, error) {
+// solves. It returns an error only when the problem itself is bad
+// (infeasible cap, malformed graph), the parent context dies, or every
+// rung tried — including the static last resort — fails.
+func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP) (*Outcome, error) {
 	ctx, span := obs.Start(ctx, "resilience.ladder")
 	defer span.End()
 	span.SetAttr("cap_w", capW)
 
-	fracs := &defaultFracs
-	if at.Brownout {
-		fracs = &brownoutFracs
-	}
 	out := &Outcome{}
 	var chain []string
 	var lastErr error
 
-	for rung := at.Rung; rung < numRungs; rung++ {
+	for rung := RungSparse; rung < numRungs; rung++ {
 		br := l.breakers[rung]
 		if !br.Allow() {
 			chain = append(chain, rung.String()+":breaker-open")
 			continue
 		}
-		rungCtx, cancel := rungContext(ctx, fracs[rung])
+		rungCtx, cancel := rungContext(ctx, rungFracs[rung])
 		err := l.attempt(rungCtx, sv, g, capW, top, rung, br, out)
 		cancel()
 		if err == nil {
@@ -232,9 +206,6 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 			if rung > RungSparse {
 				out.Degraded = true
 				out.Reason = strings.Join(append(chain, rung.String()), "→")
-				if at.Rung > RungSparse {
-					out.Reason = "brownout:" + out.Reason
-				}
 			}
 			span.SetAttr("rung", rung.String())
 			span.SetAttr("attempts", out.Attempts)

@@ -56,7 +56,7 @@ func TestLadderTopRungMatchesDirectSolve(t *testing.T) {
 	}
 
 	l := New(Config{Sleep: noSleep})
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLadderNaNRecoveredAtTopRung(t *testing.T) {
 	defer faultinject.Disable()
 
 	l := New(Config{Sleep: noSleep})
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLadderStallDescendsToHeuristic(t *testing.T) {
 	defer faultinject.Disable()
 
 	l := New(Config{Sleep: noSleep})
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 	faultinject.Configure(23, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
 	l := New(Config{Sleep: noSleep})
-	out, err := l.Solve(context.Background(), sv, g, 300, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 300, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLadderInfeasiblePropagatesImmediately(t *testing.T) {
 	g := smallGraph()
 	sv := testSolver()
 	l := New(Config{Sleep: noSleep})
-	out, err := l.Solve(context.Background(), sv, g, 0.5, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 0.5, LP{Whole: true})
 	if err == nil {
 		t.Fatalf("infeasible cap produced outcome %+v", out)
 	}
@@ -188,7 +188,7 @@ func TestLadderBreakerSkipsBrokenRung(t *testing.T) {
 		t.Fatalf("sparse breaker state %q after threshold failures", st)
 	}
 
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestLadderBreakerRecoversAfterCooldown(t *testing.T) {
 	}
 	time.Sleep(15 * time.Millisecond)
 
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true}, Entry{})
+	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestLadderDeadParentContext(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	l := New(Config{Sleep: noSleep})
-	if _, err := l.Solve(ctx, sv, g, 100, LP{Whole: true}, Entry{}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := l.Solve(ctx, sv, g, 100, LP{Whole: true}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not wrap the parent deadline", err)
 	}
 }
@@ -260,79 +260,33 @@ func TestHeuristicRungsCapSafe(t *testing.T) {
 	}
 }
 
-// TestEntryAtHeuristic: a call entered at the heuristic rung never runs
-// the top rung, so it neither consults nor charges the sparse breaker, and
-// its reason names the brownout. With the heuristic breaker open it still
-// falls through to static.
-func TestEntryAtHeuristic(t *testing.T) {
+// TestTopRungDeadlineSlice: the top rung gets 0.5 of the remaining
+// deadline. A slow-solve fault that outlasts that slice descends to the
+// heuristic; one that fits completes on the LP.
+func TestTopRungDeadlineSlice(t *testing.T) {
 	g := smallGraph()
 	sv := testSolver()
-	// A top-rung attempt would stall and charge the sparse breaker.
-	faultinject.Configure(24, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
-	defer faultinject.Disable()
-	l := New(Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, Sleep: noSleep})
-	at := Entry{Rung: RungHeuristic, Brownout: true}
-
-	out, err := l.Solve(context.Background(), sv, g, 100, LP{}, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rung != RungHeuristic || !out.Degraded || out.Reason != "brownout:heuristic" {
-		t.Fatalf("entry at heuristic: rung %v degraded %v reason %q, want heuristic/true/brownout:heuristic",
-			out.Rung, out.Degraded, out.Reason)
-	}
-	if out.RungAttempts[RungSparse] != 0 {
-		t.Fatalf("entry at heuristic attempted the top rung %d times", out.RungAttempts[RungSparse])
-	}
-	if out.Realized == nil || out.Realized.CapViolationW != 0 {
-		t.Fatalf("heuristic entry not simulator-certified cap-clean: %+v", out.Realized)
-	}
-
-	l.breakers[RungHeuristic].Failure() // threshold 1: open
-	out, err = l.Solve(context.Background(), sv, g, 100, LP{}, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Rung != RungStatic || out.Reason != "brownout:heuristic:breaker-open→static" {
-		t.Fatalf("entry at an open heuristic breaker: rung %v reason %q, want static/brownout:heuristic:breaker-open→static",
-			out.Rung, out.Reason)
-	}
-	if out.Realized == nil || out.Realized.CapViolationW != 0 {
-		t.Fatalf("static outcome not simulator-certified cap-clean: %+v", out.Realized)
-	}
-	if st := l.BreakerStates()["sparse"]; st != "closed" {
-		t.Fatalf("heuristic entries touched the sparse breaker: %s", st)
-	}
-}
-
-// TestEntryDeadlineTables: the brownout table gives the top rung 0.3 of
-// the remaining deadline, the default table 0.5. A slow-solve fault that
-// outlasts 0.3 but not 0.5 of the request deadline therefore descends
-// under brownout and completes on the LP otherwise.
-func TestEntryDeadlineTables(t *testing.T) {
-	g := smallGraph()
-	sv := testSolver()
-	const deadline, delay = 3 * time.Second, 1200 * time.Millisecond
-	solve := func(at Entry) *Outcome {
+	const deadline = 3 * time.Second
+	solve := func(delay time.Duration) *Outcome {
 		t.Helper()
 		faultinject.Configure(25, map[faultinject.Class]float64{faultinject.SlowSolve: 1.0})
 		faultinject.SetSlowDelay(delay)
 		defer faultinject.Disable()
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		defer cancel()
-		out, err := New(Config{Sleep: noSleep}).Solve(ctx, sv, g, 100, LP{Whole: true}, at)
+		out, err := New(Config{Sleep: noSleep}).Solve(ctx, sv, g, 100, LP{Whole: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 
-	if out := solve(Entry{Brownout: true}); out.Rung != RungHeuristic || out.Reason != "sparse:deadline→heuristic" {
-		t.Fatalf("brownout table: rung %v reason %q, want the top rung's 0.9s slice to expire under a 1.2s delay",
+	if out := solve(1800 * time.Millisecond); out.Rung != RungHeuristic || out.Reason != "sparse:deadline→heuristic" {
+		t.Fatalf("rung %v reason %q, want the top rung's 1.5s slice to expire under a 1.8s delay",
 			out.Rung, out.Reason)
 	}
-	if out := solve(Entry{}); out.Rung != RungSparse || out.Degraded {
-		t.Fatalf("default table: rung %v reason %q, want the top rung's 1.5s slice to outlast a 1.2s delay",
+	if out := solve(1200 * time.Millisecond); out.Rung != RungSparse || out.Degraded {
+		t.Fatalf("rung %v reason %q, want the top rung's 1.5s slice to outlast a 1.2s delay",
 			out.Rung, out.Reason)
 	}
 }

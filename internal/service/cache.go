@@ -149,30 +149,6 @@ func (c *cache) Get(key string) (any, bool) {
 	return nil, false
 }
 
-// Resize retargets the LRU capacity, evicting from the cold end if the new
-// capacity is below the current population. The adaptive control plane
-// calls this once per epoch; in-flight singleflight state is untouched.
-func (c *cache) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// Cap reports the current LRU capacity.
-func (c *cache) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.capacity
-}
-
 // Len reports the number of cached entries.
 func (c *cache) Len() int {
 	c.mu.Lock()

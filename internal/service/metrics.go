@@ -93,19 +93,6 @@ type Metrics struct {
 	ClusterDegradedJobs  atomic.Uint64
 	ClusterInfeasible    atomic.Uint64
 	ClusterMovedWatts    FloatCounter
-	// ShedDeadline counts solves rejected by deadline-aware shedding (the
-	// controller judged they could not finish inside their deadline);
-	// ShedRetryBudget counts retries rejected because the retry-budget
-	// token bucket was empty. Both are rendered as pcschedd_shed_total
-	// broken out by reason; both answer 429 + Retry-After.
-	ShedDeadline    atomic.Uint64
-	ShedRetryBudget atomic.Uint64
-	// AdaptEpochs counts control-plane epochs stepped; AdaptTransitions the
-	// brownout-ladder transitions among them; BrownoutSolves the solves the
-	// active rung rerouted onto a cheaper mode.
-	AdaptEpochs      atomic.Uint64
-	AdaptTransitions atomic.Uint64
-	BrownoutSolves   atomic.Uint64
 	// LP numerical-health families (DESIGN.md §16), accumulated across
 	// every backend solve: basis reinversions, LU threshold-pivoting row
 	// rejections, factorizations retried under strict pivoting, NaN/Inf
@@ -326,9 +313,6 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_cluster_jobs_allocated_total", "Jobs placed across all cluster allocations.", m.ClusterJobsAllocated.Load()},
 		{"pcschedd_cluster_degraded_jobs_total", "Jobs whose schedule could be read neither off their power-time walk nor from a fallback solve that agrees with it.", m.ClusterDegradedJobs.Load()},
 		{"pcschedd_cluster_infeasible_total", "Cluster requests whose budget fell below the sum of per-job feasibility floors.", m.ClusterInfeasible.Load()},
-		{"pcschedd_adapt_epochs_total", "Adaptive control-plane epochs stepped.", m.AdaptEpochs.Load()},
-		{"pcschedd_adapt_transitions_total", "Brownout-ladder transitions (either direction).", m.AdaptTransitions.Load()},
-		{"pcschedd_brownout_solves_total", "Solves rerouted onto a cheaper mode by the active brownout rung.", m.BrownoutSolves.Load()},
 		{"pcschedd_lp_refactorizations_total", "Sparse-backend basis reinversions across all solves.", m.LPRefactorizations.Load()},
 		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", m.LPPivotRejections.Load()},
 		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
@@ -341,13 +325,6 @@ func (m *Metrics) Render(w io.Writer) {
 		writeMeta(w, c.name, c.help, "counter")
 		fmt.Fprintf(w, "%s %d\n", c.name, c.v)
 	}
-
-	// Shed rejections, broken out by reason. Both label values render
-	// unconditionally so the family always carries samples (the metrics
-	// conformance test requires every declared family to be scrapeable).
-	writeMeta(w, "pcschedd_shed_total", "Requests shed by the adaptive control plane, by reason.", "counter")
-	fmt.Fprintf(w, "pcschedd_shed_total{reason=\"deadline\"} %d\n", m.ShedDeadline.Load())
-	fmt.Fprintf(w, "pcschedd_shed_total{reason=\"retry_budget\"} %d\n", m.ShedRetryBudget.Load())
 
 	writeMeta(w, "pcschedd_inflight_requests", "API requests currently inside a handler.", "gauge")
 	fmt.Fprintf(w, "pcschedd_inflight_requests %d\n", m.Inflight.Load())

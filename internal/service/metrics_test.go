@@ -194,11 +194,7 @@ func TestMetricsConformance(t *testing.T) {
 		"pcschedd_goroutines", "pcschedd_cache_entries", "pcschedd_build_info",
 		"pcschedd_cluster_allocations_total", "pcschedd_cluster_jobs_allocated_total",
 		"pcschedd_cluster_moved_watts_total",
-		"pcschedd_shed_total", "pcschedd_queue_occupancy",
-		"pcschedd_adapt_epochs_total", "pcschedd_adapt_transitions_total",
-		"pcschedd_brownout_solves_total", "pcschedd_brownout_rung",
-		"pcschedd_adapt_workers", "pcschedd_adapt_queue_depth",
-		"pcschedd_retry_budget_tokens",
+		"pcschedd_queue_occupancy",
 		"pcschedd_lp_refactorizations_total", "pcschedd_lp_pivot_rejections_total",
 		"pcschedd_lp_factor_tau_retries_total", "pcschedd_lp_nan_recoveries_total",
 		"pcschedd_lp_bland_activations_total", "pcschedd_lp_presolve_rows_total",

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"powercap"
-	"powercap/internal/adapt"
 	"powercap/internal/faultinject"
 )
 
@@ -78,33 +77,29 @@ func TestDegradedServedTaggedAndUncached(t *testing.T) {
 
 // TestEveryShapeDegradesUnderStall: with every LP pivot loop stalled, each
 // /v1/solve shape falls back through the one degradation ladder — the
-// monolithic LP, a windowed and a coarsened solve, and the request as each
-// brownout rung rewrites it. Every one answers 200 from the heuristic rung
+// monolithic LP, a windowed and a coarsened solve, a costly realization,
+// and all of them at once. Every one answers 200 from the heuristic rung
 // with a cap-clean realization; none answers 500.
 func TestEveryShapeDegradesUnderStall(t *testing.T) {
-	s, base := adaptServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2})
 	faultinject.Configure(35, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
 
-	type shape struct {
+	shapes := []struct {
 		name string
-		rung adapt.Rung
 		req  SolveRequest
-	}
-	shapes := []shape{
-		{"monolithic", adapt.RungFull, SolveRequest{}},
-		{"windows=2", adapt.RungFull, SolveRequest{Windows: 2}},
-		{"coarsen_eps=0.002", adapt.RungFull, SolveRequest{CoarsenEps: 0.002}},
-	}
-	for r := adapt.RungFull; r <= adapt.MaxRung; r++ {
-		shapes = append(shapes, shape{"brownout " + r.String(), r, SolveRequest{Realize: "best"}})
+	}{
+		{"monolithic", SolveRequest{}},
+		{"windows=2", SolveRequest{Windows: 2}},
+		{"coarsen_eps=0.002", SolveRequest{CoarsenEps: 0.002}},
+		{"realize=best", SolveRequest{Realize: "best"}},
+		{"realize=down windows=4 coarsen_eps=0.002", SolveRequest{Realize: "down", Windows: 4, CoarsenEps: 0.002}},
 	}
 	for i, sh := range shapes {
-		s.adaptState.Store(&adapt.State{Rung: sh.rung, CoarsenEps: 0.002, Windows: 4})
 		req := sh.req
 		req.Workload = fastWL
 		req.CapPerSocketW = 50 + float64(i)
-		code, body := postJSON(t, base+"/v1/solve", req)
+		code, body := postJSON(t, ts.URL+"/v1/solve", req)
 		if code != http.StatusOK {
 			t.Errorf("%s: status %d (%s), want 200", sh.name, code, body)
 			continue
@@ -116,12 +111,8 @@ func TestEveryShapeDegradesUnderStall(t *testing.T) {
 		if !resp.Degraded || resp.DegradedRung != "heuristic" {
 			t.Errorf("%s: degraded %v rung %q, want true/heuristic", sh.name, resp.Degraded, resp.DegradedRung)
 		}
-		wantPrefix := "sparse:"
-		if sh.rung == adapt.RungHeuristic {
-			wantPrefix = "brownout:heuristic"
-		}
-		if !strings.HasPrefix(resp.DegradedReason, wantPrefix) {
-			t.Errorf("%s: reason %q, want prefix %q", sh.name, resp.DegradedReason, wantPrefix)
+		if !strings.HasPrefix(resp.DegradedReason, "sparse:") {
+			t.Errorf("%s: reason %q, want prefix %q", sh.name, resp.DegradedReason, "sparse:")
 		}
 		if resp.Realized == nil || resp.Realized.CapViolationW != 0 {
 			t.Errorf("%s: not certified cap-clean: %+v", sh.name, resp.Realized)

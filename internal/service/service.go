@@ -52,7 +52,6 @@ import (
 	"time"
 
 	"powercap"
-	"powercap/internal/adapt"
 	"powercap/internal/faultinject"
 	"powercap/internal/obs"
 	"powercap/internal/slo"
@@ -83,16 +82,10 @@ type Config struct {
 	// inline document and pcschedd_trace_spans_dropped_total report the
 	// overflow.
 	TraceSpanLimit int
-	// Adapt configures the overload control plane (DESIGN.md §15). With
-	// Adapt.Enabled false (the default) the service behaves bit-identically
-	// to a build without the control plane. The Workers/QueueDepth/
-	// CacheSize baselines are taken from this Config, not from Adapt.
-	Adapt adapt.Config
 	// SLO configures the burn-rate engine (DESIGN.md §16); the zero value
 	// selects the defaults (99% availability, 95% of requests under 2s).
-	// The engine is always on — it feeds /healthz, /metrics, the flight
-	// recorder, and (when the control plane is enabled) the controller's
-	// pressure signal.
+	// The engine is always on — it feeds /healthz, /metrics and the flight
+	// recorder.
 	SLO slo.Config
 	// FlightSlots sizes the always-on flight-recorder ring (default
 	// obs.DefaultFlightSlots); FlightSnapshotDir is where panic and
@@ -141,18 +134,6 @@ type Server struct {
 	sysMu   sync.Mutex
 	sysPool map[string]*powercap.System
 
-	// adaptState is the control plane's published decision; nil means the
-	// controller is off and every knob sits at its configured static
-	// value (the one-atomic-load disarmed path). adaptRT owns the
-	// controller and its epoch loop. parkedQueue/parkedSem count the
-	// admission/worker tokens the controller has parked to shrink
-	// effective capacity — zero when disarmed, so acquire() semantics are
-	// untouched.
-	adaptState  atomic.Pointer[adapt.State]
-	adaptRT     *adaptRuntime
-	parkedQueue atomic.Int64
-	parkedSem   atomic.Int64
-
 	// drainLastNS/drainGapNS estimate the queue drain rate (EWMA of the
 	// interval between solve completions) for Retry-After hints on 429s.
 	drainLastNS atomic.Int64
@@ -200,16 +181,6 @@ func New(cfg Config) *Server {
 		slo:            slo.New(cfg.SLO),
 		flightDir:      cfg.FlightSnapshotDir,
 	}
-	if cfg.Adapt.Enabled {
-		// The controller adapts around the service's configured
-		// baselines, whatever the Adapt sub-config says.
-		acfg := cfg.Adapt
-		acfg.Workers = cfg.Workers
-		acfg.QueueDepth = cfg.QueueDepth
-		acfg.CacheSize = cfg.CacheSize
-		s.adaptRT = newAdaptRuntime(acfg)
-		s.adaptState.Store(s.adaptRT.ctrl.State())
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/solve", s.api(s.handleSolve))
 	s.mux.HandleFunc("POST /v1/sweep", s.api(s.handleSweep))
@@ -252,25 +223,6 @@ func (s *Server) SLO() *slo.Engine { return s.slo }
 // way). /healthz and /metrics stay up for observability.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	if rt := s.adaptRT; rt != nil {
-		// Stop the epoch loop, then pin the controller at full fidelity:
-		// drain only ever snaps *up*, and no brownout transition may
-		// happen while draining. The final adaptive epoch is checkpointed
-		// to the log so an operator can see what state the controller
-		// died in.
-		rt.stopLoop()
-		ck := rt.ctrl.BeginDrain()
-		s.adaptState.Store(rt.ctrl.State())
-		s.unparkAll()
-		if s.logger != nil {
-			s.logger.Info("adapt drain checkpoint",
-				"epoch", ck.Epoch,
-				"rung", ck.RungName,
-				"transitions", ck.Transitions,
-				"est_solve_ms", ck.EstSolveS*1e3,
-				"pressure", ck.Pressure)
-		}
-	}
 	idle := make(chan struct{})
 	go func() {
 		// Write-locking waits for every in-flight reader (= request).
@@ -413,20 +365,6 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 			writeError(w, http.StatusServiceUnavailable, "service is draining")
 			return
 		}
-		// Retry budget: requests that declare themselves retries spend a
-		// token from a bucket refilled at the observed completion rate, so
-		// a retry storm cannot amplify an overload. Armed only with the
-		// control plane on (one atomic load when off); draining exempts —
-		// every remaining request is a goodbye.
-		if st := s.adaptState.Load(); st != nil && !st.Draining {
-			if a := r.Header.Get("X-Retry-Attempt"); a != "" && a != "0" {
-				if !s.adaptRT.bucket.TakeAt(time.Now()) {
-					s.metrics.ShedRetryBudget.Add(1)
-					s.writeTooBusy(w, "retry budget exhausted; honor Retry-After")
-					return
-				}
-			}
-		}
 		s.metrics.Inflight.Add(1)
 		defer s.metrics.Inflight.Add(-1)
 
@@ -444,15 +382,10 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 		ctx := context.WithValue(r.Context(), requestIDKey{}, reqID)
 
 		// The wide event travels with the request: handlers fill the solve
-		// fields, api() stamps outcome/latency and records it. Admission-time
-		// control state is captured here so a browned request's record shows
-		// the pressure and burn that caused the rerouting.
+		// fields, api() stamps outcome/latency and records it. The SLO burn
+		// at admission is captured here, so a slow or degraded request's
+		// record shows the burn it arrived into.
 		ev := &obs.WideEvent{RequestID: reqID, Path: r.URL.Path}
-		if st := s.adaptState.Load(); st != nil {
-			ev.AdaptEpoch = st.Epoch
-			ev.AdaptRung = st.Rung.String()
-			ev.Pressure = st.Pressure
-		}
 		for _, ob := range s.slo.Status(start) {
 			if ob.FastBurn > ev.SLOFastBurn {
 				ev.SLOFastBurn = ob.FastBurn
@@ -519,7 +452,7 @@ func (s *Server) api(h func(http.ResponseWriter, *http.Request)) http.HandlerFun
 
 		// Close out the forensic record: outcome, latency, and the SLO
 		// sample. 429s are deliberate backpressure — the engine excludes
-		// them — so shedding under overload cannot amplify its own burn.
+		// them — so rejecting under overload cannot amplify its own burn.
 		s.slo.Observe(time.Now(), rec.status, dur)
 		ev.TimeUnixNS = start.UnixNano()
 		ev.Status = rec.status
@@ -571,6 +504,50 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 func (s *Server) writeTooBusy(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	writeError(w, http.StatusTooManyRequests, msg)
+}
+
+// noteCompletion feeds the queue-drain-rate estimator: an EWMA (¾ old, ¼
+// new) of the interval between solve completions, maintained with two
+// atomics so it costs nothing measurable per solve. Retry-After hints on
+// 429s divide the queue length by this rate.
+func (s *Server) noteCompletion() {
+	now := time.Now().UnixNano()
+	last := s.drainLastNS.Swap(now)
+	if last == 0 {
+		return
+	}
+	iv := now - last
+	if iv <= 0 {
+		iv = 1
+	}
+	old := s.drainGapNS.Load()
+	if old == 0 {
+		s.drainGapNS.Store(iv)
+	} else {
+		s.drainGapNS.Store((old*3 + iv) / 4)
+	}
+}
+
+// maxRetryAfterS clamps the Retry-After hint on 429 responses.
+const maxRetryAfterS = 30
+
+// retryAfterSeconds estimates how long a rejected client should wait for
+// the queue ahead of it to drain: (queued+1) × inter-completion gap,
+// clamped to [1, maxRetryAfterS]. Before any completion has been observed
+// it answers the 1-second floor.
+func (s *Server) retryAfterSeconds() int {
+	gap := s.drainGapNS.Load()
+	if gap <= 0 {
+		return 1
+	}
+	secs := int(math.Ceil(float64(len(s.queue)+1) * float64(gap) / 1e9))
+	if secs < 1 {
+		secs = 1
+	}
+	if secs > maxRetryAfterS {
+		secs = maxRetryAfterS
+	}
+	return secs
 }
 
 // requestCtx derives the per-request deadline: the client's timeout_ms
@@ -798,10 +775,6 @@ type SolveResponse struct {
 	DegradedRung   string `json:"degraded_rung,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	SolveRetries   int    `json:"solve_retries,omitempty"`
-	// Brownout names the adaptive control plane's rung when this solve was
-	// rerouted onto a cheaper mode under overload ("" otherwise). Browned
-	// results are served but never cached.
-	Brownout string `json:"brownout,omitempty"`
 
 	// Cached is true when the response came from the LRU or an in-flight
 	// identical solve rather than a fresh backend run. ClusterOrigin, set
@@ -832,10 +805,6 @@ type solveOutcome struct {
 	rung       string
 	reason     string
 	retries    int
-	// brownout names the control-plane rung that rerouted this solve onto a
-	// cheaper mode ("" for a full-fidelity solve). Browned outcomes are never
-	// cacheable regardless of degraded.
-	brownout string
 	// rungAttempts is the per-rung solve-attempt trail (ladder descent
 	// order) the flight recorder stores with the request.
 	rungAttempts [obs.NumLadderRungs]int32
@@ -906,58 +875,23 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ev.DeadlineMS = float64(time.Until(dl)) / float64(time.Millisecond)
 	}
 
-	// Brownout (adaptive control plane, DESIGN.md §15): under sustained
-	// pressure the request may be rerouted onto a cheaper solve mode. A
-	// `?degraded=forbid` request is never browned (guardrail precedence),
-	// a full-fidelity result already in the LRU is always preferred over
-	// a browned solve, and a browned flight runs under a rung-scoped key
-	// with cacheable=false — brownout results never enter the cache and
-	// never coalesce with full-fidelity flights. Whatever the rewrite, the
-	// solve runs through the one degradation ladder, entered where the
-	// published state says.
-	adaptSt := s.adaptState.Load()
-	bo := brownoutFor(adaptSt, degradedPolicy, &req)
-	breq := req
-	flightKey := key
-	if bo != nil {
-		if _, ok := s.cache.Get(key); ok {
-			bo = nil // serve the cached full-fidelity artifact instead
-		} else {
-			bo.apply(&breq)
-			flightKey = key + "|brownout=" + bo.rung.String()
-		}
-	}
-	at := ladderEntry(adaptSt, bo)
-
+	// Every solve runs through the one degradation ladder; a degraded
+	// outcome is served but never cached.
 	fn := func() (any, bool, error) {
-		if adaptSt != nil && adaptSt.Shedding {
-			// Deadline-aware shedding: work that cannot finish inside its
-			// remaining budget is turned away before it occupies a slot.
-			// Only the miss path sheds — a cache hit never gets here.
-			if err := s.shedCheck(ctx, adaptSt); err != nil {
-				return nil, false, err
-			}
-		}
-		out, err := s.solveWorker(ctx, sys, g, jobCap, &breq, at)
+		out, err := s.solveWorker(ctx, sys, g, jobCap, &req)
 		if err != nil && errors.Is(err, errSolvePanic) {
 			// The panic is already contained and counted; the request gets
 			// one clean retry before failing.
-			out, err = s.solveWorker(ctx, sys, g, jobCap, &breq, at)
+			out, err = s.solveWorker(ctx, sys, g, jobCap, &req)
 		}
 		if err != nil {
 			return nil, false, err
 		}
-		if bo != nil {
-			out.brownout = bo.rung.String()
-			s.metrics.BrownoutSolves.Add(1)
-		}
-		return out, !out.degraded && bo == nil, nil
+		return out, !out.degraded, nil
 	}
-	// Solve shape as admitted (after any brownout rewrite) — what actually
-	// ran, which is what forensics wants.
-	ev.Windows = breq.Windows
-	ev.CoarsenEps = breq.CoarsenEps
-	ev.CacheKey = flightKey
+	ev.Windows = req.Windows
+	ev.CoarsenEps = req.CoarsenEps
+	ev.CacheKey = key
 
 	tSolve := time.Now()
 	var val any
@@ -971,7 +905,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		bypass = true
 		val, _, err = fn()
 	} else {
-		val, how, err = s.cache.DoMaybe(ctx, flightKey, fn)
+		val, how, err = s.cache.DoMaybe(ctx, key, fn)
 	}
 	ev.SolveMS = msSince(tSolve)
 	ev.Cache = hitKindString(how, bypass)
@@ -986,7 +920,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ev.Rung = out.rung
 	ev.Degraded = out.degraded
 	ev.DegradedReason = out.reason
-	ev.Brownout = out.brownout
 	ev.SolveRetries = out.retries
 	ev.ClusterOrigin = out.clusterOrigin
 	if how == hitMiss && out.sched != nil {
@@ -1021,7 +954,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.DegradedRung = out.rung
 		resp.DegradedReason = out.reason
 		resp.SolveRetries = out.retries
-		resp.Brownout = out.brownout
 		if out.realized != nil {
 			resp.Realized = NewRealizedJSON(out.realized)
 		}
@@ -1056,11 +988,11 @@ func (s *Server) inlineTrace(r *http.Request) *obs.Document {
 
 // solveWorker runs one resilient solve on a worker slot: the LP the
 // request names (iteration-decomposed, whole, or windowed/coarsened) on the
-// degradation ladder's top rung, entered at at. A panic anywhere in the
+// degradation ladder's top rung. A panic anywhere in the
 // solve path is recovered here — counted, turned into errSolvePanic, and
 // the worker slot released cleanly — so a poisoned request can never take
 // the daemon (or a pooled worker) down with it.
-func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *powercap.Graph, jobCap float64, req *SolveRequest, at powercap.ResilientEntry) (out *solveOutcome, err error) {
+func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *powercap.Graph, jobCap float64, req *SolveRequest) (out *solveOutcome, err error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -1091,7 +1023,7 @@ func (s *Server) solveWorker(ctx context.Context, sys *powercap.System, g *power
 		}
 	}
 	t0 := time.Now()
-	res, serr := sys.UpperBoundResilientCtx(ctx, g, jobCap, top, at)
+	res, serr := sys.UpperBoundResilientCtx(ctx, g, jobCap, top)
 	s.metrics.SolveLatency.Observe(time.Since(t0))
 	if serr != nil {
 		if errors.Is(serr, powercap.ErrInfeasible) {
@@ -1365,23 +1297,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":      status,
 		"workers":     s.workers,
 		"queue_depth": s.queueDepth,
-		"queue_used":  s.queueUsed(),
+		"queue_used":  len(s.queue),
 		"inflight":    s.metrics.Inflight.Load(),
 		"cached":      s.cache.Len(),
 		"breakers":    s.breakerStates(),
 		"slo":         s.slo.Status(time.Now()),
-	}
-	if s.adaptRT != nil {
-		st := s.adaptState.Load()
-		body["adapt"] = map[string]any{
-			"enabled":     true,
-			"rung":        st.Rung.String(),
-			"epoch":       st.Epoch,
-			"pressure":    st.Pressure,
-			"workers":     st.Workers,
-			"queue_depth": st.QueueDepth,
-			"draining":    st.Draining,
-		}
 	}
 	writeJSON(w, http.StatusOK, body)
 }
@@ -1432,24 +1352,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.sysMu.Unlock()
 	writeMeta(w, "pcschedd_systems_pooled", "powercap.System instances pooled by efficiency-scale vector.", "gauge")
 	fmt.Fprintf(w, "pcschedd_systems_pooled %d\n", pooled)
-	writeMeta(w, "pcschedd_queue_occupancy", "Fraction of the effective admission queue in use (0-1).", "gauge")
-	fmt.Fprintf(w, "pcschedd_queue_occupancy %g\n", s.queueOccupancy())
-	rung, aworkers, aqdepth := 0, s.workers, s.queueDepth
-	if st := s.adaptState.Load(); st != nil {
-		rung, aworkers, aqdepth = int(st.Rung), st.Workers, st.QueueDepth
-	}
-	var tokens float64
-	if rt := s.adaptRT; rt != nil {
-		tokens = rt.bucket.TokensAt(time.Now())
-	}
-	writeMeta(w, "pcschedd_brownout_rung", "Current brownout ladder rung (0 = full fidelity).", "gauge")
-	fmt.Fprintf(w, "pcschedd_brownout_rung %d\n", rung)
-	writeMeta(w, "pcschedd_adapt_workers", "Effective worker slots after adaptive parking.", "gauge")
-	fmt.Fprintf(w, "pcschedd_adapt_workers %d\n", aworkers)
-	writeMeta(w, "pcschedd_adapt_queue_depth", "Effective admission queue depth after adaptive parking.", "gauge")
-	fmt.Fprintf(w, "pcschedd_adapt_queue_depth %d\n", aqdepth)
-	writeMeta(w, "pcschedd_retry_budget_tokens", "Tokens remaining in the retry budget bucket.", "gauge")
-	fmt.Fprintf(w, "pcschedd_retry_budget_tokens %g\n", tokens)
+	writeMeta(w, "pcschedd_queue_occupancy", "Fraction of the admission queue in use (0-1).", "gauge")
+	fmt.Fprintf(w, "pcschedd_queue_occupancy %g\n", float64(len(s.queue))/float64(cap(s.queue)))
 	writeMeta(w, "pcschedd_build_info", "Build metadata as labels; the value is always 1.", "gauge")
 	fmt.Fprintf(w, "pcschedd_build_info{go_version=%q} 1\n", runtime.Version())
 
@@ -1530,9 +1434,6 @@ func (s *Server) solveError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.metrics.Rejected.Add(1)
-		s.writeTooBusy(w, err.Error())
-	case errors.Is(err, errShedDeadline):
-		s.metrics.ShedDeadline.Add(1)
 		s.writeTooBusy(w, err.Error())
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		s.metrics.Canceled.Add(1)

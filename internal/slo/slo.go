@@ -1,6 +1,6 @@
 // Package slo turns the daemon's raw request stream into service-level
-// objectives with multiwindow burn rates, the control signal the adaptive
-// brownout controller consumes in place of a raw latency percentile.
+// objectives with multiwindow burn rates, reported in /healthz, /metrics
+// and every wide event in place of a raw latency percentile.
 //
 // An objective is a target fraction of "good" requests (availability: no
 // 5xx; latency: served under a threshold). The burn rate is the rate at
@@ -11,8 +11,7 @@
 // Each objective is measured over two sliding windows — a fast window
 // (minutes) that reacts to incidents within seconds and recovers within
 // minutes, and a slow window (an hour) that reports sustained erosion.
-// The fast burn drives control (it feeds adapt.Signals.SLOBurn); the slow
-// burn is forensic context in /healthz, /metrics, and wide events.
+// Both burns are forensic context in /healthz, /metrics, and wide events.
 //
 // Windows are rings of bucketed counters: a window of span S with n
 // buckets holds n buckets of width S/n, each stamped with its epoch
@@ -33,16 +32,17 @@ import (
 type Config struct {
 	// AvailabilityTarget is the good fraction for the availability
 	// objective (default 0.99). Good = not a 5xx. Deliberate backpressure
-	// (429) is excluded entirely: shedding is the controller doing its
-	// job, and counting it as failure would make brownout self-amplifying.
+	// (429) is excluded entirely: admission control doing its job is not
+	// a failure of the service.
 	AvailabilityTarget float64
 	// LatencyTarget is the good fraction for the latency objective
 	// (default 0.95); good = a non-error response under LatencyThreshold
 	// (default 2s).
 	LatencyTarget    float64
 	LatencyThreshold time.Duration
-	// FastWindow (default 5m) drives control; SlowWindow (default 1h)
-	// drives reporting. Each window holds Buckets buckets (default 30).
+	// FastWindow (default 5m) reacts to incidents; SlowWindow (default
+	// 1h) reports sustained erosion. Each window holds Buckets buckets
+	// (default 30).
 	FastWindow time.Duration
 	SlowWindow time.Duration
 	Buckets    int
@@ -239,20 +239,6 @@ func (e *Engine) Observe(t time.Time, status int, dur time.Duration) {
 	if ok {
 		e.Latency.observe(t, dur <= e.cfg.LatencyThreshold)
 	}
-}
-
-// ControlBurn is the scalar control feed: the worst fast-window burn
-// across objectives, plus the fast-window sample count backing it (so the
-// controller can tell "no data" from "no errors").
-func (e *Engine) ControlBurn(t time.Time) (burn float64, samples uint64) {
-	for _, o := range []*Objective{e.Availability, e.Latency} {
-		g, tot := o.fast.counts(t)
-		if b := o.burn(g, tot); b > burn {
-			burn = b
-		}
-		samples += tot
-	}
-	return burn, samples
 }
 
 // Status snapshots every objective at t, availability first.

@@ -127,7 +127,7 @@ func TestEngineClassification(t *testing.T) {
 	e.Observe(now, 200, 50*time.Millisecond)  // good everywhere
 	e.Observe(now, 200, 500*time.Millisecond) // slow success
 	e.Observe(now, 500, 1*time.Millisecond)   // fast failure: bad avail, excluded from latency
-	e.Observe(now, 429, 1*time.Millisecond)   // shed: excluded everywhere
+	e.Observe(now, 429, 1*time.Millisecond)   // rejected: excluded everywhere
 
 	as := e.Availability.Status(now)
 	if as.FastTotal != 3 || as.FastGood != 2 {
@@ -138,14 +138,10 @@ func TestEngineClassification(t *testing.T) {
 		t.Fatalf("latency = %d/%d, want 1/2", ls.FastGood, ls.FastTotal)
 	}
 
-	burn, samples := e.ControlBurn(now)
-	if samples != 5 {
-		t.Fatalf("ControlBurn samples = %d, want 5", samples)
-	}
 	// latency: 1 bad of 2 with 10% budget → burn 5; availability: 1 bad
-	// of 3 with 1% budget → burn 100/3 ≈ 33.3. Max wins.
-	if math.Abs(burn-100.0/3) > 1e-9 {
-		t.Fatalf("ControlBurn = %g, want %g", burn, 100.0/3)
+	// of 3 with 1% budget → burn 100/3 ≈ 33.3.
+	if math.Abs(as.FastBurn-100.0/3) > 1e-9 || math.Abs(ls.FastBurn-5) > 1e-9 {
+		t.Fatalf("fast burns = %g, %g, want %g, 5", as.FastBurn, ls.FastBurn, 100.0/3)
 	}
 }
 
@@ -173,7 +169,7 @@ func TestEngineConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				e.Observe(base.Add(time.Duration(i)*time.Millisecond), 200+(i%2)*300, time.Millisecond)
 				if i%31 == 0 {
-					e.ControlBurn(base.Add(time.Duration(i) * time.Millisecond))
+					e.Status(base.Add(time.Duration(i) * time.Millisecond))
 				}
 			}
 		}(g)

@@ -14,8 +14,8 @@ import (
 )
 
 // Result is one Run's classified outcome. Goodput counts every 2xx answer
-// — full-fidelity, browned, and degraded alike: the overload experiments
-// are precisely about how much of the offered load still gets *an* answer,
+// — full-fidelity and degraded alike: the overload experiments are
+// precisely about how much of the offered load still gets *an* answer,
 // with the fidelity split reported alongside.
 type Result struct {
 	Scenario string  `json:"scenario"`
@@ -25,7 +25,6 @@ type Result struct {
 
 	OK       int `json:"ok"`
 	OKFull   int `json:"ok_full"`
-	Browned  int `json:"ok_browned"`
 	Degraded int `json:"ok_degraded"`
 	Cached   int `json:"ok_cached"`
 
@@ -66,7 +65,6 @@ type RunOptions struct {
 type solveBody struct {
 	MakespanS float64 `json:"makespan_s"`
 	Degraded  bool    `json:"degraded"`
-	Brownout  string  `json:"brownout"`
 	Cached    bool    `json:"cached"`
 	Realized  *struct {
 		CapViolationW float64 `json:"cap_violation_w"`
@@ -193,12 +191,9 @@ func classify(res *Result, status int, body []byte) {
 		if json.Unmarshal(body, &sb) != nil {
 			return
 		}
-		switch {
-		case sb.Brownout != "":
-			res.Browned++
-		case sb.Degraded:
+		if sb.Degraded {
 			res.Degraded++
-		default:
+		} else {
 			res.OKFull++
 		}
 		if sb.Cached {
@@ -285,9 +280,9 @@ func p95(ms []float64) float64 {
 // String renders the result as one compact report line.
 func (r *Result) String() string {
 	return fmt.Sprintf(
-		"%s: %d req (%d retries) in %.1fs — ok %d (full %d, browned %d, degraded %d, cached %d), 429 %d, 503 %d, 504 %d, 5xx %d, transport %d, cap-violations %d, goodput %.1f/s, p95 %.0fms",
+		"%s: %d req (%d retries) in %.1fs — ok %d (full %d, degraded %d, cached %d), 429 %d, 503 %d, 504 %d, 5xx %d, transport %d, cap-violations %d, goodput %.1f/s, p95 %.0fms",
 		r.Scenario, r.Requests, r.Retries, r.WallS,
-		r.OK, r.OKFull, r.Browned, r.Degraded, r.Cached,
+		r.OK, r.OKFull, r.Degraded, r.Cached,
 		r.Rej429, r.Drain503, r.Timeout504, r.Err5xx, r.TransportErr,
 		r.CapViolations, r.GoodputPerS, r.P95MS)
 }

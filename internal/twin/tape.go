@@ -17,8 +17,8 @@ import (
 // (request_id, elapsed_ms, trace) are stripped and the rest re-marshaled
 // with sorted keys; the resulting canonical transcript, and therefore the
 // tape digest, must be byte-identical across runs against equivalent
-// daemons. That is the contract the `-adapt=off` bit-identity regression
-// rides on.
+// daemons. That is the contract the replay regression rides on: a change
+// that must not alter any answer must leave the replay digest unchanged.
 
 // TapeEntry is one recorded exchange.
 type TapeEntry struct {

@@ -12,7 +12,7 @@
 //
 //   - Driving is split by purpose. Run paces the schedule against a live
 //     daemon in real time with bounded in-flight concurrency and
-//     classifies every response (goodput vs shed vs failed) — that is the
+//     classifies every response (goodput vs rejected vs failed) — that is the
 //     load-test mode, where wall-clock and scheduling jitter are part of
 //     the experiment. Record/Replay issue the schedule *serially* and
 //     canonicalize each response (volatile fields stripped, keys sorted),
@@ -80,8 +80,8 @@ type Scenario struct {
 	Caps  []float64 `json:"caps"`
 	ZipfS float64   `json:"zipf_s"`
 
-	// RealizeFrac of requests ask for an expensive realization ("best"),
-	// giving the realize-down brownout rung something to downgrade.
+	// RealizeFrac of requests ask for the most expensive realization
+	// strategy ("best").
 	RealizeFrac float64 `json:"realize_frac,omitempty"`
 
 	// TimeoutMS is the per-request deadline sent to the service (0 = none).

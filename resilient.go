@@ -26,9 +26,6 @@ type (
 	// ResilientLP names the LP the top rung solves: decomposed at
 	// iteration boundaries (the zero value), whole, or windowed.
 	ResilientLP = resilience.LP
-	// ResilientEntry is where a call enters the ladder: the first rung
-	// and the deadline-slice table (default or brownout).
-	ResilientEntry = resilience.Entry
 )
 
 // Ladder rungs, top (preferred) to bottom (last resort).
@@ -51,14 +48,14 @@ func (s *System) Ladder() *resilience.Ladder {
 }
 
 // UpperBoundResilientCtx solves g under jobCapW through the degradation
-// ladder: top names the LP its top rung solves, at where the call enters.
-// It returns a schedule whenever any rung tried — including the static
-// last resort — can produce a cap-respecting one, and reports through the
-// Outcome whether and why the result is degraded below the LP bound. Each
+// ladder: top names the LP its top rung solves. It returns a schedule
+// whenever any rung tried — including the static last resort — can
+// produce a cap-respecting one, and reports through the Outcome whether
+// and why the result is degraded below the LP bound. Each
 // rung gets a bounded slice of the remaining deadline, so a slow top rung
 // cannot starve the fallbacks; an error is returned only for bad problems
 // (ErrInfeasible, malformed graphs), a dead context, or when every rung
 // fails.
-func (s *System) UpperBoundResilientCtx(ctx context.Context, g *Graph, jobCapW float64, top ResilientLP, at ResilientEntry) (*ResilientOutcome, error) {
-	return s.Ladder().Solve(ctx, s.solver(), g, jobCapW, top, at)
+func (s *System) UpperBoundResilientCtx(ctx context.Context, g *Graph, jobCapW float64, top ResilientLP) (*ResilientOutcome, error) {
+	return s.Ladder().Solve(ctx, s.solver(), g, jobCapW, top)
 }

@@ -3,6 +3,7 @@ package powercap_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -63,26 +64,55 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d points, want %d", workers, len(par), len(serial))
+		requireSameSweep(t, fmt.Sprintf("workers=%d", workers), par, serial)
+	}
+}
+
+// TestSweepParallelFreshGraph hands SweepParallel graphs nobody has read
+// yet, so its workers are the first to need the adjacency lists. Under
+// -race they must share them without a data race, and every point must
+// match the serial sweep of an identical graph.
+func TestSweepParallelFreshGraph(t *testing.T) {
+	for _, name := range []string{"SP", "LULESH", "CoMD"} {
+		ref := smallWorkload(t, name)
+		serial, err := powercap.SystemFor(ref, nil).SolveSweep(ref.Graph, sweepCaps(ref))
+		if err != nil {
+			t.Fatalf("%s serial: %v", name, err)
 		}
-		for i := range par {
-			if par[i].CapW != serial[i].CapW {
-				t.Fatalf("workers=%d point %d: cap %v, want %v", workers, i, par[i].CapW, serial[i].CapW)
+		for _, workers := range []int{2, 4} {
+			w := smallWorkload(t, name)
+			par, err := powercap.SystemFor(w, nil).SweepParallel(w.Graph, sweepCaps(w), workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
 			}
-			if (par[i].Err == nil) != (serial[i].Err == nil) {
-				t.Fatalf("workers=%d cap %v: err %v vs serial %v", workers, par[i].CapW, par[i].Err, serial[i].Err)
+			requireSameSweep(t, fmt.Sprintf("%s workers=%d", name, workers), par, serial)
+		}
+	}
+}
+
+// requireSameSweep fails unless par has serial's caps, the same infeasible
+// points, and makespans within 1e-9 relative.
+func requireSameSweep(t *testing.T, label string, par, serial []powercap.SweepPoint) {
+	t.Helper()
+	if len(par) != len(serial) {
+		t.Fatalf("%s: %d points, want %d", label, len(par), len(serial))
+	}
+	for i := range par {
+		if par[i].CapW != serial[i].CapW {
+			t.Fatalf("%s point %d: cap %v, want %v", label, i, par[i].CapW, serial[i].CapW)
+		}
+		if (par[i].Err == nil) != (serial[i].Err == nil) {
+			t.Fatalf("%s cap %v: err %v vs serial %v", label, par[i].CapW, par[i].Err, serial[i].Err)
+		}
+		if serial[i].Err != nil {
+			if !errors.Is(par[i].Err, powercap.ErrInfeasible) {
+				t.Fatalf("%s cap %v: err %v, want infeasible", label, par[i].CapW, par[i].Err)
 			}
-			if serial[i].Err != nil {
-				if !errors.Is(par[i].Err, powercap.ErrInfeasible) {
-					t.Fatalf("workers=%d cap %v: err %v, want infeasible", workers, par[i].CapW, par[i].Err)
-				}
-				continue
-			}
-			a, b := par[i].Schedule.MakespanS, serial[i].Schedule.MakespanS
-			if math.Abs(a-b) > 1e-9*(1+b) {
-				t.Fatalf("workers=%d cap %v: makespan %v, serial %v", workers, par[i].CapW, a, b)
-			}
+			continue
+		}
+		a, b := par[i].Schedule.MakespanS, serial[i].Schedule.MakespanS
+		if math.Abs(a-b) > 1e-9*(1+b) {
+			t.Fatalf("%s cap %v: makespan %v, serial %v", label, par[i].CapW, a, b)
 		}
 	}
 }
