@@ -90,11 +90,13 @@ scale-smoke:
 # Cluster power market smoke: race-detected allocator tests (policy
 # properties, the top-down equal-marginal split against the bottom-up grant
 # over whole curves and against one joint LP, closed-form floors, capture
-# fallback and degradation), then one real /v1/cluster allocation against a
-# spawned pcschedd — the response and /metrics schema, budget feasibility,
-# per-job cache seeding, clean shutdown.
+# fallback and degradation, the first failing job named when the walks open
+# side by side), at GOMAXPROCS 1 (walks opened inline) and 2 (opened side
+# by side), then one real /v1/cluster allocation against a spawned
+# pcschedd — the response and /metrics schema, budget feasibility, per-job
+# cache seeding, clean shutdown.
 market-smoke:
-	$(GO) test -race -count=1 ./internal/market/
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/market/
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
@@ -115,11 +117,17 @@ market-smoke:
 # the warm CapSession probes, the
 # curve walks and the stepped walks' captures checked against them, the
 # closed-form floors against the walked ones, the sweeps that run on the
-# sessions, and the windowed rescue (the former breakdown traces finishing
-# clean, and injected NaNs reaching the rescue).
+# sessions, the windowed rescue (the former breakdown traces finishing
+# clean, and injected NaNs reaching the rescue), and the fan-out helper
+# (internal/fanout's four rules) with the decomposed solves it runs side by
+# side (answers and stats bit for bit against the serial loop, the serial
+# loop's infeasibility error, cancellation without a goroutine left). The
+# helper and core lines run at GOMAXPROCS 1 and 2, so the inline one-worker
+# path and the fanned-out path both run under the race detector.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
-	$(GO) test -race -count=1 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue' ./internal/core/
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/fanout/
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue|TestFanout' ./internal/core/
 
 # Deterministic traffic twin smoke: race-detected twin tests (schedule
 # expansion, classification, record/replay), then the end-to-end

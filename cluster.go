@@ -10,8 +10,10 @@ package powercap
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"powercap/internal/core"
+	"powercap/internal/fanout"
 	"powercap/internal/market"
 )
 
@@ -77,11 +79,12 @@ type ClusterJob struct {
 // AllocateCluster divides one site-wide power budget across jobs. Each
 // job's whole-graph LP is built once, its feasibility floor taken in closed
 // form, and walked down its exact power–time curve from saturation to its
-// demand; the policy splits the budget on the curves — for PolicyMarket,
-// lowering the job whose next piece down is flattest until the caps fit —
-// and each walk goes only as deep as its job's cap. Each job's schedule is
-// read off its walk there and checked by an optimality certificate, with
-// no further solve. model nil means DefaultModel. A budget below the sum of
+// demand, the jobs side by side on GOMAXPROCS workers; the policy splits
+// the budget on the curves — for PolicyMarket, lowering the job whose next
+// piece down is flattest until the caps fit — and each walk goes only as
+// deep as its job's cap. Each job's schedule is read off its walk there
+// and checked by an optimality certificate, with no further solve. model
+// nil means DefaultModel. A budget below the sum of
 // per-job feasibility floors fails with a *BudgetError naming the binding
 // jobs, before any LP runs; a job whose schedule cannot be read off its
 // walk falls back to one solve at its cap, and if that fails too it keeps
@@ -92,15 +95,20 @@ func AllocateCluster(ctx context.Context, jobs []ClusterJob, budgetW float64, mo
 		model = DefaultModel()
 	}
 	mjobs := make([]market.Job, len(jobs))
-	for i, j := range jobs {
+	err := fanout.Run(ctx, len(jobs), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		j := jobs[i]
 		if j.Graph == nil {
-			return nil, fmt.Errorf("powercap: cluster job %q has no graph", j.Name)
+			return fmt.Errorf("powercap: cluster job %q has no graph", j.Name)
 		}
 		cs, err := core.NewSolver(model, j.EffScale).NewCapSession(ctx, j.Graph)
 		if err != nil {
-			return nil, fmt.Errorf("powercap: cluster job %q: %w", j.Name, err)
+			return fmt.Errorf("powercap: cluster job %q: %w", j.Name, err)
 		}
 		mjobs[i] = market.Job{Name: j.Name, Session: cs}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return market.Allocate(ctx, mjobs, budgetW, opts)
 }

@@ -10,13 +10,15 @@
 //	pcsched -workload BT -cap 30 -policy all -json
 //	pcsched -workload BT -cap 30 -policy lp -json
 //	pcsched -workload SP -sweep 70:30:5 -workers 4
+//	pcsched -workload SP -sweep 70:30:5 -workers 4 -json
 //	pcsched -workload LULESH -cap 50 -trace trace.json
 //
 // With -policy all -json, the three-way comparison is emitted as JSON in
 // the same schema pcschedd's POST /v1/compare returns; with -policy lp
 // -json, the solve is emitted in the POST /v1/solve response schema
-// (including the solver-effort stats block), so scripted consumers can
-// switch between the CLI and the service freely.
+// (including the solver-effort stats block); with -sweep -json, the sweep
+// is emitted in the POST /v1/sweep response schema at full precision. So
+// scripted consumers can switch between the CLI and the service freely.
 //
 // -trace FILE records the whole solve pipeline — trace construction, IR
 // build, LP phases, realization, simulation — as spans and writes a Chrome
@@ -57,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		scale    = fs.Float64("scale", 1.0, "task work scale")
 		capW     = fs.Float64("cap", 50, "per-socket average power cap (W)")
 		policy   = fs.String("policy", "lp", "lp, static, conductor, or all")
-		jsonOut  = fs.Bool("json", false, "emit JSON: with -policy all the /v1/compare schema, with -policy lp the /v1/solve schema")
+		jsonOut  = fs.Bool("json", false, "emit JSON: with -sweep the /v1/sweep schema, with -policy all the /v1/compare schema, with -policy lp the /v1/solve schema")
 		gantt    = fs.Bool("gantt", false, "render an ASCII timeline of the replayed LP schedule")
 		sweep    = fs.String("sweep", "", "per-socket cap sweep \"hi:lo:step\" (W): solve the LP bound at every cap, warm-started; overrides -cap and -policy")
 		workers  = fs.Int("workers", 1, "parallel sweep workers (contiguous cap chunks; only with -sweep)")
@@ -113,23 +115,22 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	jobCap := *capW * float64(*ranks)
 
 	if *jsonOut {
-		if *sweep != "" {
-			return errors.New("-json does not support -sweep")
-		}
-		switch *policy {
-		case "all":
+		switch {
+		case *sweep != "":
+			return runSweep(sys, w, *sweep, *ranks, *workers, true, stdout)
+		case *policy == "all":
 			return runCompareJSON(sys, w, *capW, stdout)
-		case "lp":
+		case *policy == "lp":
 			return runSolveJSON(sys, w, jobCap, *realize, *windows, *coarsen, stdout)
 		default:
-			return errors.New("-json requires -policy all or -policy lp")
+			return errors.New("-json requires -sweep, -policy all or -policy lp")
 		}
 	}
 
 	fmt.Fprintf(stdout, "%s: %d ranks, %d iterations, %d tasks, %d MPI-call vertices\n",
 		w.Name, *ranks, *iters, len(w.Graph.Tasks), len(w.Graph.Vertices))
 	if *sweep != "" {
-		return runSweep(sys, w, *sweep, *ranks, *workers, stdout)
+		return runSweep(sys, w, *sweep, *ranks, *workers, false, stdout)
 	}
 	fmt.Fprintf(stdout, "power constraint: %.0f W per socket, %.0f W job-level\n\n", *capW, jobCap)
 
@@ -401,11 +402,12 @@ func threadSet(ts map[int]int) string {
 }
 
 // runSweep evaluates the LP bound across a per-socket cap family and prints
-// one row per cap with the per-solve instrumentation. The spec is validated
-// by powercap.ParseSweepSpec: malformed specs (step ≤ 0, hi < lo,
-// non-numeric fields) are rejected with a descriptive error instead of
-// being silently reinterpreted.
-func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, workers int, stdout io.Writer) error {
+// one row per cap with the per-solve instrumentation, or with jsonOut the
+// whole sweep in the /v1/sweep response schema at full precision. The spec
+// is validated by powercap.ParseSweepSpec: malformed specs (step ≤ 0,
+// hi < lo, non-numeric fields) are rejected with a descriptive error
+// instead of being silently reinterpreted.
+func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, workers int, jsonOut bool, stdout io.Writer) error {
 	perCaps, err := powercap.ParseSweepSpec(spec)
 	if err != nil {
 		return err
@@ -414,12 +416,20 @@ func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, wo
 	for i, c := range perCaps {
 		jobCaps[i] = c * float64(ranks)
 	}
-	fmt.Fprintf(stdout, "sweep: %.0f → %.0f W per socket (%d caps, %d workers)\n\n",
-		perCaps[0], perCaps[len(perCaps)-1], len(perCaps), workers)
+	if !jsonOut {
+		fmt.Fprintf(stdout, "sweep: %.0f → %.0f W per socket (%d caps, %d workers)\n\n",
+			perCaps[0], perCaps[len(perCaps)-1], len(perCaps), workers)
+	}
 
 	pts, err := sys.SweepParallel(w.Graph, jobCaps, workers)
 	if err != nil {
 		return err
+	}
+	if jsonOut {
+		resp, _ := service.NewSweepResponse(w.Name, w.Graph, perCaps, pts)
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(resp)
 	}
 	fmt.Fprintf(stdout, "%10s%12s%14s%8s%8s%8s%8s\n",
 		"W/socket", "bound(s)", "marg(s/W)", "pivots", "dual", "warm", "refac")

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,8 +121,9 @@ func TestSolveJSONMatchesService(t *testing.T) {
 	}
 }
 
-// TestJSONPolicyGate: -json is an error outside -policy all/lp, and with
-// -sweep — never silently ignored.
+// TestJSONPolicyGate: -json is an error outside -sweep and -policy all/lp —
+// never silently ignored. -sweep overrides -policy, with -json too: the
+// sweep is emitted in the /v1/sweep schema whatever the policy names.
 func TestJSONPolicyGate(t *testing.T) {
 	var out, errs bytes.Buffer
 	if err := run([]string{"-policy", "static", "-json"}, &out, &errs); err == nil {
@@ -129,11 +132,17 @@ func TestJSONPolicyGate(t *testing.T) {
 	if err := run([]string{"-policy", "conductor", "-json"}, &out, &errs); err == nil {
 		t.Fatal("-json with -policy conductor did not error")
 	}
-	if err := run([]string{"-policy", "all", "-json", "-sweep", "60:50:5"}, &out, &errs); err == nil {
-		t.Fatal("-json with -sweep did not error")
-	}
-	if err := run([]string{"-policy", "lp", "-json", "-sweep", "60:50:5"}, &out, &errs); err == nil {
-		t.Fatal("-json -policy lp with -sweep did not error")
+	for _, policy := range []string{"static", "all", "lp"} {
+		out.Reset()
+		args := []string{"-workload", "CoMD", "-ranks", "2", "-iters", "3", "-scale", "0.1",
+			"-policy", policy, "-json", "-sweep", "60:50:5"}
+		if err := run(args, &out, &errs); err != nil {
+			t.Fatalf("-json -policy %s with -sweep: %v", policy, err)
+		}
+		var resp service.SweepResponse
+		if err := json.Unmarshal(out.Bytes(), &resp); err != nil || len(resp.Points) != 3 {
+			t.Fatalf("-json -policy %s with -sweep: %v, %d points, want the 3-cap sweep", policy, err, len(resp.Points))
+		}
 	}
 }
 
@@ -290,5 +299,72 @@ func TestClusterRejectsUnknownField(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), field) {
 			t.Errorf("%s: got %v, want an error naming the field", field, err)
 		}
+	}
+}
+
+// TestSweepJSONMatchesService: `pcsched -sweep -workers 1 -json` emits the
+// response POST /v1/sweep returns for the same spec, field for field but
+// the daemon-only request ID, elapsed time and trace; and a -workers 4
+// sweep, whose chunks each start cold, lands on the same bounds within
+// 1e-9.
+func TestSweepJSONMatchesService(t *testing.T) {
+	args := []string{
+		"-workload", "SP", "-ranks", "4", "-iters", "2", "-seed", "3", "-scale", "0.5",
+		"-sweep", "60:10:10", "-json",
+	}
+	cli := func(workers string) service.SweepResponse {
+		var out, errs bytes.Buffer
+		if err := run(append(args, "-workers", workers), &out, &errs); err != nil {
+			t.Fatalf("run -workers %s: %v (stderr: %s)", workers, err, errs.String())
+		}
+		var resp service.SweepResponse
+		dec := json.NewDecoder(&out)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("-workers %s: output is not a SweepResponse: %v", workers, err)
+		}
+		return resp
+	}
+	one, four := cli("1"), cli("4")
+
+	ts := httptest.NewServer(service.New(service.Config{Workers: 2}))
+	defer ts.Close()
+	body := `{"workload":{"name":"SP","ranks":4,"iters":2,"seed":3,"scale":0.5},"spec":"60:10:10"}`
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("service sweep: %d (%s)", resp.StatusCode, raw)
+	}
+	var svc service.SweepResponse
+	if err := json.Unmarshal(raw, &svc); err != nil {
+		t.Fatal(err)
+	}
+	svc.RequestID, svc.ElapsedMS, svc.Trace = "", 0, nil
+	if !reflect.DeepEqual(one, svc) {
+		c, _ := json.Marshal(one)
+		s, _ := json.Marshal(svc)
+		t.Errorf("CLI and service sweeps disagree:\ncli: %s\nsvc: %s", c, s)
+	}
+
+	infeasible := 0
+	if len(four.Points) != len(one.Points) || len(one.Points) != 6 {
+		t.Fatalf("%d points with 4 workers, %d with 1, want 6", len(four.Points), len(one.Points))
+	}
+	for i, p := range one.Points {
+		q := four.Points[i]
+		if p.Infeasible {
+			infeasible++
+		}
+		if q.PerSocketW != p.PerSocketW || q.Infeasible != p.Infeasible || q.Error != p.Error ||
+			math.Abs(q.MakespanS-p.MakespanS) > 1e-9*p.MakespanS {
+			t.Errorf("cap %g W: 4 workers %+v, 1 worker %+v", p.PerSocketW, q, p)
+		}
+	}
+	if infeasible == 0 || infeasible == len(one.Points) {
+		t.Errorf("%d of %d caps infeasible, want both kinds of point", infeasible, len(one.Points))
 	}
 }

@@ -36,9 +36,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"powercap/internal/dag"
+	"powercap/internal/fanout"
 	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/obs"
@@ -301,9 +303,11 @@ func (s *Solver) SolveCtx(ctx context.Context, g *dag.Graph, capW float64) (*Sch
 
 // SolveIterations decomposes the graph at its MPI_Pcontrol boundaries
 // (global synchronization points in the paper's instrumented benchmarks),
-// solves each iteration's LP independently, and recombines: the job
-// makespan is the sum of iteration makespans, and task choices are mapped
-// back to the original task IDs.
+// solves each iteration's LP independently, side by side on GOMAXPROCS
+// workers, and recombines in iteration order: the job makespan is the sum
+// of iteration makespans, and task choices are mapped back to the original
+// task IDs. The result, and the error when a slice fails (the first
+// failing slice's), are those of a serial loop over the slices.
 func (s *Solver) SolveIterations(g *dag.Graph, capW float64) (*Schedule, error) {
 	return s.solve(context.Background(), g, capW, true)
 }
@@ -335,21 +339,36 @@ func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompos
 			return nil, err
 		}
 		if len(slices) > 0 {
-			// Per-iteration vertex times are local to each slice, so the
-			// merged schedule carries none.
-			sched := &Schedule{CapW: capW, Choices: make([]TaskChoice, len(g.Tasks))}
-			for si, sl := range slices {
+			// The slices are independent programs: solve them side by
+			// side, then merge in slice order, so the schedule, its Stats
+			// and any error are a serial loop's. Per-iteration vertex
+			// times are local to each slice, so the merged schedule
+			// carries none.
+			subs := make([]*Schedule, len(slices))
+			err := fanout.Run(ctx, len(slices), runtime.GOMAXPROCS(0), func(ctx context.Context, si int) error {
 				ictx, isp := obs.Start(ctx, "core.iteration")
 				isp.SetAttr("slice", si)
-				sub, err := s.solveOnce(ictx, sl.Graph, capW)
+				sub, err := s.solveOnce(ictx, slices[si].Graph, capW)
 				isp.End()
 				if err != nil {
-					return nil, fmt.Errorf("iteration slice: %w", err)
+					return fmt.Errorf("iteration slice: %w", err)
 				}
+				subs[si] = sub
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			sched := &Schedule{
+				CapW:               capW,
+				Choices:            make([]TaskChoice, len(g.Tasks)),
+				IterationMakespans: make([]float64, len(slices)),
+			}
+			for si, sub := range subs {
 				for tid, c := range sub.Choices {
-					sched.Choices[sl.TaskMap[tid]] = c
+					sched.Choices[slices[si].TaskMap[tid]] = c
 				}
-				sched.IterationMakespans = append(sched.IterationMakespans, sub.MakespanS)
+				sched.IterationMakespans[si] = sub.MakespanS
 				sched.MakespanS += sub.MakespanS
 				sched.Objective += sub.Objective
 				sched.MarginalSecPerW += sub.MarginalSecPerW

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"powercap/internal/coarsen"
 	"powercap/internal/dag"
+	"powercap/internal/fanout"
 	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/obs"
@@ -289,57 +289,47 @@ func (s *Solver) solveWindows(ctx context.Context, plan *problem.Plan, capW floa
 	est := s.windowEstimates(ir, capW)
 
 	// Phase A: build every window's LP and solve it speculatively against
-	// estimated boundary constants, in parallel.
+	// estimated boundary constants, side by side. A window fails only once
+	// ctx is done.
 	workers := opts.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nW {
-		workers = nW
-	}
 	built := make([]*windowLP, nW)
 	specSol := make([]*lp.Solution, nW)
 	specStats := make([]Stats, nW)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for w := 0; w < nW; w++ {
-		if ctx.Err() != nil {
-			break
+	err := fanout.Run(ctx, nW, workers, func(ctx context.Context, w int) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(w int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			_, bsp := obs.Start(ctx, "window.build")
-			bsp.SetAttr("window", w)
-			b := s.buildWindowLP(plan, plan.Windows[w])
-			bsp.End()
-			built[w] = b
-			b.aim(ir, capW, est)
-			if b.constExcess(capW, est) > feasTol {
-				return // speculative estimates already over the cap; commit solve decides
-			}
-			sctx, ssp := obs.Start(ctx, "window.solve")
-			ssp.SetAttr("window", w)
-			ssp.SetAttr("speculative", true)
-			sol, err := solveLP(sctx, b.prob, b.crash(), &specStats[w], b)
-			ssp.End()
-			if err == nil {
-				specSol[w] = sol
-			}
-		}(w)
+		_, bsp := obs.Start(ctx, "window.build")
+		bsp.SetAttr("window", w)
+		b := s.buildWindowLP(plan, plan.Windows[w])
+		bsp.End()
+		built[w] = b
+		b.aim(ir, capW, est)
+		if b.constExcess(capW, est) > feasTol {
+			return nil // speculative estimates already over the cap; commit solve decides
+		}
+		sctx, ssp := obs.Start(ctx, "window.solve")
+		ssp.SetAttr("window", w)
+		ssp.SetAttr("speculative", true)
+		sol, err := solveLP(sctx, b.prob, b.crash(), &specStats[w], b)
+		ssp.End()
+		if err == nil {
+			specSol[w] = sol
+		}
+		return nil
+	})
+	if err == nil {
+		err = ctx.Err()
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return fmt.Errorf("core: windowed solve canceled: %w", err)
 	}
-	for w := range built {
-		if built[w] == nil { // canceled before build, or speculative floor check bailed
-			built[w] = s.buildWindowLP(plan, plan.Windows[w])
-		}
-		ws.SpeculativeSolves += specStats[w].Solves
-		out.Stats.Add(specStats[w])
+	for _, st := range specStats {
+		ws.SpeculativeSolves += st.Solves
+		out.Stats.Add(st)
 	}
 
 	// Phase B: commit left to right.

@@ -28,6 +28,7 @@ type formScratch struct {
 	next    []int
 	logSum  []float64
 	cnt     []int
+	logFrac []float64 // per nonzero: logFrac of its magnitude
 }
 
 var formPool = sync.Pool{New: func() any { return new(formScratch) }}
@@ -244,13 +245,32 @@ func buildForm(p *Problem, rhs []float64, scale bool) *spForm {
 }
 
 // equilibrate computes the power-of-two row and column factors of the
-// summed rows in sc (see buildForm).
+// summed rows in sc (see buildForm). Each nonzero's logarithm is taken
+// once: math.Log2 takes the natural log of the Frexp fraction, and the row
+// pass keeps it. A row factor is a power of two, so a row-scaled value has
+// the same fraction, and the column pass reuses the log with the scaled
+// value's exponent. Where the scaled value is not a normal float the
+// product may have rounded, and the column pass takes math.Log2 of it
+// afresh.
 func equilibrate(sc *formScratch, nOrig int) (rowScale, colScale []float64) {
 	m := len(sc.rowEnd)
+	sc.logFrac = growFloats(sc.logFrac, len(sc.vals))
 	rowScale = make([]float64, m)
 	lo := 0
 	for i := range rowScale {
-		rowScale[i] = pow2Inverse(geomean(sc.vals[lo:sc.rowEnd[i]]))
+		s, n := 0.0, 0
+		for k := lo; k < sc.rowEnd[i]; k++ {
+			if a := math.Abs(sc.vals[k]); a > 0 && finite(a) {
+				sc.logFrac[k] = logFrac(a)
+				s += log2With(a, sc.logFrac[k])
+				n++
+			}
+		}
+		g := 1.0 // the geometric mean of the row's nonzero finite magnitudes
+		if n > 0 {
+			g = math.Exp2(s / float64(n))
+		}
+		rowScale[i] = pow2Inverse(g)
 		lo = sc.rowEnd[i]
 	}
 	sc.logSum = growFloats(sc.logSum, nOrig)
@@ -259,10 +279,18 @@ func equilibrate(sc *formScratch, nOrig int) (rowScale, colScale []float64) {
 	clear(sc.cnt)
 	lo = 0
 	for i, rs := range rowScale {
+		frac, _ := math.Frexp(rs)
+		pow2 := frac == 0.5
 		for k := lo; k < sc.rowEnd[i]; k++ {
 			if a := math.Abs(sc.vals[k]) * rs; a > 0 && finite(a) {
+				var l float64
+				if pow2 && a >= minNormal {
+					l = log2With(a, sc.logFrac[k])
+				} else {
+					l = math.Log2(a)
+				}
 				c := sc.cols[k]
-				sc.logSum[c] += math.Log2(a)
+				sc.logSum[c] += l
 				sc.cnt[c]++
 			}
 		}
@@ -278,20 +306,28 @@ func equilibrate(sc *formScratch, nOrig int) (rowScale, colScale []float64) {
 	return rowScale, colScale
 }
 
-// geomean returns the geometric mean of the nonzero finite magnitudes of
-// vals (1 when there are none).
-func geomean(vals []float64) float64 {
-	s, n := 0.0, 0
-	for _, v := range vals {
-		if a := math.Abs(v); a > 0 && finite(a) {
-			s += math.Log2(a)
-			n++
-		}
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// logFrac is the one logarithm math.Log2 takes of a positive finite x: the
+// natural log of its Frexp fraction (none, so 0 here, for a power of two).
+func logFrac(x float64) float64 {
+	frac, _ := math.Frexp(x)
+	if frac == 0.5 {
+		return 0
 	}
-	if n == 0 {
-		return 1
+	return math.Log(frac)
+}
+
+// log2With is math.Log2(x), bit for bit, given the natural log of x's Frexp
+// fraction: the value logFrac returns for x or for any x·2^k in the normal
+// range, which has the same fraction.
+func log2With(x, logFrac float64) float64 {
+	frac, exp := math.Frexp(x)
+	if frac == 0.5 {
+		return float64(exp - 1)
 	}
-	return math.Exp2(s / float64(n))
+	return logFrac*(1/math.Ln2) + float64(exp)
 }
 
 // pow2Inverse returns the power of two nearest to 1/g.

@@ -765,3 +765,70 @@ func FuzzForm(f *testing.F) {
 		checkFormAndSolves(t, "fuzz", randomFormLP(rng), rng)
 	})
 }
+
+// TestLog2With: log2With is math.Log2 bit for bit, subnormals and exact
+// powers of two included, and a power-of-two scaling that stays normal can
+// reuse the unscaled value's logFrac.
+func TestLog2With(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	xs := []float64{1, 0.5, 3, math.MaxFloat64, minNormal, math.SmallestNonzeroFloat64, 0x1p-1060, 0x1.8p-1030}
+	for k := 0; k < 20000; k++ {
+		xs = append(xs, math.Ldexp(0.5+rng.Float64()/2, rng.Intn(2098)-1073))
+	}
+	for _, x := range xs {
+		lf := logFrac(x)
+		if got, want := log2With(x, lf), math.Log2(x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("x %g: %v, math.Log2 %v", x, got, want)
+		}
+		shift := rng.Intn(241) - 120
+		if y := math.Ldexp(x, shift); y >= minNormal && finite(y) {
+			if got, want := log2With(y, lf), math.Log2(y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("x %g scaled by 2^%d: %v, math.Log2 %v", x, shift, got, want)
+			}
+		}
+	}
+}
+
+// TestEquilibrateLogSums: the column pass's log sums are those of
+// math.Log2 on every row-scaled value, bit for bit, over magnitudes from
+// the subnormal range to the largest floats, so some scaled values are
+// subnormal (where the pass takes math.Log2 afresh) and some overflow.
+func TestEquilibrateLogSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 200; trial++ {
+		const nOrig = 6
+		sc := new(formScratch)
+		m := 1 + rng.Intn(6)
+		sc.rowEnd = make([]int, m)
+		for i := range sc.rowEnd {
+			for c := 0; c < nOrig; c++ {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				sc.cols = append(sc.cols, Var(c))
+				v := math.Ldexp(0.5+rng.Float64()/2, rng.Intn(2098)-1073)
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				sc.vals = append(sc.vals, v)
+			}
+			sc.rowEnd[i] = len(sc.cols)
+		}
+		rowScale, _ := equilibrate(sc, nOrig)
+		want := make([]float64, nOrig)
+		lo := 0
+		for i, rs := range rowScale {
+			for k := lo; k < sc.rowEnd[i]; k++ {
+				if a := math.Abs(sc.vals[k]) * rs; a > 0 && finite(a) {
+					want[sc.cols[k]] += math.Log2(a)
+				}
+			}
+			lo = sc.rowEnd[i]
+		}
+		for c := range want {
+			if math.Float64bits(sc.logSum[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("trial %d column %d: log sum %v, math.Log2's %v", trial, c, sc.logSum[c], want[c])
+			}
+		}
+	}
+}

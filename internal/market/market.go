@@ -30,10 +30,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 
 	"powercap/internal/core"
+	"powercap/internal/fanout"
 	"powercap/internal/obs"
 )
 
@@ -308,11 +310,13 @@ func Allocate(ctx context.Context, jobs []Job, budgetW float64, opts Options) (*
 	return a, nil
 }
 
-// openWalks opens each job's walk and lowers it to its demand. A job whose
-// walk cannot be opened fails the whole allocation: without its demand no
-// split is known.
+// openWalks opens each job's walk and lowers it to its demand, the jobs
+// side by side. A job whose walk cannot be opened fails the whole
+// allocation: without its demand no split is known. The first such job in
+// input order is the one named.
 func openWalks(ctx context.Context, sts []*state) error {
-	for _, st := range sts {
+	return fanout.Run(ctx, len(sts), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		st := sts[i]
 		fctx, sp := obs.Start(ctx, "market.floor")
 		sp.SetAttr("job", st.job.Name)
 		w, err := st.job.Session.Walk(fctx)
@@ -328,8 +332,8 @@ func openWalks(ctx context.Context, sts []*state) error {
 		if err != nil {
 			return fmt.Errorf("market: job %q: %w", st.job.Name, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // closeWalks closes every open walk, which counts it in its session's

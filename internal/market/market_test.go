@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"powercap/internal/core"
 	"powercap/internal/dag"
@@ -383,6 +384,31 @@ func TestMarketDegradesBrokenJob(t *testing.T) {
 		if math.Abs(j.MarginalSecPerW-w.MarginalSecPerW) > 1e-9 {
 			t.Errorf("degraded job %s: walk slope %g, captured shadow price %g", j.Name, j.MarginalSecPerW, w.MarginalSecPerW)
 		}
+	}
+}
+
+// unopenableSession fails to open its walk, after a delay.
+type unopenableSession struct {
+	Session
+	delay time.Duration
+}
+
+func (u *unopenableSession) Walk(context.Context) (*core.Walk, error) {
+	time.Sleep(u.delay)
+	return nil, errors.New("injected walk failure")
+}
+
+// The jobs' walks open side by side, yet a failure names the first failing
+// job in input order, as a serial loop would: job 1 fails after job 3 does.
+func TestOpenWalksNamesFirstFailingJob(t *testing.T) {
+	jobs := hetJobs(t)
+	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
+	jobs = append(jobs, job(t, "ft", workloads.FT(p)))
+	jobs[1].Session = &unopenableSession{Session: jobs[1].Session, delay: 20 * time.Millisecond}
+	jobs[3].Session = &unopenableSession{Session: jobs[3].Session}
+	_, err := Allocate(context.Background(), jobs, 1000, Options{Policy: Market})
+	if err == nil || !strings.Contains(err.Error(), `job "bt"`) || !strings.Contains(err.Error(), "injected walk failure") {
+		t.Fatalf("got %v, want job %q's walk failure", err, jobs[1].Name)
 	}
 }
 

@@ -282,10 +282,11 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// clusterWorker runs one allocation on a worker slot. The allocator's
-// walks, one per job's session, run interleaved on one goroutine, so the
-// whole batch occupies a single slot. Budget infeasibility is an in-band
-// outcome (a pure function of the request), not an error.
+// clusterWorker runs one allocation on a worker slot. The allocator opens
+// the jobs' walks side by side and then lowers them interleaved on one
+// goroutine; either way the whole batch occupies a single slot, which
+// bounds requests, not CPUs. Budget infeasibility is an in-band outcome (a
+// pure function of the request), not an error.
 func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {

@@ -1118,6 +1118,32 @@ type SweepResponse struct {
 	Trace *obs.Document `json:"trace,omitempty"`
 }
 
+// NewSweepResponse renders a sweep's points, one per per-socket cap, in the
+// /v1/sweep response schema, and returns the solver effort summed over
+// them. The daemon-only fields (request ID, elapsed time, trace) are left
+// to the caller. cmd/pcsched -sweep -json emits the same response, so CLI
+// and service sweeps can be diffed directly.
+func NewSweepResponse(workload string, g *powercap.Graph, perSocketW []float64, pts []powercap.SweepPoint) (*SweepResponse, powercap.SolverStats) {
+	resp := &SweepResponse{Workload: workload, GraphDigest: powercap.GraphDigest(g)}
+	var agg powercap.SolverStats
+	for i, pt := range pts {
+		pj := SweepPointJSON{PerSocketW: perSocketW[i], JobCapW: pt.CapW}
+		agg.Add(pt.Stats)
+		switch {
+		case pt.Err != nil && errors.Is(pt.Err, powercap.ErrInfeasible):
+			pj.Infeasible = true
+		case pt.Err != nil:
+			pj.Error = pt.Err.Error()
+		default:
+			pj.MakespanS = pt.Schedule.MakespanS
+			pj.MarginalSecPerW = pt.Schedule.MarginalSecPerW
+		}
+		resp.Points = append(resp.Points, pj)
+	}
+	resp.Stats = NewStatsJSON(agg)
+	return resp, agg
+}
+
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req SweepRequest
@@ -1179,34 +1205,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := &SweepResponse{
-		RequestID:   RequestIDFrom(r.Context()),
-		Workload:    name,
-		GraphDigest: powercap.GraphDigest(g),
-	}
-	var agg powercap.SolverStats
-	for i, pt := range pts {
-		pj := SweepPointJSON{PerSocketW: perSocket[i], JobCapW: pt.CapW}
-		agg.Add(pt.Stats)
-		switch {
-		case pt.Err != nil && errors.Is(pt.Err, powercap.ErrInfeasible):
-			pj.Infeasible = true
-			s.metrics.Solves.Add(1)
-			s.metrics.Infeasible.Add(1)
-		case pt.Err != nil:
-			pj.Error = pt.Err.Error()
-		default:
-			pj.MakespanS = pt.Schedule.MakespanS
-			pj.MarginalSecPerW = pt.Schedule.MarginalSecPerW
+	resp, agg := NewSweepResponse(name, g, perSocket, pts)
+	resp.RequestID = RequestIDFrom(r.Context())
+	for _, pj := range resp.Points {
+		if pj.Error == "" {
 			s.metrics.Solves.Add(1)
 		}
-		resp.Points = append(resp.Points, pj)
+		if pj.Infeasible {
+			s.metrics.Infeasible.Add(1)
+		}
 	}
 	s.countLPStats(agg)
 	ev := wideEventFrom(r.Context())
 	ev.Workload = name
 	ev.Kernel = kernelHealthFrom(agg)
-	resp.Stats = NewStatsJSON(agg)
 	resp.ElapsedMS = msSince(start)
 	resp.Trace = s.inlineTrace(r)
 	writeJSON(w, http.StatusOK, resp)

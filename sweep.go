@@ -6,16 +6,15 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 
 	"powercap/internal/core"
+	"powercap/internal/fanout"
 )
 
 // Power-cap sweep orchestration. The paper's headline figures evaluate the
 // LP bound across a family of power constraints; this file provides
 // warm-started serial sweeps (SolveSweep, one CapSession walked over the
-// caps) and a bounded worker pool over contiguous cap chunks
-// (SweepParallel).
+// caps) and contiguous cap chunks solved side by side (SweepParallel).
 
 // SweepPoint is the result of one cap in a sweep: a Schedule, or the error
 // that cap produced (match with errors.Is(pt.Err, powercap.ErrInfeasible)),
@@ -99,41 +98,25 @@ func ParseSweepSpec(spec string) ([]float64, error) {
 // are split into contiguous chunks (one per worker) so warm starting still
 // applies within each chunk, and the workers share one solver (and thus one
 // frontier cache). workers ≤ 1 degrades to the serial SolveSweep. Results
-// are returned in the order of jobCapsW regardless of completion order.
+// are returned in the order of jobCapsW regardless of completion order, and
+// the error is the first chunk's that fails, as in a serial loop.
 func (s *System) SweepParallel(g *Graph, jobCapsW []float64, workers int) ([]SweepPoint, error) {
-	if workers > len(jobCapsW) {
-		workers = len(jobCapsW)
-	}
+	workers = min(workers, len(jobCapsW))
 	if workers <= 1 {
 		return s.SolveSweep(g, jobCapsW)
 	}
 	solver := s.solver()
 	pts := make([]SweepPoint, len(jobCapsW))
 	chunk := (len(jobCapsW) + workers - 1) / workers
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	for lo := 0; lo < len(jobCapsW); lo += chunk {
-		hi := min(lo+chunk, len(jobCapsW))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			res, err := solver.SolveSweep(g, jobCapsW[lo:hi])
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			copy(pts[lo:hi], res)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	chunks := (len(jobCapsW) + chunk - 1) / chunk
+	err := fanout.Run(context.Background(), chunks, workers, func(ctx context.Context, k int) error {
+		lo := k * chunk
+		res, err := solver.SolveSweepCtx(ctx, g, jobCapsW[lo:min(lo+chunk, len(jobCapsW))])
+		copy(pts[lo:], res)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pts, nil
 }
