@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-smoke serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
+.PHONY: all build vet fmt-check test race bench bench-vet bench-smoke serve-smoke realization-smoke chaos-smoke fuzz-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke check
 
 all: check
 
@@ -33,9 +33,13 @@ bench:
 	$(GO) test -run xxx -bench 'Sweep' -benchtime 1x ./internal/core/ .
 
 # bench/ is its own module, so ./... above never compiles it; it builds
-# against the facade and service APIs, so vet and test it here.
-bench-smoke:
+# against the facade and service APIs. bench-vet compiles and vets it, so a
+# break of that API shows on its own, apart from any failing bench test;
+# bench-smoke runs its tests.
+bench-vet:
 	$(GO) -C bench vet ./...
+
+bench-smoke:
 	$(GO) -C bench test ./...
 
 # End-to-end daemon smoke: build pcschedd, start it on a random port, fire
@@ -101,16 +105,18 @@ market-smoke:
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
 # its eta-file, dense-LU and step-scan oracles, the dense-tableau
-# equivalence suite with every optimum certified, warm starts from
+# equivalence suite with every optimum certified, empty, duplicate and
+# singleton rows among its inputs, row-free problems, warm starts from
 # arbitrary bases, primal starts after cost changes, the abandoned
-# attempt's effort, presolve round-trip, pricing, degenerate-cycling
-# guards, the rescue's one-extra-solve bound, the certificate's
-# rejection of perturbed answers, and the form builder against the copy
-# chain it replaced: every array of the form and every Solve answer and
-# stats count bit for bit), then through internal/core the golden
-# objectives in both kernel configurations (presolved and the rescue's),
-# every answer on the bench paths' programs bit for bit against digests
-# recorded before the one-pass form builder, the rendered names of a
+# attempt's effort, pricing, degenerate-cycling guards, the rescue's
+# one-extra-solve bound, the certificate's rejection of perturbed answers,
+# and the form builder against the copy chain it replaced: every array of
+# the form and every Solve answer and stats count bit for bit), then
+# through internal/core the golden objectives in both kernel
+# configurations (scaled and the rescue's unscaled), every answer on the
+# bench paths' programs bit for bit against digests recorded before the
+# one-pass form builder (basis-free answers re-recorded when presolve was
+# retired, each certified against its crash start), the rendered names of a
 # whole-graph and a window program, the crash basis on every benchmark
 # program and speculative window program against basis-free solves (no
 # phase 1, certified, deterministic, a rejected crash falling back cold),
@@ -159,4 +165,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzWarmBasis -fuzztime 5s ./internal/lp/
 	$(GO) test -run xxx -fuzz FuzzForm -fuzztime 5s ./internal/lp/
 
-check: fmt-check vet build race bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke
+check: fmt-check vet build race bench-vet bench-smoke serve-smoke realization-smoke chaos-smoke obs-smoke scale-smoke market-smoke kernel-smoke twin-smoke fuzz-smoke

@@ -132,10 +132,9 @@ type Stats struct {
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
-	Rescues          int     // solves rescued by a cold unpresolved re-solve, and curve-walk restarts
+	Rescues          int     // solves rescued by a cold unscaled re-solve, and curve-walk restarts
 	BlandActivations int     // anti-cycling fallback engagements
-	PresolveRows     int     // rows eliminated by presolve
-	PresolveCols     int     // columns eliminated by presolve
+	PresolveRows     int     // always 0: the kernel runs no presolve; kept for clients that read it
 	RowNormRatio     float64 // worst max/min row-norm ratio (scaling proxy)
 }
 
@@ -156,8 +155,6 @@ func (s *Stats) Add(other Stats) {
 	s.NaNRecoveries += other.NaNRecoveries
 	s.Rescues += other.Rescues
 	s.BlandActivations += other.BlandActivations
-	s.PresolveRows += other.PresolveRows
-	s.PresolveCols += other.PresolveCols
 	if other.RowNormRatio > s.RowNormRatio {
 		s.RowNormRatio = other.RowNormRatio
 	}
@@ -182,8 +179,6 @@ func (s *Stats) AddSolve(vars, rows int, sol *lp.Solution) {
 	s.NaNRecoveries += sol.Stats.NaNRecoveries
 	s.Rescues += sol.Stats.Rescues
 	s.BlandActivations += sol.Stats.BlandActivations
-	s.PresolveRows += sol.Stats.PresolveRows
-	s.PresolveCols += sol.Stats.PresolveCols
 	if r := sol.Stats.RowNormRatio(); r > s.RowNormRatio {
 		s.RowNormRatio = r
 	}

@@ -9,10 +9,10 @@ import (
 	"powercap/internal/lp"
 )
 
-// unpresolvedMakespan solves b at capW in the configuration of the kernel's
-// numerical rescue — cold, without presolve — and returns the makespan, or
+// unscaledMakespan solves b at capW in the configuration of the kernel's
+// numerical rescue — cold and unscaled — and returns the makespan, or
 // ok=false when the cap is infeasible.
-func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, capW float64) (makespan float64, ok bool) {
+func unscaledMakespan(t *testing.T, s *Solver, b *builtLP, capW float64) (makespan float64, ok bool) {
 	t.Helper()
 	if b.floor.minW > capW {
 		return 0, false
@@ -22,24 +22,23 @@ func unpresolvedMakespan(t *testing.T, s *Solver, b *builtLP, capW float64) (mak
 			t.Fatal(err)
 		}
 	}
-	sol, err := lp.Solve(b.prob, lp.WithoutPresolve())
+	sol, err := lp.Solve(b.prob, lp.WithoutScaling())
 	if err != nil {
-		t.Fatalf("cap %v unpresolved: %v", capW, err)
+		t.Fatalf("cap %v unscaled: %v", capW, err)
 	}
 	switch sol.Status {
 	case lp.Optimal:
 	case lp.Infeasible:
 		return 0, false
 	default:
-		t.Fatalf("cap %v unpresolved: status %v", capW, sol.Status)
+		t.Fatalf("cap %v unscaled: status %v", capW, sol.Status)
 	}
 	return s.scheduleFrom(b.ir, b.vVar, b.tv, sol, capW).MakespanS, true
 }
 
-// The LP kernel runs in two configurations: presolved, and the numerical
-// rescue's cold solve of the stated problem without presolve. A rescued
-// answer is an ordinary answer, so both must land on the pre-refactor
-// golden objectives.
+// The LP kernel runs in two configurations: scaled, and the numerical
+// rescue's cold unscaled solve. A rescued answer is an ordinary answer, so
+// both must land on the pre-refactor golden objectives.
 func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 	for _, name := range []string{"BT", "CoMD"} {
 		want := goldenLP[name]
@@ -54,11 +53,11 @@ func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cap %v: %v", name, perSocket, err)
 			}
-			rescue, ok := unpresolvedMakespan(t, s, b, perSocket*8)
+			rescue, ok := unscaledMakespan(t, s, b, perSocket*8)
 			if !ok {
-				t.Fatalf("%s cap %v unpresolved: infeasible", name, perSocket)
+				t.Fatalf("%s cap %v unscaled: infeasible", name, perSocket)
 			}
-			for cfg, got := range map[string]float64{"presolved": sched.MakespanS, "unpresolved": rescue} {
+			for cfg, got := range map[string]float64{"scaled": sched.MakespanS, "unscaled": rescue} {
 				if rel := math.Abs(got-want[i]) / want[i]; rel > 1e-9 {
 					t.Errorf("%s %s cap %v: makespan %.12f, golden %.12f (rel %g)",
 						name, cfg, perSocket, got, want[i], rel)
@@ -70,8 +69,8 @@ func TestEngineEquivalenceGoldenObjectives(t *testing.T) {
 
 // TestBackendEquivalenceOnSchedulingLPs cross-checks the kernel's two
 // configurations on the real scheduling LPs core builds, not just synthetic
-// corpus instances: the presolved solve every caller gets and the rescue's
-// cold solve without presolve must reach identical feasibility verdicts and
+// corpus instances: the scaled solve every caller gets and the rescue's
+// cold unscaled solve must reach identical feasibility verdicts and
 // makespans. (internal/lp checks the kernel against the dense-tableau
 // oracle.)
 func TestBackendEquivalenceOnSchedulingLPs(t *testing.T) {
@@ -86,12 +85,12 @@ func TestBackendEquivalenceOnSchedulingLPs(t *testing.T) {
 		if err != nil && !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("cap %v: %v", capW, err)
 		}
-		rescue, ok := unpresolvedMakespan(t, s, b, capW)
+		rescue, ok := unscaledMakespan(t, s, b, capW)
 		if ok != (err == nil) {
-			t.Fatalf("cap %v: presolved err %v, unpresolved feasible=%v", capW, err, ok)
+			t.Fatalf("cap %v: scaled err %v, unscaled feasible=%v", capW, err, ok)
 		}
 		if ok && math.Abs(sched.MakespanS-rescue) > 1e-9*(1+rescue) {
-			t.Fatalf("cap %v: presolved makespan %.15g, unpresolved %.15g", capW, sched.MakespanS, rescue)
+			t.Fatalf("cap %v: scaled makespan %.15g, unscaled %.15g", capW, sched.MakespanS, rescue)
 		}
 	}
 }

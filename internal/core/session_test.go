@@ -105,9 +105,9 @@ func TestCapSessionCancel(t *testing.T) {
 //
 // The synthetic job is the exception in tolerance only. Its matrix spreads
 // row norms by 2^18, and point solves of it disagree among themselves: at
-// a saturating 288.7 W the presolved, the scaled-only and the unpresolved
-// kernel return objectives 5.7e-9 relative apart. It is held to 1e-8
-// relative, and its slopes to 1e-7 s/W.
+// a saturating 288.7 W, solves scaled, unscaled and (before it was
+// retired) through presolve returned objectives 5.7e-9 relative apart. It
+// is held to 1e-8 relative, and its slopes to 1e-7 s/W.
 func TestCapSessionCurve(t *testing.T) {
 	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
 	type job struct {

@@ -20,7 +20,9 @@ import (
 
 // solveBits is a digest of everything a solve returns, bit for bit: the
 // status, objective, primal, dual and basis, and every SolveStats count
-// (wall time aside).
+// (wall time aside). The two zeros stand where the digests recorded the
+// retired presolve's elimination counts, so unchanged solves keep their
+// digests.
 func solveBits(sol *lp.Solution) string {
 	h := fnv.New64a()
 	put := func(vs ...float64) {
@@ -35,7 +37,7 @@ func solveBits(sol *lp.Solution) string {
 	put(sol.Dual...)
 	fmt.Fprint(h, sol.Basis, sol.Dual == nil, sol.Basis == nil)
 	fmt.Fprint(h, st.Phase1Iters, st.Phase2Iters, st.DualIters, st.Refactorizations,
-		st.PresolveRows, st.PresolveCols, st.WarmStarted, st.BlandActivated, st.BlandActivations,
+		0, 0, st.WarmStarted, st.BlandActivated, st.BlandActivations,
 		st.MaxEtaLen, st.PivotRejections, st.FactorTauRetries, st.NaNRecoveries, st.Rescues)
 	put(st.RowNormMax, st.RowNormMin)
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -87,15 +89,36 @@ func (r *solveBitsRecorder) check(t *testing.T, file string) {
 	}
 }
 
+// checkFree requires a basis-free solve of prob to be optimal, certified,
+// and within tol relative of the objective of prob's crash-started solve.
+func checkFree(t *testing.T, what string, prob *lp.Problem, free, crash *lp.Solution, tol float64) {
+	t.Helper()
+	if free.Status != lp.Optimal || crash.Status != lp.Optimal {
+		t.Fatalf("%s: basis-free %v, crash %v", what, free.Status, crash.Status)
+	}
+	if err := lp.Certify(prob, free).Err(); err != nil {
+		t.Fatalf("%s: basis-free: %v", what, err)
+	}
+	if d := math.Abs(free.Objective - crash.Objective); d > tol*math.Abs(crash.Objective) {
+		t.Fatalf("%s: basis-free objective %.17g, crash %.17g", what, free.Objective, crash.Objective)
+	}
+}
+
 // TestSolveBits pins every answer the kernel gives on the programs the
 // benchmark paths solve, bit for bit, against digests recorded before the
 // kernel's form was built in one pass: the whole-graph programs of the six
 // proxies at 4 ranks × 2 iterations, seeds 1–4, each solved at four caps
 // from its crash basis, from the previous cap's basis (a dual start) and
-// basis-free (through presolve's eliminations), and once without presolve
-// (the rescue's solve); and every speculative
-// window program of two 600-event synthetic traces, basis-free, from its
-// crash basis, and re-aimed from that answer's basis.
+// basis-free, and once unscaled (the rescue's solve); and every
+// speculative window program of two 600-event synthetic traces,
+// basis-free, from its crash basis, and re-aimed from that answer's basis.
+// The basis-free digests, and the dual starts from their bases, were
+// re-recorded when presolve was retired. Every basis-free answer must be
+// certified and agree with the crash start's objective within 1e-9
+// relative on the whole-graph programs, and within 1e-8 on the window
+// programs: synthetic/2/window1's crash start stops inside the kernel's
+// pricing tolerance but 2e-9 relative above the objective its basis-free
+// and unscaled solves reach.
 func TestSolveBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the digests were recorded on amd64; other architectures may fuse multiply-adds")
@@ -120,13 +143,15 @@ func TestSolveBits(t *testing.T) {
 				}
 				what := fmt.Sprintf("%s/%d/cap%d", name, seed, k)
 				if k == 0 {
-					rec.solve(t, what+"/stated", b.prob, lp.WithoutPresolve())
+					rec.solve(t, what+"/stated", b.prob, lp.WithoutScaling())
 				}
-				rec.solve(t, what+"/crash", b.prob, lp.WithWarmBasis(b.crash()))
+				crash := rec.solve(t, what+"/crash", b.prob, lp.WithWarmBasis(b.crash()))
 				if prev != nil {
 					rec.solve(t, what+"/warm", b.prob, lp.WithWarmBasis(prev))
 				}
-				prev = rec.solve(t, what+"/free", b.prob).Basis
+				free := rec.solve(t, what+"/free", b.prob)
+				checkFree(t, what, b.prob, free, crash, 1e-9)
+				prev = free.Basis
 			}
 		}
 	}
@@ -148,8 +173,9 @@ func TestSolveBits(t *testing.T) {
 			b := s.buildWindowLP(plan, win)
 			b.aim(ir, capW, s.windowEstimates(ir, capW))
 			what := fmt.Sprintf("synthetic/%d/window%d", seed, win.Index)
-			rec.solve(t, what+"/free", b.prob)
+			free := rec.solve(t, what+"/free", b.prob)
 			sol := rec.solve(t, what+"/crash", b.prob, lp.WithWarmBasis(b.crash()))
+			checkFree(t, what, b.prob, free, sol, 1e-8)
 			b.aim(ir, 0.95*capW, s.windowEstimates(ir, 0.95*capW))
 			rec.solve(t, what+"/reaim", b.prob, lp.WithWarmBasis(sol.Basis))
 		}

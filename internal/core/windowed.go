@@ -94,9 +94,8 @@ type WindowedSchedule struct {
 }
 
 // NumericalFallbacks reports how many window solves broke down numerically
-// and completed through lp.Solve's rescue (a cold re-solve without
-// presolve): Stats.Rescues, summed over speculative, commit, and
-// escalation solves.
+// and completed through lp.Solve's rescue (a cold unscaled re-solve):
+// Stats.Rescues, summed over speculative, commit, and escalation solves.
 func (w *WindowedSchedule) NumericalFallbacks() int { return w.Stats.Rescues }
 
 // WarmStartRate is WarmStartHits / CommitSolves (1 when every commit

@@ -239,7 +239,7 @@ func TestWindowedTraceNests(t *testing.T) {
 // deadline. The rescue itself is reached by injecting NaNs into the pivot
 // loops (faultinject.LPNaN) at fixed seeds and rate, with one worker so
 // each seed's fault sequence repeats: a window solve that exhausts its NaN
-// repairs is re-solved cold without presolve, and the stitched schedule
+// repairs is re-solved cold and unscaled, and the stitched schedule
 // must stay cap-clean and agree with the simulator.
 func TestWindowedNumericalRescue(t *testing.T) {
 	for _, seed := range []int64{226, 43} {

@@ -10,7 +10,7 @@ import (
 // rows and x ≥ 0, y is dual feasible (every reduced cost and every row dual
 // has its optimal sign), and cᵀx = bᵀy. By weak duality bᵀy bounds every
 // feasible objective, so equality pins x as optimal. Certify checks the
-// three in one pass over the stated problem, before any presolve.
+// three in one pass over the problem as stated, before scaling.
 
 // Certificate tolerances, each relative to the magnitude of the terms it
 // compares (see Certificate).

@@ -59,31 +59,31 @@ func TestDegenerateCyclingBlandActivation(t *testing.T) {
 // exactly every iteration (first-negative over exact d[]), so the
 // finite-termination guarantee survives the incremental pricing layer.
 // Beale's instance must terminate at the optimum with and without a forced
-// Bland flip, presolved and in the rescue's configuration (no presolve).
+// Bland flip, scaled and in the rescue's configuration (unscaled).
 func TestDegenerateSteepestEdgeNoCycling(t *testing.T) {
 	// The kernel's one configuration: LU basis engine, steepest-edge pricing.
 	t.Run("lu/steepest", func(t *testing.T) {
 		for _, forceBland := range []bool{false, true} {
-			for _, presolve := range []bool{true, false} {
+			for _, scale := range []bool{true, false} {
 				opts := []Option{WithMaxIters(500)}
 				if forceBland {
 					opts = append(opts, WithStallWindow(1))
 				}
-				if !presolve {
-					opts = append(opts, WithoutPresolve())
+				if !scale {
+					opts = append(opts, WithoutScaling())
 				}
 				sol, err := Solve(bealeProblem(), opts...)
 				if err != nil {
-					t.Fatalf("forceBland=%v presolve=%v: %v", forceBland, presolve, err)
+					t.Fatalf("forceBland=%v scale=%v: %v", forceBland, scale, err)
 				}
 				if sol.Status != Optimal {
-					t.Fatalf("forceBland=%v presolve=%v: status %v, want optimal (cycled?)", forceBland, presolve, sol.Status)
+					t.Fatalf("forceBland=%v scale=%v: status %v, want optimal (cycled?)", forceBland, scale, sol.Status)
 				}
 				if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-					t.Fatalf("forceBland=%v presolve=%v: objective %v, want -0.05", forceBland, presolve, sol.Objective)
+					t.Fatalf("forceBland=%v scale=%v: objective %v, want -0.05", forceBland, scale, sol.Objective)
 				}
 				if forceBland && !sol.Stats.BlandActivated {
-					t.Fatalf("presolve=%v: Bland's rule never activated despite StallWindow=1", presolve)
+					t.Fatalf("scale=%v: Bland's rule never activated despite StallWindow=1", scale)
 				}
 			}
 		}

@@ -7,24 +7,35 @@ import (
 	"testing"
 )
 
-// Dense-oracle equivalence harness: the kernel (presolve, revised simplex,
-// postsolve) and the dense tableau oracle must agree on every instance —
-// statuses exactly, objectives within 1e-9. The corpus covers the named
-// instances the dense tableau was originally validated on, and the
-// randomized sweep reuses the bounded-LP generator from the brute-force
-// property tests.
+// Dense-oracle equivalence harness: the kernel (scaling, revised simplex)
+// and the dense tableau oracle must agree on every instance — statuses
+// exactly, objectives within 1e-9. The corpus covers the named instances
+// the dense tableau was originally validated on, and one whose rows pin
+// every variable. The randomized sweeps reuse the bounded-LP generator
+// from the brute-force property tests.
+//
+// The round-trip tests carry the rows a presolve pass would eliminate —
+// empty, duplicate and singleton rows, and zero-cost columns that only one
+// equality row holds — into the kernel as stated. Each problem is solved
+// in the kernel's default configuration (scaled) and again unscaled, on the
+// kernel (the rescue's configuration) and on the dense oracle, and both
+// must give the same answer: statuses exactly, objectives and duals within
+// 1e-9, and a point that satisfies the stated rows. Infeasible and
+// unbounded problems round-trip their statuses.
 
 const equivObjTol = 1e-9
 
-// equivInstance is one named LP for the equivalence corpus.
+// equivInstance is one named LP for the equivalence corpus, with the
+// status both solvers must reach.
 type equivInstance struct {
 	name  string
+	want  Status
 	build func() *Problem
 }
 
 func equivCorpus() []equivInstance {
 	return []equivInstance{
-		{"simple-minimize", func() *Problem {
+		{"simple-minimize", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 1)
 			y := p.AddVar("y", 2)
@@ -32,7 +43,7 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x, 1), LE, 3)
 			return p
 		}},
-		{"simple-maximize", func() *Problem {
+		{"simple-maximize", Optimal, func() *Problem {
 			p := NewProblem(Maximize)
 			x := p.AddVar("x", 3)
 			y := p.AddVar("y", 5)
@@ -41,7 +52,7 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x, 3).Plus(y, 2), LE, 18)
 			return p
 		}},
-		{"equality-rows", func() *Problem {
+		{"equality-rows", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 1)
 			y := p.AddVar("y", 1)
@@ -50,21 +61,21 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, -1), EQ, 2)
 			return p
 		}},
-		{"infeasible", func() *Problem {
+		{"infeasible", Infeasible, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 1)
 			p.MustConstraint("", Expr{}.Plus(x, 1), GE, 5)
 			p.MustConstraint("", Expr{}.Plus(x, 1), LE, 3)
 			return p
 		}},
-		{"unbounded", func() *Problem {
+		{"unbounded", Unbounded, func() *Problem {
 			p := NewProblem(Maximize)
 			x := p.AddVar("x", 1)
 			y := p.AddVar("y", 1)
 			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, -1), LE, 1)
 			return p
 		}},
-		{"negative-rhs-normalization", func() *Problem {
+		{"negative-rhs-normalization", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 2)
 			y := p.AddVar("y", 3)
@@ -72,13 +83,13 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x, -1), GE, -3)
 			return p
 		}},
-		{"duplicate-terms", func() *Problem {
+		{"duplicate-terms", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 1)
 			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(x, 1).Plus(x, 1), GE, 9)
 			return p
 		}},
-		{"degenerate-beale", func() *Problem {
+		{"degenerate-beale", Optimal, func() *Problem {
 			// Beale's cycling example: degenerate under naive Dantzig.
 			p := NewProblem(Minimize)
 			x1 := p.AddVar("x1", -0.75)
@@ -90,7 +101,7 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x3, 1), LE, 1)
 			return p
 		}},
-		{"redundant-equality-rows", func() *Problem {
+		{"redundant-equality-rows", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 1)
 			y := p.AddVar("y", 2)
@@ -99,7 +110,7 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(x, 1), GE, 1)
 			return p
 		}},
-		{"transportation", func() *Problem {
+		{"transportation", Optimal, func() *Problem {
 			// 2 supplies × 3 demands, balanced.
 			p := NewProblem(Minimize)
 			cost := [2][3]float64{{4, 6, 9}, {5, 3, 8}}
@@ -127,7 +138,7 @@ func equivCorpus() []equivInstance {
 			}
 			return p
 		}},
-		{"convex-combination", func() *Problem {
+		{"convex-combination", Optimal, func() *Problem {
 			// The shape core builds: per-task convex mixes under a budget.
 			p := NewProblem(Minimize)
 			t1a := p.AddVar("t1a", 10)
@@ -139,12 +150,21 @@ func equivCorpus() []equivInstance {
 			p.MustConstraint("", Expr{}.Plus(t1b, 40).Plus(t2b, 35), LE, 50)
 			return p
 		}},
-		{"zero-objective", func() *Problem {
+		{"zero-objective", Optimal, func() *Problem {
 			p := NewProblem(Minimize)
 			x := p.AddVar("x", 0)
 			y := p.AddVar("y", 0)
 			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, 2), EQ, 7)
 			p.MustConstraint("", Expr{}.Plus(x, 1), GE, 1)
+			return p
+		}},
+		{"every-variable-pinned", Optimal, func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", 3)
+			y := p.AddVar("y", -2)
+			p.MustConstraint("", Expr{}.Plus(x, 2), EQ, 5)   // x = 2.5
+			p.MustConstraint("", Expr{}.Plus(y, -1), EQ, -4) // y = 4
+			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, 1), LE, 20)
 			return p
 		}},
 	}
@@ -187,7 +207,9 @@ func assertBackendsAgree(t *testing.T, name string, p *Problem) (dense, sparse *
 func TestBackendEquivalenceCorpus(t *testing.T) {
 	for _, inst := range equivCorpus() {
 		t.Run(inst.name, func(t *testing.T) {
-			assertBackendsAgree(t, inst.name, inst.build())
+			if _, sparse := assertBackendsAgree(t, inst.name, inst.build()); sparse.Status != inst.want {
+				t.Fatalf("%s: status %v, want %v", inst.name, sparse.Status, inst.want)
+			}
 		})
 	}
 }
@@ -197,6 +219,235 @@ func TestBackendEquivalenceRandom(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomBoundedLP(rng)
 		assertBackendsAgree(t, "", p)
+	}
+}
+
+// randRedundantRowsLP builds a bounded random LP and sprinkles in rows the
+// kernel must carry as stated: a row whose terms cancel to empty, a
+// proportional duplicate of another row (strictly looser for an
+// inequality, so its dual is uniquely zero), a singleton equality pinning
+// one variable, and a zero-cost column that only one equality row holds
+// (that row's slack in disguise).
+func randRedundantRowsLP(rng *rand.Rand) *Problem {
+	sense := Minimize
+	if rng.Intn(2) == 0 {
+		sense = Maximize
+	}
+	p := NewProblem(sense)
+	n := 2 + rng.Intn(5)
+	vars := make([]Var, n)
+	for j := 0; j < n; j++ {
+		vars[j] = p.AddVar("", rng.NormFloat64())
+	}
+	// Box rows keep everything bounded so Optimal dominates the sample.
+	for j := 0; j < n; j++ {
+		p.MustConstraint("", Expr{}.Plus(vars[j], 1), LE, 1+9*rng.Float64())
+	}
+	m := 1 + rng.Intn(2*n)
+	for i := 0; i < m; i++ {
+		var e Expr
+		for t := 0; t <= rng.Intn(3); t++ {
+			e = e.Plus(vars[rng.Intn(n)], rng.NormFloat64())
+		}
+		rel := Rel(rng.Intn(3))
+		rhs := 8 * rng.Float64()
+		if rel == GE {
+			rhs = -2 * rng.Float64() // loose lower bounds stay feasible
+		}
+		if rel == EQ {
+			continue // free-form equalities infeasible too often; injected below
+		}
+		p.MustConstraint("", e, rel, rhs)
+	}
+
+	v := vars[rng.Intn(n)]
+	p.MustConstraint("", Expr{}.Plus(v, 2.5).Plus(v, -2.5), LE, rng.Float64())
+
+	src := p.rows[rng.Intn(len(p.rows))]
+	lambda := []float64{0.5, 2, 4}[rng.Intn(3)]
+	var e Expr
+	for _, t := range src.terms {
+		e = e.Plus(t.Var, t.Coef*lambda)
+	}
+	loosen := 0.5 + rng.Float64()
+	switch src.rel {
+	case LE:
+		p.MustConstraint("", e, LE, src.rhs*lambda+loosen)
+	case GE:
+		p.MustConstraint("", e, GE, src.rhs*lambda-loosen)
+	}
+
+	if rng.Intn(2) == 0 {
+		a := 0.5 + 1.5*rng.Float64()
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		val := 0.5 * rng.Float64()
+		p.MustConstraint("", Expr{}.Plus(vars[rng.Intn(n)], a), EQ, a*val)
+	}
+
+	if rng.Intn(2) == 0 {
+		s := p.AddVar("slacklike", 0)
+		e := Expr{}.Plus(vars[rng.Intn(n)], 1+rng.Float64()).Plus(s, 1)
+		p.MustConstraint("", e, EQ, 2+4*rng.Float64())
+	}
+	return p
+}
+
+// solveBoth solves p in the kernel's default configuration, and unscaled
+// on im: the kernel itself or the dense oracle.
+func solveBoth(t *testing.T, p *Problem, im impl) (scaled, unscaled *Solution) {
+	t.Helper()
+	scaled, err := Solve(p)
+	if err != nil {
+		t.Fatalf("scaled solve: %v", err)
+	}
+	unscaled, err = im.solve(p, WithoutScaling())
+	if err != nil {
+		t.Fatalf("unscaled solve: %v", err)
+	}
+	return scaled, unscaled
+}
+
+func checkRoundTrip(t *testing.T, what string, p *Problem, scaled, unscaled *Solution) {
+	t.Helper()
+	if scaled.Status != unscaled.Status {
+		t.Fatalf("%s: status mismatch: scaled %v, unscaled %v", what, scaled.Status, unscaled.Status)
+	}
+	if scaled.Status != Optimal {
+		return
+	}
+	assertCertified(t, what+" (scaled)", p, scaled)
+	assertCertified(t, what+" (unscaled)", p, unscaled)
+	if math.Abs(scaled.Objective-unscaled.Objective) > equivObjTol*math.Max(1, math.Abs(unscaled.Objective)) {
+		t.Fatalf("%s: objective mismatch: scaled %.15g, unscaled %.15g", what, scaled.Objective, unscaled.Objective)
+	}
+	if len(scaled.Dual) != len(unscaled.Dual) {
+		t.Fatalf("%s: dual length %d, want %d", what, len(scaled.Dual), len(unscaled.Dual))
+	}
+	for i := range scaled.Dual {
+		if math.Abs(scaled.Dual[i]-unscaled.Dual[i]) > equivObjTol*math.Max(1, math.Abs(unscaled.Dual[i])) {
+			t.Fatalf("%s: dual[%d] mismatch: scaled %.15g, unscaled %.15g\nproblem:\n%s",
+				what, i, scaled.Dual[i], unscaled.Dual[i], p)
+		}
+	}
+	if !simplexSolutionFeasible(p, scaled) {
+		t.Fatalf("%s: scaled optimum violates the stated rows\n%s", what, p)
+	}
+}
+
+func TestPresolveRoundTripProperty(t *testing.T) {
+	for _, im := range impls {
+		t.Run(im.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(8021))
+			optimal := 0
+			for trial := 0; trial < 150; trial++ {
+				p := randRedundantRowsLP(rng)
+				scaled, unscaled := solveBoth(t, p, im)
+				what := fmt.Sprintf("trial %d", trial)
+				checkRoundTrip(t, what, p, scaled, unscaled)
+				if scaled.Status != Optimal {
+					continue
+				}
+				optimal++
+				// The answer's basis must warm start the problem back to
+				// the same optimum.
+				warm, err := Solve(p, WithWarmBasis(scaled.Basis))
+				if err != nil {
+					t.Fatalf("%s: warm restart: %v", what, err)
+				}
+				if warm.Status != Optimal ||
+					math.Abs(warm.Objective-scaled.Objective) > equivObjTol*math.Max(1, math.Abs(scaled.Objective)) {
+					t.Fatalf("%s: warm restart from the answer's basis: status %v obj %.15g, want optimal %.15g",
+						what, warm.Status, warm.Objective, scaled.Objective)
+				}
+			}
+			if optimal < 100 {
+				t.Fatalf("only %d/150 trials optimal; generator drifted, property under-exercised", optimal)
+			}
+		})
+	}
+}
+
+// TestPresolveRoundTripInfeasible covers infeasibility that rows alone
+// show (an inconsistent singleton, conflicting duplicates, an empty row
+// with a positive bound) and infeasibility that only the simplex finds
+// (crossed bounds).
+func TestPresolveRoundTripInfeasible(t *testing.T) {
+	cases := map[string]func() *Problem{
+		"singleton-negative": func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", 1)
+			p.MustConstraint("", Expr{}.Plus(x, 2), EQ, -6) // x = −3 < 0
+			return p
+		},
+		"duplicate-conflict": func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", 1)
+			y := p.AddVar("y", 1)
+			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(y, 2), EQ, 4)
+			p.MustConstraint("", Expr{}.Plus(x, 2).Plus(y, 4), EQ, 9) // = 2·row0 but rhs ≠ 8
+			return p
+		},
+		"empty-row": func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", 1)
+			p.MustConstraint("", Expr{}.Plus(x, 1).Plus(x, -1), GE, 3) // 0 ≥ 3
+			return p
+		},
+		"crossed-bounds": func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", 1)
+			p.MustConstraint("", Expr{}.Plus(x, 1), LE, 1)
+			p.MustConstraint("", Expr{}.Plus(x, 1), GE, 2)
+			return p
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, im := range impls {
+				scaled, unscaled := solveBoth(t, build(), im)
+				if scaled.Status != Infeasible || unscaled.Status != Infeasible {
+					t.Fatalf("%s: scaled %v, unscaled %v, want infeasible/infeasible",
+						im.name, scaled.Status, unscaled.Status)
+				}
+			}
+		})
+	}
+}
+
+// TestPresolveRoundTripUnbounded covers the unbounded status, including a
+// problem whose every row could be eliminated: a singleton row pins one
+// variable and the other row cancels to empty, so nothing limits the
+// improving column.
+func TestPresolveRoundTripUnbounded(t *testing.T) {
+	cases := map[string]func() *Problem{
+		"free-improving-var": func() *Problem {
+			p := NewProblem(Maximize)
+			p.AddVar("x", 1) // in no row, improving
+			y := p.AddVar("y", 1)
+			p.MustConstraint("", Expr{}.Plus(y, 1), LE, 5)
+			return p
+		},
+		"rows-all-eliminated": func() *Problem {
+			p := NewProblem(Minimize)
+			x := p.AddVar("x", -1) // improving without limit
+			y := p.AddVar("y", 2)
+			p.MustConstraint("", Expr{}.Plus(y, 1), EQ, 3)                 // a singleton row pins y
+			p.MustConstraint("", Expr{}.Plus(x, 0.5).Plus(x, -0.5), LE, 1) // cancels to empty
+			return p
+		},
+	}
+	for name, build := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, im := range impls {
+				scaled, unscaled := solveBoth(t, build(), im)
+				if scaled.Status != Unbounded || unscaled.Status != Unbounded {
+					t.Fatalf("%s: scaled %v, unscaled %v, want unbounded/unbounded",
+						im.name, scaled.Status, unscaled.Status)
+				}
+			}
+		})
 	}
 }
 

@@ -5,19 +5,69 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"powercap/internal/lp/presolve"
 )
 
 // The form oracle: the kernel's standard form as it was built before
-// buildForm, one copy after another — neutralize, presolve's row
-// summation with its equilibration (oldScale), reducedProblem, the
-// per-column newSpForm (oldSpForm) and its CSR transpose (oldCSR). The
-// builder must reproduce it to the bit.
+// buildForm, one copy after another — neutralize (a snapshot in a neutral
+// row form), row summation with equilibration (oldScaleOnly, oldScale),
+// realize (back to a Problem), the per-column form (oldSpForm) and its CSR
+// transpose (oldCSR). The builder must reproduce it to the bit.
 
-// oldReduction is presolve's scaled reduction as the oracle keeps it.
+// oracleRow is one constraint a·x rel rhs in the oracle's neutral form.
+type oracleRow struct {
+	cols []int
+	vals []float64
+	rel  Rel
+	rhs  float64
+}
+
+// oracleProblem is the oracle's neutral snapshot of a Problem: costs in
+// the problem's own sense, and its rows.
+type oracleProblem struct {
+	numVars int
+	cost    []float64
+	rows    []oracleRow
+}
+
+// neutralize snapshots p in the oracle's neutral form. Nothing is shared
+// mutably: the oracle copies what it rewrites.
+func neutralize(p *Problem) *oracleProblem {
+	np := &oracleProblem{numVars: len(p.names), cost: p.obj, rows: make([]oracleRow, len(p.rows))}
+	for i, r := range p.rows {
+		nr := oracleRow{rel: r.rel, rhs: r.rhs, cols: make([]int, len(r.terms)), vals: make([]float64, len(r.terms))}
+		for k, t := range r.terms {
+			nr.cols[k] = int(t.Var)
+			nr.vals[k] = t.Coef
+		}
+		np.rows[i] = nr
+	}
+	return np
+}
+
+// realize turns the oracle's problem np back into a Problem with p's sense
+// and pivot budget. Its names are the defaults: nothing renders them.
+func realize(p *Problem, np *oracleProblem) *Problem {
+	rp := &Problem{
+		sense:    p.sense,
+		maxIters: p.maxIters,
+		names:    make([]Name, np.numVars),
+		obj:      np.cost,
+		rows:     make([]constraint, len(np.rows)),
+	}
+	for i, row := range np.rows {
+		terms := make([]Term, len(row.cols))
+		for k, c := range row.cols {
+			terms[k] = Term{Var: Var(c), Coef: row.vals[k]}
+		}
+		rp.rows[i] = constraint{terms: terms, rel: row.rel, rhs: row.rhs}
+	}
+	return rp
+}
+
+// oldReduction is the oracle's summed and equilibrated problem with its
+// factors and row norms.
 type oldReduction struct {
-	red        *presolve.Reduction
+	p          *oracleProblem
 	rowScale   []float64
 	colScale   []float64
 	normMax    float64
@@ -25,64 +75,51 @@ type oldReduction struct {
 	scaledRows bool
 }
 
-// oldScaleOnly is presolve.Run without eliminations: each row's terms
-// summed in term order in a dense scratch, zeros dropped, columns sorted;
-// identity index maps; then oldScale.
-func oldScaleOnly(p *presolve.Problem) *oldReduction {
-	r := &presolve.Reduction{Outcome: presolve.OutcomeReduced, OrigVars: p.NumVars, OrigRows: len(p.Rows)}
-	rp := &presolve.Problem{NumVars: p.NumVars, Cost: append([]float64(nil), p.Cost...)}
-	acc := make([]float64, p.NumVars)
-	seen := make([]bool, p.NumVars)
+// oldScaleOnly sums each row's terms in term order in a dense scratch,
+// drops zeros and sorts the columns, then equilibrates (oldScale).
+func oldScaleOnly(p *oracleProblem) *oldReduction {
+	rp := &oracleProblem{numVars: p.numVars, cost: append([]float64(nil), p.cost...)}
+	acc := make([]float64, p.numVars)
+	seen := make([]bool, p.numVars)
 	var touched []int
-	for _, row := range p.Rows {
-		for k, c := range row.Cols {
+	for _, row := range p.rows {
+		for k, c := range row.cols {
 			if !seen[c] {
 				seen[c] = true
 				touched = append(touched, c)
 			}
-			acc[c] += row.Vals[k]
+			acc[c] += row.vals[k]
 		}
-		nr := presolve.Row{Rel: row.Rel, RHS: row.RHS}
+		nr := oracleRow{rel: row.rel, rhs: row.rhs}
 		for _, c := range touched {
 			if acc[c] != 0 {
-				nr.Cols = append(nr.Cols, c)
+				nr.cols = append(nr.cols, c)
 			}
 		}
-		slices.Sort(nr.Cols)
-		nr.Vals = make([]float64, len(nr.Cols))
-		for k, c := range nr.Cols {
-			nr.Vals[k] = acc[c]
+		slices.Sort(nr.cols)
+		nr.vals = make([]float64, len(nr.cols))
+		for k, c := range nr.cols {
+			nr.vals[k] = acc[c]
 		}
 		for _, c := range touched {
 			acc[c], seen[c] = 0, false
 		}
 		touched = touched[:0]
-		rp.Rows = append(rp.Rows, nr)
+		rp.rows = append(rp.rows, nr)
 	}
-	for j := 0; j < p.NumVars; j++ {
-		r.VarMap = append(r.VarMap, j)
-	}
-	for i := range p.Rows {
-		r.RowMap = append(r.RowMap, i)
-	}
-	r.P = rp
-	return oldScale(r)
+	return oldScale(rp)
 }
 
-// oldScale equilibrates a reduction's problem in place with power-of-two
-// factors when the coefficient spread warrants it.
-func oldScale(red *presolve.Reduction) *oldReduction {
-	r := &oldReduction{red: red}
-	p := red.P
-	if p == nil {
-		return r // infeasible or solved by the eliminations
-	}
-	r.rowScale = oldOnes(len(p.Rows))
-	r.colScale = oldOnes(p.NumVars)
+// oldScale equilibrates p in place with power-of-two factors when the
+// coefficient spread warrants it.
+func oldScale(p *oracleProblem) *oldReduction {
+	r := &oldReduction{p: p}
+	r.rowScale = oldOnes(len(p.rows))
+	r.colScale = oldOnes(p.numVars)
 
 	minA, maxA := math.Inf(1), 0.0
-	for i := range p.Rows {
-		for _, v := range p.Rows[i].Vals {
+	for i := range p.rows {
+		for _, v := range p.rows[i].vals {
 			a := math.Abs(v)
 			if a < minA {
 				minA = a
@@ -98,36 +135,36 @@ func oldScale(red *presolve.Reduction) *oldReduction {
 	}
 	r.scaledRows = true
 
-	for i := range p.Rows {
-		r.rowScale[i] = oldPow2Inverse(oldGeomean(p.Rows[i].Vals))
+	for i := range p.rows {
+		r.rowScale[i] = oldPow2Inverse(oldGeomean(p.rows[i].vals))
 	}
-	logSum := make([]float64, p.NumVars)
-	cnt := make([]int, p.NumVars)
-	for i := range p.Rows {
-		for k, c := range p.Rows[i].Cols {
-			a := math.Abs(p.Rows[i].Vals[k]) * r.rowScale[i]
+	logSum := make([]float64, p.numVars)
+	cnt := make([]int, p.numVars)
+	for i := range p.rows {
+		for k, c := range p.rows[i].cols {
+			a := math.Abs(p.rows[i].vals[k]) * r.rowScale[i]
 			if a > 0 && finite(a) {
 				logSum[c] += math.Log2(a)
 				cnt[c]++
 			}
 		}
 	}
-	for j := 0; j < p.NumVars; j++ {
+	for j := 0; j < p.numVars; j++ {
 		if cnt[j] > 0 {
 			r.colScale[j] = math.Exp2(-math.Round(logSum[j] / float64(cnt[j])))
 		}
 	}
 
-	for i := range p.Rows {
-		row := &p.Rows[i]
+	for i := range p.rows {
+		row := &p.rows[i]
 		rs := r.rowScale[i]
-		for k, c := range row.Cols {
-			row.Vals[k] *= rs * r.colScale[c]
+		for k, c := range row.cols {
+			row.vals[k] *= rs * r.colScale[c]
 		}
-		row.RHS *= rs
+		row.rhs *= rs
 	}
-	for j := range p.Cost {
-		p.Cost[j] *= r.colScale[j]
+	for j := range p.cost {
+		p.cost[j] *= r.colScale[j]
 	}
 	r.measureRowNorms()
 	return r
@@ -135,9 +172,9 @@ func oldScale(red *presolve.Reduction) *oldReduction {
 
 func (r *oldReduction) measureRowNorms() {
 	lo, hi := math.Inf(1), 0.0
-	for i := range r.red.P.Rows {
+	for i := range r.p.rows {
 		n := 0.0
-		for _, v := range r.red.P.Rows[i].Vals {
+		for _, v := range r.p.rows[i].vals {
 			if a := math.Abs(v); a > n {
 				n = a
 			}
@@ -365,17 +402,7 @@ func oldForm(p *Problem, rhs []float64, scale bool) (*spForm, *oldReduction) {
 		return oldSpForm(q), nil
 	}
 	red := oldScaleOnly(neutralize(q))
-	return oldSpForm(reducedProblem(q, red.red)), red
-}
-
-// oldFullForm is the oracle's form of p's presolve reduction (nil when
-// presolve leaves no rows to solve).
-func oldFullForm(p *Problem) (*spForm, *oldReduction) {
-	red := oldScale(presolve.Run(neutralize(p)))
-	if red.red.P == nil || len(red.red.P.Rows) == 0 {
-		return nil, red
-	}
-	return oldSpForm(reducedProblem(p, red.red)), red
+	return oldSpForm(realize(q, red.p)), red
 }
 
 // sameBits reports the first index where two float slices differ bitwise.
@@ -463,8 +490,7 @@ func checkSameForm(t *testing.T, what string, got, want *spForm, red *oldReducti
 }
 
 // oldSolve is Solve as it ran on the oracle's forms: the same kernel,
-// reached through the copy chain, with presolve's old unscale-in-postsolve
-// order.
+// reached through the copy chain, on a problem with rows.
 func oldSolve(p *Problem, opts ...Option) (*Solution, error) {
 	var o Options
 	for _, opt := range opts {
@@ -476,90 +502,43 @@ func oldSolve(p *Problem, opts ...Option) (*Solution, error) {
 	if o.StallWindow == 0 {
 		o.StallWindow = stallWindow
 	}
-	if o.NoPresolve {
-		return oldSolveStated(p, &o)
+	if o.NoScaling {
+		return oldSolveStated(p, &o, false)
 	}
-	sol, err := oldSolvePresolved(p, &o)
+	sol, err := oldSolveStated(p, &o, true)
 	if _, ok := err.(*NumericalError); ok {
-		o.NoPresolve, o.WarmBasis = true, nil
-		if sol, err = oldSolveStated(p, &o); err == nil {
+		o.NoScaling, o.WarmBasis = true, nil
+		if sol, err = oldSolveStated(p, &o, false); err == nil {
 			sol.Stats.Rescues = 1
 		}
 	}
 	return sol, err
 }
 
-func oldSolveStated(p *Problem, o *Options) (*Solution, error) {
-	f, _ := oldForm(p, nil, false)
+// oldSolveStated solves the oracle's form of p, scaled or not, and maps an
+// optimum back through the reduction's factors.
+func oldSolveStated(p *Problem, o *Options, scale bool) (*Solution, error) {
+	f, red := oldForm(p, nil, scale)
 	sol, err := solveSparse(f, o)
 	if err != nil {
 		return nil, err
 	}
-	if sol.Status == Optimal {
-		sol.Objective = objective(p, sol.X)
+	if red != nil {
+		sol.Stats.RowNormMax, sol.Stats.RowNormMin = red.normMax, red.normMin
 	}
-	return sol, nil
-}
-
-func oldSolvePresolved(p *Problem, o *Options) (*Solution, error) {
-	var red *oldReduction
-	if len(o.WarmBasis) > 0 {
-		red = oldScaleOnly(neutralize(p))
-	} else {
-		red = oldScale(presolve.Run(neutralize(p)))
-	}
-	r := red.red
-	switch r.Outcome {
-	case presolve.OutcomeInfeasible:
-		return emptySolution(p, Infeasible), nil
-	case presolve.OutcomeSolved:
-		sol := &Solution{Status: Optimal, X: r.PostsolvePrimal(nil), Dual: r.PostsolveDual(nil), Basis: r.MapBasis(nil, 0)}
-		sol.Objective = objective(p, sol.X)
-		return sol, nil
-	}
-	if len(r.P.Rows) == 0 {
-		for _, c := range r.P.Cost {
-			if (p.sense == Minimize && c < 0) || (p.sense == Maximize && c > 0) {
-				return emptySolution(p, Unbounded), nil
-			}
-		}
-		x := make([]float64, r.P.NumVars)
-		for j := range x {
-			x[j] *= red.colScale[j]
-		}
-		sol := &Solution{Status: Optimal, X: r.PostsolvePrimal(x), Dual: r.PostsolveDual(nil), Basis: r.MapBasis(nil, r.P.NumVars)}
-		sol.Objective = objective(p, sol.X)
-		return sol, nil
-	}
-	f := oldSpForm(reducedProblem(p, r))
-	sol, err := solveSparse(f, o)
-	if err != nil {
-		return nil, err
-	}
-	sol.Stats.PresolveRows = r.RowsRemoved
-	sol.Stats.PresolveCols = r.ColsRemoved
-	sol.Stats.RowNormMax = red.normMax
-	sol.Stats.RowNormMin = red.normMin
 	if sol.Status != Optimal {
-		out := emptySolution(p, sol.Status)
-		out.Iters = sol.Iters
-		out.Stats = sol.Stats
-		return out, nil
+		return sol, nil
 	}
-	x := append([]float64(nil), sol.X...)
-	for j := range x {
-		x[j] *= red.colScale[j]
+	if red != nil {
+		for j := range sol.X {
+			sol.X[j] *= red.colScale[j]
+		}
+		for i := range sol.Dual {
+			sol.Dual[i] *= red.rowScale[i]
+		}
 	}
-	y := append([]float64(nil), sol.Dual...)
-	for i := range y {
-		y[i] *= red.rowScale[i]
-	}
-	out := &Solution{Status: Optimal, X: r.PostsolvePrimal(x), Dual: r.PostsolveDual(y), Iters: sol.Iters, Stats: sol.Stats}
-	if len(sol.Basis) > 0 {
-		out.Basis = r.MapBasis(sol.Basis, r.P.NumVars)
-	}
-	out.Objective = objective(p, out.X)
-	return out, nil
+	sol.Objective = objective(p, sol.X)
+	return sol, nil
 }
 
 // checkSameSolve requires Solve to return what the oracle's solve returns,
@@ -663,8 +642,8 @@ func randomFormLP(rng *rand.Rand) *Problem {
 
 // checkFormAndSolves compares p's forms, stated (scaled and not) and with
 // some right-hand sides moved (a walk segment's lowering), and its solves
-// cold, without presolve and from the cold answer's basis, against the
-// oracle.
+// cold, unscaled and from the cold answer's basis, against the oracle. A
+// problem without rows never reaches the kernel (TestSolveRowFree).
 func checkFormAndSolves(t *testing.T, what string, p *Problem, rng *rand.Rand) {
 	t.Helper()
 	for _, scale := range []bool{false, true} {
@@ -681,20 +660,12 @@ func checkFormAndSolves(t *testing.T, what string, p *Problem, rng *rand.Rand) {
 		want, red = oldForm(p, rhs, scale)
 		checkSameForm(t, what+" lowered", buildForm(p, rhs, scale), want, red)
 	}
-	if len(p.rows) > 0 {
-		if want, red := oldFullForm(p); want != nil {
-			got := buildForm(reducedProblem(p, presolve.Run(neutralize(p))), nil, true)
-			checkSameForm(t, what+" presolved", got, want, red)
-		}
+	if len(p.rows) == 0 {
+		return
 	}
 
 	cold := checkSameSolve(t, what+" cold", p)
-	if len(p.rows) > 0 {
-		checkSameSolve(t, what+" stated", p, WithoutPresolve())
-	} else if sol, err := Solve(p, WithoutPresolve()); err != nil || sol.Status != cold.Status {
-		// The kernel has no rows to factorize: such a solve is presolve's.
-		t.Fatalf("%s: a row-free solve without presolve gave %v, %v; with presolve %v", what, sol, err, cold.Status)
-	}
+	checkSameSolve(t, what+" unscaled", p, WithoutScaling())
 	basis := []int{}
 	for i := range p.rows {
 		basis = append(basis, len(p.names)+i)
@@ -702,13 +673,11 @@ func checkFormAndSolves(t *testing.T, what string, p *Problem, rng *rand.Rand) {
 	if cold != nil && cold.Status == Optimal {
 		basis = cold.Basis
 	}
-	if len(p.rows) > 0 {
-		i := rng.Intn(len(p.rows))
-		old := p.rows[i].rhs
-		p.rows[i].rhs -= 1
-		checkSameSolve(t, what+" warm", p, WithWarmBasis(basis))
-		p.rows[i].rhs = old
-	}
+	i := rng.Intn(len(p.rows))
+	old := p.rows[i].rhs
+	p.rows[i].rhs -= 1
+	checkSameSolve(t, what+" warm", p, WithWarmBasis(basis))
+	p.rows[i].rhs = old
 }
 
 // TestFormMatchesOracle: the form builder reproduces the copy chain's form
@@ -725,32 +694,6 @@ func TestFormMatchesOracle(t *testing.T) {
 	}
 	if scaled < 100 {
 		t.Fatalf("only %d of 600 problems engaged scaling", scaled)
-	}
-}
-
-// TestFormFullReduction: a problem presolve reduces (a singleton equality
-// fixes a column, a duplicate row drops, a zero-cost singleton column
-// re-slacks an equality) builds the oracle's form of the reduction and
-// solves to the oracle's answer.
-func TestFormFullReduction(t *testing.T) {
-	p := NewProblem(Minimize)
-	x := p.AddVar("x", 1)
-	y := p.AddVar("y", 3e4)
-	z := p.AddVar("z", 2)
-	s := p.AddVar("s", 0)
-	p.MustConstraint("fix", Expr{}.Plus(z, 4), EQ, 8)
-	p.MustConstraint("a", Expr{}.Plus(x, 1).Plus(y, 1e-3).Plus(z, 1), GE, 3)
-	p.MustConstraint("dup", Expr{}.Plus(x, 2).Plus(y, 2e-3).Plus(z, 2), GE, 4)
-	p.MustConstraint("slack", Expr{}.Plus(x, 5e3).Plus(y, -1).Plus(s, 1), EQ, 9e3)
-	want, red := oldFullForm(p)
-	if red.red.RowsRemoved == 0 || red.red.ColsRemoved == 0 || !red.scaledRows {
-		t.Fatalf("presolve removed %d rows and %d columns, scaled %v: want a scaled reduction",
-			red.red.RowsRemoved, red.red.ColsRemoved, red.scaledRows)
-	}
-	got := buildForm(reducedProblem(p, presolve.Run(neutralize(p))), nil, true)
-	checkSameForm(t, "reduction", got, want, red)
-	if sol := checkSameSolve(t, "reduction", p); sol.Status != Optimal {
-		t.Fatalf("reduction: %v", sol.Status)
 	}
 }
 

@@ -4,14 +4,13 @@
 //	subject to  aᵢᵀx {≤,=,≥} bᵢ   for each constraint i
 //	            x ≥ 0
 //
-// with one kernel: a basis-free solve first runs presolve's eliminations
-// (internal/lp/presolve); one form builder then reads the problem once into
-// the kernel's scaled sparse standard form; a two-phase sparse revised
+// with one kernel: one form builder reads the problem's stated rows once
+// into the kernel's scaled sparse standard form; a two-phase sparse revised
 // simplex over a Markowitz LU basis factorization (internal/lp/basis) with
 // steepest-edge pricing and dual simplex warm starts solves it; and the
-// answer is unscaled and postsolved back to the stated problem. A solve
-// that breaks down numerically is re-solved once, cold, unscaled and
-// without presolve, inside Solve (DESIGN.md §14).
+// answer is unscaled back onto the stated problem. A solve that breaks down
+// numerically is re-solved once, cold and unscaled, inside Solve
+// (DESIGN.md §14).
 //
 // The solver is self-contained (standard library only) and produces exact
 // optimal basic solutions, which is what the paper's upper-bound argument

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -16,6 +17,48 @@ func TestSolveEmptyProblem(t *testing.T) {
 	p := NewProblem(Minimize)
 	if _, err := p.Solve(); err != ErrNoVariables {
 		t.Fatalf("expected ErrNoVariables, got %v", err)
+	}
+}
+
+// TestSolveRowFree: a problem without rows is answered without the
+// kernel, scaled or not: Unbounded when a column improves the objective,
+// otherwise Optimal at zero with an empty dual and basis, certified.
+func TestSolveRowFree(t *testing.T) {
+	cases := []struct {
+		name  string
+		sense Sense
+		costs []float64
+		want  Status
+	}{
+		{"min-nonnegative", Minimize, []float64{1, 0, 2.5}, Optimal},
+		{"min-improving", Minimize, []float64{1, -0.5}, Unbounded},
+		{"max-nonpositive", Maximize, []float64{-1, 0, -3}, Optimal},
+		{"max-improving", Maximize, []float64{-1, 2}, Unbounded},
+		{"zero-costs", Maximize, []float64{0, 0}, Optimal},
+	}
+	for _, c := range cases {
+		for _, opts := range [][]Option{nil, {WithoutScaling()}} {
+			p := NewProblem(c.sense)
+			for _, cost := range c.costs {
+				p.AddVar("", cost)
+			}
+			sol, err := Solve(p, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if sol.Status != c.want || len(sol.X) != len(c.costs) || sol.Iters != 0 {
+				t.Fatalf("%s: %v with %d values after %d pivots, want %v with %d", c.name, sol.Status, len(sol.X), sol.Iters, c.want, len(c.costs))
+			}
+			if sol.Status != Optimal {
+				continue
+			}
+			if sol.Objective != 0 || slices.ContainsFunc(sol.X, func(x float64) bool { return x != 0 }) ||
+				sol.Dual == nil || len(sol.Dual) != 0 || sol.Basis == nil || len(sol.Basis) != 0 {
+				t.Fatalf("%s: objective %v at %v, dual %v, basis %v: want 0 at the origin, empty dual and basis",
+					c.name, sol.Objective, sol.X, sol.Dual, sol.Basis)
+			}
+			assertCertified(t, c.name, p, sol)
+		}
 	}
 }
 

@@ -11,16 +11,16 @@ import (
 // attempts recovery by rebuilding its basis inverse from scratch
 // (reinversion recomputes xB = B⁻¹b from the clean standard form, so drift
 // or a corrupted working vector is genuinely repaired). A breakdown that
-// survives recovery ends the attempt; Solve then rescues a presolved solve
-// once by re-solving the original problem cold without presolve. What the
-// rescue cannot repair surfaces as a typed *NumericalError, so callers can
+// survives recovery ends the attempt; Solve then rescues a scaled solve
+// once by re-solving the same rows cold and unscaled. What the rescue
+// cannot repair surfaces as a typed *NumericalError, so callers can
 // distinguish "bad problem" (Infeasible/Unbounded, a statement about the LP)
 // from "bad luck" (a solve that went numerically wrong and may succeed on a
 // retry or a heuristic).
 
 // NumericalError reports a solve abandoned because the kernel's working
 // state went numerically bad (non-finite values, a singular basis at
-// reinversion, or an FTRAN/BTRAN disagreement) — for a presolved solve, in
+// reinversion, or an FTRAN/BTRAN disagreement) — for a scaled solve, in
 // the rescue as well. It makes no statement about the problem: retrying or
 // falling back to a heuristic are both legitimate responses, which is
 // exactly what internal/resilience does.

@@ -62,7 +62,7 @@ func TestInjectedNaNSparseRecovers(t *testing.T) {
 }
 
 // TestInjectedNaNSparseExhaustsRetries: a NaN at every checkpoint outlives
-// the maxNaNRetries budget on a long solve — presolved and again in the
+// the maxNaNRetries budget on a long solve — scaled and again in the
 // rescue — and must surface as a typed *NumericalError, not as a NaN-laced
 // solution or a bare IterLimit.
 func TestInjectedNaNSparseExhaustsRetries(t *testing.T) {
@@ -157,16 +157,16 @@ func TestFaultsOffBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRescueCostsAtMostOneColdSolve pins the in-kernel rescue: a presolved
-// solve that breaks down is re-solved once, cold and without presolve, and
-// never more. Under rate-limited NaN injection every checkpoint is a draw,
+// TestRescueCostsAtMostOneColdSolve pins the in-kernel rescue: a scaled
+// solve that breaks down is re-solved once, cold and unscaled, and never
+// more. Under rate-limited NaN injection every checkpoint is a draw,
 // and an attempt breaks down at exactly its (maxNaNRetries+1)th NaN, so
 // the number of NaNs fired accounts for every attempt: a solve that
 // survives its first attempt saw at most maxNaNRetries, a rescued one
 // between one and two budgets' worth, and a failed one exactly two budgets
 // — a third attempt would show up as more. Across seeds all three outcomes
 // must occur, and a rescued solve must report Stats.Rescues = 1, carry no
-// presolve scaling (the rescue solves the stated problem), and land on the
+// scaling (the rescue solves the stated rows unscaled), and land on the
 // clean optimum.
 func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
 	p := bigRandomLP(7)
@@ -174,7 +174,7 @@ func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Solve(p, WithoutPresolve())
+	direct, err := Solve(p, WithoutScaling())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
 		}
 	}
 	if clean.Stats.RowNormMax == 0 || direct.Stats.RowNormMax != 0 {
-		t.Fatalf("row norms %g presolved, %g direct: want only the presolved solve scaled",
+		t.Fatalf("row norms %g scaled, %g unscaled: want only the default solve scaled",
 			clean.Stats.RowNormMax, direct.Stats.RowNormMax)
 	}
 
@@ -205,7 +205,7 @@ func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
 		case errors.As(err, &ne):
 			failed++
 			if fired != 2*budget {
-				t.Fatalf("seed %d: failed after %d NaNs, want exactly %d (presolved attempt + one rescue)", seed, fired, 2*budget)
+				t.Fatalf("seed %d: failed after %d NaNs, want exactly %d (scaled attempt + one rescue)", seed, fired, 2*budget)
 			}
 		case err != nil:
 			t.Fatalf("seed %d: %v", seed, err)
@@ -220,7 +220,7 @@ func TestRescueCostsAtMostOneColdSolve(t *testing.T) {
 				t.Fatalf("seed %d: rescued after %d NaNs, want %d..%d", seed, fired, budget, budget+maxNaNRetries)
 			}
 			if sol.Stats.RowNormMax != 0 || sol.Stats.WarmStarted {
-				t.Fatalf("seed %d: rescued solve was presolved (row norm %g) or warm (%v)", seed, sol.Stats.RowNormMax, sol.Stats.WarmStarted)
+				t.Fatalf("seed %d: rescued solve was scaled (row norm %g) or warm (%v)", seed, sol.Stats.RowNormMax, sol.Stats.WarmStarted)
 			}
 			if sol.Status != Optimal || math.Abs(sol.Objective-clean.Objective) > 1e-9*math.Max(1, math.Abs(clean.Objective)) {
 				t.Fatalf("seed %d: rescued solve %v objective %.15g, clean %.15g", seed, sol.Status, sol.Objective, clean.Objective)

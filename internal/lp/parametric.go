@@ -77,8 +77,8 @@ type Path struct {
 // vars. Options apply as in Solve, except WithWarmBasis, which is ignored:
 // the walk starts from a cold solve.
 //
-// The walk runs on a form whose rows are p's stated rows, scaled but not
-// reduced by presolve, so the shift direction maps row for row.
+// The walk runs on the scaled form of p's stated rows, as Solve does, so
+// the shift direction maps row for row.
 // A numerical breakdown is rescued by a cold re-solve, without scaling, at
 // the last breakpoint, and the walk continues from there; past
 // maxWalkRestarts restarts it returns a *NumericalError.
@@ -463,7 +463,7 @@ func (w *Walk) setSpan(ctx context.Context) {
 
 // open runs the first segment at shift 0.
 func (w *Walk) open() error {
-	st, reason := w.segment(!w.o.NoPresolve)
+	st, reason := w.segment(!w.o.NoScaling)
 	if st == statusNumerical {
 		return w.recover(reason)
 	}

@@ -161,7 +161,7 @@ func FuzzParametric(f *testing.F) {
 		// An unscaled walk of the same program is a second opinion: where
 		// the two end apart, the program is too ill-conditioned for any
 		// 1e-9 reference.
-		alt, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000), WithoutPresolve())
+		alt, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000), WithoutScaling())
 		if err != nil || alt.Status != Optimal || alt.InfeasibleBeyond != path.InfeasibleBeyond ||
 			math.Abs(alt.Breakpoints[len(alt.Breakpoints)-1].Shift-end) > 1e-6*math.Max(1, end) {
 			t.Skip("ill-conditioned: the scaled and unscaled walks disagree")
@@ -219,14 +219,14 @@ func FuzzParametric(f *testing.F) {
 				t.Skip("nearly parallel rows: the reference point is feasible only within tolerance")
 			}
 			// Within 1e-9 of the objective's magnitude before cancellation,
-			// where the kernel with and without presolve agree that far.
+			// where the kernel with and without scaling agree that far.
 			scale := 1.0
 			for j, c := range q.obj {
 				scale += math.Abs(c * sol.X[j])
 			}
-			if alt, err := Solve(q, WithMaxIters(5000), WithoutPresolve()); err != nil || alt.Status != Optimal ||
+			if alt, err := Solve(q, WithMaxIters(5000), WithoutScaling()); err != nil || alt.Status != Optimal ||
 				math.Abs(alt.Objective-sol.Objective) > 1e-9*scale {
-				t.Skip("ill-conditioned: the kernel with and without presolve disagree")
+				t.Skip("ill-conditioned: the kernel with and without scaling disagree")
 			}
 			// Either point may hold basic values a little below zero,
 			// within the kernel's feasibility tolerance, that the other

@@ -712,7 +712,7 @@ const (
 func (rv *revised) markStart(start string) { obs.SpanFrom(rv.sctx).SetAttr("start", start) }
 
 // solveSparse runs the revised simplex on form f: the kernel behind Solve,
-// for the presolved problem and for the rescue alike. The solution is in
+// for the scaled stated rows and for the rescue alike. The solution is in
 // the form's space, its objective left for the caller. One pooled arena
 // serves the whole call: a supplied basis the kernel cannot use resets the
 // same scratch for the cold fallback instead of allocating a second

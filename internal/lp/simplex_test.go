@@ -19,7 +19,7 @@ type impl struct {
 // impls pairs the kernel with the dense oracle.
 var impls = []impl{{"dense", denseSolve}, {"sparse", Solve}}
 
-// denseSolve solves p on the dense tableau. Presolve never applies and warm
+// denseSolve solves p on the dense tableau. Scaling never applies and warm
 // bases are ignored: the oracle always solves the stated problem cold.
 func denseSolve(p *Problem, opts ...Option) (*Solution, error) {
 	if len(p.names) == 0 {

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"powercap/internal/faultinject"
@@ -28,13 +29,12 @@ type Options struct {
 	// StallWindow is how many non-improving iterations are tolerated
 	// before switching to Bland's anti-cycling rule (0 = default 200).
 	StallWindow int
-	// NoPresolve solves the stated problem's form unscaled, without
-	// presolve's eliminations (internal/lp/presolve) or equilibration.
-	// Intended for tests and A/B instrumentation; presolve and scaling are
-	// semantically invisible otherwise.
-	// A solve without presolve gets no numerical rescue: the rescue is
-	// exactly such a solve.
-	NoPresolve bool
+	// NoScaling solves the stated rows unscaled, without equilibration:
+	// the numerical rescue's configuration. Tests use it as a second
+	// opinion, and a walk opened with it runs its first segment unscaled;
+	// scaling is semantically invisible otherwise. A solve without scaling
+	// gets no numerical rescue: the rescue is exactly such a solve.
+	NoScaling bool
 	// WarmBasis is a starting basis in the Solution.Basis encoding. It may
 	// come from a previous solve of a problem with the same variables and a
 	// prefix of the same rows (RHS values and appended rows may differ), or
@@ -67,8 +67,8 @@ func WithMaxIters(n int) Option { return func(o *Options) { o.MaxIters = n } }
 // WithStallWindow overrides the stall threshold that engages Bland's rule.
 func WithStallWindow(n int) Option { return func(o *Options) { o.StallWindow = n } }
 
-// WithoutPresolve disables presolve and scaling for this solve.
-func WithoutPresolve() Option { return func(o *Options) { o.NoPresolve = true } }
+// WithoutScaling solves the stated rows unscaled, as the rescue does.
+func WithoutScaling() Option { return func(o *Options) { o.NoScaling = true } }
 
 // WithWarmBasis supplies a starting basis in the Solution.Basis encoding,
 // from a previous solve or built by the caller (see Options.WarmBasis).
@@ -117,10 +117,6 @@ type SolveStats struct {
 	DualIters   int
 	// Refactorizations counts basis reinversions.
 	Refactorizations int
-	// PresolveRows and PresolveCols count the rows/columns the presolve
-	// pass eliminated before the kernel ran.
-	PresolveRows int `json:",omitempty"`
-	PresolveCols int `json:",omitempty"`
 	// WarmStarted reports whether a supplied basis was used, as a dual or a
 	// primal start (false when it was absent or unusable).
 	WarmStarted bool
@@ -141,14 +137,14 @@ type SolveStats struct {
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
 	// working state (see revised.recoverNumerical).
 	NaNRecoveries int `json:",omitempty"`
-	// Rescues counts numerical rescues: 1 when the presolved solve broke
-	// down and this solution comes from the cold re-solve of the original
-	// problem without presolve (see Solve), else 0.
+	// Rescues counts numerical rescues: 1 when the scaled solve broke down
+	// and this solution comes from the cold re-solve of the same rows
+	// unscaled (see Solve), else 0.
 	Rescues int `json:",omitempty"`
 	// RowNormMax and RowNormMin are the extreme row norms (max-abs per row)
 	// of the constraint matrix handed to the kernel after scaling; their
 	// ratio is the scaling condition proxy. Solves without scaling
-	// (WithoutPresolve, the rescue) leave them zero.
+	// (WithoutScaling, the rescue) leave them zero.
 	RowNormMax float64 `json:",omitempty"`
 	RowNormMin float64 `json:",omitempty"`
 	// Wall is the end-to-end solve time.
@@ -190,18 +186,20 @@ func (s *SolveStats) addEffort(o SolveStats) {
 // the parent basis: rows added for branches simply take their own auxiliary
 // as the initial basic variable.
 
-// Solve runs the sparse revised simplex on p, cold or from a supplied basis
-// (WithWarmBasis); the lp.solve span's start attribute names the start the
-// solve took: cold, dual or primal. The returned error is non-nil
-// only for malformed problems and for numerical breakdowns the rescue did
-// not repair (*NumericalError); infeasibility and unboundedness are
-// reported through Solution.Status.
+// Solve runs the sparse revised simplex on the scaled form of p's stated
+// rows, cold or from a supplied basis (WithWarmBasis); the lp.solve span's
+// start attribute names the start the solve took: cold, dual or primal. A
+// problem without rows is answered without the kernel: Optimal at zero,
+// or Unbounded when a column improves the objective. The returned error is
+// non-nil only for malformed problems and for numerical breakdowns the
+// rescue did not repair (*NumericalError); infeasibility and unboundedness
+// are reported through Solution.Status.
 //
 // A solve that breaks down numerically is rescued once, inside Solve: the
-// original problem is re-solved cold with presolve and scaling off. The
-// rescue changes the factorized matrix (no eliminations, no equilibration)
-// and drops any warm basis, so the LU sees a different pivot sequence; a
-// second breakdown is returned as is. Solution.Stats.Rescues records it.
+// same rows are re-solved cold and unscaled. The rescue changes the
+// factorized matrix (no equilibration) and drops any warm basis, so the LU
+// sees a different pivot sequence; a second breakdown is returned as is.
+// Solution.Stats.Rescues records it.
 func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	if len(p.names) == 0 {
 		return nil, ErrNoVariables
@@ -230,14 +228,17 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	start := time.Now()
 	var sol *Solution
 	var err error
-	if o.NoPresolve && len(p.rows) > 0 {
+	switch {
+	case len(p.rows) == 0:
+		sol = solveRowFree(p)
+	case o.NoScaling:
 		sol, err = solveStated(p, &o, false)
-	} else {
-		sol, err = solvePresolved(p, &o)
+	default:
+		sol, err = solveStated(p, &o, true)
 		var ne *NumericalError
 		if errors.As(err, &ne) {
 			span.SetAttr("rescue", ne.Reason)
-			o.NoPresolve, o.WarmBasis = true, nil
+			o.NoScaling, o.WarmBasis = true, nil
 			sol, err = solveStated(p, &o, false)
 			if err == nil {
 				sol.Stats.Rescues = 1
@@ -251,6 +252,46 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	span.SetAttr("status", sol.Status.String())
 	span.SetAttr("pivots", sol.Stats.Pivots())
 	return sol, nil
+}
+
+// solveStated solves p's stated rows on the kernel, equilibrated when
+// scale is set (every solve but the rescue and WithoutScaling). Only the
+// scaled solve reports the form's row norms.
+func solveStated(p *Problem, o *Options, scale bool) (*Solution, error) {
+	f := buildForm(p, nil, scale)
+	sol, err := solveSparse(f, o)
+	if err != nil {
+		return nil, err
+	}
+	if scale {
+		sol.Stats.RowNormMax, sol.Stats.RowNormMin = f.normMax, f.normMin
+	}
+	if sol.Status == Optimal {
+		f.unscale(sol)
+		sol.Objective = objective(p, sol.X)
+	}
+	return sol, nil
+}
+
+// solveRowFree answers a problem without rows: every column sits at zero
+// unless one improves the objective without limit.
+func solveRowFree(p *Problem) *Solution {
+	x := make([]float64, len(p.names))
+	for _, c := range p.obj {
+		if (p.sense == Minimize && c < 0) || (p.sense == Maximize && c > 0) {
+			return &Solution{Status: Unbounded, Objective: math.NaN(), X: x}
+		}
+	}
+	return &Solution{Status: Optimal, Objective: objective(p, x), X: x, Dual: []float64{}, Basis: []int{}}
+}
+
+// objective evaluates p's objective, in its own sense, at x.
+func objective(p *Problem, x []float64) float64 {
+	obj := 0.0
+	for j, c := range p.obj {
+		obj += c * x[j]
+	}
+	return obj
 }
 
 // sleepSlow implements the SlowSolve fault: a context-aware delay of the

@@ -57,13 +57,11 @@ type KernelHealth struct {
 	FactorTauRetries int `json:"factor_tau_retries,omitempty"`
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
 	// solver state; Rescues counts solves that broke down and completed
-	// through the kernel's cold re-solve without presolve;
-	// BlandActivations counts anti-cycling fallbacks.
+	// through the kernel's cold unscaled re-solve; BlandActivations counts
+	// anti-cycling fallbacks.
 	NaNRecoveries    int `json:"nan_recoveries,omitempty"`
 	Rescues          int `json:"rescues,omitempty"`
 	BlandActivations int `json:"bland_activations,omitempty"`
-	PresolveRows     int `json:"presolve_rows,omitempty"`
-	PresolveCols     int `json:"presolve_cols,omitempty"`
 }
 
 // WideEvent is one request's forensic record. Every field is a value type

@@ -7,7 +7,7 @@
 // The top rung runs whichever LP the request names: decomposed at iteration
 // boundaries, one LP over the whole graph, or the windowed (optionally
 // coarsened) decomposition. Numerical rescue of the LP itself happens
-// inside lp.Solve (a cold re-solve without presolve); a *lp.NumericalError
+// inside lp.Solve (a cold unscaled re-solve); a *lp.NumericalError
 // reaching the ladder has already had it. Each rung gets a bounded slice of
 // the request's remaining deadline, a small retry budget with exponential
 // backoff for numerical failures, and a circuit breaker so a persistently

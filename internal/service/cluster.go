@@ -7,8 +7,9 @@ package service
 // uniform. The handler threads the allocator
 // through the same machinery every other endpoint uses — pooled Systems
 // (so each job's problem IR is cached across requests), the worker-slot
-// semaphore (one slot for the whole allocation: the allocator's walks are
-// sequential, not parallel work), the content-addressed
+// semaphore (one slot for the whole allocation, though its sessions are
+// built and its walks opened side by side: slots bound requests, not
+// CPUs), the content-addressed
 // cache (cluster-level entry plus per-job Put of the final schedules, so a
 // later /v1/solve at a granted cap is a hit), and obs tracing (the
 // market.allocate/market.floor spans land in the stage
@@ -22,10 +23,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"time"
 
 	"powercap"
+	"powercap/internal/fanout"
 	"powercap/internal/market"
 	"powercap/internal/obs"
 	"powercap/internal/trace"
@@ -282,11 +285,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// clusterWorker runs one allocation on a worker slot. The allocator opens
-// the jobs' walks side by side and then lowers them interleaved on one
-// goroutine; either way the whole batch occupies a single slot, which
-// bounds requests, not CPUs. Budget infeasibility is an in-band outcome (a
-// pure function of the request), not an error.
+// clusterWorker runs one allocation on a worker slot. It builds the jobs'
+// sessions side by side on GOMAXPROCS workers, failing with the lowest
+// failing job's error as a serial loop would; the allocator then opens
+// their walks side by side and lowers them interleaved on one goroutine.
+// Either way the whole batch occupies a single slot, which bounds
+// requests, not CPUs. Budget infeasibility is an in-band outcome (a pure
+// function of the request), not an error.
 func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
@@ -296,12 +301,17 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 
 	t0 := time.Now()
 	mjobs := make([]market.Job, len(jobs))
-	for i, j := range jobs {
-		cs, serr := j.sys.NewCapSession(ctx, j.g)
-		if serr != nil {
-			return nil, fmt.Errorf("job %q: %w", j.name, serr)
+	err = fanout.Run(ctx, len(jobs), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		j := jobs[i]
+		cs, err := j.sys.NewCapSession(ctx, j.g)
+		if err != nil {
+			return fmt.Errorf("job %q: %w", j.name, err)
 		}
 		mjobs[i] = market.Job{Name: j.name, Session: cs}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	alloc, err := market.Allocate(ctx, mjobs, budget, opts)
 	s.metrics.SolveLatency.Observe(time.Since(t0))

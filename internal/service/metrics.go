@@ -96,17 +96,15 @@ type Metrics struct {
 	// LP numerical-health families (DESIGN.md §16), accumulated across
 	// every backend solve: basis reinversions, LU threshold-pivoting row
 	// rejections, factorizations retried under strict pivoting, NaN/Inf
-	// refactorize-and-retry repairs, anti-cycling (Bland) fallbacks, and
-	// presolve eliminations. LPMaxEtaLen tracks the worst product-form
-	// update-file growth and LPRowNormRatio the worst post-scaling max/min
-	// row-norm ratio — the two conditioning proxies.
+	// refactorize-and-retry repairs and anti-cycling (Bland) fallbacks.
+	// LPMaxEtaLen tracks the worst product-form update-file growth and
+	// LPRowNormRatio the worst post-scaling max/min row-norm ratio — the
+	// two conditioning proxies.
 	LPRefactorizations atomic.Uint64
 	LPPivotRejections  atomic.Uint64
 	LPTauRetries       atomic.Uint64
 	LPNaNRecoveries    atomic.Uint64
 	LPBlandActivations atomic.Uint64
-	LPPresolveRows     atomic.Uint64
-	LPPresolveCols     atomic.Uint64
 	LPMaxEtaLen        FloatMaxGauge
 	LPRowNormRatio     FloatMaxGauge
 	// TracedRequests counts requests that asked for (and got) an inline
@@ -318,8 +316,6 @@ func (m *Metrics) Render(w io.Writer) {
 		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
 		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", m.LPNaNRecoveries.Load()},
 		{"pcschedd_lp_bland_activations_total", "Anti-cycling (Bland's rule) fallback engagements.", m.LPBlandActivations.Load()},
-		{"pcschedd_lp_presolve_rows_total", "Constraint rows eliminated by presolve across all solves.", m.LPPresolveRows.Load()},
-		{"pcschedd_lp_presolve_cols_total", "Columns eliminated by presolve across all solves.", m.LPPresolveCols.Load()},
 	}
 	for _, c := range counters {
 		writeMeta(w, c.name, c.help, "counter")

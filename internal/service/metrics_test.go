@@ -197,8 +197,7 @@ func TestMetricsConformance(t *testing.T) {
 		"pcschedd_queue_occupancy",
 		"pcschedd_lp_refactorizations_total", "pcschedd_lp_pivot_rejections_total",
 		"pcschedd_lp_factor_tau_retries_total", "pcschedd_lp_nan_recoveries_total",
-		"pcschedd_lp_bland_activations_total", "pcschedd_lp_presolve_rows_total",
-		"pcschedd_lp_presolve_cols_total", "pcschedd_lp_max_eta_len",
+		"pcschedd_lp_bland_activations_total", "pcschedd_lp_max_eta_len",
 		"pcschedd_lp_row_norm_ratio_max",
 		"pcschedd_slo_fast_burn", "pcschedd_slo_slow_burn",
 		"pcschedd_slo_window_good", "pcschedd_slo_window_total",

@@ -603,7 +603,7 @@ type SolveRequest struct {
 
 // StatsJSON mirrors SolverStats for responses: solver effort plus the
 // numerical-health counters (eta growth, pivot rejections, rescue counts,
-// presolve eliminations, scaling proxy) DESIGN.md §16 describes.
+// scaling proxy) DESIGN.md §16 describes.
 type StatsJSON struct {
 	Solves           int `json:"solves"`
 	SimplexPivots    int `json:"simplex_pivots"`
@@ -617,8 +617,7 @@ type StatsJSON struct {
 	NaNRecoveries    int     `json:"nan_recoveries,omitempty"`
 	Rescues          int     `json:"rescues,omitempty"`
 	BlandActivations int     `json:"bland_activations,omitempty"`
-	PresolveRows     int     `json:"presolve_rows,omitempty"`
-	PresolveCols     int     `json:"presolve_cols,omitempty"`
+	PresolveRows     int     `json:"presolve_rows,omitempty"` // always 0: the kernel runs no presolve
 	RowNormRatio     float64 `json:"row_norm_ratio,omitempty"`
 }
 
@@ -637,8 +636,6 @@ func NewStatsJSON(st powercap.SolverStats) *StatsJSON {
 		NaNRecoveries:    st.NaNRecoveries,
 		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
-		PresolveRows:     st.PresolveRows,
-		PresolveCols:     st.PresolveCols,
 		RowNormRatio:     st.RowNormRatio,
 	}
 }
@@ -657,8 +654,6 @@ func kernelHealthFrom(st powercap.SolverStats) obs.KernelHealth {
 		NaNRecoveries:    st.NaNRecoveries,
 		Rescues:          st.Rescues,
 		BlandActivations: st.BlandActivations,
-		PresolveRows:     st.PresolveRows,
-		PresolveCols:     st.PresolveCols,
 	}
 }
 
@@ -674,8 +669,6 @@ func (s *Server) countLPStats(st powercap.SolverStats) {
 	m.LPTauRetries.Add(uint64(st.FactorTauRetries))
 	m.LPNaNRecoveries.Add(uint64(st.NaNRecoveries))
 	m.LPBlandActivations.Add(uint64(st.BlandActivations))
-	m.LPPresolveRows.Add(uint64(st.PresolveRows))
-	m.LPPresolveCols.Add(uint64(st.PresolveCols))
 	m.LPMaxEtaLen.StoreMax(float64(st.MaxEtaLen))
 	m.LPRowNormRatio.StoreMax(st.RowNormRatio)
 }

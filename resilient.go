@@ -8,7 +8,7 @@ import (
 
 // Resilient solve facade (DESIGN.md §10): UpperBound through the
 // degradation ladder. When the LP breaks down numerically even after the
-// kernel's own rescue (a cold re-solve without presolve), the ladder
+// kernel's own rescue (a cold unscaled re-solve), the ladder
 // retries with backoff, then descends to a slack-aware heuristic, then to
 // the static fair-share policy — every sub-top-rung result
 // simulator-validated and cap-clean, and tagged Degraded with a
