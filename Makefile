@@ -44,9 +44,15 @@ bench-smoke:
 
 # End-to-end daemon smoke: build pcschedd, start it on a random port, fire
 # a solve, a cache-hit repeat, and a cancelled request, assert the /metrics
-# counters, then SIGTERM and require a clean exit.
+# counters, then SIGTERM and require a clean exit. Then the named-graph memo
+# under the race detector (shared graphs, the bound's reset, inline traces
+# kept out, every endpoint leaving a memoized graph's digest unchanged,
+# concurrent hits and misses, a panicking generator answering 400), and one
+# short pass of the in-process cache-hit benchmark.
 serve-smoke:
 	$(GO) test -run TestServeSmoke -count=1 -v ./cmd/pcschedd/
+	$(GO) test -race -run 'TestNamed|TestInlineTraceNotMemoized|TestMemoizedGraphReadOnly' -count=1 -v ./internal/service/
+	$(GO) test -run '^$$' -bench '^BenchmarkSolveHit$$' -benchtime 200x -benchmem ./internal/service/
 
 # Realization pipeline smoke: race-detected runs of the problem-IR and
 # schedule-realization packages (including the sweep property test: realized

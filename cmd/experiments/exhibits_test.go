@@ -128,3 +128,24 @@ func TestMarketExhibitSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGapPct: fig8's gap column rounds to two places and prints a gap that
+// rounds to zero unsigned, so last-ulp noise cannot flip its sign.
+func TestGapPct(t *testing.T) {
+	for _, c := range []struct {
+		gap  float64
+		want string
+	}{
+		{-0.004, "0.00"},
+		{0.004, "0.00"},
+		{-0.006, "-0.01"},
+		{0.006, "0.01"},
+		{0, "0.00"},
+		{1.234, "1.23"},
+		{-1.9, "-1.90"},
+	} {
+		if got := gapPct(c.gap); got != c.want {
+			t.Errorf("gapPct(%g) = %q, want %q", c.gap, got, c.want)
+		}
+	}
+}

@@ -56,7 +56,7 @@ func runFig8(cfg config) error {
 		if gap > worstGap {
 			worstGap, worstAt = gap, capW
 		}
-		fmt.Printf("%-12.2f%14.4f%14.4f%10.2f\n", capW, lres.MakespanS, fres.MakespanS, gap)
+		fmt.Printf("%-12.2f%14.4f%14.4f%10s\n", capW, lres.MakespanS, fres.MakespanS, gapPct(gap))
 	}
 	fmt.Printf("\n%d/%d caps agree within 1.9%% (paper: all but 3 of 106); worst gap %.2f%% at %.1f W\n",
 		agreeCount, total, worstGap, worstAt)
@@ -79,4 +79,15 @@ func runFig8(cfg config) error {
 	}
 	_ = machine.Default()
 	return nil
+}
+
+// gapPct renders a gap in percent to two places. A gap that rounds to zero
+// prints 0.00 whatever its sign, so last-ulp noise in the two makespans
+// cannot flip an entry between -0.00 and 0.00.
+func gapPct(gap float64) string {
+	s := fmt.Sprintf("%.2f", gap)
+	if s == "-0.00" {
+		return "0.00"
+	}
+	return s
 }

@@ -239,17 +239,18 @@ func runCluster(path string, jsonOut bool, stdout io.Writer) error {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	ctx := context.Background()
-	jobs, wnames, budget, opts, err := service.ResolveCluster(ctx, &req)
+	in, err := service.ResolveCluster(ctx, &req)
 	if err != nil {
 		return err
 	}
+	budget := in.BudgetW
 
-	alloc, err := powercap.AllocateCluster(ctx, jobs, budget, nil, opts)
+	alloc, err := powercap.AllocateCluster(ctx, in.Jobs, budget, nil, in.Opts)
 	var budgetErr *powercap.BudgetError
 	if err != nil && !errors.As(err, &budgetErr) {
 		return err
 	}
-	resp := service.NewClusterResponse(jobs, wnames, budget, opts, alloc, budgetErr, nil)
+	resp := service.NewClusterResponse(in, alloc, budgetErr, nil)
 
 	if jsonOut {
 		enc := json.NewEncoder(stdout)
@@ -258,7 +259,7 @@ func runCluster(path string, jsonOut bool, stdout io.Writer) error {
 	}
 
 	fmt.Fprintf(stdout, "cluster: %d jobs, %.1f W site budget, %s policy\n\n",
-		len(jobs), budget, resp.Policy)
+		len(in.Jobs), budget, resp.Policy)
 	if resp.Infeasible {
 		fmt.Fprintf(stdout, "INFEASIBLE: floors sum to %.1f W, %.1f W over budget\n\n",
 			resp.FloorSumW, resp.FloorSumW-budget)
@@ -426,7 +427,7 @@ func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, wo
 		return err
 	}
 	if jsonOut {
-		resp, _ := service.NewSweepResponse(w.Name, w.Graph, perCaps, pts)
+		resp, _ := service.NewSweepResponse(w.Name, powercap.DigestOf(w.Graph), perCaps, pts)
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(resp)

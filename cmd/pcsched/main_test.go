@@ -265,18 +265,18 @@ func TestClusterJSONMatchesService(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	jobs, names, budget, opts, err := service.ResolveCluster(ctx, &req)
+	in, err := service.ResolveCluster(ctx, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := powercap.AllocateCluster(ctx, jobs, budget, nil, opts)
+	alloc, err := powercap.AllocateCluster(ctx, in.Jobs, in.BudgetW, nil, in.Opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(service.NewClusterResponse(jobs, names, budget, opts, alloc, nil, nil)); err != nil {
+	if err := enc.Encode(service.NewClusterResponse(in, alloc, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != want.String() {

@@ -194,7 +194,9 @@ type Walk struct {
 }
 
 // Walk opens a walk of the session's LP: one cold solve at a saturating
-// cap. ctx parents the walk's spans and cancels its pivots.
+// cap. ctx parents the open's spans and cancels its pivots; each later
+// step (Piece, Lower, Demand, Schedule) is canceled by the ctx it is
+// given.
 func (cs *CapSession) Walk(ctx context.Context) (*Walk, error) {
 	topW, rows, vars, opts, err := cs.walkFrom(ctx)
 	if err != nil {

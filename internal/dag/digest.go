@@ -29,62 +29,100 @@ import (
 // equal digests produce identical fixed-vertex-order LPs under the same
 // machine model and efficiency scales.
 func Digest(g *Graph) [sha256.Size]byte {
-	h := sha256.New()
-	hashU64(h, uint64(g.NumRanks))
-
-	hashU64(h, uint64(len(g.Vertices)))
-	for _, v := range g.Vertices {
-		hashU64(h, uint64(v.ID))
-		hashU64(h, uint64(v.Kind))
-		hashI64(h, int64(v.Rank))
-		hashI64(h, int64(v.Iteration))
-		hashBool(h, v.IterBoundary)
-		hashString(h, v.Label)
+	le := binary.LittleEndian
+	// The buffer holds the whole serialization but its strings when that
+	// fits in a chunk, so a small graph allocates no more than it writes.
+	fixed := 3*8 + len(g.Vertices)*(vertexBytes+8) + len(g.Tasks)*(taskBytes+3*8)
+	e := encoder{h: sha256.New(), buf: make([]byte, 0, min(fixed, encoderChunk))}
+	b := e.room(2 * 8)
+	b = le.AppendUint64(b, uint64(g.NumRanks))
+	e.buf = le.AppendUint64(b, uint64(len(g.Vertices)))
+	for i := range g.Vertices {
+		v := &g.Vertices[i]
+		b := e.room(vertexBytes)
+		b = le.AppendUint64(b, uint64(v.ID))
+		b = le.AppendUint64(b, uint64(v.Kind))
+		b = le.AppendUint64(b, uint64(int64(v.Rank)))
+		b = le.AppendUint64(b, uint64(int64(v.Iteration)))
+		if v.IterBoundary {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		e.buf = b
+		e.str(v.Label)
 	}
 
-	hashU64(h, uint64(len(g.Tasks)))
-	for _, t := range g.Tasks {
-		hashU64(h, uint64(t.ID))
-		hashU64(h, uint64(t.Kind))
-		hashI64(h, int64(t.Rank))
-		hashU64(h, uint64(t.Src))
-		hashU64(h, uint64(t.Dst))
-		hashI64(h, int64(t.Iteration))
-		hashF64(h, t.Work)
-		hashF64(h, t.Shape.SerialFrac)
-		hashF64(h, t.Shape.MemFrac)
-		hashI64(h, int64(t.Shape.MemSatThreads))
-		hashF64(h, t.Shape.ContentionCoef)
-		hashF64(h, t.Shape.Intensity)
-		hashString(h, t.Class)
-		hashI64(h, int64(t.Bytes))
-		hashF64(h, t.FixedDur)
+	e.buf = le.AppendUint64(e.room(8), uint64(len(g.Tasks)))
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		b := e.room(taskBytes)
+		b = le.AppendUint64(b, uint64(t.ID))
+		b = le.AppendUint64(b, uint64(t.Kind))
+		b = le.AppendUint64(b, uint64(int64(t.Rank)))
+		b = le.AppendUint64(b, uint64(t.Src))
+		b = le.AppendUint64(b, uint64(t.Dst))
+		b = le.AppendUint64(b, uint64(int64(t.Iteration)))
+		b = le.AppendUint64(b, math.Float64bits(t.Work))
+		b = le.AppendUint64(b, math.Float64bits(t.Shape.SerialFrac))
+		b = le.AppendUint64(b, math.Float64bits(t.Shape.MemFrac))
+		b = le.AppendUint64(b, uint64(int64(t.Shape.MemSatThreads)))
+		b = le.AppendUint64(b, math.Float64bits(t.Shape.ContentionCoef))
+		e.buf = le.AppendUint64(b, math.Float64bits(t.Shape.Intensity))
+		e.str(t.Class)
+		b = e.room(2 * 8)
+		b = le.AppendUint64(b, uint64(int64(t.Bytes)))
+		e.buf = le.AppendUint64(b, math.Float64bits(t.FixedDur))
 	}
 
+	e.flush()
 	var out [sha256.Size]byte
-	h.Sum(out[:0])
+	e.h.Sum(out[:0])
 	return out
 }
 
-func hashU64(h hash.Hash, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	h.Write(b[:])
+// Fixed bytes of a vertex record before its label (four integers and the
+// boundary flag) and of a task record before its class (twelve integers
+// and floats).
+const (
+	vertexBytes = 4*8 + 1
+	taskBytes   = 12 * 8
+)
+
+// encoderChunk is the largest buffer the serialization is written through:
+// the hash takes it a chunk at a time, so a digest allocates at most a few
+// kilobytes whatever the graph's size.
+const encoderChunk = 4096
+
+// encoder holds the serialization's pending bytes and hands them to the
+// hash a chunk at a time.
+type encoder struct {
+	h   hash.Hash
+	buf []byte
 }
 
-func hashI64(h hash.Hash, v int64) { hashU64(h, uint64(v)) }
+// room returns the buffer with at least n bytes free, flushed first when
+// they would not fit. n is at most the fixed size of the record being
+// written, which the buffer's capacity covers.
+func (e *encoder) room(n int) []byte {
+	if len(e.buf)+n > cap(e.buf) {
+		e.flush()
+	}
+	return e.buf
+}
 
-func hashF64(h hash.Hash, v float64) { hashU64(h, math.Float64bits(v)) }
-
-func hashBool(h hash.Hash, v bool) {
-	if v {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
+// str writes s behind its length, a chunk at a time when it is long.
+func (e *encoder) str(s string) {
+	e.buf = binary.LittleEndian.AppendUint64(e.room(8), uint64(len(s)))
+	for len(s) > 0 {
+		b := e.room(1)
+		n := copy(b[len(b):cap(b)], s)
+		e.buf = b[:len(b)+n]
+		s = s[n:]
 	}
 }
 
-func hashString(h hash.Hash, s string) {
-	hashU64(h, uint64(len(s)))
-	h.Write([]byte(s))
+func (e *encoder) flush() {
+	e.h.Write(e.buf)
+	e.buf = e.buf[:0]
 }

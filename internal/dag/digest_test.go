@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"strings"
 	"testing"
 
 	"powercap/internal/machine"
@@ -81,5 +82,24 @@ func TestDigestLabelBoundaries(t *testing.T) {
 	b.Vertices[0].Label, b.Vertices[1].Label = "a", "b"
 	if Digest(a) == Digest(b) {
 		t.Fatal("label framing aliases across vertex boundary")
+	}
+}
+
+// TestDigestChunking: the encoder's buffer boundaries are invisible. An
+// empty graph (the smallest buffer), labels and classes longer than a
+// chunk, and records straddling chunk boundaries hash as the streaming
+// reference does.
+func TestDigestChunking(t *testing.T) {
+	empty := &Graph{NumRanks: 1}
+	if got, want := Digest(empty), StreamDigest(empty); got != want {
+		t.Errorf("empty graph: Digest %x, streaming reference %x", got, want)
+	}
+	for _, n := range []int{encoderChunk - 1, encoderChunk, 3*encoderChunk + 5} {
+		g := digestGraph()
+		g.Vertices[1].Label = strings.Repeat("v", n)
+		g.Tasks[0].Class = strings.Repeat("c", n+1)
+		if got, want := Digest(g), StreamDigest(g); got != want {
+			t.Errorf("strings of %d bytes: Digest %x, streaming reference %x", n, got, want)
+		}
 	}
 }

@@ -24,8 +24,7 @@ import (
 //     the earlier ones finish (one of them may still fail and take its
 //     place). A task's context is canceled by ctx or by a failure below
 //     it, and by nothing else: it stays live after the task returns, so
-//     the task may hand it to work that outlives it (a market walk keeps
-//     its opening context for its later pivots).
+//     the task may hand it to work that outlives it.
 //  2. A task's panic is raised again on the calling goroutine, with its
 //     original value, once every other task has stopped. A panic counts
 //     as a failure at its index, so rule 1 decides between a panic and an

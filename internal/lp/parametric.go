@@ -149,9 +149,10 @@ func (w *Walk) walkAll() error {
 // current one, Advance moves along it, Cross pivots across the breakpoint
 // at its end, and Capture reads the optimal solution off the basis at the
 // current shift. Breakdowns restart the walk cold at the current shift, as
-// in Parametric. The context a step takes parents that step's spans; the
-// walk's cancellation is the one OpenWalk was given (WithContext). A Walk is
-// not safe for concurrent use; Close releases its working memory.
+// in Parametric. The context a step takes cancels that step, the cold
+// restarts inside it included, and parents its spans; the context OpenWalk
+// was given (WithContext) cancels the open alone, so a walk may outlive it.
+// A Walk is not safe for concurrent use; Close releases its working memory.
 type Walk struct {
 	p        *Problem
 	rows     []int
@@ -209,7 +210,8 @@ type Walk struct {
 // OpenWalk solves p cold at its stated right-hand sides and returns a
 // walker positioned at shift 0 that lowers the right-hand side of every row
 // in rows by a common shift, up to maxShift. Options apply as in
-// Parametric; WithContext's cancellation covers every step of the walk.
+// Parametric; WithContext's cancellation covers the open, and each later
+// step is canceled by the context it is given.
 // When the stated problem is not Optimal, the walker reports its verdict
 // through Status and has no piece.
 func OpenWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*Walk, error) {
@@ -366,25 +368,25 @@ func (w *Walk) Advance(t float64) {
 // Cross pivots across the breakpoint at the end of the current piece and
 // onto the next piece, or ends the walk there when the program turns
 // infeasible beyond it. The walker must have advanced to the piece's end;
-// elsewhere Cross does nothing. ctx parents the step's spans. Status
-// reports a step stopped by cancellation or the pivot budget; a breakdown
-// that outlasts maxWalkRestarts is a *NumericalError.
+// elsewhere Cross does nothing. ctx cancels the step and parents its
+// spans. Status reports a step stopped by cancellation or the pivot
+// budget; a breakdown that outlasts maxWalkRestarts is a *NumericalError.
 func (w *Walk) Cross(ctx context.Context) error {
 	if w.done || w.rv == nil || !w.atEnd {
 		return nil
 	}
-	return w.step(ctx, "lp.dual", w.cross)
+	return w.walkStep(ctx, "lp.dual", w.cross)
 }
 
 // Back returns the walker to the piece it last crossed out of, while it
 // has not moved since: at the breakpoint between them both bases are
 // optimal, so a capture can be read off either. It reports whether there
-// was such a piece.
+// was such a piece. ctx cancels the step and parents its spans.
 func (w *Walk) Back(ctx context.Context) (bool, error) {
 	if !w.prevOK || w.rv == nil {
 		return false, nil
 	}
-	err := w.step(ctx, "lp.dual", func() error {
+	err := w.walkStep(ctx, "lp.dual", func() error {
 		rv := w.rv
 		if !rv.factorize(w.prev) {
 			rv.numReason = "singular basis on stepping back"
@@ -405,14 +407,14 @@ func (w *Walk) Back(ctx context.Context) (bool, error) {
 // current shift with no update drift; the solution is built as Solve's is,
 // with duals B⁻ᵀc_B, and mapped back through the walk's scaling onto the
 // stated problem with the walked rows lowered by Shift. The walk can go on
-// afterwards. ctx parents the step's spans.
+// afterwards. ctx cancels the step and parents its spans.
 func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 	if w.rv == nil || w.status != Optimal {
 		return nil, fmt.Errorf("lp: no optimal basis to capture (%v)", w.status)
 	}
 	var sol *Solution
 	var f *spForm
-	err := w.step(ctx, "lp.solve", func() error {
+	err := w.walkStep(ctx, "lp.solve", func() error {
 		rv := w.rv
 		if !rv.reinvert() || !rv.stateFinite() {
 			w.done = true
@@ -439,6 +441,16 @@ func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 
 // Close releases the walker's working memory. The walker keeps its Stats.
 func (w *Walk) Close() { w.closeSegment() }
+
+// walkStep runs one step of a stepped walk: ctx cancels it, the cold
+// restarts inside it included, and parents its spans.
+func (w *Walk) walkStep(ctx context.Context, name string, fn func() error) error {
+	w.o.Ctx = ctx
+	if w.rv != nil {
+		w.rv.cancelCtx = ctx
+	}
+	return w.step(ctx, name, fn)
+}
 
 // step runs fn under a span named name parented on parent; the kernel's own
 // spans (a restart's phases, refactorizations) nest under it.

@@ -71,7 +71,7 @@ type revised struct {
 
 	maxIters    int
 	stallWindow int
-	cancel      func() bool // polled every cancelCheckEvery pivots
+	cancelCtx   context.Context // Err polled every cancelCheckEvery pivots; nil for none
 	stats       SolveStats
 
 	nanRetries int    // refactorization-and-retry attempts spent on NaN/Inf
@@ -101,7 +101,7 @@ func newRevised(f *spForm, o *Options) *revised {
 // results survive the release).
 func (rv *revised) release() {
 	rv.f = nil
-	rv.cancel = nil
+	rv.cancelCtx = nil
 	rv.sctx = nil
 	rvPool.Put(rv)
 }
@@ -148,7 +148,7 @@ func (rv *revised) reset(f *spForm, o *Options) {
 	if rv.stallWindow <= 0 {
 		rv.stallWindow = stallWindow
 	}
-	rv.cancel = o.cancelFunc()
+	rv.cancelCtx = o.Ctx
 	rv.sctx = o.spanContext()
 }
 
@@ -274,7 +274,7 @@ func (rv *revised) recoverNumerical() bool {
 // context always surfaces as Canceled — never as a numerical artifact. The
 // returned status is meaningful only when ok is false.
 func (rv *revised) checkpoint() (st Status, ok bool) {
-	if rv.cancel != nil && rv.cancel() {
+	if rv.cancelCtx != nil && rv.cancelCtx.Err() != nil {
 		return Canceled, false
 	}
 	if faultinject.Armed() {

@@ -36,7 +36,9 @@ func denseSolve(p *Problem, opts ...Option) (*Solution, error) {
 	if o.StallWindow > 0 {
 		t.stallWin = o.StallWindow
 	}
-	t.cancel = o.cancelFunc()
+	if ctx := o.Ctx; ctx != nil {
+		t.cancel = func() bool { return ctx.Err() != nil }
+	}
 	st, n1, n2 := t.solve()
 	sol := &Solution{Status: st, Iters: n1 + n2, X: make([]float64, len(p.names))}
 	sol.Stats.Phase1Iters = n1

@@ -98,16 +98,6 @@ func (o *Options) spanContext() context.Context {
 // microseconds, so the loops amortize the check.
 const cancelCheckEvery = 32
 
-// cancelFunc converts an Options context into a poll closure for the
-// pivot loops (nil when no context was supplied).
-func (o *Options) cancelFunc() func() bool {
-	if o.Ctx == nil {
-		return nil
-	}
-	ctx := o.Ctx
-	return func() bool { return ctx.Err() != nil }
-}
-
 // SolveStats instruments one Solve call.
 type SolveStats struct {
 	// Phase1Iters and Phase2Iters count primal simplex pivots per phase;

@@ -110,14 +110,13 @@ type ClusterResponse struct {
 	Trace *obs.Document `json:"trace,omitempty"`
 }
 
-// clusterJob is one resolved job: graph, efficiency scales, and the pooled
-// System that will solve it.
+// clusterJob is one resolved job: its graph and the graph's digest, and
+// the pooled System that will solve it.
 type clusterJob struct {
-	name     string
-	g        *powercap.Graph
-	eff      []float64
-	workload string
-	sys      *powercap.System
+	name   string
+	g      *powercap.Graph
+	digest powercap.Digest
+	sys    *powercap.System
 }
 
 // clusterOutcome is the cached value for a cluster key: a finished
@@ -130,57 +129,76 @@ type clusterOutcome struct {
 	budgetErr *powercap.BudgetError
 }
 
+// ClusterInput is a cluster request resolved into the facade's inputs —
+// the jobs (name + graph + efficiency scales), the site budget in watts and
+// the allocator options — with each job's workload display name and graph
+// digest, which the response reports.
+type ClusterInput struct {
+	Jobs      []powercap.ClusterJob
+	Workloads []string
+	Digests   []powercap.Digest
+	BudgetW   float64
+	Opts      powercap.ClusterOptions
+}
+
 // ResolveCluster validates a cluster request and resolves it into the
-// facade's inputs: the jobs (name + graph + efficiency scales), each job's
-// workload display name, the site budget in watts, and the allocator
-// options. It is the shared front half of POST /v1/cluster, also used by
-// pcsched -cluster to run the same request schema without a daemon.
-func ResolveCluster(ctx context.Context, req *ClusterRequest) (jobs []powercap.ClusterJob, workloadNames []string, budgetW float64, opts powercap.ClusterOptions, err error) {
+// facade's inputs. It is the shared front half of POST /v1/cluster, also
+// used by pcsched -cluster to run the same request schema without a
+// daemon.
+func ResolveCluster(ctx context.Context, req *ClusterRequest) (*ClusterInput, error) {
+	return resolveCluster(ctx, req, generate)
+}
+
+// resolveCluster is ResolveCluster with workload specs resolved by named.
+func resolveCluster(ctx context.Context, req *ClusterRequest, named func(WorkloadSpec) (graphRef, error)) (*ClusterInput, error) {
 	if len(req.Jobs) == 0 {
-		return nil, nil, 0, opts, errors.New("cluster needs at least one job")
+		return nil, errors.New("cluster needs at least one job")
 	}
 	policy, err := powercap.ParseClusterPolicy(req.Policy)
 	if err != nil {
-		return nil, nil, 0, opts, err
+		return nil, err
 	}
-	jobs = make([]powercap.ClusterJob, len(req.Jobs))
-	workloadNames = make([]string, len(req.Jobs))
+	in := &ClusterInput{
+		Jobs:      make([]powercap.ClusterJob, len(req.Jobs)),
+		Workloads: make([]string, len(req.Jobs)),
+		Digests:   make([]powercap.Digest, len(req.Jobs)),
+		Opts:      powercap.ClusterOptions{Policy: policy},
+	}
 	totalRanks := 0
 	seen := make(map[string]bool, len(req.Jobs))
 	for i, spec := range req.Jobs {
 		if spec.Name == "" {
-			return nil, nil, 0, opts, fmt.Errorf("cluster job %d has no name", i)
+			return nil, fmt.Errorf("cluster job %d has no name", i)
 		}
 		if seen[spec.Name] {
-			return nil, nil, 0, opts, fmt.Errorf("duplicate cluster job name %q", spec.Name)
+			return nil, fmt.Errorf("duplicate cluster job name %q", spec.Name)
 		}
 		seen[spec.Name] = true
-		g, eff, wname, rerr := resolveGraph(ctx, spec.Trace, spec.Workload)
+		ref, rerr := resolveGraph(ctx, spec.Trace, spec.Workload, named)
 		if rerr != nil {
-			return nil, nil, 0, opts, fmt.Errorf("job %q: %w", spec.Name, rerr)
+			return nil, fmt.Errorf("job %q: %w", spec.Name, rerr)
 		}
-		jobs[i] = powercap.ClusterJob{Name: spec.Name, Graph: g, EffScale: eff}
-		workloadNames[i] = wname
-		totalRanks += g.NumRanks
+		in.Jobs[i] = powercap.ClusterJob{Name: spec.Name, Graph: ref.wl.Graph, EffScale: ref.wl.EffScale}
+		in.Workloads[i] = ref.wl.Name
+		in.Digests[i] = ref.digest
+		totalRanks += ref.wl.Graph.NumRanks
 	}
-	budgetW, err = resolveClusterBudget(req.BudgetW, req.BudgetPerSocketW, totalRanks)
+	in.BudgetW, err = resolveClusterBudget(req.BudgetW, req.BudgetPerSocketW, totalRanks)
 	if err != nil {
-		return nil, nil, 0, opts, err
+		return nil, err
 	}
-	opts = powercap.ClusterOptions{Policy: policy}
-	return jobs, workloadNames, budgetW, opts, nil
+	return in, nil
 }
 
-// NewClusterResponse renders an allocation — or, with budgetErr set, the
-// budget-infeasibility proof — in the /v1/cluster response schema. jobs and
-// workloadNames are the resolved request (for display names and graph
-// digests); keys, if non-nil, carries each job's schedule cache key. The
-// handler and pcsched -cluster share this renderer so CLI and service emit
-// identical JSON for identical requests.
-func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budgetW float64, opts powercap.ClusterOptions, alloc *powercap.ClusterAllocation, budgetErr *powercap.BudgetError, keys []string) *ClusterResponse {
+// NewClusterResponse renders the allocation of a resolved request — or,
+// with budgetErr set, the budget-infeasibility proof — in the /v1/cluster
+// response schema. keys, if non-nil, carries each job's
+// schedule cache key. The handler and pcsched -cluster share this renderer
+// so CLI and service emit identical JSON for identical requests.
+func NewClusterResponse(in *ClusterInput, alloc *powercap.ClusterAllocation, budgetErr *powercap.BudgetError, keys []string) *ClusterResponse {
 	resp := &ClusterResponse{
-		Policy:  string(opts.Policy),
-		BudgetW: budgetW,
+		Policy:  string(in.Opts.Policy),
+		BudgetW: in.BudgetW,
 	}
 	if budgetErr != nil {
 		resp.Infeasible = true
@@ -199,8 +217,8 @@ func NewClusterResponse(jobs []powercap.ClusterJob, workloadNames []string, budg
 	for i, ja := range alloc.Jobs {
 		jj := ClusterJobJSON{
 			Name:            ja.Name,
-			Workload:        workloadNames[i],
-			GraphDigest:     powercap.GraphDigest(jobs[i].Graph),
+			Workload:        in.Workloads[i],
+			GraphDigest:     in.Digests[i].String(),
 			CapW:            ja.CapW,
 			FloorW:          ja.FloorW,
 			DemandW:         ja.DemandW,
@@ -224,15 +242,16 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	cjobs, wnames, budget, opts, err := ResolveCluster(r.Context(), &req)
+	in, err := resolveCluster(r.Context(), &req, s.named)
 	if err != nil {
 		s.badRequest(w, err)
 		return
 	}
-	jobs := make([]clusterJob, len(cjobs))
-	for i, cj := range cjobs {
-		jobs[i] = clusterJob{name: cj.Name, g: cj.Graph, eff: cj.EffScale, workload: wnames[i], sys: s.systemFor(cj.EffScale)}
+	jobs := make([]clusterJob, len(in.Jobs))
+	for i, cj := range in.Jobs {
+		jobs[i] = clusterJob{name: cj.Name, g: cj.Graph, digest: in.Digests[i], sys: s.systemFor(cj.EffScale)}
 	}
+	budget, opts := in.BudgetW, in.Opts
 	key := s.clusterKey(jobs, budget, opts)
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
@@ -277,7 +296,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if how == hitMiss && out.alloc != nil {
 		ev.Kernel = kernelHealthFrom(out.alloc.Stats)
 	}
-	resp := NewClusterResponse(cjobs, wnames, budget, opts, out.alloc, out.budgetErr, out.keys)
+	resp := NewClusterResponse(in, out.alloc, out.budgetErr, out.keys)
 	resp.RequestID = RequestIDFrom(r.Context())
 	resp.Cached = how != hitMiss
 	resp.ElapsedMS = msSince(start)
@@ -339,7 +358,7 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 		// cache hit. The parked entry remembers which allocation produced
 		// it, so the follow-up's response and wide event carry the cluster
 		// request ID — the correlation forensics needs.
-		k := jobs[i].sys.ScheduleKey(jobs[i].g, ja.CapW, true, "", 0, 0)
+		k := jobs[i].sys.ScheduleKeyFor(jobs[i].digest, ja.CapW, true, "", 0, 0)
 		s.cache.Put(k, &solveOutcome{sched: ja.Schedule, clusterOrigin: RequestIDFrom(ctx)})
 		out.keys[i] = k
 	}
@@ -358,7 +377,7 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 func (s *Server) clusterKey(jobs []clusterJob, budget float64, opts powercap.ClusterOptions) string {
 	parts := make([]string, 0, len(jobs)+1)
 	for _, j := range jobs {
-		parts = append(parts, j.name+"="+j.sys.ScheduleKey(j.g, 0, true, "", 0, 0))
+		parts = append(parts, j.name+"="+j.sys.ScheduleKeyFor(j.digest, 0, true, "", 0, 0))
 	}
 	parts = append(parts, fmt.Sprintf("b=%g|p=%s", budget, opts.Policy))
 	return "cluster|" + strings.Join(parts, "|")

@@ -130,9 +130,12 @@ type Server struct {
 	// sysPool shares one powercap.System per efficiency-scale vector, so
 	// requests against the same workload reuse the System's solver — and
 	// with it the digest-keyed problem-IR cache and frontier cache —
-	// instead of rebuilding the problem skeleton per request.
+	// instead of rebuilding the problem skeleton per request. graphs
+	// memoizes each named workload spec's generated graph and digest
+	// (named). sysMu guards both maps; each is bounded by pooled.
 	sysMu   sync.Mutex
 	sysPool map[string]*powercap.System
+	graphs  map[WorkloadSpec]graphRef
 
 	// drainLastNS/drainGapNS estimate the queue drain rate (EWMA of the
 	// interval between solve completions) for Retry-After hints on 429s.
@@ -238,11 +241,25 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// maxPooled bounds the daemon's pools: the Systems by efficiency-scale
+// vector and the named graphs by spec.
+const maxPooled = 128
+
+// pooled returns m, or a fresh map in its place once m has grown past
+// maxPooled entries: the pools are bounded by resetting, which costs warm
+// state and never correctness, since a pooled value is rebuilt the same on
+// its next request.
+func pooled[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil || len(m) > maxPooled {
+		return make(map[K]V)
+	}
+	return m
+}
+
 // systemFor returns the pooled System for an efficiency-scale vector,
 // creating it on first use. Sharing the System shares its solver's
-// problem-IR and frontier caches across requests; the pool is bounded and
-// reset on overflow (each System's own caches are per graph digest, so a
-// reset only costs warm state, never correctness).
+// problem-IR and frontier caches across requests; each System's own caches
+// are per graph digest, so a reset of the pool only costs warm state.
 func (s *Server) systemFor(eff []float64) *powercap.System {
 	key := make([]byte, 8*len(eff))
 	for i, e := range eff {
@@ -250,9 +267,7 @@ func (s *Server) systemFor(eff []float64) *powercap.System {
 	}
 	s.sysMu.Lock()
 	defer s.sysMu.Unlock()
-	if s.sysPool == nil || len(s.sysPool) > 128 {
-		s.sysPool = make(map[string]*powercap.System)
-	}
+	s.sysPool = pooled(s.sysPool)
 	if sys, ok := s.sysPool[string(key)]; ok {
 		return sys
 	}
@@ -813,11 +828,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	g, eff, name, err := resolveGraph(r.Context(), req.Trace, req.Workload)
+	ref, err := resolveGraph(r.Context(), req.Trace, req.Workload, s.named)
 	if err != nil {
 		s.badRequest(w, err)
 		return
 	}
+	g := ref.wl.Graph
 	jobCap, err := resolveCap(req.JobCapW, req.CapPerSocketW, g.NumRanks)
 	if err != nil {
 		s.badRequest(w, err)
@@ -854,14 +870,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("unknown degraded policy %q (want allow or forbid)", degradedPolicy))
 		return
 	}
-	sys := s.systemFor(eff)
-	key := sys.ScheduleKey(g, jobCap, req.Whole, req.Realize, req.Windows, req.CoarsenEps)
+	sys := s.systemFor(ref.wl.EffScale)
+	key := sys.ScheduleKeyFor(ref.digest, jobCap, req.Whole, req.Realize, req.Windows, req.CoarsenEps)
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
 	ev := wideEventFrom(r.Context())
-	ev.Workload = name
+	ev.Workload = ref.wl.Name
 	ev.CapW = jobCap
 	ev.Whole = req.Whole
 	if dl, ok := ctx.Deadline(); ok {
@@ -929,8 +945,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp := &SolveResponse{
 		RequestID:     RequestIDFrom(r.Context()),
 		Key:           key,
-		GraphDigest:   powercap.GraphDigest(g),
-		Workload:      name,
+		GraphDigest:   ref.digest.String(),
+		Workload:      ref.wl.Name,
 		JobCapW:       jobCap,
 		Cached:        how != hitMiss,
 		ClusterOrigin: out.clusterOrigin,
@@ -1111,13 +1127,14 @@ type SweepResponse struct {
 	Trace *obs.Document `json:"trace,omitempty"`
 }
 
-// NewSweepResponse renders a sweep's points, one per per-socket cap, in the
-// /v1/sweep response schema, and returns the solver effort summed over
-// them. The daemon-only fields (request ID, elapsed time, trace) are left
-// to the caller. cmd/pcsched -sweep -json emits the same response, so CLI
-// and service sweeps can be diffed directly.
-func NewSweepResponse(workload string, g *powercap.Graph, perSocketW []float64, pts []powercap.SweepPoint) (*SweepResponse, powercap.SolverStats) {
-	resp := &SweepResponse{Workload: workload, GraphDigest: powercap.GraphDigest(g)}
+// NewSweepResponse renders a sweep's points, one per per-socket cap, of the
+// graph whose digest is d in the /v1/sweep response schema, and returns the
+// solver effort summed over them. The daemon-only fields (request ID,
+// elapsed time, trace) are left to the caller. cmd/pcsched -sweep -json
+// emits the same response, so CLI and service sweeps can be diffed
+// directly.
+func NewSweepResponse(workload string, d powercap.Digest, perSocketW []float64, pts []powercap.SweepPoint) (*SweepResponse, powercap.SolverStats) {
+	resp := &SweepResponse{Workload: workload, GraphDigest: d.String()}
 	var agg powercap.SolverStats
 	for i, pt := range pts {
 		pj := SweepPointJSON{PerSocketW: perSocketW[i], JobCapW: pt.CapW}
@@ -1144,11 +1161,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err)
 		return
 	}
-	g, eff, name, err := resolveGraph(r.Context(), req.Trace, req.Workload)
+	ref, err := resolveGraph(r.Context(), req.Trace, req.Workload, s.named)
 	if err != nil {
 		s.badRequest(w, err)
 		return
 	}
+	g := ref.wl.Graph
 	perSocket := req.CapsPerSocketW
 	if req.Spec != "" {
 		if len(perSocket) != 0 {
@@ -1173,7 +1191,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		jobCaps[i] = c * float64(g.NumRanks)
 	}
-	sys := s.systemFor(eff)
+	sys := s.systemFor(ref.wl.EffScale)
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
@@ -1198,7 +1216,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp, agg := NewSweepResponse(name, g, perSocket, pts)
+	resp, agg := NewSweepResponse(ref.wl.Name, ref.digest, perSocket, pts)
 	resp.RequestID = RequestIDFrom(r.Context())
 	for _, pj := range resp.Points {
 		if pj.Error == "" {
@@ -1210,7 +1228,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	s.countLPStats(agg)
 	ev := wideEventFrom(r.Context())
-	ev.Workload = name
+	ev.Workload = ref.wl.Name
 	ev.Kernel = kernelHealthFrom(agg)
 	resp.ElapsedMS = msSince(start)
 	resp.Trace = s.inlineTrace(r)
@@ -1251,16 +1269,17 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, fmt.Errorf("cap_per_socket_w %g must be positive", req.CapPerSocketW))
 		return
 	}
-	wl, err := workloadFor(req.Workload)
+	ref, err := resolveGraph(r.Context(), nil, req.Workload, s.named)
 	if err != nil {
 		s.badRequest(w, err)
 		return
 	}
+	wl := ref.wl
 	sys := s.systemFor(wl.EffScale)
 	// Compare's result additionally depends on the exploration-iteration
 	// count, so extend the schedule key rather than reusing it bare.
 	key := fmt.Sprintf("compare|%s|expl=%d",
-		sys.ScheduleKey(wl.Graph, req.CapPerSocketW*float64(wl.Graph.NumRanks), false, "", 0, 0),
+		sys.ScheduleKeyFor(ref.digest, req.CapPerSocketW*float64(wl.Graph.NumRanks), false, "", 0, 0),
 		sys.ExploreIters)
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
@@ -1453,49 +1472,92 @@ func (s *Server) badRequest(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, err.Error())
 }
 
-// resolveGraph materializes the application graph named by a request:
-// inline trace JSON or a workload proxy, but not both and not neither.
-// Malformed input that slips past the codec's structural checks and panics
-// in graph construction is converted into an error here, so it surfaces as
-// a 400 instead of a dead worker.
-func resolveGraph(ctx context.Context, tf *trace.File, ws *WorkloadSpec) (g *powercap.Graph, eff []float64, name string, err error) {
+// graphRef is the application graph a request names, resolved once with
+// its identity: the workload (a named spec's generated proxy, or an inline
+// trace's decoded graph and efficiency scales under the trace's name) and
+// its canonical digest, which every cache key, graph_digest, cluster key
+// and parked schedule key of the request derives from. A named spec's
+// graphRef is shared by every request for that spec (named), so nothing
+// may write through it: the solve paths only read a graph, and slicing and
+// coarsening build new ones.
+type graphRef struct {
+	wl     *powercap.Workload
+	digest powercap.Digest
+}
+
+// resolveGraph resolves the graph a request names: inline trace JSON,
+// decoded and digested for this request, or a workload spec, resolved by
+// named; exactly one must be given. Malformed input that slips past the
+// codec's structural checks and panics in graph construction (a trace's,
+// or a spec's generator) is converted into an error here, so it surfaces
+// as a 400 instead of a dead worker.
+func resolveGraph(ctx context.Context, tf *trace.File, ws *WorkloadSpec, named func(WorkloadSpec) (graphRef, error)) (ref graphRef, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			g, eff, name = nil, nil, ""
-			err = fmt.Errorf("invalid request graph: %v", p)
+			ref, err = graphRef{}, fmt.Errorf("invalid request graph: %v", p)
 		}
 	}()
 	switch {
 	case tf != nil && ws != nil:
-		return nil, nil, "", errors.New("give either trace or workload, not both")
+		return graphRef{}, errors.New("give either trace or workload, not both")
 	case tf != nil:
 		g, eff, err := trace.DecodeCtx(ctx, tf)
 		if err != nil {
-			return nil, nil, "", err
+			return graphRef{}, err
 		}
 		name := tf.Name
 		if name == "" {
 			name = "trace"
 		}
-		return g, eff, name, nil
+		wl := &powercap.Workload{Name: name, Graph: g, EffScale: eff}
+		return graphRef{wl: wl, digest: powercap.DigestOf(g)}, nil
 	case ws != nil:
-		wl, err := workloadFor(ws)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		return wl.Graph, wl.EffScale, wl.Name, nil
+		return named(*ws)
 	default:
-		return nil, nil, "", errors.New("request needs a trace or a workload")
+		return graphRef{}, errors.New("request needs a trace or a workload")
 	}
 }
 
-func workloadFor(ws *WorkloadSpec) (*powercap.Workload, error) {
-	return powercap.WorkloadByName(ws.Name, powercap.WorkloadParams{
+// generate builds the workload a spec names and digests it.
+func generate(ws WorkloadSpec) (graphRef, error) {
+	wl, err := powercap.WorkloadByName(ws.Name, powercap.WorkloadParams{
 		Ranks:      ws.Ranks,
 		Iterations: ws.Iters,
 		Seed:       ws.Seed,
 		WorkScale:  ws.Scale,
 	})
+	if err != nil {
+		return graphRef{}, err
+	}
+	return graphRef{wl: wl, digest: powercap.DigestOf(wl.Graph)}, nil
+}
+
+// named returns the graph a workload spec names, generated and digested on
+// the spec's first request and shared, read-only, by every later one. A
+// spec's graph is a pure, seeded function of its fields, so a memoized
+// graph is the one the request would generate. The memo is bounded as the
+// System pool is (pooled); a generator that fails or panics memoizes
+// nothing. Two first requests for one spec may both generate it; the one
+// stored first is the one both return.
+func (s *Server) named(ws WorkloadSpec) (graphRef, error) {
+	s.sysMu.Lock()
+	ref, ok := s.graphs[ws]
+	s.sysMu.Unlock()
+	if ok {
+		return ref, nil
+	}
+	ref, err := generate(ws)
+	if err != nil {
+		return graphRef{}, err
+	}
+	s.sysMu.Lock()
+	defer s.sysMu.Unlock()
+	s.graphs = pooled(s.graphs)
+	if prev, ok := s.graphs[ws]; ok {
+		return prev, nil
+	}
+	s.graphs[ws] = ref
+	return ref, nil
 }
 
 // resolveCap picks the job-level cap from the two ways a request may state

@@ -445,10 +445,11 @@ func TestSweepEndpoint(t *testing.T) {
 	if infeasible == 0 {
 		t.Fatal("no cap below SP's floor; the case needs infeasible caps")
 	}
-	wl, err := workloadFor(sp)
+	ref, err := generate(*sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wl := ref.wl
 	cs, err := powercap.SystemFor(wl, nil).NewCapSession(context.Background(), wl.Graph)
 	if err != nil {
 		t.Fatal(err)

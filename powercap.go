@@ -119,50 +119,64 @@ func ReadTrace(r io.Reader) (*Graph, []float64, error) {
 // NewTrace starts a trace/DAG builder for numRanks MPI processes.
 func NewTrace(numRanks int) *TraceBuilder { return dag.NewBuilder(numRanks) }
 
-// GraphDigest returns the canonical SHA-256 content hash of an application
-// graph, hex-encoded. Two graphs with equal digests generate identical
-// fixed-vertex-order LPs under the same machine model and efficiency
-// scales; the schedule cache in pcschedd is keyed on it (see ScheduleKey
-// and DESIGN.md §8).
-func GraphDigest(g *Graph) string {
-	d := dag.Digest(g)
-	return hex.EncodeToString(d[:])
-}
+// Digest is an application graph's canonical SHA-256 content hash. Two
+// graphs with equal digests generate identical fixed-vertex-order LPs under
+// the same machine model and efficiency scales; the schedule cache in
+// pcschedd is keyed on it (see ScheduleKeyFor and DESIGN.md §8).
+type Digest [sha256.Size]byte
+
+// DigestOf returns g's canonical content hash.
+func DigestOf(g *Graph) Digest { return dag.Digest(g) }
+
+// String hex-encodes the digest, as GraphDigest reports it.
+func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
+// GraphDigest returns g's canonical content hash, hex-encoded.
+func GraphDigest(g *Graph) string { return DigestOf(g).String() }
 
 // ScheduleKey derives the content-addressed cache key identifying one solve
-// on this System: the graph digest plus everything else the resulting
-// Schedule depends on — the machine model calibration, the per-socket
-// efficiency scales (they re-shape every Pareto frontier), the job-level
-// cap, whether the solve decomposes at iteration boundaries, which
-// realization strategy (if any, "" for none) converts the LP solution into
-// a realizable schedule, and the windowed-decomposition parameters
-// (windows ≤ 1 and coarsenEps 0 mean the monolithic path; a windowed solve
-// with different window counts or coarsening epsilons is a different
-// schedule, so it gets a different key). Equal keys imply byte-for-byte
-// interchangeable results.
+// of g on this System; it is ScheduleKeyFor with g's digest.
 func (s *System) ScheduleKey(g *Graph, jobCapW float64, whole bool, realize string, windows int, coarsenEps float64) string {
-	h := sha256.New()
-	d := dag.Digest(g)
-	h.Write(d[:])
-	io.WriteString(h, s.Model.Fingerprint())
-	binary.Write(h, binary.LittleEndian, uint64(len(s.EffScale)))
+	return s.ScheduleKeyFor(DigestOf(g), jobCapW, whole, realize, windows, coarsenEps)
+}
+
+// ScheduleKeyFor derives the content-addressed cache key identifying one
+// solve on this System of the graph whose digest is d: the graph digest
+// plus everything else the resulting Schedule depends on — the machine
+// model calibration, the per-socket efficiency scales (they re-shape every
+// Pareto frontier), the job-level cap, whether the solve decomposes at
+// iteration boundaries, which realization strategy (if any, "" for none)
+// converts the LP solution into a realizable schedule, and the
+// windowed-decomposition parameters (windows ≤ 1 and coarsenEps 0 mean the
+// monolithic path; a windowed solve with different window counts or
+// coarsening epsilons is a different schedule, so it gets a different
+// key). Equal keys imply byte-for-byte interchangeable results. A caller
+// keying several solves of one graph digests it once.
+func (s *System) ScheduleKeyFor(d Digest, jobCapW float64, whole bool, realize string, windows int, coarsenEps float64) string {
+	le := binary.LittleEndian
+	fp := s.Model.Fingerprint()
+	b := make([]byte, 0, len(d)+len(fp)+8*(len(s.EffScale)+5)+1+len(realize))
+	b = append(b, d[:]...)
+	b = append(b, fp...)
+	b = le.AppendUint64(b, uint64(len(s.EffScale)))
 	for _, e := range s.EffScale {
-		binary.Write(h, binary.LittleEndian, math.Float64bits(e))
+		b = le.AppendUint64(b, math.Float64bits(e))
 	}
-	binary.Write(h, binary.LittleEndian, math.Float64bits(jobCapW))
+	b = le.AppendUint64(b, math.Float64bits(jobCapW))
 	if whole {
-		h.Write([]byte{1})
+		b = append(b, 1)
 	} else {
-		h.Write([]byte{0})
+		b = append(b, 0)
 	}
-	binary.Write(h, binary.LittleEndian, uint64(len(realize)))
-	io.WriteString(h, realize)
+	b = le.AppendUint64(b, uint64(len(realize)))
+	b = append(b, realize...)
 	if windows <= 1 {
 		windows = 0 // 0 and 1 are both the monolithic formulation
 	}
-	binary.Write(h, binary.LittleEndian, uint64(windows))
-	binary.Write(h, binary.LittleEndian, math.Float64bits(coarsenEps))
-	return hex.EncodeToString(h.Sum(nil))
+	b = le.AppendUint64(b, uint64(windows))
+	b = le.AppendUint64(b, math.Float64bits(coarsenEps))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // DefaultModel returns the calibrated Xeon-E5-2670-like socket model used
