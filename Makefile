@@ -70,21 +70,29 @@ realization-smoke:
 # the sparse breaker closed again within a bounded number of calm
 # solves. The stall case sends every /v1/solve shape (monolithic,
 # windowed, coarsened, costly realizations) with lp-stall armed and
-# requires a cap-clean degraded 200 from each.
+# requires a cap-clean degraded 200 from each. The sweep-slot case panics
+# inside a sweep on a one-worker daemon and requires the contained 500 to
+# give its worker slot back (the next solve answers 200, occupancy 0).
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery|TestEveryShapeDegradesUnderStall' -count=1 -v ./internal/service/
+	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery|TestEveryShapeDegradesUnderStall|TestSweepPanicReleasesSlot' -count=1 -v ./internal/service/
 
-# Observability smoke: race-detected span/flight-recorder/SLO-engine tests,
-# then a traced solve against a real pcschedd — validates the inline Chrome
-# trace JSON (nesting checked strictly), request-ID propagation into
-# header/body/access-log, double /metrics scrape with counter monotonicity,
-# and /debug/pprof. The second daemon leg (race-detected end to end) arms an
+# Observability smoke: race-detected span/flight-recorder/SLO-engine tests;
+# then, race-detected in process, the one event model (DESIGN.md §16): a
+# fixed request script over every endpoint, cache outcome, error status and
+# contained fault must leave /metrics counts equal to a golden, the flight
+# dump alone must fold back to every one of those counts, a response's stats
+# must equal its event's kernel block, and folding an event must allocate
+# nothing; then a traced solve against a real pcschedd — validates the
+# inline Chrome trace JSON (nesting checked strictly), request-ID
+# propagation into header/body/access-log, double /metrics scrape with
+# counter monotonicity, and /debug/pprof. The second daemon leg (race-detected end to end) arms an
 # lp-stall fault window via PCSCHEDD_FAULTS and requires the flight dump to
 # name the ladder rung that served, the descent trail and the SLO burn
 # spike, plus a SIGQUIT dump that round-trips as wide-event JSON
 # (DESIGN.md §16).
 obs-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/slo/
+	$(GO) test -race -run 'TestCounterParity|TestEventCompleteness|TestEventRowNormRatioMatchesResponse|TestFoldNoAllocs' -count=1 -v ./internal/service/
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/pcschedd/
 	$(GO) test -race -run TestFlightRecorderSmoke -count=1 -v ./cmd/pcschedd/
 

@@ -184,11 +184,11 @@ func runResilience(cfg config) error {
 		faultinject.Disable()
 
 		m := svc.Metrics()
-		row.Heuristic = m.FallbackHeuristic.Load()
-		row.Static = m.FallbackStatic.Load()
-		row.Retries = m.SolveRetries.Load()
-		row.Panics = m.Panics.Load()
-		row.CacheBypasses = m.CacheErrors.Load()
+		row.Heuristic = m.Counter("pcschedd_fallback_heuristic_total")
+		row.Static = m.Counter("pcschedd_fallback_static_total")
+		row.Retries = m.Counter("pcschedd_solve_retries_total")
+		row.Panics = m.Counter("pcschedd_panics_total")
+		row.CacheBypasses = m.Counter("pcschedd_cache_errors_total")
 		row.FallbackPct = 100 * float64(row.Degraded) / float64(row.Requests)
 		if row.Degraded > 0 {
 			row.MeanGapPct = gapSum / float64(row.Degraded)

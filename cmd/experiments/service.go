@@ -106,7 +106,7 @@ func runService(cfg config) error {
 
 	m := svc.Metrics()
 	fmt.Printf("\nbackend solves %d, cache hits %d (of %d requests)\n",
-		m.Solves.Load(), m.CacheHits.Load(), m.Requests.Load())
+		m.Counter("pcschedd_solves_total"), m.Counter("pcschedd_cache_hits_total"), m.Counter("pcschedd_requests_total"))
 
 	if cfg.benchJSON != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

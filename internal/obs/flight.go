@@ -6,7 +6,8 @@ package obs
 // request slow or degraded" after the fact: it carries the SLO burn at
 // admission, the cache/singleflight outcome, the resilience rung that
 // produced the schedule, and the kernel's numerical-health counters in one
-// record.
+// record. It is the request's only record: pcschedd folds its /metrics
+// counters, access line and SLO sample from the finished event.
 //
 // Memory model. The ring is sized to a power of two. Writers claim a slot
 // with a single atomic add on the cursor — that is the only cross-writer
@@ -37,22 +38,25 @@ import (
 // heuristic, static.
 const NumLadderRungs = 3
 
-// KernelHealth is the numerical-health slice of a wide event: the LP
-// kernel's effort and rescue counters for every solve that served the
-// request (summed across windows for windowed solves). All fields are
-// plain ints so the struct copies flat into the ring.
+// KernelHealth is the LP kernel's effort and numerical health for every
+// solve a request ran (summed across windows, slices and sweep points):
+// the wide event's kernel block and, as service.StatsJSON, the stats block
+// of every response, so both print the same fields. All fields are plain
+// values so the struct copies flat into the ring.
 type KernelHealth struct {
-	Solves           int `json:"solves,omitempty"`
-	SimplexPivots    int `json:"simplex_pivots,omitempty"`
-	DualPivots       int `json:"dual_pivots,omitempty"`
-	WarmStarts       int `json:"warm_starts,omitempty"`
-	Refactorizations int `json:"refactorizations,omitempty"`
+	Solves           int `json:"solves"`
+	SimplexPivots    int `json:"simplex_pivots"`
+	DualPivots       int `json:"dual_pivots"`
+	WarmStarts       int `json:"warm_starts"`
+	Refactorizations int `json:"refactorizations"`
+
 	// MaxEtaLen is the peak eta-on-LU update-file length across the
-	// request's solves — the eta-growth proxy for basis conditioning.
+	// solves — the eta-growth proxy for basis conditioning.
 	MaxEtaLen int `json:"max_eta_len,omitempty"`
 	// PivotRejections counts factorization rows skipped by LU threshold
-	// (Markowitz-style) pivoting; TauRetries counts whole factorizations
-	// that fell back from relaxed to strict partial pivoting.
+	// (Markowitz-style) pivoting; FactorTauRetries counts whole
+	// factorizations that fell back from relaxed to strict partial
+	// pivoting.
 	PivotRejections  int `json:"pivot_rejections,omitempty"`
 	FactorTauRetries int `json:"factor_tau_retries,omitempty"`
 	// NaNRecoveries counts refactorize-and-retry repairs of non-finite
@@ -62,9 +66,14 @@ type KernelHealth struct {
 	NaNRecoveries    int `json:"nan_recoveries,omitempty"`
 	Rescues          int `json:"rescues,omitempty"`
 	BlandActivations int `json:"bland_activations,omitempty"`
+	PresolveRows     int `json:"presolve_rows,omitempty"` // always 0: the kernel runs no presolve
+	// RowNormRatio is the worst post-scaling max/min row-norm ratio, the
+	// scaling proxy for conditioning.
+	RowNormRatio float64 `json:"row_norm_ratio,omitempty"`
 }
 
-// WideEvent is one request's forensic record. Every field is a value type
+// WideEvent is one request's forensic record, and its only one: every
+// count /metrics reports is folded from it. Every field is a value type
 // (no maps, slices, or pointers) so the ring write is a flat copy and the
 // record path never allocates. Zero-valued fields are elided from JSON.
 type WideEvent struct {
@@ -88,6 +97,18 @@ type WideEvent struct {
 	// parked this schedule, when the hit came from a parked entry.
 	ClusterOrigin string `json:"cluster_origin,omitempty"`
 
+	// Backend outcome. These, the resilience, windowed and cluster
+	// outcomes and the kernel block are written only on the event of the
+	// request whose worker ran the backend: cache hits and coalesced
+	// waiters carry none of them. Solves counts backend solves run to
+	// completion (a sweep's points, a cluster's LP solves), Infeasible the
+	// answers that proved a cap infeasible, and Panics the panics
+	// recovered while serving the request (a worker's contained panic
+	// before its retry included).
+	Solves     int `json:"solves,omitempty"`
+	Infeasible int `json:"infeasible,omitempty"`
+	Panics     int `json:"panics,omitempty"`
+
 	// Resilience outcome.
 	Rung           string `json:"rung,omitempty"`
 	Degraded       bool   `json:"degraded,omitempty"`
@@ -96,7 +117,30 @@ type WideEvent struct {
 	// RungAttempts counts solve attempts per ladder rung in descent order
 	// (sparse, heuristic, static) — the per-rung descent trail for this
 	// request.
-	RungAttempts [NumLadderRungs]int32 `json:"rung_attempts"`
+	RungAttempts [NumLadderRungs]int `json:"rung_attempts"`
+
+	// Windowed outcome: realized windows, phase-B commit solves, commits
+	// that repaired a speculative basis, escalated windows, the worst seam
+	// cap excess and the stitched-vs-simulated makespan gap.
+	WindowsSolved  int     `json:"windows_solved,omitempty"`
+	CommitSolves   int     `json:"commit_solves,omitempty"`
+	WarmStartHits  int     `json:"warm_start_hits,omitempty"`
+	Escalations    int     `json:"escalations,omitempty"`
+	SeamViolationW float64 `json:"seam_violation_w,omitempty"`
+	StitchGapPct   float64 `json:"stitch_gap_pct,omitempty"`
+
+	// Cluster outcome: jobs placed, jobs served degraded, the watt volume
+	// moved away from the uniform split, and a budget below the sum of the
+	// jobs' floors.
+	Jobs             int     `json:"jobs,omitempty"`
+	DegradedJobs     int     `json:"degraded_jobs,omitempty"`
+	MovedW           float64 `json:"moved_w,omitempty"`
+	BudgetInfeasible bool    `json:"budget_infeasible,omitempty"`
+
+	// Traced is set when the response inlined its trace; DroppedSpans
+	// counts the spans the request's trace discarded at its bound.
+	Traced       bool `json:"traced,omitempty"`
+	DroppedSpans int  `json:"dropped_spans,omitempty"`
 
 	// Deadline budget granted at admission vs solve wall actually spent.
 	DeadlineMS float64 `json:"deadline_ms,omitempty"`

@@ -239,12 +239,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req ClusterRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.badRequest(w, err)
+		badRequest(w, err)
 		return
 	}
 	in, err := resolveCluster(r.Context(), &req, s.named)
 	if err != nil {
-		s.badRequest(w, err)
+		badRequest(w, err)
 		return
 	}
 	jobs := make([]clusterJob, len(in.Jobs))
@@ -257,8 +257,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
+	ev := wideEventFrom(r.Context())
 	fn := func() (any, bool, error) {
-		out, ferr := s.clusterWorker(ctx, jobs, budget, opts)
+		out, ferr := s.clusterWorker(ctx, ev, jobs, budget, opts)
 		if ferr != nil {
 			return nil, false, ferr
 		}
@@ -273,7 +274,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		}
 		return out, !degraded, nil
 	}
-	ev := wideEventFrom(r.Context())
 	ev.Workload = fmt.Sprintf("cluster[%d]", len(jobs))
 	ev.CapW = budget
 	ev.CacheKey = key
@@ -290,17 +290,13 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		s.solveError(w, err)
 		return
 	}
-	s.countHit(how)
 
 	out := val.(*clusterOutcome)
-	if how == hitMiss && out.alloc != nil {
-		ev.Kernel = kernelHealthFrom(out.alloc.Stats)
-	}
 	resp := NewClusterResponse(in, out.alloc, out.budgetErr, out.keys)
 	resp.RequestID = RequestIDFrom(r.Context())
 	resp.Cached = how != hitMiss
 	resp.ElapsedMS = msSince(start)
-	resp.Trace = s.inlineTrace(r)
+	resp.Trace = inlineTrace(r)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -310,8 +306,9 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 // their walks side by side and lowers them interleaved on one goroutine.
 // Either way the whole batch occupies a single slot, which bounds
 // requests, not CPUs. Budget infeasibility is an in-band outcome (a pure
-// function of the request), not an error.
-func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
+// function of the request), not an error. The run's facts go on ev, the
+// event of the request that ran it.
+func (s *Server) clusterWorker(ctx context.Context, ev *obs.WideEvent, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -337,7 +334,7 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 	if err != nil {
 		var be *market.BudgetError
 		if errors.As(err, &be) {
-			s.metrics.ClusterInfeasible.Add(1)
+			ev.BudgetInfeasible = true
 			return &clusterOutcome{budgetErr: be}, nil
 		}
 		return nil, err
@@ -346,7 +343,7 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 	out := &clusterOutcome{alloc: alloc, keys: make([]string, len(jobs))}
 	for i, ja := range alloc.Jobs {
 		if ja.Degraded {
-			s.metrics.ClusterDegradedJobs.Add(1)
+			ev.DegradedJobs++
 			continue
 		}
 		if ja.Schedule == nil {
@@ -362,11 +359,10 @@ func (s *Server) clusterWorker(ctx context.Context, jobs []clusterJob, budget fl
 		s.cache.Put(k, &solveOutcome{sched: ja.Schedule, clusterOrigin: RequestIDFrom(ctx)})
 		out.keys[i] = k
 	}
-	s.metrics.ClusterAllocations.Add(1)
-	s.metrics.ClusterJobsAllocated.Add(uint64(len(jobs)))
-	s.metrics.ClusterMovedWatts.Add(alloc.MovedW)
-	s.metrics.Solves.Add(uint64(alloc.Solves))
-	s.countLPStats(alloc.Stats)
+	ev.Jobs = len(jobs)
+	ev.MovedW = alloc.MovedW
+	ev.Solves = alloc.Solves
+	ev.Kernel = *NewStatsJSON(alloc.Stats)
 	return out, nil
 }
 

@@ -79,13 +79,13 @@ func TestClusterEndpoint(t *testing.T) {
 	if sum > resp.BudgetW+1e-6 {
 		t.Errorf("allocated %.3f W over the %.0f W budget", sum, resp.BudgetW)
 	}
-	if got := srv.metrics.ClusterAllocations.Load(); got != 1 {
+	if got := srv.metrics.Counter("pcschedd_cluster_allocations_total"); got != 1 {
 		t.Errorf("ClusterAllocations = %d, want 1", got)
 	}
 
 	// Per-job cache reuse: the allocation parked each job's final schedule
 	// under its whole-graph solve key, so this /v1/solve is a pure LRU hit.
-	solves := srv.metrics.Solves.Load()
+	solves := srv.metrics.Counter("pcschedd_solves_total")
 	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		Workload: clusterReq("market").Jobs[0].Workload,
 		JobCapW:  resp.Jobs[0].CapW,
@@ -104,7 +104,7 @@ func TestClusterEndpoint(t *testing.T) {
 	if sr.Key != resp.Jobs[0].ScheduleKey {
 		t.Errorf("solve key %s != advertised schedule_key %s", sr.Key, resp.Jobs[0].ScheduleKey)
 	}
-	if got := srv.metrics.Solves.Load(); got != solves {
+	if got := srv.metrics.Counter("pcschedd_solves_total"); got != solves {
 		t.Errorf("follow-up solve ran a backend solve (%d → %d)", solves, got)
 	}
 	if sr.MakespanS != resp.Jobs[0].MakespanS {
@@ -123,7 +123,7 @@ func TestClusterEndpoint(t *testing.T) {
 	if !again.Cached {
 		t.Error("repeat cluster request was not served from cache")
 	}
-	if got := srv.metrics.ClusterAllocations.Load(); got != 1 {
+	if got := srv.metrics.Counter("pcschedd_cluster_allocations_total"); got != 1 {
 		t.Errorf("repeat ran the allocator again (ClusterAllocations = %d)", got)
 	}
 }
@@ -220,14 +220,14 @@ func TestClusterBadRequests(t *testing.T) {
 		{"bad policy", func() ClusterRequest { r := clusterReq("vickrey"); return r }()},
 		{"bad workload", ClusterRequest{Jobs: []ClusterJobSpec{{Name: "a", Workload: &WorkloadSpec{Name: "nope"}}}, BudgetW: 100}},
 	}
-	before := srv.metrics.BadRequests.Load()
+	before := srv.metrics.Counter("pcschedd_bad_requests_total")
 	for _, tc := range cases {
 		code, body := postJSON(t, ts.URL+"/v1/cluster", tc.req)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s)", tc.name, code, body)
 		}
 	}
-	if got := srv.metrics.BadRequests.Load() - before; got != uint64(len(cases)) {
+	if got := srv.metrics.Counter("pcschedd_bad_requests_total") - before; got != uint64(len(cases)) {
 		t.Errorf("BadRequests counted %d of %d", got, len(cases))
 	}
 	// The retired market convergence knobs are unknown fields.

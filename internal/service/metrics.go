@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"powercap"
+	"powercap/internal/obs"
 )
 
 // Observability layer: lock-free counters and latency histograms exposed in
@@ -16,102 +20,159 @@ import (
 // atomics — the service's hot path (cache hit) must not take a lock to be
 // counted; only the per-stage histogram registry (fed off the hot path,
 // from harvested obs traces) takes a mutex.
+//
+// Every per-request count is folded from the request's wide event, in one
+// place (fold): each family below is declared once, with how one event adds
+// to it. Only what no event can hold is counted where it happens: requests
+// and draining rejections at the door, before an event exists, the
+// inflight gauge, the queue-wait and solve-latency timings, and the stage
+// histograms, built from spans.
+
+// A counterFamily is one integer counter of /metrics and how much one
+// request's wide event adds to it. A nil fold marks a family counted at the
+// door.
+type counterFamily struct {
+	name, help string
+	fold       func(ev *obs.WideEvent) uint64
+}
+
+// counterFamilies are the integer counters, in /metrics order.
+var counterFamilies = [...]counterFamily{
+	{"pcschedd_requests_total", "API requests accepted into a handler.", nil},
+	{"pcschedd_solves_total", "Backend LP solves run to completion.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Solves) }},
+	// A cache lookup that failed is neither a hit nor a miss.
+	{"pcschedd_cache_hits_total", "Requests served without a backend solve (LRU hits plus coalesced).",
+		func(ev *obs.WideEvent) uint64 {
+			return oneIf(ev.Err == "" && (ev.Cache == "hit" || ev.Cache == "coalesced"))
+		}},
+	{"pcschedd_cache_misses_total", "Requests that ran a backend solve.",
+		func(ev *obs.WideEvent) uint64 {
+			return oneIf(ev.Err == "" && (ev.Cache == "miss" || ev.Cache == "bypass"))
+		}},
+	{"pcschedd_coalesced_total", "Cache hits that joined an in-flight identical solve.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Err == "" && ev.Cache == "coalesced") }},
+	{"pcschedd_canceled_total", "Requests abandoned by deadline or client disconnect.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Status == http.StatusGatewayTimeout) }},
+	// Queue-full rejections fold from their 429; draining ones are counted
+	// at the door.
+	{"pcschedd_rejected_total", "Admission-control rejections (queue full or draining).",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Status == http.StatusTooManyRequests) }},
+	{"pcschedd_bad_requests_total", "Malformed requests answered 400.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Status == http.StatusBadRequest) }},
+	{"pcschedd_infeasible_total", "Solves that proved the power cap infeasible.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Infeasible) }},
+	{"pcschedd_warm_starts_total", "LP solves that started from a supplied basis: a prior solve's or the crash basis.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.WarmStarts) }},
+	{"pcschedd_pivots_total", "Simplex pivots across all backend solves.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.SimplexPivots) }},
+	{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Panics) }},
+	{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Degraded) }},
+	{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.",
+		func(ev *obs.WideEvent) uint64 {
+			return oneIf(ev.Degraded && ev.Rung == powercap.RungHeuristic.String())
+		}},
+	{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Degraded && ev.Rung == powercap.RungStatic.String()) }},
+	{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.SolveRetries) }},
+	{"pcschedd_cache_errors_total", "Cache faults that forced a request to bypass the schedule cache.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Cache == "bypass") }},
+	{"pcschedd_traced_requests_total", "Requests that returned an inline trace (?trace=1).",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Traced) }},
+	{"pcschedd_trace_spans_dropped_total", "Spans discarded because a request trace hit its span bound.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.DroppedSpans) }},
+	{"pcschedd_windowed_solves_total", "Solves routed through the windowed large-trace decomposition.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.WindowsSolved > 0) }},
+	{"pcschedd_windows_solved_total", "Event windows solved across all windowed solves.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.WindowsSolved) }},
+	{"pcschedd_window_commit_solves_total", "Windowed phase-B commit re-solves (boundary-exact windows reuse their speculative solution instead).",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.CommitSolves) }},
+	{"pcschedd_window_warm_start_hits_total", "Commit solves that repaired a speculative basis with dual pivots.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.WarmStartHits) }},
+	{"pcschedd_window_escalations_total", "Infeasible commit windows widened by the escalation ladder.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Escalations) }},
+	{"pcschedd_cluster_allocations_total", "Completed cluster power allocations (fresh allocator runs; cache hits excluded).",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Jobs > 0) }},
+	{"pcschedd_cluster_jobs_allocated_total", "Jobs placed across all cluster allocations.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Jobs) }},
+	{"pcschedd_cluster_degraded_jobs_total", "Jobs whose schedule could be read neither off their power-time walk nor from a fallback solve that agrees with it.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.DegradedJobs) }},
+	{"pcschedd_cluster_infeasible_total", "Cluster requests whose budget fell below the sum of per-job feasibility floors.",
+		func(ev *obs.WideEvent) uint64 { return oneIf(ev.BudgetInfeasible) }},
+	{"pcschedd_lp_refactorizations_total", "Sparse-backend basis reinversions across all solves.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.Refactorizations) }},
+	{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.PivotRejections) }},
+	{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.FactorTauRetries) }},
+	{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.NaNRecoveries) }},
+	{"pcschedd_lp_bland_activations_total", "Anti-cycling (Bland's rule) fallback engagements.",
+		func(ev *obs.WideEvent) uint64 { return countOf(ev.Kernel.BlandActivations) }},
+}
+
+// A floatFamily is one float-valued family of /metrics: a running maximum
+// ("gauge") or a running sum ("counter") of one number each wide event
+// carries.
+type floatFamily struct {
+	name, help, typ string
+	fold            func(ev *obs.WideEvent) float64
+}
+
+// floatFamilies are the float-valued families, in /metrics order.
+var floatFamilies = [...]floatFamily{
+	{"pcschedd_window_seam_violation_watts_max", "Worst cap excess observed at any window seam since start.", "gauge",
+		func(ev *obs.WideEvent) float64 { return ev.SeamViolationW }},
+	{"pcschedd_window_stitch_gap_pct_max", "Worst stitched-vs-simulated makespan gap (percent) since start.", "gauge",
+		func(ev *obs.WideEvent) float64 { return ev.StitchGapPct }},
+	{"pcschedd_lp_max_eta_len", "Peak basis-update (eta) file length observed across all solves.", "gauge",
+		func(ev *obs.WideEvent) float64 { return float64(ev.Kernel.MaxEtaLen) }},
+	{"pcschedd_lp_row_norm_ratio_max", "Worst post-scaling max/min row-norm ratio (conditioning proxy).", "gauge",
+		func(ev *obs.WideEvent) float64 { return ev.Kernel.RowNormRatio }},
+	{"pcschedd_cluster_moved_watts_total", "Watt volume cluster allocations moved away from the uniform split.", "counter",
+		func(ev *obs.WideEvent) float64 { return ev.MovedW }},
+}
+
+func countOf(v int) uint64 {
+	if v <= 0 {
+		return 0
+	}
+	return uint64(v)
+}
+
+func oneIf(ok bool) uint64 {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// counterIndex is the position of the named family in counterFamilies.
+func counterIndex(name string) int {
+	for i := range counterFamilies {
+		if counterFamilies[i].name == name {
+			return i
+		}
+	}
+	panic("service: no counter family " + name)
+}
+
+// The two families counted at the door, before the request has an event.
+var (
+	requestsFamily = counterIndex("pcschedd_requests_total")
+	rejectedFamily = counterIndex("pcschedd_rejected_total")
+)
 
 // Metrics aggregates the service's counters and histograms. All fields are
-// safe for concurrent use; read them with atomic loads (or Snapshot).
+// safe for concurrent use.
 type Metrics struct {
-	// Requests counts every API request accepted into a handler
-	// (including ones later rejected by admission control).
-	Requests atomic.Uint64
-	// Solves counts backend LP solves that ran to completion. The
-	// singleflight load test's "exactly 1 backend solve for 64 identical
-	// requests" asserts on this counter.
-	Solves atomic.Uint64
-	// CacheHits counts requests served without a backend solve: LRU hits
-	// plus requests coalesced onto an in-flight identical solve.
-	CacheHits atomic.Uint64
-	// CacheMisses counts requests that had to run a backend solve.
-	CacheMisses atomic.Uint64
-	// Coalesced is the subset of CacheHits that joined an in-flight solve
-	// (singleflight) rather than finding a finished schedule.
-	Coalesced atomic.Uint64
-	// Canceled counts requests abandoned by deadline or client disconnect,
-	// observed as a cancellation surfacing from the LP pivot loops.
-	Canceled atomic.Uint64
-	// Rejected counts admission-control rejections (queue full, draining).
-	Rejected atomic.Uint64
-	// BadRequests counts malformed requests (400s).
-	BadRequests atomic.Uint64
-	// Infeasible counts solves that proved the cap infeasible.
-	Infeasible atomic.Uint64
-	// WarmStarts and Pivots accumulate solver effort across all backend
-	// solves (sweep points included).
-	WarmStarts atomic.Uint64
-	Pivots     atomic.Uint64
-	// Panics counts panics recovered anywhere in the service — a solve
-	// worker or an HTTP handler. Each one is a contained 500 (or a clean
-	// worker retry), never a daemon death.
-	Panics atomic.Uint64
-	// Degraded counts solve responses served from below the fallback
-	// ladder's top rung; the Fallback* counters break them out by the rung
-	// that produced the schedule.
-	Degraded          atomic.Uint64
-	FallbackHeuristic atomic.Uint64
-	FallbackStatic    atomic.Uint64
-	// SolveRetries counts backoff retries the ladder spent on numerical
-	// failures before succeeding or descending.
-	SolveRetries atomic.Uint64
-	// CacheErrors counts cache-backend faults (injected or real) that forced
-	// a request to bypass the schedule cache and solve directly.
-	CacheErrors atomic.Uint64
-	// WindowedSolves counts solves routed through the windowed large-trace
-	// decomposition (?windows= / ?coarsen_eps=); WindowsSolved accumulates
-	// the realized window counts across them, WindowCommitSolves the
-	// phase-B re-solves, WindowWarmStartHits the commit solves that repaired
-	// a speculative basis (their ratio is the fleet warm-start hit rate),
-	// and WindowEscalations the infeasible windows that had to widen.
-	WindowedSolves      atomic.Uint64
-	WindowsSolved       atomic.Uint64
-	WindowCommitSolves  atomic.Uint64
-	WindowWarmStartHits atomic.Uint64
-	WindowEscalations   atomic.Uint64
-	// WindowSeamViolationW tracks the worst cap excess observed at any
-	// window seam (floating-point noise unless stitching is broken);
-	// WindowStitchGapPct the worst stitched-vs-simulated makespan gap.
-	WindowSeamViolationW FloatMaxGauge
-	WindowStitchGapPct   FloatMaxGauge
-	// ClusterAllocations counts completed /v1/cluster allocations (cache
-	// hits excluded — only fresh allocator runs); ClusterJobsAllocated the
-	// jobs they placed; ClusterDegradedJobs the jobs whose schedule could
-	// be read neither off their walk nor from a fallback solve that agrees
-	// with it; ClusterInfeasible the requests
-	// whose budget fell below the sum of per-job feasibility floors.
-	// ClusterMovedWatts accumulates the watt volume the allocations moved
-	// away from the uniform split.
-	ClusterAllocations   atomic.Uint64
-	ClusterJobsAllocated atomic.Uint64
-	ClusterDegradedJobs  atomic.Uint64
-	ClusterInfeasible    atomic.Uint64
-	ClusterMovedWatts    FloatCounter
-	// LP numerical-health families (DESIGN.md §16), accumulated across
-	// every backend solve: basis reinversions, LU threshold-pivoting row
-	// rejections, factorizations retried under strict pivoting, NaN/Inf
-	// refactorize-and-retry repairs and anti-cycling (Bland) fallbacks.
-	// LPMaxEtaLen tracks the worst product-form update-file growth and
-	// LPRowNormRatio the worst post-scaling max/min row-norm ratio — the
-	// two conditioning proxies.
-	LPRefactorizations atomic.Uint64
-	LPPivotRejections  atomic.Uint64
-	LPTauRetries       atomic.Uint64
-	LPNaNRecoveries    atomic.Uint64
-	LPBlandActivations atomic.Uint64
-	LPMaxEtaLen        FloatMaxGauge
-	LPRowNormRatio     FloatMaxGauge
-	// TracedRequests counts requests that asked for (and got) an inline
-	// trace (?trace=1); TraceSpansDropped accumulates spans those traces
-	// discarded at their bound, so truncation is visible fleet-wide.
-	TracedRequests    atomic.Uint64
-	TraceSpansDropped atomic.Uint64
+	counters [len(counterFamilies)]atomic.Uint64
+	// floats holds each float family's value as float64 bits.
+	floats [len(floatFamilies)]atomic.Uint64
+
 	// Inflight is the number of API requests currently inside a handler.
 	Inflight atomic.Int64
 
@@ -129,6 +190,64 @@ type Metrics struct {
 	// histograms.
 	stageMu sync.Mutex
 	stages  map[string]*Histogram
+}
+
+// Counter reads the named integer counter family.
+func (m *Metrics) Counter(name string) uint64 { return m.counters[counterIndex(name)].Load() }
+
+// fold derives every per-request count from the request's finished wide
+// event: the counter and float families, the request-latency histogram,
+// the SLO sample, and the access line, which adds the method and remote
+// address from r. It allocates nothing unless the access log is on.
+func (s *Server) fold(ev *obs.WideEvent, r *http.Request) {
+	m := &s.metrics
+	for i := range counterFamilies {
+		if f := counterFamilies[i].fold; f != nil {
+			if v := f(ev); v > 0 {
+				m.counters[i].Add(v)
+			}
+		}
+	}
+	for i := range floatFamilies {
+		foldFloat(&m.floats[i], floatFamilies[i].fold(ev), floatFamilies[i].typ == "counter")
+	}
+	dur := time.Duration(math.Round(ev.DurMS * float64(time.Millisecond)))
+	m.RequestLatency.Observe(dur)
+	// 429s are deliberate backpressure — the engine excludes them — so
+	// rejecting under overload cannot amplify its own burn.
+	s.slo.Observe(time.Unix(0, ev.TimeUnixNS).Add(dur), ev.Status, dur)
+	if s.logger != nil {
+		s.logger.Info("request",
+			"request_id", ev.RequestID,
+			"method", r.Method,
+			"path", ev.Path,
+			"status", ev.Status,
+			"dur_ms", ev.DurMS,
+			"remote", r.RemoteAddr)
+	}
+}
+
+// foldFloat adds v to the float64 held in bits (sum) or raises it to v
+// (a running maximum), lock-free: non-negative IEEE-754 floats order as
+// their bit patterns, so both are a CompareAndSwap loop on the bits.
+// Samples that are not positive are ignored: the families are monotone,
+// and a negative gap or excess means none.
+func foldFloat(bits *atomic.Uint64, v float64, sum bool) {
+	if !(v > 0) {
+		return
+	}
+	for {
+		ob := bits.Load()
+		nb := math.Float64bits(v)
+		if sum {
+			nb = math.Float64bits(math.Float64frombits(ob) + v)
+		} else if ob >= nb {
+			return
+		}
+		if bits.CompareAndSwap(ob, nb) {
+			return
+		}
+	}
 }
 
 // ObserveStage records one pipeline-stage duration under the stage's span
@@ -159,55 +278,6 @@ func (m *Metrics) StageNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// FloatMaxGauge is a lock-free running-maximum gauge over non-negative
-// float64 samples. Non-negative IEEE-754 floats order identically to their
-// bit patterns, so the maximum is a plain CompareAndSwap loop on the bits.
-// The zero value reads 0.
-type FloatMaxGauge struct{ bits atomic.Uint64 }
-
-// StoreMax raises the gauge to v if v exceeds the current maximum.
-// Negative samples are clamped to 0 (the gauge tracks violations/gaps,
-// where negative means "none").
-func (g *FloatMaxGauge) StoreMax(v float64) {
-	if v <= 0 {
-		return
-	}
-	nb := math.Float64bits(v)
-	for {
-		ob := g.bits.Load()
-		if ob >= nb || g.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
-}
-
-// Load reports the maximum observed so far.
-func (g *FloatMaxGauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// FloatCounter is a lock-free monotonically increasing float64 counter
-// (CompareAndSwap on the bits) for accumulating physical quantities —
-// watt-volume, joules — where integer counters lose the fractions.
-// The zero value reads 0.
-type FloatCounter struct{ bits atomic.Uint64 }
-
-// Add increases the counter by v; non-positive deltas are ignored (the
-// counter is monotone by contract).
-func (c *FloatCounter) Add(v float64) {
-	if v <= 0 || math.IsNaN(v) {
-		return
-	}
-	for {
-		ob := c.bits.Load()
-		nb := math.Float64bits(math.Float64frombits(ob) + v)
-		if c.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
-}
-
-// Load reports the accumulated total.
-func (c *FloatCounter) Load() float64 { return math.Float64frombits(c.bits.Load()) }
 
 // latencyBounds are the histogram bucket upper bounds in seconds,
 // log-spaced from 5 µs to 30 s — pipeline stages run from microseconds
@@ -279,64 +349,20 @@ func writeMeta(w io.Writer, name, help, typ string) {
 // Render writes every counter and histogram in Prometheus text format,
 // each family preceded by its # HELP and # TYPE metadata.
 func (m *Metrics) Render(w io.Writer) {
-	counters := []struct {
-		name, help string
-		v          uint64
-	}{
-		{"pcschedd_requests_total", "API requests accepted into a handler.", m.Requests.Load()},
-		{"pcschedd_solves_total", "Backend LP solves run to completion.", m.Solves.Load()},
-		{"pcschedd_cache_hits_total", "Requests served without a backend solve (LRU hits plus coalesced).", m.CacheHits.Load()},
-		{"pcschedd_cache_misses_total", "Requests that ran a backend solve.", m.CacheMisses.Load()},
-		{"pcschedd_coalesced_total", "Cache hits that joined an in-flight identical solve.", m.Coalesced.Load()},
-		{"pcschedd_canceled_total", "Requests abandoned by deadline or client disconnect.", m.Canceled.Load()},
-		{"pcschedd_rejected_total", "Admission-control rejections (queue full or draining).", m.Rejected.Load()},
-		{"pcschedd_bad_requests_total", "Malformed requests answered 400.", m.BadRequests.Load()},
-		{"pcschedd_infeasible_total", "Solves that proved the power cap infeasible.", m.Infeasible.Load()},
-		{"pcschedd_warm_starts_total", "LP solves that started from a supplied basis: a prior solve's or the crash basis.", m.WarmStarts.Load()},
-		{"pcschedd_pivots_total", "Simplex pivots across all backend solves.", m.Pivots.Load()},
-		{"pcschedd_panics_total", "Panics recovered in handlers or solve workers.", m.Panics.Load()},
-		{"pcschedd_degraded_total", "Solve responses served from below the ladder's top rung.", m.Degraded.Load()},
-		{"pcschedd_fallback_heuristic_total", "Degraded responses produced by the slack-aware heuristic rung.", m.FallbackHeuristic.Load()},
-		{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.", m.FallbackStatic.Load()},
-		{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.", m.SolveRetries.Load()},
-		{"pcschedd_cache_errors_total", "Cache faults that forced a request to bypass the schedule cache.", m.CacheErrors.Load()},
-		{"pcschedd_traced_requests_total", "Requests that returned an inline trace (?trace=1).", m.TracedRequests.Load()},
-		{"pcschedd_trace_spans_dropped_total", "Spans discarded because a request trace hit its span bound.", m.TraceSpansDropped.Load()},
-		{"pcschedd_windowed_solves_total", "Solves routed through the windowed large-trace decomposition.", m.WindowedSolves.Load()},
-		{"pcschedd_windows_solved_total", "Event windows solved across all windowed solves.", m.WindowsSolved.Load()},
-		{"pcschedd_window_commit_solves_total", "Windowed phase-B commit re-solves (boundary-exact windows reuse their speculative solution instead).", m.WindowCommitSolves.Load()},
-		{"pcschedd_window_warm_start_hits_total", "Commit solves that repaired a speculative basis with dual pivots.", m.WindowWarmStartHits.Load()},
-		{"pcschedd_window_escalations_total", "Infeasible commit windows widened by the escalation ladder.", m.WindowEscalations.Load()},
-		{"pcschedd_cluster_allocations_total", "Completed cluster power allocations (fresh allocator runs; cache hits excluded).", m.ClusterAllocations.Load()},
-		{"pcschedd_cluster_jobs_allocated_total", "Jobs placed across all cluster allocations.", m.ClusterJobsAllocated.Load()},
-		{"pcschedd_cluster_degraded_jobs_total", "Jobs whose schedule could be read neither off their power-time walk nor from a fallback solve that agrees with it.", m.ClusterDegradedJobs.Load()},
-		{"pcschedd_cluster_infeasible_total", "Cluster requests whose budget fell below the sum of per-job feasibility floors.", m.ClusterInfeasible.Load()},
-		{"pcschedd_lp_refactorizations_total", "Sparse-backend basis reinversions across all solves.", m.LPRefactorizations.Load()},
-		{"pcschedd_lp_pivot_rejections_total", "LU threshold-pivoting row rejections during factorization.", m.LPPivotRejections.Load()},
-		{"pcschedd_lp_factor_tau_retries_total", "Factorizations that fell back from relaxed to strict partial pivoting.", m.LPTauRetries.Load()},
-		{"pcschedd_lp_nan_recoveries_total", "Refactorize-and-retry repairs of non-finite solver state.", m.LPNaNRecoveries.Load()},
-		{"pcschedd_lp_bland_activations_total", "Anti-cycling (Bland's rule) fallback engagements.", m.LPBlandActivations.Load()},
-	}
-	for _, c := range counters {
+	for i := range counterFamilies {
+		c := &counterFamilies[i]
 		writeMeta(w, c.name, c.help, "counter")
-		fmt.Fprintf(w, "%s %d\n", c.name, c.v)
+		fmt.Fprintf(w, "%s %d\n", c.name, m.counters[i].Load())
 	}
 
 	writeMeta(w, "pcschedd_inflight_requests", "API requests currently inside a handler.", "gauge")
 	fmt.Fprintf(w, "pcschedd_inflight_requests %d\n", m.Inflight.Load())
 
-	writeMeta(w, "pcschedd_window_seam_violation_watts_max", "Worst cap excess observed at any window seam since start.", "gauge")
-	fmt.Fprintf(w, "pcschedd_window_seam_violation_watts_max %g\n", m.WindowSeamViolationW.Load())
-	writeMeta(w, "pcschedd_window_stitch_gap_pct_max", "Worst stitched-vs-simulated makespan gap (percent) since start.", "gauge")
-	fmt.Fprintf(w, "pcschedd_window_stitch_gap_pct_max %g\n", m.WindowStitchGapPct.Load())
-
-	writeMeta(w, "pcschedd_lp_max_eta_len", "Peak basis-update (eta) file length observed across all solves.", "gauge")
-	fmt.Fprintf(w, "pcschedd_lp_max_eta_len %g\n", m.LPMaxEtaLen.Load())
-	writeMeta(w, "pcschedd_lp_row_norm_ratio_max", "Worst post-scaling max/min row-norm ratio (conditioning proxy).", "gauge")
-	fmt.Fprintf(w, "pcschedd_lp_row_norm_ratio_max %g\n", m.LPRowNormRatio.Load())
-
-	writeMeta(w, "pcschedd_cluster_moved_watts_total", "Watt volume cluster allocations moved away from the uniform split.", "counter")
-	fmt.Fprintf(w, "pcschedd_cluster_moved_watts_total %g\n", m.ClusterMovedWatts.Load())
+	for i := range floatFamilies {
+		f := &floatFamilies[i]
+		writeMeta(w, f.name, f.help, f.typ)
+		fmt.Fprintf(w, "%s %g\n", f.name, math.Float64frombits(m.floats[i].Load()))
+	}
 
 	writeMeta(w, "pcschedd_queue_wait_seconds", "Time spent waiting for a solve worker slot.", "histogram")
 	writeHistogram(w, "pcschedd_queue_wait_seconds", &m.QueueWait)

@@ -142,7 +142,7 @@ func TestWorkerPanicIsolated(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking worker: status %d, want 500", code)
 	}
-	if p := s.metrics.Panics.Load(); p != 2 {
+	if p := s.metrics.Counter("pcschedd_panics_total"); p != 2 {
 		t.Fatalf("panics_total = %d, want 2 (attempt + retry)", p)
 	}
 
@@ -190,7 +190,7 @@ func TestWorkerPanicRetrySucceeds(t *testing.T) {
 	if resp.Degraded || resp.MakespanS <= 0 {
 		t.Fatalf("retried solve returned %+v", resp)
 	}
-	if p := s.metrics.Panics.Load(); p != 1 {
+	if p := s.metrics.Counter("pcschedd_panics_total"); p != 1 {
 		t.Fatalf("panics_total = %d, want exactly 1", p)
 	}
 }
@@ -257,5 +257,44 @@ func TestHealthzBreakers(t *testing.T) {
 	br = healthz(t, ts.URL)["breakers"].(map[string]any)
 	if br["sparse"] != "open" || br["heuristic"] != "closed" {
 		t.Fatalf("breakers after stalled solve: %v, want sparse open, heuristic closed", br)
+	}
+}
+
+// TestSweepPanicReleasesSlot: a panic inside a sweep's solve is contained
+// as a 500 and gives its worker slot back, so with one worker the next
+// request, on another System, still gets the slot (a leaked slot makes it
+// wait out its deadline and answer 504).
+func TestSweepPanicReleasesSlot(t *testing.T) {
+	faultinject.Disable()
+	s, ts := newTestServer(t, Config{Workers: 1, FlightSnapshotDir: t.TempDir()})
+	other := &WorkloadSpec{Name: "SP", Ranks: 2, Iters: 3, Seed: 2, Scale: 0.15}
+	poisoned, err := s.named(*fastWL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := s.named(*other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := s.systemFor(poisoned.wl.EffScale)
+	if sys == s.systemFor(clean.wl.EffScale) {
+		t.Fatal("the two workloads share a pooled System")
+	}
+	sys.Model = nil // the sweep's solve dereferences it and panics
+
+	code, body := postJSON(t, ts.URL+"/v1/sweep", SweepRequest{Workload: fastWL, CapsPerSocketW: []float64{50}})
+	if code != http.StatusInternalServerError {
+		t.Fatalf("poisoned sweep: status %d (%s), want a contained 500", code, body)
+	}
+	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: other, CapPerSocketW: 50, TimeoutMS: 2000})
+	if code != http.StatusOK {
+		t.Fatalf("solve after the sweep's panic: status %d (%s), want 200", code, body)
+	}
+	m := metricsMap(t, ts.URL)
+	if m["pcschedd_queue_occupancy"] != 0 {
+		t.Errorf("queue occupancy %v after both requests finished, want 0", m["pcschedd_queue_occupancy"])
+	}
+	if m["pcschedd_panics_total"] != 1 {
+		t.Errorf("panics_total = %v, want 1", m["pcschedd_panics_total"])
 	}
 }

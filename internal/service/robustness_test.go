@@ -128,7 +128,7 @@ func TestHandlerPanicContained(t *testing.T) {
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("500 body is not JSON: %s", body)
 	}
-	if m := s.metrics.Panics.Load(); m != 1 {
+	if m := s.metrics.Counter("pcschedd_panics_total"); m != 1 {
 		t.Fatalf("panics_total = %d, want 1", m)
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {

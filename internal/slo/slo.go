@@ -28,46 +28,26 @@ import (
 	"time"
 )
 
-// Config sizes the engine. Zero fields take the defaults below.
-type Config struct {
-	// AvailabilityTarget is the good fraction for the availability
-	// objective (default 0.99). Good = not a 5xx. Deliberate backpressure
-	// (429) is excluded entirely: admission control doing its job is not
-	// a failure of the service.
-	AvailabilityTarget float64
-	// LatencyTarget is the good fraction for the latency objective
-	// (default 0.95); good = a non-error response under LatencyThreshold
-	// (default 2s).
-	LatencyTarget    float64
-	LatencyThreshold time.Duration
-	// FastWindow (default 5m) reacts to incidents; SlowWindow (default
-	// 1h) reports sustained erosion. Each window holds Buckets buckets
-	// (default 30).
-	FastWindow time.Duration
-	SlowWindow time.Duration
-	Buckets    int
-}
+// The objectives' targets and windows are fixed. Availability's good
+// fraction is 0.99 (good = not a 5xx; deliberate backpressure, a 429, is
+// excluded entirely: admission control doing its job is not a failure of
+// the service). Latency's is 0.95 (good = a non-error response under the
+// threshold). The fast window (5m) reacts to incidents; the slow window
+// (1h) reports sustained erosion. Each holds windowBuckets buckets.
+const (
+	availabilityTarget      = 0.99
+	latencyTarget           = 0.95
+	defaultLatencyThreshold = 2 * time.Second
+	fastWindow              = 5 * time.Minute
+	slowWindow              = time.Hour
+	windowBuckets           = 30
+)
 
-func (c Config) withDefaults() Config {
-	if c.AvailabilityTarget <= 0 || c.AvailabilityTarget >= 1 {
-		c.AvailabilityTarget = 0.99
-	}
-	if c.LatencyTarget <= 0 || c.LatencyTarget >= 1 {
-		c.LatencyTarget = 0.95
-	}
-	if c.LatencyThreshold <= 0 {
-		c.LatencyThreshold = 2 * time.Second
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 30
-	}
-	return c
+// Config sets the engine's one setting.
+type Config struct {
+	// LatencyThreshold is the latency objective's good-latency bound
+	// (default 2s).
+	LatencyThreshold time.Duration
 }
 
 // window is one sliding ring of bucketed good/total counters.
@@ -146,12 +126,12 @@ type Objective struct {
 	slow   *window
 }
 
-func newObjective(name string, target float64, cfg Config) *Objective {
+func newObjective(name string, target float64, fast, slow time.Duration, buckets int) *Objective {
 	return &Objective{
 		Name:   name,
 		Target: target,
-		fast:   newWindow(cfg.FastWindow, cfg.Buckets),
-		slow:   newWindow(cfg.SlowWindow, cfg.Buckets),
+		fast:   newWindow(fast, buckets),
+		slow:   newWindow(slow, buckets),
 	}
 }
 
@@ -208,23 +188,31 @@ func (o *Objective) Status(t time.Time) ObjectiveStatus {
 
 // Engine holds the daemon's two request objectives.
 type Engine struct {
-	cfg          Config
+	threshold    time.Duration
 	Availability *Objective
 	Latency      *Objective
 }
 
-// New builds an engine from cfg (zero fields defaulted).
+// New builds an engine (a zero LatencyThreshold takes the default).
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
+	return newEngine(cfg.LatencyThreshold, fastWindow, slowWindow, windowBuckets)
+}
+
+// newEngine builds an engine over windows of the given spans, each of the
+// given number of buckets.
+func newEngine(threshold, fast, slow time.Duration, buckets int) *Engine {
+	if threshold <= 0 {
+		threshold = defaultLatencyThreshold
+	}
 	return &Engine{
-		cfg:          cfg,
-		Availability: newObjective("availability", cfg.AvailabilityTarget, cfg),
-		Latency:      newObjective("latency", cfg.LatencyTarget, cfg),
+		threshold:    threshold,
+		Availability: newObjective("availability", availabilityTarget, fast, slow, buckets),
+		Latency:      newObjective("latency", latencyTarget, fast, slow, buckets),
 	}
 }
 
 // LatencyThreshold reports the configured good-latency bound.
-func (e *Engine) LatencyThreshold() time.Duration { return e.cfg.LatencyThreshold }
+func (e *Engine) LatencyThreshold() time.Duration { return e.threshold }
 
 // Observe classifies one finished request into both objectives.
 // Availability sees every non-429 request (good = not 5xx); latency sees
@@ -237,7 +225,7 @@ func (e *Engine) Observe(t time.Time, status int, dur time.Duration) {
 	ok := status < 500
 	e.Availability.observe(t, ok)
 	if ok {
-		e.Latency.observe(t, dur <= e.cfg.LatencyThreshold)
+		e.Latency.observe(t, dur <= e.threshold)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestWindowBucketReuse(t *testing.T) {
 }
 
 func TestBurnMath(t *testing.T) {
-	o := newObjective("avail", 0.99, Config{FastWindow: 100 * time.Second, SlowWindow: 1000 * time.Second, Buckets: 10}.withDefaults())
+	o := newObjective("avail", 0.99, 100*time.Second, 1000*time.Second, 10)
 	cases := []struct {
 		name string
 		good int
@@ -86,13 +86,7 @@ func TestBurnMath(t *testing.T) {
 // TestBurnAcrossWindowBoundary checks the fast window forgets an incident
 // while the slow window still reports it.
 func TestBurnAcrossWindowBoundary(t *testing.T) {
-	cfg := Config{
-		AvailabilityTarget: 0.99,
-		FastWindow:         100 * time.Second,
-		SlowWindow:         1000 * time.Second,
-		Buckets:            10,
-	}
-	o := newObjective("avail", cfg.AvailabilityTarget, cfg.withDefaults())
+	o := newObjective("avail", 0.99, 100*time.Second, 1000*time.Second, 10)
 	for i := 0; i < 10; i++ {
 		o.observe(at(float64(i)), false) // 10 failures in the first 10s
 	}
@@ -115,14 +109,7 @@ func TestBurnAcrossWindowBoundary(t *testing.T) {
 }
 
 func TestEngineClassification(t *testing.T) {
-	e := New(Config{
-		AvailabilityTarget: 0.99,
-		LatencyTarget:      0.9,
-		LatencyThreshold:   100 * time.Millisecond,
-		FastWindow:         100 * time.Second,
-		SlowWindow:         1000 * time.Second,
-		Buckets:            10,
-	})
+	e := newEngine(100*time.Millisecond, 100*time.Second, 1000*time.Second, 10)
 	now := at(10)
 	e.Observe(now, 200, 50*time.Millisecond)  // good everywhere
 	e.Observe(now, 200, 500*time.Millisecond) // slow success
@@ -138,10 +125,10 @@ func TestEngineClassification(t *testing.T) {
 		t.Fatalf("latency = %d/%d, want 1/2", ls.FastGood, ls.FastTotal)
 	}
 
-	// latency: 1 bad of 2 with 10% budget → burn 5; availability: 1 bad
+	// latency: 1 bad of 2 with 5% budget → burn 10; availability: 1 bad
 	// of 3 with 1% budget → burn 100/3 ≈ 33.3.
-	if math.Abs(as.FastBurn-100.0/3) > 1e-9 || math.Abs(ls.FastBurn-5) > 1e-9 {
-		t.Fatalf("fast burns = %g, %g, want %g, 5", as.FastBurn, ls.FastBurn, 100.0/3)
+	if math.Abs(as.FastBurn-100.0/3) > 1e-9 || math.Abs(ls.FastBurn-10) > 1e-9 {
+		t.Fatalf("fast burns = %g, %g, want %g, 10", as.FastBurn, ls.FastBurn, 100.0/3)
 	}
 }
 
@@ -160,7 +147,7 @@ func TestEngineDefaults(t *testing.T) {
 }
 
 func TestEngineConcurrent(t *testing.T) {
-	e := New(Config{FastWindow: time.Second, SlowWindow: 10 * time.Second, Buckets: 4})
+	e := newEngine(0, time.Second, 10*time.Second, 4)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
