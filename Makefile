@@ -109,12 +109,17 @@ scale-smoke:
 # properties, the top-down equal-marginal split against the bottom-up grant
 # over whole curves and against one joint LP, closed-form floors, capture
 # fallback and degradation, the first failing job named when the walks open
-# side by side), at GOMAXPROCS 1 (walks opened inline) and 2 (opened side
-# by side), then one real /v1/cluster allocation against a spawned
-# pcschedd — the response and /metrics schema, budget feasibility, per-job
-# cache seeding, clean shutdown.
+# side by side), then the job walk (one walk per iteration slice in lock
+# step) against the whole-graph LP: floors bit for bit, demands, granted
+# caps and objectives within 1e-9, every slice's capture certified, and a
+# graph without Pcontrol boundaries bit for bit. Both at GOMAXPROCS 1
+# (walks and slices opened inline) and 2 (opened side by side), then one
+# real /v1/cluster allocation against a spawned pcschedd — the response and
+# /metrics schema, budget feasibility, per-job cache seeding, clean
+# shutdown.
 market-smoke:
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/market/
+	$(GO) test -race -count=1 -cpu 1,2 -run TestJobWalkMatchesWholeGraph ./internal/core/
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against

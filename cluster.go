@@ -2,10 +2,12 @@ package powercap
 
 // Cluster power market facade. The paper's motivating setting — "total
 // machine power will be divided across multiple simultaneous jobs" — is
-// served by internal/market: each job's whole-graph LP is walked down the
-// cap axis along its exact power–time curve (core.CapSession.Walk), and
-// AllocateCluster splits one site-wide budget across the jobs on those
-// curves under a pluggable policy. See DESIGN.md §13.
+// served by internal/market: each job's LP, cut at its Pcontrol boundaries
+// into per-iteration LPs whose curves add up, is walked down the cap axis
+// along its exact power–time curve, one walk per iteration slice in lock
+// step (core.JobSession.Walk), and AllocateCluster splits one site-wide
+// budget across the jobs on those curves under a pluggable policy. See
+// DESIGN.md §13.
 
 import (
 	"context"
@@ -52,11 +54,9 @@ const (
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }
 
 // CapSession is a re-solvable whole-graph LP for cap-only changes: built
-// once, re-aimed at arbitrary caps with dual-simplex warm starts, walked
-// down the cap axis a piece at a time (Walk), or walked into the job's
-// whole power–time curve (Curve). Its closed-form FloorW answers caps below
-// it without an LP. It implements market.Session and is NOT safe for
-// concurrent use.
+// once, re-aimed at arbitrary caps with dual-simplex warm starts, or walked
+// into the graph's whole power–time curve (Curve). Its closed-form FloorW
+// answers caps below it without an LP. It is NOT safe for concurrent use.
 type CapSession = core.CapSession
 
 // NewCapSession builds a warm re-solve session for g on this System's
@@ -64,6 +64,19 @@ type CapSession = core.CapSession
 // frontier caches (a graph the System has already solved costs no rebuild).
 func (s *System) NewCapSession(ctx context.Context, g *Graph) (*CapSession, error) {
 	return s.solver().NewCapSession(ctx, g)
+}
+
+// JobSession is one cluster job's cap axis: a CapSession per iteration
+// slice of its graph, walked in lock step (Walk) or solved at one cap as a
+// decomposed solve (SolveAt), with the whole graph's closed-form FloorW.
+// It implements market.Session and is NOT safe for concurrent use.
+type JobSession = core.JobSession
+
+// NewJobSession cuts g at its Pcontrol boundaries and builds one session
+// per iteration slice on this System's shared solver, reusing its
+// problem-IR and frontier caches.
+func (s *System) NewJobSession(ctx context.Context, g *Graph) (*JobSession, error) {
+	return s.solver().NewJobSession(ctx, g)
 }
 
 // ClusterJob is one participant in a cluster allocation: a named graph plus
@@ -77,34 +90,47 @@ type ClusterJob struct {
 }
 
 // AllocateCluster divides one site-wide power budget across jobs. Each
-// job's whole-graph LP is built once, its feasibility floor taken in closed
-// form, and walked down its exact power–time curve from saturation to its
-// demand, the jobs side by side on GOMAXPROCS workers; the policy splits
-// the budget on the curves — for PolicyMarket, lowering the job whose next
-// piece down is flattest until the caps fit — and each walk goes only as
-// deep as its job's cap. Each job's schedule is read off its walk there
-// and checked by an optimality certificate, with no further solve. model
-// nil means DefaultModel. A budget below the sum of
-// per-job feasibility floors fails with a *BudgetError naming the binding
-// jobs, before any LP runs; a job whose schedule cannot be read off its
-// walk falls back to one solve at its cap, and if that fails too it keeps
-// its cap and its walk's values and is marked Degraded instead of failing
-// the cluster. Jobs in the result are in input order.
+// job's LP is cut at its Pcontrol boundaries into per-iteration LPs, built
+// once, its feasibility floor taken in closed form (the largest slice
+// floor), and walked down its exact power–time curve from saturation to its
+// demand, one walk per iteration slice in lock step, the jobs and their
+// slices side by side on GOMAXPROCS workers; the policy splits the budget
+// on the curves — for PolicyMarket, lowering the job whose next piece down
+// is flattest until the caps fit — and each walk goes only as deep as its
+// job's cap. Each job's schedule is read off its slices' walks there, each
+// slice checked by an optimality certificate, and merged as a decomposed
+// solve merges its slices, with no further solve. model nil means
+// DefaultModel. A budget below the sum of per-job feasibility floors fails
+// with a *BudgetError naming the binding jobs, before any LP runs; a job
+// whose schedule cannot be read off its walk falls back to one decomposed
+// solve at its cap, and if that fails too it keeps its cap and its walk's
+// values and is marked Degraded instead of failing the cluster. Jobs in the
+// result are in input order.
 func AllocateCluster(ctx context.Context, jobs []ClusterJob, budgetW float64, model *Model, opts ClusterOptions) (*ClusterAllocation, error) {
-	if model == nil {
-		model = DefaultModel()
-	}
+	return AllocateClusterOn(ctx, jobs, func(effScale []float64) *System {
+		s := NewSystem(model)
+		s.EffScale = effScale
+		return s
+	}, budgetW, opts)
+}
+
+// AllocateClusterOn is AllocateCluster with each job's session built on the
+// System that systemFor returns for the job's efficiency scales, so a
+// daemon's pooled Systems reuse their cached problem IRs across requests.
+// pcsched -cluster (through AllocateCluster) and pcschedd's /v1/cluster
+// both build their jobs here, so both answer a request alike.
+func AllocateClusterOn(ctx context.Context, jobs []ClusterJob, systemFor func(effScale []float64) *System, budgetW float64, opts ClusterOptions) (*ClusterAllocation, error) {
 	mjobs := make([]market.Job, len(jobs))
 	err := fanout.Run(ctx, len(jobs), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
 		j := jobs[i]
 		if j.Graph == nil {
 			return fmt.Errorf("powercap: cluster job %q has no graph", j.Name)
 		}
-		cs, err := core.NewSolver(model, j.EffScale).NewCapSession(ctx, j.Graph)
+		js, err := systemFor(j.EffScale).NewJobSession(ctx, j.Graph)
 		if err != nil {
 			return fmt.Errorf("powercap: cluster job %q: %w", j.Name, err)
 		}
-		mjobs[i] = market.Job{Name: j.Name, Session: cs}
+		mjobs[i] = market.Job{Name: j.Name, Session: js}
 		return nil
 	})
 	if err != nil {

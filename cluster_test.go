@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"powercap"
+	"powercap/internal/obs"
 )
 
 // AllocateCluster end-to-end through the facade: a heterogeneous two-job
@@ -47,6 +48,32 @@ func TestAllocateCluster(t *testing.T) {
 	}
 	if mkt.TotalMakespanS > uni.TotalMakespanS*(1+1e-9) {
 		t.Errorf("market total %.6f worse than uniform %.6f", mkt.TotalMakespanS, uni.TotalMakespanS)
+	}
+}
+
+// A traced allocation fits the span bound a ?trace=1 /v1/cluster request
+// uses (obs.DefaultMaxSpans): BT and SP at 8 ranks × 4 iterations lower
+// through about 3,500 steps, and the crossings of each run of steps on
+// one job record under one lp.dual span, so the trace drops nothing.
+func TestAllocateClusterTraceBound(t *testing.T) {
+	p := powercap.WorkloadParams{Ranks: 8, Iterations: 4, Seed: 2}
+	bt := powercap.NewWorkload("BT", p)
+	sp := powercap.NewWorkload("SP", p)
+	jobs := []powercap.ClusterJob{
+		{Name: "bt", Graph: bt.Graph, EffScale: bt.EffScale},
+		{Name: "sp", Graph: sp.Graph, EffScale: sp.EffScale},
+	}
+	tr := obs.NewTrace(obs.DefaultMaxSpans)
+	defer tr.Release()
+	a, err := powercap.AllocateCluster(obs.WithTrace(context.Background(), tr), jobs, 32.5*16, nil, powercap.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Iterations < 3000 {
+		t.Errorf("%d lowering steps, want the long lowering this test is sized for", a.Iterations)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Errorf("trace dropped %d spans past its bound of %d (%d kept)", d, obs.DefaultMaxSpans, len(tr.Snapshot()))
 	}
 }
 

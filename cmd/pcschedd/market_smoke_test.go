@@ -119,12 +119,12 @@ func TestMarketSmoke(t *testing.T) {
 		t.Fatalf("repeat cluster not served from cache: %s", body)
 	}
 
-	// The allocation parked each job's schedule under its whole-graph solve
-	// key: fetching comd-0's schedule at the granted cap is a cache hit.
+	// The allocation parked each job's schedule under its default
+	// (decomposed) solve key: fetching comd-0's schedule at the granted cap
+	// is a cache hit.
 	solveReq, _ := json.Marshal(map[string]any{
 		"workload":  map[string]any{"name": "CoMD", "ranks": 2, "iters": 3, "seed": 1, "scale": 0.1},
 		"job_cap_w": resp.Jobs[0].CapW,
-		"whole":     true,
 	})
 	if code, body := post("/v1/solve", string(solveReq)); code != http.StatusOK {
 		t.Fatalf("follow-up solve: status %d (%s)", code, body)

@@ -36,11 +36,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"powercap/internal/dag"
-	"powercap/internal/fanout"
 	"powercap/internal/lp"
 	"powercap/internal/machine"
 	"powercap/internal/obs"
@@ -335,41 +333,10 @@ func (s *Solver) solve(ctx context.Context, g *dag.Graph, capW float64, decompos
 		}
 		if len(slices) > 0 {
 			// The slices are independent programs: solve them side by
-			// side, then merge in slice order, so the schedule, its Stats
-			// and any error are a serial loop's. Per-iteration vertex
-			// times are local to each slice, so the merged schedule
-			// carries none.
-			subs := make([]*Schedule, len(slices))
-			err := fanout.Run(ctx, len(slices), runtime.GOMAXPROCS(0), func(ctx context.Context, si int) error {
-				ictx, isp := obs.Start(ctx, "core.iteration")
-				isp.SetAttr("slice", si)
-				sub, err := s.solveOnce(ictx, slices[si].Graph, capW)
-				isp.End()
-				if err != nil {
-					return fmt.Errorf("iteration slice: %w", err)
-				}
-				subs[si] = sub
-				return nil
+			// side, then merge in slice order.
+			return solveSlices(ctx, g, slices, capW, func(ctx context.Context, si int) (*Schedule, error) {
+				return s.solveOnce(ctx, slices[si].Graph, capW)
 			})
-			if err != nil {
-				return nil, err
-			}
-			sched := &Schedule{
-				CapW:               capW,
-				Choices:            make([]TaskChoice, len(g.Tasks)),
-				IterationMakespans: make([]float64, len(slices)),
-			}
-			for si, sub := range subs {
-				for tid, c := range sub.Choices {
-					sched.Choices[slices[si].TaskMap[tid]] = c
-				}
-				sched.IterationMakespans[si] = sub.MakespanS
-				sched.MakespanS += sub.MakespanS
-				sched.Objective += sub.Objective
-				sched.MarginalSecPerW += sub.MarginalSecPerW
-				sched.Stats.Add(sub.Stats)
-			}
-			return sched, nil
 		}
 	}
 	return s.solveOnce(ctx, g, capW)

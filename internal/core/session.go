@@ -21,16 +21,15 @@ import (
 // session's SolveAt. Caps below FloorW, the closed-form feasibility floor,
 // are answered without an LP.
 //
-// Walk and Curve walk the same LP down the cap axis, one dual simplex pivot
-// per breakpoint (lp.Walk). Walk goes a piece at a time on the caller's
-// command and reads a schedule off its basis wherever it stops; the
-// cluster power market (internal/market) lowers one walk per job only as
-// far as the job's granted cap. Curve walks the whole way down and returns
-// the job's power–time curve, which powercap.MarginalCurve reads instead of
-// solving each cap it is asked about.
+// Curve walks the same LP down the cap axis, one dual simplex pivot per
+// breakpoint (lp.Parametric), and returns the program's power–time curve,
+// which powercap.MarginalCurve reads instead of solving each cap it is
+// asked about. A JobSession walks one CapSession per iteration slice a
+// piece at a time (capWalk, a stepped lp.Walk), in lock step on the job's
+// cap axis, for the cluster power market.
 //
 // A CapSession is NOT safe for concurrent use; it belongs to one caller
-// (the market holds one session per job). The underlying Solver's shared
+// (a JobSession holds one per slice). The underlying Solver's shared
 // IR and frontier caches are still used, so opening a session on a graph
 // the Solver has already seen costs no rebuild.
 type CapSession struct {
@@ -57,7 +56,7 @@ func (s *Solver) NewCapSession(ctx context.Context, g *dag.Graph) (*CapSession, 
 // configuration. Every cap at or above it is feasible, and none below.
 func (cs *CapSession) FloorW() float64 { return cs.b.floor.minW }
 
-// Stats reports the solver effort accumulated across every SolveAt, Walk
+// Stats reports the solver effort accumulated across every SolveAt, walk
 // and Curve of this session (including failed and infeasible probes).
 func (cs *CapSession) Stats() Stats { return cs.stats }
 
@@ -120,22 +119,28 @@ func (cs *CapSession) aim(capW float64) error {
 	return nil
 }
 
-// walkFrom aims the LP at a saturating cap, above the most any event can
-// draw so no power row binds, and returns that cap, the power rows a walk
-// lowers, the finalize vertex's variable for the makespan (none when the
-// graph has no finalize vertex), and the options that carry ctx into the
-// kernel.
-func (cs *CapSession) walkFrom(ctx context.Context) (topW float64, rows []int, vars []lp.Var, opts []lp.Option, err error) {
+// saturatingW is a cap above the most any event can draw, so no power row
+// binds: where a walk of the session's LP starts.
+func (cs *CapSession) saturatingW() float64 {
+	topW := cs.b.floor.fixedW
+	for _, pr := range cs.b.powerRows {
+		topW = math.Max(topW, pr.maxDrawW)
+	}
+	return topW + 1 // strictly above every draw
+}
+
+// walkFrom aims the LP at topW, a cap at or above saturatingW, and returns
+// the power rows a walk lowers, the finalize vertex's variable for the
+// makespan (none when the graph has no finalize vertex), and the options
+// that carry ctx into the kernel.
+func (cs *CapSession) walkFrom(ctx context.Context, topW float64) (rows []int, vars []lp.Var, opts []lp.Option, err error) {
 	b := cs.b
-	topW = b.floor.fixedW
+	if err := cs.aim(topW); err != nil {
+		return nil, nil, nil, err
+	}
 	rows = make([]int, len(b.powerRows))
 	for i, pr := range b.powerRows {
-		topW = math.Max(topW, pr.maxDrawW)
 		rows[i] = pr.row
-	}
-	topW++ // strictly above every draw
-	if err := cs.aim(topW); err != nil {
-		return 0, nil, nil, nil, err
 	}
 	for i := range b.ir.G.Vertices {
 		if b.ir.G.Vertices[i].Kind == dag.VFinalize {
@@ -147,7 +152,7 @@ func (cs *CapSession) walkFrom(ctx context.Context) (topW float64, rows []int, v
 	if ctx != nil && ctx != context.Background() {
 		opts = append(opts, lp.WithContext(ctx))
 	}
-	return topW, rows, vars, opts, nil
+	return rows, vars, opts, nil
 }
 
 // walkErr maps a walk's stopping status onto the package's errors.
@@ -175,14 +180,15 @@ func (cs *CapSession) walkStats(st lp.SolveStats) Stats {
 	return out
 }
 
-// Walk is one job's walk down its power–time curve, a piece at a time,
-// from a saturating cap down to FloorW: an lp.Walk over the session's LP in
-// cap units (cap = top − shift). Piece reports the piece below the current
-// cap, Lower walks down to a cap, Demand through the flat top, and
-// Schedule reads the schedule at the current cap off the walk's basis. The
-// walk leaves the session's warm-start basis alone; Close counts it as one
-// solve in the session's Stats. A Walk is not safe for concurrent use.
-type Walk struct {
+// capWalk is one program's walk down its power–time curve, a piece at a
+// time, from a saturating cap down to FloorW: an lp.Walk over the session's
+// LP in cap units (cap = top − shift). Piece reports the piece below the
+// current cap, Lower walks down to a cap, and schedule reads the schedule
+// at the current cap off the walk's basis. The walk leaves the session's
+// warm-start basis alone; Close counts it as one solve in the session's
+// Stats. A JobWalk moves one capWalk per iteration slice; a capWalk is not
+// safe for concurrent use.
+type capWalk struct {
 	cs       *CapSession
 	lw       *lp.Walk
 	topW     float64
@@ -193,12 +199,12 @@ type Walk struct {
 	flat bool
 }
 
-// Walk opens a walk of the session's LP: one cold solve at a saturating
-// cap. ctx parents the open's spans and cancels its pivots; each later
-// step (Piece, Lower, Demand, Schedule) is canceled by the ctx it is
-// given.
-func (cs *CapSession) Walk(ctx context.Context) (*Walk, error) {
-	topW, rows, vars, opts, err := cs.walkFrom(ctx)
+// walk opens a walk of the session's LP: one cold solve at topW, a cap at
+// or above saturatingW. ctx parents the open's spans and cancels its
+// pivots; each later step (Piece, Lower, schedule) is canceled by the ctx
+// it is given.
+func (cs *CapSession) walk(ctx context.Context, topW float64) (*capWalk, error) {
+	rows, vars, opts, err := cs.walkFrom(ctx, topW)
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +212,7 @@ func (cs *CapSession) Walk(ctx context.Context) (*Walk, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Walk{cs: cs, lw: lw, topW: topW, makespan: len(vars) > 0}
+	w := &capWalk{cs: cs, lw: lw, topW: topW, makespan: len(vars) > 0}
 	if err := walkErr(ctx, lw.Status(), topW, lw.Stats().Pivots()); err != nil {
 		w.Close()
 		return nil, err
@@ -215,13 +221,13 @@ func (cs *CapSession) Walk(ctx context.Context) (*Walk, error) {
 }
 
 // CapW reports the walk's current cap.
-func (w *Walk) CapW() float64 { return w.topW - w.lw.Shift() }
+func (w *capWalk) CapW() float64 { return w.topW - w.lw.Shift() }
 
 // Piece reports the piece of the curve below the current cap: its lower
 // cap and its slope d objective / d cap in s/W (≤ 0). At a breakpoint the
 // walk first pivots across it. Where the walk has ended — at FloorW, or
 // where the LP turns infeasible — lowerCapW is the current cap.
-func (w *Walk) Piece(ctx context.Context) (lowerCapW, slopeSecPerW float64, err error) {
+func (w *capWalk) Piece(ctx context.Context) (lowerCapW, slopeSecPerW float64, err error) {
 	for !w.lw.Ended() {
 		_, end, slope := w.lw.Piece()
 		if lo := w.topW - end; lo < w.CapW() {
@@ -246,7 +252,7 @@ func (w *Walk) Piece(ctx context.Context) (lowerCapW, slopeSecPerW float64, err 
 
 // Lower walks down to capW, piece by piece, and stops there without
 // crossing a breakpoint at capW. It stops early where the walk ends.
-func (w *Walk) Lower(ctx context.Context, capW float64) error {
+func (w *capWalk) Lower(ctx context.Context, capW float64) error {
 	for w.CapW() > capW {
 		lo, _, err := w.Piece(ctx)
 		if err != nil {
@@ -266,35 +272,17 @@ func (w *Walk) Lower(ctx context.Context, capW float64) error {
 }
 
 // advance moves the walk along its piece to shift t.
-func (w *Walk) advance(t float64) {
+func (w *capWalk) advance(t float64) {
 	if t > w.lw.Shift() {
 		w.flat = false
 	}
 	w.lw.Advance(t)
 }
 
-// Demand lowers the walk through its flat top, the pieces whose slope is
-// within satEps of zero, and returns the cap it stops at: the job's
-// saturation demand, the highest cap below which watts buy time.
-func (w *Walk) Demand(ctx context.Context) (float64, error) {
-	for {
-		lo, slope, err := w.Piece(ctx)
-		if err != nil {
-			return 0, err
-		}
-		if lo >= w.CapW() || math.Abs(slope) > satEps {
-			return w.CapW(), nil
-		}
-		if err := w.Lower(ctx, lo); err != nil {
-			return 0, err
-		}
-	}
-}
-
 // At reports the objective and makespan at the current cap as the walk's
 // basic values stand, and the slope of the piece the walk is on (0 when it
 // has just crossed out of a flat piece), with no capture.
-func (w *Walk) At() (objective, makespanS, slopeSecPerW float64) {
+func (w *capWalk) At() (objective, makespanS, slopeSecPerW float64) {
 	objective = w.lw.Objective()
 	if w.makespan {
 		makespanS = w.lw.Value(0)
@@ -306,13 +294,13 @@ func (w *Walk) At() (objective, makespanS, slopeSecPerW float64) {
 	return objective, makespanS, slopeSecPerW
 }
 
-// Schedule reads the schedule at the current cap off the walk: a capture
+// schedule reads the schedule at the current cap off the walk: a capture
 // (lp.Walk.Capture), certified on the session's LP as stated at that cap
 // (lp.Certify), read as SolveAt reads a solution. When the walk crossed out
 // of a flat piece at this cap, the capture is taken on that piece, where no
 // power row binds: the schedule stays optimal at every higher cap. Its
 // Stats are the walk's. The walk can go on afterwards.
-func (w *Walk) Schedule(ctx context.Context) (*Schedule, error) {
+func (w *capWalk) schedule(ctx context.Context) (*Schedule, error) {
 	capW := w.CapW()
 	if w.flat {
 		if _, err := w.lw.Back(ctx); err != nil {
@@ -335,7 +323,7 @@ func (w *Walk) Schedule(ctx context.Context) (*Schedule, error) {
 }
 
 // Close ends the walk and counts it as one solve in the session's Stats.
-func (w *Walk) Close() {
+func (w *capWalk) Close() {
 	if w.lw == nil {
 		return
 	}
@@ -413,7 +401,8 @@ func (c *Curve) At(capW float64) (objective, makespanS, slope float64, ok bool) 
 // session's warm-start basis alone.
 func (cs *CapSession) Curve(ctx context.Context) (*Curve, error) {
 	b := cs.b
-	topW, rows, vars, opts, err := cs.walkFrom(ctx)
+	topW := cs.saturatingW()
+	rows, vars, opts, err := cs.walkFrom(ctx, topW)
 	if err != nil {
 		return nil, err
 	}

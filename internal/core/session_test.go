@@ -275,7 +275,7 @@ func TestCapSessionWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		walk, err := cs.Walk(ctx)
+		walk, err := WholeJob(w.Graph, cs).Walk(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

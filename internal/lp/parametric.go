@@ -369,13 +369,49 @@ func (w *Walk) Advance(t float64) {
 // onto the next piece, or ends the walk there when the program turns
 // infeasible beyond it. The walker must have advanced to the piece's end;
 // elsewhere Cross does nothing. ctx cancels the step and parents its
-// spans. Status reports a step stopped by cancellation or the pivot
-// budget; a breakdown that outlasts maxWalkRestarts is a *NumericalError.
+// spans: the step records as an lp.dual span of its own, or under the
+// open span of a GroupCrossings context. Status reports a step stopped by
+// cancellation or the pivot budget; a breakdown that outlasts
+// maxWalkRestarts is a *NumericalError.
 func (w *Walk) Cross(ctx context.Context) error {
 	if w.done || w.rv == nil || !w.atEnd {
 		return nil
 	}
+	if grouped(ctx) {
+		w.o.Ctx = ctx
+		w.rv.cancelCtx = ctx
+		w.setSpan(ctx)
+		return w.cross()
+	}
 	return w.walkStep(ctx, "lp.dual", w.cross)
+}
+
+// crossGroup keys the span GroupCrossings opens.
+type crossGroup struct{}
+
+// GroupCrossings opens one lp.dual span under ctx for a run of Cross steps,
+// on one walk or several: a Cross given the returned context records its
+// pivots and refactorizations under that span instead of opening one of
+// its own. A caller that crosses one breakpoint per step, as the cluster
+// market's lowering does, then leaves one span per run of steps rather
+// than one per step, so a bounded trace keeps a long lowering whole. End
+// the span when the run ends; while it is open no other work should run
+// under it.
+func GroupCrossings(ctx context.Context) (context.Context, *obs.Span) {
+	gctx, sp := obs.Start(ctx, "lp.dual")
+	if sp == nil {
+		return ctx, nil
+	}
+	return context.WithValue(gctx, crossGroup{}, sp), sp
+}
+
+// grouped reports that the span open in ctx is a GroupCrossings span.
+func grouped(ctx context.Context) bool {
+	if ctx == nil {
+		return false
+	}
+	sp, ok := ctx.Value(crossGroup{}).(*obs.Span)
+	return ok && sp == obs.SpanFrom(ctx)
 }
 
 // Back returns the walker to the piece it last crossed out of, while it

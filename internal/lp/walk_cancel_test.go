@@ -3,6 +3,8 @@ package lp
 import (
 	"context"
 	"testing"
+
+	"powercap/internal/obs"
 )
 
 // knapsackWalk is a fractional knapsack with unit weights: n items worth
@@ -78,4 +80,62 @@ func TestWalkStepContext(t *testing.T) {
 			t.Fatalf("canceled steps took %d pivots, want at most %d", got, cancelCheckEvery)
 		}
 	})
+}
+
+// TestGroupCrossings: a run of Cross steps given a GroupCrossings context
+// records under that one lp.dual span, where ungrouped steps open one span
+// per crossing, and the group's context still cancels its steps.
+func TestGroupCrossings(t *testing.T) {
+	const n = 20
+	p, rows, maxShift := knapsackWalk(n)
+	duals := func(grouped bool) int {
+		tr := obs.NewTrace(0)
+		defer tr.Release()
+		ctx := obs.WithTrace(context.Background(), tr)
+		w, err := OpenWalk(p, rows, nil, maxShift)
+		if err != nil || w.Status() != Optimal {
+			t.Fatalf("open: %v %v", err, w.Status())
+		}
+		defer w.Close()
+		if grouped {
+			gctx, sp := GroupCrossings(ctx)
+			crossAll(t, w, gctx)
+			sp.End()
+		} else {
+			crossAll(t, w, ctx)
+		}
+		if w.Shift() != maxShift || w.Stats().DualIters < n-1 {
+			t.Fatalf("walk ended at shift %g after %d dual pivots", w.Shift(), w.Stats().DualIters)
+		}
+		count := 0
+		for _, sp := range tr.Snapshot() {
+			if sp.Name == "lp.dual" {
+				count++
+			}
+		}
+		return count
+	}
+	if got := duals(false); got < n-1 {
+		t.Errorf("ungrouped crossings recorded %d lp.dual spans, want one per crossing (%d)", got, n-1)
+	}
+	if got := duals(true); got != 1 {
+		t.Errorf("grouped crossings recorded %d lp.dual spans, want 1", got)
+	}
+
+	tr := obs.NewTrace(0)
+	defer tr.Release()
+	ctx, cancel := context.WithCancel(obs.WithTrace(context.Background(), tr))
+	p, rows, maxShift = knapsackWalk(4 * cancelCheckEvery)
+	w, err := OpenWalk(p, rows, nil, maxShift)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	gctx, sp := GroupCrossings(ctx)
+	defer sp.End()
+	cancel()
+	crossAll(t, w, gctx)
+	if w.Status() != Canceled {
+		t.Errorf("grouped steps under a canceled context ended with status %v", w.Status())
+	}
 }

@@ -13,16 +13,19 @@
 //
 // Each job's LP value function T_j(W) is convex, non-increasing and
 // piecewise linear in the cap (the cap enters only constraint right-hand
-// sides), and a parametric walk (core.Walk) traces it one piece at a time,
-// from a saturating cap down toward the job's feasibility floor, which is
-// known in closed form. Minimizing Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and
-// the floors is then a separable convex program whose optimum the market
-// policy reaches top down: every job starts at its saturation demand, and
-// while the caps exceed the budget the job whose next piece down is
-// flattest is lowered — the equal-marginal (KKT) split, walking each job
-// only as far as its granted cap. Each job's schedule is then read off its
-// walk at that cap and checked by a certificate on its LP, with no further
-// solve.
+// sides). The job LP decomposes exactly at the job's MPI_Pcontrol
+// boundaries into per-iteration LPs whose values add up, so a job walk
+// (core.JobWalk) traces T_j one piece at a time, from a saturating cap down
+// toward the job's feasibility floor, which is known in closed form: one
+// parametric walk per iteration slice, moved in lock step, each crossing a
+// breakpoint on a basis about a quarter the whole graph's size. Minimizing
+// Σ_j T_j(W_j) subject to Σ_j W_j ≤ B and the floors is then a separable
+// convex program whose optimum the market policy reaches top down: every
+// job starts at its saturation demand, and while the caps exceed the
+// budget the job whose next piece down is flattest is lowered — the
+// equal-marginal (KKT) split, walking each job only as far as its granted
+// cap. Each job's schedule is then read off its walk at that cap, each
+// slice's part checked by a certificate on its LP, with no further solve.
 package market
 
 import (
@@ -36,6 +39,7 @@ import (
 
 	"powercap/internal/core"
 	"powercap/internal/fanout"
+	"powercap/internal/lp"
 	"powercap/internal/obs"
 )
 
@@ -78,10 +82,10 @@ func ParsePolicy(name string) (Policy, error) {
 // Session is one job's re-solvable LP: FloorW is its closed-form
 // feasibility floor, Walk opens a walk down its power–time curve, SolveAt
 // solves it at one cap, and Stats reports the accumulated solver effort.
-// core.CapSession implements it.
+// core.JobSession implements it.
 type Session interface {
 	FloorW() float64
-	Walk(ctx context.Context) (*core.Walk, error)
+	Walk(ctx context.Context) (*core.JobWalk, error)
 	SolveAt(ctx context.Context, capW float64) (*core.Schedule, error)
 	Stats() core.Stats
 }
@@ -178,7 +182,7 @@ type Allocation struct {
 // state is the allocator's per-job working record.
 type state struct {
 	job    Job
-	walk   *core.Walk
+	walk   *core.JobWalk
 	floorW float64
 	demand float64
 	capW   float64
@@ -417,6 +421,12 @@ func assign(sts []*state, caps []float64) {
 // earlier job, would grant last, so it ends at the same equal-marginal
 // split: no job's next watt is worth more than any job's last. It returns
 // the number of lowering steps.
+//
+// A step's breakpoint crossing happens when the next step asks the lowered
+// job for its piece, so the crossings of a run of steps that lower one job
+// are recorded under one lp.dual span (lp.GroupCrossings), opened when the
+// run starts and ended when another job is lowered: a traced lowering
+// keeps one span per run, not one per step.
 func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, error) {
 	excess := -budgetW
 	for _, st := range sts {
@@ -428,6 +438,8 @@ func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, err
 		}
 		return 0, nil
 	}
+	run, rctx, rsp := -1, ctx, (*obs.Span)(nil)
+	defer func() { rsp.End() }()
 	steps := 0
 	for excess > 0 {
 		best, bestLo, bestSlope := -1, 0.0, 0.0
@@ -435,7 +447,11 @@ func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, err
 			if st.capW <= st.floorW {
 				continue
 			}
-			lo, slope, err := st.walk.Piece(ctx)
+			sctx := ctx
+			if i == run {
+				sctx = rctx
+			}
+			lo, slope, err := st.walk.Piece(sctx)
 			if err != nil {
 				return steps, fmt.Errorf("market: job %q: %w", st.job.Name, err)
 			}
@@ -449,13 +465,18 @@ func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, err
 		if best < 0 {
 			break
 		}
+		if best != run {
+			rsp.End()
+			run = best
+			rctx, rsp = lp.GroupCrossings(ctx)
+		}
 		st := sts[best]
 		if rest := st.capW - bestLo; rest <= excess {
 			st.capW, excess = bestLo, excess-rest
 		} else {
 			st.capW, excess = st.capW-excess, 0
 		}
-		if err := st.walk.Lower(ctx, st.capW); err != nil {
+		if err := st.walk.Lower(rctx, st.capW); err != nil {
 			return steps, fmt.Errorf("market: job %q: %w", st.job.Name, err)
 		}
 		steps++
@@ -465,7 +486,7 @@ func lowerToBudget(ctx context.Context, sts []*state, budgetW float64) (int, err
 
 // capture reads a job's schedule off its walk; tests replace it to fail
 // captures.
-var capture = (*core.Walk).Schedule
+var capture = (*core.JobWalk).Schedule
 
 // curveTol is the relative agreement required between a fallback solve's
 // objective and its job's walk at the granted cap.
@@ -483,7 +504,14 @@ func readSchedules(ctx context.Context, sts []*state) error {
 		return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 	}
 	for _, st := range sts {
-		err := st.walk.Lower(ctx, st.capW)
+		lctx, lsp := ctx, (*obs.Span)(nil)
+		if st.walk.CapW() > st.capW {
+			// A policy that did not lower the walks as it split walks each
+			// down here, its crossings under one span.
+			lctx, lsp = lp.GroupCrossings(ctx)
+		}
+		err := st.walk.Lower(lctx, st.capW)
+		lsp.End()
 		if err == nil {
 			var sched *core.Schedule
 			if sched, err = capture(st.walk, ctx); err == nil {

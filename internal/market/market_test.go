@@ -19,24 +19,43 @@ import (
 func job(t *testing.T, name string, w *workloads.Workload) Job {
 	t.Helper()
 	s := core.NewSolver(machine.Default(), w.EffScale)
-	cs, err := s.NewCapSession(context.Background(), w.Graph)
+	js, err := s.NewJobSession(context.Background(), w.Graph)
 	if err != nil {
 		t.Fatalf("session for %s: %v", name, err)
 	}
-	return Job{Name: name, Session: cs}
+	return Job{Name: name, Session: js}
+}
+
+// wholeCurve walks w's whole-graph LP into its power–time curve: the
+// oracle the job walks, one per iteration slice, must sum to.
+func wholeCurve(t *testing.T, w *workloads.Workload) *core.Curve {
+	t.Helper()
+	cs, err := core.NewSolver(machine.Default(), w.EffScale).NewCapSession(context.Background(), w.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cs.Curve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // Small heterogeneous mix: SP is communication-heavy (flat curve saturates
 // early), BT compute-heavy (steep curve), CG in between. Sized for the
 // 1-CPU test runner.
+func hetWorkloads() []*workloads.Workload {
+	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
+	return []*workloads.Workload{workloads.SP(p), workloads.BT(p), workloads.CG(p)}
+}
+
 func hetJobs(t *testing.T) []Job {
 	t.Helper()
-	p := workloads.Params{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3}
-	return []Job{
-		job(t, "sp", workloads.SP(p)),
-		job(t, "bt", workloads.BT(p)),
-		job(t, "cg", workloads.CG(p)),
+	var jobs []Job
+	for i, w := range hetWorkloads() {
+		jobs = append(jobs, job(t, []string{"sp", "bt", "cg"}[i], w))
 	}
+	return jobs
 }
 
 // A budget below the sum of per-job feasibility floors must fail with the
@@ -119,7 +138,7 @@ func TestOneJobEqualsPlainSolve(t *testing.T) {
 // last granted watt (the slope of the piece below), and the whole budget is
 // spent.
 func TestMarketConvergenceProperty(t *testing.T) {
-	jobs := hetJobs(t)
+	jobs, ws := hetJobs(t), hetWorkloads()
 	a, err := Allocate(context.Background(), jobs, 260, Options{Policy: Market})
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +150,7 @@ func TestMarketConvergenceProperty(t *testing.T) {
 			t.Fatalf("job %s degraded: %s", j.Name, j.Reason)
 		}
 		sum += j.CapW
-		c, err := jobs[i].Session.(*core.CapSession).Curve(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := wholeCurve(t, ws[i])
 		_, _, above, ok := c.At(j.CapW)
 		if !ok {
 			t.Fatalf("job %s: cap %g W below its floor %g W", j.Name, j.CapW, c.FloorW)
@@ -348,8 +364,8 @@ func TestMarketDegradesBrokenJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func(c func(*core.Walk, context.Context) (*core.Schedule, error)) { capture = c }(capture)
-	capture = func(*core.Walk, context.Context) (*core.Schedule, error) {
+	defer func(c func(*core.JobWalk, context.Context) (*core.Schedule, error)) { capture = c }(capture)
+	capture = func(*core.JobWalk, context.Context) (*core.Schedule, error) {
 		return nil, errors.New("injected capture failure")
 	}
 	jobs := hetJobs(t)
@@ -393,7 +409,7 @@ type unopenableSession struct {
 	delay time.Duration
 }
 
-func (u *unopenableSession) Walk(context.Context) (*core.Walk, error) {
+func (u *unopenableSession) Walk(context.Context) (*core.JobWalk, error) {
 	time.Sleep(u.delay)
 	return nil, errors.New("injected walk failure")
 }
@@ -489,15 +505,12 @@ func TestLazySplitMatchesGrant(t *testing.T) {
 	fracs := []float64{0.001, 0.05, 0.2, 0.4, 0.7, 0.95, 1, 1.3}
 	for _, mix := range []string{"het-4mix", "het-bt-sp", "hom-sp"} {
 		for seed := int64(1); seed <= 4; seed++ {
-			jobs, _ := mixJobs(t, mix, workloads.Params{Ranks: 2, Iterations: 2, Seed: seed, WorkScale: 0.3})
+			jobs, ws := mixJobs(t, mix, workloads.Params{Ranks: 2, Iterations: 2, Seed: seed, WorkScale: 0.3})
 			oracle := make([]*curveState, len(jobs))
 			floors := make([]*state, len(jobs))
 			var floorSum, demandSum float64
-			for i, j := range jobs {
-				c, err := j.Session.(*core.CapSession).Curve(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i := range jobs {
+				c := wholeCurve(t, ws[i])
 				oracle[i] = &curveState{floorW: c.FloorW, curve: c}
 				floors[i] = &state{floorW: c.FloorW}
 				floorSum += c.FloorW

@@ -23,13 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strings"
 	"time"
 
 	"powercap"
-	"powercap/internal/fanout"
-	"powercap/internal/market"
 	"powercap/internal/obs"
 	"powercap/internal/trace"
 )
@@ -65,8 +62,8 @@ type ClusterJobJSON struct {
 	MakespanS       float64 `json:"makespan_s"`
 	MarginalSecPerW float64 `json:"marginal_s_per_w"`
 	// ScheduleKey is the content-addressed cache key the job's final
-	// schedule was stored under; a /v1/solve with whole=true at cap_w
-	// returns it without a backend solve.
+	// schedule was stored under; a /v1/solve at cap_w (the default,
+	// decomposed solve) returns it without a backend solve.
 	ScheduleKey    string `json:"schedule_key,omitempty"`
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
@@ -110,11 +107,10 @@ type ClusterResponse struct {
 	Trace *obs.Document `json:"trace,omitempty"`
 }
 
-// clusterJob is one resolved job: its graph and the graph's digest, and
-// the pooled System that will solve it.
+// clusterJob is one resolved job's identity: its name, its graph's digest,
+// and the pooled System that solves it, which key its cache entries.
 type clusterJob struct {
 	name   string
-	g      *powercap.Graph
 	digest powercap.Digest
 	sys    *powercap.System
 }
@@ -249,17 +245,16 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]clusterJob, len(in.Jobs))
 	for i, cj := range in.Jobs {
-		jobs[i] = clusterJob{name: cj.Name, g: cj.Graph, digest: in.Digests[i], sys: s.systemFor(cj.EffScale)}
+		jobs[i] = clusterJob{name: cj.Name, digest: in.Digests[i], sys: s.systemFor(cj.EffScale)}
 	}
-	budget, opts := in.BudgetW, in.Opts
-	key := s.clusterKey(jobs, budget, opts)
+	key := s.clusterKey(jobs, in.BudgetW, in.Opts)
 
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
 	ev := wideEventFrom(r.Context())
 	fn := func() (any, bool, error) {
-		out, ferr := s.clusterWorker(ctx, ev, jobs, budget, opts)
+		out, ferr := s.clusterWorker(ctx, ev, in, jobs)
 		if ferr != nil {
 			return nil, false, ferr
 		}
@@ -275,7 +270,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return out, !degraded, nil
 	}
 	ev.Workload = fmt.Sprintf("cluster[%d]", len(jobs))
-	ev.CapW = budget
+	ev.CapW = in.BudgetW
 	ev.CacheKey = key
 	if dl, ok := ctx.Deadline(); ok {
 		ev.DeadlineMS = float64(time.Until(dl)) / float64(time.Millisecond)
@@ -300,15 +295,16 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// clusterWorker runs one allocation on a worker slot. It builds the jobs'
-// sessions side by side on GOMAXPROCS workers, failing with the lowest
-// failing job's error as a serial loop would; the allocator then opens
-// their walks side by side and lowers them interleaved on one goroutine.
-// Either way the whole batch occupies a single slot, which bounds
-// requests, not CPUs. Budget infeasibility is an in-band outcome (a pure
-// function of the request), not an error. The run's facts go on ev, the
-// event of the request that ran it.
-func (s *Server) clusterWorker(ctx context.Context, ev *obs.WideEvent, jobs []clusterJob, budget float64, opts powercap.ClusterOptions) (*clusterOutcome, error) {
+// clusterWorker runs one allocation on a worker slot, building its jobs
+// as pcsched -cluster does (powercap.AllocateClusterOn) on the pooled
+// Systems: the jobs' sessions side by side on GOMAXPROCS workers, failing
+// with the lowest failing job's error as a serial loop would; the
+// allocator then opens their walks side by side and lowers them
+// interleaved on one goroutine. Either way the whole batch occupies a
+// single slot, which bounds requests, not CPUs. Budget infeasibility is an
+// in-band outcome (a pure function of the request), not an error. The
+// run's facts go on ev, the event of the request that ran it.
+func (s *Server) clusterWorker(ctx context.Context, ev *obs.WideEvent, in *ClusterInput, jobs []clusterJob) (*clusterOutcome, error) {
 	release, err := s.acquire(ctx)
 	if err != nil {
 		return nil, err
@@ -316,23 +312,10 @@ func (s *Server) clusterWorker(ctx context.Context, ev *obs.WideEvent, jobs []cl
 	defer release()
 
 	t0 := time.Now()
-	mjobs := make([]market.Job, len(jobs))
-	err = fanout.Run(ctx, len(jobs), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
-		j := jobs[i]
-		cs, err := j.sys.NewCapSession(ctx, j.g)
-		if err != nil {
-			return fmt.Errorf("job %q: %w", j.name, err)
-		}
-		mjobs[i] = market.Job{Name: j.name, Session: cs}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	alloc, err := market.Allocate(ctx, mjobs, budget, opts)
+	alloc, err := powercap.AllocateClusterOn(ctx, in.Jobs, s.systemFor, in.BudgetW, in.Opts)
 	s.metrics.SolveLatency.Observe(time.Since(t0))
 	if err != nil {
-		var be *market.BudgetError
+		var be *powercap.BudgetError
 		if errors.As(err, &be) {
 			ev.BudgetInfeasible = true
 			return &clusterOutcome{budgetErr: be}, nil
@@ -349,13 +332,14 @@ func (s *Server) clusterWorker(ctx context.Context, ev *obs.WideEvent, jobs []cl
 		if ja.Schedule == nil {
 			continue
 		}
-		// The job's final schedule is exactly what a whole-graph /v1/solve
-		// at the granted cap would compute; park it under that key so the
-		// follow-up solve (a client fetching its job's full schedule) is a
-		// cache hit. The parked entry remembers which allocation produced
-		// it, so the follow-up's response and wide event carry the cluster
-		// request ID — the correlation forensics needs.
-		k := jobs[i].sys.ScheduleKeyFor(jobs[i].digest, ja.CapW, true, "", 0, 0)
+		// The job's final schedule is what a default (decomposed) /v1/solve
+		// at the granted cap computes: the slices' schedules merged. Park it
+		// under that key so the follow-up solve (a client fetching its
+		// job's full schedule) is a cache hit. The parked entry remembers
+		// which allocation produced it, so the follow-up's response and
+		// wide event carry the cluster request ID — the correlation
+		// forensics needs.
+		k := jobs[i].sys.ScheduleKeyFor(jobs[i].digest, ja.CapW, false, "", 0, 0)
 		s.cache.Put(k, &solveOutcome{sched: ja.Schedule, clusterOrigin: RequestIDFrom(ctx)})
 		out.keys[i] = k
 	}

@@ -84,12 +84,12 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 
 	// Per-job cache reuse: the allocation parked each job's final schedule
-	// under its whole-graph solve key, so this /v1/solve is a pure LRU hit.
+	// under its default (decomposed) solve key, so this /v1/solve is a pure
+	// LRU hit.
 	solves := srv.metrics.Counter("pcschedd_solves_total")
 	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		Workload: clusterReq("market").Jobs[0].Workload,
 		JobCapW:  resp.Jobs[0].CapW,
-		Whole:    true,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("follow-up solve: %d (%s)", code, body)

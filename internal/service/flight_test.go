@@ -261,7 +261,7 @@ func TestClusterRequestIDEcho(t *testing.T) {
 	// The follow-up fetch of the job's schedule hits the parked entry and
 	// names the allocation that granted the cap.
 	code, body = postJSON(t, ts.URL+"/v1/solve", SolveRequest{
-		Workload: fastWL, JobCapW: cresp.Jobs[0].CapW, Whole: true,
+		Workload: fastWL, JobCapW: cresp.Jobs[0].CapW,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("follow-up solve: %d (%s)", code, body)

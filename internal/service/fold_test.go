@@ -97,6 +97,11 @@ func TestEventCompleteness(t *testing.T) {
 	if cmp[0].CacheKey != cmp[1].CacheKey || cmp[0].Solves != 1 || cmp[1].Solves != 0 {
 		t.Errorf("compare events: keys %q / %q, solves %d / %d", cmp[0].CacheKey, cmp[1].CacheKey, cmp[0].Solves, cmp[1].Solves)
 	}
+	// The miss splits into waiting and solving as a solve's event does: the
+	// deadline it had left and the time the cache call took.
+	if miss := cmp[0]; miss.DeadlineMS <= 0 || miss.SolveMS <= 0 || miss.SolveMS > miss.DurMS {
+		t.Errorf("compare miss event: deadline %g ms, solve %g ms of %g ms", miss.DeadlineMS, miss.SolveMS, miss.DurMS)
+	}
 
 	// Sweep: three caps solved, one of them infeasible, and the kernel
 	// effort they cost.

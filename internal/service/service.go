@@ -879,6 +879,10 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	ev.Workload = wl.Name
 	ev.CapW = req.CapPerSocketW * float64(wl.Graph.NumRanks)
 	ev.CacheKey = key
+	if dl, ok := ctx.Deadline(); ok {
+		ev.DeadlineMS = float64(time.Until(dl)) / float64(time.Millisecond)
+	}
+	tSolve := time.Now()
 	val, how, err := s.cache.Do(ctx, key, func() (any, error) {
 		release, err := s.acquire(ctx)
 		if err != nil {
@@ -894,6 +898,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		ev.Solves++
 		return cmp, nil
 	})
+	ev.SolveMS = msSince(tSolve)
 	ev.Cache = hitKindString(how, false)
 	if err != nil {
 		ev.Err = err.Error()
