@@ -107,19 +107,22 @@ scale-smoke:
 
 # Cluster power market smoke: race-detected allocator tests (policy
 # properties, the top-down equal-marginal split against the bottom-up grant
-# over whole curves and against one joint LP, closed-form floors, capture
-# fallback and degradation, the first failing job named when the walks open
-# side by side), then the job walk (one walk per iteration slice in lock
-# step) against the whole-graph LP: floors bit for bit, demands, granted
-# caps and objectives within 1e-9, every slice's capture certified, and a
-# graph without Pcontrol boundaries bit for bit. Both at GOMAXPROCS 1
-# (walks and slices opened inline) and 2 (opened side by side), then one
-# real /v1/cluster allocation against a spawned pcschedd — the response and
-# /metrics schema, budget feasibility, per-job cache seeding, clean
-# shutdown.
+# over curves recorded off the jobs' walks and against one joint LP,
+# closed-form floors, capture fallback and degradation, the first failing
+# job named when the walks open side by side), then the job walk (one walk
+# per iteration slice in lock step) against the whole-graph LP: floors bit
+# for bit, demands, granted caps and objectives within 1e-9, every slice's
+# capture certified, and a graph without Pcontrol boundaries bit for bit;
+# then MarginalCurve, which reads the same walk, against point solves on
+# every proxy, and the traced allocation and MarginalCurve within the span
+# bound. All at GOMAXPROCS 1 (walks and slices opened inline) and 2
+# (opened side by side), then one real /v1/cluster allocation against a
+# spawned pcschedd — the response and /metrics schema, budget feasibility,
+# per-job cache seeding, clean shutdown.
 market-smoke:
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/market/
 	$(GO) test -race -count=1 -cpu 1,2 -run TestJobWalkMatchesWholeGraph ./internal/core/
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestMarginalCurve|TestAllocateClusterTraceBound' .
 	$(GO) test -run TestMarketSmoke -count=1 -v ./cmd/pcschedd/
 
 # LP kernel smoke: race-detected runs of the lp packages (the LU against
@@ -140,8 +143,9 @@ market-smoke:
 # program and speculative window program against basis-free solves (no
 # phase 1, certified, deterministic, a rejected crash falling back cold),
 # the warm CapSession probes, the
-# curve walks and the stepped walks' captures checked against them, the
-# closed-form floors against the walked ones, the sweeps that run on the
+# curves recorded off job walks (sliced and whole) and the walks' captures
+# checked against them, the closed-form floors against a walk of the LP to
+# its infeasibility point, the sweeps that run on the
 # sessions, the windowed rescue (the former breakdown traces finishing
 # clean, and injected NaNs reaching the rescue), and the fan-out helper
 # (internal/fanout's four rules) with the decomposed solves it runs side by
@@ -166,9 +170,9 @@ twin-smoke:
 # Bounded fuzz sessions over the trace parser, the canonical DAG digest
 # (the content-addressing the schedule cache rests on), the Markowitz
 # sparse LU factorization (factor → FTRAN/BTRAN vs dense LU, and factors
-# and solves bit for bit vs the step-scan reference LU), the parametric
-# right-hand-side walk (walked objective vs point solves, and a certified
-# capture at a fuzz-chosen shift), warm starts
+# and solves bit for bit vs the step-scan reference LU), the stepped
+# right-hand-side walk (lp.Walk stepped to its end: walked objective vs
+# point solves, and a certified capture at a fuzz-chosen shift), warm starts
 # from arbitrary bases (status and objective vs a cold solve; then, after a
 # cost change, a certified primal start from the cold optimum's basis with
 # no phase 1), and the form builder (every array of the kernel's form, and

@@ -54,9 +54,9 @@ const (
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }
 
 // CapSession is a re-solvable whole-graph LP for cap-only changes: built
-// once, re-aimed at arbitrary caps with dual-simplex warm starts, or walked
-// into the graph's whole power–time curve (Curve). Its closed-form FloorW
-// answers caps below it without an LP. It is NOT safe for concurrent use.
+// once and re-aimed at arbitrary caps with dual-simplex warm starts. Its
+// closed-form FloorW answers caps below it without an LP. It is NOT safe
+// for concurrent use.
 type CapSession = core.CapSession
 
 // NewCapSession builds a warm re-solve session for g on this System's

@@ -77,6 +77,26 @@ func TestAllocateClusterTraceBound(t *testing.T) {
 	}
 }
 
+// A traced MarginalCurve fits the same span bound: SP at 16 ranks × 4
+// iterations, read at every half watt from 20 to 100 W/socket, crosses
+// thousands of breakpoints, all recorded under one lp.dual span, so the
+// trace drops nothing.
+func TestMarginalCurveTraceBound(t *testing.T) {
+	w := powercap.NewWorkload("SP", powercap.WorkloadParams{Ranks: 16, Iterations: 4, Seed: 2})
+	var caps []float64
+	for per := 20.0; per <= 100; per += 0.5 {
+		caps = append(caps, per*float64(w.Graph.NumRanks))
+	}
+	tr := obs.NewTrace(obs.DefaultMaxSpans)
+	defer tr.Release()
+	if _, err := powercap.SystemFor(w, nil).MarginalCurve(obs.WithTrace(context.Background(), tr), w.Graph, caps); err != nil {
+		t.Fatal(err)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Errorf("trace dropped %d spans past its bound of %d (%d kept)", d, obs.DefaultMaxSpans, len(tr.Snapshot()))
+	}
+}
+
 // A starved budget surfaces the typed *BudgetError through the facade.
 func TestAllocateClusterBudgetError(t *testing.T) {
 	w := powercap.NewWorkload("CG", powercap.WorkloadParams{Ranks: 4, Iterations: 2, Seed: 1, WorkScale: 0.3})

@@ -2,9 +2,11 @@
 // be divided across multiple simultaneous jobs, with each job being
 // allocated a power bound". Given two jobs sharing one budget, use the LP
 // bound of each job as a function of its allocation to find the split that
-// minimizes the later finisher. Because each job's time/power curve is
-// convex (a consequence of the convex Pareto frontiers), a simple bisection
-// on the marginal value of power finds the optimum.
+// minimizes the later finisher: solve both jobs at every split on a 15 W
+// grid and keep the best. Because each job's time/power curve is convex (a
+// consequence of the convex Pareto frontiers) and non-increasing, the later
+// finisher's time is unimodal in the split, so the optimum lies within one
+// grid step of the best split found.
 //
 // Run with:
 //

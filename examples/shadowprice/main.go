@@ -2,9 +2,10 @@
 // marginal information a power-aware job scheduler needs when deciding
 // which job should receive the next watt (the paper's motivating setting:
 // "total machine power will be divided across multiple simultaneous jobs").
-// The curve itself is powercap.MarginalCurve, one parametric walk per job;
-// the cluster-level allocator that acts on these prices is
-// powercap.AllocateCluster.
+// The curve itself is powercap.MarginalCurve, read off the walk the
+// cluster market takes: each job's iteration slices walked down the cap
+// axis in lock step. The cluster-level allocator that acts on these prices
+// is powercap.AllocateCluster.
 //
 // Run with:
 //

@@ -92,7 +92,7 @@ type Schedule struct {
 	// Objective is the optimal value of the solved program: MakespanS plus
 	// the power tiebreak term (see Solver.PowerTiebreak). Unlike the
 	// makespan of a degenerate optimum it is unique, so it is what a
-	// schedule is checked against on the job's Curve.
+	// fallback solve is checked against on the job's walk.
 	Objective float64
 	// Choices is indexed by dag.TaskID; message and zero-work tasks have
 	// an empty Mix.
@@ -130,7 +130,7 @@ type Stats struct {
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
-	Rescues          int     // solves rescued by a cold unscaled re-solve, and curve-walk restarts
+	Rescues          int     // solves rescued by a cold unscaled re-solve, and walk restarts
 	BlandActivations int     // anti-cycling fallback engagements
 	PresolveRows     int     // always 0: the kernel runs no presolve; kept for clients that read it
 	RowNormRatio     float64 // worst max/min row-norm ratio (scaling proxy)

@@ -21,12 +21,10 @@ import (
 // session's SolveAt. Caps below FloorW, the closed-form feasibility floor,
 // are answered without an LP.
 //
-// Curve walks the same LP down the cap axis, one dual simplex pivot per
-// breakpoint (lp.Parametric), and returns the program's power–time curve,
-// which powercap.MarginalCurve reads instead of solving each cap it is
-// asked about. A JobSession walks one CapSession per iteration slice a
-// piece at a time (capWalk, a stepped lp.Walk), in lock step on the job's
-// cap axis, for the cluster power market.
+// A JobSession walks one CapSession per iteration slice a piece at a time
+// (capWalk, an lp.Walk), in lock step down the job's cap axis: the one
+// reader of a job's power–time curve, for the cluster power market and
+// powercap.MarginalCurve.
 //
 // A CapSession is NOT safe for concurrent use; it belongs to one caller
 // (a JobSession holds one per slice). The underlying Solver's shared
@@ -56,8 +54,8 @@ func (s *Solver) NewCapSession(ctx context.Context, g *dag.Graph) (*CapSession, 
 // configuration. Every cap at or above it is feasible, and none below.
 func (cs *CapSession) FloorW() float64 { return cs.b.floor.minW }
 
-// Stats reports the solver effort accumulated across every SolveAt, walk
-// and Curve of this session (including failed and infeasible probes).
+// Stats reports the solver effort accumulated across every SolveAt and
+// walk of this session (including failed and infeasible probes).
 func (cs *CapSession) Stats() Stats { return cs.stats }
 
 // SolveAt re-aims the session's LP at capW and solves it, warm starting
@@ -129,32 +127,6 @@ func (cs *CapSession) saturatingW() float64 {
 	return topW + 1 // strictly above every draw
 }
 
-// walkFrom aims the LP at topW, a cap at or above saturatingW, and returns
-// the power rows a walk lowers, the finalize vertex's variable for the
-// makespan (none when the graph has no finalize vertex), and the options
-// that carry ctx into the kernel.
-func (cs *CapSession) walkFrom(ctx context.Context, topW float64) (rows []int, vars []lp.Var, opts []lp.Option, err error) {
-	b := cs.b
-	if err := cs.aim(topW); err != nil {
-		return nil, nil, nil, err
-	}
-	rows = make([]int, len(b.powerRows))
-	for i, pr := range b.powerRows {
-		rows[i] = pr.row
-	}
-	for i := range b.ir.G.Vertices {
-		if b.ir.G.Vertices[i].Kind == dag.VFinalize {
-			vars = []lp.Var{b.vVar[i]}
-			break
-		}
-	}
-	opts = []lp.Option{lp.WithSpanContext(ctx)}
-	if ctx != nil && ctx != context.Background() {
-		opts = append(opts, lp.WithContext(ctx))
-	}
-	return rows, vars, opts, nil
-}
-
 // walkErr maps a walk's stopping status onto the package's errors.
 func walkErr(ctx context.Context, st lp.Status, topW float64, pivots int) error {
 	switch st {
@@ -200,15 +172,32 @@ type capWalk struct {
 }
 
 // walk opens a walk of the session's LP: one cold solve at topW, a cap at
-// or above saturatingW. ctx parents the open's spans and cancels its
-// pivots; each later step (Piece, Lower, schedule) is canceled by the ctx
-// it is given.
+// or above saturatingW, lowering every power row, with the finalize
+// vertex's time recorded for the makespan (none when the graph has no
+// finalize vertex). ctx parents the open's spans and cancels its pivots;
+// each later step (Piece, Lower, schedule) is canceled by the ctx it is
+// given.
 func (cs *CapSession) walk(ctx context.Context, topW float64) (*capWalk, error) {
-	rows, vars, opts, err := cs.walkFrom(ctx, topW)
-	if err != nil {
+	b := cs.b
+	if err := cs.aim(topW); err != nil {
 		return nil, err
 	}
-	lw, err := lp.OpenWalk(cs.b.prob, rows, vars, topW-cs.FloorW(), opts...)
+	rows := make([]int, len(b.powerRows))
+	for i, pr := range b.powerRows {
+		rows[i] = pr.row
+	}
+	var vars []lp.Var
+	for i := range b.ir.G.Vertices {
+		if b.ir.G.Vertices[i].Kind == dag.VFinalize {
+			vars = []lp.Var{b.vVar[i]}
+			break
+		}
+	}
+	opts := []lp.Option{lp.WithSpanContext(ctx)}
+	if ctx != nil && ctx != context.Background() {
+		opts = append(opts, lp.WithContext(ctx))
+	}
+	lw, err := lp.OpenWalk(b.prob, rows, vars, topW-cs.FloorW(), opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -335,153 +324,3 @@ func (w *capWalk) Close() {
 // satEps is the slope magnitude, in s/W, below which a piece of a curve
 // counts as flat: past the demand, more watts buy no time.
 const satEps = 1e-9
-
-// Curve is one job's exact power–time curve: the optimal objective of its
-// LP as a function of the job cap, convex, non-increasing and piecewise
-// linear, with the makespan along it. Above the last point the curve is
-// flat; below FloorW the LP is infeasible.
-type Curve struct {
-	// FloorW is the smallest feasible cap the walk found: the larger of the
-	// point where the LP turns infeasible and the largest draw of an event
-	// with only fixed draws. It matches the session's closed-form FloorW.
-	FloorW float64
-	// DemandW is the saturation cap: the highest breakpoint below which the
-	// slope is nonzero (|slope| > 1e-9 s/W). Watts above it buy no time.
-	DemandW float64
-	// Points are the breakpoints in increasing cap, from FloorW up to the
-	// saturating cap the walk started at.
-	Points []CurvePoint
-}
-
-// CurvePoint is one breakpoint of a Curve.
-type CurvePoint struct {
-	CapW float64
-	// Objective and MakespanS are the LP objective and the makespan at
-	// CapW; both are linear between neighbouring points.
-	Objective float64
-	MakespanS float64
-	// SlopeSecPerW is d Objective / d cap on the piece from this point up
-	// to the next (≤ 0; 0 at the last point and above the demand).
-	SlopeSecPerW float64
-}
-
-// At evaluates the curve at capW: the objective and makespan there, and
-// the slope of the piece above capW — the value of the next watt, 0 at or
-// above the demand. ok is false below the floor.
-func (c *Curve) At(capW float64) (objective, makespanS, slope float64, ok bool) {
-	if capW < c.FloorW {
-		return 0, 0, 0, false
-	}
-	pts := c.Points
-	k := len(pts) - 1
-	for k > 0 && pts[k].CapW > capW {
-		k--
-	}
-	p := pts[k]
-	d := math.Max(capW-p.CapW, 0)
-	if k == len(pts)-1 {
-		return p.Objective, p.MakespanS, 0, true
-	}
-	q := pts[k+1]
-	u := d / (q.CapW - p.CapW)
-	objective = p.Objective + d*p.SlopeSecPerW
-	makespanS = p.MakespanS + u*(q.MakespanS-p.MakespanS)
-	if capW < c.DemandW {
-		slope = p.SlopeSecPerW
-	}
-	return objective, makespanS, slope, true
-}
-
-// Curve walks the session's LP along the cap axis and returns the job's
-// exact power–time curve. It solves the LP cold at a saturating cap — above
-// the most any event can draw, so no power row binds — and then lowers
-// every event-power row's right-hand side together, one dual simplex pivot
-// per breakpoint (lp.Parametric), until the LP turns infeasible. The walk
-// counts as one solve in Stats, its pivots as dual pivots. Curve leaves the
-// session's warm-start basis alone.
-func (cs *CapSession) Curve(ctx context.Context) (*Curve, error) {
-	b := cs.b
-	topW := cs.saturatingW()
-	rows, vars, opts, err := cs.walkFrom(ctx, topW)
-	if err != nil {
-		return nil, err
-	}
-	path, err := lp.Parametric(b.prob, rows, vars, topW, opts...)
-	if err != nil {
-		return nil, err
-	}
-	cs.stats.Add(cs.walkStats(path.Stats))
-	if err := walkErr(ctx, path.Status, topW, path.Stats.Pivots()); err != nil {
-		return nil, err
-	}
-
-	// Breakpoints come in increasing shift, so decreasing cap; the piece
-	// below breakpoint k in cap is the one above breakpoint k+1.
-	bps := path.Breakpoints
-	c := &Curve{Points: make([]CurvePoint, len(bps))}
-	for k, bp := range bps {
-		pt := CurvePoint{CapW: topW - bp.Shift, Objective: bp.Objective}
-		if len(bp.Values) > 0 {
-			pt.MakespanS = bp.Values[0]
-		}
-		if k > 0 {
-			pt.SlopeSecPerW = -bps[k-1].Slope
-		}
-		c.Points[len(bps)-1-k] = pt
-	}
-	c.dropZeroWidth()
-	if c.Points[0].CapW < b.floor.fixedW {
-		c.clipBelow(b.floor.fixedW)
-	}
-	c.FloorW = c.Points[0].CapW
-	c.DemandW = c.FloorW
-	for k := len(c.Points) - 2; k >= 0; k-- {
-		if math.Abs(c.Points[k].SlopeSecPerW) > satEps {
-			c.DemandW = c.Points[k+1].CapW
-			break
-		}
-		c.Points[k].SlopeSecPerW = 0
-	}
-	return c, nil
-}
-
-// dropZeroWidth removes pieces narrower than 1e-9 relative, which
-// floating-point near-ties between basis changes leave behind. The narrow
-// piece's lower end goes and the piece below extends across it; at the
-// floor, the floor takes over the slope of the piece above.
-func (c *Curve) dropZeroWidth() {
-	kept := c.Points[:1]
-	for _, pt := range c.Points[1:] {
-		last := &kept[len(kept)-1]
-		switch {
-		case pt.CapW-last.CapW > 1e-9*math.Max(1, pt.CapW):
-			kept = append(kept, pt)
-		case len(kept) == 1:
-			last.SlopeSecPerW = pt.SlopeSecPerW
-		default:
-			*last = pt
-		}
-	}
-	c.Points = kept
-}
-
-// clipBelow drops the part of the curve below capW, which events with only
-// fixed draws make infeasible, starting the curve with a point at capW.
-func (c *Curve) clipBelow(capW float64) {
-	k := 0
-	for k+1 < len(c.Points) && c.Points[k+1].CapW <= capW {
-		k++
-	}
-	p := c.Points[k]
-	if k+1 < len(c.Points) {
-		q := c.Points[k+1]
-		u := (capW - p.CapW) / (q.CapW - p.CapW)
-		p = CurvePoint{
-			CapW:         capW,
-			Objective:    p.Objective + (capW-p.CapW)*p.SlopeSecPerW,
-			MakespanS:    p.MakespanS + u*(q.MakespanS-p.MakespanS),
-			SlopeSecPerW: p.SlopeSecPerW,
-		}
-	}
-	c.Points = append([]CurvePoint{p}, c.Points[k+1:]...)
-}

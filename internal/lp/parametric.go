@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"powercap/internal/obs"
 )
@@ -24,123 +23,11 @@ import (
 // A Walk takes that path one piece at a time: it reports the piece it is
 // on, moves along it (Advance), pivots across the breakpoint at its end
 // (Cross), and reads the optimal solution off its basis at the current
-// shift (Capture). Parametric is a loop over a Walk that records every
-// breakpoint.
+// shift (Capture).
 
 // maxWalkRestarts bounds the cold restarts one walk may spend on numerical
 // breakdowns before it reports a *NumericalError.
 const maxWalkRestarts = 8
-
-// Breakpoint is one vertex of a walked path.
-type Breakpoint struct {
-	// Shift is how far the walked rows' right-hand sides have been lowered
-	// from their stated values.
-	Shift float64
-	// Objective is the optimal objective at Shift, in the problem's sense.
-	Objective float64
-	// Slope is the objective's rate of change per unit shift on the piece
-	// from this breakpoint to the next, taken from the piece's basis
-	// rather than differenced (0 at the last breakpoint).
-	Slope float64
-	// Values holds the optimal value at Shift of each variable the caller
-	// named, in the order named.
-	Values []float64
-}
-
-// Path is the result of a parametric walk. Between consecutive breakpoints
-// the objective and the named variables are linear in the shift.
-type Path struct {
-	// Status is Optimal once the walk has run to its end. It reports the
-	// stated problem's own verdict when that is not Optimal (Infeasible,
-	// Unbounded), and Canceled or IterLimit when the walk stopped early;
-	// Breakpoints then holds what was walked before the stop.
-	Status Status
-	// Breakpoints lists the path's vertices in increasing shift, from 0.
-	// Shifts are distinct: a degenerate pivot that moves no value records
-	// nothing.
-	Breakpoints []Breakpoint
-	// InfeasibleBeyond reports that the walk ended at the exact point where
-	// the program turns infeasible, the last breakpoint's shift. When false
-	// the walk reached its shift limit still feasible, and the last
-	// breakpoint sits at the limit.
-	InfeasibleBeyond bool
-	// Stats instruments the walk: the cold solves' pivots per phase, the
-	// walk's pivots as DualIters, and as Rescues the cold restarts after a
-	// numerical breakdown.
-	Stats SolveStats
-}
-
-// Parametric solves p at its stated right-hand sides, then lowers the
-// right-hand side of every row in rows by a common shift t, from 0 up to
-// maxShift, with one dual simplex pivot per breakpoint.
-// At each breakpoint it records the shift, the objective and the values of
-// vars. Options apply as in Solve, except WithWarmBasis, which is ignored:
-// the walk starts from a cold solve.
-//
-// The walk runs on the scaled form of p's stated rows, as Solve does, so
-// the shift direction maps row for row.
-// A numerical breakdown is rescued by a cold re-solve, without scaling, at
-// the last breakpoint, and the walk continues from there; past
-// maxWalkRestarts restarts it returns a *NumericalError.
-func Parametric(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*Path, error) {
-	w, err := newWalk(p, rows, vars, maxShift, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
-	sctx, span := obs.Start(w.o.spanContext(), "lp.solve")
-	defer span.End()
-	span.SetAttr("vars", p.NumVars())
-	span.SetAttr("rows", p.NumConstraints())
-	span.SetAttr("walked_rows", len(rows))
-
-	start := time.Now()
-	w.sctx = sctx
-	w.path = &Path{}
-	err = w.open()
-	if err == nil && w.status == Optimal {
-		err = w.step(sctx, "lp.dual", w.walkAll)
-	}
-	if w.rescue != "" {
-		span.SetAttr("rescue", w.rescue)
-	}
-	if err != nil {
-		return nil, err
-	}
-	path := w.path
-	path.Status = w.status
-	path.InfeasibleBeyond = w.beyond
-	path.Stats = w.Stats()
-	path.Stats.Wall = time.Since(start)
-	span.SetAttr("status", path.Status.String())
-	span.SetAttr("pivots", path.Stats.Pivots())
-	span.SetAttr("breakpoints", len(path.Breakpoints))
-	span.SetAttr("restarts", path.Stats.Rescues)
-	return path, nil
-}
-
-// walkAll walks every piece to the walk's end, recording each breakpoint:
-// a piece's start after whatever pivots its breakpoint took, and its end
-// as the walker reaches it.
-func (w *Walk) walkAll() error {
-	for {
-		w.record()
-		if w.done {
-			return nil
-		}
-		if w.width > 0 {
-			w.path.Breakpoints[len(w.path.Breakpoints)-1].Slope = w.slope
-			w.Advance(w.end)
-			w.record()
-		}
-		if w.done {
-			return nil
-		}
-		if err := w.cross(); err != nil {
-			return err
-		}
-	}
-}
 
 // Walk is a parametric walk taken one piece at a time: OpenWalk solves the
 // problem cold at its stated right-hand sides, and the walker then lowers
@@ -148,11 +35,15 @@ func (w *Walk) walkAll() error {
 // stretch of shift over which one basis stays optimal; Piece reports the
 // current one, Advance moves along it, Cross pivots across the breakpoint
 // at its end, and Capture reads the optimal solution off the basis at the
-// current shift. Breakdowns restart the walk cold at the current shift, as
-// in Parametric. The context a step takes cancels that step, the cold
-// restarts inside it included, and parents its spans; the context OpenWalk
-// was given (WithContext) cancels the open alone, so a walk may outlive it.
-// A Walk is not safe for concurrent use; Close releases its working memory.
+// current shift. A numerical breakdown is rescued by a cold re-solve,
+// without scaling, at the current shift, and the walk continues from
+// there; past maxWalkRestarts restarts it reports a *NumericalError. The
+// context a step takes cancels that step, the cold restarts inside it
+// included, and parents its spans; the context OpenWalk was given
+// (WithContext) cancels the open alone, so a walk may outlive it. The walk
+// runs on the scaled form of p's stated rows, as Solve does, so the shift
+// direction maps row for row. A Walk is not safe for concurrent use; Close
+// releases its working memory.
 type Walk struct {
 	p        *Problem
 	rows     []int
@@ -164,10 +55,8 @@ type Walk struct {
 
 	status   Status
 	done     bool // no piece below the current shift
-	beyond   bool // the walk ended where the program turns infeasible
 	shift    float64
 	restarts int
-	rescue   string     // the last breakdown's reason
 	stats    SolveStats // closed segments' effort
 
 	// The current segment: a cold solve at shift from and the walk from
@@ -203,15 +92,14 @@ type Walk struct {
 	// still optimal while prevOK, that is, until the walker moves.
 	prev   []int
 	prevOK bool
-
-	path *Path // Parametric's record; nil for a stepped walk
 }
 
 // OpenWalk solves p cold at its stated right-hand sides and returns a
 // walker positioned at shift 0 that lowers the right-hand side of every row
-// in rows by a common shift, up to maxShift. Options apply as in
-// Parametric; WithContext's cancellation covers the open, and each later
-// step is canceled by the context it is given.
+// in rows by a common shift, up to maxShift. Options apply as in Solve,
+// except WithWarmBasis, which is ignored: the walk opens with a cold solve.
+// WithContext's cancellation covers the open, and each later step is
+// canceled by the context it is given.
 // When the stated problem is not Optimal, the walker reports its verdict
 // through Status and has no piece.
 func OpenWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*Walk, error) {
@@ -287,7 +175,7 @@ func (w *Walk) Piece() (start, end, slope float64) { return w.start, w.end, w.sl
 
 // Ended reports that no piece lies below the current shift: the walk
 // reached its shift limit, found the program infeasible beyond the current
-// shift (InfeasibleBeyond), or stopped (Status).
+// shift (Status Optimal short of the limit), or stopped (Status).
 func (w *Walk) Ended() bool { return w.done }
 
 // Objective reports the optimal objective at the current shift, in the
@@ -431,7 +319,7 @@ func (w *Walk) Back(ctx context.Context) (bool, error) {
 			}
 			return &NumericalError{Reason: rv.numReason, Pivots: w.Stats().Pivots()}
 		}
-		w.prevOK, w.done, w.beyond = false, false, false
+		w.prevOK, w.done = false, false
 		w.measure()
 		return nil
 	})
@@ -478,27 +366,23 @@ func (w *Walk) Capture(ctx context.Context) (*Solution, error) {
 // Close releases the walker's working memory. The walker keeps its Stats.
 func (w *Walk) Close() { w.closeSegment() }
 
-// walkStep runs one step of a stepped walk: ctx cancels it, the cold
-// restarts inside it included, and parents its spans.
+// walkStep runs fn as one step of the walk, under a span named name: ctx
+// cancels it, the cold restarts inside it included, and parents the span,
+// under which the kernel's own spans (a restart's phases,
+// refactorizations) nest.
 func (w *Walk) walkStep(ctx context.Context, name string, fn func() error) error {
 	w.o.Ctx = ctx
 	if w.rv != nil {
 		w.rv.cancelCtx = ctx
 	}
-	return w.step(ctx, name, fn)
-}
-
-// step runs fn under a span named name parented on parent; the kernel's own
-// spans (a restart's phases, refactorizations) nest under it.
-func (w *Walk) step(parent context.Context, name string, fn func() error) error {
-	ctx, sp := obs.Start(parent, name)
-	w.setSpan(ctx)
+	sctx, sp := obs.Start(ctx, name)
+	w.setSpan(sctx)
 	before := w.Stats().Pivots()
 	err := fn()
 	sp.SetAttr("pivots", w.Stats().Pivots()-before)
 	sp.SetAttr("status", w.status.String())
 	sp.End()
-	w.setSpan(parent)
+	w.setSpan(ctx)
 	return err
 }
 
@@ -525,11 +409,9 @@ func (w *Walk) cross() error {
 	// The piece just walked had positive width: progress, as far as the
 	// stall guard is concerned.
 	w.stall, w.bland = 0, false
-	if w.path == nil {
-		// Keep the basis being left for Back; Parametric never steps back.
-		w.prev = append(w.prev[:0], w.rv.basis...)
-		w.prevOK = true
-	}
+	// Keep the basis being left for Back.
+	w.prev = append(w.prev[:0], w.rv.basis...)
+	w.prevOK = true
 	st := w.pivot()
 	if st == Optimal && !w.done {
 		w.iters++
@@ -556,7 +438,6 @@ func (w *Walk) setStatus(st Status) {
 // *NumericalError.
 func (w *Walk) recover(reason string) error {
 	for {
-		w.rescue = reason
 		if w.restarts == maxWalkRestarts {
 			w.done = true
 			return &NumericalError{Reason: reason, Pivots: w.Stats().Pivots()}
@@ -625,7 +506,7 @@ func (w *Walk) segment(scaled bool) (Status, string) {
 		// infeasible side of the feasibility tolerance: the walk ends there,
 		// with no basis to read.
 		w.closeSegment()
-		w.done, w.beyond = true, true
+		w.done = true
 		return Optimal, ""
 	case sol.Status != Optimal:
 		w.closeSegment()
@@ -757,7 +638,7 @@ func (w *Walk) pivot() Status {
 	rv := w.rv
 	leave := w.leave
 	if rv.f.artificial[rv.basis[leave]] {
-		w.done, w.beyond = true, true
+		w.done = true
 		return Optimal
 	}
 	rv.stats.DualIters++
@@ -770,7 +651,7 @@ func (w *Walk) pivot() Status {
 	if enter < 0 {
 		// Any further shift drives the row's basic variable negative with
 		// no column able to compensate: infeasible beyond this shift.
-		w.done, w.beyond = true, true
+		w.done = true
 		return Optimal
 	}
 	epoch := rv.factorEpoch
@@ -841,31 +722,6 @@ func (rv *revised) walkStep(w *Walk, step, theta float64) {
 	for _, r := range w.dirRows {
 		rv.f.b[r] = w.b0[r] - theta*w.dir[r]
 	}
-}
-
-// record sets the breakpoint at the current shift from the current basis:
-// the objective in the problem's sense and the named variables' values, as
-// the basic values stand (unrounded, so the path is linear along a piece).
-// It overwrites a breakpoint already at this shift: the walk records each
-// piece's start just before walking it, after whatever pivots the
-// breakpoint took, and each end again as the walk stops there. A segment
-// that ended without a basis records nothing.
-func (w *Walk) record() {
-	if w.rv == nil {
-		return
-	}
-	n := len(w.path.Breakpoints)
-	if n > 0 && w.path.Breakpoints[n-1].Shift > w.shift {
-		return
-	}
-	if n > 0 && w.path.Breakpoints[n-1].Shift == w.shift {
-		w.path.Breakpoints = w.path.Breakpoints[:n-1]
-	}
-	bp := Breakpoint{Shift: w.shift, Objective: w.Objective(), Values: make([]float64, len(w.vars))}
-	for k := range w.vars {
-		bp.Values[k] = w.Value(k)
-	}
-	w.path.Breakpoints = append(w.path.Breakpoints, bp)
 }
 
 // dualInfeasible reports a nonbasic column among cols (every column when

@@ -73,33 +73,109 @@ func shifted(p *Problem, rows []int, t float64) *Problem {
 	return q
 }
 
+// breakpoint is one vertex of a recorded walk.
+type breakpoint struct {
+	// shift is how far the walked rows have been lowered, and objective
+	// the optimal objective there.
+	shift, objective float64
+	// slope is the objective's rate of change per unit shift on the piece
+	// from this breakpoint to the next, as the walk reports it (0 at the
+	// last breakpoint).
+	slope float64
+	// values holds each recorded variable's value at shift.
+	values []float64
+}
+
+// walkPath is a walk recorded to its end. Between consecutive breakpoints
+// the objective and the recorded variables are linear in the shift.
+type walkPath struct {
+	// status is the walk's: Optimal once it has run to its end, the stated
+	// problem's verdict when that is not Optimal, IterLimit when it stopped
+	// early.
+	status Status
+	// bps lists the breakpoints in increasing shift, from 0.
+	bps []breakpoint
+	// infeasibleBeyond reports that the walk ended where the program turns
+	// infeasible: still Optimal, short of its shift limit.
+	infeasibleBeyond bool
+}
+
+// recordWalk opens a walk of p and steps it to its end, recording every
+// breakpoint: a piece's start after whatever pivots its breakpoint took,
+// and its end as the walker reaches it, a breakpoint already at the
+// walker's shift overwritten. A segment that ended without a basis records
+// nothing.
+func recordWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts ...Option) (*walkPath, error) {
+	w, err := OpenWalk(p, rows, vars, maxShift, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer w.Close()
+	path := &walkPath{}
+	record := func() {
+		obj := w.Objective()
+		n := len(path.bps)
+		if math.IsNaN(obj) || n > 0 && path.bps[n-1].shift > w.Shift() {
+			return
+		}
+		if n > 0 && path.bps[n-1].shift == w.Shift() {
+			path.bps = path.bps[:n-1]
+		}
+		bp := breakpoint{shift: w.Shift(), objective: obj, values: make([]float64, len(vars))}
+		for k := range vars {
+			bp.values[k] = w.Value(k)
+		}
+		path.bps = append(path.bps, bp)
+	}
+	for {
+		record()
+		if w.Ended() {
+			break
+		}
+		_, end, slope := w.Piece()
+		path.bps[len(path.bps)-1].slope = slope
+		w.Advance(end)
+		record()
+		if w.Ended() {
+			break
+		}
+		if err := w.Cross(nil); err != nil {
+			return nil, err
+		}
+	}
+	path.status = w.Status()
+	path.infeasibleBeyond = w.Status() == Optimal && w.Shift() < maxShift
+	return path, nil
+}
+
 // interpolate evaluates the path at shift t: the objective and the
 // recorded values, linear between the breakpoints around t.
-func interpolate(path *Path, t float64) (float64, []float64) {
-	bps := path.Breakpoints
+func interpolate(path *walkPath, t float64) (float64, []float64) {
+	bps := path.bps
 	k := 0
-	for k+1 < len(bps) && bps[k+1].Shift < t {
+	for k+1 < len(bps) && bps[k+1].shift < t {
 		k++
 	}
 	if k+1 == len(bps) {
-		return bps[k].Objective, bps[k].Values
+		return bps[k].objective, bps[k].values
 	}
 	a, b := bps[k], bps[k+1]
-	u := (t - a.Shift) / (b.Shift - a.Shift)
-	vals := make([]float64, len(a.Values))
+	u := (t - a.shift) / (b.shift - a.shift)
+	vals := make([]float64, len(a.values))
 	for i := range vals {
-		vals[i] = a.Values[i] + u*(b.Values[i]-a.Values[i])
+		vals[i] = a.values[i] + u*(b.values[i]-a.values[i])
 	}
-	return a.Objective + u*(b.Objective-a.Objective), vals
+	return a.objective + u*(b.objective-a.objective), vals
 }
 
-// FuzzParametric checks the walk against point solves on small LPs: the
-// walk's verdict at shift 0 is Solve's; at sampled shifts the interpolated
-// objective equals Solve's within 1e-9 and the interpolated point is
-// feasible with that objective; point solves just inside and just past the
-// walk's infeasibility point bracket it; and a walker stepped to a
-// fuzz-chosen shift captures a solution there that passes Certify on the
-// shifted problem, with the path's and a point solve's objective.
+// FuzzParametric checks the walk, stepped to its end by recordWalk, against
+// point solves on small LPs: the walk's verdict at shift 0 is Solve's; at
+// sampled shifts the interpolated objective equals Solve's within 1e-9 and
+// the interpolated point is feasible with that objective; point solves just
+// inside and just past the walk's infeasibility point bracket it; and a
+// walker stepped to a fuzz-chosen shift captures a solution there that
+// passes Certify on the shifted problem, with the path's and a point
+// solve's objective.
 func FuzzParametric(f *testing.F) {
 	// Beale's cycling instance, its columns rescaled onto the quarter grid
 	// (x1 = 4y1, x2 = y2/10, x3 = 25y3), walking its two degenerate rows.
@@ -133,7 +209,7 @@ func FuzzParametric(f *testing.F) {
 		for j := range vars {
 			vars[j] = Var(j)
 		}
-		path, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000))
+		path, err := recordWalk(p, rows, vars, maxShift, WithMaxIters(5000))
 		if err != nil {
 			t.Fatalf("walk: %v\n%s", err, p)
 		}
@@ -144,26 +220,26 @@ func FuzzParametric(f *testing.F) {
 		if ref.Status == IterLimit {
 			t.Skip("reference solve hit its pivot budget")
 		}
-		if path.Status != ref.Status {
-			if (path.Status == Infeasible || ref.Status == Infeasible) && leastViolation(t, p) < 1e-4 {
+		if path.status != ref.Status {
+			if (path.status == Infeasible || ref.Status == Infeasible) && leastViolation(t, p) < 1e-4 {
 				t.Skip("feasible only within tolerance: the verdict may go either way")
 			}
-			t.Fatalf("walk status %v, Solve %v at shift 0\n%s", path.Status, ref.Status, p)
+			t.Fatalf("walk status %v, Solve %v at shift 0\n%s", path.status, ref.Status, p)
 		}
-		if path.Status != Optimal {
+		if path.status != Optimal {
 			return
 		}
-		bps := path.Breakpoints
-		if len(bps) == 0 || bps[0].Shift != 0 {
+		bps := path.bps
+		if len(bps) == 0 || bps[0].shift != 0 {
 			t.Fatalf("path does not start at shift 0: %+v", bps)
 		}
-		end := bps[len(bps)-1].Shift
+		end := bps[len(bps)-1].shift
 		// An unscaled walk of the same program is a second opinion: where
 		// the two end apart, the program is too ill-conditioned for any
 		// 1e-9 reference.
-		alt, err := Parametric(p, rows, vars, maxShift, WithMaxIters(5000), WithoutScaling())
-		if err != nil || alt.Status != Optimal || alt.InfeasibleBeyond != path.InfeasibleBeyond ||
-			math.Abs(alt.Breakpoints[len(alt.Breakpoints)-1].Shift-end) > 1e-6*math.Max(1, end) {
+		alt, err := recordWalk(p, rows, vars, maxShift, WithMaxIters(5000), WithoutScaling())
+		if err != nil || alt.status != Optimal || alt.infeasibleBeyond != path.infeasibleBeyond ||
+			math.Abs(alt.bps[len(alt.bps)-1].shift-end) > 1e-6*math.Max(1, end) {
 			t.Skip("ill-conditioned: the scaled and unscaled walks disagree")
 		}
 		// Pivots round basic values within the kernel's 1e-7 feasibility
@@ -176,19 +252,19 @@ func FuzzParametric(f *testing.F) {
 		narrow := false
 		for k := 1; k < len(bps); k++ {
 			a, b := bps[k-1], bps[k]
-			if b.Shift <= a.Shift {
-				t.Fatalf("breakpoint shifts not increasing: %g after %g", b.Shift, a.Shift)
+			if b.shift <= a.shift {
+				t.Fatalf("breakpoint shifts not increasing: %g after %g", b.shift, a.shift)
 			}
-			narrow = narrow || b.Shift-a.Shift < 1e-7
-			scale := math.Max(1, math.Max(math.Abs(a.Objective), math.Abs(b.Objective)))
-			if d := b.Objective - a.Objective - a.Slope*(b.Shift-a.Shift); math.Abs(d) > 1e-9*scale+rounding {
-				t.Fatalf("piece [%g, %g]: objective moves %g, slope %g predicts %g", a.Shift, b.Shift, b.Objective-a.Objective, a.Slope, a.Slope*(b.Shift-a.Shift))
+			narrow = narrow || b.shift-a.shift < 1e-7
+			scale := math.Max(1, math.Max(math.Abs(a.objective), math.Abs(b.objective)))
+			if d := b.objective - a.objective - a.slope*(b.shift-a.shift); math.Abs(d) > 1e-9*scale+rounding {
+				t.Fatalf("piece [%g, %g]: objective moves %g, slope %g predicts %g", a.shift, b.shift, b.objective-a.objective, a.slope, a.slope*(b.shift-a.shift))
 			}
 		}
-		if last := bps[len(bps)-1]; last.Slope != 0 {
-			t.Fatalf("last breakpoint carries slope %g", last.Slope)
+		if last := bps[len(bps)-1]; last.slope != 0 {
+			t.Fatalf("last breakpoint carries slope %g", last.slope)
 		}
-		if !path.InfeasibleBeyond && end != maxShift {
+		if !path.infeasibleBeyond && end != maxShift {
 			t.Fatalf("walk stopped feasible at shift %g, before its limit %g", end, maxShift)
 		}
 		if narrow {
@@ -198,9 +274,9 @@ func FuzzParametric(f *testing.F) {
 		// Sample each piece's midpoint and both ends, and a few even shifts.
 		var ts []float64
 		for k, bp := range bps {
-			ts = append(ts, bp.Shift)
+			ts = append(ts, bp.shift)
 			if k > 0 {
-				ts = append(ts, (bp.Shift+bps[k-1].Shift)/2)
+				ts = append(ts, (bp.shift+bps[k-1].shift)/2)
 			}
 		}
 		for i := 0; i <= 8; i++ {
@@ -244,7 +320,7 @@ func FuzzParametric(f *testing.F) {
 
 		checkCapture(t, p, rows, vars, maxShift, path, captureAt*end)
 
-		if path.InfeasibleBeyond {
+		if path.infeasibleBeyond {
 			// Just past the point no point solve may find a feasible
 			// point: Solve may answer "optimal" within its tolerance, but
 			// the point it returns must then violate a row beyond rounding.
@@ -264,7 +340,7 @@ func FuzzParametric(f *testing.F) {
 // captures the solution there and certifies it on p shifted by the
 // walker's shift; its objective must match path's interpolation and a
 // point solve within 1e-9 of the objective's magnitude.
-func checkCapture(t *testing.T, p *Problem, rows []int, vars []Var, maxShift float64, path *Path, at float64) {
+func checkCapture(t *testing.T, p *Problem, rows []int, vars []Var, maxShift float64, path *walkPath, at float64) {
 	t.Helper()
 	w, err := OpenWalk(p, rows, vars, maxShift, WithMaxIters(5000))
 	if err != nil {
@@ -412,11 +488,11 @@ func TestParametricRejectsBadInput(t *testing.T) {
 	x := p.AddVar("x", 1)
 	p.MustConstraint("", Expr{}.Plus(x, 1), GE, 1)
 	for name, call := range map[string]func() error{
-		"row out of range": func() error { _, err := Parametric(p, []int{1}, nil, 1); return err },
-		"var out of range": func() error { _, err := Parametric(p, []int{0}, []Var{2}, 1); return err },
-		"negative limit":   func() error { _, err := Parametric(p, []int{0}, nil, -1); return err },
-		"infinite limit":   func() error { _, err := Parametric(p, []int{0}, nil, math.Inf(1)); return err },
-		"no rows":          func() error { _, err := Parametric(NewProblem(Minimize), nil, nil, 1); return err },
+		"row out of range": func() error { _, err := OpenWalk(p, []int{1}, nil, 1); return err },
+		"var out of range": func() error { _, err := OpenWalk(p, []int{0}, []Var{2}, 1); return err },
+		"negative limit":   func() error { _, err := OpenWalk(p, []int{0}, nil, -1); return err },
+		"infinite limit":   func() error { _, err := OpenWalk(p, []int{0}, nil, math.Inf(1)); return err },
+		"no rows":          func() error { _, err := OpenWalk(NewProblem(Minimize), nil, nil, 1); return err },
 	} {
 		if call() == nil {
 			t.Errorf("%s: accepted", name)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,19 +27,87 @@ func job(t *testing.T, name string, w *workloads.Workload) Job {
 	return Job{Name: name, Session: js}
 }
 
-// wholeCurve walks w's whole-graph LP into its power–time curve: the
-// oracle the job walks, one per iteration slice, must sum to.
-func wholeCurve(t *testing.T, w *workloads.Workload) *core.Curve {
+// curve is a job's power–time curve recorded off a walk of its own
+// session, the oracle the allocator's split is checked against: the
+// breakpoints in increasing cap, from the walk's end, the job's floor, up
+// to the saturating cap it opens at. Above the last point the curve is
+// flat; below the floor the LP is infeasible.
+type curve struct {
+	// floorW is the walk's end, and demandW the highest breakpoint below
+	// which a piece's slope exceeds 1e-9 s/W in magnitude, as
+	// core.JobWalk.Demand finds it.
+	floorW, demandW float64
+	pts             []curvePoint
+}
+
+// curvePoint is one breakpoint of a recorded curve.
+type curvePoint struct {
+	// capW is the cap, objective and makespanS the values the walk reports
+	// there; both are linear between neighbouring points.
+	capW, objective, makespanS float64
+	// slope is d objective / d cap on the piece from this point up to the
+	// next (≤ 0; 0 at the last point and above the demand).
+	slope float64
+}
+
+// jobCurve opens a walk of s and lowers it to its end, one piece at a time
+// (Piece, Lower), recording each breakpoint's values as the walk reaches
+// it (At).
+func jobCurve(t *testing.T, s Session) *curve {
 	t.Helper()
-	cs, err := core.NewSolver(machine.Default(), w.EffScale).NewCapSession(context.Background(), w.Graph)
+	ctx := context.Background()
+	w, err := s.Walk(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cs.Curve(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	defer w.Close()
+	obj, mk, _ := w.At()
+	pts := []curvePoint{{capW: w.CapW(), objective: obj, makespanS: mk}}
+	for {
+		lo, slope, err := w.Piece(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo >= w.CapW() {
+			break
+		}
+		if err := w.Lower(ctx, lo); err != nil {
+			t.Fatal(err)
+		}
+		obj, mk, _ := w.At()
+		pts = append(pts, curvePoint{capW: w.CapW(), objective: obj, makespanS: mk, slope: slope})
+	}
+	slices.Reverse(pts)
+	c := &curve{floorW: pts[0].capW, demandW: pts[0].capW, pts: pts}
+	for k := len(pts) - 2; k >= 0; k-- {
+		if math.Abs(pts[k].slope) > 1e-9 {
+			c.demandW = pts[k+1].capW
+			break
+		}
+		pts[k].slope = 0
 	}
 	return c
+}
+
+// at evaluates the curve at capW: the objective and makespan there, and
+// the slope of the piece above capW — the value of the next watt, 0 at or
+// above the demand. ok is false below the floor.
+func (c *curve) at(capW float64) (objective, makespanS, slope float64, ok bool) {
+	if capW < c.floorW {
+		return 0, 0, 0, false
+	}
+	pts := c.pts
+	k := len(pts) - 1
+	for k > 0 && pts[k].capW > capW {
+		k--
+	}
+	p := pts[k]
+	if k == len(pts)-1 {
+		return p.objective, p.makespanS, 0, true
+	}
+	q := pts[k+1]
+	u := (capW - p.capW) / (q.capW - p.capW)
+	return p.objective + (capW-p.capW)*p.slope, p.makespanS + u*(q.makespanS-p.makespanS), p.slope, true
 }
 
 // Small heterogeneous mix: SP is communication-heavy (flat curve saturates
@@ -133,12 +202,13 @@ func TestOneJobEqualsPlainSolve(t *testing.T) {
 	}
 }
 
-// The market's split is the KKT point of the summed curves: no job's next
-// watt (the slope of the piece above its cap) is worth more than any job's
-// last granted watt (the slope of the piece below), and the whole budget is
-// spent.
+// The market's split is the KKT point of the summed curves, each recorded
+// off its job's own walk: no job's next watt (the slope of the piece above
+// its cap) is worth more than any job's last granted watt (the slope of
+// the piece below), each schedule's objective lies on its curve, and the
+// whole budget is spent.
 func TestMarketConvergenceProperty(t *testing.T) {
-	jobs, ws := hetJobs(t), hetWorkloads()
+	jobs := hetJobs(t)
 	a, err := Allocate(context.Background(), jobs, 260, Options{Policy: Market})
 	if err != nil {
 		t.Fatal(err)
@@ -150,17 +220,17 @@ func TestMarketConvergenceProperty(t *testing.T) {
 			t.Fatalf("job %s degraded: %s", j.Name, j.Reason)
 		}
 		sum += j.CapW
-		c := wholeCurve(t, ws[i])
-		_, _, above, ok := c.At(j.CapW)
+		c := jobCurve(t, jobs[i].Session)
+		_, _, above, ok := c.at(j.CapW)
 		if !ok {
-			t.Fatalf("job %s: cap %g W below its floor %g W", j.Name, j.CapW, c.FloorW)
+			t.Fatalf("job %s: cap %g W below its floor %g W", j.Name, j.CapW, c.floorW)
 		}
 		next = math.Max(next, -above)
-		if j.CapW > c.FloorW+1e-9 {
-			_, _, below, _ := c.At(j.CapW - 1e-6)
+		if j.CapW > c.floorW+1e-9 {
+			_, _, below, _ := c.at(j.CapW - 1e-6)
 			last = math.Min(last, -below)
 		}
-		if want, _, _, _ := c.At(j.CapW); math.Abs(want-j.Schedule.Objective) > 1e-9*want {
+		if want, _, _, _ := c.at(j.CapW); math.Abs(want-j.Schedule.Objective) > 1e-9*want {
 			t.Errorf("job %s: solve objective %.12g off its curve %.12g", j.Name, j.Schedule.Objective, want)
 		}
 	}
@@ -447,7 +517,7 @@ func mixJobs(t *testing.T, mix string, p workloads.Params) ([]Job, []*workloads.
 // curveState is one job of the bottom-up oracle split.
 type curveState struct {
 	floorW, capW float64
-	curve        *core.Curve
+	curve        *curve
 }
 
 // grantPieces is the bottom-up market split over whole curves, the oracle
@@ -470,11 +540,11 @@ func grantPieces(sts []*curveState, budgetW float64) int {
 		// The curve's slopes are exactly zero from the demand up.
 		best, bestSlope := -1, 0.0
 		for i, st := range sts {
-			pts := st.curve.Points
+			pts := st.curve.pts
 			if next[i] >= len(pts)-1 {
 				continue
 			}
-			if s := pts[next[i]].SlopeSecPerW; s < bestSlope {
+			if s := pts[next[i]].slope; s < bestSlope {
 				best, bestSlope = i, s
 			}
 		}
@@ -482,7 +552,7 @@ func grantPieces(sts []*curveState, budgetW float64) int {
 			break
 		}
 		st := sts[best]
-		grant := math.Min(st.curve.Points[next[best]+1].CapW-st.capW, left)
+		grant := math.Min(st.curve.pts[next[best]+1].capW-st.capW, left)
 		st.capW += grant
 		left -= grant
 		next[best]++
@@ -497,24 +567,25 @@ func grantPieces(sts []*curveState, budgetW float64) int {
 }
 
 // The top-down split, walking each job only down to its cap, is the
-// bottom-up grant over whole curves: on three mixes at four seeds, at
-// budgets from 0.1% to 130% of the floor-to-demand span, every cap agrees
-// within 1e-6 W, and the total makespan and the watts moved from the
-// uniform split within 1e-9 relative.
+// bottom-up grant over whole curves, each recorded off its job's own walk
+// to the floor: on three mixes at four seeds, at budgets from 0.1% to 130%
+// of the floor-to-demand span, every cap agrees within 1e-6 W, and the
+// total makespan and the watts moved from the uniform split within 1e-9
+// relative.
 func TestLazySplitMatchesGrant(t *testing.T) {
 	fracs := []float64{0.001, 0.05, 0.2, 0.4, 0.7, 0.95, 1, 1.3}
 	for _, mix := range []string{"het-4mix", "het-bt-sp", "hom-sp"} {
 		for seed := int64(1); seed <= 4; seed++ {
-			jobs, ws := mixJobs(t, mix, workloads.Params{Ranks: 2, Iterations: 2, Seed: seed, WorkScale: 0.3})
+			jobs, _ := mixJobs(t, mix, workloads.Params{Ranks: 2, Iterations: 2, Seed: seed, WorkScale: 0.3})
 			oracle := make([]*curveState, len(jobs))
 			floors := make([]*state, len(jobs))
 			var floorSum, demandSum float64
 			for i := range jobs {
-				c := wholeCurve(t, ws[i])
-				oracle[i] = &curveState{floorW: c.FloorW, curve: c}
-				floors[i] = &state{floorW: c.FloorW}
-				floorSum += c.FloorW
-				demandSum += c.DemandW
+				c := jobCurve(t, jobs[i].Session)
+				oracle[i] = &curveState{floorW: c.floorW, curve: c}
+				floors[i] = &state{floorW: c.floorW}
+				floorSum += c.floorW
+				demandSum += c.demandW
 			}
 			for _, f := range fracs {
 				budget := floorSum + f*(demandSum-floorSum)
@@ -533,7 +604,7 @@ func TestLazySplitMatchesGrant(t *testing.T) {
 					if math.Abs(got.CapW-st.capW) > 1e-6 {
 						t.Errorf("%s/%d at %.1f%%: job %s cap %.12g W, grant %.12g W", mix, seed, 100*f, got.Name, got.CapW, st.capW)
 					}
-					_, mk, _, _ := st.curve.At(st.capW)
+					_, mk, _, _ := st.curve.at(st.capW)
 					total += mk
 					moved += math.Max(st.capW-uniform[i], 0)
 				}

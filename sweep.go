@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
 	"powercap/internal/core"
 	"powercap/internal/fanout"
+	"powercap/internal/lp"
 )
 
 // Power-cap sweep orchestration. The paper's headline figures evaluate the
@@ -131,36 +133,52 @@ type MarginalPoint struct {
 	Infeasible      bool
 }
 
-// MarginalCurve reads a job's power–time curve at the caps in jobCapsW:
-// the whole-graph LP is built once and walked along the cap axis in one
-// parametric pass (core.CapSession.Curve), and each cap reports the
-// makespan bound interpolated on the curve together with the power
+// MarginalCurve reads a job's power–time curve at the caps in jobCapsW off
+// the walk the cluster market takes (core.JobSession.Walk): the graph is
+// cut at its Pcontrol boundaries, each iteration slice's LP is built once,
+// and the slices are walked down the cap axis in lock step. The caps are
+// visited from the highest down, so each breakpoint is crossed once, and
+// each reports the makespan bound at the cap together with the power
 // constraint's shadow price — the slope of the curve's piece above the cap,
 // the value of the next watt. The duals are the marginal information a
 // cluster-level allocator needs (see AllocateCluster): a steep point buys
 // more time per watt than a flat one, and by LP convexity |MarginalSecPerW|
 // is non-increasing as the cap grows, decaying to 0 once the job saturates.
-// Caps below the curve's floor set Infeasible rather than failing the
-// curve; the returned error is reserved for problems with the graph itself
-// and for cancellation.
+// Points come back in the order of jobCapsW. Caps below the job's
+// closed-form floor set Infeasible rather than failing the curve; the
+// returned error is reserved for problems with the graph itself and for
+// cancellation. The walk's breakpoint crossings are traced under one
+// lp.dual span.
 func (s *System) MarginalCurve(ctx context.Context, g *Graph, jobCapsW []float64) ([]MarginalPoint, error) {
-	cs, err := s.solver().NewCapSession(ctx, g)
+	js, err := s.solver().NewJobSession(ctx, g)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cs.Curve(ctx)
+	w, err := js.Walk(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("powercap: marginal curve: %w", err)
 	}
+	defer w.Close()
+	gctx, sp := lp.GroupCrossings(ctx)
+	defer sp.End()
+	order := make([]int, len(jobCapsW))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobCapsW[order[a]] > jobCapsW[order[b]] })
+	floorW := js.FloorW()
 	curve := make([]MarginalPoint, len(jobCapsW))
-	for i, capW := range jobCapsW {
+	for _, i := range order {
+		capW := jobCapsW[i]
 		curve[i] = MarginalPoint{CapW: capW}
-		_, mk, slope, ok := c.At(capW)
-		if !ok {
+		if capW < floorW {
 			curve[i].Infeasible = true
 			continue
 		}
-		curve[i].MakespanS, curve[i].MarginalSecPerW = mk, slope
+		if err := w.Lower(gctx, capW); err != nil {
+			return nil, fmt.Errorf("powercap: marginal curve at %g W: %w", capW, err)
+		}
+		_, curve[i].MakespanS, curve[i].MarginalSecPerW = w.At()
 	}
 	return curve, nil
 }

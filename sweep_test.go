@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -273,55 +274,81 @@ func TestMarginalCurveSignAndDecay(t *testing.T) {
 	}
 }
 
-// MarginalCurve reads the walked curve instead of solving each cap, and
-// must agree with point solves: the same infeasible caps, the makespan
-// within 1e-9 relative, and each point solve's shadow price between the
-// slopes of the curve's pieces on either side of the cap.
+// MarginalCurve reads the job's walk instead of solving each cap, and on
+// every proxy must agree with point solves: the same infeasible caps, the
+// makespan within 1e-9 relative, and each point solve's shadow price
+// between the slopes of the curve's pieces on either side of the cap. The
+// walk only moves down, so the same caps shuffled, one of them repeated,
+// return bit-identical points in the caller's order.
 func TestMarginalCurveMatchesPointSolves(t *testing.T) {
-	w := powercap.NewWorkload("BT", powercap.WorkloadParams{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3})
-	sys := powercap.SystemFor(w, nil)
-	caps := sweepCaps(w)
-	for per := 31.0; per < 70; per += 3.7 {
-		caps = append(caps, per*float64(w.Graph.NumRanks))
-	}
-	below := make([]float64, len(caps))
-	for i, c := range caps {
-		below[i] = c - 1e-6
-	}
-	ctx := context.Background()
-	above, err := sys.MarginalCurve(ctx, w.Graph, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	under, err := sys.MarginalCurve(ctx, w.Graph, below)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := sys.SolveSweep(w.Graph, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range pts {
-		cur := above[i]
-		if pt.Err != nil {
-			if !errors.Is(pt.Err, powercap.ErrInfeasible) {
-				t.Fatalf("cap %g W: %v", caps[i], pt.Err)
+	for _, name := range powercap.WorkloadNames() {
+		t.Run(name, func(t *testing.T) {
+			w := powercap.NewWorkload(name, powercap.WorkloadParams{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3})
+			sys := powercap.SystemFor(w, nil)
+			caps := sweepCaps(w)
+			for per := 31.0; per < 70; per += 3.7 {
+				caps = append(caps, per*float64(w.Graph.NumRanks))
 			}
-			if !cur.Infeasible {
-				t.Errorf("cap %g W: point solve infeasible, curve feasible", caps[i])
+			below := make([]float64, len(caps))
+			for i, c := range caps {
+				below[i] = c - 1e-6
 			}
-			continue
-		}
-		if cur.Infeasible {
-			t.Errorf("cap %g W: curve infeasible, point solve feasible", caps[i])
-			continue
-		}
-		if rel := math.Abs(cur.MakespanS-pt.Schedule.MakespanS) / pt.Schedule.MakespanS; rel > 1e-9 {
-			t.Errorf("cap %g W: curve makespan %.12g, point solve %.12g", caps[i], cur.MakespanS, pt.Schedule.MakespanS)
-		}
-		lo, hi := under[i].MarginalSecPerW, cur.MarginalSecPerW
-		if m := pt.Schedule.MarginalSecPerW; m < lo-1e-9 || m > hi+1e-9 {
-			t.Errorf("cap %g W: shadow price %.12g outside the curve's slopes [%.12g, %.12g]", caps[i], m, lo, hi)
-		}
+			ctx := context.Background()
+			above, err := sys.MarginalCurve(ctx, w.Graph, caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			under, err := sys.MarginalCurve(ctx, w.Graph, below)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pts, err := sys.SolveSweep(w.Graph, caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pt := range pts {
+				cur := above[i]
+				if pt.Err != nil {
+					if !errors.Is(pt.Err, powercap.ErrInfeasible) {
+						t.Fatalf("cap %g W: %v", caps[i], pt.Err)
+					}
+					if !cur.Infeasible {
+						t.Errorf("cap %g W: point solve infeasible, curve feasible", caps[i])
+					}
+					continue
+				}
+				if cur.Infeasible {
+					t.Errorf("cap %g W: curve infeasible, point solve feasible", caps[i])
+					continue
+				}
+				if rel := math.Abs(cur.MakespanS-pt.Schedule.MakespanS) / pt.Schedule.MakespanS; rel > 1e-9 {
+					t.Errorf("cap %g W: curve makespan %.12g, point solve %.12g", caps[i], cur.MakespanS, pt.Schedule.MakespanS)
+				}
+				lo, hi := under[i].MarginalSecPerW, cur.MarginalSecPerW
+				if m := pt.Schedule.MarginalSecPerW; m < lo-1e-9 || m > hi+1e-9 {
+					t.Errorf("cap %g W: shadow price %.12g outside the curve's slopes [%.12g, %.12g]", caps[i], m, lo, hi)
+				}
+			}
+
+			// Each index k of shuffled names a cap of caps.
+			shuffled := rand.New(rand.NewSource(1)).Perm(len(caps))
+			shuffled = append(shuffled, shuffled[len(shuffled)/2])
+			mixed := make([]float64, len(shuffled))
+			for i, k := range shuffled {
+				mixed[i] = caps[k]
+			}
+			again, err := sys.MarginalCurve(ctx, w.Graph, mixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits := math.Float64bits
+			for i, k := range shuffled {
+				a, b := again[i], above[k]
+				if bits(a.CapW) != bits(b.CapW) || bits(a.MakespanS) != bits(b.MakespanS) ||
+					bits(a.MarginalSecPerW) != bits(b.MarginalSecPerW) || a.Infeasible != b.Infeasible {
+					t.Errorf("cap %g W shuffled: %+v, in the first call %+v", mixed[i], a, b)
+				}
+			}
+		})
 	}
 }
