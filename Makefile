@@ -1,6 +1,7 @@
 # Development targets. `make check` is the full gate: gofmt, vet, build,
-# tests with the race detector (the parallel sweep paths are exercised by
-# the top-level sweep tests), the bench module, and the smokes below.
+# tests with the race detector (a sweep's iteration slices fan out, and the
+# top-level sweep tests run them at GOMAXPROCS 1 against the default), the
+# bench module, and the smokes below.
 
 GO ?= go
 
@@ -28,7 +29,9 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# Sweep/solver benchmarks only (fast smoke: one iteration each).
+# Sweep/solver benchmarks only (fast smoke: one iteration each): the
+# facade's sweep (BenchmarkSweepSerial) and the cold and warm sweeps of
+# one SP iteration slice (BenchmarkSweepCold, BenchmarkSweepWarm).
 bench:
 	$(GO) test -run xxx -bench 'Sweep' -benchtime 1x ./internal/core/ .
 
@@ -145,18 +148,23 @@ market-smoke:
 # the warm CapSession probes, the
 # curves recorded off job walks (sliced and whole) and the walks' captures
 # checked against them, the closed-form floors against a walk of the LP to
-# its infeasibility point, the sweeps that run on the
-# sessions, the windowed rescue (the former breakdown traces finishing
-# clean, and injected NaNs reaching the rescue), and the fan-out helper
-# (internal/fanout's four rules) with the decomposed solves it runs side by
-# side (answers and stats bit for bit against the serial loop, the serial
-# loop's infeasibility error, cancellation without a goroutine left). The
-# helper and core lines run at GOMAXPROCS 1 and 2, so the inline one-worker
-# path and the fanned-out path both run under the race detector.
+# its infeasibility point, the sweeps that run on the job sessions (a cap
+# between two slices' floors running no slice, a warm breakdown retried
+# from the crash basis), the re-slicing of iteration slices, the windowed
+# rescue (the former breakdown traces finishing clean, and injected NaNs
+# reaching the rescue), and the fan-out helper (internal/fanout's four
+# rules) with the decomposed solves it runs side by side (answers and stats
+# bit for bit against the serial loop, the serial loop's infeasibility
+# error, cancellation without a goroutine left); then the facade's sweep
+# on every proxy against point solves, bit for bit at GOMAXPROCS 1 and 2,
+# and the infeasibility chain through it. The helper, core and facade
+# lines run at GOMAXPROCS 1 and 2, so the inline one-worker path and the
+# fanned-out path both run under the race detector.
 kernel-smoke:
 	$(GO) test -race -count=1 ./internal/lp/...
 	$(GO) test -race -count=1 -cpu 1,2 ./internal/fanout/
-	$(GO) test -race -count=1 -cpu 1,2 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestWindowedNumericalRescue|TestFanout' ./internal/core/
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestEngineEquivalenceGoldenObjectives|TestSolveBits|TestProgramNames|TestCrashBasis|TestCapSession|TestFloorClosedForm|TestSolveSweep|TestSliceAll|TestWindowedNumericalRescue|TestFanout' ./internal/core/
+	$(GO) test -race -count=1 -cpu 1,2 -run 'TestSolveSweep|TestInfeasibilityChains' .
 
 # Deterministic traffic twin smoke: race-detected twin tests (schedule
 # expansion, classification, record/replay), then the end-to-end

@@ -451,9 +451,8 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 }
 
 // --- Solver-engine sweep benchmarks (DESIGN.md "Solver engine
-// architecture"): the cost of evaluating the LP bound across a cap family,
-// serial vs parallel, on the facade the experiments drive. The
-// dense/sparse and cold/warm axes are isolated in
+// architecture"): the cost of evaluating the LP bound across a cap family
+// on the facade the experiments drive. The cold/warm axis is isolated in
 // internal/core/bench_scale_test.go; here the workload-level orchestration
 // is measured. Emit machine-readable results with
 // `go run ./cmd/experiments -benchjson BENCH_solver.json solver`.
@@ -469,29 +468,13 @@ func benchSweepSystem(b *testing.B) (*powercap.System, *workloads.Workload, []fl
 	return sys, w, caps
 }
 
-// BenchmarkSweepSerial: warm-started sweep on one goroutine.
+// BenchmarkSweepSerial: the warm-started sweep, each cap's iteration slices
+// re-solved side by side from their bases at the cap before.
 func BenchmarkSweepSerial(b *testing.B) {
 	sys, w, caps := benchSweepSystem(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pts, err := sys.SolveSweep(w.Graph, caps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, pt := range pts {
-			if pt.Err != nil {
-				b.Fatal(pt.Err)
-			}
-		}
-	}
-}
-
-// BenchmarkSweepParallel4: the same sweep chunked over four workers.
-func BenchmarkSweepParallel4(b *testing.B) {
-	sys, w, caps := benchSweepSystem(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pts, err := sys.SweepParallel(w.Graph, caps, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

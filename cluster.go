@@ -6,8 +6,8 @@ package powercap
 // into per-iteration LPs whose curves add up, is walked down the cap axis
 // along its exact power–time curve, one walk per iteration slice in lock
 // step (core.JobSession.Walk), and AllocateCluster splits one site-wide
-// budget across the jobs on those curves under a pluggable policy. See
-// DESIGN.md §13.
+// budget across the jobs on those curves under a pluggable policy (the same
+// sessions MarginalCurve walks and SolveSweep re-solves). See DESIGN.md §13.
 
 import (
 	"context"
@@ -53,22 +53,9 @@ const (
 // ParseClusterPolicy validates a policy name ("" defaults to the market).
 func ParseClusterPolicy(name string) (ClusterPolicy, error) { return market.ParsePolicy(name) }
 
-// CapSession is a re-solvable whole-graph LP for cap-only changes: built
-// once and re-aimed at arbitrary caps with dual-simplex warm starts. Its
-// closed-form FloorW answers caps below it without an LP. It is NOT safe
-// for concurrent use.
-type CapSession = core.CapSession
-
-// NewCapSession builds a warm re-solve session for g on this System's
-// shared solver, so the session reuses the digest-keyed problem-IR and
-// frontier caches (a graph the System has already solved costs no rebuild).
-func (s *System) NewCapSession(ctx context.Context, g *Graph) (*CapSession, error) {
-	return s.solver().NewCapSession(ctx, g)
-}
-
-// JobSession is one cluster job's cap axis: a CapSession per iteration
-// slice of its graph, walked in lock step (Walk) or solved at one cap as a
-// decomposed solve (SolveAt), with the whole graph's closed-form FloorW.
+// JobSession is one job's cap axis: a warm re-solve session per iteration
+// slice, walked in lock step (Walk) or solved at one cap as a decomposed
+// solve (SolveAt, each cap of SolveSweep), with the whole graph's FloorW.
 // It implements market.Session and is NOT safe for concurrent use.
 type JobSession = core.JobSession
 

@@ -9,8 +9,8 @@
 //	pcsched -workload BT -cap 30 -policy all
 //	pcsched -workload BT -cap 30 -policy all -json
 //	pcsched -workload BT -cap 30 -policy lp -json
-//	pcsched -workload SP -sweep 70:30:5 -workers 4
-//	pcsched -workload SP -sweep 70:30:5 -workers 4 -json
+//	pcsched -workload SP -sweep 70:30:5
+//	pcsched -workload SP -sweep 70:30:5 -json
 //	pcsched -workload LULESH -cap 50 -trace trace.json
 //
 // With -policy all -json, the three-way comparison is emitted as JSON in
@@ -61,8 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		policy   = fs.String("policy", "lp", "lp, static, conductor, or all")
 		jsonOut  = fs.Bool("json", false, "emit JSON: with -sweep the /v1/sweep schema, with -policy all the /v1/compare schema, with -policy lp the /v1/solve schema")
 		gantt    = fs.Bool("gantt", false, "render an ASCII timeline of the replayed LP schedule")
-		sweep    = fs.String("sweep", "", "per-socket cap sweep \"hi:lo:step\" (W): solve the LP bound at every cap, warm-started; overrides -cap and -policy")
-		workers  = fs.Int("workers", 1, "parallel sweep workers (contiguous cap chunks; only with -sweep)")
+		sweep    = fs.String("sweep", "", "per-socket cap sweep \"hi:lo:step\" (W): solve the LP bound at every cap, each iteration slice warm-started from its previous cap, the slices side by side; overrides -cap and -policy")
 		realize  = fs.String("realize", "", "realize the LP schedule as an executable one: nearest, down, replay, or best (simulator-validated, reported with its bound gap)")
 		traceOut = fs.String("trace", "", "write the pipeline spans of this run as Chrome trace-event JSON to FILE (chrome://tracing / Perfetto)")
 		windows  = fs.Int("windows", 0, "solve by windowed decomposition with this many event windows (> 1; the large-trace path, see DESIGN.md §12)")
@@ -117,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if *jsonOut {
 		switch {
 		case *sweep != "":
-			return runSweep(sys, w, *sweep, *ranks, *workers, true, stdout)
+			return runSweep(sys, w, *sweep, *ranks, true, stdout)
 		case *policy == "all":
 			return runCompareJSON(sys, w, *capW, stdout)
 		case *policy == "lp":
@@ -130,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fmt.Fprintf(stdout, "%s: %d ranks, %d iterations, %d tasks, %d MPI-call vertices\n",
 		w.Name, *ranks, *iters, len(w.Graph.Tasks), len(w.Graph.Vertices))
 	if *sweep != "" {
-		return runSweep(sys, w, *sweep, *ranks, *workers, false, stdout)
+		return runSweep(sys, w, *sweep, *ranks, false, stdout)
 	}
 	fmt.Fprintf(stdout, "power constraint: %.0f W per socket, %.0f W job-level\n\n", *capW, jobCap)
 
@@ -403,12 +402,12 @@ func threadSet(ts map[int]int) string {
 }
 
 // runSweep evaluates the LP bound across a per-socket cap family and prints
-// one row per cap with the per-solve instrumentation, or with jsonOut the
+// one row per cap with the effort the cap cost, or with jsonOut the
 // whole sweep in the /v1/sweep response schema at full precision. The spec
 // is validated by powercap.ParseSweepSpec: malformed specs (step ≤ 0,
 // hi < lo, non-numeric fields) are rejected with a descriptive error
 // instead of being silently reinterpreted.
-func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, workers int, jsonOut bool, stdout io.Writer) error {
+func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks int, jsonOut bool, stdout io.Writer) error {
 	perCaps, err := powercap.ParseSweepSpec(spec)
 	if err != nil {
 		return err
@@ -418,11 +417,11 @@ func runSweep(sys *powercap.System, w *powercap.Workload, spec string, ranks, wo
 		jobCaps[i] = c * float64(ranks)
 	}
 	if !jsonOut {
-		fmt.Fprintf(stdout, "sweep: %.0f → %.0f W per socket (%d caps, %d workers)\n\n",
-			perCaps[0], perCaps[len(perCaps)-1], len(perCaps), workers)
+		fmt.Fprintf(stdout, "sweep: %.0f → %.0f W per socket (%d caps)\n\n",
+			perCaps[0], perCaps[len(perCaps)-1], len(perCaps))
 	}
 
-	pts, err := sys.SweepParallel(w.Graph, jobCaps, workers)
+	pts, err := sys.SolveSweep(w.Graph, jobCaps)
 	if err != nil {
 		return err
 	}

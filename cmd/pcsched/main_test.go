@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -302,30 +301,25 @@ func TestClusterRejectsUnknownField(t *testing.T) {
 	}
 }
 
-// TestSweepJSONMatchesService: `pcsched -sweep -workers 1 -json` emits the
-// response POST /v1/sweep returns for the same spec, field for field but
-// the daemon-only request ID, elapsed time and trace; and a -workers 4
-// sweep, whose chunks each start cold, lands on the same bounds within
-// 1e-9.
+// TestSweepJSONMatchesService: `pcsched -sweep -json` emits the response
+// POST /v1/sweep returns for the same spec, field for field but the
+// daemon-only request ID, elapsed time and trace, with both feasible and
+// infeasible caps among its points.
 func TestSweepJSONMatchesService(t *testing.T) {
 	args := []string{
 		"-workload", "SP", "-ranks", "4", "-iters", "2", "-seed", "3", "-scale", "0.5",
 		"-sweep", "60:10:10", "-json",
 	}
-	cli := func(workers string) service.SweepResponse {
-		var out, errs bytes.Buffer
-		if err := run(append(args, "-workers", workers), &out, &errs); err != nil {
-			t.Fatalf("run -workers %s: %v (stderr: %s)", workers, err, errs.String())
-		}
-		var resp service.SweepResponse
-		dec := json.NewDecoder(&out)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("-workers %s: output is not a SweepResponse: %v", workers, err)
-		}
-		return resp
+	var out, errs bytes.Buffer
+	if err := run(args, &out, &errs); err != nil {
+		t.Fatalf("run: %v (stderr: %s)", err, errs.String())
 	}
-	one, four := cli("1"), cli("4")
+	var one service.SweepResponse
+	dec := json.NewDecoder(&out)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&one); err != nil {
+		t.Fatalf("output is not a SweepResponse: %v", err)
+	}
 
 	ts := httptest.NewServer(service.New(service.Config{Workers: 2}))
 	defer ts.Close()
@@ -351,17 +345,12 @@ func TestSweepJSONMatchesService(t *testing.T) {
 	}
 
 	infeasible := 0
-	if len(four.Points) != len(one.Points) || len(one.Points) != 6 {
-		t.Fatalf("%d points with 4 workers, %d with 1, want 6", len(four.Points), len(one.Points))
+	if len(one.Points) != 6 {
+		t.Fatalf("%d points, want 6", len(one.Points))
 	}
-	for i, p := range one.Points {
-		q := four.Points[i]
+	for _, p := range one.Points {
 		if p.Infeasible {
 			infeasible++
-		}
-		if q.PerSocketW != p.PerSocketW || q.Infeasible != p.Infeasible || q.Error != p.Error ||
-			math.Abs(q.MakespanS-p.MakespanS) > 1e-9*p.MakespanS {
-			t.Errorf("cap %g W: 4 workers %+v, 1 worker %+v", p.PerSocketW, q, p)
 		}
 	}
 	if infeasible == 0 || infeasible == len(one.Points) {

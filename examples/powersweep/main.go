@@ -22,12 +22,21 @@ func main() {
 	})
 	sys := powercap.SystemFor(w, nil)
 
+	// One warm-started sweep: each iteration slice re-solved from cap to cap.
+	var jobCaps []float64
+	for perSocket := 24.0; perSocket <= 80; perSocket += 4 {
+		jobCaps = append(jobCaps, perSocket*float64(w.Graph.NumRanks))
+	}
+	pts, err := sys.SolveSweep(w.Graph, jobCaps)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Println("LULESH proxy: LP makespan bound vs job power")
 	fmt.Printf("%-14s%14s%14s  %s\n", "W/socket", "bound(s)", "marginal", "")
 	prev := 0.0
-	for perSocket := 24.0; perSocket <= 80; perSocket += 4 {
-		jobCap := perSocket * float64(w.Graph.NumRanks)
-		sched, err := sys.UpperBound(w.Graph, jobCap)
+	for _, pt := range pts {
+		perSocket, sched, err := pt.CapW/float64(w.Graph.NumRanks), pt.Schedule, pt.Err
 		if err != nil {
 			if errors.Is(err, powercap.ErrInfeasible) {
 				fmt.Printf("%-14.0f%14s\n", perSocket, "infeasible")

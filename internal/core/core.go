@@ -130,7 +130,7 @@ type Stats struct {
 	PivotRejections  int     // LU threshold-pivoting row rejections
 	FactorTauRetries int     // factorizations retried under strict pivoting
 	NaNRecoveries    int     // refactorize-and-retry repairs of NaN/Inf state
-	Rescues          int     // solves rescued by a cold unscaled re-solve, and walk restarts
+	Rescues          int     // solves rescued by a cold unscaled re-solve, warm starts retried from the crash basis, and walk restarts
 	BlandActivations int     // anti-cycling fallback engagements
 	PresolveRows     int     // always 0: the kernel runs no presolve; kept for clients that read it
 	RowNormRatio     float64 // worst max/min row-norm ratio (scaling proxy)
@@ -195,8 +195,8 @@ type Solver struct {
 	// perturbs the reported makespan by < 1e-4 relative.
 	PowerTiebreak float64
 
-	// mu guards fs, irCache, and planCache: SweepParallel and the
-	// scheduling service share one Solver across goroutines.
+	// mu guards fs, irCache, and planCache: slices and windows solved side
+	// by side and the scheduling service share one Solver across goroutines.
 	mu        sync.Mutex
 	fs        *problem.FrontierSet
 	irCache   map[[32]byte]*problem.IR
@@ -231,8 +231,8 @@ func (s *Solver) Frontiers() *problem.FrontierSet {
 }
 
 // Frontier returns the convex Pareto frontier for a task shape on a rank's
-// socket, cached per (shape, rank). Safe for concurrent use: parallel sweep
-// workers share one Solver and race benignly on the cache.
+// socket, cached per (shape, rank). Safe for concurrent use: slices solved
+// side by side share one Solver and race benignly on the cache.
 func (s *Solver) Frontier(shape machine.Shape, rank int) *problem.Frontier {
 	return s.Frontiers().For(shape, rank)
 }

@@ -8,6 +8,7 @@ import (
 	"powercap/internal/dag"
 	"powercap/internal/machine"
 	"powercap/internal/sim"
+	"powercap/internal/workloads"
 )
 
 // imbalancedGraph: two ranks, r1 with double the work, one collective.
@@ -201,6 +202,75 @@ func TestSolveIterationsMatchesWholeGraph(t *testing.T) {
 	for tid, task := range g.Tasks {
 		if task.Kind == dag.Compute && task.Work > 0 && len(sliced.Choices[tid].Mix) == 0 {
 			t.Fatalf("task %d missing choice after per-iteration solve", tid)
+		}
+	}
+}
+
+// TestSliceAllOfSlices: a graph whose iterations do not start at 0, such
+// as an iteration slice itself, slices too. On every proxy SliceAll of the
+// full graph returns one slice per iteration that holds tasks, in
+// iteration order, covering every task; SliceAll of each slice returns
+// that slice, with its digest; and each slice's decomposed solve equals
+// its whole-graph solve within 1e-9 relative, infeasible at the same caps.
+func TestSliceAllOfSlices(t *testing.T) {
+	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+	for _, name := range workloads.Names() {
+		w, err := workloads.ByName(name, workloads.Params{Ranks: 4, Iterations: 4, Seed: 1, WorkScale: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := w.Graph
+		slices, err := dag.SliceAll(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		held := map[int]bool{}
+		for _, task := range g.Tasks {
+			held[task.Iteration] = true
+		}
+		if len(slices) != len(held) {
+			t.Fatalf("%s: %d slices, %d iterations hold tasks", name, len(slices), len(held))
+		}
+		s := NewSolver(machine.Default(), w.EffScale)
+		prev, covered, solved := math.MinInt, 0, 0
+		for si, sl := range slices {
+			iter := g.Tasks[sl.TaskMap[0]].Iteration
+			for _, tid := range sl.TaskMap {
+				if g.Tasks[tid].Iteration != iter {
+					t.Fatalf("%s slice %d: task %d of iteration %d in iteration %d's slice", name, si, tid, g.Tasks[tid].Iteration, iter)
+				}
+			}
+			if iter <= prev {
+				t.Fatalf("%s slice %d: iteration %d after %d", name, si, iter, prev)
+			}
+			prev, covered = iter, covered+len(sl.TaskMap)
+
+			again, err := dag.SliceAll(sl.Graph)
+			if err != nil {
+				t.Fatalf("%s slice %d (iteration %d): %v", name, si, iter, err)
+			}
+			if len(again) != 1 || dag.Digest(again[0].Graph) != dag.Digest(sl.Graph) {
+				t.Fatalf("%s slice %d: re-sliced into %d slices, want itself", name, si, len(again))
+			}
+			for _, perSocket := range []float64{60, 35} {
+				capW := perSocket * float64(g.NumRanks)
+				split, serr := s.SolveIterations(sl.Graph, capW)
+				whole, werr := s.Solve(sl.Graph, capW)
+				if serr != nil || werr != nil {
+					if !errors.Is(serr, ErrInfeasible) || !errors.Is(werr, ErrInfeasible) {
+						t.Fatalf("%s slice %d at %g W/socket: decomposed %v, whole %v", name, si, perSocket, serr, werr)
+					}
+					continue
+				}
+				solved++
+				if rel(split.MakespanS, whole.MakespanS) > 1e-9 || rel(split.Objective, whole.Objective) > 1e-9 {
+					t.Errorf("%s slice %d at %g W/socket: decomposed makespan %.15g objective %.15g, whole %.15g %.15g",
+						name, si, perSocket, split.MakespanS, split.Objective, whole.MakespanS, whole.Objective)
+				}
+			}
+		}
+		if covered != len(g.Tasks) || solved < len(slices) {
+			t.Errorf("%s: slices cover %d of %d tasks, %d feasible solves", name, covered, len(g.Tasks), solved)
 		}
 	}
 }

@@ -36,3 +36,7 @@ func CertifySlices(ctx context.Context, w *JobWalk) error {
 	}
 	return nil
 }
+
+// TwoFloorGraph is twoFloorGraph: a job whose first slices have the lower
+// floor.
+var TwoFloorGraph = twoFloorGraph

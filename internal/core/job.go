@@ -20,8 +20,8 @@ import (
 // at a cap the slices' schedules merged as a decomposed solve merges them.
 // A graph without Pcontrol boundaries is a job of one slice.
 //
-// FloorW, Walk, SolveAt and Stats make it the market's Session. A
-// JobSession is NOT safe for concurrent use; it belongs to one caller.
+// FloorW, Walk, SolveAt and Stats make it the market's Session; a sweep is
+// its SolveAt at each cap. A JobSession is NOT safe for concurrent use.
 type JobSession struct {
 	g      *dag.Graph
 	slices []*dag.IterationSlice
@@ -80,10 +80,18 @@ func (js *JobSession) Stats() Stats {
 }
 
 // SolveAt solves the job at capW as a decomposed solve does: each slice's
-// session re-aimed at capW, the slices side by side, merged in slice
-// order. Below FloorW the first slice whose floor binds answers
-// ErrInfeasible.
+// session re-aimed at capW and warm started from its own previous cap, the
+// slices side by side, merged in slice order. Below FloorW no slice runs:
+// the first slice whose floor binds answers ErrInfeasible, with no effort.
 func (js *JobSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
+	for _, cs := range js.cs {
+		cs.last = Stats{}
+	}
+	for _, cs := range js.cs {
+		if cs.FloorW() > capW {
+			return nil, fmt.Errorf("iteration slice: %w", cs.b.floor.infeasible(capW))
+		}
+	}
 	return solveSlices(ctx, js.g, js.slices, capW, func(ctx context.Context, si int) (*Schedule, error) {
 		return js.cs[si].SolveAt(ctx, capW)
 	})

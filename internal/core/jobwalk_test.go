@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"powercap/internal/core"
@@ -11,6 +13,20 @@ import (
 	"powercap/internal/market"
 	"powercap/internal/workloads"
 )
+
+// unevenGraph is a 2-rank job whose slices' floors differ: in iteration 0
+// only rank 0 computes, so that slice's floor is below the others'.
+func unevenGraph() *dag.Graph {
+	bld := dag.NewBuilder(2)
+	for iter, ranks := range [][]int{{0, 1}, {0}, {0, 1}} {
+		for _, r := range ranks {
+			bld.Compute(r, 0.05*float64(1+iter+r), machine.DefaultShape(), "phase")
+		}
+		bld.Pcontrol()
+	}
+	bld.Compute(1, 0.02, machine.DefaultShape(), "tail")
+	return bld.Finalize()
+}
 
 // TestJobWalkMatchesWholeGraph pins the job walk, one walk per iteration
 // slice in lock step, to the whole-graph LP it decomposes. On het-4mix
@@ -122,18 +138,8 @@ func TestJobWalkMatchesWholeGraph(t *testing.T) {
 		}
 	}
 
-	// Slices with different floors: in iteration 0 only rank 0 computes,
-	// so that slice's floor is below the others' and the job's floor is
-	// their maximum.
-	bld := dag.NewBuilder(2)
-	for iter, ranks := range [][]int{{0, 1}, {0}, {0, 1}} {
-		for _, r := range ranks {
-			bld.Compute(r, 0.05*float64(1+iter+r), machine.DefaultShape(), "phase")
-		}
-		bld.Pcontrol()
-	}
-	bld.Compute(1, 0.02, machine.DefaultShape(), "tail")
-	uneven := bld.Finalize()
+	// Slices with different floors: the job's floor is their maximum.
+	uneven := unevenGraph()
 	s := core.NewSolver(machine.Default(), nil)
 	slices, err := dag.SliceAll(uneven)
 	if err != nil {
@@ -260,5 +266,71 @@ func TestJobWalkMatchesWholeGraph(t *testing.T) {
 	if ja.CapW != jb.CapW || ja.DemandW != jb.DemandW || ja.MakespanS != jb.MakespanS || ja.MarginalSecPerW != jb.MarginalSecPerW ||
 		ja.Schedule.Objective != jb.Schedule.Objective || a.Iterations != b.Iterations {
 		t.Errorf("one-slice job split %+v in %d steps, whole graph %+v in %d", ja, a.Iterations, jb, b.Iterations)
+	}
+}
+
+// TestSolveSweepBetweenSliceFloors: a cap between two slices' floors is
+// below the job's floor, so the sweep answers it before any slice runs:
+// ErrInfeasible naming the first slice whose floor binds, as a decomposed
+// solve does, with no effort. No slice's basis moves there, so the next
+// cap's answer is, bit for bit, that of the same sweep without the cap.
+// In unevenGraph the first slice has the higher floor; in TwoFloorGraph
+// the first two have the lower one, so their LPs would run at that cap
+// unless the floor stops the solve first.
+func TestSolveSweepBetweenSliceFloors(t *testing.T) {
+	ctx := context.Background()
+	for name, g := range map[string]*dag.Graph{"uneven": unevenGraph(), "two-floor": core.TwoFloorGraph()} {
+		slices, err := dag.SliceAll(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := core.NewSolver(machine.Default(), nil)
+		var floors []float64
+		for _, sl := range slices {
+			cs, err := s.NewCapSession(ctx, sl.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floors = append(floors, cs.FloorW())
+		}
+		lo, hi := floors[0], floors[0]
+		for _, f := range floors {
+			lo, hi = math.Min(lo, f), math.Max(hi, f)
+		}
+		if lo == hi {
+			t.Fatalf("%s: slice floors %v all equal", name, floors)
+		}
+		between := (lo + hi) / 2
+		_, want := s.SolveIterations(g, between)
+		if !errors.Is(want, core.ErrInfeasible) {
+			t.Fatalf("%s: decomposed solve at %.3f W: %v, want infeasible", name, between, want)
+		}
+
+		caps := []float64{hi + 40, between, hi + 10}
+		with, err := core.NewSolver(machine.Default(), nil).SolveSweep(g, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := core.NewSolver(machine.Default(), nil).SolveSweep(g, []float64{caps[0], caps[2]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt := with[1]; pt.Err == nil || pt.Err.Error() != want.Error() || pt.Schedule != nil || pt.Stats != (core.Stats{}) {
+			t.Fatalf("%s: cap %.3f W between the slice floors %v: err %v, effort %+v; want %q and no effort",
+				name, between, floors, pt.Err, pt.Stats, want)
+		}
+		bits := math.Float64bits
+		for i, j := range []int{0, 2} {
+			a, b := with[j], without[i]
+			if a.Err != nil || b.Err != nil {
+				t.Fatalf("%s: cap %v: %v, without the infeasible cap %v", name, a.CapW, a.Err, b.Err)
+			}
+			sa, sb := a.Schedule, b.Schedule
+			if a.Stats != b.Stats || bits(sa.MakespanS) != bits(sb.MakespanS) || bits(sa.Objective) != bits(sb.Objective) ||
+				bits(sa.MarginalSecPerW) != bits(sb.MarginalSecPerW) || !reflect.DeepEqual(sa.Choices, sb.Choices) {
+				t.Errorf("%s: cap %v: makespan %v objective %v effort %+v; without the infeasible cap %v %v %+v",
+					name, a.CapW, sa.MakespanS, sa.Objective, a.Stats, sb.MakespanS, sb.Objective, b.Stats)
+			}
+		}
 	}
 }

@@ -17,14 +17,13 @@ import (
 // values in place and warm starts from the previous successful solve's
 // basis — the old basis stays dual feasible under an RHS-only change, so a
 // few dual simplex pivots repair it instead of a full two-phase solve. A
-// one-shot solve is a one-probe session, and SolveSweep is a loop over one
-// session's SolveAt. Caps below FloorW, the closed-form feasibility floor,
-// are answered without an LP.
+// one-shot solve is a one-probe session. Caps below FloorW, the
+// closed-form feasibility floor, are answered without an LP.
 //
-// A JobSession walks one CapSession per iteration slice a piece at a time
-// (capWalk, an lp.Walk), in lock step down the job's cap axis: the one
-// reader of a job's power–time curve, for the cluster power market and
-// powercap.MarginalCurve.
+// A JobSession holds one CapSession per iteration slice: a sweep re-solves
+// them at each cap, and the cluster power market and MarginalCurve walk
+// them a piece at a time (capWalk, an lp.Walk), in lock step down the
+// job's cap axis.
 //
 // A CapSession is NOT safe for concurrent use; it belongs to one caller
 // (a JobSession holds one per slice). The underlying Solver's shared
@@ -59,11 +58,12 @@ func (cs *CapSession) FloorW() float64 { return cs.b.floor.minW }
 func (cs *CapSession) Stats() Stats { return cs.stats }
 
 // SolveAt re-aims the session's LP at capW and solves it, warm starting
-// from the last successful solve's basis. A cap below FloorW returns
-// ErrInfeasible at once, naming the binding event's power row, with no
-// LP effort. A numerical breakdown has already had lp.Solve's cold rescue
-// when it surfaces here; the session drops its basis, so the next probe
-// starts cold instead of from the basis that preceded the failure.
+// from the last successful solve's basis, or else from the crash basis. A
+// cap below FloorW returns ErrInfeasible at once, naming the binding
+// event's power row, with no LP effort. A numerical breakdown has already
+// had lp.Solve's cold rescue when it surfaces here; the session drops its
+// basis, and a breakdown from a previous cap's basis is retried once from
+// the crash basis, as a fresh solve starts, counted as a rescue.
 func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, error) {
 	b := cs.b
 	cs.last = Stats{}
@@ -78,12 +78,14 @@ func (cs *CapSession) SolveAt(ctx context.Context, capW float64) (*Schedule, err
 		basis = b.crash()
 	}
 	sol, err := solveLP(ctx, b.prob, basis, &cs.last, capLabel(capW))
+	var nerr *lp.NumericalError
+	if len(cs.basis) > 0 && errors.As(err, &nerr) {
+		cs.basis = cs.basis[:0]
+		cs.last.Rescues++
+		sol, err = solveLP(ctx, b.prob, b.crash(), &cs.last, capLabel(capW))
+	}
 	cs.stats.Add(cs.last)
 	if err != nil {
-		var nerr *lp.NumericalError
-		if errors.As(err, &nerr) {
-			cs.basis = cs.basis[:0]
-		}
 		return nil, err
 	}
 	if len(sol.Basis) > 0 {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"powercap/internal/lp"
+	"powercap/internal/machine"
+	"powercap/internal/workloads"
 )
 
 func TestSolveSweepMatchesIndividualSolves(t *testing.T) {
@@ -55,26 +57,29 @@ func TestSolveSweepMatchesIndividualSolves(t *testing.T) {
 	}
 
 	// Every point carries the effort it cost, so the points add up to a
-	// session walked over the same caps. The infeasible cap lies below the
-	// closed-form floor, which proves it with no LP.
+	// job session solved at the same caps. The infeasible cap lies below
+	// the closed-form floor, which proves it with no LP.
 	if last := pts[len(pts)-1]; last.Stats != (Stats{}) {
 		t.Fatalf("infeasible cap %v: point effort %+v, want none below the floor", last.CapW, last.Stats)
 	}
-	cs, err := solver().NewCapSession(context.Background(), g)
+	js, err := solver().NewJobSession(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum Stats
 	for i, pt := range pts {
 		// Outcomes were checked above; only the effort is compared here.
-		_, _ = cs.SolveAt(context.Background(), caps[i])
+		_, _ = js.SolveAt(context.Background(), caps[i])
 		sum.Add(pt.Stats)
 	}
-	if sum != cs.Stats() {
-		t.Fatalf("sweep points' effort %+v, session over the same caps %+v", sum, cs.Stats())
+	if sum != js.Stats() {
+		t.Fatalf("sweep points' effort %+v, job session over the same caps %+v", sum, js.Stats())
 	}
 }
 
+// TestSolveSweepWarmSavesPivots: imbalancedGraph has no Pcontrol
+// boundary, so its sweep is one slice, the whole graph, and a cold
+// whole-graph Solve at each cap is what the warm starts save on.
 func TestSolveSweepWarmSavesPivots(t *testing.T) {
 	g := imbalancedGraph()
 	caps := []float64{160, 140, 120, 100, 90, 80, 70, 60, 50, 45}
@@ -97,6 +102,41 @@ func TestSolveSweepWarmSavesPivots(t *testing.T) {
 	}
 	if sweepIters >= coldIters {
 		t.Fatalf("warm sweep spent %d pivots, cold solves %d — warm starting saved nothing", sweepIters, coldIters)
+	}
+}
+
+// TestSolveSweepCrashRetry: on a 4-rank synthetic trace (200 events, seed
+// 7) the warm start from 45 W/socket's basis breaks down at 40 W/socket,
+// and so does lp.Solve's cold rescue. The session then solves once more
+// from the crash basis, as a fresh solve starts, so every cap is answered,
+// the 40 W/socket point counts one rescue, and its makespan and objective
+// are a fresh decomposed solve's bit for bit.
+func TestSolveSweepCrashRetry(t *testing.T) {
+	w := workloads.Synthetic(workloads.SynthParams{Ranks: 4, Events: 200, Seed: 7, WorkScale: 1})
+	var caps []float64
+	for per := 70.0; per >= 40; per -= 5 {
+		caps = append(caps, per*float64(w.Graph.NumRanks))
+	}
+	pts, err := NewSolver(machine.Default(), w.EffScale).SolveSweep(w.Graph, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		if pt.Err != nil {
+			t.Fatalf("cap %v: %v", pt.CapW, pt.Err)
+		}
+	}
+	last := pts[len(pts)-1]
+	if last.Stats.Rescues != 1 {
+		t.Errorf("cap %v: %d rescues, want the one crash retry", last.CapW, last.Stats.Rescues)
+	}
+	fresh, err := NewSolver(machine.Default(), w.EffScale).SolveIterations(w.Graph, last.CapW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFloat(last.Schedule.MakespanS, fresh.MakespanS) || !sameFloat(last.Schedule.Objective, fresh.Objective) {
+		t.Errorf("cap %v: makespan %v objective %v, fresh solve %v %v",
+			last.CapW, last.Schedule.MakespanS, last.Schedule.Objective, fresh.MakespanS, fresh.Objective)
 	}
 }
 

@@ -99,17 +99,23 @@ func SliceIteration(g *Graph, iter int) (*IterationSlice, error) {
 	return &IterationSlice{Graph: sub, TaskMap: taskMap}, nil
 }
 
-// SliceAll returns every iteration slice from -1 (prologue) through
-// g.Iterations(), skipping empty slices (no tasks).
+// SliceAll returns the slice of every iteration that holds tasks, in
+// iteration order, the prologue (-1) first. Only those are sliced, so a
+// graph whose iterations do not start at 0, such as a trace cut from the
+// middle of a run, slices too, and a slice re-slices to itself.
 func SliceAll(g *Graph) ([]*IterationSlice, error) {
+	held := map[int]bool{}
+	for _, t := range g.Tasks {
+		held[t.Iteration] = true
+	}
 	var out []*IterationSlice
 	for iter := -1; iter <= g.Iterations(); iter++ {
+		if !held[iter] {
+			continue
+		}
 		s, err := SliceIteration(g, iter)
 		if err != nil {
 			return nil, err
-		}
-		if len(s.Graph.Tasks) == 0 {
-			continue
 		}
 		out = append(out, s)
 	}

@@ -1,9 +1,9 @@
 // Package fanout runs independent tasks side by side: the iteration slices
-// of a decomposed solve, the market's per-job walk openings and session
-// builds, the speculative window solves and the chunks of a parallel
-// sweep. Run keeps a serial loop's answers and failure semantics, so a
-// caller's results, errors and panics do not depend on how many CPUs ran
-// them (DESIGN.md §7).
+// of a decomposed solve or of a sweep's cap, the market's per-job walk
+// openings and session builds, and the speculative window solves. Run
+// keeps a serial loop's answers and failure semantics, so a caller's
+// results, errors and panics do not depend on how many CPUs ran them
+// (DESIGN.md §7).
 package fanout
 
 import (

@@ -62,8 +62,8 @@ func (f *Frontier) Floor(targetW float64) (int, bool) {
 
 // FrontierSet computes and caches Frontiers per (shape, rank) against one
 // machine model and per-rank efficiency-scale vector. It is safe for
-// concurrent use: parallel sweep workers and concurrent service requests
-// share one set and race benignly to populate it.
+// concurrent use: iteration slices built side by side and concurrent
+// service requests share one set and race benignly to populate it.
 type FrontierSet struct {
 	model *machine.Model
 	eff   []float64

@@ -423,8 +423,9 @@ func TestSweepEndpoint(t *testing.T) {
 
 	// A sweep down past SP's floor: the closed-form floor answers the
 	// lowest caps infeasible with no LP, and the effort of the rest belongs
-	// in the response and the counters like any other — what one session
-	// spends over the same caps.
+	// in the response and the counters like any other — what one job
+	// session, one warm session per iteration slice, spends over the same
+	// caps.
 	sp := &WorkloadSpec{Name: "SP", Ranks: 4, Iters: 3, Seed: 1, Scale: 0.3}
 	perSocket := []float64{50, 30, 20, 17.5, 16.25, 15.5, 15, 14.5, 14, 13.75, 13.5}
 	before := metricsMap(t, ts.URL)
@@ -450,21 +451,24 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	wl := ref.wl
-	cs, err := powercap.SystemFor(wl, nil).NewCapSession(context.Background(), wl.Graph)
+	js, err := powercap.SystemFor(wl, nil).NewJobSession(context.Background(), wl.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
+	slices := 0
 	for _, c := range perSocket {
 		// Outcomes are the endpoint's to report; only the effort is compared.
-		_, _ = cs.SolveAt(context.Background(), c*float64(wl.Graph.NumRanks))
+		if sched, _ := js.SolveAt(context.Background(), c*float64(wl.Graph.NumRanks)); sched != nil {
+			slices = len(sched.IterationMakespans)
+		}
 	}
-	want := NewStatsJSON(cs.Stats())
-	if want.Solves != len(perSocket)-infeasible {
-		t.Fatalf("session solved %d LPs for %d caps, %d of them below the floor; every cap above it should reach the LP",
-			want.Solves, len(perSocket), infeasible)
+	want := NewStatsJSON(js.Stats())
+	if want.Solves != slices*(len(perSocket)-infeasible) {
+		t.Fatalf("job session solved %d LPs for %d caps of %d slices, %d of them below the floor; every cap above it should reach every slice's LP",
+			want.Solves, len(perSocket), slices, infeasible)
 	}
 	if resp.Stats == nil || *resp.Stats != *want {
-		t.Errorf("sweep stats %+v, session over the same caps %+v", resp.Stats, want)
+		t.Errorf("sweep stats %+v, job session over the same caps %+v", resp.Stats, want)
 	}
 	after := metricsMap(t, ts.URL)
 	if d := after["pcschedd_pivots_total"] - before["pcschedd_pivots_total"]; d != float64(want.SimplexPivots) {

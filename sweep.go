@@ -9,14 +9,13 @@ import (
 	"strings"
 
 	"powercap/internal/core"
-	"powercap/internal/fanout"
 	"powercap/internal/lp"
 )
 
 // Power-cap sweep orchestration. The paper's headline figures evaluate the
-// LP bound across a family of power constraints; this file provides
-// warm-started serial sweeps (SolveSweep, one CapSession walked over the
-// caps) and contiguous cap chunks solved side by side (SweepParallel).
+// LP bound across a family of power constraints; this file provides the
+// warm-started sweep (SolveSweep, the job's iteration slices re-solved at
+// each cap) and the job's power–time curve (MarginalCurve, read off its walk).
 
 // SweepPoint is the result of one cap in a sweep: a Schedule, or the error
 // that cap produced (match with errors.Is(pt.Err, powercap.ErrInfeasible)),
@@ -27,11 +26,13 @@ type SweepPoint = core.SweepPoint
 // refactorizations) across the solves behind a Schedule or sweep.
 type SolverStats = core.Stats
 
-// SolveSweep solves the whole-graph LP at every cap in jobCapsW, in order,
-// building the LP once and warm starting each solve from the previous
-// cap's optimal basis. Per-cap infeasibility lands in SweepPoint.Err; the
-// returned error is reserved for problems with the graph itself. Monotonic
-// cap orders maximize basis reuse, but any order is correct.
+// SolveSweep solves the LP bound at every cap in jobCapsW, in order, as
+// UpperBound does, but builds each iteration slice's LP once and re-solves
+// it at each cap from its own optimal basis at the cap before, the slices
+// side by side. Each point's Stats is what its cap cost. Per-cap
+// infeasibility lands in SweepPoint.Err; the returned error is reserved for
+// problems with the graph itself. Monotonic cap orders maximize basis
+// reuse, but any order is correct.
 func (s *System) SolveSweep(g *Graph, jobCapsW []float64) ([]SweepPoint, error) {
 	return s.solver().SolveSweep(g, jobCapsW)
 }
@@ -94,33 +95,6 @@ func ParseSweepSpec(spec string) ([]float64, error) {
 		caps = append(caps, c)
 	}
 	return caps, nil
-}
-
-// SweepParallel is SolveSweep fanned across a bounded worker pool: the caps
-// are split into contiguous chunks (one per worker) so warm starting still
-// applies within each chunk, and the workers share one solver (and thus one
-// frontier cache). workers ≤ 1 degrades to the serial SolveSweep. Results
-// are returned in the order of jobCapsW regardless of completion order, and
-// the error is the first chunk's that fails, as in a serial loop.
-func (s *System) SweepParallel(g *Graph, jobCapsW []float64, workers int) ([]SweepPoint, error) {
-	workers = min(workers, len(jobCapsW))
-	if workers <= 1 {
-		return s.SolveSweep(g, jobCapsW)
-	}
-	solver := s.solver()
-	pts := make([]SweepPoint, len(jobCapsW))
-	chunk := (len(jobCapsW) + workers - 1) / workers
-	chunks := (len(jobCapsW) + chunk - 1) / chunk
-	err := fanout.Run(context.Background(), chunks, workers, func(ctx context.Context, k int) error {
-		lo := k * chunk
-		res, err := solver.SolveSweepCtx(ctx, g, jobCapsW[lo:min(lo+chunk, len(jobCapsW))])
-		copy(pts[lo:], res)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pts, nil
 }
 
 // MarginalPoint is one cap on a job's power–time curve: the LP bound and

@@ -3,9 +3,10 @@ package powercap_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,98 +23,118 @@ func sweepCaps(w *powercap.Workload) []float64 {
 	return caps
 }
 
+// serially runs f at GOMAXPROCS 1, where a sweep's slices run inline, one
+// after another.
+func serially(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+}
+
+// TestSolveSweepMatchesUpperBoundWhole: on every proxy the sweep, each
+// cap's iteration slices re-solved from their bases at the cap before,
+// agrees with fresh point solves, whole-graph and decomposed: the same
+// infeasible caps, and the makespan and objective within 1e-9 relative.
+// Its answers and per-point effort do not depend on the CPU count: a
+// sweep at GOMAXPROCS 1 gives the same points bit for bit.
 func TestSolveSweepMatchesUpperBoundWhole(t *testing.T) {
-	w := smallWorkload(t, "SP")
-	sys := powercap.SystemFor(w, nil)
-	caps := sweepCaps(w)
+	rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Abs(b) }
+	for _, name := range powercap.WorkloadNames() {
+		t.Run(name, func(t *testing.T) {
+			w := smallWorkload(t, name)
+			sys := powercap.SystemFor(w, nil)
+			caps := sweepCaps(w)
+			for per := 31.0; per < 70; per += 3.7 {
+				caps = append(caps, per*float64(w.Graph.NumRanks))
+			}
 
-	pts, err := sys.SolveSweep(w.Graph, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, pt := range pts {
-		whole, werr := sys.UpperBoundWhole(w.Graph, caps[i])
-		if werr != nil {
-			if !errors.Is(werr, powercap.ErrInfeasible) {
-				t.Fatal(werr)
+			pts, err := sys.SolveSweep(w.Graph, caps)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !errors.Is(pt.Err, powercap.ErrInfeasible) {
-				t.Fatalf("cap %v: sweep err %v, want infeasible", caps[i], pt.Err)
+			var inline []powercap.SweepPoint
+			serially(func() { inline, err = powercap.SystemFor(w, nil).SolveSweep(w.Graph, caps) })
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if pt.Err != nil {
-			t.Fatalf("cap %v: %v", caps[i], pt.Err)
-		}
-		if math.Abs(pt.Schedule.MakespanS-whole.MakespanS) > 1e-9*(1+whole.MakespanS) {
-			t.Fatalf("cap %v: sweep %v, individual %v", caps[i], pt.Schedule.MakespanS, whole.MakespanS)
-		}
+			requireSameSweep(t, "GOMAXPROCS 1", inline, pts)
+			infeasible := 0
+			for i, pt := range pts {
+				whole, werr := sys.UpperBoundWhole(w.Graph, caps[i])
+				split, serr := sys.UpperBound(w.Graph, caps[i])
+				if werr != nil || serr != nil {
+					if !errors.Is(werr, powercap.ErrInfeasible) || !errors.Is(serr, powercap.ErrInfeasible) {
+						t.Fatalf("cap %v: whole %v, decomposed %v", caps[i], werr, serr)
+					}
+					if !errors.Is(pt.Err, powercap.ErrInfeasible) {
+						t.Fatalf("cap %v: sweep err %v, want infeasible", caps[i], pt.Err)
+					}
+					infeasible++
+					continue
+				}
+				if pt.Err != nil {
+					t.Fatalf("cap %v: %v", caps[i], pt.Err)
+				}
+				for _, ref := range []*powercap.Schedule{whole, split} {
+					if rel(pt.Schedule.MakespanS, ref.MakespanS) > 1e-9 || rel(pt.Schedule.Objective, ref.Objective) > 1e-9 {
+						t.Fatalf("cap %v: sweep makespan %.15g objective %.15g, point solve %.15g %.15g",
+							caps[i], pt.Schedule.MakespanS, pt.Schedule.Objective, ref.MakespanS, ref.Objective)
+					}
+				}
+			}
+			if infeasible == 0 || infeasible == len(caps) {
+				t.Errorf("%d of %d caps infeasible, want both kinds of point", infeasible, len(caps))
+			}
+		})
 	}
 }
 
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	w := smallWorkload(t, "LULESH")
-	sys := powercap.SystemFor(w, nil)
-	caps := sweepCaps(w)
-
-	serial, err := sys.SolveSweep(w.Graph, caps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 32} {
-		par, err := sys.SweepParallel(w.Graph, caps, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		requireSameSweep(t, fmt.Sprintf("workers=%d", workers), par, serial)
-	}
-}
-
-// TestSweepParallelFreshGraph hands SweepParallel graphs nobody has read
-// yet, so its workers are the first to need the adjacency lists. Under
-// -race they must share them without a data race, and every point must
-// match the serial sweep of an identical graph.
-func TestSweepParallelFreshGraph(t *testing.T) {
+// TestSolveSweepFreshGraph hands SolveSweep graphs nobody has read yet, so
+// the slices fanned out at each cap are the first to solve their programs.
+// Under -race they must not race, and every point must equal, bit for bit,
+// the inline sweep of an identical graph.
+func TestSolveSweepFreshGraph(t *testing.T) {
 	for _, name := range []string{"SP", "LULESH", "CoMD"} {
 		ref := smallWorkload(t, name)
-		serial, err := powercap.SystemFor(ref, nil).SolveSweep(ref.Graph, sweepCaps(ref))
+		var serial []powercap.SweepPoint
+		var err error
+		serially(func() { serial, err = powercap.SystemFor(ref, nil).SolveSweep(ref.Graph, sweepCaps(ref)) })
 		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
+			t.Fatalf("%s inline: %v", name, err)
 		}
-		for _, workers := range []int{2, 4} {
-			w := smallWorkload(t, name)
-			par, err := powercap.SystemFor(w, nil).SweepParallel(w.Graph, sweepCaps(w), workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			requireSameSweep(t, fmt.Sprintf("%s workers=%d", name, workers), par, serial)
+		w := smallWorkload(t, name)
+		pts, err := powercap.SystemFor(w, nil).SolveSweep(w.Graph, sweepCaps(w))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		requireSameSweep(t, name, pts, serial)
 	}
 }
 
-// requireSameSweep fails unless par has serial's caps, the same infeasible
-// points, and makespans within 1e-9 relative.
-func requireSameSweep(t *testing.T, label string, par, serial []powercap.SweepPoint) {
+// requireSameSweep fails unless got has want's caps and, at each, the same
+// error or the same makespan, objective, shadow price and per-iteration
+// makespans bit for bit, and the same effort.
+func requireSameSweep(t *testing.T, label string, got, want []powercap.SweepPoint) {
 	t.Helper()
-	if len(par) != len(serial) {
-		t.Fatalf("%s: %d points, want %d", label, len(par), len(serial))
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d points, want %d", label, len(got), len(want))
 	}
-	for i := range par {
-		if par[i].CapW != serial[i].CapW {
-			t.Fatalf("%s point %d: cap %v, want %v", label, i, par[i].CapW, serial[i].CapW)
+	bits := math.Float64bits
+	for i := range got {
+		g, w := got[i], want[i]
+		if bits(g.CapW) != bits(w.CapW) || g.Stats != w.Stats {
+			t.Fatalf("%s point %d: cap %v effort %+v, want %v %+v", label, i, g.CapW, g.Stats, w.CapW, w.Stats)
 		}
-		if (par[i].Err == nil) != (serial[i].Err == nil) {
-			t.Fatalf("%s cap %v: err %v vs serial %v", label, par[i].CapW, par[i].Err, serial[i].Err)
+		if (g.Err == nil) != (w.Err == nil) || (w.Err != nil && g.Err.Error() != w.Err.Error()) {
+			t.Fatalf("%s cap %v: err %v, want %v", label, g.CapW, g.Err, w.Err)
 		}
-		if serial[i].Err != nil {
-			if !errors.Is(par[i].Err, powercap.ErrInfeasible) {
-				t.Fatalf("%s cap %v: err %v, want infeasible", label, par[i].CapW, par[i].Err)
-			}
+		if w.Err != nil {
 			continue
 		}
-		a, b := par[i].Schedule.MakespanS, serial[i].Schedule.MakespanS
-		if math.Abs(a-b) > 1e-9*(1+b) {
-			t.Fatalf("%s cap %v: makespan %v, serial %v", label, par[i].CapW, a, b)
+		a, b := g.Schedule, w.Schedule
+		if bits(a.MakespanS) != bits(b.MakespanS) || bits(a.Objective) != bits(b.Objective) ||
+			bits(a.MarginalSecPerW) != bits(b.MarginalSecPerW) || !reflect.DeepEqual(a.IterationMakespans, b.IterationMakespans) {
+			t.Fatalf("%s cap %v: makespan %v objective %v marginal %v, want %v %v %v",
+				label, g.CapW, a.MakespanS, a.Objective, a.MarginalSecPerW, b.MakespanS, b.Objective, b.MarginalSecPerW)
 		}
 	}
 }
@@ -283,7 +304,7 @@ func TestMarginalCurveSignAndDecay(t *testing.T) {
 func TestMarginalCurveMatchesPointSolves(t *testing.T) {
 	for _, name := range powercap.WorkloadNames() {
 		t.Run(name, func(t *testing.T) {
-			w := powercap.NewWorkload(name, powercap.WorkloadParams{Ranks: 4, Iterations: 3, Seed: 2, WorkScale: 0.3})
+			w := smallWorkload(t, name)
 			sys := powercap.SystemFor(w, nil)
 			caps := sweepCaps(w)
 			for per := 31.0; per < 70; per += 3.7 {
