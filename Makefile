@@ -76,8 +76,12 @@ realization-smoke:
 # requires a cap-clean degraded 200 from each. The sweep-slot case panics
 # inside a sweep on a one-worker daemon and requires the contained 500 to
 # give its worker slot back (the next solve answers 200, occupancy 0).
+# Then the ladder's own tests, at one CPU and two: each rung runs once (a
+# numerical failure descends at once), every top-rung LP shape repeats
+# bit for bit, breakers trip and recover, and the deadline slices hold.
 chaos-smoke:
 	$(GO) test -race -run 'TestChaosSoak|TestTwinChaosRecovery|TestEveryShapeDegradesUnderStall|TestSweepPanicReleasesSlot' -count=1 -v ./internal/service/
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/resilience/
 
 # Observability smoke: race-detected span/flight-recorder/SLO-engine tests;
 # then, race-detected in process, the one event model (DESIGN.md §16): a

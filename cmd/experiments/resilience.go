@@ -19,8 +19,8 @@ import (
 // The "resilience" exhibit measures the fallback ladder of DESIGN.md §10
 // under deterministic fault injection: one fresh pcschedd instance per fault
 // class, a fixed sweep of solve requests against it, and a report of how
-// often the ladder descended, how far, how many retries it spent, and how
-// much makespan the degraded rungs gave up relative to the clean LP bound.
+// often the ladder descended, how far, and how much makespan the degraded
+// rungs gave up relative to the clean LP bound.
 // The faults-off scenario doubles as the regression guard: its fallback rate
 // must be exactly zero. With -benchjson the measurements are written as
 // JSON (the committed copy is BENCH_resilience.json).
@@ -37,7 +37,6 @@ type resilienceScenario struct {
 	FallbackPct   float64 `json:"fallback_pct"`
 	Heuristic     uint64  `json:"fallback_heuristic"`
 	Static        uint64  `json:"fallback_static"`
-	Retries       uint64  `json:"solve_retries"`
 	Panics        uint64  `json:"panics"`
 	CacheBypasses uint64  `json:"cache_bypasses"`
 	MeanGapPct    float64 `json:"mean_degraded_gap_pct"`
@@ -55,7 +54,7 @@ type resilienceReport struct {
 }
 
 func runResilience(cfg config) error {
-	header("Resilience", "fallback ladder under injected faults: descent rate, retries, degraded-vs-LP gap per fault class")
+	header("Resilience", "fallback ladder under injected faults: descent rate and degraded-vs-LP gap per fault class")
 
 	// Bounded problem size, like the service exhibit: the subject here is
 	// the failure path, not solve throughput.
@@ -98,14 +97,13 @@ func runResilience(cfg config) error {
 	}
 	baseline := make(map[float64]float64) // cap → clean LP makespan
 
-	fmt.Printf("%14s%7s%6s%6s%7s%8s%9s%8s%8s%16s\n",
-		"class", "rate", "req", "ok", "degr", "fb(%)", "retries", "panics", "bypass", "gap avg/max(%)")
+	fmt.Printf("%14s%7s%6s%6s%7s%8s%8s%8s%16s\n",
+		"class", "rate", "req", "ok", "degr", "fb(%)", "panics", "bypass", "gap avg/max(%)")
 	for si, sc := range scenarios {
 		svc := service.New(service.Config{
 			Workers:   runtime.GOMAXPROCS(0),
 			CacheSize: 1024,
 			Resilience: powercap.ResilienceConfig{
-				BackoffBase:     100 * time.Microsecond,
 				BreakerCooldown: 50 * time.Millisecond,
 			},
 		})
@@ -186,7 +184,6 @@ func runResilience(cfg config) error {
 		m := svc.Metrics()
 		row.Heuristic = m.Counter("pcschedd_fallback_heuristic_total")
 		row.Static = m.Counter("pcschedd_fallback_static_total")
-		row.Retries = m.Counter("pcschedd_solve_retries_total")
 		row.Panics = m.Counter("pcschedd_panics_total")
 		row.CacheBypasses = m.Counter("pcschedd_cache_errors_total")
 		row.FallbackPct = 100 * float64(row.Degraded) / float64(row.Requests)
@@ -201,9 +198,9 @@ func runResilience(cfg config) error {
 		}
 
 		report.Scenarios = append(report.Scenarios, row)
-		fmt.Printf("%14s%7.2f%6d%6d%7d%8.1f%9d%8d%8d%11.2f/%.2f\n",
+		fmt.Printf("%14s%7.2f%6d%6d%7d%8.1f%8d%8d%11.2f/%.2f\n",
 			row.Class, row.Rate, row.Requests, row.OK, row.Degraded, row.FallbackPct,
-			row.Retries, row.Panics, row.CacheBypasses, row.MeanGapPct, row.MaxGapPct)
+			row.Panics, row.CacheBypasses, row.MeanGapPct, row.MaxGapPct)
 	}
 
 	fmt.Printf("\nfaults off: fallback rate 0.0%%; every degraded result above is simulator-validated cap-clean\n")

@@ -54,7 +54,6 @@ func twinCapacity() service.Config {
 		QueueDepth: 4,
 		CacheSize:  64,
 		Resilience: powercap.ResilienceConfig{
-			BackoffBase:     100 * time.Microsecond,
 			BreakerCooldown: 50 * time.Millisecond,
 		},
 	}

@@ -222,11 +222,11 @@ func (g *Graph) TopoVertices() ([]VertexID, error) {
 	return order, nil
 }
 
-// Validate checks structural invariants: edge endpoints in range, compute
-// tasks owned by a valid rank, message endpoints distinct, message edges
-// connecting Send/Isend to Recv vertices of different ranks with exact
-// one-to-one matching, acyclicity, and exactly one Init and one Finalize
-// vertex.
+// Validate checks structural invariants: edge endpoints in range, no task
+// labelled below the prologue's iteration (-1), compute tasks owned by a
+// valid rank, message endpoints distinct, message edges connecting
+// Send/Isend to Recv vertices of different ranks with exact one-to-one
+// matching, acyclicity, and exactly one Init and one Finalize vertex.
 func (g *Graph) Validate() error {
 	return g.ValidateCtx(context.Background())
 }
@@ -258,6 +258,9 @@ func (g *Graph) ValidateCtx(ctx context.Context) error {
 		}
 		if t.Src == t.Dst {
 			return fmt.Errorf("dag: task %d is a self-loop on vertex %d", t.ID, t.Src)
+		}
+		if t.Iteration < -1 {
+			return fmt.Errorf("dag: task %d has iteration %d, below the prologue (-1)", t.ID, t.Iteration)
 		}
 		switch t.Kind {
 		case Compute:

@@ -371,6 +371,38 @@ func TestValidateCatchesSelfLoopAndBadRank(t *testing.T) {
 	}
 }
 
+// TestIterationBelowPrologue: a task labelled below the prologue (-1) is
+// in no iteration a boundary opens. Validate rejects it, and SliceAll
+// fails on it instead of leaving it out of every slice.
+func TestIterationBelowPrologue(t *testing.T) {
+	b := NewBuilder(2)
+	b.Compute(0, 0.1, simpleShape(), "setup")
+	b.Compute(1, 0.1, simpleShape(), "setup")
+	for iter := 0; iter < 2; iter++ {
+		b.Pcontrol()
+		b.Compute(0, 1, simpleShape(), "step")
+		b.Compute(1, 1, simpleShape(), "step")
+		b.Collective("reduce")
+	}
+	g := b.Finalize()
+	relabelled := 0
+	for i := range g.Tasks {
+		if g.Tasks[i].Iteration == -1 {
+			g.Tasks[i].Iteration = -3
+			relabelled++
+		}
+	}
+	if relabelled == 0 {
+		t.Fatal("no prologue task to relabel")
+	}
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "below the prologue") {
+		t.Fatalf("Validate = %v, want a below-the-prologue error", err)
+	}
+	if s, err := SliceAll(g); err == nil || !strings.Contains(err.Error(), "iteration -3 not found") {
+		t.Fatalf("SliceAll = %d slices, %v; want iteration -3 not found", len(s), err)
+	}
+}
+
 // TestPropertyRandomProgramsValid builds random well-formed programs and
 // checks the resulting graphs always validate and slice cleanly.
 func TestPropertyRandomProgramsValid(t *testing.T) {

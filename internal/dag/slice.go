@@ -1,6 +1,9 @@
 package dag
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // IterationSlice extracts the subgraph of one application iteration as a
 // standalone Graph: the opening Pcontrol (or Init) vertex becomes the
@@ -102,17 +105,21 @@ func SliceIteration(g *Graph, iter int) (*IterationSlice, error) {
 // SliceAll returns the slice of every iteration that holds tasks, in
 // iteration order, the prologue (-1) first. Only those are sliced, so a
 // graph whose iterations do not start at 0, such as a trace cut from the
-// middle of a run, slices too, and a slice re-slices to itself.
+// middle of a run, slices too, and a slice re-slices to itself. Every
+// task lands in a slice or the call fails: an iteration no boundary opens
+// (one below the prologue, say) is an error, not a dropped slice.
 func SliceAll(g *Graph) ([]*IterationSlice, error) {
 	held := map[int]bool{}
+	var iters []int
 	for _, t := range g.Tasks {
-		held[t.Iteration] = true
-	}
-	var out []*IterationSlice
-	for iter := -1; iter <= g.Iterations(); iter++ {
-		if !held[iter] {
-			continue
+		if !held[t.Iteration] {
+			held[t.Iteration] = true
+			iters = append(iters, t.Iteration)
 		}
+	}
+	slices.Sort(iters)
+	var out []*IterationSlice
+	for _, iter := range iters {
 		s, err := SliceIteration(g, iter)
 		if err != nil {
 			return nil, err

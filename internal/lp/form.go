@@ -101,7 +101,7 @@ func buildForm(p *Problem, rhs []float64, scale bool) *spForm {
 	}
 	sc.cols, sc.vals = cols, vals
 
-	f := &spForm{m: m, nOrig: nOrig, maximize: p.sense == Maximize, maxIters: p.maxIters}
+	f := &spForm{m: m, nOrig: nOrig, maximize: p.sense == Maximize}
 	scaled := scale && maxA != 0 && finite(maxA) && finite(minA) && maxA/minA > scaleSpread
 	if scaled {
 		f.rowScale, f.colScale = equilibrate(sc, nOrig)
@@ -136,9 +136,7 @@ func buildForm(p *Problem, rhs []float64, scale bool) *spForm {
 	}
 	n := nOrig + slacks + arts
 	f.n, f.nReal = n, nOrig+slacks
-	if f.maxIters == 0 {
-		f.maxIters = 200 * (m + n + 10)
-	}
+	f.maxIters = 200 * (m + n + 10)
 
 	// The matrix row by row (CSR): each row's structural coefficients as
 	// the form holds them, columns ascending and zeros dropped (a scaled

@@ -44,15 +44,14 @@ func neutralize(p *Problem) *oracleProblem {
 	return np
 }
 
-// realize turns the oracle's problem np back into a Problem with p's sense
-// and pivot budget. Its names are the defaults: nothing renders them.
+// realize turns the oracle's problem np back into a Problem with p's
+// sense. Its names are the defaults: nothing renders them.
 func realize(p *Problem, np *oracleProblem) *Problem {
 	rp := &Problem{
-		sense:    p.sense,
-		maxIters: p.maxIters,
-		names:    make([]Name, np.numVars),
-		obj:      np.cost,
-		rows:     make([]constraint, len(np.rows)),
+		sense: p.sense,
+		names: make([]Name, np.numVars),
+		obj:   np.cost,
+		rows:  make([]constraint, len(np.rows)),
 	}
 	for i, row := range np.rows {
 		terms := make([]Term, len(row.cols))
@@ -259,11 +258,8 @@ func oldSpForm(p *Problem) *spForm {
 		rowSign:    make([]float64, m),
 		colOwner:   make([]int, n),
 		initBasis:  make([]int, m),
-		maxIters:   p.maxIters,
+		maxIters:   200 * (m + n + 10),
 		maximize:   p.sense == Maximize,
-	}
-	if f.maxIters == 0 {
-		f.maxIters = 200 * (m + n + 10)
 	}
 	for j := range f.colOwner {
 		f.colOwner[j] = -1
@@ -495,9 +491,6 @@ func oldSolve(p *Problem, opts ...Option) (*Solution, error) {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.MaxIters == 0 {
-		o.MaxIters = p.maxIters
 	}
 	if o.StallWindow == 0 {
 		o.StallWindow = stallWindow

@@ -173,21 +173,16 @@ type constraint struct {
 // Problem is a linear program under construction. The zero value is not
 // usable; create problems with NewProblem.
 type Problem struct {
-	sense    Sense
-	names    []Name
-	obj      []float64
-	rows     []constraint
-	maxIters int
+	sense Sense
+	names []Name
+	obj   []float64
+	rows  []constraint
 }
 
 // NewProblem returns an empty problem with the given optimization sense.
 func NewProblem(sense Sense) *Problem {
 	return &Problem{sense: sense}
 }
-
-// SetMaxIters overrides the simplex pivot limit. Zero (the default) selects
-// an automatic limit proportional to the problem size.
-func (p *Problem) SetMaxIters(n int) { p.maxIters = n }
 
 // NumVars reports how many variables have been declared.
 func (p *Problem) NumVars() int { return len(p.names) }
@@ -285,11 +280,10 @@ func (p *Problem) RHS(row int) float64 {
 // relaxations.
 func (p *Problem) Clone() *Problem {
 	c := &Problem{
-		sense:    p.sense,
-		names:    append([]Name(nil), p.names...),
-		obj:      append([]float64(nil), p.obj...),
-		rows:     make([]constraint, len(p.rows)),
-		maxIters: p.maxIters,
+		sense: p.sense,
+		names: append([]Name(nil), p.names...),
+		obj:   append([]float64(nil), p.obj...),
+		rows:  make([]constraint, len(p.rows)),
 	}
 	for i, r := range p.rows {
 		c.rows[i] = constraint{

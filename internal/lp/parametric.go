@@ -150,9 +150,6 @@ func newWalk(p *Problem, rows []int, vars []Var, maxShift float64, opts []Option
 	for _, opt := range opts {
 		opt(&w.o)
 	}
-	if w.o.MaxIters == 0 {
-		w.o.MaxIters = p.maxIters
-	}
 	if w.o.StallWindow == 0 {
 		w.o.StallWindow = stallWindow
 	}

@@ -184,11 +184,8 @@ func newTableau(p *Problem) *tableau {
 		auxSign:    make([]float64, m),
 		rowSign:    make([]float64, m),
 		colOwner:   make([]int, n),
-		maxIters:   p.maxIters,
+		maxIters:   200 * (m + n + 10),
 		stallWin:   stallWindow,
-	}
-	if t.maxIters == 0 {
-		t.maxIters = 200 * (m + n + 10)
 	}
 	for j := range t.colOwner {
 		t.colOwner[j] = -1

@@ -24,7 +24,7 @@ var ErrInfeasible = errors.New("lp: infeasible")
 // Options collects per-solve settings. Construct via Option functions.
 type Options struct {
 	// MaxIters overrides the pivot budget (0 = automatic, proportional to
-	// problem size; Problem.SetMaxIters applies when this is 0).
+	// problem size).
 	MaxIters int
 	// StallWindow is how many non-improving iterations are tolerated
 	// before switching to Bland's anti-cycling rule (0 = default 200).
@@ -197,9 +197,6 @@ func Solve(p *Problem, opts ...Option) (*Solution, error) {
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.MaxIters == 0 {
-		o.MaxIters = p.maxIters
 	}
 	if o.StallWindow == 0 {
 		o.StallWindow = stallWindow

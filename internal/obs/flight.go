@@ -113,9 +113,8 @@ type WideEvent struct {
 	Rung           string `json:"rung,omitempty"`
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	SolveRetries   int    `json:"solve_retries,omitempty"`
-	// RungAttempts counts solve attempts per ladder rung in descent order
-	// (sparse, heuristic, static) — the per-rung descent trail for this
+	// RungAttempts counts the rungs run in descent order (sparse,
+	// heuristic, static), each 0 or 1 — the descent trail for this
 	// request.
 	RungAttempts [NumLadderRungs]int `json:"rung_attempts"`
 

@@ -12,10 +12,9 @@ import (
 // probe (half-open): success closes it, failure re-opens it for another
 // cooldown.
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int           // consecutive failures before opening
-	cooldown  time.Duration // open duration before a half-open probe
-	now       func() time.Time
+	mu       sync.Mutex
+	cooldown time.Duration // open duration before a half-open probe
+	now      func() time.Time
 
 	failures int
 	state    breakerState
@@ -31,16 +30,16 @@ const (
 	breakerHalfOpen
 )
 
-// NewBreaker returns a closed breaker that opens after threshold consecutive
-// failures and probes again after cooldown.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
+// breakerThreshold is the consecutive-failure count that trips a breaker.
+const breakerThreshold = 3
+
+// NewBreaker returns a closed breaker that opens after breakerThreshold
+// consecutive failures and probes again after cooldown (default 5s).
+func NewBreaker(cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
 		cooldown = 5 * time.Second
 	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	return &Breaker{cooldown: cooldown, now: time.Now}
 }
 
 // Allow reports whether a request may attempt the rung. An open breaker past
@@ -85,7 +84,7 @@ func (b *Breaker) Failure() {
 	b.mu.Lock()
 	opened := false
 	b.failures++
-	if b.state == breakerHalfOpen || b.failures >= b.threshold {
+	if b.state == breakerHalfOpen || b.failures >= breakerThreshold {
 		opened = b.state != breakerOpen
 		b.state = breakerOpen
 		b.openedAt = b.now()

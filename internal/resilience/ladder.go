@@ -8,14 +8,14 @@
 // boundaries, one LP over the whole graph, or the windowed (optionally
 // coarsened) decomposition. Numerical rescue of the LP itself happens
 // inside lp.Solve (a cold unscaled re-solve); a *lp.NumericalError
-// reaching the ladder has already had it. Each rung gets a bounded slice of
-// the request's remaining deadline, a small retry budget with exponential
-// backoff for numerical failures, and a circuit breaker so a persistently
-// broken rung is skipped without burning its slice. Any result produced
-// below the top rung is tagged Degraded with a machine-readable reason
-// chain, and is validated on the simulator through internal/schedule's
-// realization/repair loop before being returned — the ladder never serves a
-// cap-violating schedule.
+// reaching the ladder has already had it, and the LP is deterministic, so
+// a rung runs at most once per request: any failure descends. Each rung
+// gets a bounded slice of the request's remaining deadline and a circuit
+// breaker so a persistently broken rung is skipped without burning its
+// slice. Any result produced below the top rung is tagged Degraded with a
+// machine-readable reason chain, and is validated on the simulator through
+// internal/schedule's realization/repair loop before being returned — the
+// ladder never serves a cap-violating schedule.
 package resilience
 
 import (
@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"powercap/internal/core"
@@ -66,28 +65,12 @@ func (r Rung) String() string {
 	}
 }
 
-// Config tunes the ladder. The zero value selects the defaults noted on
-// each field.
+// Config tunes the ladder. The zero value selects the default.
 type Config struct {
-	// BackoffBase is the first retry's backoff; later retries double it up
-	// to backoffMax (default 1ms).
-	BackoffBase time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a rung's
-	// circuit breaker (default 3); BreakerCooldown how long it stays open
-	// before a half-open probe (default 5s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Sleep replaces time.Sleep between retries (tests); nil = time.Sleep.
-	Sleep func(time.Duration)
+	// BreakerCooldown is how long a tripped rung's circuit breaker stays
+	// open before a half-open probe (default 5s).
+	BreakerCooldown time.Duration
 }
-
-const (
-	// retries is how many extra attempts a rung gets after a numerical
-	// failure before the ladder descends.
-	retries = 1
-	// backoffMax caps the exponential backoff between retries.
-	backoffMax = 50 * time.Millisecond
-)
 
 // rungFracs is each rung's deadline slice as a fraction of the request's
 // *remaining* deadline when the rung starts; a fraction ≥ 1 passes the
@@ -126,13 +109,9 @@ type Outcome struct {
 	// "sparse:numerical(ftran/btran pivot mismatch)→heuristic".
 	Degraded bool
 	Reason   string
-	// Attempts counts solve attempts across all rungs; Retries the backoff
-	// retries among them.
-	Attempts int
-	Retries  int
-	// RungAttempts breaks Attempts down per rung in ladder order (sparse,
-	// heuristic, static) — the per-rung descent counts the flight recorder
-	// stores with each request.
+	// RungAttempts counts the rungs run in ladder order (sparse, heuristic,
+	// static), each 0 or 1 — the descent trail the flight recorder stores
+	// with each request.
 	RungAttempts [NumRungs]int
 }
 
@@ -143,19 +122,14 @@ const NumRungs = int(numRungs)
 // Ladder executes the degradation ladder. Safe for concurrent use; breaker
 // state is shared across requests, which is the point.
 type Ladder struct {
-	cfg      Config
 	breakers [numRungs]*Breaker
-	jitter   atomic.Uint64
 }
 
-// New returns a Ladder over cfg (zero-value fields get defaults).
+// New returns a Ladder over cfg (a zero cooldown gets the default).
 func New(cfg Config) *Ladder {
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
-	l := &Ladder{cfg: cfg}
+	l := &Ladder{}
 	for r := range l.breakers {
-		l.breakers[r] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+		l.breakers[r] = NewBreaker(cfg.BreakerCooldown)
 	}
 	return l
 }
@@ -199,7 +173,7 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 			continue
 		}
 		rungCtx, cancel := rungContext(ctx, rungFracs[rung])
-		err := l.attempt(rungCtx, sv, g, capW, top, rung, br, out)
+		err := attempt(rungCtx, sv, g, capW, top, rung, br, out)
 		cancel()
 		if err == nil {
 			out.Rung = rung
@@ -208,7 +182,6 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 				out.Reason = strings.Join(append(chain, rung.String()), "→")
 			}
 			span.SetAttr("rung", rung.String())
-			span.SetAttr("attempts", out.Attempts)
 			span.SetAttr("degraded", out.Degraded)
 			return out, nil
 		}
@@ -226,37 +199,26 @@ func (l *Ladder) Solve(ctx context.Context, sv *core.Solver, g *dag.Graph, capW 
 	return nil, fmt.Errorf("resilience: every rung failed (%s): %w", strings.Join(chain, "→"), lastErr)
 }
 
-// attempt runs one rung with its retry budget, recording its result in
-// out. Numerical failures are retried with backoff; anything else descends
-// immediately.
-func (l *Ladder) attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, rung Rung, br *Breaker, out *Outcome) error {
-	for try := 0; ; try++ {
-		out.Attempts++
-		out.RungAttempts[rung]++
-		actx, sp := obs.Start(ctx, "resilience."+rung.String())
-		sp.SetAttr("try", try)
-		sp.SetAttr("breaker", br.State())
-		err := runRung(actx, sv, g, capW, top, rung, out)
-		sp.SetAttr("ok", err == nil)
-		sp.End()
-		if err == nil {
-			br.Success()
-			return nil
-		}
-		if errors.Is(err, core.ErrInfeasible) || ctx.Err() != nil {
-			// Not the rung's fault (or no time left to retry on it):
-			// don't poison the breaker.
-			return err
-		}
-		var ne *lp.NumericalError
-		if errors.As(err, &ne) && try < retries {
-			out.Retries++
-			l.sleep(l.backoff(try))
-			continue
-		}
+// attempt runs one rung once, recording its result in out and reporting
+// it to the rung's breaker. The LP is deterministic, so a failure is not
+// retried: the ladder descends.
+func attempt(ctx context.Context, sv *core.Solver, g *dag.Graph, capW float64, top LP, rung Rung, br *Breaker, out *Outcome) error {
+	out.RungAttempts[rung]++
+	actx, sp := obs.Start(ctx, "resilience."+rung.String())
+	sp.SetAttr("breaker", br.State())
+	err := runRung(actx, sv, g, capW, top, rung, out)
+	sp.SetAttr("ok", err == nil)
+	sp.End()
+	switch {
+	case err == nil:
+		br.Success()
+	case errors.Is(err, core.ErrInfeasible) || ctx.Err() != nil:
+		// Not the rung's fault (or its deadline slice ran out): don't
+		// poison the breaker.
+	default:
 		br.Failure()
-		return err
 	}
+	return err
 }
 
 // runRung executes one ladder level, recording its schedule in out. The
@@ -304,32 +266,6 @@ func rungContext(ctx context.Context, frac float64) (context.Context, context.Ca
 	}
 	slice := time.Duration(float64(remaining) * frac)
 	return context.WithDeadline(ctx, time.Now().Add(slice))
-}
-
-// backoff computes the delay before retry number try: exponential from
-// BackoffBase, capped at backoffMax, plus a deterministic jitter of up to
-// half the base step (decorrelates retry storms across concurrent requests
-// without nondeterministic randomness).
-func (l *Ladder) backoff(try int) time.Duration {
-	d := l.cfg.BackoffBase << uint(try)
-	if d > backoffMax {
-		d = backoffMax
-	}
-	x := l.jitter.Add(1)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	jitter := time.Duration(x % uint64(l.cfg.BackoffBase/2+1))
-	return d + jitter
-}
-
-func (l *Ladder) sleep(d time.Duration) {
-	if l.cfg.Sleep != nil {
-		l.cfg.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // describeFailure renders one rung's failure for the Degraded reason chain.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"powercap/internal/dag"
 	"powercap/internal/faultinject"
 	"powercap/internal/machine"
+	"powercap/internal/workloads"
 )
 
 // smallGraph: two ranks, mild imbalance, one collective — solves in a
@@ -44,8 +46,6 @@ func bigGraph() *dag.Graph {
 
 func testSolver() *core.Solver { return core.NewSolver(machine.Default(), nil) }
 
-func noSleep(time.Duration) {}
-
 func TestLadderTopRungMatchesDirectSolve(t *testing.T) {
 	faultinject.Disable()
 	g := smallGraph()
@@ -55,7 +55,7 @@ func TestLadderTopRungMatchesDirectSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestLadderTopRungMatchesDirectSolve(t *testing.T) {
 	if math.Float64bits(out.Schedule.MakespanS) != math.Float64bits(direct.MakespanS) {
 		t.Fatalf("ladder makespan %v != direct %v", out.Schedule.MakespanS, direct.MakespanS)
 	}
-	if out.Attempts != 1 || out.Retries != 0 {
-		t.Fatalf("clean solve spent attempts=%d retries=%d", out.Attempts, out.Retries)
+	if out.RungAttempts != [NumRungs]int{1, 0, 0} {
+		t.Fatalf("clean solve ran rungs %v, want [1 0 0]", out.RungAttempts)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestLadderNaNRecoveredAtTopRung(t *testing.T) {
 	faultinject.Configure(21, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
 
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestLadderStallDescendsToHeuristic(t *testing.T) {
 	faultinject.Configure(22, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
 
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	out, err := l.Solve(context.Background(), sv, g, 100, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +127,12 @@ func TestLadderStallDescendsToHeuristic(t *testing.T) {
 	}
 }
 
-// TestLadderNumericalRetryThenDescend: a persistent NaN storm on a large LP
+// TestLadderNumericalDescendsOnce: a persistent NaN storm on a large LP
 // exhausts the kernel's internal recovery and its rescue, surfaces as
-// *lp.NumericalError, earns a backoff retry, and finally descends with a
-// "numerical" reason in the chain.
-func TestLadderNumericalRetryThenDescend(t *testing.T) {
+// *lp.NumericalError, and descends at once with a "numerical" reason in
+// the chain: the LP rung runs once, since re-running the same
+// deterministic LP cannot end differently.
+func TestLadderNumericalDescendsOnce(t *testing.T) {
 	g := bigGraph()
 	sv := testSolver()
 	faultinject.Disable()
@@ -143,7 +144,7 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 
 	faultinject.Configure(23, map[faultinject.Class]float64{faultinject.LPNaN: 1.0})
 	defer faultinject.Disable()
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	out, err := l.Solve(context.Background(), sv, g, 300, LP{Whole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +152,85 @@ func TestLadderNumericalRetryThenDescend(t *testing.T) {
 	if !out.Degraded {
 		t.Fatal("persistent NaN storm did not degrade")
 	}
-	if out.Retries == 0 {
-		t.Fatal("numerical failure earned no retry")
+	if out.RungAttempts != [NumRungs]int{1, 1, 0} {
+		t.Fatalf("rung attempts %v, want [1 1 0]: the LP rung runs once, then the heuristic", out.RungAttempts)
 	}
-	if !strings.Contains(out.Reason, "numerical") {
-		t.Fatalf("reason %q does not name the numerical failure", out.Reason)
+	if !strings.HasPrefix(out.Reason, "sparse:numerical(") || !strings.HasSuffix(out.Reason, "→heuristic") {
+		t.Fatalf("reason %q, want sparse:numerical(…)→heuristic", out.Reason)
 	}
 	if out.Realized == nil || out.Realized.CapViolationW != 0 {
 		t.Fatalf("degraded outcome not certified cap-clean: %+v", out.Realized)
+	}
+}
+
+// answerBits flattens what a top-rung answer reports — makespan,
+// objective and every choice — into words compared bit for bit.
+func answerBits(s *core.Schedule) []uint64 {
+	w := []uint64{math.Float64bits(s.MakespanS), math.Float64bits(s.Objective)}
+	f := func(xs ...float64) {
+		for _, x := range xs {
+			w = append(w, math.Float64bits(x))
+		}
+	}
+	for _, c := range s.Choices {
+		for _, m := range c.Mix {
+			f(m.Config.FreqGHz, float64(m.Config.Threads), m.Frac, m.DurationS, m.PowerW)
+		}
+		f(c.DurationS, c.PowerW, c.Discrete.FreqGHz, float64(c.Discrete.Threads), c.DiscreteDurationS, c.DiscretePowerW)
+	}
+	return w
+}
+
+// TestTopRungRepeatsBitForBit is why a rung runs once: the LP rung is a
+// pure function of the graph, the cap and the LP shape. Each shape is
+// solved twice through one Ladder on one Solver (the second solve reuses
+// the cached IR) and must repeat its makespan, objective, choices and
+// solver effort bit for bit, so a retried numerical breakdown would break
+// down again at the same pivot. Run at -cpu 1,2: the slices and windows
+// fan out.
+func TestTopRungRepeatsBitForBit(t *testing.T) {
+	faultinject.Disable()
+	sp := workloads.SP(workloads.Params{Ranks: 4, Iterations: 3, Seed: 1, WorkScale: 0.3})
+	syn := workloads.Synthetic(workloads.SynthParams{Ranks: 4, Events: 600, Seed: 1})
+	l := New(Config{})
+	for _, tc := range []struct {
+		name string
+		w    *workloads.Workload
+		top  LP
+	}{
+		{"sp/decomposed", sp, LP{}},
+		{"sp/whole", sp, LP{Whole: true}},
+		{"synthetic/windowed", syn, LP{Windowed: &core.WindowedOptions{Windows: 3, OverlapEvents: -1, CoarsenEps: 2e-3}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sv := core.NewSolver(machine.Default(), tc.w.EffScale)
+			capW := 50 * float64(tc.w.Graph.NumRanks)
+			var first *Outcome
+			for run := 0; run < 2; run++ {
+				out, err := l.Solve(context.Background(), sv, tc.w.Graph, capW, tc.top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Rung != RungSparse {
+					t.Fatalf("run %d served by rung %v (%s)", run, out.Rung, out.Reason)
+				}
+				if first == nil {
+					first = out
+					continue
+				}
+				a, b := first.Schedule, out.Schedule
+				if !slices.Equal(answerBits(a), answerBits(b)) {
+					t.Fatalf("repeat answer differs: makespan %v vs %v, objective %v vs %v",
+						a.MakespanS, b.MakespanS, a.Objective, b.Objective)
+				}
+				if a.Stats != b.Stats {
+					t.Fatalf("repeat effort differs:\n%+v\n%+v", a.Stats, b.Stats)
+				}
+				if a.Stats.SimplexIter == 0 {
+					t.Fatal("no pivots: the shape never reached the LP")
+				}
+			}
+		})
 	}
 }
 
@@ -166,7 +238,7 @@ func TestLadderInfeasiblePropagatesImmediately(t *testing.T) {
 	faultinject.Disable()
 	g := smallGraph()
 	sv := testSolver()
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	out, err := l.Solve(context.Background(), sv, g, 0.5, LP{Whole: true})
 	if err == nil {
 		t.Fatalf("infeasible cap produced outcome %+v", out)
@@ -180,8 +252,8 @@ func TestLadderBreakerSkipsBrokenRung(t *testing.T) {
 	faultinject.Disable()
 	g := smallGraph()
 	sv := testSolver()
-	l := New(Config{BreakerThreshold: 2, BreakerCooldown: time.Hour, Sleep: noSleep})
-	for i := 0; i < 2; i++ {
+	l := New(Config{BreakerCooldown: time.Hour})
+	for i := 0; i < breakerThreshold; i++ {
 		l.breakers[RungSparse].Failure()
 	}
 	if st := l.BreakerStates()["sparse"]; st != "open" {
@@ -210,8 +282,10 @@ func TestLadderBreakerRecoversAfterCooldown(t *testing.T) {
 	faultinject.Disable()
 	g := smallGraph()
 	sv := testSolver()
-	l := New(Config{BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond, Sleep: noSleep})
-	l.breakers[RungSparse].Failure()
+	l := New(Config{BreakerCooldown: 10 * time.Millisecond})
+	for i := 0; i < breakerThreshold; i++ {
+		l.breakers[RungSparse].Failure()
+	}
 	if l.breakers[RungSparse].Allow() {
 		t.Fatal("breaker admits requests immediately after tripping")
 	}
@@ -235,7 +309,7 @@ func TestLadderDeadParentContext(t *testing.T) {
 	sv := testSolver()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	l := New(Config{Sleep: noSleep})
+	l := New(Config{})
 	if _, err := l.Solve(ctx, sv, g, 100, LP{Whole: true}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v does not wrap the parent deadline", err)
 	}
@@ -274,7 +348,7 @@ func TestTopRungDeadlineSlice(t *testing.T) {
 		defer faultinject.Disable()
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
 		defer cancel()
-		out, err := New(Config{Sleep: noSleep}).Solve(ctx, sv, g, 100, LP{Whole: true})
+		out, err := New(Config{}).Solve(ctx, sv, g, 100, LP{Whole: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,6 @@ func TestTwinChaosRecovery(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 2,
 		Resilience: powercap.ResilienceConfig{
-			BackoffBase:     100 * time.Microsecond,
 			BreakerCooldown: 50 * time.Millisecond,
 		},
 	})

@@ -42,7 +42,6 @@ func TestChaosSoak(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Workers: 4,
 		Resilience: powercap.ResilienceConfig{
-			BackoffBase:     100 * time.Microsecond,
 			BreakerCooldown: 50 * time.Millisecond,
 		},
 	})

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"powercap"
 	"powercap/internal/faultinject"
 	"powercap/internal/obs"
 	"powercap/internal/slo"
@@ -174,9 +173,6 @@ func TestWideEventCausalChain(t *testing.T) {
 		// A 1ns latency threshold makes every request "slow", so the
 		// latency objective's burn spikes immediately.
 		SLO: slo.Config{LatencyThreshold: time.Nanosecond},
-		Resilience: powercap.ResilienceConfig{
-			BackoffBase: 100 * time.Microsecond,
-		},
 	})
 	faultinject.Configure(11, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()

@@ -187,7 +187,7 @@ func TestFoldNoAllocs(t *testing.T) {
 	ev := &obs.WideEvent{
 		TimeUnixNS: 1, RequestID: "abcd1234", Path: "/v1/solve", Status: http.StatusOK, DurMS: 1.5,
 		Workload: "CoMD", CapW: 100, Cache: "miss", CacheKey: "k", Rung: "heuristic", Degraded: true,
-		Solves: 1, Infeasible: 1, Panics: 1, SolveRetries: 1,
+		Solves: 1, Infeasible: 1, Panics: 1,
 		WindowsSolved: 3, CommitSolves: 2, WarmStartHits: 2, Escalations: 1, SeamViolationW: 1e-9, StitchGapPct: 0.5,
 		Jobs: 2, DegradedJobs: 1, MovedW: 6.5, BudgetInfeasible: true, Traced: true, DroppedSpans: 3,
 		Kernel: obs.KernelHealth{Solves: 4, SimplexPivots: 900, WarmStarts: 4, Refactorizations: 2, MaxEtaLen: 64, RowNormRatio: 512},

@@ -76,8 +76,6 @@ var counterFamilies = [...]counterFamily{
 		}},
 	{"pcschedd_fallback_static_total", "Degraded responses produced by the static fair-share rung.",
 		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Degraded && ev.Rung == powercap.RungStatic.String()) }},
-	{"pcschedd_solve_retries_total", "Backoff retries spent on numerical solve failures.",
-		func(ev *obs.WideEvent) uint64 { return countOf(ev.SolveRetries) }},
 	{"pcschedd_cache_errors_total", "Cache faults that forced a request to bypass the schedule cache.",
 		func(ev *obs.WideEvent) uint64 { return oneIf(ev.Cache == "bypass") }},
 	{"pcschedd_traced_requests_total", "Requests that returned an inline trace (?trace=1).",

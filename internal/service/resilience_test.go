@@ -233,7 +233,7 @@ func TestHealthzBreakers(t *testing.T) {
 	faultinject.Disable()
 	_, ts := newTestServer(t, Config{
 		Workers:    2,
-		Resilience: powercap.ResilienceConfig{BreakerThreshold: 1, BreakerCooldown: time.Hour},
+		Resilience: powercap.ResilienceConfig{BreakerCooldown: time.Hour},
 	})
 
 	h := healthz(t, ts.URL)
@@ -247,16 +247,21 @@ func TestHealthzBreakers(t *testing.T) {
 		}
 	}
 
-	// Stall the LP rung once: with threshold 1 its breaker trips open and
-	// the heuristic rung serves.
+	// Stall the LP rung three times, the breaker threshold: its breaker
+	// trips open and the heuristic rung serves each one.
 	faultinject.Configure(34, map[faultinject.Class]float64{faultinject.LPStall: 1.0})
 	defer faultinject.Disable()
-	if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {
-		t.Fatalf("degraded solve failed")
+	for i := 0; i < 3; i++ {
+		if br := healthz(t, ts.URL)["breakers"].(map[string]any); br["sparse"] != "closed" {
+			t.Fatalf("breakers after %d stalled solves: %v, want sparse closed", i, br)
+		}
+		if code, _ := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Workload: fastWL, CapPerSocketW: 55}); code != http.StatusOK {
+			t.Fatalf("degraded solve %d failed", i)
+		}
 	}
 	br = healthz(t, ts.URL)["breakers"].(map[string]any)
 	if br["sparse"] != "open" || br["heuristic"] != "closed" {
-		t.Fatalf("breakers after stalled solve: %v, want sparse open, heuristic closed", br)
+		t.Fatalf("breakers after stalled solves: %v, want sparse open, heuristic closed", br)
 	}
 }
 

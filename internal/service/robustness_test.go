@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"testing"
 
+	"powercap"
 	"powercap/internal/trace"
 )
 
@@ -108,6 +110,45 @@ func TestMalformedTraceRejectedDaemonSurvives(t *testing.T) {
 	}
 	if m["pcschedd_bad_requests_total"] != 3 {
 		t.Fatalf("bad_requests_total = %v, want 3", m["pcschedd_bad_requests_total"])
+	}
+}
+
+// TestIterationBelowPrologueRejected: a task labelled below the prologue's
+// iteration (-1) belongs to no iteration slice. The decomposed bound must
+// fail on it rather than leave it out (which gave a "bound" below the
+// whole-graph LP's), the trace reader must refuse it, and an inline solve
+// of it is a 400.
+func TestIterationBelowPrologueRejected(t *testing.T) {
+	wl, err := powercap.WorkloadByName("SP", powercap.WorkloadParams{Ranks: 2, Iterations: 2, Seed: 1, WorkScale: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := wl.Graph
+	relabelled := 0
+	for i := range g.Tasks {
+		if g.Tasks[i].Iteration == -1 {
+			g.Tasks[i].Iteration = -3
+			relabelled++
+		}
+	}
+	if relabelled != 2 {
+		t.Fatalf("relabelled %d prologue tasks, want 2", relabelled)
+	}
+
+	if s, err := powercap.SystemFor(wl, nil).UpperBound(g, 60*float64(g.NumRanks)); err == nil {
+		t.Fatalf("UpperBound = %v s with two tasks in no slice, want an error", s.MakespanS)
+	}
+	var buf bytes.Buffer
+	if err := powercap.WriteTrace(&buf, "sp", g, wl.EffScale); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := powercap.ReadTrace(&buf); err == nil {
+		t.Fatal("ReadTrace accepted a task below the prologue")
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	code, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Trace: trace.Encode("sp", g, wl.EffScale), CapPerSocketW: 60})
+	if code != http.StatusBadRequest {
+		t.Fatalf("inline solve: status %d (%s), want 400", code, body)
 	}
 }
 

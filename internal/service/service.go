@@ -417,12 +417,10 @@ type SolveResponse struct {
 
 	// Degraded marks a schedule produced below the fallback ladder's top
 	// rung; DegradedRung names the rung that served it and DegradedReason
-	// carries the machine-readable descent chain. SolveRetries counts the
-	// ladder's backoff retries on numerical failures.
+	// carries the machine-readable descent chain.
 	Degraded       bool   `json:"degraded,omitempty"`
 	DegradedRung   string `json:"degraded_rung,omitempty"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
-	SolveRetries   int    `json:"solve_retries,omitempty"`
 
 	// Cached is true when the response came from the LRU or an in-flight
 	// identical solve rather than a fresh backend run. ClusterOrigin, set
@@ -452,7 +450,6 @@ type solveOutcome struct {
 	degraded   bool
 	rung       string
 	reason     string
-	retries    int
 	// clusterOrigin is the request ID of the /v1/cluster allocation that
 	// parked this entry ("" for entries from /v1/solve itself).
 	clusterOrigin string
@@ -587,7 +584,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		resp.Degraded = out.degraded
 		resp.DegradedRung = out.rung
 		resp.DegradedReason = out.reason
-		resp.SolveRetries = out.retries
 		if out.realized != nil {
 			resp.Realized = NewRealizedJSON(out.realized)
 		}
@@ -654,7 +650,6 @@ func (s *Server) solveWorker(ctx context.Context, ev *obs.WideEvent, sys *powerc
 		degraded: res.Degraded,
 		rung:     res.Rung.String(),
 		reason:   res.Reason,
-		retries:  res.Retries,
 	}
 	if req.Realize != "" && !res.Degraded {
 		out.realized, serr = sys.RealizeScheduleCtx(ctx, g, res.Schedule, req.Realize)
@@ -664,7 +659,7 @@ func (s *Server) solveWorker(ctx context.Context, ev *obs.WideEvent, sys *powerc
 	}
 	ev.Solves++
 	ev.Kernel = *NewStatsJSON(res.Schedule.Stats)
-	ev.Rung, ev.Degraded, ev.DegradedReason, ev.SolveRetries = out.rung, out.degraded, out.reason, out.retries
+	ev.Rung, ev.Degraded, ev.DegradedReason = out.rung, out.degraded, out.reason
 	ev.RungAttempts = res.RungAttempts
 	if ws := res.Windowed; ws != nil {
 		ev.WindowsSolved = ws.Windows

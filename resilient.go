@@ -8,15 +8,15 @@ import (
 
 // Resilient solve facade (DESIGN.md §10): UpperBound through the
 // degradation ladder. When the LP breaks down numerically even after the
-// kernel's own rescue (a cold unscaled re-solve), the ladder
-// retries with backoff, then descends to a slack-aware heuristic, then to
-// the static fair-share policy — every sub-top-rung result
+// kernel's own rescue (a cold unscaled re-solve), the ladder descends at
+// once to a slack-aware heuristic, then to the static fair-share policy —
+// each rung runs at most once, every sub-top-rung result is
 // simulator-validated and cap-clean, and tagged Degraded with a
 // machine-readable reason.
 
 // Re-exported resilience types.
 type (
-	// ResilienceConfig tunes the ladder (backoff base, circuit breakers).
+	// ResilienceConfig tunes the ladder (its circuit breakers' cooldown).
 	ResilienceConfig = resilience.Config
 	// ResilientOutcome is a ladder result: the schedule plus which rung
 	// produced it and whether it is degraded.
